@@ -14,7 +14,11 @@ import sys
 from typing import Any
 
 from .corruption import run_robustness
-from .crossfit import crossfit_beta, crossfit_population_mean
+# crossfit_beta and crossfit_population_mean stay bound here for callers
+# that wrap the CLI's bindings (perfbench/trace_child.py); `estimate` gets
+# both mean reports from one fold pass per repetition.
+from .crossfit import (_crossfit_mean_reports, crossfit_beta,  # noqa: F401
+                       crossfit_population_mean)
 from .data import validate_table
 from .dataio import (
     REPORT_FORMAT,
@@ -144,13 +148,7 @@ def _fmt(x: float | None, nd: int = 6) -> str:
 def _estimate_one(table, cfg: AnalysisConfig) -> dict:
     """Point estimates for one table: nonrespondent target plus population."""
     if cfg.functional.kind == "mean":
-        beta = crossfit_beta(
-            table, cfg.functional, cfg.learner,
-            n_folds=cfg.n_folds, repetitions=cfg.repetitions, seed=cfg.seed,
-            ci_level=cfg.ci_level, kind=cfg.estimator, mode=cfg.mode,
-            trim=cfg.trim, winsorize=cfg.winsorize,
-        )
-        pop = crossfit_population_mean(
+        beta, pop = _crossfit_mean_reports(
             table, cfg.functional, cfg.learner,
             n_folds=cfg.n_folds, repetitions=cfg.repetitions, seed=cfg.seed,
             ci_level=cfg.ci_level, kind=cfg.estimator, mode=cfg.mode,

@@ -11,6 +11,11 @@ per-repetition estimates, and the reported variance is
     median_s [ var_s + (est_s - point)^2 ]
 
 which charges each repetition for its distance from the consensus.
+
+One fold loop (_crossfit_pass) serves every estimator here.  The
+nonrespondent mean beta and the population mean (1 - pi0) alpha + pi0 beta
+are both computed from one shared split and one nuisance fit per fold and
+repetition, so `mivest estimate` fits K x S nuisance sets for both reports.
 """
 
 from __future__ import annotations
@@ -113,6 +118,79 @@ class CrossfitResult:
     pi0_by_fold: np.ndarray
 
 
+def _check_repetitions(repetitions: int) -> None:
+    if repetitions < 1:
+        raise ConfigurationError("repetitions must be at least 1")
+    if repetitions % 2 == 0:
+        warnings.warn(
+            "even repetition count makes the median an average of the middle "
+            "pair; an odd count is recommended",
+            UserWarning,
+            stacklevel=3,
+        )
+
+
+def _crossfit_pass(
+    table: ObservationTable,
+    spec: FunctionalSpec,
+    cfg: LearnerConfig,
+    plan: FoldPlan,
+    use: str,
+    mode: str,
+    trim: TrimPolicy,
+    winsorize: float | None,
+    fit: FitterType,
+) -> tuple[CrossfitResult, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """The fold loop: fit on each fold's complement, evaluate on the fold.
+
+    Returns the repetition's pooled result and its per-row
+    (phi, keep, coef, delta_own), from which the population functional is
+    assembled without refitting.  coef is (1 - R_i) / pi0 of the row's fold.
+    """
+    diag = Diagnostics()
+    phi = np.empty(table.n, dtype=float)
+    keep = np.zeros(table.n, dtype=bool)
+    coef = np.empty(table.n, dtype=float)
+    delta_own = np.empty(table.n, dtype=float)
+    pi0s = np.empty(plan.n_folds, dtype=float)
+
+    for k in range(plan.n_folds):
+        mask = plan.assignments == k
+        train = table.subset(~mask)
+        block = table.subset(mask)
+        try:
+            ns = fit(train, spec, cfg, mode=mode)
+        except (FitError, EstimationError) as e:
+            raise type(e)(f"fold {k}: {e}") from e
+        if not ns.pi0 > 0:
+            raise NoIncompleteCasesError(f"fold {k}: training split has no incomplete rows")
+        p, kp, d = _fold_phi(use, block, ns, spec, trim, diag)
+        phi[mask] = p
+        keep[mask] = kp
+        delta_own[mask] = d
+        coef[mask] = (1.0 - block.R.astype(float)) / ns.pi0
+        pi0s[k] = ns.pi0
+        diag.merge(ns.diagnostics)
+
+    if winsorize is not None:
+        phi = winsorize_values(phi, winsorize, diag)
+    if not keep.any():
+        raise EstimationError("trim policy removed every row")
+    est = float(phi[keep].mean())
+    centered = phi[keep] - coef[keep] * est
+    result = CrossfitResult(
+        estimate=est,
+        variance=variance_if(centered),
+        n=table.n,
+        n0=table.n0,
+        n_kept=int(keep.sum()),
+        plan=plan,
+        diagnostics=diag,
+        pi0_by_fold=pi0s,
+    )
+    return result, (phi, keep, coef, delta_own)
+
+
 def crossfit_estimate(
     table: ObservationTable,
     spec: FunctionalSpec,
@@ -141,48 +219,8 @@ def crossfit_estimate(
         raise ConfigurationError("fold plan was built for a different table size")
     fit = fitter if fitter is not None else fit_nuisance_set
     use = _resolve_kind(kind, table.L)
-
-    diag = Diagnostics()
-    phi = np.empty(table.n, dtype=float)
-    keep = np.zeros(table.n, dtype=bool)
-    coef = np.empty(table.n, dtype=float)     # (1 - R_i) / pi0 of the row's fold
-    delta_own = np.empty(table.n, dtype=float)
-    pi0s = np.empty(plan.n_folds, dtype=float)
-
-    for k in range(plan.n_folds):
-        mask = plan.assignments == k
-        train = table.subset(~mask)
-        block = table.subset(mask)
-        try:
-            ns = fit(train, spec, cfg, mode=mode)
-        except (FitError, EstimationError) as e:
-            raise type(e)(f"fold {k}: {e}") from e
-        if not ns.pi0 > 0:
-            raise NoIncompleteCasesError(f"fold {k}: training split has no incomplete rows")
-        p, kp, d = _fold_phi(use, block, ns, spec, trim, diag)
-        phi[mask] = p
-        keep[mask] = kp
-        delta_own[mask] = d
-        coef[mask] = (1.0 - block.R.astype(float)) / ns.pi0
-        pi0s[k] = ns.pi0
-        diag.merge(ns.diagnostics)
-
-    if winsorize is not None:
-        phi = winsorize_values(phi, winsorize, diag)
-    if not keep.any():
-        raise EstimationError("trim policy removed every row")
-    est = float(phi[keep].mean())
-    centered = phi[keep] - coef[keep] * est
-    return CrossfitResult(
-        estimate=est,
-        variance=variance_if(centered),
-        n=table.n,
-        n0=table.n0,
-        n_kept=int(keep.sum()),
-        plan=plan,
-        diagnostics=diag,
-        pi0_by_fold=pi0s,
-    )
+    result, _ = _crossfit_pass(table, spec, cfg, plan, use, mode, trim, winsorize, fit)
+    return result
 
 
 def repeated_crossfit(
@@ -199,15 +237,7 @@ def repeated_crossfit(
     winsorize: float | None = None,
     fitter: FitterType | None = None,
 ) -> list[CrossfitResult]:
-    if repetitions < 1:
-        raise ConfigurationError("repetitions must be at least 1")
-    if repetitions % 2 == 0:
-        warnings.warn(
-            "even repetition count makes the median an average of the middle "
-            "pair; an odd count is recommended",
-            UserWarning,
-            stacklevel=2,
-        )
+    _check_repetitions(repetitions)
     return [
         crossfit_estimate(
             table, spec, cfg,
@@ -279,6 +309,52 @@ class EstimateReport:
         }
 
 
+def _report(
+    table: ObservationTable,
+    est: np.ndarray,
+    var: np.ndarray,
+    diag: Diagnostics,
+    *,
+    n_folds: int,
+    seed: int,
+    ci_level: float,
+    kind: str,
+    mode: str,
+    trim: TrimPolicy,
+    winsorize: float | None,
+) -> EstimateReport:
+    """Median-adjust per-repetition (estimate, variance) pairs into a report."""
+    point, adj = median_adjust(est, var)
+    lo, hi = normal_ci(point, adj, ci_level)
+    return EstimateReport(
+        estimate=point,
+        variance=adj,
+        std_error=float(np.sqrt(max(adj, 0.0))),
+        ci_level=ci_level,
+        ci_lower=lo,
+        ci_upper=hi,
+        n=table.n,
+        n0=table.n0,
+        n_folds=n_folds,
+        repetitions=len(est),
+        kind=kind,
+        mode=mode,
+        trim=trim,
+        winsorize=winsorize,
+        seed=seed,
+        per_repetition_estimates=[float(x) for x in est],
+        per_repetition_variances=[float(x) for x in var],
+        diagnostics=diag.as_dict(),
+    )
+
+
+def _merged(results: list[CrossfitResult]) -> Diagnostics:
+    diag = Diagnostics()
+    for r in results:
+        diag.merge(r.diagnostics)
+    return diag
+
+
 def crossfit_beta(
     table: ObservationTable,
     spec: FunctionalSpec,
@@ -300,33 +376,77 @@ def crossfit_beta(
         n_folds=n_folds, repetitions=repetitions, seed=seed, kind=kind,
         mode=mode, trim=trim, winsorize=winsorize, fitter=fitter,
     )
-    est = np.array([r.estimate for r in results])
-    var = np.array([r.variance for r in results])
-    point, adj = median_adjust(est, var)
-    lo, hi = normal_ci(point, adj, ci_level)
-    diag = Diagnostics()
-    for r in results:
-        diag.merge(r.diagnostics)
-    return EstimateReport(
-        estimate=point,
-        variance=adj,
-        std_error=float(np.sqrt(max(adj, 0.0))),
-        ci_level=ci_level,
-        ci_lower=lo,
-        ci_upper=hi,
-        n=table.n,
-        n0=table.n0,
-        n_folds=results[0].plan.n_folds,
-        repetitions=repetitions,
-        kind=_resolve_kind(kind, table.L),
-        mode=mode,
-        trim=trim,
-        winsorize=winsorize,
-        seed=seed,
-        per_repetition_estimates=[float(x) for x in est],
-        per_repetition_variances=[float(x) for x in var],
-        diagnostics=diag.as_dict(),
+    return _report(
+        table,
+        np.array([r.estimate for r in results]),
+        np.array([r.variance for r in results]),
+        _merged(results),
+        n_folds=n_folds, seed=seed, ci_level=ci_level,
+        kind=_resolve_kind(kind, table.L), mode=mode, trim=trim, winsorize=winsorize,
     )
+
+
+def _crossfit_mean_reports(
+    table: ObservationTable,
+    spec: FunctionalSpec,
+    cfg: LearnerConfig,
+    *,
+    n_folds: int = 5,
+    repetitions: int = 1,
+    seed: int = 0,
+    ci_level: float = 0.95,
+    kind: EstimatorKind = "auto",
+    mode: str = "marginalize",
+    trim: TrimPolicy = "floor",
+    winsorize: float | None = None,
+    fitter: FitterType | None = None,
+) -> tuple[EstimateReport, EstimateReport]:
+    """(crossfit_beta report, crossfit_population_mean report) from one pass.
+
+    Each repetition runs the fold loop once; both reports reduce its per-row
+    values to (estimate, variance) pairs before the next repetition, so
+    the result equals the two separate calls with half the nuisance fits.
+    """
+    if table.n1 == 0:
+        raise EstimationError("no complete cases; population functional needs both")
+    if table.n0 == 0:
+        raise NoIncompleteCasesError("no rows with R = 0; the target is undefined")
+    _check_repetitions(repetitions)
+    alpha = float(np.mean(evaluate_h(spec, table.y_observed)))
+    pi0 = table.n0 / table.n
+    p1 = 1.0 - pi0
+
+    fit = fitter if fitter is not None else fit_nuisance_set
+    use = _resolve_kind(kind, table.L)
+    R = table.R.astype(float)
+    rh = table.rh(spec)
+
+    results: list[CrossfitResult] = []
+    pop_est = np.empty(repetitions, dtype=float)
+    pop_var = np.empty(repetitions, dtype=float)
+    for rep in range(repetitions):
+        plan = make_folds(table.n, n_folds, seed, rep)
+        res, (phi, keep, coef, delta_own) = _crossfit_pass(
+            table, spec, cfg, plan, use, mode, trim, winsorize, fit)
+        beta = res.estimate
+        first = phi - coef * delta_own
+        phi_pop = (
+            pi0 * first
+            + alpha * (R - p1)
+            + beta * (1.0 - R - pi0)
+            + rh - R * alpha
+            + (1.0 - R) * (delta_own - beta)
+        )
+        pop_est[rep] = p1 * alpha + pi0 * beta
+        pop_var[rep] = variance_if(phi_pop[keep])
+        results.append(res)
+
+    diag = _merged(results)
+    common = dict(n_folds=n_folds, seed=seed, ci_level=ci_level, kind=use, mode=mode,
+                  trim=trim, winsorize=winsorize)
+    beta_report = _report(table, np.array([r.estimate for r in results]),
+                          np.array([r.variance for r in results]), diag, **common)
+    return beta_report, _report(table, pop_est, pop_var, diag, **common)
 
 
 def crossfit_population_mean(
@@ -347,95 +467,15 @@ def crossfit_population_mean(
     """Cross-fitted population functional (1 - pi0) alpha + pi0 beta.
 
     alpha is the complete-case mean of h (no model, no cross-fitting
-    needed); beta and the influence-value variance come from the fold
-    machinery.  pi0 in the composition is the full-sample share so the
-    identity estimate == (1 - pi0) alpha + pi0 beta holds exactly.
+    needed).  beta and the influence-value variance come from one shared
+    fold pass per repetition: the same split and per-fold nuisance fits
+    that crossfit_beta uses with equal arguments, which is how `mivest
+    estimate` gets both mean reports from one pass.  pi0 in the
+    composition is the full-sample share so the identity
+    estimate == (1 - pi0) alpha + pi0 beta holds exactly.
     """
-    if table.n1 == 0:
-        raise EstimationError("no complete cases; population functional needs both")
-    if table.n0 == 0:
-        raise NoIncompleteCasesError("no rows with R = 0; the target is undefined")
-    if repetitions < 1:
-        raise ConfigurationError("repetitions must be at least 1")
-    if repetitions % 2 == 0:
-        warnings.warn(
-            "even repetition count makes the median an average of the middle "
-            "pair; an odd count is recommended",
-            UserWarning,
-            stacklevel=2,
-        )
-    alpha = float(np.mean(evaluate_h(spec, table.y_observed)))
-    pi0 = table.n0 / table.n
-    p1 = 1.0 - pi0
-
-    fit = fitter if fitter is not None else fit_nuisance_set
-    use = _resolve_kind(kind, table.L)
-    R = table.R.astype(float)
-    rh = table.rh(spec)
-
-    ests = np.empty(repetitions, dtype=float)
-    vars_ = np.empty(repetitions, dtype=float)
-    betas = np.empty(repetitions, dtype=float)
-    diag = Diagnostics()
-    for rep in range(repetitions):
-        plan = make_folds(table.n, n_folds, seed, rep)
-        phi = np.empty(table.n, dtype=float)
-        keep = np.zeros(table.n, dtype=bool)
-        coef = np.empty(table.n, dtype=float)
-        delta_own = np.empty(table.n, dtype=float)
-        for k in range(plan.n_folds):
-            mask = plan.assignments == k
-            train = table.subset(~mask)
-            block = table.subset(mask)
-            try:
-                ns = fit(train, spec, cfg, mode=mode)
-            except EstimationError as e:
-                raise type(e)(f"fold {k}: {e}") from e
-            if not ns.pi0 > 0:
-                raise NoIncompleteCasesError(
-                    f"fold {k}: training split has no incomplete rows"
-                )
-            p, kp, d = _fold_phi(use, block, ns, spec, trim, diag)
-            phi[mask] = p
-            keep[mask] = kp
-            delta_own[mask] = d
-            coef[mask] = (1.0 - block.R.astype(float)) / ns.pi0
-            diag.merge(ns.diagnostics)
-        if winsorize is not None:
-            phi = winsorize_values(phi, winsorize, diag)
-        if not keep.any():
-            raise EstimationError("trim policy removed every row")
-        beta = float(phi[keep].mean())
-        first = phi - coef * delta_own
-        phi_pop = (
-            pi0 * first
-            + alpha * (R - p1)
-            + beta * (1.0 - R - pi0)
-            + rh - R * alpha
-            + (1.0 - R) * (delta_own - beta)
-        )
-        betas[rep] = beta
-        ests[rep] = p1 * alpha + pi0 * beta
-        vars_[rep] = variance_if(phi_pop[keep])
-    point, adj = median_adjust(ests, vars_)
-    lo, hi = normal_ci(point, adj, ci_level)
-    return EstimateReport(
-        estimate=point,
-        variance=adj,
-        std_error=float(np.sqrt(max(adj, 0.0))),
-        ci_level=ci_level,
-        ci_lower=lo,
-        ci_upper=hi,
-        n=table.n,
-        n0=table.n0,
-        n_folds=n_folds,
-        repetitions=repetitions,
-        kind=use,
-        mode=mode,
-        trim=trim,
-        winsorize=winsorize,
-        seed=seed,
-        per_repetition_estimates=[float(x) for x in ests],
-        per_repetition_variances=[float(x) for x in vars_],
-        diagnostics=diag.as_dict(),
-    )
+    return _crossfit_mean_reports(
+        table, spec, cfg,
+        n_folds=n_folds, repetitions=repetitions, seed=seed, ci_level=ci_level,
+        kind=kind, mode=mode, trim=trim, winsorize=winsorize, fitter=fitter,
+    )[1]

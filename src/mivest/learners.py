@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit, logsumexp
+from scipy.special import expit
 
 from .exceptions import ConfigurationError, FitError
 
@@ -217,12 +217,24 @@ class MultinomialModel:
         single = F.ndim == 1
         if single:
             F = F[None, :]
-        eta = F @ self.coef.T                       # (m, L-1)
-        full = np.concatenate([eta, np.zeros((F.shape[0], 1))], axis=1)
-        full -= full.max(axis=1, keepdims=True)
-        e = np.exp(full)
-        P = e / e.sum(axis=1, keepdims=True)
+        P = np.zeros((F.shape[0], self.L))
+        np.matmul(F, self.coef.T, out=P[:, :-1])
+        _softmax_inplace(P)
         return P[0] if single else P
+
+
+def _softmax_inplace(full: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Overwrite the (m, L) logits `full` with their row-wise softmax.
+
+    Returns the row maxima and the row sums of exp(full - max), so the
+    row log-sum-exp is max + log(sum) without a second pass over `full`.
+    """
+    top = full.max(axis=1, keepdims=True)
+    full -= top
+    np.exp(full, out=full)
+    total = full.sum(axis=1, keepdims=True)
+    full /= total
+    return top, total
 
 
 def fit_multinomial(features: np.ndarray, classes: np.ndarray, cfg: LearnerConfig,
@@ -251,23 +263,26 @@ def fit_multinomial(features: np.ndarray, classes: np.ndarray, cfg: LearnerConfi
     for k in range(K):
         coef[k, 0] = np.log(counts[k] / counts[L - 1])
 
-    rows = np.arange(n)
+    buf = np.empty((n, L))                     # logits, then probabilities
+    picked = np.arange(n) * L + y              # flat index of (i, y_i) in buf
 
-    def pll(B: np.ndarray) -> float:
-        eta = F @ B.T
-        full = np.concatenate([eta, np.zeros((n, 1))], axis=1)
-        lse = logsumexp(full, axis=1)
-        return float(full[rows, y].sum() - lse.sum() - lam * (B[:, 1:] ** 2).sum())
+    def pll(B: np.ndarray) -> tuple[float, np.ndarray]:
+        """Penalized log-likelihood at B and the class probabilities there.
 
-    cur = pll(coef)
+        The probabilities live in `buf`, so they stay valid until the next
+        call; the line search always accepts the last candidate it scored.
+        """
+        np.matmul(F, B.T, out=buf[:, :K])
+        buf[:, K] = 0.0
+        fit_term = float(buf.take(picked).sum())
+        top, total = _softmax_inplace(buf)
+        lse = float(top.sum() + np.log(total).sum())
+        return fit_term - lse - lam * float((B[:, 1:] ** 2).sum()), buf
+
+    cur, P = pll(coef)
     converged = False
     it = 0
     for it in range(1, cfg.max_irls_iter + 1):
-        eta = F @ coef.T
-        full = np.concatenate([eta, np.zeros((n, 1))], axis=1)
-        full -= full.max(axis=1, keepdims=True)
-        e = np.exp(full)
-        P = e / e.sum(axis=1, keepdims=True)        # (n, L)
         Pk = P[:, :K]
         grad = np.empty(K * d)
         for k in range(K):
@@ -297,15 +312,13 @@ def fit_multinomial(features: np.ndarray, classes: np.ndarray, cfg: LearnerConfi
         # same damping as the binary fit: halve until the penalized
         # likelihood stops decreasing
         scale = 1.0
-        cand, new = coef, cur
         for _ in range(30):
             cand = coef + scale * step.reshape(K, d)
-            new = pll(cand)
+            new, probs = pll(cand)
             if np.isfinite(new) and new >= cur - 1e-12:
                 break
             scale *= 0.5
-        coef = cand
-        cur = new
+        coef, cur, P = cand, new, probs
         if not np.all(np.isfinite(coef)):
             raise FitError("multinomial fit diverged to non-finite coefficients")
         if scale * np.max(np.abs(step)) < cfg.irls_tol:

@@ -304,6 +304,25 @@ def test_estimate_reports_are_byte_identical(tmp_path, survey_csv):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_estimate_fits_each_fold_once_per_repetition(tmp_path, survey_csv, monkeypatch):
+    # both mean reports share one fold pass: K x S nuisance fits in total
+    import mivest.crossfit
+
+    calls = []
+    real = mivest.crossfit.fit_nuisance_set
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mivest.crossfit, "fit_nuisance_set", counting)
+    doc = make_doc(estimation={"folds": 4, "repetitions": 3})
+    cfg_path = write_yaml(tmp_path / "cfg.yaml", doc)
+    assert main(["estimate", "--config", cfg_path, "--data", survey_csv,
+                 "--out", str(tmp_path / "r.json")]) == 0
+    assert len(calls) == 4 * 3
+
+
 def test_estimate_seed_override_changes_the_splits(tmp_path, survey_csv):
     cfg_path = write_yaml(tmp_path / "cfg.yaml", make_doc())
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from mivest.binary import beta_if_binary
-from mivest.crossfit import (FoldPlan, crossfit_beta, crossfit_estimate,
-                             crossfit_population_mean, make_folds,
-                             median_adjust)
+from mivest.crossfit import (FoldPlan, _crossfit_mean_reports, crossfit_beta,
+                             crossfit_estimate, crossfit_population_mean,
+                             make_folds, median_adjust)
 from mivest.data import FunctionalSpec, ObservationTable
-from mivest.exceptions import (ConfigurationError, EstimationError,
+from mivest.exceptions import (ConfigurationError, EstimationError, FitError,
                                NoIncompleteCasesError, NuisanceFitError)
 from mivest.learners import LearnerConfig
 from mivest.nuisance import fit_nuisance_set
@@ -202,3 +202,27 @@ def test_population_mean_needs_complete_cases():
     t = small_table([0, 1, 0, 1], [0, 0, 0, 0], [None] * 4)
     with pytest.raises(EstimationError):
         crossfit_population_mean(t, SPEC, CFG, n_folds=2)
+
+
+def test_population_mean_learner_failures_name_the_fold(mid_table):
+    def failing(train, spec, cfg, mode="marginalize"):
+        raise FitError("learner gave up")
+
+    with pytest.raises(FitError, match=r"^fold 0: learner gave up"):
+        crossfit_population_mean(mid_table, SPEC, CFG, n_folds=3, fitter=failing)
+
+
+@pytest.mark.parametrize("family, n", [("single_binary_iv", 400), ("dual_binary_iv", 800)])
+def test_one_fold_pass_gives_both_mean_reports(family, n):
+    table, _ = generate(DGPSpec(family=family, n=n, seed=4))
+    kw = dict(n_folds=3, repetitions=3, seed=8, winsorize=3.0)
+    beta, pop = _crossfit_mean_reports(table, SPEC, CFG, **kw)
+    assert beta.as_dict() == crossfit_beta(table, SPEC, CFG, **kw).as_dict()
+    assert pop.as_dict() == crossfit_population_mean(table, SPEC, CFG, **kw).as_dict()
+    assert beta.kind == ("binary" if table.L == 2 else "general")
+    assert beta.diagnostics["winsorized"] > 0
+    # each repetition's population estimate composes with that repetition's beta
+    alpha = float(np.mean(table.y_observed))
+    pi0 = table.n0 / table.n
+    for b, p in zip(beta.per_repetition_estimates, pop.per_repetition_estimates):
+        assert p == pytest.approx((1.0 - pi0) * alpha + pi0 * b, abs=1e-12)

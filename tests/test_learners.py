@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
-from scipy.special import expit
+from scipy.special import expit, logsumexp, softmax
 
 from mivest.exceptions import ConfigurationError, FitError
-from mivest.learners import (LearnerConfig, PolyBasis, expand_basis,
+from mivest.learners import (LearnerConfig, PolyBasis, _softmax_inplace, expand_basis,
                              fit_linear, fit_logistic, fit_multinomial)
 
 CFG = LearnerConfig()
@@ -186,6 +186,56 @@ def test_multinomial_probabilities_normalize():
     probs = model.predict_proba(F)
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
     assert np.all(probs >= 0)
+
+
+def test_softmax_matches_the_scipy_reference():
+    rng = np.random.default_rng(3)
+    logits = np.column_stack([rng.normal(scale=300.0, size=(500, 3)), np.zeros(500)])
+    probs = logits.copy()
+    top, total = _softmax_inplace(probs)
+    assert np.allclose(probs, softmax(logits, axis=1), rtol=1e-12, atol=1e-300)
+    assert np.allclose((top + np.log(total))[:, 0], logsumexp(logits, axis=1),
+                       rtol=1e-14, atol=1e-12)
+
+
+def _four_class_draw(n, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, 2))
+    scores = np.column_stack([0.4 + X[:, 0], -0.3 + X[:, 1],
+                              0.2 * X[:, 0] - X[:, 1] ** 2, np.zeros(n)])
+    p = np.exp(scores)
+    p /= p.sum(axis=1, keepdims=True)
+    classes = (rng.random(n)[:, None] > np.cumsum(p, axis=1)).sum(axis=1)
+    return X, classes
+
+
+def test_multinomial_fit_is_stationary():
+    # the penalized score vanishes at the returned coefficients
+    n = 2_000
+    X, classes = _four_class_draw(n, seed=5)
+    F = np.column_stack([np.ones(n), X, X ** 2])
+    cfg = LearnerConfig(ridge_lambda=0.5)
+    model = fit_multinomial(F, classes, cfg, L=4)
+    assert model.converged
+    resid = np.eye(4)[classes][:, :3] - model.predict_proba(F)[:, :3]
+    score = F.T @ resid                                   # (d, L - 1)
+    score[1:] -= 2.0 * cfg.ridge_lambda * model.coef[:, 1:].T
+    assert np.max(np.abs(score)) < 1e-6 * n
+
+
+def test_multinomial_survives_large_linear_predictors():
+    # features scaled x50 on nearly separated classes: |eta| reaches the
+    # hundreds and beyond, where an unshifted exp would overflow
+    n = 2_000
+    X, _ = _four_class_draw(n, seed=5)
+    F = np.column_stack([np.ones(n), 50.0 * X])
+    classes = np.digitize(X[:, 0] + 0.3 * X[:, 1], [-0.7, 0.0, 0.7])
+    model = fit_multinomial(F, classes, CFG, L=4)
+    assert np.all(np.isfinite(model.coef))
+    assert np.max(np.abs(F @ model.coef.T)) > 100.0
+    probs = model.predict_proba(F)
+    assert np.all(np.isfinite(probs))
+    assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_multinomial_needs_two_classes():
