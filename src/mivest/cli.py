@@ -34,7 +34,9 @@ from .exceptions import (
     FitError,
     MivestError,
 )
-from .general import solve_functional
+# solve_functional stays bound here for the same callers; `estimate` roots
+# both quantile reports from one grid pass.
+from .general import _solve_quantiles, solve_functional  # noqa: F401
 from .simulation import (
     FAMILY_DESIGN_BETA,
     DGPSpec,
@@ -156,10 +158,10 @@ def _estimate_one(table, cfg: AnalysisConfig) -> dict:
         )
         return {"missing_mean": beta.as_dict(), "population_mean": pop.as_dict()}
     q = cfg.functional.q
-    missing = solve_functional(table, cfg.learner, q, mode=cfg.mode, trim=cfg.trim,
-                               winsorize=cfg.winsorize, target="missing")
-    population = solve_functional(table, cfg.learner, q, mode=cfg.mode, trim=cfg.trim,
-                                  winsorize=cfg.winsorize, target="population")
+    missing, population = _solve_quantiles(
+        table, cfg.learner, q, ("missing", "population"),
+        mode=cfg.mode, trim=cfg.trim, winsorize=cfg.winsorize,
+    )
     return {
         "missing_quantile": {"q": q, "psi": missing.psi,
                              "iterations": missing.iterations,

