@@ -11,7 +11,6 @@ of the full-population outcome law.
 from .binary import (
     beta_id_binary,
     beta_if_binary,
-    if_value_binary,
     if_values_binary,
     wald_ratio_binary,
 )
@@ -66,8 +65,6 @@ from .exceptions import (
 from .general import (
     beta_id_general,
     beta_if_general,
-    g_value,
-    if_value_general,
     if_values_general,
     normal_ci,
     phi_tilde_general,
@@ -91,8 +88,6 @@ from .simulation import (
     LatentRecord,
     MonteCarloReport,
     OracleResult,
-    gen_binary_dgp,
-    gen_dual_dgp,
     generate,
     oracle_beta,
     oracle_missing_quantile,
@@ -144,13 +139,8 @@ __all__ = [
     "fit_nuisance_set",
     "ingest_csv",
     "load_config",
-    "g_value",
-    "gen_binary_dgp",
-    "gen_dual_dgp",
     "general_scenarios",
     "generate",
-    "if_value_binary",
-    "if_value_general",
     "if_values_binary",
     "if_values_general",
     "make_folds",

@@ -9,9 +9,13 @@ partial exponential moments of U:
                                          - Phi((lo - m - a s^2)/s)]
     uniform U:  (e^{a hi'} - e^{a lo'}) / a   on the clipped interval.
 
-The clamp threshold is u* = 4 A_z(x): the raw exponent exceeds 0 exactly
-when u < u*.  Truths here use the cap at 1 rather than 1 - 1e-9; the gap
-is below 1e-9 everywhere and irrelevant at test tolerances.
+A_z(x) and P(Z = z | X) are the generator's own (selection_alpha_z_* and
+instrument_prob* in simulation), so the two modules state each family's
+law once.  The clamp threshold is u* = 4 A_z(x): the raw exponent exceeds
+0 exactly when u < u*.  The closed forms use the cap at 1 rather than
+1 - 1e-9; the gap is below 1e-9 everywhere and irrelevant at test
+tolerances.  oracle_identified_beta draws its R = 0 records through the
+generator's shared draw loop under clamp_to_one_minus_eps.
 
 Outcome-model truths are implemented for the mean functional
 h(y; psi) = y - psi, where E[R h | z, x] has a closed form because the
@@ -24,18 +28,21 @@ from __future__ import annotations
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.special import expit, ndtr
+from scipy.special import ndtr
 
 from .data import FunctionalSpec
-from .exceptions import ConfigurationError
+from .exceptions import ConfigurationError, EstimationError
 from .nuisance import NuisanceSet
 from .simulation import (
     _DOMAIN_ORACLE,
-    _DRAWERS,
     FAMILY_DUAL,
     FAMILY_SINGLE,
+    _oracle_batches,
     _rng,
-    dual_intercept,
+    instrument_prob_single,
+    instrument_probs_dual,
+    selection_alpha_z_dual,
+    selection_alpha_z_single,
 )
 
 _B = -0.25          # shared U coefficient in the selection exponent
@@ -69,20 +76,8 @@ def uniform_partial_exp(a: float, lo: np.ndarray | float,
 # per-family building blocks, vectorised over rows of X
 # --------------------------------------------------------------------------
 
-def _single_A(z: int, X: np.ndarray) -> np.ndarray:
-    s = X[:, 0] + X[:, 1]
-    return -s + z * (s + 1.0)
-
-
-def _dual_A(code: int, X: np.ndarray, parameters: Mapping[str, float]) -> np.ndarray:
-    z1, z2 = divmod(code, 2)
-    c0 = dual_intercept(parameters)
-    x1, x2 = X[:, 0], X[:, 1]
-    return 0.25 * (c0 + x1 - x2 + z1 * (-1.0 - x1 - x2) + z2 * (8.0 + x1 - x2))
-
-
 def _p_r0_single(z: int, X: np.ndarray) -> np.ndarray:
-    A = _single_A(z, X)
+    A = selection_alpha_z_single(z, X)
     u_star = 4.0 * A  # exponent > 0 iff u < u*
     clamped = ndtr((u_star - _U_MEAN) / _U_SD)
     tail = normal_partial_exp(_B, _U_MEAN, _U_SD, u_star, np.inf)
@@ -90,7 +85,7 @@ def _p_r0_single(z: int, X: np.ndarray) -> np.ndarray:
 
 
 def _p_r0_dual(code: int, X: np.ndarray, parameters: Mapping[str, float]) -> np.ndarray:
-    A = _dual_A(code, X, parameters)
+    A = selection_alpha_z_dual(*divmod(code, 2), X, parameters)
     u_star = np.clip(4.0 * A, 0.0, 1.0)
     tail = uniform_partial_exp(_B, u_star, 1.0)
     return u_star + np.exp(A) * tail
@@ -98,7 +93,7 @@ def _p_r0_dual(code: int, X: np.ndarray, parameters: Mapping[str, float]) -> np.
 
 def _mu_single(z: int, X: np.ndarray, psi: float) -> np.ndarray:
     """E[R (Y - psi) | Z = z, X] for the single family."""
-    A = _single_A(z, X)
+    A = selection_alpha_z_single(z, X)
     u_star = 4.0 * A
     s = X[:, 0] + X[:, 1]
     full = normal_partial_exp(_Y_EXP, _U_MEAN, _U_SD, -np.inf, np.inf)
@@ -111,7 +106,7 @@ def _mu_single(z: int, X: np.ndarray, psi: float) -> np.ndarray:
 
 def _mu_dual(code: int, X: np.ndarray, psi: float,
              parameters: Mapping[str, float]) -> np.ndarray:
-    A = _dual_A(code, X, parameters)
+    A = selection_alpha_z_dual(*divmod(code, 2), X, parameters)
     u_star = np.clip(4.0 * A, 0.0, 1.0)
     s = X[:, 0] + X[:, 1]
     full = uniform_partial_exp(_Y_EXP, 0.0, 1.0)
@@ -120,20 +115,6 @@ def _mu_dual(code: int, X: np.ndarray, psi: float,
     captured = below + np.exp(A) * above
     pi_z = 1.0 - _p_r0_dual(code, X, parameters)
     return s * (full - captured) - psi * pi_z
-
-
-def _rho_single(z: int, X: np.ndarray) -> np.ndarray:
-    p1 = expit(-1.0 + X[:, 0] + X[:, 1])
-    return p1 if z == 1 else 1.0 - p1
-
-
-def _rho_dual(code: int, X: np.ndarray) -> np.ndarray:
-    z1, z2 = divmod(code, 2)
-    p1 = expit((-1.0 + X[:, 0] + X[:, 1]) / 4.0)
-    p2 = expit((X[:, 0] - X[:, 1]) / 4.0)
-    a = p1 if z1 == 1 else 1.0 - p1
-    b = p2 if z2 == 1 else 1.0 - p2
-    return a * b
 
 
 def oracle_pi(family: str, z: int, X: np.ndarray,
@@ -152,9 +133,12 @@ def oracle_rho(family: str, z: int, X: np.ndarray,
     """True P(Z=z | X)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if family == FAMILY_SINGLE:
-        return _rho_single(z, X)
+        p1 = instrument_prob_single(X)
+        return p1 if z == 1 else 1.0 - p1
     if family == FAMILY_DUAL:
-        return _rho_dual(z, X)
+        z1, z2 = divmod(z, 2)
+        p1, p2 = instrument_probs_dual(X)
+        return (p1 if z1 == 1 else 1.0 - p1) * (p2 if z2 == 1 else 1.0 - p2)
     raise ConfigurationError(f"no oracle for family {family!r}")
 
 
@@ -313,17 +297,11 @@ def oracle_identified_beta(
     params = dict(parameters or {})
     delta = oracle_delta_fn(family, params, psi)
     rng = _rng(np.random.SeedSequence(seed, spawn_key=(_DOMAIN_ORACLE, 99)))
-    draw = _DRAWERS[family]
-    batch_size = 500_000
     s1 = 0.0
     s2 = 0.0
     n0 = 0
-    done = 0
-    while done < draws:
-        m = min(batch_size, draws - done)
-        batch = draw(m, rng, params)
-        p_r0 = np.minimum(batch["p_r0_raw"], 1.0)
-        r0 = rng.uniform(size=m) < p_r0
+    for batch, r0, _ in _oracle_batches(family, draws, rng, "clamp_to_one_minus_eps",
+                                        params, batch_size=500_000):
         X0 = batch["X"][r0]
         z0 = batch["z"][r0]
         vals = np.empty(X0.shape[0])
@@ -333,7 +311,8 @@ def oracle_identified_beta(
         s1 += float(vals.sum())
         s2 += float((vals * vals).sum())
         n0 += int(r0.sum())
-        done += m
+    if n0 == 0:
+        raise EstimationError("oracle saw no R = 0 draws")
     mean = s1 / n0
     var = max(s2 / n0 - mean * mean, 0.0)
     return mean, float(np.sqrt(var / n0))

@@ -22,12 +22,19 @@ is not a probability there.  clamp_policy decides what the generator does:
 "clamp_to_one_minus_eps" caps P(R=0) at 1 - 1e-9 and reports the clamped
 fraction, "reject_invalid" redraws offending records, "as_printed_error"
 raises on the first offender.
+
+The table generator and every brute-force oracle (oracle_beta,
+oracle_missing_quantile here, oracle_identified_beta in oracles) draw
+through one draw -> clamp -> reject step, _draw_batch, so each oracle is
+the truth of the generated law under the chosen clamp policy.  The
+instrument probabilities and the selection exponents are stated once,
+here, and the closed forms in oracles reuse them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Literal, Mapping
+from typing import Callable, Iterator, Literal, Mapping
 
 import numpy as np
 from scipy.special import expit
@@ -152,13 +159,22 @@ def _apply_clamp(
 # latent draws (shared by the table generators and the oracles)
 # --------------------------------------------------------------------------
 
+def instrument_prob_single(X: np.ndarray) -> np.ndarray:
+    """P(Z = 1 | X) in the single family."""
+    return expit(-1.0 + X[:, 0] + X[:, 1])
+
+
+def instrument_probs_dual(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(P(Z1 = 1 | X), P(Z2 = 1 | X)) in the dual family."""
+    return expit((-1.0 + X[:, 0] + X[:, 1]) / 4.0), expit((X[:, 0] - X[:, 1]) / 4.0)
+
+
 def _draw_single(
     m: int, rng: np.random.Generator, parameters: Mapping[str, float]
 ) -> dict[str, np.ndarray]:
     X = rng.uniform(0.0, 1.0, size=(m, 2))
     u = rng.normal(4.0, 0.5, size=m)
-    pz1 = expit(-1.0 + X[:, 0] + X[:, 1])
-    z = (rng.uniform(size=m) < pz1).astype(np.int64)
+    z = (rng.uniform(size=m) < instrument_prob_single(X)).astype(np.int64)
     p_r0_raw = np.exp(selection_alpha_z_single(z, X) + selection_alpha_u_single(u))
     y = rng.normal((X[:, 0] + X[:, 1]) * np.exp(u / 6.0), 0.5)
     return {"X": X, "z": z, "u": u, "p_r0_raw": p_r0_raw, "y": y}
@@ -169,8 +185,7 @@ def _draw_dual(
 ) -> dict[str, np.ndarray]:
     X = rng.uniform(0.0, 1.0, size=(m, 2))
     u = rng.uniform(0.0, 1.0, size=m)
-    p1 = expit((-1.0 + X[:, 0] + X[:, 1]) / 4.0)
-    p2 = expit((X[:, 0] - X[:, 1]) / 4.0)
+    p1, p2 = instrument_probs_dual(X)
     z1 = (rng.uniform(size=m) < p1).astype(np.int64)
     z2 = (rng.uniform(size=m) < p2).astype(np.int64)
     z = 2 * z1 + z2
@@ -188,6 +203,33 @@ _LEVELS: dict[str, int] = {FAMILY_SINGLE: 2, FAMILY_DUAL: 4}
 _MAX_REJECT_ROUNDS = 1000
 
 
+def _draw_batch(
+    family: str,
+    m: int,
+    rng: np.random.Generator,
+    clamp_policy: ClampPolicy,
+    parameters: Mapping[str, float],
+) -> tuple[dict[str, np.ndarray], int]:
+    """m latent draws with the clamp policy applied: (batch, invalid count).
+
+    batch["p_r0"] is the treated P(R = 0).  Under reject_invalid the batch
+    keeps only the valid draws, so it may hold fewer than m rows.
+    """
+    batch = _DRAWERS[family](m, rng, parameters)
+    p_r0, invalid = _apply_clamp(
+        batch["p_r0_raw"], clamp_policy,
+        (batch["z"], batch["u"], batch["X"][:, 0], batch["X"][:, 1]),
+    )
+    n_invalid = int(invalid.sum())
+    if clamp_policy == "reject_invalid" and n_invalid:
+        keep = ~invalid
+        for k in batch:
+            batch[k] = batch[k][keep]
+        p_r0 = p_r0[keep]
+    batch["p_r0"] = p_r0
+    return batch, n_invalid
+
+
 def _generate_family(
     family: str,
     n: int,
@@ -196,43 +238,24 @@ def _generate_family(
     parameters: Mapping[str, float],
 ) -> tuple[ObservationTable, LatentRecord]:
     rng = _rng(seed)
-    draw = _DRAWERS[family]
     got: list[dict[str, np.ndarray]] = []
-    total_clamped = 0
+    total_invalid = 0
     total_drawn = 0
-    rejected = 0
-    need = n
-    rounds = 0
-    while need > 0:
-        rounds += 1
-        if rounds > _MAX_REJECT_ROUNDS:
+    have = 0
+    while have < n:
+        if len(got) == _MAX_REJECT_ROUNDS:
             raise GenerationError(
                 "reject_invalid could not find enough valid draws; the DGP's "
                 "valid region is too small"
             )
-        batch = draw(need, rng, parameters)
-        total_drawn += need
-        p_r0, invalid = _apply_clamp(
-            batch["p_r0_raw"], clamp_policy,
-            (batch["z"], batch["u"], batch["X"][:, 0], batch["X"][:, 1]),
-        )
-        total_clamped += int(invalid.sum())
-        if clamp_policy == "reject_invalid" and invalid.any():
-            keep = ~invalid
-            rejected += int(invalid.sum())
-            for k in batch:
-                batch[k] = batch[k][keep]
-            p_r0 = p_r0[keep]
-        batch["p_r0"] = p_r0
+        batch, n_invalid = _draw_batch(family, n - have, rng, clamp_policy, parameters)
+        total_drawn += n - have
+        total_invalid += n_invalid
         got.append(batch)
-        need = n - sum(b["X"].shape[0] for b in got)
+        have += batch["y"].shape[0]
 
-    X = np.concatenate([b["X"] for b in got])[:n]
-    z = np.concatenate([b["z"] for b in got])[:n]
-    u = np.concatenate([b["u"] for b in got])[:n]
-    y = np.concatenate([b["y"] for b in got])[:n]
-    p_r0 = np.concatenate([b["p_r0"] for b in got])[:n]
-
+    X, z, u, y, p_r0 = (np.concatenate([b[k] for b in got])
+                        for k in ("X", "z", "u", "y", "p_r0"))
     r = (rng.uniform(size=n) >= p_r0).astype(np.int64)  # R=0 with prob p_r0
     y_masked = np.where(r == 1, y, np.nan)
     table = ObservationTable.from_arrays(X, z, r, y_masked, L=_LEVELS[family])
@@ -240,30 +263,10 @@ def _generate_family(
         u=u,
         y_full=y,
         p_r0=p_r0,
-        clamp_fraction=total_clamped / total_drawn if total_drawn else 0.0,
-        n_rejected=rejected,
+        clamp_fraction=total_invalid / total_drawn,
+        n_rejected=total_invalid if clamp_policy == "reject_invalid" else 0,
     )
     return table, latent
-
-
-def gen_binary_dgp(
-    n: int,
-    seed: int | np.random.SeedSequence,
-    clamp_policy: ClampPolicy = "clamp_to_one_minus_eps",
-    parameters: Mapping[str, float] | None = None,
-) -> tuple[ObservationTable, LatentRecord]:
-    """Draw from the single-binary-instrument family."""
-    return _generate_family(FAMILY_SINGLE, n, seed, clamp_policy, parameters or {})
-
-
-def gen_dual_dgp(
-    n: int,
-    seed: int | np.random.SeedSequence,
-    clamp_policy: ClampPolicy = "clamp_to_one_minus_eps",
-    parameters: Mapping[str, float] | None = None,
-) -> tuple[ObservationTable, LatentRecord]:
-    """Draw from the two-instrument (four-level) family."""
-    return _generate_family(FAMILY_DUAL, n, seed, clamp_policy, parameters or {})
 
 
 def generate(spec: DGPSpec, seed: int | np.random.SeedSequence | None = None
@@ -284,7 +287,12 @@ def generate(spec: DGPSpec, seed: int | np.random.SeedSequence | None = None
 
 @dataclass
 class OracleResult:
-    """Brute-force Monte Carlo truth with its own sampling error."""
+    """Brute-force Monte Carlo truth with its own sampling error.
+
+    p_missing is the R = 0 share of the accepted draws (under reject_invalid
+    the rejected ones are not part of the data law); clamp_fraction is the
+    invalid share of all raw draws, as in LatentRecord.
+    """
 
     value: float
     mc_se: float
@@ -295,6 +303,35 @@ class OracleResult:
 
 
 _ORACLE_BATCH = 1_000_000
+
+
+def _oracle_batches(
+    family: str,
+    draws: int,
+    rng: np.random.Generator,
+    clamp_policy: ClampPolicy,
+    parameters: Mapping[str, float],
+    batch_size: int = _ORACLE_BATCH,
+) -> Iterator[tuple[dict[str, np.ndarray], np.ndarray, int]]:
+    """Batches of at most batch_size raw draws, draws in all, via _draw_batch.
+
+    Yields (batch, r0, n_invalid): _draw_batch's batch and invalid count,
+    and the R = 0 mask over the batch's rows.  Callers index only the
+    columns they read with r0.
+    """
+    done = 0
+    while done < draws:
+        m = min(batch_size, draws - done)
+        batch, n_invalid = _draw_batch(family, m, rng, clamp_policy, parameters)
+        r0 = rng.uniform(size=batch["p_r0"].shape[0]) < batch["p_r0"]
+        yield batch, r0, n_invalid
+        done += m
+
+
+def _oracle_rng(spec: DGPSpec, seed: int | None) -> np.random.Generator:
+    return _rng(np.random.SeedSequence(
+        spec.seed if seed is None else seed, spawn_key=(_DOMAIN_ORACLE,)
+    ))
 
 
 def oracle_beta(
@@ -309,34 +346,20 @@ def oracle_beta(
     implemented data law, not of the raw printed formula.
     """
     functional = functional or FunctionalSpec.mean()
-    rng = _rng(np.random.SeedSequence(
-        spec.seed if seed is None else seed, spawn_key=(_DOMAIN_ORACLE,)
-    ))
-    draw = _DRAWERS[spec.family]
     tot_n0 = 0
     s1 = 0.0
     s2 = 0.0
-    clamped = 0
-    done = 0
-    while done < draws:
-        m = min(_ORACLE_BATCH, draws - done)
-        batch = draw(m, rng, spec.parameters)
-        p_r0, invalid = _apply_clamp(
-            batch["p_r0_raw"], spec.clamp_policy,
-            (batch["z"], batch["u"], batch["X"][:, 0], batch["X"][:, 1]),
-        )
-        clamped += int(invalid.sum())
-        if spec.clamp_policy == "reject_invalid" and invalid.any():
-            keep = ~invalid
-            for k in batch:
-                batch[k] = batch[k][keep]
-            p_r0 = p_r0[keep]
-        r0 = rng.uniform(size=p_r0.shape[0]) < p_r0
+    invalid = 0
+    accepted = 0
+    for batch, r0, n_invalid in _oracle_batches(
+        spec.family, draws, _oracle_rng(spec, seed), spec.clamp_policy, spec.parameters
+    ):
         h = evaluate_h(functional, batch["y"][r0])
         tot_n0 += int(r0.sum())
         s1 += float(np.sum(h))
         s2 += float(np.sum(h * h))
-        done += m
+        invalid += n_invalid
+        accepted += r0.shape[0]
     if tot_n0 == 0:
         raise EstimationError("oracle saw no R = 0 draws")
     mean = s1 / tot_n0
@@ -346,36 +369,9 @@ def oracle_beta(
         mc_se=float(np.sqrt(var / tot_n0)),
         draws=draws,
         n_missing=tot_n0,
-        p_missing=tot_n0 / draws,
-        clamp_fraction=clamped / draws,
+        p_missing=tot_n0 / accepted,
+        clamp_fraction=invalid / draws,
     )
-
-
-def _collect_missing_outcomes(
-    spec: DGPSpec, draws: int, seed: int | None
-) -> np.ndarray:
-    rng = _rng(np.random.SeedSequence(
-        spec.seed if seed is None else seed, spawn_key=(_DOMAIN_ORACLE,)
-    ))
-    draw = _DRAWERS[spec.family]
-    chunks: list[np.ndarray] = []
-    done = 0
-    while done < draws:
-        m = min(_ORACLE_BATCH, draws - done)
-        batch = draw(m, rng, spec.parameters)
-        p_r0, invalid = _apply_clamp(
-            batch["p_r0_raw"], spec.clamp_policy,
-            (batch["z"], batch["u"], batch["X"][:, 0], batch["X"][:, 1]),
-        )
-        if spec.clamp_policy == "reject_invalid" and invalid.any():
-            keep = ~invalid
-            for k in batch:
-                batch[k] = batch[k][keep]
-            p_r0 = p_r0[keep]
-        r0 = rng.uniform(size=p_r0.shape[0]) < p_r0
-        chunks.append(batch["y"][r0])
-        done += m
-    return np.concatenate(chunks)
 
 
 def oracle_missing_quantile(
@@ -385,7 +381,12 @@ def oracle_missing_quantile(
     seed: int | None = None,
 ) -> float:
     """psi with P(Y >= psi | R = 0) = q, by brute-force draw."""
-    y0 = _collect_missing_outcomes(spec, draws, seed)
+    y0 = np.concatenate([
+        batch["y"][r0] for batch, r0, _ in _oracle_batches(
+            spec.family, draws, _oracle_rng(spec, seed), spec.clamp_policy,
+            spec.parameters,
+        )
+    ])
     return float(np.quantile(y0, 1.0 - q))
 
 

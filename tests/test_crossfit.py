@@ -226,3 +226,22 @@ def test_one_fold_pass_gives_both_mean_reports(family, n):
     pi0 = table.n0 / table.n
     for b, p in zip(beta.per_repetition_estimates, pop.per_repetition_estimates):
         assert p == pytest.approx((1.0 - pi0) * alpha + pi0 * b, abs=1e-12)
+
+
+def test_binary_path_equals_general_only_when_marginalizing():
+    # the binary influence function's bracket uses the level-0 models and
+    # never reads the marginal mu(x), so it duplicates the general path in
+    # marginalize mode only; deleting it must not move direct-mode reports
+    # unnoticed
+    table, _ = generate(DGPSpec(family="single_binary_iv", n=5_000, seed=414))
+    kw = dict(n_folds=5, repetitions=3, seed=1)
+    for mode, agree in (("marginalize", True), ("direct", False)):
+        binary = _crossfit_mean_reports(table, SPEC, CFG, kind="binary", mode=mode, **kw)
+        general = _crossfit_mean_reports(table, SPEC, CFG, kind="general", mode=mode, **kw)
+        for b, g in zip(binary, general):
+            gap = abs(b.estimate - g.estimate)
+            if agree:
+                assert gap <= 1e-12
+                assert b.variance == pytest.approx(g.variance, abs=1e-12)
+            else:
+                assert gap > 1e-4

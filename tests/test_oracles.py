@@ -6,7 +6,7 @@ from scipy import integrate
 from scipy.stats import norm
 
 from mivest.data import FunctionalSpec
-from mivest.exceptions import ConfigurationError
+from mivest.exceptions import ConfigurationError, EstimationError
 from mivest.oracles import (integrate_unit_square, normal_partial_exp,
                             oracle_delta_fn, oracle_identified_beta,
                             oracle_mu, oracle_nuisances, oracle_pi,
@@ -138,3 +138,9 @@ def test_identified_beta_single_family():
 def test_identified_beta_dual_family():
     value, mc_se = oracle_identified_beta("dual_binary_iv", draws=400_000)
     assert value == pytest.approx(1.0622, abs=4 * mc_se + 0.002)
+
+
+def test_identified_beta_without_missing_draws_is_an_estimation_error():
+    # typed, so `mivest robustness --reference-draws 0` exits with code 3
+    with pytest.raises(EstimationError, match="no R = 0 draws"):
+        oracle_identified_beta("dual_binary_iv", draws=0)

@@ -1,14 +1,17 @@
 """Data generators, brute-force oracles, and the replication harness."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from mivest.data import FunctionalSpec
 from mivest.exceptions import ConfigurationError
 from mivest.learners import LearnerConfig
-from mivest.simulation import (DGPSpec, GenerationError, gen_binary_dgp,
-                               generate, oracle_beta, oracle_missing_quantile,
-                               run_monte_carlo, selection_alpha_u_single,
+from mivest.oracles import oracle_identified_beta
+from mivest.simulation import (DGPSpec, GenerationError, generate, oracle_beta,
+                               oracle_missing_quantile, run_monte_carlo,
+                               selection_alpha_u_single,
                                selection_alpha_z_single)
 
 CFG = LearnerConfig()
@@ -100,7 +103,7 @@ def test_dual_intercept_shifts_missingness():
 def test_selection_exponent_is_separable():
     # on unclamped draws the stored probability factors exactly into the
     # instrument piece times the latent piece
-    t, lat = gen_binary_dgp(30_000, seed=6)
+    t, lat = generate(DGPSpec(family="single_binary_iv", n=30_000, seed=6))
     raw = np.exp(selection_alpha_z_single(t.Z, t.X)
                  + selection_alpha_u_single(lat.u))
     unclamped = raw < 1.0 - 1e-9
@@ -131,6 +134,125 @@ def test_oracle_quantile_consistency():
     probe = oracle_beta(spec, draws=300_000,
                         functional=FunctionalSpec.quantile(0.5, psi=med))
     assert abs(probe.value) < 1e-4
+
+
+# sha256 of every generate() array, then clamp_fraction and n_rejected, for
+# DGPSpec(family, n=3000, seed=21, clamp_policy); a reordered or resized
+# stream changes them
+GOLDEN_GENERATE = {
+    ("single_binary_iv", "clamp_to_one_minus_eps"): (
+        {
+            "X": "b89b6aec6edb178458fb59807c2ac81eb9af5a17819b2dfa38f87411e88251fa",
+            "Z": "ab1673e43f0638ace850ef68b29ac3f007a4b218df8595434251dfa1afb81303",
+            "R": "b71223b52ae7f52630f36d25dfe36bb13539b33ddc1a90df5a0980248c937ec0",
+            "y": "2544b875deeefeb3be5fbcaafa15d2f3f3b794b89ffc7c54d35bc1b9f7b2db37",
+            "u": "6e828c9c3a4fcdbdd98140701729ac0c8cdd012fb5cc4d9abf548c67617874d9",
+            "y_full": "d07a99cc55a065b9a2f6854184a8e46fbd472c1f9bb3dd22f1c7d8a94b98b691",
+            "p_r0": "532345cdeb49b43f21df53635605c3f2e89b9e1ac4b268ea473b8f67049e4011",
+        },
+        0.264, 0,
+    ),
+    ("single_binary_iv", "reject_invalid"): (
+        {
+            "X": "a17cc4ea53296d3cffdc65f54a5a55e907d68268c3a214a026db44e9ffa62a56",
+            "Z": "0b6a0873c7a28f453f72379a380c805b5b696f9e8662ab602bb8355d8347f62d",
+            "R": "06b2f566e89cb38854a336745a6189a6a5a337e05fee1d6ae215a09de75334f2",
+            "y": "ae8321f9fcf3d6329166b57d11c135fd00572d1b9cb166ec67264dc4010e0820",
+            "u": "e1fecb34dc42d15348b16321227932c36dc594cb4fc9ad299d7ff0cc8ee91066",
+            "y_full": "bc76b0fd4063c66d0b1cae21182450726543da0aa1b79f322eaba20a6d5ea9df",
+            "p_r0": "6c6ddc2c0ef5a54f6f5a031aa8a777c627ce532e1415c6a280342288349a49f8",
+        },
+        0.2609016999260902, 1059,
+    ),
+    ("dual_binary_iv", "clamp_to_one_minus_eps"): (
+        {
+            "X": "b89b6aec6edb178458fb59807c2ac81eb9af5a17819b2dfa38f87411e88251fa",
+            "Z": "7095dc5e7f962f4a6e3b8de4ee80a015c9f808f9974442c73a2f49890ee260f4",
+            "R": "f52b3d20039187c217b567a4c2f637d92297245bb8aa332973b3df07a2fe71e6",
+            "y": "56efbd704b3c6c71782bd1faf24806ec915f8c3c01d3d8d71e6bd304181ed935",
+            "u": "aa7f1e51aa7e7ee69ccc95e1b02bf03dd9420fb5ce6a5600e38586f0720bc0e2",
+            "y_full": "6fdc09d6ccd920c12b78716e25a2f679796c0fcf3e26f3c417f321e8eab28199",
+            "p_r0": "fdfa7e23b8baf6f875982b582e095a91f7d9b6c457bfa3c4e7ce75ccdce7aefa",
+        },
+        0.08233333333333333, 0,
+    ),
+    ("dual_binary_iv", "reject_invalid"): (
+        {
+            "X": "90bbceb1f9c37ce1351f1bee2d3025b75116fa54ee81f09ee8be0e77536bccae",
+            "Z": "27145f7e134051c2f6a276c5aa4582cb31cfa1c324db720413a4629df71bc102",
+            "R": "b823d060be1a6f47288731c07253612ba7fb42e2c8fdb71736774894b82fa9c0",
+            "y": "3c93a70c0acf38fc0b13969f47e5f87246c194273600f32f52977e690266bc06",
+            "u": "bf90e68dd7a8ef992d701e4ca823ae1d98937eccee8f5ef825045307efcf0429",
+            "y_full": "05041a2bcc31b424b7b96c841661692b64ff5c9fc5e8e69e84575a443ee63156",
+            "p_r0": "f9dfb8a1375ec12cd598b68efcbb01e80be7bc6ffed35de03abd475c585ba91e",
+        },
+        0.08284928156527056, 271,
+    ),
+}
+
+# oracle_beta on DGPSpec(family, n=1, seed=5, clamp_policy) with 1.1e6 draws
+# (two batches): value, mc_se, n_missing, clamp_fraction, and the 0.25
+# nonrespondent quantile of oracle_missing_quantile on the same draws
+GOLDEN_ORACLE = {
+    ("single_binary_iv", "clamp_to_one_minus_eps"):
+        (2.0146346565806605, 0.0012300472714668617, 611781, 0.24952727272727274, 2.682111626399427),
+    ("single_binary_iv", "reject_invalid"):
+        (2.045581716251407, 0.001747404299520627, 337407, 0.24966454545454544, 2.758786361148496),
+    ("dual_binary_iv", "clamp_to_one_minus_eps"):
+        (1.0628060857831205, 0.0010062490514325393, 444016, 0.07713454545454546, 1.5202723574734514),
+    ("dual_binary_iv", "reject_invalid"):
+        (1.064584371001385, 0.0011413919089100547, 358228, 0.07692818181818181, 1.5326615386040152),
+}
+
+# oracle_identified_beta(family, draws=600_000) at its default seed (two batches)
+GOLDEN_IDENTIFIED = {
+    "single_binary_iv": (2.0161249019838223, 0.0013870654000308856),
+    "dual_binary_iv": (1.0616482005467809, 0.0008991279253104355),
+}
+
+
+def _sha256(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("family, policy", sorted(GOLDEN_GENERATE))
+def test_generate_streams_are_pinned(family, policy):
+    t, lat = generate(DGPSpec(family=family, n=3000, seed=21, clamp_policy=policy))
+    arrays = {"X": t.X, "Z": t.Z, "R": t.R, "y": t.y_dense(), "u": lat.u,
+              "y_full": lat.y_full, "p_r0": lat.p_r0}
+    hashes, clamp_fraction, n_rejected = GOLDEN_GENERATE[family, policy]
+    assert {k: _sha256(v) for k, v in arrays.items()} == hashes
+    assert lat.clamp_fraction == clamp_fraction
+    assert lat.n_rejected == n_rejected
+
+
+@pytest.mark.parametrize("family, policy", sorted(GOLDEN_ORACLE))
+def test_oracle_streams_are_pinned(family, policy):
+    spec = DGPSpec(family=family, n=1, seed=5, clamp_policy=policy)
+    draws = 1_100_000
+    res = oracle_beta(spec, draws=draws)
+    value, mc_se, n_missing, clamp_fraction, quantile = GOLDEN_ORACLE[family, policy]
+    assert (res.value, res.mc_se, res.n_missing, res.clamp_fraction) == (
+        value, mc_se, n_missing, clamp_fraction)
+    rejected = round(clamp_fraction * draws) if policy == "reject_invalid" else 0
+    assert res.p_missing == n_missing / (draws - rejected)
+    assert oracle_missing_quantile(spec, 0.25, draws=draws) == quantile
+
+
+@pytest.mark.parametrize("family", sorted(GOLDEN_IDENTIFIED))
+def test_identified_beta_stream_is_pinned(family):
+    assert oracle_identified_beta(family, draws=600_000) == GOLDEN_IDENTIFIED[family]
+
+
+@pytest.mark.parametrize("family", ["single_binary_iv", "dual_binary_iv"])
+def test_oracle_p_missing_is_the_generated_missing_share(family):
+    # under reject_invalid the rejected draws are not part of the data law,
+    # so they count in clamp_fraction but not in p_missing's denominator
+    spec = DGPSpec(family=family, n=200_000, seed=31, clamp_policy="reject_invalid")
+    t, lat = generate(spec)
+    res = oracle_beta(spec, draws=400_000)
+    assert res.p_missing == pytest.approx(np.mean(t.R == 0), abs=0.01)
+    assert res.clamp_fraction == pytest.approx(lat.clamp_fraction, abs=0.01)
 
 
 def test_mc_report_shape_and_mse_decomposition():
