@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import warnings
 from typing import Any
 
 from .corruption import run_robustness
@@ -147,7 +148,29 @@ def _fmt(x: float | None, nd: int = 6) -> str:
 # commands
 
 
-def _estimate_one(table, cfg: AnalysisConfig) -> dict:
+def _estimate_one(table, cfg: AnalysisConfig) -> tuple[dict, list[dict]]:
+    """Point estimates for one table, and the warnings raised computing them.
+
+    The warnings (a level that lacks a response class in some fold, say)
+    come back as one {"message", "count"} entry per distinct message, in
+    the order first raised; count is the number of times it was raised.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        results = _estimate_results(table, cfg)
+    counts: dict[str, int] = {}
+    for w in caught:
+        message = str(w.message)
+        counts[message] = counts.get(message, 0) + 1
+    return results, [{"message": m, "count": c} for m, c in counts.items()]
+
+
+def _print_fit_warnings(fit_warnings: list[dict], prefix: str = "") -> None:
+    for w in fit_warnings:
+        print(f"warning: {prefix}{w['message']} (raised {w['count']} times)", file=sys.stderr)
+
+
+def _estimate_results(table, cfg: AnalysisConfig) -> dict:
     """Point estimates for one table: nonrespondent target plus population."""
     if cfg.functional.kind == "mean":
         beta, pop = _crossfit_mean_reports(
@@ -183,7 +206,11 @@ def cmd_estimate(cfg: AnalysisConfig, args: argparse.Namespace) -> int:
         for col in cfg.instruments:
             one = dataclasses.replace(cfg, instruments=(col,), instrument_mode="product")
             table, info = ingest_csv(args.data, one)
-            per[col] = {"data": info.as_dict(), "results": _estimate_one(table, one)}
+            results, fit_warnings = _estimate_one(table, one)
+            per[col] = {"data": info.as_dict(), "results": results}
+            if fit_warnings:
+                per[col]["fit_warnings"] = fit_warnings
+            _print_fit_warnings(fit_warnings, prefix=f"{col}: ")
         report["per_instrument"] = per
         print(f"separate analyses for {len(per)} instruments")
         for col, entry in per.items():
@@ -194,9 +221,12 @@ def cmd_estimate(cfg: AnalysisConfig, args: argparse.Namespace) -> int:
         table, info = ingest_csv(args.data, cfg)
         for w in info.warnings:
             print(f"warning: {w}", file=sys.stderr)
-        results = _estimate_one(table, cfg)
+        results, fit_warnings = _estimate_one(table, cfg)
+        _print_fit_warnings(fit_warnings)
         report["data"] = info.as_dict()
         report["results"] = results
+        if fit_warnings:
+            report["fit_warnings"] = fit_warnings
         print(f"n={info.n} complete={info.n_complete} incomplete={info.n_incomplete} "
               f"levels={info.L}")
         for name, res in results.items():

@@ -27,12 +27,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
-from scipy.special import expit, logit
 
 from .binary import _phi_tilde_binary, beta_if_binary
 from .data import FunctionalSpec, ObservationTable
 from .exceptions import ConfigurationError
 from .general import _phi_parts_general, beta_if_general
+from .learners import expit
 from .nuisance import PROB_CLIP, NuisanceSet
 from .oracles import (
     oracle_delta_fn,
@@ -52,7 +52,7 @@ LEVEL_SHIFT = 0.3
 def shift_probability(p: np.ndarray, amount: float) -> np.ndarray:
     """expit(logit(p) + amount), clipped away from the boundary first."""
     clipped = np.clip(np.asarray(p, dtype=float), PROB_CLIP, 1.0 - PROB_CLIP)
-    return expit(logit(clipped) + amount)
+    return expit(np.log(clipped / (1.0 - clipped)) + amount)
 
 
 def corrupt_nuisance(

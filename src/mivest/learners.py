@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .exceptions import ConfigurationError, FitError
 
@@ -115,6 +114,17 @@ class FitResult:
     n_iter: int
 
 
+def expit(x):
+    """Logistic sigmoid 1 / (1 + exp(-x)), elementwise.
+
+    The formula scipy.special.expit evaluates, here with numpy's exp; the
+    two agree to 1 ulp.  exp(-x) overflows to inf below x = -709.78, which
+    gives exactly 0.0, so that overflow is silenced.
+    """
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
+
+
 def _penalty_matrix(d: int, lam: float) -> np.ndarray:
     D = np.eye(d) * lam
     D[0, 0] = 0.0  # intercept unpenalized
@@ -162,19 +172,19 @@ def fit_logistic(features: np.ndarray, labels: np.ndarray, cfg: LearnerConfig) -
     lam = cfg.ridge_lambda
     pen = _penalty_matrix(d, 2.0 * lam)
 
-    def pll(b: np.ndarray) -> float:
+    def pll(b: np.ndarray) -> tuple[float, np.ndarray]:
+        """Penalized log-likelihood at b and the linear predictor F @ b."""
         eta = F @ b
-        return float(y @ eta - np.logaddexp(0.0, eta).sum() - lam * (b[1:] @ b[1:]))
+        return float(y @ eta - np.logaddexp(0.0, eta).sum() - lam * (b[1:] @ b[1:])), eta
 
     coef = np.zeros(d)
     # sensible start: intercept at the empirical logit
     ybar = float(np.clip(y.mean(), 1e-12, 1 - 1e-12))
     coef[0] = np.log(ybar / (1.0 - ybar))
-    cur = pll(coef)
+    cur, eta = pll(coef)
     converged = False
     it = 0
     for it in range(1, cfg.max_irls_iter + 1):
-        eta = F @ coef
         p = expit(eta)
         # saturated probabilities zero out the observed information; the
         # floor keeps the intercept coordinate (unpenalized) solvable
@@ -189,16 +199,16 @@ def fit_logistic(features: np.ndarray, labels: np.ndarray, cfg: LearnerConfig) -
                 "IRLS system singular; use ridge_lambda > 0 for separated or "
                 "collinear data"
             ) from exc
+        # the line search always accepts the last candidate it scored, so
+        # its linear predictor is the next iteration's
         scale = 1.0
-        cand, new = coef, cur
         for _ in range(30):
             cand = coef + scale * step
-            new = pll(cand)
+            new, cand_eta = pll(cand)
             if np.isfinite(new) and new >= cur - 1e-12:
                 break
             scale *= 0.5
-        coef = cand
-        cur = new
+        coef, cur, eta = cand, new, cand_eta
         if not np.all(np.isfinite(coef)):
             raise FitError("logistic fit diverged to non-finite coefficients")
         if scale * np.max(np.abs(step)) < cfg.irls_tol:

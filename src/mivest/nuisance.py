@@ -20,11 +20,11 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Literal
 
 import numpy as np
-from scipy.special import expit
 
 from .data import FunctionalSpec, ObservationTable
 from .exceptions import DenominatorFloorError, NuisanceFitError
-from .learners import LearnerConfig, MultinomialModel, PolyBasis, fit_linear, fit_logistic, fit_multinomial
+from .learners import (LearnerConfig, MultinomialModel, PolyBasis, expit, fit_linear,
+                       fit_logistic, fit_multinomial)
 
 PROB_CLIP = 1e-6
 MIN_STRATUM_ROWS = 30

@@ -28,7 +28,6 @@ from __future__ import annotations
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.special import ndtr
 
 from .data import FunctionalSpec
 from .exceptions import ConfigurationError, EstimationError
@@ -54,6 +53,10 @@ _Y_EXP = 1.0 / 6.0  # outcome mean is (x1 + x2) exp(U / 6)
 def normal_partial_exp(a: float, mean: float, sd: float,
                        lo: np.ndarray | float, hi: np.ndarray | float) -> np.ndarray:
     """E[e^{aU} 1{lo < U < hi}] for U ~ N(mean, sd^2)."""
+    # imported here, not at module level, so that loading mivest does not
+    # load scipy: only the single-family closed forms need the normal CDF
+    from scipy.special import ndtr
+
     scale = np.exp(a * mean + 0.5 * a * a * sd * sd)
     shift = mean + a * sd * sd
     upper = ndtr((np.asarray(hi, dtype=float) - shift) / sd)
@@ -77,6 +80,8 @@ def uniform_partial_exp(a: float, lo: np.ndarray | float,
 # --------------------------------------------------------------------------
 
 def _p_r0_single(z: int, X: np.ndarray) -> np.ndarray:
+    from scipy.special import ndtr
+
     A = selection_alpha_z_single(z, X)
     u_star = 4.0 * A  # exponent > 0 iff u < u*
     clamped = ndtr((u_star - _U_MEAN) / _U_SD)

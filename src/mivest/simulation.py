@@ -37,11 +37,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Literal, Mapping
 
 import numpy as np
-from scipy.special import expit
 
 from .data import FunctionalSpec, ObservationTable, evaluate_h
 from .exceptions import ConfigurationError, EstimationError, FitError
-from .learners import LearnerConfig
+from .learners import LearnerConfig, expit
 
 CLAMP_EPS = 1e-9
 ClampPolicy = Literal["clamp_to_one_minus_eps", "reject_invalid", "as_printed_error"]

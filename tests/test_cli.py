@@ -408,6 +408,47 @@ def test_estimate_separate_instrument_mode(tmp_path, capsys):
         assert np.isfinite(entry["results"]["missing_mean"]["estimate"])
 
 
+def test_estimate_reports_fit_warnings(tmp_path, survey_csv, capsys):
+    # every unit at level z = 1 responds, so each fold's training block
+    # fits that level's response model on one class only
+    rng = np.random.default_rng(5)
+    n = 300
+    z = rng.integers(0, 2, size=n)
+    z2 = rng.integers(0, 2, size=n)
+    X = rng.random((n, 2))
+    r = np.where(z == 1, 1, rng.integers(0, 2, size=n))
+    p = tmp_path / "one_sided.csv"
+    with open(p, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["z", "z2", "x1", "x2", "r", "y"])
+        for i in range(n):
+            y = repr(float(X[i].sum() + rng.normal())) if r[i] else ""
+            w.writerow([z[i], z2[i], repr(float(X[i, 0])), repr(float(X[i, 1])), r[i], y])
+    expected = [{"message": "instrument level 1 lacks both response classes "
+                            "in training data", "count": 3}]
+
+    out = tmp_path / "r.json"
+    assert main(["estimate", "--config", write_yaml(tmp_path / "cfg.yaml", make_doc()),
+                 "--data", str(p), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["fit_warnings"] == expected
+    assert "warning: instrument level 1 lacks both response classes" in capsys.readouterr().err
+
+    doc = make_doc(data={"instruments": ["z", "z2"], "instrument_mode": "separate"})
+    out = tmp_path / "sep.json"
+    assert main(["estimate", "--config", write_yaml(tmp_path / "sep.yaml", doc),
+                 "--data", str(p), "--out", str(out)]) == 0
+    per = json.loads(out.read_text())["per_instrument"]
+    assert per["z"]["fit_warnings"] == expected
+    assert "fit_warnings" not in per["z2"]
+    assert "warning: z: instrument level 1" in capsys.readouterr().err
+
+    # a warning-free run has no fit_warnings key at all
+    assert main(["estimate", "--config", write_yaml(tmp_path / "cfg.yaml", make_doc()),
+                 "--data", survey_csv, "--out", str(out)]) == 0
+    assert "fit_warnings" not in json.loads(out.read_text())
+
+
 def test_validate_command(tmp_path, survey_csv, capsys):
     cfg_path = write_yaml(tmp_path / "cfg.yaml", make_doc())
     rc = main(["validate", "--config", cfg_path, "--data", survey_csv])

@@ -1,9 +1,12 @@
 """Basis expansion and the ridge-penalized regression fitters."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import expit, logsumexp, softmax
 
+from mivest import learners
 from mivest.exceptions import ConfigurationError, FitError
 from mivest.learners import (LearnerConfig, PolyBasis, _softmax_inplace, expand_basis,
                              fit_linear, fit_logistic, fit_multinomial)
@@ -87,6 +90,18 @@ def test_linear_singular_without_ridge():
     F = np.column_stack([np.ones(20), np.arange(20.0), np.arange(20.0)])
     with pytest.raises(FitError):
         fit_linear(F, np.arange(20.0), LearnerConfig(ridge_lambda=0.0))
+
+
+def test_expit_matches_the_scipy_reference():
+    x = np.concatenate([np.linspace(-745.0, 745.0, 200_001),
+                        np.random.default_rng(4).normal(scale=10.0, size=100_000)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = learners.expit(x)
+        ends = learners.expit(np.array([-800.0, 800.0, np.nan]))
+    assert np.allclose(got, expit(x), rtol=1e-15, atol=0.0)
+    assert ends[0] == 0.0 and ends[1] == 1.0
+    assert np.isnan(ends[2])
 
 
 def test_logistic_intercept_only():
