@@ -34,6 +34,7 @@ from .exceptions import (
     EstimationError,
     FitError,
     MivestError,
+    _tally_messages,
 )
 # solve_functional stays bound here for the same callers; `estimate` roots
 # both quantile reports from one grid pass.
@@ -158,11 +159,7 @@ def _estimate_one(table, cfg: AnalysisConfig) -> tuple[dict, list[dict]]:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         results = _estimate_results(table, cfg)
-    counts: dict[str, int] = {}
-    for w in caught:
-        message = str(w.message)
-        counts[message] = counts.get(message, 0) + 1
-    return results, [{"message": m, "count": c} for m, c in counts.items()]
+    return results, _tally_messages(str(w.message) for w in caught)
 
 
 def _print_fit_warnings(fit_warnings: list[dict], prefix: str = "") -> None:
@@ -260,6 +257,7 @@ def cmd_simulate(cfg: AnalysisConfig, args: argparse.Namespace) -> int:
         "oracle": dataclasses.asdict(oracle),
         "monte_carlo": mc.as_dict(),
     }
+    _print_fit_warnings(mc.fit_warnings)
     _emit(report, args.out)
 
     names = sorted(mc.summaries)
@@ -368,6 +366,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        threads = getattr(args, "threads", 1)
+        if threads < 1:
+            raise ConfigurationError(f"--threads must be at least 1, got {threads}")
         cfg = _apply_overrides(load_config(args.config), args)
         return _COMMANDS[args.command](cfg, args)
     except DataContractError as e:

@@ -1,8 +1,20 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the tally of warnings.
 
 The CLI maps these onto exit codes, so estimator code should raise the
-most specific type that applies rather than bare ValueError.
+most specific type that applies rather than bare ValueError.  Warnings
+raised while a report is computed are recorded in it through
+_tally_messages.
 """
+
+from typing import Iterable
+
+
+def _tally_messages(messages: Iterable[str]) -> list[dict]:
+    """One {"message", "count"} entry per distinct message, in first-seen order."""
+    counts: dict[str, int] = {}
+    for message in messages:
+        counts[message] = counts.get(message, 0) + 1
+    return [{"message": m, "count": c} for m, c in counts.items()]
 
 
 class MivestError(Exception):

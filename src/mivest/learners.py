@@ -225,6 +225,9 @@ class MultinomialModel:
     The ridge penalty shrinks the L-1 fitted classes towards the reference
     class, which is unpenalised, so relabelling the classes can change the
     fitted probabilities (see fit_multinomial).
+
+    predict_proba computes class-major (L, m) probabilities, coef @ F.T
+    with no copy of F, and returns their transposed (m, L) view.
     """
 
     coef: np.ndarray
@@ -237,24 +240,90 @@ class MultinomialModel:
         single = F.ndim == 1
         if single:
             F = F[None, :]
-        P = np.zeros((F.shape[0], self.L))
-        np.matmul(F, self.coef.T, out=P[:, :-1])
+        P = np.zeros((self.L, F.shape[0]))
+        np.matmul(self.coef, F.T, out=P[:-1])
         _softmax_inplace(P)
-        return P[0] if single else P
+        return P[:, 0] if single else P.T
 
 
 def _softmax_inplace(full: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Overwrite the (m, L) logits `full` with their row-wise softmax.
+    """Overwrite the class-major (L, m) logits `full` with their softmax.
 
-    Returns the row maxima and the row sums of exp(full - max), so the
-    row log-sum-exp is max + log(sum) without a second pass over `full`.
+    Each column (one row of data) is normalised over axis 0, the class
+    axis; a reduction over the leading axis of a C-order array runs along
+    contiguous rows, where one over a short trailing axis of an (m, L)
+    array is an order of magnitude slower.  Returns the (m,) column maxima
+    and the column sums of exp(full - max), so the log-sum-exp is
+    max + log(sum) without a second pass over `full`.
     """
-    top = full.max(axis=1, keepdims=True)
+    top = full.max(axis=0)
     full -= top
     np.exp(full, out=full)
-    total = full.sum(axis=1, keepdims=True)
+    total = full.sum(axis=0)
     full /= total
     return top, total
+
+
+# rows per pass of the Hessian accumulation: a chunk's (d(d+1)/2, chunk)
+# feature pair products stay cache-sized (1.5 MB for the default basis of
+# two covariates at degree 4, d = 9)
+_HESSIAN_CHUNK = 4096
+
+
+def _multinomial_hessian(F: np.ndarray, Pk: np.ndarray, lam: float) -> np.ndarray:
+    """Penalised Newton matrix of the multinomial log-likelihood.
+
+    F is the (n, d) feature matrix and Pk the class-major (K, n)
+    probabilities of the K fitted classes.  Block (k, m), of size d x d,
+    is F' diag(w_km) F plus the ridge on the diagonal blocks, with
+    w_kk = max(p_k (1 - p_k), 1e-10) and w_km = -p_k p_m.  Every block is
+    summed over rows in one pass over chunks of _HESSIAN_CHUNK rows:
+    a chunk's d(d+1)/2 feature pair products f_a f_b times its
+    K(K+1)/2 block weights is one matrix product into a
+    (d(d+1)/2, K(K+1)/2) accumulator.  The weights are formed per chunk,
+    so the extra memory is O(chunk), not O(n K^2).
+    """
+    n, d = F.shape
+    K = Pk.shape[0]
+    n_pairs = d * (d + 1) // 2
+    n_blocks = K * (K + 1) // 2
+    width = min(n, _HESSIAN_CHUNK)
+    acc = np.zeros((n_pairs, n_blocks))
+    pairs = np.empty((n_pairs, width))
+    weights = np.empty((n_blocks, width))
+    for start in range(0, n, _HESSIAN_CHUNK):
+        stop = min(start + _HESSIAN_CHUNK, n)
+        c = stop - start
+        Fc = np.ascontiguousarray(F[start:stop].T)          # (d, c)
+        Pc = Pk[:, start:stop]
+        row = 0
+        for a in range(d):                                  # pairs (a, b >= a)
+            np.multiply(Fc[a:], Fc[a], out=pairs[row: row + d - a, :c])
+            row += d - a
+        row = 0
+        for k in range(K):                                  # blocks (k, m >= k)
+            # floor, as in the binary fit, so saturated classes do not
+            # void the unpenalized intercept coordinate
+            np.maximum(Pc[k] * (1.0 - Pc[k]), 1e-10, out=weights[row, :c])
+            np.multiply(Pc[k + 1:], -Pc[k], out=weights[row + 1: row + K - k, :c])
+            row += K - k
+        acc += pairs[:, :c] @ weights[:, :c].T
+    upper = np.triu_indices(d)
+    lower = (upper[1], upper[0])
+    pen = _penalty_matrix(d, 2.0 * lam)
+    H = np.empty((K * d, K * d))
+    block = np.empty((d, d))
+    col = 0
+    for k in range(K):
+        for m in range(k, K):
+            block[upper] = acc[:, col]
+            block[lower] = acc[:, col]
+            col += 1
+            H[k * d: (k + 1) * d, m * d: (m + 1) * d] = block
+            if m != k:
+                H[m * d: (m + 1) * d, k * d: (k + 1) * d] = block
+        H[k * d: (k + 1) * d, k * d: (k + 1) * d] += pen
+    return H
 
 
 def fit_multinomial(features: np.ndarray, classes: np.ndarray, cfg: LearnerConfig,
@@ -269,6 +338,11 @@ def fit_multinomial(features: np.ndarray, classes: np.ndarray, cfg: LearnerConfi
     penalises.  Relabelling the classes therefore moves the fit whenever
     lambda > 0; on the dual family with ridge_lambda = 1, relabelling the
     instrument levels moved one repetition's estimate by 0.010.
+
+    Logits and probabilities are class-major (L, n), computed as B @ F.T
+    with no copy of F; the gradient is the one product (Y - P[:K]) @ F,
+    and every Hessian block comes from one chunked pass over the rows
+    (_multinomial_hessian).
     """
     F = np.asarray(features, dtype=float)
     y = np.asarray(classes, dtype=np.int64)
@@ -279,9 +353,9 @@ def fit_multinomial(features: np.ndarray, classes: np.ndarray, cfg: LearnerConfi
         raise FitError("multinomial fit requires at least 2 classes")
     K = L - 1
     lam = cfg.ridge_lambda
-    Yk = np.zeros((n, K))
-    for k in range(K):
-        Yk[:, k] = (y == k).astype(float)
+    picked = y * n + np.arange(n)              # flat index of (y_i, i) in (L, n)
+    Y = np.zeros((K, n))                       # indicators of the fitted classes
+    np.put(Y, picked[y < K], 1.0)
     coef = np.zeros((K, d))
     # initialize intercepts at empirical log-odds vs reference class
     counts = np.bincount(y, minlength=L).astype(float)
@@ -289,8 +363,7 @@ def fit_multinomial(features: np.ndarray, classes: np.ndarray, cfg: LearnerConfi
     for k in range(K):
         coef[k, 0] = np.log(counts[k] / counts[L - 1])
 
-    buf = np.empty((n, L))                     # logits, then probabilities
-    picked = np.arange(n) * L + y              # flat index of (i, y_i) in buf
+    buf = np.empty((L, n))                     # logits, then probabilities
 
     def pll(B: np.ndarray) -> tuple[float, np.ndarray]:
         """Penalized log-likelihood at B and the class probabilities there.
@@ -298,8 +371,8 @@ def fit_multinomial(features: np.ndarray, classes: np.ndarray, cfg: LearnerConfi
         The probabilities live in `buf`, so they stay valid until the next
         call; the line search always accepts the last candidate it scored.
         """
-        np.matmul(F, B.T, out=buf[:, :K])
-        buf[:, K] = 0.0
+        np.matmul(B, F.T, out=buf[:K])
+        buf[K] = 0.0
         fit_term = float(buf.take(picked).sum())
         top, total = _softmax_inplace(buf)
         lse = float(top.sum() + np.log(total).sum())
@@ -309,28 +382,12 @@ def fit_multinomial(features: np.ndarray, classes: np.ndarray, cfg: LearnerConfi
     converged = False
     it = 0
     for it in range(1, cfg.max_irls_iter + 1):
-        Pk = P[:, :K]
-        grad = np.empty(K * d)
-        for k in range(K):
-            gk = F.T @ (Yk[:, k] - Pk[:, k])
-            gk[1:] -= 2.0 * lam * coef[k, 1:]
-            grad[k * d: (k + 1) * d] = gk
-        H = np.empty((K * d, K * d))
-        for k in range(K):
-            for m in range(k, K):
-                if k == m:
-                    # floor, as in the binary fit, so saturated classes do
-                    # not void the unpenalized intercept coordinate
-                    w = np.maximum(Pk[:, k] * (1.0 - Pk[:, k]), 1e-10)
-                else:
-                    w = -Pk[:, k] * Pk[:, m]
-                block = (F * w[:, None]).T @ F
-                H[k * d: (k + 1) * d, m * d: (m + 1) * d] = block
-                if m != k:
-                    H[m * d: (m + 1) * d, k * d: (k + 1) * d] = block
-            H[k * d: (k + 1) * d, k * d: (k + 1) * d] += _penalty_matrix(d, 2.0 * lam)
+        Pk = P[:K]
+        G = (Y - Pk) @ F                       # (K, d)
+        G[:, 1:] -= 2.0 * lam * coef[:, 1:]
+        H = _multinomial_hessian(F, Pk, lam)
         try:
-            step = np.linalg.solve(H, grad)
+            step = np.linalg.solve(H, G.ravel())
         except np.linalg.LinAlgError as exc:
             raise FitError(
                 "multinomial Newton system singular; use ridge_lambda > 0"

@@ -33,13 +33,14 @@ here, and the closed forms in oracles reuse them.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Literal, Mapping
 
 import numpy as np
 
 from .data import FunctionalSpec, ObservationTable, evaluate_h
-from .exceptions import ConfigurationError, EstimationError, FitError
+from .exceptions import ConfigurationError, EstimationError, FitError, _tally_messages
 from .learners import LearnerConfig, expit
 
 CLAMP_EPS = 1e-9
@@ -439,9 +440,11 @@ class MonteCarloReport:
     repetitions: int
     ci_level: float
     summaries: dict[str, EstimatorSummary]
+    # warnings raised inside the replications, tallied as estimate does
+    fit_warnings: list[dict] = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        return {
+        out = {
             "family": self.family,
             "n": self.n,
             "replications": self.replications,
@@ -452,12 +455,27 @@ class MonteCarloReport:
             "ci_level": self.ci_level,
             "estimators": {k: v.as_dict() for k, v in sorted(self.summaries.items())},
         }
+        # left out when empty, so warning-free reports keep their bytes
+        if self.fit_warnings:
+            out["fit_warnings"] = self.fit_warnings
+        return out
 
 
 def _mc_worker(payload: tuple) -> dict:
-    """One replication; module level so process pools can pickle it."""
-    (r, dgp, cfg, functional, n_folds, repetitions, ci_level,
-     estimators, mode, trim, winsorize, master_seed, kind) = payload
+    """One replication; module level so process pools can pickle it.
+
+    The warnings the replication raises come back, in the order raised,
+    as the messages under "warnings".
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = _mc_replication(*payload)
+    out["warnings"] = [str(w.message) for w in caught]
+    return out
+
+
+def _mc_replication(r, dgp, cfg, functional, n_folds, repetitions, ci_level,
+                    estimators, mode, trim, winsorize, master_seed, kind) -> dict:
     from .crossfit import crossfit_beta
     from .general import beta_id_general
     from .binary import beta_id_binary
@@ -538,6 +556,8 @@ def run_monte_carlo(
     spawn_key=(1, r)) and its folds from an independently derived stream,
     so results are identical for any threads value and any scheduling.
     Failed replications are counted per estimator, not silently dropped.
+    The warnings the replications raise are tallied into fit_warnings,
+    first-seen in replication order, so they too are thread-independent.
     """
     if replications < 1:
         raise ConfigurationError("replications must be at least 1")
@@ -582,4 +602,5 @@ def run_monte_carlo(
         repetitions=repetitions,
         ci_level=ci_level,
         summaries=summaries,
+        fit_warnings=_tally_messages(m for d in rows for m in d["warnings"]),
     )

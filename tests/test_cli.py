@@ -548,3 +548,57 @@ def test_robustness_command(tmp_path, capsys):
     assert "all_corrupt" in capsys.readouterr().out
     report = json.loads(out.read_text())
     assert len(report["robustness"]["scenarios"]) == 4
+
+
+@pytest.mark.parametrize("command", ["estimate", "simulate", "oracle", "robustness"])
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_threads_below_one_are_configuration_errors(tmp_path, survey_csv, capsys,
+                                                    monkeypatch, command, threads):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    doc = make_doc(simulation={"family": "single_binary_iv", "n": 250,
+                               "replications": 2, "oracle_draws": 200_000})
+    argv = [command, "--config", write_yaml(tmp_path / "cfg.yaml", doc),
+            "--out", str(tmp_path / "o.json"), f"--threads={threads}"]
+    if command == "estimate":
+        argv += ["--data", survey_csv]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert f"--threads must be at least 1, got {threads}" in err
+    assert not (tmp_path / "o.json").exists()
+
+
+def test_simulate_reports_fit_warnings_whatever_the_thread_count(tmp_path, capsys):
+    # the acceptance criterion 09 study: at n = 300 with 3 folds some
+    # training folds have an instrument level without both response classes
+    doc = make_doc(estimation={"folds": 3, "repetitions": 3, "seed": 12},
+                   simulation={"family": "single_binary_iv", "n": 300,
+                               "replications": 3, "oracle_draws": 400_000})
+    cfg_path = write_yaml(tmp_path / "sim.yaml", doc)
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}.json"
+        assert main(["simulate", "--config", cfg_path, "--out", str(out),
+                     "--threads", threads]) == 0
+        outs.append(out.read_bytes())
+        err = capsys.readouterr().err
+        assert "warning: instrument level 1 lacks both response classes" in err
+    assert outs[0] == outs[1]
+    fit_warnings = json.loads(outs[0])["monte_carlo"]["fit_warnings"]
+    assert fit_warnings
+    assert all(w["count"] >= 1 for w in fit_warnings)
+    assert any("lacks both response classes" in w["message"] for w in fit_warnings)
+
+
+def test_warning_free_simulate_reports_have_no_fit_warnings(tmp_path, capsys):
+    doc = make_doc(simulation={"family": "single_binary_iv", "n": 2000,
+                               "replications": 2, "oracle_draws": 200_000})
+    out = tmp_path / "sim.json"
+    assert main(["simulate", "--config", write_yaml(tmp_path / "sim.yaml", doc),
+                 "--out", str(out)]) == 0
+    assert "warning:" not in capsys.readouterr().err
+    assert "fit_warnings" not in json.loads(out.read_text())["monte_carlo"]

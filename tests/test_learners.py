@@ -1,5 +1,6 @@
 """Basis expansion and the ridge-penalized regression fitters."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,8 +9,9 @@ from scipy.special import expit, logsumexp, softmax
 
 from mivest import learners
 from mivest.exceptions import ConfigurationError, FitError
-from mivest.learners import (LearnerConfig, PolyBasis, _softmax_inplace, expand_basis,
-                             fit_linear, fit_logistic, fit_multinomial)
+from mivest.learners import (LearnerConfig, PolyBasis, _multinomial_hessian, _penalty_matrix,
+                             _softmax_inplace, expand_basis, fit_linear, fit_logistic,
+                             fit_multinomial)
 
 CFG = LearnerConfig()
 
@@ -204,12 +206,13 @@ def test_multinomial_probabilities_normalize():
 
 
 def test_softmax_matches_the_scipy_reference():
+    # class-major (L, m) logits, normalised over axis 0
     rng = np.random.default_rng(3)
-    logits = np.column_stack([rng.normal(scale=300.0, size=(500, 3)), np.zeros(500)])
+    logits = np.vstack([rng.normal(scale=300.0, size=(3, 500)), np.zeros((1, 500))])
     probs = logits.copy()
     top, total = _softmax_inplace(probs)
-    assert np.allclose(probs, softmax(logits, axis=1), rtol=1e-12, atol=1e-300)
-    assert np.allclose((top + np.log(total))[:, 0], logsumexp(logits, axis=1),
+    assert np.allclose(probs, softmax(logits, axis=0), rtol=1e-12, atol=1e-300)
+    assert np.allclose(top + np.log(total), logsumexp(logits, axis=0),
                        rtol=1e-14, atol=1e-12)
 
 
@@ -256,3 +259,162 @@ def test_multinomial_survives_large_linear_predictors():
 def test_multinomial_needs_two_classes():
     with pytest.raises(FitError):
         fit_multinomial(np.ones((10, 1)), np.zeros(10, dtype=int), CFG, L=1)
+
+
+# -- class-major multinomial against the row-major reference -----------------
+
+
+def _row_major_newton(F, y, cfg, L):
+    """The row-major Newton fit that the class-major fit replaced, kept as a
+    reference: (n, L) logits with a row-wise softmax, and one weighted Gram
+    product per Hessian block.  Returns (coef, converged, n_iter)."""
+    n, d = F.shape
+    K = L - 1
+    lam = cfg.ridge_lambda
+    Yk = np.zeros((n, K))
+    for k in range(K):
+        Yk[:, k] = (y == k).astype(float)
+    coef = np.zeros((K, d))
+    counts = np.clip(np.bincount(y, minlength=L).astype(float), 0.5, None)
+    for k in range(K):
+        coef[k, 0] = np.log(counts[k] / counts[L - 1])
+    buf = np.empty((n, L))
+    picked = np.arange(n) * L + y
+
+    def pll(B):
+        np.matmul(F, B.T, out=buf[:, :K])
+        buf[:, K] = 0.0
+        fit_term = float(buf.take(picked).sum())
+        top = buf.max(axis=1, keepdims=True)
+        buf[:] -= top
+        np.exp(buf, out=buf)
+        total = buf.sum(axis=1, keepdims=True)
+        buf[:] /= total
+        lse = float(top.sum() + np.log(total).sum())
+        return fit_term - lse - lam * float((B[:, 1:] ** 2).sum()), buf
+
+    cur, P = pll(coef)
+    converged = False
+    it = 0
+    for it in range(1, cfg.max_irls_iter + 1):
+        Pk = P[:, :K]
+        grad = np.empty(K * d)
+        for k in range(K):
+            gk = F.T @ (Yk[:, k] - Pk[:, k])
+            gk[1:] -= 2.0 * lam * coef[k, 1:]
+            grad[k * d: (k + 1) * d] = gk
+        H = np.empty((K * d, K * d))
+        for k in range(K):
+            for m in range(k, K):
+                if k == m:
+                    w = np.maximum(Pk[:, k] * (1.0 - Pk[:, k]), 1e-10)
+                else:
+                    w = -Pk[:, k] * Pk[:, m]
+                block = (F * w[:, None]).T @ F
+                H[k * d: (k + 1) * d, m * d: (m + 1) * d] = block
+                if m != k:
+                    H[m * d: (m + 1) * d, k * d: (k + 1) * d] = block
+            H[k * d: (k + 1) * d, k * d: (k + 1) * d] += _penalty_matrix(d, 2.0 * lam)
+        step = np.linalg.solve(H, grad)
+        scale = 1.0
+        for _ in range(30):
+            cand = coef + scale * step.reshape(K, d)
+            new, probs = pll(cand)
+            if np.isfinite(new) and new >= cur - 1e-12:
+                break
+            scale *= 0.5
+        coef, cur, P = cand, new, probs
+        if scale * np.max(np.abs(step)) < cfg.irls_tol:
+            converged = True
+            break
+    return coef, converged, it
+
+
+def _class_draw(n, L, seed, spread=1.0):
+    """n rows of an L-class logit on the degree-4 basis of two normal
+    covariates; spread scales every class score.
+
+    At spread 1 every class keeps a few percent of the rows.  Rounding
+    alone moves an unpenalised fit with a rare class: a draw whose
+    reference class had 12 of 1500 rows gave a Newton matrix of condition
+    5e6 at lambda = 0, and the row-major reference moved by 2.7e-9 when
+    its rows were permuted, so agreement within 1e-10 is a claim about
+    well-conditioned fits.
+    """
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, 2))
+    F = expand_basis(X, 4)
+    slopes = rng.normal(size=(F.shape[1], L - 1)) * np.r_[0.5, 0.5, 0.15, 0.05, 0.015,
+                                                          0.5, 0.15, 0.05, 0.015][:, None]
+    scores = np.column_stack([spread * (F @ slopes), np.zeros(n)])
+    p = np.exp(scores - scores.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+    classes = (rng.random(n)[:, None] > np.cumsum(p, axis=1)).sum(axis=1)
+    return F, np.minimum(classes, L - 1)
+
+
+def _assert_matches_row_major(F, classes, cfg, L):
+    coef, converged, n_iter = _row_major_newton(F, classes, cfg, L)
+    model = fit_multinomial(F, classes, cfg, L=L)
+    assert model.n_iter == n_iter
+    assert model.converged == converged
+    assert np.max(np.abs(model.coef - coef)) <= 1e-10
+    return model
+
+
+@pytest.mark.parametrize("L", [2, 3, 4, 6])
+@pytest.mark.parametrize("lam", [0.0, 1e-3, 1.0])
+def test_class_major_fit_matches_row_major_newton(L, lam):
+    F, classes = _class_draw(1_500, L, seed=10 * L + int(lam * 1000))
+    _assert_matches_row_major(F, classes, LearnerConfig(ridge_lambda=lam), L)
+
+
+@pytest.mark.parametrize("n", [100, 4096, 4097, 3 * 4096 + 17])
+def test_class_major_fit_matches_row_major_newton_at_chunk_edges(n):
+    F, classes = _class_draw(n, 4, seed=n)
+    _assert_matches_row_major(F, classes, CFG, 4)
+
+
+def test_class_major_fit_matches_row_major_newton_where_the_weight_floor_binds():
+    # nearly separated classes: at the fit 120 rows have p_k (1 - p_k)
+    # below the 1e-10 floor of the diagonal Hessian weights.  Where it
+    # binds on most rows the coefficients are not determined to rounding:
+    # at spread 14 (seed 3) the reference itself moved by 1.4e-4 when its
+    # rows were permuted.
+    F, classes = _class_draw(3_000, 4, seed=2, spread=6.0)
+    model = _assert_matches_row_major(F, classes, CFG, 4)
+    P = model.predict_proba(F)[:, :3]
+    assert np.min(P * (1.0 - P)) < 1e-10
+
+
+@pytest.mark.parametrize("L", [3, 6])
+def test_chunked_hessian_equals_per_block_gram_products(L):
+    n = 3 * 4096 + 17
+    F, _ = _class_draw(n, L, seed=4)
+    rng = np.random.default_rng(5)
+    P = rng.dirichlet(np.ones(L), size=n).T                # class-major (L, n)
+    P[0, :50] = 1.0 - 1e-12                                # floored rows
+    K, d, lam = L - 1, F.shape[1], 0.25
+    H = _multinomial_hessian(F, P[:K], lam)
+    ref = np.empty_like(H)
+    for k in range(K):
+        for m in range(K):
+            w = (np.maximum(P[k] * (1.0 - P[k]), 1e-10) if k == m
+                 else -P[k] * P[m])
+            ref[k * d: (k + 1) * d, m * d: (m + 1) * d] = F.T @ (w[:, None] * F)
+        ref[k * d: (k + 1) * d, k * d: (k + 1) * d] += _penalty_matrix(d, 2.0 * lam)
+    assert np.max(np.abs(H - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("L", [4, 6])
+def test_multinomial_fit_memory_is_bounded_by_the_features(L):
+    # the Hessian weights are formed per row chunk, so the fit's traced
+    # peak stays within 2.5 times the feature matrix at n = 40 000
+    F, classes = _class_draw(40_000, L, seed=8)
+    tracemalloc.start()
+    try:
+        fit_multinomial(F, classes, CFG, L=L)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * F.nbytes
