@@ -30,7 +30,6 @@ from .crossfit import (
     crossfit_population_mean,
     make_folds,
     median_adjust,
-    repeated_crossfit,
 )
 from .data import (
     FunctionalSpec,
@@ -67,7 +66,6 @@ from .general import (
     beta_if_general,
     if_values_general,
     normal_ci,
-    phi_tilde_general,
     population_mean_if,
     solve_functional,
     variance_if,
@@ -154,9 +152,7 @@ __all__ = [
     "oracle_nuisances",
     "oracle_pi",
     "oracle_rho",
-    "phi_tilde_general",
     "population_mean_if",
-    "repeated_crossfit",
     "report_json",
     "run_monte_carlo",
     "run_robustness",

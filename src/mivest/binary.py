@@ -52,12 +52,12 @@ def wald_ratio_binary(
     the signed floor and counts the hit.
     """
     _require_binary(ns)
-    X = np.atleast_2d(np.asarray(x, dtype=float))
-    if ns.delta_fn is not None:
-        return np.asarray(ns.delta_fn(1, X), dtype=float)
-    den = ns.pi(1, X) - ns.pi(0, X)
+    ev = evaluate_nuisances(ns, np.asarray(x, dtype=float))
+    if ev.delta is not None:
+        return ev.delta[1]
+    den = ev.pi[1] - ev.pi[0]
     den = apply_floor(den, ns.eps_den, on_floor, diag if diag is not None else ns.diagnostics)
-    return (ns.mu(1, X) - ns.mu(0, X)) / den
+    return (ev.mu[1] - ev.mu[0]) / den
 
 
 def beta_id_binary(
@@ -71,16 +71,16 @@ def beta_id_binary(
     _require_binary(ns)
     if table.n0 == 0:
         raise NoIncompleteCasesError("no rows with R = 0; the target is undefined")
-    X = table.X
-    den = ns.pi(1, X) - ns.pi(0, X)
+    ev = evaluate_nuisances(ns, table.X)
+    den = ev.pi[1] - ev.pi[0]
     hits = floor_mask(den, ns.eps_den)
     if diag is not None:
         diag.floor_hits += int(hits.sum())
-    if ns.delta_fn is not None:
-        delta = np.asarray(ns.delta_fn(1, X), dtype=float)
+    if ev.delta is not None:
+        delta = ev.delta[1]
     else:
         sign = np.where(den < 0, -1.0, 1.0)
-        delta = (ns.mu(1, X) - ns.mu(0, X)) / np.where(hits, sign * ns.eps_den, den)
+        delta = (ev.mu[1] - ev.mu[0]) / np.where(hits, sign * ns.eps_den, den)
     mask = table.R == 0
     if trim == "drop":
         mask = mask & ~hits
@@ -105,8 +105,8 @@ def _phi_tilde_binary(
         diag.floor_hits += int(hits.sum())
     sign = np.where(den < 0, -1.0, 1.0)
     den_f = np.where(hits, sign * ns.eps_den, den)
-    if ns.delta_fn is not None:
-        delta = np.asarray(ns.delta_fn(1, table.X), dtype=float)
+    if ev.delta is not None:
+        delta = ev.delta[1]
     else:
         delta = (ev.mu[1] - ev.mu[0]) / den_f
 

@@ -24,7 +24,7 @@ delta_hat = delta.  Each scenario realises one of these routes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -34,14 +34,7 @@ from .exceptions import ConfigurationError
 from .general import _phi_parts_general, beta_if_general
 from .learners import expit
 from .nuisance import PROB_CLIP, NuisanceSet
-from .oracles import (
-    oracle_delta_fn,
-    oracle_identified_beta,
-    oracle_mu,
-    oracle_nuisances,
-    oracle_pi,
-    oracle_rho,
-)
+from .oracles import oracle_delta_fn, oracle_identified_beta, oracle_nuisances
 from .simulation import DGPSpec, generate
 
 COMPONENTS = ("pi_z", "rho_z", "mu_z", "pi_marg", "mu_marg", "delta")
@@ -83,20 +76,17 @@ def corrupt_nuisance(
     overrides: dict = {}
 
     if "pi_z" in comps:
-        overrides["pi_fn"] = lambda z, X: shift_probability(base_pi(z, X), logit_delta)
+        overrides["pi_fn"] = lambda X: shift_probability(base_pi(X), logit_delta)
     if "rho_z" in comps:
-        L = ns.L
-
-        def rho_corrupt(z: int, X: np.ndarray) -> np.ndarray:
-            stack = np.stack([np.asarray(base_rho(l, X), dtype=float) for l in range(L)])
-            stack[0] = stack[0] * np.exp(logit_delta)
-            return stack[z] / stack.sum(axis=0)
+        def rho_corrupt(X: np.ndarray) -> np.ndarray:
+            stack = np.array(base_rho(X), dtype=float)
+            stack[0] *= np.exp(logit_delta)
+            return stack / stack.sum(axis=0)
 
         overrides["rho_fn"] = rho_corrupt
     if "mu_z" in comps:
-        overrides["mu_fn"] = lambda z, X: (
-            np.asarray(base_mu(z, X), dtype=float) + level_delta * (1.0 + z)
-        )
+        level_shift = level_delta * (1.0 + np.arange(ns.L))[:, None]
+        overrides["mu_fn"] = lambda X: np.asarray(base_mu(X), dtype=float) + level_shift
     if "pi_marg" in comps:
         base_pim = ns.pi_marg_fn
         overrides["pi_marg_fn"] = lambda X: shift_probability(base_pim(X), logit_delta)
@@ -107,12 +97,9 @@ def corrupt_nuisance(
         )
     if "delta" in comps:
         snapshot = ns  # delta computed from the uncorrupted parts, then shifted
-
-        def delta_corrupt(z: int, X: np.ndarray) -> np.ndarray:
-            return snapshot.delta(z, np.atleast_2d(np.asarray(X, dtype=float)),
-                                  on_floor="floor") + level_delta
-
-        overrides["delta_fn"] = delta_corrupt
+        overrides["delta_fn"] = lambda X: (
+            snapshot.delta(slice(None), X, on_floor="floor") + level_delta
+        )
     if not overrides:
         return ns.with_overrides()
     return ns.with_overrides(**overrides)
@@ -135,22 +122,13 @@ class Scenario:
     note: str = ""
 
 
-def _shift_pi_one_level(pi_fn, level: int, amount: float):
-    def fn(z: int, X: np.ndarray) -> np.ndarray:
-        p = pi_fn(z, X)
-        if z == level:
-            return shift_probability(p, amount)
-        return np.asarray(p, dtype=float)
-    return fn
-
-
-def _shift_mu_one_level(mu_fn, level: int, amount: float):
-    def fn(z: int, X: np.ndarray) -> np.ndarray:
-        m = np.asarray(mu_fn(z, X), dtype=float)
-        if z == level:
-            return m + amount
-        return m
-    return fn
+def _shift_one_level(fn, level: int, shift):
+    """fn with row `level` of its (L, m) output replaced by shift(row)."""
+    def shifted(X: np.ndarray) -> np.ndarray:
+        out = np.array(fn(X), dtype=float)
+        out[level] = shift(out[level])
+        return out
+    return shifted
 
 
 def binary_scenarios(
@@ -175,8 +153,8 @@ def binary_scenarios(
 
     ns1 = truth()
     ns1 = ns1.with_overrides(
-        pi_fn=_shift_pi_one_level(ns1.pi_fn, 1, LOGIT_SHIFT),
-        mu_fn=_shift_mu_one_level(ns1.mu_fn, 1, LEVEL_SHIFT),
+        pi_fn=_shift_one_level(ns1.pi_fn, 1, lambda p: shift_probability(p, LOGIT_SHIFT)),
+        mu_fn=_shift_one_level(ns1.mu_fn, 1, lambda m: m + LEVEL_SHIFT),
         rho_fn=corrupt_nuisance(ns1, ["rho_z"]).rho_fn,
         delta_fn=true_delta,
     )
@@ -244,18 +222,9 @@ def general_scenarios(
     """
     params = dict(parameters or {})
     spec = FunctionalSpec.mean(psi)
-    L = oracle_nuisances(family, params, functional=spec).L
     true_delta = oracle_delta_fn(family, params, psi)
-
-    def true_pi_marg(X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return sum(oracle_rho(family, z, X, params) * oracle_pi(family, z, X, params)
-                   for z in range(L))
-
-    def true_mu_marg(X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return sum(oracle_rho(family, z, X, params)
-                   * oracle_mu(family, z, X, params, psi) for z in range(L))
+    base = oracle_nuisances(family, params, functional=spec, mode="direct")
+    true_pi_marg, true_mu_marg = base.pi_marg_fn, base.mu_marg_fn
 
     # The general scenarios shift propensities downward (-0.7 on the logit
     # scale).  An upward shift can push a level's corrupted propensity across
@@ -263,19 +232,15 @@ def general_scenarios(
     # the covariate space; the exploding 1/delta_r weights would then test
     # the floor diagnostics rather than robustness.  The downward direction
     # moves every level away from its zero for these families.
-    def shifted_pi(z: int, X: np.ndarray) -> np.ndarray:
-        return shift_probability(oracle_pi(family, z, X, params), -LOGIT_SHIFT)
+    def shifted_pi(X: np.ndarray) -> np.ndarray:
+        return shift_probability(base.pi_fn(X), -LOGIT_SHIFT)
 
     def coherent_mu(mu_marg_fn):
-        def fn(z: int, X: np.ndarray) -> np.ndarray:
-            X = np.atleast_2d(np.asarray(X, dtype=float))
-            return (np.asarray(mu_marg_fn(X), dtype=float)
-                    + true_delta(z, X) * (shifted_pi(z, X) - true_pi_marg(X)))
+        def fn(X: np.ndarray) -> np.ndarray:
+            return mu_marg_fn(X) + true_delta(X) * (shifted_pi(X) - true_pi_marg(X))
         return fn
 
     out: list[Scenario] = []
-
-    base = oracle_nuisances(family, params, functional=spec, mode="direct")
     ns1 = base.with_overrides(
         pi_fn=shifted_pi,
         mu_fn=coherent_mu(true_mu_marg),

@@ -223,31 +223,6 @@ def crossfit_estimate(
     return result
 
 
-def repeated_crossfit(
-    table: ObservationTable,
-    spec: FunctionalSpec,
-    cfg: LearnerConfig,
-    *,
-    n_folds: int = 5,
-    repetitions: int = 1,
-    seed: int = 0,
-    kind: EstimatorKind = "auto",
-    mode: str = "marginalize",
-    trim: TrimPolicy = "floor",
-    winsorize: float | None = None,
-    fitter: FitterType | None = None,
-) -> list[CrossfitResult]:
-    _check_repetitions(repetitions)
-    return [
-        crossfit_estimate(
-            table, spec, cfg,
-            n_folds=n_folds, seed=seed, repetition=r, kind=kind,
-            mode=mode, trim=trim, winsorize=winsorize, fitter=fitter,
-        )
-        for r in range(repetitions)
-    ]
-
-
 def median_adjust(estimates: np.ndarray, variances: np.ndarray) -> tuple[float, float]:
     """Median point estimate with discordance-penalised variance.
 
@@ -371,11 +346,15 @@ def crossfit_beta(
     fitter: FitterType | None = None,
 ) -> EstimateReport:
     """Repeated cross-fitting, median adjustment, and a normal interval."""
-    results = repeated_crossfit(
-        table, spec, cfg,
-        n_folds=n_folds, repetitions=repetitions, seed=seed, kind=kind,
-        mode=mode, trim=trim, winsorize=winsorize, fitter=fitter,
-    )
+    _check_repetitions(repetitions)
+    results = [
+        crossfit_estimate(
+            table, spec, cfg,
+            n_folds=n_folds, seed=seed, repetition=r, kind=kind,
+            mode=mode, trim=trim, winsorize=winsorize, fitter=fitter,
+        )
+        for r in range(repetitions)
+    ]
     return _report(
         table,
         np.array([r.estimate for r in results]),

@@ -119,37 +119,13 @@ def _phi_parts_general(
         diag.floor_hits += own.floor_hits
     rows = np.arange(table.n)
     z = table.Z
-    if ns.delta_fn is not None:
-        delta_all = np.stack(
-            [np.asarray(ns.delta_fn(z, table.X), dtype=float) for z in range(ns.L)]
-        )
-        delta_z = delta_all[z, rows]
+    if ev.delta is not None:
+        delta_z = ev.delta[z, rows]
     else:
         delta_z = ev.delta_y[z, rows] / own.den
     phi_tilde = _phi_tilde(own, table.rh(spec), ev.mu[z, rows], delta_z)
     return PhiParts(phi_tilde=phi_tilde, keep=own.keep, delta_own=delta_z,
                     floor_hits=own.floor_hits)
-
-
-def phi_tilde_general(
-    table: ObservationTable,
-    ns: NuisanceSet,
-    spec: FunctionalSpec,
-    *,
-    trim: TrimPolicy = "floor",
-    winsorize: float | None = None,
-    diag: Diagnostics | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Uncentered influence values and the retained-row mask.
-
-    With winsorize = k, values outside [Q1 - k IQR, Q3 + k IQR] of the
-    block's own influence-value distribution are pulled to the boundary.
-    """
-    parts = _phi_parts_general(table, ns, spec, trim, diag)
-    phi = parts.phi_tilde
-    if winsorize is not None:
-        phi = winsorize_values(phi, winsorize, diag)
-    return phi, parts.keep
 
 
 def if_values_general(
@@ -214,11 +190,8 @@ def beta_id_general(
     hits = floor_mask(den_own, ns.eps_den)
     if diag is not None:
         diag.floor_hits += int(hits.sum())
-    if ns.delta_fn is not None:
-        delta_all = np.stack(
-            [np.asarray(ns.delta_fn(z, table.X), dtype=float) for z in range(ns.L)]
-        )
-        delta_own = delta_all[table.Z, rows]
+    if ev.delta is not None:
+        delta_own = ev.delta[table.Z, rows]
     else:
         sign = np.where(den_own < 0, -1.0, 1.0)
         den = np.where(hits, sign * ns.eps_den, den_own)
@@ -240,12 +213,19 @@ def beta_if_general(
     winsorize: float | None = None,
     diag: Diagnostics | None = None,
 ) -> float:
-    """Influence-function estimator: mean of phi~ over retained rows."""
+    """Influence-function estimator: mean of phi~ over retained rows.
+
+    With winsorize = k, values outside [Q1 - k IQR, Q3 + k IQR] of the
+    block's own influence-value distribution are pulled to the boundary.
+    """
     _require_incomplete(table, ns)
-    phi, keep = phi_tilde_general(table, ns, spec, trim=trim, winsorize=winsorize, diag=diag)
-    if not keep.any():
+    parts = _phi_parts_general(table, ns, spec, trim, diag)
+    phi = parts.phi_tilde
+    if winsorize is not None:
+        phi = winsorize_values(phi, winsorize, diag)
+    if not parts.keep.any():
         raise EstimationError("trim policy removed every row")
-    return float(phi[keep].mean())
+    return float(phi[parts.keep].mean())
 
 
 def variance_if(phi_values: np.ndarray) -> float:

@@ -157,6 +157,26 @@ def _ridge_solve(gram: np.ndarray, cross: np.ndarray, lam: float) -> np.ndarray:
     return coef
 
 
+def _halving_search(pll, coef: np.ndarray, step: np.ndarray, cur: float):
+    """Damp a Newton step by halving until the penalized likelihood stops
+    decreasing.
+
+    pll(b) returns (value, extra) at b.  Returns (scale, candidate, value,
+    extra) of the first accepted candidate, or None when all 30 halvings
+    are rejected; the fit then keeps its last accepted iterate and reports
+    non-convergence, since the rejected scale of 2^-30 could otherwise pass
+    the step tolerance.
+    """
+    scale = 1.0
+    for _ in range(30):
+        cand = coef + scale * step
+        new, extra = pll(cand)
+        if np.isfinite(new) and new >= cur - 1e-12:
+            return scale, cand, new, extra
+        scale *= 0.5
+    return None
+
+
 def fit_logistic(features: np.ndarray, labels: np.ndarray, cfg: LearnerConfig) -> FitResult:
     """Ridge logistic regression by iteratively reweighted least squares.
 
@@ -164,7 +184,7 @@ def fit_logistic(features: np.ndarray, labels: np.ndarray, cfg: LearnerConfig) -
     Newton steps damped by halving until the penalized likelihood stops
     decreasing; full steps overshoot badly once a stratum is close to
     separated.  Separated data with lambda = 0 has no finite optimum and
-    is reported as non-converged.
+    is reported as non-converged, as is a fit whose step search fails.
     """
     F = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=float)
@@ -199,16 +219,10 @@ def fit_logistic(features: np.ndarray, labels: np.ndarray, cfg: LearnerConfig) -
                 "IRLS system singular; use ridge_lambda > 0 for separated or "
                 "collinear data"
             ) from exc
-        # the line search always accepts the last candidate it scored, so
-        # its linear predictor is the next iteration's
-        scale = 1.0
-        for _ in range(30):
-            cand = coef + scale * step
-            new, cand_eta = pll(cand)
-            if np.isfinite(new) and new >= cur - 1e-12:
-                break
-            scale *= 0.5
-        coef, cur, eta = cand, new, cand_eta
+        accepted = _halving_search(pll, coef, step, cur)
+        if accepted is None:
+            break
+        scale, coef, cur, eta = accepted
         if not np.all(np.isfinite(coef)):
             raise FitError("logistic fit diverged to non-finite coefficients")
         if scale * np.max(np.abs(step)) < cfg.irls_tol:
@@ -369,7 +383,8 @@ def fit_multinomial(features: np.ndarray, classes: np.ndarray, cfg: LearnerConfi
         """Penalized log-likelihood at B and the class probabilities there.
 
         The probabilities live in `buf`, so they stay valid until the next
-        call; the line search always accepts the last candidate it scored.
+        call; an accepted candidate is always the last one scored, and a
+        failed search ends the fit.
         """
         np.matmul(B, F.T, out=buf[:K])
         buf[K] = 0.0
@@ -392,16 +407,10 @@ def fit_multinomial(features: np.ndarray, classes: np.ndarray, cfg: LearnerConfi
             raise FitError(
                 "multinomial Newton system singular; use ridge_lambda > 0"
             ) from exc
-        # same damping as the binary fit: halve until the penalized
-        # likelihood stops decreasing
-        scale = 1.0
-        for _ in range(30):
-            cand = coef + scale * step.reshape(K, d)
-            new, probs = pll(cand)
-            if np.isfinite(new) and new >= cur - 1e-12:
-                break
-            scale *= 0.5
-        coef, cur, P = cand, new, probs
+        accepted = _halving_search(pll, coef, step.reshape(K, d), cur)
+        if accepted is None:
+            break
+        scale, coef, cur, P = accepted
         if not np.all(np.isfinite(coef)):
             raise FitError("multinomial fit diverged to non-finite coefficients")
         if scale * np.max(np.abs(step)) < cfg.irls_tol:

@@ -8,7 +8,11 @@ A NuisanceSet bundles the three conditional models the estimators need:
 
 plus the scalar pi0 = P(R = 0).  Components are plain callables, so the
 same container carries fitted models, closed-form truths, or corrupted
-versions.  Marginal quantities pi(X) and mu(X) are either the exact
+versions.  Each component callable takes the rows X and returns every
+instrument level at once, an (L, m) array whose row z is level z: the
+influence function needs all levels at every row, and a fitted set then
+transforms its basis once and predicts the instrument model once per
+call.  Marginal quantities pi(X) and mu(X) are either the exact
 rho-weighted sums over levels ("marginalize", the default) or separately
 supplied models ("direct").
 """
@@ -31,7 +35,9 @@ MIN_STRATUM_ROWS = 30
 
 MarginalizationMode = Literal["marginalize", "direct"]
 TrimPolicy = Literal["floor", "drop"]
-ComponentFn = Callable[[int, np.ndarray], np.ndarray]
+ComponentFn = Callable[[np.ndarray], np.ndarray]    # X (m, p) -> (L, m)
+MarginalFn = Callable[[np.ndarray], np.ndarray]     # X (m, p) -> (m,)
+Levels = int | slice
 
 
 @dataclass
@@ -59,13 +65,20 @@ class Diagnostics:
         }
 
 
+def _levels(fn: ComponentFn, X: np.ndarray) -> np.ndarray:
+    return np.asarray(fn(np.atleast_2d(X)), dtype=float)
+
+
 @dataclass
 class NuisanceSet:
     """Bundle of nuisance callables, immutable by convention.
 
-    The callables take (level, X) with X of shape (m, p) and return (m,)
-    arrays.  delta_fn, pi_marg_fn, mu_marg_fn are optional overrides; when
-    absent the derived accessors compute from the parts.
+    pi_fn, rho_fn, mu_fn and the optional delta_fn take X of shape (m, p)
+    and return the (L, m) array of every instrument level; pi_marg_fn and
+    mu_marg_fn take X and return (m,).  delta_fn, pi_marg_fn, mu_marg_fn
+    are optional overrides; when absent the derived accessors compute from
+    the parts.  The accessors take a level z, or slice(None) for the
+    (L, m) stack of every level.
     """
 
     L: int
@@ -74,8 +87,8 @@ class NuisanceSet:
     mu_fn: ComponentFn
     pi0: float
     mode: MarginalizationMode = "marginalize"
-    pi_marg_fn: Callable[[np.ndarray], np.ndarray] | None = None
-    mu_marg_fn: Callable[[np.ndarray], np.ndarray] | None = None
+    pi_marg_fn: MarginalFn | None = None
+    mu_marg_fn: MarginalFn | None = None
     delta_fn: ComponentFn | None = None
     eps_den: float = 1e-6
     diagnostics: Diagnostics = field(default_factory=Diagnostics)
@@ -84,73 +97,52 @@ class NuisanceSet:
         if self.mode == "direct" and (self.pi_marg_fn is None or self.mu_marg_fn is None):
             raise NuisanceFitError("direct mode requires pi_marg_fn and mu_marg_fn")
 
-    # -- per-level accessors ----------------------------------------------
+    def pi(self, z: Levels, X: np.ndarray) -> np.ndarray:
+        return _levels(self.pi_fn, X)[z]
 
-    def pi(self, z: int, X: np.ndarray) -> np.ndarray:
-        return np.asarray(self.pi_fn(z, np.atleast_2d(X)), dtype=float)
+    def rho(self, z: Levels, X: np.ndarray) -> np.ndarray:
+        return _levels(self.rho_fn, X)[z]
 
-    def rho(self, z: int, X: np.ndarray) -> np.ndarray:
-        return np.asarray(self.rho_fn(z, np.atleast_2d(X)), dtype=float)
-
-    def mu(self, z: int, X: np.ndarray) -> np.ndarray:
-        return np.asarray(self.mu_fn(z, np.atleast_2d(X)), dtype=float)
-
-    def pi_all(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(X)
-        return np.stack([self.pi(z, X) for z in range(self.L)])
-
-    def rho_all(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(X)
-        return np.stack([self.rho(z, X) for z in range(self.L)])
-
-    def mu_all(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(X)
-        return np.stack([self.mu(z, X) for z in range(self.L)])
-
-    # -- marginals ----------------------------------------------------------
+    def mu(self, z: Levels, X: np.ndarray) -> np.ndarray:
+        return _levels(self.mu_fn, X)[z]
 
     def pi_marg(self, X: np.ndarray) -> np.ndarray:
-        if self.mode == "direct":
-            return np.asarray(self.pi_marg_fn(np.atleast_2d(X)), dtype=float)
-        return np.einsum("lm,lm->m", self.rho_all(X), self.pi_all(X))
+        return evaluate_nuisances(self, X).pi_marg
 
     def mu_marg(self, X: np.ndarray) -> np.ndarray:
-        if self.mode == "direct":
-            return np.asarray(self.mu_marg_fn(np.atleast_2d(X)), dtype=float)
-        return np.einsum("lm,lm->m", self.rho_all(X), self.mu_all(X))
+        return evaluate_nuisances(self, X).mu_marg
 
-    # -- contrasts ----------------------------------------------------------
-
-    def delta_r(self, z: int, X: np.ndarray) -> np.ndarray:
+    def delta_r(self, z: Levels, X: np.ndarray) -> np.ndarray:
         """pi(z, X) - pi(X), unfloored."""
-        return self.pi(z, X) - self.pi_marg(X)
+        return evaluate_nuisances(self, X).delta_r[z]
 
-    def delta_y(self, z: int, X: np.ndarray) -> np.ndarray:
-        return self.mu(z, X) - self.mu_marg(X)
+    def delta_y(self, z: Levels, X: np.ndarray) -> np.ndarray:
+        return evaluate_nuisances(self, X).delta_y[z]
 
-    def delta(self, z: int, X: np.ndarray, *, on_floor: str = "raise") -> np.ndarray:
+    def delta(self, z: Levels, X: np.ndarray, *, on_floor: str = "raise") -> np.ndarray:
         """Instrument-contrast ratio delta(z, X) = delta_y / delta_r.
 
-        on_floor: "raise" raises DenominatorFloorError if |delta_r| < eps_den;
-        "floor" substitutes eps_den with the original sign and counts the hit.
+        on_floor: "raise" raises DenominatorFloorError if |delta_r| < eps_den
+        at the requested levels; "floor" substitutes eps_den with the
+        original sign and counts the hits.
         """
         if self.delta_fn is not None:
-            return np.asarray(self.delta_fn(z, np.atleast_2d(X)), dtype=float)
-        den = self.delta_r(z, X)
-        den = apply_floor(den, self.eps_den, on_floor, self.diagnostics)
-        return self.delta_y(z, X) / den
+            return _levels(self.delta_fn, X)[z]
+        ev = evaluate_nuisances(self, X)
+        den = apply_floor(ev.delta_r[z], self.eps_den, on_floor, self.diagnostics)
+        return ev.delta_y[z] / den
 
-    def g(self, z: int, X: np.ndarray, *, on_floor: str = "raise") -> np.ndarray:
+    def g(self, z: Levels, X: np.ndarray, *, on_floor: str = "raise") -> np.ndarray:
         """g(z, X) = (1 - pi(z, X)) / (pi0 * delta_r(z, X))."""
-        den = apply_floor(self.delta_r(z, X), self.eps_den, on_floor, self.diagnostics)
-        return (1.0 - self.pi(z, X)) / (self.pi0 * den)
+        ev = evaluate_nuisances(self, X)
+        den = apply_floor(ev.delta_r[z], self.eps_den, on_floor, self.diagnostics)
+        return (1.0 - ev.pi[z]) / (self.pi0 * den)
 
     def g_marg(self, X: np.ndarray, *, on_floor: str = "raise") -> np.ndarray:
         """g(X) = sum_z rho(z, X) g(z, X), the exact rho-weighted sum."""
-        X = np.atleast_2d(X)
-        rho = self.rho_all(X)
-        gs = np.stack([self.g(z, X, on_floor=on_floor) for z in range(self.L)])
-        return np.einsum("lm,lm->m", rho, gs)
+        all_levels = slice(None)
+        return np.einsum("lm,lm->m", self.rho(all_levels, X),
+                         self.g(all_levels, X, on_floor=on_floor))
 
     def with_overrides(self, **kwargs) -> "NuisanceSet":
         """Copy with selected fields replaced (shares unreplaced callables)."""
@@ -222,8 +214,11 @@ def fit_nuisance_set(
     the basis.  mu(z, .): ridge linear of R*h(Y; psi) on the basis within
     each level; rows with R = 0 contribute target 0.  pi0 is the sample
     fraction of R = 0 in the training block.  Direct mode additionally fits
-    unstratified models for pi(X) and mu(X).  Predicted probabilities are
-    clipped to [1e-6, 1 - 1e-6]; every clip is counted in diagnostics.
+    unstratified models for pi(X) and mu(X).  Each component callable
+    transforms the basis once per call.  Predicted probabilities are
+    clipped to [1e-6, 1 - 1e-6]; every clipped model output is counted once
+    in diagnostics, so with L = 2 a clip of the instrument model counts
+    once, not once per level.
     """
     L = train.L
     diag = Diagnostics()
@@ -242,7 +237,6 @@ def fit_nuisance_set(
 
     basis = PolyBasis(cfg.basis_df).fit(train.X)
     F = basis.transform(train.X)
-    rh = train.rh(spec)
     R = train.R.astype(float)
 
     def clip_prob(p: np.ndarray) -> np.ndarray:
@@ -250,9 +244,15 @@ def fit_nuisance_set(
         diag.prob_clips += int(np.count_nonzero(clipped != p))
         return clipped
 
-    # response model per level, pooled interacted fallback for thin strata
-    pooled = bool((counts < MIN_STRATUM_ROWS).any())
-    if pooled:
+    def logistic(features: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        res = fit_logistic(features, labels, cfg)
+        if not res.converged:
+            diag.nonconverged_fits += 1
+        return res.coef
+
+    # response model per level, pooled interacted fallback for thin strata;
+    # either way one (L, d) coefficient stack
+    if (counts < MIN_STRATUM_ROWS).any():
         d = F.shape[1]
         # block-diagonal layout: each level gets its own copy of the basis
         # (level indicator columns included), jointly ridged
@@ -260,76 +260,42 @@ def fit_nuisance_set(
         for z in range(L):
             rows = train.Z == z
             Fi[rows, z * d:(z + 1) * d] = F[rows]
-        res = fit_logistic(Fi, R, cfg)
-        if not res.converged:
-            diag.nonconverged_fits += 1
-        pooled_coef = res.coef
-
-        def pi_fn(z: int, X: np.ndarray, _b=basis, _c=pooled_coef, _d=d) -> np.ndarray:
-            Fx = _b.transform(np.atleast_2d(X))
-            return clip_prob(expit(Fx @ _c[z * _d:(z + 1) * _d]))
+        pi_stack = logistic(Fi, R).reshape(L, d)
     else:
-        pi_coefs = []
-        for z in range(L):
-            rows = train.Z == z
-            res = fit_logistic(F[rows], R[rows], cfg)
-            if not res.converged:
-                diag.nonconverged_fits += 1
-            pi_coefs.append(res.coef)
-        pi_stack = np.stack(pi_coefs)
+        pi_stack = np.stack([logistic(F[train.Z == z], R[train.Z == z]) for z in range(L)])
 
-        def pi_fn(z: int, X: np.ndarray, _b=basis, _cs=pi_stack) -> np.ndarray:
-            return clip_prob(expit(_b.transform(np.atleast_2d(X)) @ _cs[z]))
+    def pi_fn(X: np.ndarray) -> np.ndarray:
+        return clip_prob(expit(pi_stack @ basis.transform(X).T))
 
     # instrument model
     if L == 2:
-        res = fit_logistic(F, train.Z.astype(float), cfg)
-        if not res.converged:
-            diag.nonconverged_fits += 1
-        rho_coef = res.coef
+        rho_coef = logistic(F, train.Z.astype(float))
 
-        def rho_fn(z: int, X: np.ndarray, _b=basis, _c=rho_coef) -> np.ndarray:
-            p1 = clip_prob(expit(_b.transform(np.atleast_2d(X)) @ _c))
-            return p1 if z == 1 else 1.0 - p1
+        def rho_fn(X: np.ndarray) -> np.ndarray:
+            p1 = clip_prob(expit(basis.transform(X) @ rho_coef))
+            return np.stack([1.0 - p1, p1])
     else:
         model: MultinomialModel = fit_multinomial(F, train.Z, cfg, L=L)
         if not model.converged:
             diag.nonconverged_fits += 1
 
-        def rho_fn(z: int, X: np.ndarray, _b=basis, _m=model) -> np.ndarray:
-            P = _m.predict_proba(_b.transform(np.atleast_2d(X)))
+        def rho_fn(X: np.ndarray) -> np.ndarray:
+            P = model.predict_proba(basis.transform(X)).T      # class-major (L, m)
             low = P < PROB_CLIP
             if low.any():
-                diag.prob_clips += int(np.count_nonzero(low[:, z]))
+                diag.prob_clips += int(np.count_nonzero(low))
                 P = np.clip(P, PROB_CLIP, None)
-                P = P / P.sum(axis=1, keepdims=True)
-            return P[:, z]
+                P = P / P.sum(axis=0)
+            return P
 
-    # outcome-moment model per level; target is R*h with 0 for R=0 rows
-    mu_coefs = []
-    for z in range(L):
-        rows = train.Z == z
-        mu_coefs.append(fit_linear(F[rows], rh[rows], cfg).coef)
-    mu_stack = np.stack(mu_coefs)
-
-    def mu_fn(z: int, X: np.ndarray, _b=basis, _cs=mu_stack) -> np.ndarray:
-        return _b.transform(np.atleast_2d(X)) @ _cs[z]
+    mu_fn, mu_marg_fn = _fit_mu(train, basis, F, train.rh(spec), cfg, mode)
 
     pi_marg_fn = None
-    mu_marg_fn = None
     if mode == "direct":
-        res = fit_logistic(F, R, cfg)
-        if not res.converged:
-            diag.nonconverged_fits += 1
-        pim_coef = res.coef
+        pim_coef = logistic(F, R)
 
-        def pi_marg_fn(X: np.ndarray, _b=basis, _c=pim_coef) -> np.ndarray:
-            return clip_prob(expit(_b.transform(np.atleast_2d(X)) @ _c))
-
-        mum_coef = fit_linear(F, rh, cfg).coef
-
-        def mu_marg_fn(X: np.ndarray, _b=basis, _c=mum_coef) -> np.ndarray:
-            return _b.transform(np.atleast_2d(X)) @ _c
+        def pi_marg_fn(X: np.ndarray) -> np.ndarray:
+            return clip_prob(expit(basis.transform(X) @ pim_coef))
 
     pi0 = float(np.mean(train.R == 0))
     return NuisanceSet(
@@ -346,12 +312,41 @@ def fit_nuisance_set(
     )
 
 
+def _fit_mu(
+    train: ObservationTable,
+    basis: PolyBasis,
+    F: np.ndarray,
+    rh: np.ndarray,
+    cfg: LearnerConfig,
+    mode: MarginalizationMode,
+) -> tuple[ComponentFn, MarginalFn | None]:
+    """mu(z, .) per level as one (L, m) callable, and mu(X) in direct mode.
+
+    The target is R*h with 0 for R = 0 rows; F is the training block's
+    basis.
+    """
+    mu_stack = np.stack([fit_linear(F[train.Z == z], rh[train.Z == z], cfg).coef
+                         for z in range(train.L)])
+
+    def mu_fn(X: np.ndarray) -> np.ndarray:
+        return mu_stack @ basis.transform(X).T
+
+    mu_marg_fn = None
+    if mode == "direct":
+        mum_coef = fit_linear(F, rh, cfg).coef
+
+        def mu_marg_fn(X: np.ndarray) -> np.ndarray:
+            return basis.transform(X) @ mum_coef
+
+    return mu_fn, mu_marg_fn
+
+
 def fit_mu_component(
     train: ObservationTable,
     spec: FunctionalSpec,
     cfg: LearnerConfig,
     mode: MarginalizationMode = "marginalize",
-) -> tuple[ComponentFn, Callable[[np.ndarray], np.ndarray] | None]:
+) -> tuple[ComponentFn, MarginalFn | None]:
     """Fit only the outcome-moment models mu(z, .) (and mu(X) in direct mode).
 
     pi, rho and pi0 do not depend on the functional, so a caller that
@@ -359,28 +354,12 @@ def fit_mu_component(
     quantile solver solves mu for its whole psi-grid at once
     (general._grid_beta).
     """
+    counts = np.bincount(train.Z, minlength=train.L)
+    empty = np.flatnonzero(counts == 0)
+    if empty.size:
+        raise NuisanceFitError(f"instrument level {empty[0]} has no training rows")
     basis = PolyBasis(cfg.basis_df).fit(train.X)
-    F = basis.transform(train.X)
-    rh = train.rh(spec)
-    mu_coefs = []
-    for z in range(train.L):
-        rows = train.Z == z
-        if not rows.any():
-            raise NuisanceFitError(f"instrument level {z} has no training rows")
-        mu_coefs.append(fit_linear(F[rows], rh[rows], cfg).coef)
-    mu_stack = np.stack(mu_coefs)
-
-    def mu_fn(z: int, X: np.ndarray, _b=basis, _cs=mu_stack) -> np.ndarray:
-        return _b.transform(np.atleast_2d(X)) @ _cs[z]
-
-    mu_marg_fn = None
-    if mode == "direct":
-        coef = fit_linear(F, rh, cfg).coef
-
-        def mu_marg_fn(X: np.ndarray, _b=basis, _c=coef) -> np.ndarray:
-            return _b.transform(np.atleast_2d(X)) @ _c
-
-    return mu_fn, mu_marg_fn
+    return _fit_mu(train, basis, basis.transform(train.X), train.rh(spec), cfg, mode)
 
 
 @dataclass
@@ -388,7 +367,8 @@ class NuisanceEval:
     """All nuisance quantities evaluated on one block of rows.
 
     Matrices are (L, m); vectors are (m,).  delta_r is unfloored; the
-    estimators apply their trim policy.
+    estimators apply their trim policy.  delta holds the set's delta_fn
+    override, or None when delta derives from the parts.
     """
 
     pi: np.ndarray
@@ -398,14 +378,15 @@ class NuisanceEval:
     mu_marg: np.ndarray
     delta_r: np.ndarray
     delta_y: np.ndarray
+    delta: np.ndarray | None
 
 
 def evaluate_nuisances(ns: NuisanceSet, X: np.ndarray) -> NuisanceEval:
     """One-pass evaluation of every component on the rows of X."""
     X = np.atleast_2d(X)
-    pi = ns.pi_all(X)
-    rho = ns.rho_all(X)
-    mu = ns.mu_all(X)
+    pi = _levels(ns.pi_fn, X)
+    rho = _levels(ns.rho_fn, X)
+    mu = _levels(ns.mu_fn, X)
     if ns.mode == "direct":
         pim = np.asarray(ns.pi_marg_fn(X), dtype=float)
         mum = np.asarray(ns.mu_marg_fn(X), dtype=float)
@@ -415,4 +396,5 @@ def evaluate_nuisances(ns: NuisanceSet, X: np.ndarray) -> NuisanceEval:
     return NuisanceEval(
         pi=pi, rho=rho, mu=mu, pi_marg=pim, mu_marg=mum,
         delta_r=pi - pim[None, :], delta_y=mu - mum[None, :],
+        delta=None if ns.delta_fn is None else _levels(ns.delta_fn, X),
     )

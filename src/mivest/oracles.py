@@ -198,18 +198,8 @@ def integrate_unit_square(f: Callable[[np.ndarray], np.ndarray], k: int = _GL_K)
 
 def true_p_missing(family: str, parameters: Mapping[str, float] | None = None) -> float:
     """Marginal P(R=0) under the clamped data law."""
-    params = parameters or {}
-    L = _levels(family)
-
-    def f(X: np.ndarray) -> np.ndarray:
-        tot = np.zeros(X.shape[0])
-        for z in range(L):
-            tot += oracle_rho(family, z, X, params) * (
-                1.0 - oracle_pi(family, z, X, params)
-            )
-        return tot
-
-    return integrate_unit_square(f)
+    pi_fn, rho_fn, _ = _oracle_level_fns(family, parameters or {}, 0.0)
+    return integrate_unit_square(lambda X: (rho_fn(X) * (1.0 - pi_fn(X))).sum(axis=0))
 
 
 def oracle_nuisances(
@@ -228,30 +218,19 @@ def oracle_nuisances(
     """
     params = dict(parameters or {})
     psi = _check_mean_functional(functional)
-    L = _levels(family)
-
-    def pi_fn(z: int, X: np.ndarray) -> np.ndarray:
-        return oracle_pi(family, z, X, params)
-
-    def rho_fn(z: int, X: np.ndarray) -> np.ndarray:
-        return oracle_rho(family, z, X, params)
-
-    def mu_fn(z: int, X: np.ndarray) -> np.ndarray:
-        return oracle_mu(family, z, X, params, psi)
+    pi_fn, rho_fn, mu_fn = _oracle_level_fns(family, params, psi)
 
     pi_marg_fn = None
     mu_marg_fn = None
     if mode == "direct":
         def pi_marg_fn(X: np.ndarray) -> np.ndarray:
-            X = np.atleast_2d(np.asarray(X, dtype=float))
-            return sum(rho_fn(z, X) * pi_fn(z, X) for z in range(L))
+            return (rho_fn(X) * pi_fn(X)).sum(axis=0)
 
         def mu_marg_fn(X: np.ndarray) -> np.ndarray:
-            X = np.atleast_2d(np.asarray(X, dtype=float))
-            return sum(rho_fn(z, X) * mu_fn(z, X) for z in range(L))
+            return (rho_fn(X) * mu_fn(X)).sum(axis=0)
 
     return NuisanceSet(
-        L=L,
+        L=_levels(family),
         pi_fn=pi_fn,
         rho_fn=rho_fn,
         mu_fn=mu_fn,
@@ -263,23 +242,37 @@ def oracle_nuisances(
     )
 
 
+def _oracle_level_fns(family: str, params: Mapping[str, float], psi: float):
+    """The closed forms of pi, rho and mu as X -> (L, m) callables."""
+    L = _levels(family)
+
+    def pi_fn(X: np.ndarray) -> np.ndarray:
+        return np.stack([oracle_pi(family, z, X, params) for z in range(L)])
+
+    def rho_fn(X: np.ndarray) -> np.ndarray:
+        return np.stack([oracle_rho(family, z, X, params) for z in range(L)])
+
+    def mu_fn(X: np.ndarray) -> np.ndarray:
+        return np.stack([oracle_mu(family, z, X, params, psi) for z in range(L)])
+
+    return pi_fn, rho_fn, mu_fn
+
+
 def oracle_delta_fn(
     family: str,
     parameters: Mapping[str, float] | None = None,
     psi: float = 0.0,
-) -> Callable[[int, np.ndarray], np.ndarray]:
-    """Callable (z, X) -> true delta(z, x), for override-style nuisance sets."""
-    params = dict(parameters or {})
-    L = _levels(family)
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Callable X -> true delta at every level, (L, m), for override-style
+    nuisance sets."""
+    pi_fn, rho_fn, mu_fn = _oracle_level_fns(family, dict(parameters or {}), psi)
 
-    def delta(z: int, X: np.ndarray) -> np.ndarray:
+    def delta(X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        pi = np.stack([oracle_pi(family, l, X, params) for l in range(L)])
-        mu = np.stack([oracle_mu(family, l, X, params, psi) for l in range(L)])
-        rho = np.stack([oracle_rho(family, l, X, params) for l in range(L)])
+        pi, mu, rho = pi_fn(X), mu_fn(X), rho_fn(X)
         pi_m = np.einsum("lm,lm->m", rho, pi)
         mu_m = np.einsum("lm,lm->m", rho, mu)
-        return (mu[z] - mu_m) / (pi[z] - pi_m)
+        return (mu - mu_m) / (pi - pi_m)
 
     return delta
 
@@ -309,10 +302,7 @@ def oracle_identified_beta(
                                         params, batch_size=500_000):
         X0 = batch["X"][r0]
         z0 = batch["z"][r0]
-        vals = np.empty(X0.shape[0])
-        for z in np.unique(z0):
-            sel = z0 == z
-            vals[sel] = delta(int(z), X0[sel])
+        vals = delta(X0)[z0, np.arange(z0.size)]
         s1 += float(vals.sum())
         s2 += float((vals * vals).sum())
         n0 += int(r0.sum())

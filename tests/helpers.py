@@ -7,12 +7,12 @@ from mivest.nuisance import NuisanceSet
 
 
 def const_fn(values):
-    """(z, X) -> constant values[z] broadcast over the rows of X."""
-    vals = [float(v) for v in values]
+    """X -> (L, m) whose row z is the constant values[z] over the rows of X."""
+    vals = np.array([float(v) for v in values])
 
-    def fn(z, X):
+    def fn(X):
         X = np.atleast_2d(X)
-        return np.full(X.shape[0], vals[z])
+        return np.repeat(vals[:, None], X.shape[0], axis=1)
 
     return fn
 

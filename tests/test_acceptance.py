@@ -122,9 +122,9 @@ def test_criterion_05_general_form_reduces_to_binary():
     worst = 0.0
 
     def affine(base, slope):
-        def fn(z, X):
+        def fn(X):
             X = np.atleast_2d(X)
-            return base[z] + slope[z] * (X[:, 0] + X[:, 1]) / 2.0
+            return base[:, None] + slope[:, None] * (X[:, 0] + X[:, 1]) / 2.0
         return fn
 
     for _ in range(1000):
@@ -140,10 +140,10 @@ def test_criterion_05_general_form_reduces_to_binary():
         pi0 = rng.uniform(0.15, 0.85)
         beta = rng.uniform(-2.0, 2.0)
 
-        def rho_fn(z, X, r=rho_base, s=rho_slope):
+        def rho_fn(X, r=rho_base, s=rho_slope):
             X = np.atleast_2d(X)
             p1 = r[1] + s * (X[:, 0] - 0.5)
-            return p1 if z == 1 else 1.0 - p1
+            return np.stack([1.0 - p1, p1])
 
         ns = NuisanceSet(L=2, pi_fn=affine(pi_base, pi_slope),
                          rho_fn=rho_fn, mu_fn=affine(mu_base, mu_slope),

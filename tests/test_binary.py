@@ -49,9 +49,9 @@ def test_wald_ratio_needs_two_levels():
 
 def test_beta_id_averages_over_incomplete_rows():
     # delta(x) = x1 by construction
-    def mu_fn(z, X):
+    def mu_fn(X):
         X = np.atleast_2d(X)
-        return 0.3 * z * X[:, 0]
+        return 0.3 * np.arange(2)[:, None] * X[:, 0]
 
     ns = NuisanceSet(L=2, pi_fn=const_fn((0.4, 0.7)),
                      rho_fn=const_fn((0.5, 0.5)), mu_fn=mu_fn, pi0=0.5)

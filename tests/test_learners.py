@@ -323,6 +323,8 @@ def _row_major_newton(F, y, cfg, L):
             if np.isfinite(new) and new >= cur - 1e-12:
                 break
             scale *= 0.5
+        else:
+            break       # failed search: keep the last accepted iterate
         coef, cur, P = cand, new, probs
         if scale * np.max(np.abs(step)) < cfg.irls_tol:
             converged = True
@@ -385,6 +387,21 @@ def test_class_major_fit_matches_row_major_newton_where_the_weight_floor_binds()
     model = _assert_matches_row_major(F, classes, CFG, 4)
     P = model.predict_proba(F)[:, :3]
     assert np.min(P * (1.0 - P)) < 1e-10
+
+
+def test_failed_step_search_is_not_reported_as_convergence():
+    # nearly separated classes: Newton stalls at a full step of 1.6e-6
+    # (multinomial) or 6.8e-7 (logistic), far above irls_tol, that no
+    # halving turns into an ascent step; the rejected 2^-30 scale must not
+    # pass the step tolerance
+    F, classes = _class_draw(3_000, 4, seed=3, spread=14.0)
+    model = fit_multinomial(F, classes, CFG, L=4)
+    assert not model.converged
+    assert model.n_iter < CFG.max_irls_iter
+    F, classes = _class_draw(3_000, 2, seed=35, spread=20.0)
+    res = fit_logistic(F, (classes == 0).astype(float), CFG)
+    assert not res.converged
+    assert res.n_iter < CFG.max_irls_iter
 
 
 @pytest.mark.parametrize("L", [3, 6])

@@ -1,5 +1,7 @@
 """Nuisance fitting, derived contrasts, floors, and diagnostics."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,8 @@ from hypothesis import strategies as st
 
 from mivest.data import FunctionalSpec
 from mivest.exceptions import (DenominatorFloorError, NuisanceFitError)
-from mivest.learners import LearnerConfig
-from mivest.nuisance import (Diagnostics, NuisanceSet, apply_floor,
+from mivest.learners import LearnerConfig, MultinomialModel, PolyBasis
+from mivest.nuisance import (PROB_CLIP, Diagnostics, NuisanceSet, apply_floor,
                              evaluate_nuisances, fit_mu_component,
                              fit_nuisance_set, winsorize_values)
 from mivest.oracles import oracle_mu, oracle_pi
@@ -192,9 +194,48 @@ def test_evaluate_nuisances_shapes(big_fit):
     assert np.allclose(ev.delta_r, ev.pi - ev.pi_marg)
 
 
+def test_two_level_instrument_clip_counts_once():
+    # a steep two-level instrument model saturates; each clipped p1 is one
+    # model output, counted once although it gives rho at both levels
+    rng = np.random.default_rng(31)
+    n = 2_000
+    X = rng.random((n, 2))
+    Z = (X[:, 0] + 0.05 * rng.normal(size=n) > 0.5).astype(int)
+    R = rng.integers(0, 2, size=n)
+    Y = [float(v) if r == 1 else None for v, r in zip(rng.normal(size=n), R)]
+    ns = fit_nuisance_set(small_table(Z, R, Y, X=X), SPEC, LearnerConfig())
+    ev = evaluate_nuisances(ns, X)
+    at_bound = np.count_nonzero(np.isin(ev.rho[1], (PROB_CLIP, 1.0 - PROB_CLIP)))
+    at_bound += np.count_nonzero(np.isin(ev.pi, (PROB_CLIP, 1.0 - PROB_CLIP)))
+    assert at_bound > 0
+    assert ns.diagnostics.prob_clips == at_bound
+
+
+@pytest.mark.parametrize("mode, transforms", [("marginalize", 3), ("direct", 5)])
+def test_one_evaluation_transforms_once_per_component(monkeypatch, mode, transforms):
+    # one basis transform per component callable and one multinomial
+    # prediction, whatever the number of instrument levels
+    table, _ = generate(DGPSpec(family="dual_binary_iv", n=3_000, seed=12))
+    ns = fit_nuisance_set(table, SPEC, LearnerConfig(), mode=mode)
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(PolyBasis, "transform", counted("transform", PolyBasis.transform))
+    monkeypatch.setattr(MultinomialModel, "predict_proba",
+                        counted("predict_proba", MultinomialModel.predict_proba))
+    evaluate_nuisances(ns, PROBE)
+    assert ns.L == 4
+    assert calls == {"transform": transforms, "predict_proba": 1}
+
+
 def test_fit_mu_component_matches_full_fit(single_table, single_fit):
     mu_fn, _ = fit_mu_component(single_table, SPEC, LearnerConfig(),
                                 mode="marginalize")
     for z in (0, 1):
-        assert np.allclose(mu_fn(z, PROBE), single_fit.mu(z, PROBE),
+        assert np.allclose(mu_fn(PROBE)[z], single_fit.mu(z, PROBE),
                            atol=1e-12)

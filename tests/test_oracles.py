@@ -118,7 +118,7 @@ def test_oracle_delta_fn_matches_set_contrast():
     ns = oracle_nuisances("single_binary_iv")
     fn = oracle_delta_fn("single_binary_iv")
     for z in (0, 1):
-        assert np.allclose(fn(z, PROBE), ns.delta(z, PROBE), atol=1e-12)
+        assert np.allclose(fn(PROBE)[z], ns.delta(z, PROBE), atol=1e-12)
 
 
 def test_closed_forms_are_mean_only():
