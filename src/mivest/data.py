@@ -9,6 +9,7 @@ a number.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Literal, Sequence
 
@@ -305,8 +306,16 @@ def combine_instrument_levels(
     for c in cols:
         if c.shape != (n,):
             raise DataContractError("instrument columns must share the same length")
-    stacked = np.stack(cols, axis=1)
-    combos, inverse = np.unique(stacked, axis=0, return_inverse=True)
-    codes = inverse.astype(np.int64)
+    lows = [int(c.min()) if n else 0 for c in cols]
+    dims = tuple(int(c.max()) - lo + 1 if n else 1 for c, lo in zip(cols, lows))
+    if math.prod(dims) <= np.iinfo(np.intp).max:
+        # one int key per row: the min-shifted columns raveled in C order,
+        # which orders the keys as the rows sort lexicographically
+        key = np.ravel_multi_index([c - lo for c, lo in zip(cols, lows)], dims)
+        keys, inverse = np.unique(key, return_inverse=True)
+        combos = np.stack(np.unravel_index(keys, dims), axis=1) + np.asarray(lows)
+    else:  # too wide a value range for one key: sort the rows themselves
+        combos, inverse = np.unique(np.stack(cols, axis=1), axis=0, return_inverse=True)
+    codes = inverse.reshape(-1).astype(np.int64)
     level_map = {i: tuple(int(v) for v in combos[i]) for i in range(combos.shape[0])}
     return codes, level_map

@@ -114,15 +114,20 @@ class FitResult:
     n_iter: int
 
 
-def expit(x):
+def expit(x, out=None):
     """Logistic sigmoid 1 / (1 + exp(-x)), elementwise.
 
     The formula scipy.special.expit evaluates, here with numpy's exp; the
     two agree to 1 ulp.  exp(-x) overflows to inf below x = -709.78, which
-    gives exactly 0.0, so that overflow is silenced.
+    gives exactly 0.0, so that overflow is silenced.  The steps run in one
+    array, out if given (it may be x itself), else a new one.
     """
+    x = np.asarray(x, dtype=float)
+    e = np.negative(x, out=np.empty_like(x) if out is None else out)
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
+        np.exp(e, out=e)
+    e += 1.0
+    return np.divide(1.0, e, out=e)
 
 
 def _penalty_matrix(d: int, lam: float) -> np.ndarray:

@@ -298,14 +298,13 @@ def oracle_identified_beta(
     s1 = 0.0
     s2 = 0.0
     n0 = 0
-    for batch, r0, _ in _oracle_batches(family, draws, rng, "clamp_to_one_minus_eps",
-                                        params, batch_size=500_000):
-        X0 = batch["X"][r0]
-        z0 = batch["z"][r0]
+    for (X0, z0), _, _ in _oracle_batches(family, draws, rng, "clamp_to_one_minus_eps",
+                                          params, ("X", "z"), batch_size=500_000):
         vals = delta(X0)[z0, np.arange(z0.size)]
         s1 += float(vals.sum())
         s2 += float((vals * vals).sum())
-        n0 += int(r0.sum())
+        n0 += z0.size
+        del X0, z0, vals  # released before the next batch is drawn
     if n0 == 0:
         raise EstimationError("oracle saw no R = 0 draws")
     mean = s1 / n0

@@ -28,7 +28,9 @@ oracle_missing_quantile here, oracle_identified_beta in oracles) draw
 through one draw -> clamp -> reject step, _draw_batch, so each oracle is
 the truth of the generated law under the chosen clamp policy.  The
 instrument probabilities and the selection exponents are stated once,
-here, and the closed forms in oracles reuse them.
+here, and the closed forms in oracles reuse them.  The oracles draw in
+fixed batches (_oracle_batches) and keep one batch alive at a time; the
+batch size is part of the stream, so it stays fixed.
 """
 
 from __future__ import annotations
@@ -110,15 +112,27 @@ def _rng(seed: int | np.random.SeedSequence) -> np.random.Generator:
 
 # --------------------------------------------------------------------------
 # selection exponents, kept additively separable on purpose
+#
+# Each takes an optional out array for the result; the draw step passes its
+# reused buffers there.  The in-place steps are the printed formula's
+# operations in its left-to-right order, so both forms give the same bits.
 # --------------------------------------------------------------------------
 
-def selection_alpha_z_single(z: np.ndarray, X: np.ndarray) -> np.ndarray:
-    s = X[:, 0] + X[:, 1]
-    return -s + z * (s + 1.0)
+def selection_alpha_z_single(
+    z: np.ndarray, X: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """-s + z (s + 1) with s = X1 + X2."""
+    s = np.add(X[:, 0], X[:, 1], out=out)
+    t = s + 1.0
+    t *= z
+    return np.subtract(t, s, out=s)
 
 
-def selection_alpha_u_single(u: np.ndarray) -> np.ndarray:
-    return -u / 4.0
+def selection_alpha_u_single(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """-u / 4."""
+    a = np.negative(u, out=out)
+    a /= 4.0
+    return a
 
 
 def dual_intercept(parameters: Mapping[str, float]) -> float:
@@ -126,21 +140,35 @@ def dual_intercept(parameters: Mapping[str, float]) -> float:
 
 
 def selection_alpha_z_dual(
-    z1: np.ndarray, z2: np.ndarray, X: np.ndarray, parameters: Mapping[str, float]
+    z1: np.ndarray, z2: np.ndarray, X: np.ndarray, parameters: Mapping[str, float],
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    c0 = dual_intercept(parameters)
+    """0.25 (c0 + X1 - X2 + z1 (-1 - X1 - X2) + z2 (8 + X1 - X2))."""
     x1, x2 = X[:, 0], X[:, 1]
-    return 0.25 * (c0 + x1 - x2 + z1 * (-1.0 - x1 - x2) + z2 * (8.0 + x1 - x2))
+    a = np.add(dual_intercept(parameters), x1, out=out)
+    a -= x2
+    t = np.subtract(-1.0, x1)
+    t -= x2
+    t *= z1
+    a += t
+    np.add(8.0, x1, out=t)
+    t -= x2
+    t *= z2
+    a += t
+    a *= 0.25
+    return a
 
 
-def selection_alpha_u_dual(u: np.ndarray) -> np.ndarray:
-    return -u / 4.0
+selection_alpha_u_dual = selection_alpha_u_single  # the same -u / 4
 
 
 def _apply_clamp(
     p_r0: np.ndarray, policy: ClampPolicy, context: tuple[np.ndarray, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (probabilities, invalid mask before treatment)."""
+) -> np.ndarray:
+    """Treats p_r0 in place under the policy; returns the invalid mask.
+
+    The mask marks the draws with p_r0 > 1 before treatment.
+    """
     invalid = p_r0 > 1.0
     if policy == "as_printed_error":
         if invalid.any():
@@ -149,10 +177,9 @@ def _apply_clamp(
             raise GenerationError(
                 f"P(R=0) = {p_r0[i]:.6g} > 1 at draw with (Z, U, X1, X2) = ({bits})"
             )
-        return p_r0, invalid
-    if policy == "clamp_to_one_minus_eps":
-        return np.minimum(p_r0, 1.0 - CLAMP_EPS), invalid
-    return p_r0, invalid  # reject_invalid: caller redraws
+    elif policy == "clamp_to_one_minus_eps":
+        np.minimum(p_r0, 1.0 - CLAMP_EPS, out=p_r0)
+    return invalid  # reject_invalid: caller redraws
 
 
 # --------------------------------------------------------------------------
@@ -164,34 +191,72 @@ def instrument_prob_single(X: np.ndarray) -> np.ndarray:
     return expit(-1.0 + X[:, 0] + X[:, 1])
 
 
+def _instrument_prob_dual(
+    X: np.ndarray, k: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """P(Z_k = 1 | X) in the dual family: expit((-1 + X1 + X2) / 4) for
+    k = 1, expit((X1 - X2) / 4) for k = 2."""
+    if k == 1:
+        a = np.add(-1.0, X[:, 0], out=out)
+        a += X[:, 1]
+    else:
+        a = np.subtract(X[:, 0], X[:, 1], out=out)
+    a /= 4.0
+    return expit(a, out=a)
+
+
 def instrument_probs_dual(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(P(Z1 = 1 | X), P(Z2 = 1 | X)) in the dual family."""
-    return expit((-1.0 + X[:, 0] + X[:, 1]) / 4.0), expit((X[:, 0] - X[:, 1]) / 4.0)
+    return _instrument_prob_dual(X, 1), _instrument_prob_dual(X, 2)
+
+
+def _draw_outcome(X: np.ndarray, u: np.ndarray, rng: np.random.Generator,
+                  w: np.ndarray) -> np.ndarray:
+    """Y ~ N((X1 + X2) exp(U / 6), 0.5^2), the same draws as rng.normal.
+
+    rng.normal(loc, 0.5) is loc + 0.5 * standard_normal; w is overwritten.
+    """
+    y = np.divide(u, 6.0)
+    np.exp(y, out=y)
+    y *= np.add(X[:, 0], X[:, 1], out=w)
+    w = rng.standard_normal(out=w)
+    w *= 0.5
+    y += w
+    return y
 
 
 def _draw_single(
-    m: int, rng: np.random.Generator, parameters: Mapping[str, float]
+    m: int, rng: np.random.Generator, parameters: Mapping[str, float], w: np.ndarray
 ) -> dict[str, np.ndarray]:
     X = rng.uniform(0.0, 1.0, size=(m, 2))
-    u = rng.normal(4.0, 0.5, size=m)
-    z = (rng.uniform(size=m) < instrument_prob_single(X)).astype(np.int64)
-    p_r0_raw = np.exp(selection_alpha_z_single(z, X) + selection_alpha_u_single(u))
-    y = rng.normal((X[:, 0] + X[:, 1]) * np.exp(u / 6.0), 0.5)
-    return {"X": X, "z": z, "u": u, "p_r0_raw": p_r0_raw, "y": y}
+    u = rng.standard_normal(m)  # U ~ N(4, 0.5^2), as rng.normal(4.0, 0.5) draws it
+    u *= 0.5
+    u += 4.0
+    p_r0 = instrument_prob_single(X)
+    z = rng.random(out=w) < p_r0
+    selection_alpha_z_single(z, X, out=p_r0)
+    p_r0 += selection_alpha_u_single(u, out=w)
+    np.exp(p_r0, out=p_r0)
+    y = _draw_outcome(X, u, rng, w)
+    return {"X": X, "z": z.astype(np.int64), "u": u, "p_r0": p_r0, "y": y}
 
 
 def _draw_dual(
-    m: int, rng: np.random.Generator, parameters: Mapping[str, float]
+    m: int, rng: np.random.Generator, parameters: Mapping[str, float], w: np.ndarray
 ) -> dict[str, np.ndarray]:
     X = rng.uniform(0.0, 1.0, size=(m, 2))
     u = rng.uniform(0.0, 1.0, size=m)
-    p1, p2 = instrument_probs_dual(X)
-    z1 = (rng.uniform(size=m) < p1).astype(np.int64)
-    z2 = (rng.uniform(size=m) < p2).astype(np.int64)
-    z = 2 * z1 + z2
-    p_r0_raw = np.exp(selection_alpha_z_dual(z1, z2, X, parameters) + selection_alpha_u_dual(u))
-    y = rng.normal((X[:, 0] + X[:, 1]) * np.exp(u / 6.0), 0.5)
-    return {"X": X, "z": z, "u": u, "p_r0_raw": p_r0_raw, "y": y}
+    p_r0 = _instrument_prob_dual(X, 1)
+    z1 = rng.random(out=w) < p_r0
+    z2 = rng.random(out=w) < _instrument_prob_dual(X, 2, out=p_r0)
+    z = z1.astype(np.int64)
+    z *= 2
+    z += z2
+    selection_alpha_z_dual(z1, z2, X, parameters, out=p_r0)
+    p_r0 += selection_alpha_u_dual(u, out=w)
+    np.exp(p_r0, out=p_r0)
+    y = _draw_outcome(X, u, rng, w)
+    return {"X": X, "z": z, "u": u, "p_r0": p_r0, "y": y}
 
 
 _DRAWERS: dict[str, Callable[..., dict[str, np.ndarray]]] = {
@@ -209,15 +274,21 @@ def _draw_batch(
     rng: np.random.Generator,
     clamp_policy: ClampPolicy,
     parameters: Mapping[str, float],
+    scratch: np.ndarray | None = None,
 ) -> tuple[dict[str, np.ndarray], int]:
     """m latent draws with the clamp policy applied: (batch, invalid count).
 
-    batch["p_r0"] is the treated P(R = 0).  Under reject_invalid the batch
-    keeps only the valid draws, so it may hold fewer than m rows.
+    batch holds X, z (the int64 level code), u, y and p_r0, the treated
+    P(R = 0).  Under reject_invalid the batch keeps only the valid draws,
+    so it may hold fewer than m rows.  scratch, m float64 values, is the
+    one work buffer the derived columns are built in (the instrument
+    uniforms, the exponent's U part, the outcome noise); its contents are
+    left undefined.  Without it a buffer is allocated.
     """
-    batch = _DRAWERS[family](m, rng, parameters)
-    p_r0, invalid = _apply_clamp(
-        batch["p_r0_raw"], clamp_policy,
+    w = np.empty(m) if scratch is None else scratch
+    batch = _DRAWERS[family](m, rng, parameters, w)
+    invalid = _apply_clamp(
+        batch["p_r0"], clamp_policy,
         (batch["z"], batch["u"], batch["X"][:, 0], batch["X"][:, 1]),
     )
     n_invalid = int(invalid.sum())
@@ -225,8 +296,6 @@ def _draw_batch(
         keep = ~invalid
         for k in batch:
             batch[k] = batch[k][keep]
-        p_r0 = p_r0[keep]
-    batch["p_r0"] = p_r0
     return batch, n_invalid
 
 
@@ -254,8 +323,11 @@ def _generate_family(
         got.append(batch)
         have += batch["y"].shape[0]
 
-    X, z, u, y, p_r0 = (np.concatenate([b[k] for b in got])
-                        for k in ("X", "z", "u", "y", "p_r0"))
+    keys = ("X", "z", "u", "y", "p_r0")
+    if len(got) == 1:  # every policy but reject_invalid fills the table at once
+        X, z, u, y, p_r0 = (got[0][k] for k in keys)
+    else:
+        X, z, u, y, p_r0 = (np.concatenate([b[k] for b in got]) for k in keys)
     r = (rng.uniform(size=n) >= p_r0).astype(np.int64)  # R=0 with prob p_r0
     y_masked = np.where(r == 1, y, np.nan)
     table = ObservationTable.from_arrays(X, z, r, y_masked, L=_LEVELS[family])
@@ -311,21 +383,33 @@ def _oracle_batches(
     rng: np.random.Generator,
     clamp_policy: ClampPolicy,
     parameters: Mapping[str, float],
+    columns: tuple[str, ...],
     batch_size: int = _ORACLE_BATCH,
-) -> Iterator[tuple[dict[str, np.ndarray], np.ndarray, int]]:
+) -> Iterator[tuple[tuple[np.ndarray, ...], int, int]]:
     """Batches of at most batch_size raw draws, draws in all, via _draw_batch.
 
-    Yields (batch, r0, n_invalid): _draw_batch's batch and invalid count,
-    and the R = 0 mask over the batch's rows.  Callers index only the
-    columns they read with r0.
+    Yields (picked, accepted, n_invalid): the R = 0 rows of the named
+    batch columns, in the order named; the batch's row count after the
+    clamp policy; its invalid count.  Only one batch of draws is alive at
+    a time: a batch is released before the next one is drawn, and the
+    caller sees only the rows it reads.  batch_size fixes how the draws
+    are cut into RNG calls, so changing it changes the stream.
     """
+    scratch = np.empty(min(batch_size, draws))
     done = 0
     while done < draws:
         m = min(batch_size, draws - done)
-        batch, n_invalid = _draw_batch(family, m, rng, clamp_policy, parameters)
-        r0 = rng.uniform(size=batch["p_r0"].shape[0]) < batch["p_r0"]
-        yield batch, r0, n_invalid
+        yield _missing_rows(family, m, rng, clamp_policy, parameters, columns,
+                            scratch[:m])
         done += m
+
+
+def _missing_rows(family, m, rng, clamp_policy, parameters, columns, scratch):
+    """One batch of _oracle_batches; the batch dies when this returns."""
+    batch, n_invalid = _draw_batch(family, m, rng, clamp_policy, parameters, scratch)
+    p_r0 = batch["p_r0"]
+    r0 = rng.random(out=scratch[:p_r0.shape[0]]) < p_r0
+    return tuple(batch[k][r0] for k in columns), p_r0.shape[0], n_invalid
 
 
 def _oracle_rng(spec: DGPSpec, seed: int | None) -> np.random.Generator:
@@ -351,15 +435,17 @@ def oracle_beta(
     s2 = 0.0
     invalid = 0
     accepted = 0
-    for batch, r0, n_invalid in _oracle_batches(
-        spec.family, draws, _oracle_rng(spec, seed), spec.clamp_policy, spec.parameters
+    for (y0,), n_accepted, n_invalid in _oracle_batches(
+        spec.family, draws, _oracle_rng(spec, seed), spec.clamp_policy, spec.parameters,
+        ("y",),
     ):
-        h = evaluate_h(functional, batch["y"][r0])
-        tot_n0 += int(r0.sum())
+        h = evaluate_h(functional, y0)
+        tot_n0 += y0.shape[0]
         s1 += float(np.sum(h))
         s2 += float(np.sum(h * h))
         invalid += n_invalid
-        accepted += r0.shape[0]
+        accepted += n_accepted
+        del y0, h  # released before the next batch is drawn
     if tot_n0 == 0:
         raise EstimationError("oracle saw no R = 0 draws")
     mean = s1 / tot_n0
@@ -382,9 +468,9 @@ def oracle_missing_quantile(
 ) -> float:
     """psi with P(Y >= psi | R = 0) = q, by brute-force draw."""
     y0 = np.concatenate([
-        batch["y"][r0] for batch, r0, _ in _oracle_batches(
+        y for (y,), _, _ in _oracle_batches(
             spec.family, draws, _oracle_rng(spec, seed), spec.clamp_policy,
-            spec.parameters,
+            spec.parameters, ("y",),
         )
     ])
     return float(np.quantile(y0, 1.0 - q))

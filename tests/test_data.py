@@ -179,6 +179,29 @@ def test_combine_levels_drops_unobserved_combos():
     assert (1, 0) not in level_map.values()
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda k: st.lists(
+    st.lists(st.integers(-3, 3), min_size=k, max_size=k), min_size=1, max_size=40)))
+def test_combine_levels_matches_the_row_sort(rows):
+    # small value ranges leave many combinations unobserved; the codes and
+    # the map must be those of sorting the rows themselves
+    cols = [np.array(c) for c in zip(*rows)]
+    combos, inverse = np.unique(np.stack(cols, axis=1), axis=0, return_inverse=True)
+    codes, level_map = combine_instrument_levels(cols)
+    assert codes.dtype == np.int64
+    assert codes.tolist() == inverse.reshape(-1).tolist()
+    assert level_map == {i: tuple(int(v) for v in row) for i, row in enumerate(combos)}
+
+
+def test_combine_levels_beyond_one_key_range():
+    # a value range too wide to ravel into one int key still orders the rows
+    big = 2**62
+    codes, level_map = combine_instrument_levels(
+        [np.array([big, -big, big]), np.array([0, 5, -big])])
+    assert level_map == {0: (-big, 5), 1: (big, -big), 2: (big, 0)}
+    assert codes.tolist() == [2, 0, 1]
+
+
 def test_combine_levels_input_contract():
     with pytest.raises(DataContractError):
         combine_instrument_levels([])

@@ -1,6 +1,7 @@
 """Data generators, brute-force oracles, and the replication harness."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from mivest.data import FunctionalSpec
 from mivest.exceptions import ConfigurationError
 from mivest.learners import LearnerConfig
 from mivest.oracles import oracle_identified_beta
-from mivest.simulation import (DGPSpec, GenerationError, generate, oracle_beta,
-                               oracle_missing_quantile, run_monte_carlo,
+from mivest.simulation import (_ORACLE_BATCH, DGPSpec, GenerationError, generate,
+                               oracle_beta, oracle_missing_quantile, run_monte_carlo,
                                selection_alpha_u_single,
                                selection_alpha_z_single)
 
@@ -78,11 +79,30 @@ def test_reject_invalid_policy_redraws():
     assert lat.clamp_fraction == pytest.approx(0.25, abs=0.02)
 
 
+# the full as_printed_error message for DGPSpec(family, n, seed=12): P(R=0)
+# and (Z, U, X1, X2) of the first invalid draw, from generate (n = 5000)
+# and from oracle_beta (1000 draws)
+AS_PRINTED_ERRORS = {
+    ("single_binary_iv", "generate"):
+        "P(R=0) = 1.12144 > 1 at draw with (Z, U, X1, X2) = (1, 3.54156, 0.255006, 0.66551)",
+    ("single_binary_iv", "oracle"):
+        "P(R=0) = 1.06028 > 1 at draw with (Z, U, X1, X2) = (1, 3.76588, 0.347911, 0.566931)",
+    ("dual_binary_iv", "generate"):
+        "P(R=0) = 1.03694 > 1 at draw with (Z, U, X1, X2) = (1, 0.58376, 0.963417, 0.598991)",
+    ("dual_binary_iv", "oracle"):
+        "P(R=0) = 1.05141 > 1 at draw with (Z, U, X1, X2) = (1, 0.914286, 0.723713, 0.166307)",
+}
+
+
 def test_as_printed_error_policy():
-    spec = DGPSpec(family="single_binary_iv", n=5_000, seed=12,
-                   clamp_policy="as_printed_error")
-    with pytest.raises(GenerationError, match=r"P\(R=0\).*> 1"):
-        generate(spec)
+    for (family, caller), message in sorted(AS_PRINTED_ERRORS.items()):
+        spec = DGPSpec(family=family, n=5_000, seed=12, clamp_policy="as_printed_error")
+        with pytest.raises(GenerationError) as err:
+            if caller == "generate":
+                generate(spec)
+            else:
+                oracle_beta(spec, draws=1_000)
+        assert str(err.value) == message
 
 
 def test_reject_invalid_gives_up_on_degenerate_design():
@@ -242,6 +262,20 @@ def test_oracle_streams_are_pinned(family, policy):
 @pytest.mark.parametrize("family", sorted(GOLDEN_IDENTIFIED))
 def test_identified_beta_stream_is_pinned(family):
     assert oracle_identified_beta(family, draws=600_000) == GOLDEN_IDENTIFIED[family]
+
+
+@pytest.mark.parametrize("family", ["single_binary_iv", "dual_binary_iv"])
+def test_oracle_keeps_one_batch_of_draws_alive(family):
+    # two full batches: the first must be released before the second is
+    # drawn, and each batch's derived columns are built in reused buffers
+    column = _ORACLE_BATCH * 8  # bytes of one float64 column of a batch
+    tracemalloc.start()
+    try:
+        oracle_beta(DGPSpec(family=family, n=1, seed=5), draws=2 * _ORACLE_BATCH)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * column
 
 
 @pytest.mark.parametrize("family", ["single_binary_iv", "dual_binary_iv"])
