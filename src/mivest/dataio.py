@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -377,13 +378,9 @@ def _fmt_rows(rows: Sequence[int], limit: int = 10) -> str:
     return shown + (f" and {extra} more" if extra > 0 else "")
 
 
-def _parse_numeric_column(
-    cells: list[str], column: str, *, allow_empty: bool, what: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Parse one column to float; returns (values, missing mask).
-
-    Row numbers in error messages are file line numbers (header is line 1).
-    """
+def _parse_cells(cells: list[str], column: str, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Cell-by-cell parse of one column: strips each cell, counts a blank
+    or whitespace-only cell as missing, and names every non-numeric row."""
     n = len(cells)
     vals = np.full(n, np.nan)
     missing = np.zeros(n, dtype=bool)
@@ -401,6 +398,35 @@ def _parse_numeric_column(
         raise DataContractError(
             f"{what} column {column!r} has non-numeric cells at rows {_fmt_rows(bad)}"
         )
+    return vals, missing
+
+
+def _parse_numeric_column(
+    cells: list[str], column: str, *, allow_empty: bool, what: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Parse one column to float; returns (values, missing mask).
+
+    The whole column goes through float() in one C-level pass, its empty
+    cells masked out first when it has any.  float() accepts surrounding
+    whitespace, so a cell parses to the value of its stripped text.  Only
+    when some cell fails (junk, or a whitespace-only cell, which counts as
+    missing) is the column walked cell by cell (_parse_cells), so that the
+    error names the exact rows.
+
+    Row numbers in error messages are file line numbers (header is line 1).
+    """
+    n = len(cells)
+    try:
+        if "" in cells:
+            missing = np.fromiter(map(operator.not_, cells), dtype=bool, count=n)
+            vals = np.full(n, np.nan)
+            vals[~missing] = np.fromiter(map(float, filter(None, cells)), dtype=float,
+                                         count=n - int(np.count_nonzero(missing)))
+        else:
+            missing = np.zeros(n, dtype=bool)
+            vals = np.fromiter(map(float, cells), dtype=float, count=n)
+    except ValueError:
+        vals, missing = _parse_cells(cells, column, what)
     if not allow_empty and missing.any():
         rows = (np.flatnonzero(missing) + 2).tolist()
         raise DataContractError(
@@ -463,6 +489,12 @@ def ingest_csv(path: str | Path, config: AnalysisConfig) -> tuple[ObservationTab
     empty where the response is 0; under strict_outcome a violation is an
     error naming the rows, otherwise the cells are masked with a warning.
     Missing covariate or instrument cells are always errors.
+
+    csv.reader tokenizes the whole file into one list of records; the
+    width check is one set of record lengths, and each role column is
+    gathered with operator.itemgetter and parsed whole
+    (_parse_numeric_column).  Rows are listed one by one only to name them
+    in an error.
     """
     try:
         with open(path, newline="", encoding="utf-8") as f:
@@ -483,15 +515,14 @@ def ingest_csv(path: str | Path, config: AnalysisConfig) -> tuple[ObservationTab
     col_idx = {c: header.index(c) for c in needed}
 
     width = len(header)
-    ragged = [i + 2 for i, rec in enumerate(records) if len(rec) != width]
-    if ragged:
+    if set(map(len, records)) - {width}:
+        ragged = [i + 2 for i, rec in enumerate(records) if len(rec) != width]
         raise DataContractError(f"{path}: rows {_fmt_rows(ragged)} do not match the header width")
     if not records:
         raise DataContractError(f"{path}: no data rows")
 
     def column(name: str) -> list[str]:
-        j = col_idx[name]
-        return [rec[j] for rec in records]
+        return list(map(operator.itemgetter(col_idx[name]), records))
 
     r_vals, r_missing = _parse_numeric_column(column(config.response), config.response,
                                               allow_empty=False, what="response")
@@ -574,7 +605,8 @@ def write_table_csv(
     Floats are written with repr (shortest round-trip form); missing
     outcomes become empty cells.  Level codes are written as integers, and
     re-ingestion passes them through categorically as long as L stays at
-    or below the configured level cap.
+    or below the configured level cap.  The cells are built a column at a
+    time from .tolist() and the rows written by one writerows call.
     """
     p = table.X.shape[1]
     names = list(covariate_names) if covariate_names is not None else [
@@ -582,18 +614,14 @@ def write_table_csv(
     ]
     if len(names) != p:
         raise ConfigurationError(f"expected {p} covariate names, got {len(names)}")
-    y_cells = np.full(table.n, "", dtype=object)
-    y_full = table.y_dense()
-    for i in np.flatnonzero(~np.isnan(y_full)):
-        y_cells[i] = repr(float(y_full[i]))
+    cols = [list(map(repr, table.X[:, j].tolist())) for j in range(p)]
+    cols.append(table.Z.tolist())
+    cols.append(table.R.tolist())
+    cols.append(["" if v != v else repr(v) for v in table.y_dense().tolist()])  # NaN: blank
     with open(path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow([*names, instrument_name, response_name, outcome_name])
-        for i in range(table.n):
-            w.writerow([
-                *[repr(float(v)) for v in table.X[i]],
-                int(table.Z[i]), int(table.R[i]), y_cells[i],
-            ])
+        w.writerows(zip(*cols))
 
 
 # --------------------------------------------------------------------------

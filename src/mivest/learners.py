@@ -182,6 +182,37 @@ def _halving_search(pll, coef: np.ndarray, step: np.ndarray, cur: float):
     return None
 
 
+# rows per pass of the Hessian accumulations: a chunk's (d, chunk) weighted
+# rows (logistic) and (d(d+1)/2, chunk) feature pair products (multinomial)
+# stay cache-sized (1.5 MB for the pairs of the default basis of two
+# covariates at degree 4, d = 9)
+_HESSIAN_CHUNK = 4096
+
+
+def _logistic_hessian(F: np.ndarray, p: np.ndarray, pen: np.ndarray) -> np.ndarray:
+    """Penalised Newton matrix F' diag(w) F + pen of the logistic fit.
+
+    w = max(p (1 - p), 1e-10): saturated probabilities zero out the
+    observed information, and the floor keeps the intercept coordinate
+    (unpenalized) solvable.  The weighted transposed rows Fc' * wc are
+    formed per chunk of _HESSIAN_CHUNK rows in one reused (d, chunk)
+    buffer, so besides w the extra memory is O(chunk), not an (n, d) copy
+    of F.
+    """
+    n, d = F.shape
+    w = p * (1.0 - p)
+    np.maximum(w, 1e-10, out=w)
+    scaled = np.empty((d, min(n, _HESSIAN_CHUNK)))
+    H = np.zeros((d, d))
+    for start in range(0, n, _HESSIAN_CHUNK):
+        Fc = F[start:start + _HESSIAN_CHUNK]
+        rows = scaled[:, :Fc.shape[0]]
+        np.multiply(Fc.T, w[start:start + _HESSIAN_CHUNK], out=rows)
+        H += rows @ Fc
+    H += pen
+    return H
+
+
 def fit_logistic(features: np.ndarray, labels: np.ndarray, cfg: LearnerConfig) -> FitResult:
     """Ridge logistic regression by iteratively reweighted least squares.
 
@@ -190,17 +221,29 @@ def fit_logistic(features: np.ndarray, labels: np.ndarray, cfg: LearnerConfig) -
     decreasing; full steps overshoot badly once a stratum is close to
     separated.  Separated data with lambda = 0 has no finite optimum and
     is reported as non-converged, as is a fit whose step search fails.
+
+    The likelihood evaluates log(1 + e^eta) as max(eta, 0) +
+    log1p(exp(-|eta|)) in one reused n-buffer (the value np.logaddexp
+    gives, at a sixth of its cost), and the Hessian is summed over row
+    chunks (_logistic_hessian); besides F and the labels the fit holds a
+    few n-vectors and no (n, d) work array.
     """
     F = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=float)
     n, d = F.shape
     lam = cfg.ridge_lambda
     pen = _penalty_matrix(d, 2.0 * lam)
+    soft = np.empty(n)                         # log(1 + e^eta) of the candidate
 
     def pll(b: np.ndarray) -> tuple[float, np.ndarray]:
         """Penalized log-likelihood at b and the linear predictor F @ b."""
         eta = F @ b
-        return float(y @ eta - np.logaddexp(0.0, eta).sum() - lam * (b[1:] @ b[1:])), eta
+        np.abs(eta, out=soft)
+        np.negative(soft, out=soft)
+        np.exp(soft, out=soft)
+        np.log1p(soft, out=soft)
+        np.add(soft, np.maximum(eta, 0.0), out=soft)
+        return float(y @ eta - soft.sum() - lam * (b[1:] @ b[1:])), eta
 
     coef = np.zeros(d)
     # sensible start: intercept at the empirical logit
@@ -211,12 +254,9 @@ def fit_logistic(features: np.ndarray, labels: np.ndarray, cfg: LearnerConfig) -
     it = 0
     for it in range(1, cfg.max_irls_iter + 1):
         p = expit(eta)
-        # saturated probabilities zero out the observed information; the
-        # floor keeps the intercept coordinate (unpenalized) solvable
-        w = np.maximum(p * (1.0 - p), 1e-10)
-        grad = F.T @ (y - p)
+        H = _logistic_hessian(F, p, pen)
+        grad = F.T @ np.subtract(y, p, out=p)   # p is spent: y - p in its place
         grad[1:] -= 2.0 * lam * coef[1:]
-        H = (F * w[:, None]).T @ F + pen
         try:
             step = np.linalg.solve(H, grad)
         except np.linalg.LinAlgError as exc:
@@ -281,12 +321,6 @@ def _softmax_inplace(full: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     total = full.sum(axis=0)
     full /= total
     return top, total
-
-
-# rows per pass of the Hessian accumulation: a chunk's (d(d+1)/2, chunk)
-# feature pair products stay cache-sized (1.5 MB for the default basis of
-# two covariates at degree 4, d = 9)
-_HESSIAN_CHUNK = 4096
 
 
 def _multinomial_hessian(F: np.ndarray, Pk: np.ndarray, lam: float) -> np.ndarray:

@@ -6,11 +6,13 @@ import json
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mivest.cli import main
-from mivest.dataio import (AnalysisConfig, SimulationSection, config_from_dict,
-                           ingest_csv, load_config, report_json,
-                           write_table_csv)
+from mivest.dataio import (AnalysisConfig, SimulationSection, _fmt_rows,
+                           _parse_numeric_column, config_from_dict, ingest_csv,
+                           load_config, report_json, write_table_csv)
 from mivest.data import FunctionalSpec
 from mivest.exceptions import ConfigurationError, DataContractError
 from mivest.simulation import DGPSpec, generate
@@ -167,6 +169,29 @@ def test_write_then_ingest_roundtrip(tmp_path):
     assert info.encodings[0].kind == "categorical"
 
 
+def _per_row_table_csv(table, path, names):
+    """The per-row writer that the column-wise write_table_csv replaced,
+    kept as a reference."""
+    y_full = table.y_dense()
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        w = csv.writer(f, lineterminator="\n")
+        w.writerow([*names, "z", "r", "y"])
+        for i in range(table.n):
+            y = "" if np.isnan(y_full[i]) else repr(float(y_full[i]))
+            w.writerow([*[repr(float(v)) for v in table.X[i]],
+                        int(table.Z[i]), int(table.R[i]), y])
+
+
+def test_column_wise_writer_matches_the_per_row_writer(tmp_path):
+    table, _ = generate(DGPSpec(family="dual_binary_iv", n=2_000, seed=4))
+    assert 0 < table.n0 < table.n
+    write_table_csv(table, tmp_path / "cols.csv", covariate_names=["x1", "x2"])
+    _per_row_table_csv(table, tmp_path / "rows.csv", ["x1", "x2"])
+    written = (tmp_path / "cols.csv").read_bytes()
+    assert written == (tmp_path / "rows.csv").read_bytes()
+    assert b",0,\n" in written
+
+
 def test_quartile_binning_of_continuous_instrument(tmp_path):
     rows = [[float(i + 1), 0.1, 0.2, 1, 1.0] for i in range(100)]
     p = rows_to_csv(tmp_path, ["z", "x1", "x2", "r", "y"], rows)
@@ -248,8 +273,70 @@ def test_missing_columns_are_named(tmp_path):
 def test_ragged_rows_rejected(tmp_path):
     p = tmp_path / "ragged.csv"
     p.write_text("z,x1,x2,r,y\n0,0.1,0.2,1,2.0\n1,0.3\n", encoding="utf-8")
-    with pytest.raises(DataContractError):
+    with pytest.raises(DataContractError, match="rows 3 do not match"):
         ingest_csv(p, config_from_dict(make_doc()))
+
+
+def test_quoted_commas_in_other_columns_are_one_cell(tmp_path):
+    rows = [[7, "Gaborone, north", 0, 0.1, 0.2, 1, 2.0],
+            [8, 'said "no", left', 1, 0.3, 0.4, 0, ""]]
+    p = rows_to_csv(tmp_path, ["id", "note", "z", "x1", "x2", "r", "y"], rows)
+    assert '"Gaborone, north"' in open(p, encoding="utf-8").read()
+    table, info = ingest_csv(p, config_from_dict(make_doc()))
+    assert table.X.tolist() == [[0.1, 0.2], [0.3, 0.4]]
+    assert table.Z.tolist() == [0, 1]
+    assert table.R.tolist() == [1, 0]
+    assert np.array_equal(table.y_dense(), [2.0, np.nan], equal_nan=True)
+
+
+def _cell_by_cell_parse(cells, column, *, allow_empty, what):
+    """The per-cell column parse that the whole-column parse replaced, kept
+    as a reference."""
+    n = len(cells)
+    vals = np.full(n, np.nan)
+    missing = np.zeros(n, dtype=bool)
+    bad = []
+    for i, cell in enumerate(cells):
+        s = cell.strip()
+        if not s:
+            missing[i] = True
+            continue
+        try:
+            vals[i] = float(s)
+        except ValueError:
+            bad.append(i + 2)
+    if bad:
+        raise DataContractError(
+            f"{what} column {column!r} has non-numeric cells at rows {_fmt_rows(bad)}"
+        )
+    if not allow_empty and missing.any():
+        rows = (np.flatnonzero(missing) + 2).tolist()
+        raise DataContractError(
+            f"{what} column {column!r} has missing cells at rows {_fmt_rows(rows)}"
+        )
+    return vals, missing
+
+
+CELLS = st.one_of(
+    st.floats().map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["", "", " ", "\t ", " 1.5 ", "nan", "inf", "-Infinity", "1_0",
+                     "1e400", "\uff11\uff12", "tall", "1,5", "0x10", "1__0", "--1"]),
+    st.text(max_size=3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cells=st.lists(CELLS, min_size=1, max_size=30), allow_empty=st.booleans())
+def test_column_parse_matches_the_cell_by_cell_loop(cells, allow_empty):
+    def run(parse):
+        try:
+            vals, missing = parse(cells, "c", allow_empty=allow_empty, what="covariate")
+        except DataContractError as exc:
+            return str(exc)
+        return vals.tobytes(), missing.tolist()
+
+    assert run(_parse_numeric_column) == run(_cell_by_cell_parse)
 
 
 def test_empty_and_headless_files_rejected(tmp_path):

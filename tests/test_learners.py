@@ -389,19 +389,33 @@ def test_class_major_fit_matches_row_major_newton_where_the_weight_floor_binds()
     assert np.min(P * (1.0 - P)) < 1e-10
 
 
-def test_failed_step_search_is_not_reported_as_convergence():
-    # nearly separated classes: Newton stalls at a full step of 1.6e-6
-    # (multinomial) or 6.8e-7 (logistic), far above irls_tol, that no
-    # halving turns into an ascent step; the rejected 2^-30 scale must not
-    # pass the step tolerance
+def test_failed_step_search_is_not_reported_as_convergence(monkeypatch):
+    # nearly separated classes: the multinomial Newton stalls at a full
+    # step of 1.6e-6, far above irls_tol, that no halving turns into an
+    # ascent step; the rejected 2^-30 scale must not pass the step tolerance
     F, classes = _class_draw(3_000, 4, seed=3, spread=14.0)
     model = fit_multinomial(F, classes, CFG, L=4)
     assert not model.converged
     assert model.n_iter < CFG.max_irls_iter
+    # the logistic fit behind a likelihood that never ascends: all 30
+    # halvings are rejected, and the fit stops at its start point
+    search = learners._halving_search
+    scored = []
+
+    def never_ascends(b):
+        scored.append(b)
+        return -np.inf, None
+
+    monkeypatch.setattr(learners, "_halving_search",
+                        lambda pll, coef, step, cur: search(never_ascends, coef, step, cur))
     F, classes = _class_draw(3_000, 2, seed=35, spread=20.0)
-    res = fit_logistic(F, (classes == 0).astype(float), CFG)
+    y = (classes == 0).astype(float)
+    res = fit_logistic(F, y, CFG)
     assert not res.converged
-    assert res.n_iter < CFG.max_irls_iter
+    assert res.n_iter == 1
+    assert len(scored) == 30
+    assert np.all(res.coef[1:] == 0.0)
+    assert res.coef[0] == pytest.approx(np.log(y.mean() / (1.0 - y.mean())))
 
 
 @pytest.mark.parametrize("L", [3, 6])
@@ -435,3 +449,114 @@ def test_multinomial_fit_memory_is_bounded_by_the_features(L):
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * F.nbytes
+
+
+# -- chunked logistic Newton against the full-product reference ---------------
+
+
+def _reference_logistic_newton(F, y, cfg):
+    """The logistic Newton fit that the chunked kernel replaced, kept as a
+    reference: the likelihood through np.logaddexp and the Hessian as one
+    (F * w[:, None]).T @ F product.  Returns (coef, converged, n_iter)."""
+    n, d = F.shape
+    lam = cfg.ridge_lambda
+    pen = _penalty_matrix(d, 2.0 * lam)
+
+    def pll(b):
+        eta = F @ b
+        return float(y @ eta - np.logaddexp(0.0, eta).sum() - lam * (b[1:] @ b[1:])), eta
+
+    coef = np.zeros(d)
+    ybar = float(np.clip(y.mean(), 1e-12, 1 - 1e-12))
+    coef[0] = np.log(ybar / (1.0 - ybar))
+    cur, eta = pll(coef)
+    converged = False
+    it = 0
+    for it in range(1, cfg.max_irls_iter + 1):
+        p = expit(eta)
+        w = np.maximum(p * (1.0 - p), 1e-10)
+        grad = F.T @ (y - p)
+        grad[1:] -= 2.0 * lam * coef[1:]
+        H = (F * w[:, None]).T @ F + pen
+        step = np.linalg.solve(H, grad)
+        scale = 1.0
+        for _ in range(30):
+            cand = coef + scale * step
+            new, eta_new = pll(cand)
+            if np.isfinite(new) and new >= cur - 1e-12:
+                break
+            scale *= 0.5
+        else:
+            break       # failed search: keep the last accepted iterate
+        coef, cur, eta = cand, new, eta_new
+        if scale * np.max(np.abs(step)) < cfg.irls_tol:
+            converged = True
+            break
+    return coef, converged, it
+
+
+def _binary_draw(n, seed, spread=1.0):
+    F, classes = _class_draw(n, 2, seed=seed, spread=spread)
+    return F, (classes == 0).astype(float)
+
+
+def _assert_matches_reference_logistic(F, y, cfg):
+    # the kernels differ only in summation order and in 1-ulp differences
+    # of exp and log1p against np.logaddexp; on these well-conditioned
+    # fits the coefficients agree to 1e-14, so 1e-10 leaves a wide margin
+    coef, converged, n_iter = _reference_logistic_newton(F, y, cfg)
+    res = fit_logistic(F, y, cfg)
+    assert res.n_iter == n_iter
+    assert res.converged == converged
+    assert np.max(np.abs(res.coef - coef)) <= 1e-10
+    return res
+
+
+@pytest.mark.parametrize("n", [100, 4096, 4097, 3 * 4096 + 17])
+def test_chunked_logistic_fit_matches_the_reference_newton_at_chunk_edges(n):
+    F, y = _binary_draw(n, seed=n)
+    _assert_matches_reference_logistic(F, y, CFG)
+
+
+def test_chunked_logistic_fit_matches_the_reference_newton_where_the_weight_floor_binds():
+    # nearly separated labels: at the fit 36 rows have p (1 - p) below the
+    # 1e-10 floor of the Hessian weights
+    F, y = _binary_draw(3_000, seed=5, spread=6.0)
+    res = _assert_matches_reference_logistic(F, y, CFG)
+    p = expit(F @ res.coef)
+    assert np.count_nonzero(p * (1.0 - p) < 1e-10) > 0
+
+
+def test_logistic_likelihood_matches_logaddexp(monkeypatch):
+    # max(eta, 0) + log1p(exp(-|eta|)) is the value np.logaddexp(0, eta)
+    # evaluates, including eta = 0 (log 2) and |eta| past exp's range
+    eta = np.r_[np.random.default_rng(6).normal(scale=8.0, size=5_000), 0.0, -800.0, 800.0]
+    F = np.column_stack([np.ones_like(eta), eta])
+    y = (eta > 0).astype(float)
+    values = []
+
+    def score_slope_one(pll, coef, step, cur):
+        values.append(pll(np.array([0.0, 1.0]))[0])
+        return None
+
+    monkeypatch.setattr(learners, "_halving_search", score_slope_one)
+    fit_logistic(F, y, CFG)
+    ref = float(y @ eta - np.logaddexp(0.0, eta).sum() - CFG.ridge_lambda)
+    assert values == [pytest.approx(ref, rel=1e-14, abs=0.0)]
+
+
+def test_logistic_fit_memory_is_bounded_by_a_few_label_vectors():
+    # weighted rows are formed per chunk, so above its inputs the fit
+    # holds a few n-vectors (eta, the likelihood buffer, p, the Hessian
+    # weights and the candidate's eta; 5.0 here) and never an (n, d)
+    # array; the full-product Hessian peaked at 12.1 n-vectors here
+    n = 80_000
+    F, y = _binary_draw(n, seed=9)
+    assert F.shape[1] == 9
+    tracemalloc.start()
+    try:
+        fit_logistic(F, y, CFG)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * y.nbytes
