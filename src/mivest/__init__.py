@@ -8,12 +8,7 @@ conditional Wald-type contrast delta(Z, X) and extendable to functionals
 of the full-population outcome law.
 """
 
-from .binary import (
-    beta_id_binary,
-    beta_if_binary,
-    if_values_binary,
-    wald_ratio_binary,
-)
+from .binary import wald_ratio_binary
 from .corruption import (
     Scenario,
     binary_scenarios,
@@ -121,9 +116,7 @@ __all__ = [
     "Scenario",
     "SimulationSection",
     "WeakIdentificationError",
-    "beta_id_binary",
     "beta_id_general",
-    "beta_if_binary",
     "beta_if_general",
     "binary_scenarios",
     "combine_instrument_levels",
@@ -139,7 +132,6 @@ __all__ = [
     "load_config",
     "general_scenarios",
     "generate",
-    "if_values_binary",
     "if_values_general",
     "make_folds",
     "median_adjust",

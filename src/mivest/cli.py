@@ -130,6 +130,11 @@ def _apply_overrides(cfg: AnalysisConfig, args: argparse.Namespace) -> AnalysisC
     return cfg
 
 
+def _require_data(cfg: AnalysisConfig) -> None:
+    if not cfg.has_data:
+        raise ConfigurationError("this command needs a 'data' section in the config")
+
+
 def _require_simulation(cfg: AnalysisConfig):
     if cfg.simulation is None:
         raise ConfigurationError("this command needs a 'simulation' section in the config")
@@ -193,6 +198,7 @@ def _estimate_results(table, cfg: AnalysisConfig) -> dict:
 
 
 def cmd_estimate(cfg: AnalysisConfig, args: argparse.Namespace) -> int:
+    _require_data(cfg)
     report: dict[str, Any] = {
         "format": REPORT_FORMAT,
         "command": "estimate",
@@ -335,6 +341,7 @@ def cmd_robustness(cfg: AnalysisConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_validate(cfg: AnalysisConfig, args: argparse.Namespace) -> int:
+    _require_data(cfg)
     table, info = ingest_csv(args.data, cfg)
     for w in info.warnings:
         print(f"warning: {w}")

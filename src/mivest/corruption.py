@@ -28,10 +28,9 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .binary import _phi_tilde_binary, beta_if_binary
 from .data import FunctionalSpec, ObservationTable
 from .exceptions import ConfigurationError
-from .general import _phi_parts_general, beta_if_general
+from .general import _phi_parts_general
 from .learners import expit
 from .nuisance import PROB_CLIP, NuisanceSet
 from .oracles import oracle_delta_fn, oracle_identified_beta, oracle_nuisances
@@ -118,7 +117,6 @@ class Scenario:
     held: tuple[str, ...]
     corrupted: tuple[str, ...]
     expect_consistent: bool
-    estimator: str = "general"
     note: str = ""
 
 
@@ -131,12 +129,30 @@ def _shift_one_level(fn, level: int, shift):
     return shifted
 
 
+def _coherent_mu(mu_ref, pi_ref, pi_fn, delta_fn):
+    """mu_z = mu_ref + delta (pi_z - pi_ref) at every level z.
+
+    With propensities pi_fn, these level regressions imply the contrast
+    delta_fn exactly (up to rounding) wherever they are wrong themselves.
+    """
+    def fn(X: np.ndarray) -> np.ndarray:
+        return mu_ref(X) + delta_fn(X) * (pi_fn(X) - pi_ref(X))
+    return fn
+
+
+def _around_level_zero(ns: NuisanceSet, delta_fn) -> NuisanceSet:
+    """ns with mu_1 rebuilt as mu_0 + delta (pi_1 - pi_0); mu_0 and pi stay."""
+    base_mu, base_pi = ns.mu_fn, ns.pi_fn
+    return ns.with_overrides(mu_fn=_coherent_mu(
+        lambda X: base_mu(X)[0], lambda X: base_pi(X)[0], base_pi, delta_fn))
+
+
 def binary_scenarios(
     family: str,
     parameters: Mapping[str, float] | None = None,
     psi: float = 0.0,
 ) -> list[Scenario]:
-    """Consistency configurations for the two-level estimator.
+    """Consistency configurations of the paper's binary-instrument routes.
 
     Each scenario corrupts everything outside its held set; the held sets
     are the three routes to consistency for the binary influence function:
@@ -144,6 +160,11 @@ def binary_scenarios(
       contrast_and_reference   delta(x), mu_{z=0}(x), pi_{z=0}(x) true
       response_models          pi_z(x) both levels and rho(x) true
       contrast_and_instrument  delta(x) and rho(x) true
+
+    The influence function that evaluates them is the general one at
+    L = 2.  Where delta is held, mu_1 is rebuilt around level 0 as
+    mu_0 + delta (pi_1 - pi_0), so the contrast the levels imply is the
+    true one while mu_1 and the corrupted propensities stay wrong.
     """
     params = dict(parameters or {})
     truth = lambda: oracle_nuisances(family, params,
@@ -154,17 +175,14 @@ def binary_scenarios(
     ns1 = truth()
     ns1 = ns1.with_overrides(
         pi_fn=_shift_one_level(ns1.pi_fn, 1, lambda p: shift_probability(p, LOGIT_SHIFT)),
-        mu_fn=_shift_one_level(ns1.mu_fn, 1, lambda m: m + LEVEL_SHIFT),
         rho_fn=corrupt_nuisance(ns1, ["rho_z"]).rho_fn,
-        delta_fn=true_delta,
     )
     out.append(Scenario(
         name="contrast_and_reference",
-        ns=ns1,
+        ns=_around_level_zero(ns1, true_delta),
         held=("delta", "mu_z0", "pi_z0"),
         corrupted=("pi_z1", "mu_z1", "rho_z"),
         expect_consistent=True,
-        estimator="binary",
         note="bracket is exactly zero at both levels; weights are free",
     ))
 
@@ -175,20 +193,17 @@ def binary_scenarios(
         held=("pi_z", "rho_z"),
         corrupted=("mu_z", "delta"),
         expect_consistent=True,
-        estimator="binary",
         note="bracket bias is constant in z and the true-density weights "
              "cancel it",
     ))
 
     ns3 = corrupt_nuisance(truth(), ["pi_z", "mu_z"])
-    ns3 = ns3.with_overrides(delta_fn=true_delta)
     out.append(Scenario(
         name="contrast_and_instrument",
-        ns=ns3,
+        ns=_around_level_zero(ns3, true_delta),
         held=("delta", "rho_z"),
         corrupted=("pi_z", "mu_z"),
         expect_consistent=True,
-        estimator="binary",
     ))
 
     out.append(Scenario(
@@ -197,7 +212,6 @@ def binary_scenarios(
         held=(),
         corrupted=("pi_z", "rho_z", "mu_z", "delta"),
         expect_consistent=False,
-        estimator="binary",
     ))
     return out
 
@@ -235,15 +249,10 @@ def general_scenarios(
     def shifted_pi(X: np.ndarray) -> np.ndarray:
         return shift_probability(base.pi_fn(X), -LOGIT_SHIFT)
 
-    def coherent_mu(mu_marg_fn):
-        def fn(X: np.ndarray) -> np.ndarray:
-            return mu_marg_fn(X) + true_delta(X) * (shifted_pi(X) - true_pi_marg(X))
-        return fn
-
     out: list[Scenario] = []
     ns1 = base.with_overrides(
         pi_fn=shifted_pi,
-        mu_fn=coherent_mu(true_mu_marg),
+        mu_fn=_coherent_mu(true_mu_marg, true_pi_marg, shifted_pi, true_delta),
         rho_fn=corrupt_nuisance(base, ["rho_z"]).rho_fn,
         pi_marg_fn=true_pi_marg,
         mu_marg_fn=true_mu_marg,
@@ -274,7 +283,7 @@ def general_scenarios(
 
     ns3 = base.with_overrides(
         pi_fn=shifted_pi,
-        mu_fn=coherent_mu(corrupted_mu_marg),
+        mu_fn=_coherent_mu(corrupted_mu_marg, true_pi_marg, shifted_pi, true_delta),
         pi_marg_fn=true_pi_marg,
         mu_marg_fn=corrupted_mu_marg,
     )
@@ -354,7 +363,6 @@ def run_robustness(
     parameters: Mapping[str, float] | None = None,
     psi: float = 0.0,
     scenarios: list[Scenario] | None = None,
-    scenario_kind: str = "auto",
     reference_draws: int = 4_000_000,
 ) -> RobustnessReport:
     """Evaluate the influence-function estimator under each scenario.
@@ -367,8 +375,7 @@ def run_robustness(
     spec = FunctionalSpec.mean(psi)
     if scenarios is None:
         probe = oracle_nuisances(family, params, functional=spec)
-        use_binary = probe.L == 2 if scenario_kind == "auto" else scenario_kind == "binary"
-        scenarios = (binary_scenarios(family, params, psi) if use_binary
+        scenarios = (binary_scenarios(family, params, psi) if probe.L == 2
                      else general_scenarios(family, params, psi))
     table, _ = generate(DGPSpec(family=family, n=n, seed=seed,
                                 parameters=params))
@@ -379,12 +386,8 @@ def run_robustness(
     for sc in scenarios:
         # the estimate is a plain mean of phi~ (pi0 fixed at its true
         # value), so its sampling error comes from the uncentered values
-        if sc.estimator == "binary":
-            phi, keep, _ = _phi_tilde_binary(table, sc.ns, spec, "floor", None)
-        else:
-            parts = _phi_parts_general(table, sc.ns, spec, "floor", None)
-            phi, keep = parts.phi_tilde, parts.keep
-        vals = phi[keep]
+        parts = _phi_parts_general(table, sc.ns, spec, "floor", None)
+        vals = parts.phi_tilde[parts.keep]
         est = float(vals.mean())
         se = float(np.sqrt(np.var(vals, ddof=0) / vals.size + ref_se * ref_se))
         report.rows.append(RobustnessRow(

@@ -12,10 +12,13 @@ per-repetition estimates, and the reported variance is
 
 which charges each repetition for its distance from the consensus.
 
-One fold loop (_crossfit_pass) serves every estimator here.  The
-nonrespondent mean beta and the population mean (1 - pi0) alpha + pi0 beta
-are both computed from one shared split and one nuisance fit per fold and
-repetition, so `mivest estimate` fits K x S nuisance sets for both reports.
+One fold loop (_crossfit_pass) serves every estimator here, and one
+influence function (mivest.general) serves every instrument: at L = 2 it
+is the binary one, so the `kind` argument validates and labels a report
+but selects no code.  The nonrespondent mean beta and the population mean
+(1 - pi0) alpha + pi0 beta are both computed from one shared split and one
+nuisance fit per fold and repetition, so `mivest estimate` fits K x S
+nuisance sets for both reports.
 """
 
 from __future__ import annotations
@@ -26,11 +29,10 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .binary import _phi_tilde_binary
 from .data import FunctionalSpec, ObservationTable, evaluate_h
 from .exceptions import (ConfigurationError, EstimationError, FitError,
                          NoIncompleteCasesError)
-from .general import _phi_parts_general, normal_ci, variance_if
+from .general import _phi_parts_general, _population_phi, normal_ci, variance_if
 from .learners import LearnerConfig
 from .nuisance import (
     Diagnostics,
@@ -82,26 +84,12 @@ def make_folds(n: int, n_folds: int, seed: int, repetition: int = 0) -> FoldPlan
 
 
 def _resolve_kind(kind: EstimatorKind, L: int) -> str:
+    """The report's estimator label: "binary" at L = 2 unless asked otherwise."""
     if kind == "auto":
         return "binary" if L == 2 else "general"
     if kind == "binary" and L != 2:
         raise ConfigurationError("binary estimator requires a two-level instrument")
     return kind
-
-
-def _fold_phi(
-    kind: str,
-    block: ObservationTable,
-    ns: NuisanceSet,
-    spec: FunctionalSpec,
-    trim: TrimPolicy,
-    diag: Diagnostics,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(phi_tilde, keep, delta_own) on an evaluation block."""
-    if kind == "binary":
-        return _phi_tilde_binary(block, ns, spec, trim, diag)
-    parts = _phi_parts_general(block, ns, spec, trim, diag)
-    return parts.phi_tilde, parts.keep, parts.delta_own
 
 
 @dataclass
@@ -135,7 +123,6 @@ def _crossfit_pass(
     spec: FunctionalSpec,
     cfg: LearnerConfig,
     plan: FoldPlan,
-    use: str,
     mode: str,
     trim: TrimPolicy,
     winsorize: float | None,
@@ -164,10 +151,10 @@ def _crossfit_pass(
             raise type(e)(f"fold {k}: {e}") from e
         if not ns.pi0 > 0:
             raise NoIncompleteCasesError(f"fold {k}: training split has no incomplete rows")
-        p, kp, d = _fold_phi(use, block, ns, spec, trim, diag)
-        phi[mask] = p
-        keep[mask] = kp
-        delta_own[mask] = d
+        parts = _phi_parts_general(block, ns, spec, trim, diag)
+        phi[mask] = parts.phi_tilde
+        keep[mask] = parts.keep
+        delta_own[mask] = parts.delta_own
         coef[mask] = (1.0 - block.R.astype(float)) / ns.pi0
         pi0s[k] = ns.pi0
         diag.merge(ns.diagnostics)
@@ -218,8 +205,8 @@ def crossfit_estimate(
     elif plan.n != table.n:
         raise ConfigurationError("fold plan was built for a different table size")
     fit = fitter if fitter is not None else fit_nuisance_set
-    use = _resolve_kind(kind, table.L)
-    result, _ = _crossfit_pass(table, spec, cfg, plan, use, mode, trim, winsorize, fit)
+    _resolve_kind(kind, table.L)
+    result, _ = _crossfit_pass(table, spec, cfg, plan, mode, trim, winsorize, fit)
     return result
 
 
@@ -393,10 +380,9 @@ def _crossfit_mean_reports(
     _check_repetitions(repetitions)
     alpha = float(np.mean(evaluate_h(spec, table.y_observed)))
     pi0 = table.n0 / table.n
-    p1 = 1.0 - pi0
 
     fit = fitter if fitter is not None else fit_nuisance_set
-    use = _resolve_kind(kind, table.L)
+    label = _resolve_kind(kind, table.L)
     R = table.R.astype(float)
     rh = table.rh(spec)
 
@@ -406,22 +392,15 @@ def _crossfit_mean_reports(
     for rep in range(repetitions):
         plan = make_folds(table.n, n_folds, seed, rep)
         res, (phi, keep, coef, delta_own) = _crossfit_pass(
-            table, spec, cfg, plan, use, mode, trim, winsorize, fit)
+            table, spec, cfg, plan, mode, trim, winsorize, fit)
         beta = res.estimate
-        first = phi - coef * delta_own
-        phi_pop = (
-            pi0 * first
-            + alpha * (R - p1)
-            + beta * (1.0 - R - pi0)
-            + rh - R * alpha
-            + (1.0 - R) * (delta_own - beta)
-        )
-        pop_est[rep] = p1 * alpha + pi0 * beta
+        phi_pop = _population_phi(phi, coef, delta_own, R, rh, alpha, beta, pi0)
+        pop_est[rep] = (1.0 - pi0) * alpha + pi0 * beta
         pop_var[rep] = variance_if(phi_pop[keep])
         results.append(res)
 
     diag = _merged(results)
-    common = dict(n_folds=n_folds, seed=seed, ci_level=ci_level, kind=use, mode=mode,
+    common = dict(n_folds=n_folds, seed=seed, ci_level=ci_level, kind=label, mode=mode,
                   trim=trim, winsorize=winsorize)
     beta_report = _report(table, np.array([r.estimate for r in results]),
                           np.array([r.variance for r in results]), diag, **common)

@@ -64,16 +64,18 @@ class SimulationSection:
 class AnalysisConfig:
     """Resolved configuration for one run of any CLI command.
 
-    Column roles must be disjoint; exactly one outcome and one response
+    The column roles come from the 'data' section, which only the commands
+    that read a CSV need; without it they are None and empty.  With it,
+    column roles must be disjoint; exactly one outcome and one response
     column; at least one instrument.  Covariates are required: the nuisance
     models condition on X, and an intercept-only analysis should be stated
     as an explicit constant column, not an empty list.
     """
 
-    outcome: str
-    response: str
-    instruments: tuple[str, ...]
-    covariates: tuple[str, ...]
+    outcome: str | None = None
+    response: str | None = None
+    instruments: tuple[str, ...] = ()
+    covariates: tuple[str, ...] = ()
     instrument_bins: int = 4
     instrument_max_levels: int = DEFAULT_MAX_LEVELS
     instrument_mode: str = "product"
@@ -90,18 +92,15 @@ class AnalysisConfig:
     winsorize: float | None = None
     simulation: SimulationSection | None = None
 
+    @property
+    def has_data(self) -> bool:
+        """Whether any column role is set, as a 'data' section sets them."""
+        roles = (self.outcome, self.response, self.instruments, self.covariates)
+        return roles != (None, None, (), ())
+
     def validate(self) -> None:
-        roles = [self.outcome, self.response, *self.instruments, *self.covariates]
-        for name in roles:
-            if not isinstance(name, str) or not name:
-                raise ConfigurationError("column names must be non-empty strings")
-        dupes = sorted({r for r in roles if roles.count(r) > 1})
-        if dupes:
-            raise ConfigurationError(f"column roles must be disjoint; repeated: {dupes}")
-        if not self.instruments:
-            raise ConfigurationError("at least one instrument column is required")
-        if not self.covariates:
-            raise ConfigurationError("at least one covariate column is required")
+        if self.has_data:
+            self._validate_roles()
         if self.instrument_bins < 2:
             raise ConfigurationError("instrument_bins must be at least 2")
         if self.instrument_mode not in ("product", "separate"):
@@ -125,22 +124,25 @@ class AnalysisConfig:
         if self.winsorize is not None and self.winsorize <= 0:
             raise ConfigurationError("winsorize must be a positive IQR multiple or off")
 
+    def _validate_roles(self) -> None:
+        roles = [self.outcome, self.response, *self.instruments, *self.covariates]
+        for name in roles:
+            if not isinstance(name, str) or not name:
+                raise ConfigurationError("column names must be non-empty strings")
+        dupes = sorted({r for r in roles if roles.count(r) > 1})
+        if dupes:
+            raise ConfigurationError(f"column roles must be disjoint; repeated: {dupes}")
+        if not self.instruments:
+            raise ConfigurationError("at least one instrument column is required")
+        if not self.covariates:
+            raise ConfigurationError("at least one covariate column is required")
+
     def as_dict(self) -> dict:
         f: dict[str, Any] = {"kind": self.functional.kind, "psi": self.functional.psi}
         if self.functional.kind == "quantile":
             f["q"] = self.functional.q
-        out = {
+        out: dict[str, Any] = {
             "format": CONFIG_FORMAT,
-            "data": {
-                "outcome": self.outcome,
-                "response": self.response,
-                "instruments": list(self.instruments),
-                "covariates": list(self.covariates),
-                "instrument_bins": self.instrument_bins,
-                "instrument_max_levels": self.instrument_max_levels,
-                "instrument_mode": self.instrument_mode,
-                "strict_outcome": self.strict_outcome,
-            },
             "functional": f,
             "estimation": {
                 "estimator": self.estimator,
@@ -159,6 +161,17 @@ class AnalysisConfig:
                 "irls_tol": self.learner.irls_tol,
             },
         }
+        if self.has_data:
+            out["data"] = {
+                "outcome": self.outcome,
+                "response": self.response,
+                "instruments": list(self.instruments),
+                "covariates": list(self.covariates),
+                "instrument_bins": self.instrument_bins,
+                "instrument_max_levels": self.instrument_max_levels,
+                "instrument_mode": self.instrument_mode,
+                "strict_outcome": self.strict_outcome,
+            }
         if self.simulation is not None:
             out["simulation"] = self.simulation.as_dict()
         return out
@@ -216,17 +229,28 @@ def config_from_dict(doc: Mapping) -> AnalysisConfig:
                                    "learner", "simulation"])
 
     data = doc.get("data")
-    if not isinstance(data, Mapping):
-        raise ConfigurationError("config must contain a 'data' section")
-    _known_keys("data", data, ["outcome", "response", "instruments", "covariates",
-                               "instrument_bins", "instrument_max_levels",
-                               "instrument_mode", "strict_outcome"])
-    outcome = data.get("outcome")
-    response = data.get("response")
-    if not isinstance(outcome, str):
-        raise ConfigurationError("data.outcome must name exactly one column")
-    if not isinstance(response, str):
-        raise ConfigurationError("data.response must name exactly one column")
+    columns: dict[str, Any] = {}
+    if data is not None:
+        if not isinstance(data, Mapping):
+            raise ConfigurationError("'data' section must be a mapping")
+        _known_keys("data", data, ["outcome", "response", "instruments", "covariates",
+                                   "instrument_bins", "instrument_max_levels",
+                                   "instrument_mode", "strict_outcome"])
+        if not isinstance(data.get("outcome"), str):
+            raise ConfigurationError("data.outcome must name exactly one column")
+        if not isinstance(data.get("response"), str):
+            raise ConfigurationError("data.response must name exactly one column")
+        columns = dict(
+            outcome=data["outcome"],
+            response=data["response"],
+            instruments=_str_list(data, "instruments", "data", required=True),
+            covariates=_str_list(data, "covariates", "data", required=True),
+            instrument_bins=int(_get(data, "instrument_bins", 4, (int,), "data")),
+            instrument_max_levels=int(_get(data, "instrument_max_levels",
+                                           DEFAULT_MAX_LEVELS, (int,), "data")),
+            instrument_mode=_get(data, "instrument_mode", "product", (str,), "data"),
+            strict_outcome=bool(_get(data, "strict_outcome", True, (bool,), "data")),
+        )
 
     fsec = doc.get("functional") or {}
     if not isinstance(fsec, Mapping):
@@ -285,15 +309,7 @@ def config_from_dict(doc: Mapping) -> AnalysisConfig:
         )
 
     cfg = AnalysisConfig(
-        outcome=outcome,
-        response=response,
-        instruments=_str_list(data, "instruments", "data", required=True),
-        covariates=_str_list(data, "covariates", "data", required=True),
-        instrument_bins=int(_get(data, "instrument_bins", 4, (int,), "data")),
-        instrument_max_levels=int(_get(data, "instrument_max_levels",
-                                       DEFAULT_MAX_LEVELS, (int,), "data")),
-        instrument_mode=_get(data, "instrument_mode", "product", (str,), "data"),
-        strict_outcome=bool(_get(data, "strict_outcome", True, (bool,), "data")),
+        **columns,
         functional=functional,
         learner=learner,
         estimator=_get(esec, "estimator", "auto", (str,), "estimation"),

@@ -143,26 +143,6 @@ def if_values_general(
     return parts.phi_tilde - (1.0 - R) / ns.pi0 * beta
 
 
-def if_value_general(
-    ns: NuisanceSet,
-    x: np.ndarray,
-    z: int,
-    r: int,
-    y: float | None,
-    beta: float,
-    spec: FunctionalSpec,
-) -> float:
-    """Centered influence value for a single record."""
-    table = ObservationTable.from_arrays(
-        np.atleast_2d(np.asarray(x, dtype=float)),
-        np.array([z]),
-        np.array([r]),
-        [y],
-        L=ns.L,
-    )
-    return float(if_values_general(table, ns, beta, spec)[0])
-
-
 def g_value(ns: NuisanceSet, z: int, x: np.ndarray, *, on_floor: str = "raise") -> float:
     """g(z, x) at a single point."""
     return float(ns.g(z, np.atleast_2d(np.asarray(x, dtype=float)), on_floor=on_floor)[0])
@@ -220,6 +200,11 @@ def beta_if_general(
     """
     _require_incomplete(table, ns)
     parts = _phi_parts_general(table, ns, spec, trim, diag)
+    return _retained_mean(parts, winsorize, diag)
+
+
+def _retained_mean(parts: PhiParts, winsorize: float | None,
+                   diag: Diagnostics | None) -> float:
     phi = parts.phi_tilde
     if winsorize is not None:
         phi = winsorize_values(phi, winsorize, diag)
@@ -281,27 +266,42 @@ def population_mean_if(
     h_obs = evaluate_h(spec, table.y_observed)
     alpha = float(np.mean(h_obs))
     p1 = 1.0 - ns.pi0
-    beta = beta_if_general(table, ns, spec, trim=trim, winsorize=winsorize, diag=diag)
-    estimate = p1 * alpha + ns.pi0 * beta
-
-    parts = _phi_parts_general(table, ns, spec, trim, None)
+    parts = _phi_parts_general(table, ns, spec, trim, diag)
+    beta = _retained_mean(parts, winsorize, diag)
     R = table.R.astype(float)
-    rh = table.rh(spec)
-    first = parts.phi_tilde - (1.0 - R) / ns.pi0 * parts.delta_own  # g-weighted bracket only
-    phi = (
-        ns.pi0 * first
-        + alpha * (R - p1)
-        + beta * (1.0 - R - ns.pi0)
-        + R * (rh - alpha)
-        + (1.0 - R) * (parts.delta_own - beta)
-    )
-    keep = parts.keep
+    phi = _population_phi(parts.phi_tilde, (1.0 - R) / ns.pi0, parts.delta_own,
+                          R, table.rh(spec), alpha, beta, ns.pi0)
     return PopulationMeanResult(
-        estimate=estimate,
-        variance=variance_if(phi[keep]),
+        estimate=p1 * alpha + ns.pi0 * beta,
+        variance=variance_if(phi[parts.keep]),
         alpha=alpha,
         beta=beta,
         p_respond=p1,
+    )
+
+
+def _population_phi(
+    phi_tilde: np.ndarray,
+    coef: np.ndarray,
+    delta_own: np.ndarray,
+    R: np.ndarray,
+    rh: np.ndarray,
+    alpha: float,
+    beta: float,
+    pi0: float,
+) -> np.ndarray:
+    """Influence values of (1 - pi0) alpha + pi0 beta, row by row.
+
+    phi_tilde and delta_own come from a nuisance set whose (1 - R_i) / pi0
+    is coef; pi0 is the share that composes the estimate.
+    """
+    first = phi_tilde - coef * delta_own  # g-weighted bracket only
+    return (
+        pi0 * first
+        + alpha * (R - (1.0 - pi0))
+        + beta * (1.0 - R - pi0)
+        + rh - R * alpha
+        + (1.0 - R) * (delta_own - beta)
     )
 
 

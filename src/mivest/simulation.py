@@ -564,7 +564,6 @@ def _mc_replication(r, dgp, cfg, functional, n_folds, repetitions, ci_level,
                     estimators, mode, trim, winsorize, master_seed, kind) -> dict:
     from .crossfit import crossfit_beta
     from .general import beta_id_general
-    from .binary import beta_id_binary
     from .nuisance import fit_nuisance_set
 
     data_ss = np.random.SeedSequence(master_seed, spawn_key=(_DOMAIN_DATA, r))
@@ -575,10 +574,7 @@ def _mc_replication(r, dgp, cfg, functional, n_folds, repetitions, ci_level,
     if "id" in estimators:
         try:
             ns = fit_nuisance_set(table, functional, cfg, mode=mode)
-            if table.L == 2 and kind != "general":
-                out["id"] = beta_id_binary(table, ns, trim=trim)
-            else:
-                out["id"] = beta_id_general(table, ns, trim=trim)
+            out["id"] = beta_id_general(table, ns, trim=trim)
         except (EstimationError, FitError) as e:
             out["id_error"] = str(e)
     if "if" in estimators:

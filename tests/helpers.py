@@ -3,7 +3,7 @@
 import numpy as np
 
 from mivest.data import ObservationTable
-from mivest.nuisance import NuisanceSet
+from mivest.nuisance import NuisanceSet, evaluate_nuisances
 
 
 def const_fn(values):
@@ -71,3 +71,26 @@ def small_table(Z, R, Y, X=None, L=None):
         X = np.column_stack([t, t[::-1]])
     return ObservationTable.from_arrays(np.asarray(X, dtype=float), Z,
                                         np.asarray(R), Y, L=L)
+
+
+def binary_if_values(table, ns, beta, spec):
+    """Centered influence values in the paper's closed form for L = 2.
+
+        phi = (2Z-1)/rho_Z(x) * (1-pi(x)) / (pi0 * delta_r(x))
+              * [R h - R delta(x) - mu(0,x) + pi(0,x) delta(x)]
+              + (1-R)/pi0 * (delta(x) - beta)
+
+    with delta_r(x) = pi(1,x) - pi(0,x) and delta(x) = (mu(1,x) - mu(0,x))
+    / delta_r(x).  The bracket is built around level 0 and never reads
+    mu(x), so it equals the general influence function at L = 2 when the
+    set marginalizes.  A test reference: no floor, no trim policy.
+    """
+    ev = evaluate_nuisances(ns, table.X)
+    den = ev.pi[1] - ev.pi[0]
+    delta = (ev.mu[1] - ev.mu[0]) / den
+    rho_z = ev.rho[table.Z, np.arange(table.n)]
+    R = table.R.astype(float)
+    zsign = 2.0 * table.Z.astype(float) - 1.0
+    weight = zsign / rho_z * (1.0 - ev.pi_marg) / (ns.pi0 * den)
+    bracket = table.rh(spec) - R * delta - ev.mu[0] + ev.pi[0] * delta
+    return weight * bracket + (1.0 - R) / ns.pi0 * (delta - beta)

@@ -14,15 +14,16 @@ import yaml
 
 from mivest.cli import main
 from mivest.corruption import run_robustness
-from mivest.data import FunctionalSpec
+from mivest.data import FunctionalSpec, ObservationTable
 from mivest.dataio import write_table_csv
-from mivest.general import if_value_general, if_values_general
-from mivest.binary import if_value_binary
+from mivest.general import if_values_general
 from mivest.learners import LearnerConfig
 from mivest.nuisance import NuisanceSet
 from mivest.oracles import oracle_identified_beta, oracle_nuisances
 from mivest.simulation import (DGPSpec, generate, oracle_beta,
                                run_monte_carlo)
+
+from helpers import binary_if_values
 
 MEAN = FunctionalSpec.mean()
 CFG = LearnerConfig()
@@ -153,8 +154,10 @@ def test_criterion_05_general_form_reduces_to_binary():
             z = int(rng.integers(0, 2))
             r = int(rng.integers(0, 2))
             y = float(rng.normal()) if r == 1 else None
-            a = if_value_binary(ns, x, z=z, r=r, y=y, beta=beta, spec=MEAN)
-            b = if_value_general(ns, x, z=z, r=r, y=y, beta=beta, spec=MEAN)
+            row = ObservationTable.from_arrays(x[None, :], np.array([z]),
+                                               np.array([r]), [y], L=2)
+            a = binary_if_values(row, ns, beta, MEAN)[0]
+            b = if_values_general(row, ns, beta, MEAN)[0]
             worst = max(worst, abs(a - b))
     verdict(5, worst < 1e-10,
             f"1000 randomized two-level configurations, eight rows each: "

@@ -1,18 +1,17 @@
-"""Two-level estimators: identification ratio and influence-function form."""
+"""The two-level case: the closed-form ratio, and the general estimators at L = 2."""
 
 import numpy as np
 import pytest
 
-from mivest.binary import (beta_id_binary, beta_if_binary, if_value_binary,
-                           if_values_binary, wald_ratio_binary)
+from mivest.binary import wald_ratio_binary
 from mivest.data import FunctionalSpec, ObservationTable
 from mivest.exceptions import (DataContractError, DenominatorFloorError,
                                NoIncompleteCasesError)
-from mivest.general import if_values_general
+from mivest.general import beta_id_general, beta_if_general, if_values_general
 from mivest.learners import LearnerConfig
 from mivest.nuisance import NuisanceSet, fit_nuisance_set
 
-from helpers import const_fn, const_ns, one_row_x, small_table
+from helpers import binary_if_values, const_fn, const_ns, one_row_x, small_table
 
 SPEC = FunctionalSpec.mean()
 X_ROW = one_row_x()
@@ -48,7 +47,7 @@ def test_wald_ratio_needs_two_levels():
 
 
 def test_beta_id_averages_over_incomplete_rows():
-    # delta(x) = x1 by construction
+    # delta(z, x) = x1 at both levels by construction
     def mu_fn(X):
         X = np.atleast_2d(X)
         return 0.3 * np.arange(2)[:, None] * X[:, 0]
@@ -57,55 +56,25 @@ def test_beta_id_averages_over_incomplete_rows():
                      rho_fn=const_fn((0.5, 0.5)), mu_fn=mu_fn, pi0=0.5)
     X = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
     t = small_table([0, 1, 0], [0, 0, 0], [None, None, None], X=X)
-    assert beta_id_binary(t, ns) == pytest.approx(2.0)
+    assert beta_id_general(t, ns) == pytest.approx(2.0)
 
 
 def test_beta_id_requires_incomplete_rows():
     t = small_table([0, 1], [1, 1], [1.0, 2.0])
     with pytest.raises(NoIncompleteCasesError):
-        beta_id_binary(t, NS)
-
-
-def test_if_value_respondent_worked_example():
-    v = if_value_binary(NS, X_ROW, z=1, r=1, y=2.0, beta=1.0, spec=SPEC)
-    assert v == pytest.approx(8.0)
-
-
-def test_if_value_missing_row_worked_example():
-    v = if_value_binary(NS, X_ROW, z=0, r=0, y=None, beta=1.0, spec=SPEC)
-    assert v == pytest.approx(-1.0)
-
-
-def test_if_value_vanishes_when_everything_is_exact():
-    # reference mean chosen so the correction bracket is identically zero
-    ns = const_ns(pi=(0.4, 0.8), rho=(0.5, 0.5), mu=(0.6, 1.2), pi0=0.25,
-                  pi_marg=0.5)
-    v = if_value_binary(ns, X_ROW, z=0, r=0, y=None, beta=1.5, spec=SPEC)
-    assert v == pytest.approx(0.0, abs=1e-12)
+        beta_id_general(t, NS)
 
 
 def test_beta_if_single_row():
     ns = const_ns(pi=(0.4, 0.8), rho=(0.5, 0.5), mu=(0.72, 1.44), pi0=1.0)
     t = small_table([0], [0], [None], L=2)
-    assert beta_if_binary(t, ns, SPEC) == pytest.approx(1.8)
-
-
-def test_beta_if_exact_under_degenerate_weight():
-    # pi_marg = 1 kills the instrument term, leaving (1 - R) delta / pi0;
-    # with pi0 = n0 / n the average returns the constant contrast exactly
-    c = 2.5
-    ns = const_ns(pi=(0.4, 0.8), rho=(0.5, 0.5), mu=(0.0, 0.4 * c),
-                  pi0=0.25, pi_marg=1.0)
-    t = small_table([0, 1, 0, 1, 0, 1, 0, 1], [1, 1, 1, 0, 1, 0, 1, 1],
-                    [3.0, 1.0, 2.0, None, 0.5, None, 4.0, 1.5], L=2)
-    assert t.n0 / t.n == 0.25
-    assert beta_if_binary(t, ns, SPEC) == pytest.approx(c, abs=1e-12)
+    assert beta_if_general(t, ns, SPEC) == pytest.approx(1.8)
 
 
 def test_beta_if_requires_incomplete_rows():
     t = small_table([0, 1], [1, 1], [1.0, 2.0])
     with pytest.raises(NoIncompleteCasesError):
-        beta_if_binary(t, NS, SPEC)
+        beta_if_general(t, NS, SPEC)
 
 
 def test_if_values_center_at_supplied_beta():
@@ -114,25 +83,25 @@ def test_if_values_center_at_supplied_beta():
                   pi_marg=0.5)
     t = small_table([0, 1, 1, 0, 1, 0], [1, 1, 0, 0, 1, 1],
                     [1.0, 2.0, None, None, 0.5, 1.5])
-    beta_hat = beta_if_binary(t, ns, SPEC)
-    phi = if_values_binary(t, ns, beta_hat, SPEC)
+    beta_hat = beta_if_general(t, ns, SPEC)
+    phi = if_values_general(t, ns, beta_hat, SPEC)
     assert np.mean(phi) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_if_scale_equivariance(single_table, single_fit):
     spec = SPEC
-    b1 = beta_if_binary(single_table, single_fit, spec)
+    b1 = beta_if_general(single_table, single_fit, spec)
     y3 = [3.0 * single_table.y_at(i) if single_table.y_present[i] else None
           for i in range(single_table.n)]
     t3 = ObservationTable.from_arrays(single_table.X, single_table.Z,
                                       single_table.R, y3, L=2)
     ns3 = fit_nuisance_set(t3, spec, LearnerConfig())
-    b3 = beta_if_binary(t3, ns3, spec)
+    b3 = beta_if_general(t3, ns3, spec)
     assert b3 == pytest.approx(3.0 * b1, rel=1e-9)
 
 
 def test_general_form_collapses_to_binary(single_table, single_fit):
     beta = 1.3
-    phi_b = if_values_binary(single_table, single_fit, beta, SPEC)
+    phi_b = binary_if_values(single_table, single_fit, beta, SPEC)
     phi_g = if_values_general(single_table, single_fit, beta, SPEC)
     assert np.max(np.abs(phi_b - phi_g)) < 1e-10

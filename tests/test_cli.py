@@ -625,6 +625,23 @@ def test_oracle_command_confirms_the_dual_family(tmp_path, capsys):
     assert "agrees with the design value 1.07" in capsys.readouterr().out
 
 
+def test_commands_without_a_csv_need_no_data_section(tmp_path, survey_csv, capsys):
+    for family in ("single_binary_iv", "dual_binary_iv"):
+        doc = {"format": "mivest-config/1", "functional": {"kind": "mean"},
+               "simulation": {"family": family, "oracle_draws": 100_000}}
+        cfg_path = write_yaml(tmp_path / f"{family}.yaml", doc)
+        out = tmp_path / f"{family}.json"
+        assert main(["oracle", "--config", cfg_path, "--out", str(out)]) == 0
+        assert "data" not in json.loads(out.read_text())["config"]
+    cfg = config_from_dict(doc)
+    assert config_from_dict(cfg.as_dict()) == cfg
+    capsys.readouterr()
+    for command in ("estimate", "validate"):
+        rc = main([command, "--config", cfg_path, "--data", survey_csv])
+        assert rc == 4
+        assert "'data' section" in capsys.readouterr().err
+
+
 def test_robustness_command(tmp_path, capsys):
     doc = make_doc(simulation={"family": "single_binary_iv"})
     cfg_path = write_yaml(tmp_path / "r.yaml", doc)

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mivest.binary import beta_if_binary
 from mivest.crossfit import (FoldPlan, _crossfit_mean_reports, crossfit_beta,
                              crossfit_estimate, crossfit_population_mean,
                              make_folds, median_adjust)
 from mivest.data import FunctionalSpec, ObservationTable
+from mivest.general import beta_if_general
 from mivest.exceptions import (ConfigurationError, EstimationError, FitError,
                                NoIncompleteCasesError, NuisanceFitError)
 from mivest.learners import LearnerConfig
@@ -106,7 +106,7 @@ def test_crossfit_on_duplicated_halves_matches_plain_fit(mid_table):
                     assignments=assignments)
     res = crossfit_estimate(t2, SPEC, CFG, plan=plan)
     ns = fit_nuisance_set(mid_table, SPEC, CFG)
-    plain = beta_if_binary(mid_table, ns, SPEC)
+    plain = beta_if_general(mid_table, ns, SPEC)
     assert res.estimate == pytest.approx(plain, abs=1e-12)
     assert res.n_kept == 2 * m
     assert np.allclose(res.pi0_by_fold, ns.pi0)
@@ -230,23 +230,18 @@ def test_one_fold_pass_gives_both_mean_reports(family, n):
         assert p == pytest.approx((1.0 - pi0) * alpha + pi0 * b, abs=1e-12)
 
 
-def test_binary_path_equals_general_only_when_marginalizing():
-    # the binary influence function's bracket uses the level-0 models and
-    # never reads the marginal mu(x), so it duplicates the general path in
-    # marginalize mode only; deleting it must not move direct-mode reports
-    # unnoticed
+def test_estimator_kind_labels_the_report_and_selects_no_code():
+    # one influence function serves every L, so at L = 2 "binary" and
+    # "general" differ in the report's label only, in both modes
     table, _ = generate(DGPSpec(family="single_binary_iv", n=5_000, seed=414))
     kw = dict(n_folds=5, repetitions=3, seed=1)
-    for mode, agree in (("marginalize", True), ("direct", False)):
+    for mode in ("marginalize", "direct"):
         binary = _crossfit_mean_reports(table, SPEC, CFG, kind="binary", mode=mode, **kw)
         general = _crossfit_mean_reports(table, SPEC, CFG, kind="general", mode=mode, **kw)
         for b, g in zip(binary, general):
-            gap = abs(b.estimate - g.estimate)
-            if agree:
-                assert gap <= 1e-12
-                assert b.variance == pytest.approx(g.variance, abs=1e-12)
-            else:
-                assert gap > 1e-4
+            b, g = b.as_dict(), g.as_dict()
+            assert (b.pop("estimator"), g.pop("estimator")) == ("binary", "general")
+            assert b == g
 
 
 @pytest.fixture(scope="module")

@@ -7,11 +7,14 @@ import mivest.general
 from mivest.data import FunctionalSpec, ObservationTable, evaluate_h
 from mivest.exceptions import (DenominatorFloorError, EstimationError,
                                NoIncompleteCasesError)
-from mivest.general import (beta_id_general, beta_if_general, g_value,
-                            if_value_general, normal_ci, population_mean_if,
-                            solve_functional, variance_if)
+from mivest.corruption import shift_probability
+from mivest.general import (_phi_parts_general, beta_id_general,
+                            beta_if_general, g_value, if_values_general,
+                            normal_ci, population_mean_if, solve_functional,
+                            variance_if)
 from mivest.learners import LearnerConfig
 from mivest.nuisance import fit_nuisance_set
+from mivest.oracles import oracle_nuisances
 from mivest.simulation import DGPSpec, generate, oracle_missing_quantile
 
 from helpers import const_fn, const_ns, one_row_x, small_table
@@ -64,7 +67,8 @@ def test_beta_id_general_ignores_respondents():
 def test_if_value_general_worked_example():
     ns = const_ns(pi=(0.7, 0.9), rho=(1 / 7, 6 / 7), mu=(1.0, 1.0), pi0=0.5,
                   pi_marg=0.3, delta=2.0)
-    v = if_value_general(ns, X_ROW, z=0, r=1, y=2.0, beta=99.0, spec=SPEC)
+    t = small_table([0], [1], [2.0], X=X_ROW[None, :], L=2)
+    v = if_values_general(t, ns, 99.0, SPEC)[0]
     assert v == pytest.approx(0.4)
 
 
@@ -72,7 +76,8 @@ def test_if_value_general_zero_when_weights_balance():
     # constant pi makes g flat in z, and delta = beta kills the tail term
     ns = const_ns(pi=(0.7, 0.7), rho=(0.25, 0.75), mu=(1.0, 1.0), pi0=0.5,
                   pi_marg=0.3, delta=2.0)
-    v = if_value_general(ns, X_ROW, z=1, r=0, y=None, beta=2.0, spec=SPEC)
+    t = small_table([1], [0], [None], X=X_ROW[None, :], L=2)
+    v = if_values_general(t, ns, 2.0, SPEC)[0]
     assert v == pytest.approx(0.0, abs=1e-12)
 
 
@@ -218,3 +223,53 @@ def test_grid_pass_equals_per_psi_refits(family, mode, trim, winsorize, target,
     monkeypatch.setattr(mivest.general, "_grid_beta", lambda *a, **k: (betas, pi0))
     ref = solve_functional(table, LearnerConfig(), 0.5, **kw)
     assert (res.psi, res.iterations, res.bracket) == (ref.psi, ref.iterations, ref.bracket)
+
+
+# -- Neyman orthogonality: first-order insensitivity to nuisance error -------
+
+def _perturb(ns, which, t):
+    """The exact set moved by t along one direction that varies with z and x.
+
+    mu_z(x) + t (1 + z) x1, or pi_z(x) shifted by t (1 + z) (x1 - 0.3) on the
+    logit scale (shift_probability clips first: a bare logit of the dual
+    family's pi reaches p = 1).
+    """
+    level = (1.0 + np.arange(ns.L))[:, None]
+    if which == "mu":
+        base = ns.mu_fn
+        return ns.with_overrides(
+            mu_fn=lambda X: base(X) + t * level * np.atleast_2d(X)[:, 0])
+    base = ns.pi_fn
+    return ns.with_overrides(pi_fn=lambda X: shift_probability(
+        base(X), t * level * (np.atleast_2d(X)[:, 0] - 0.3)))
+
+
+@pytest.fixture(scope="module")
+def orthogonality_tables():
+    return {family: generate(DGPSpec(family=family, n=100_000, seed=414))[0]
+            for family in ("single_binary_iv", "dual_binary_iv")}
+
+
+@pytest.mark.parametrize("family, which", [("single_binary_iv", "mu"),
+                                           ("dual_binary_iv", "mu"),
+                                           ("dual_binary_iv", "pi")])
+def test_influence_function_is_orthogonal_where_the_plug_in_is_not(
+        family, which, orthogonality_tables):
+    # central differences at t = +-0.025 around the exact nuisances: the mean
+    # influence value has zero slope (within 3 SE of the per-row slopes),
+    # while the plug-in mean of delta moves at first order
+    table = orthogonality_tables[family]
+    ns = oracle_nuisances(family)
+    t = 0.025
+    phi = {}
+    plug = {}
+    for sign in (1, -1):
+        moved = _perturb(ns, which, sign * t)
+        phi[sign] = _phi_parts_general(table, moved, SPEC, "floor", None).phi_tilde
+        plug[sign] = beta_id_general(table, moved)
+    rows = (phi[1] - phi[-1]) / (2.0 * t)
+    if_slope = float(rows.mean())
+    bound = 3.0 * float(rows.std()) / np.sqrt(table.n)
+    plug_slope = (plug[1] - plug[-1]) / (2.0 * t)
+    assert abs(if_slope) <= bound
+    assert abs(plug_slope) > 5.0 * bound

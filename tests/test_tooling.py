@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -22,6 +24,17 @@ def test_benchmark_tracer_finds_every_name_it_patches():
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize("script", sorted(p.name for p in (ROOT / "scripts").glob("*.py")))
+def test_script_help_runs(script):
+    # the scripts import public names at the top, so --help fails when one
+    # of those names is deleted or renamed
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), "--help"], cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH="src"),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+
 
 # Imports the CLI, runs estimate (mean and quantile, L = 4) and a small
 # simulate in one process, then fails if any scipy module was loaded.
@@ -29,6 +42,8 @@ def test_benchmark_tracer_finds_every_name_it_patches():
 _NO_SCIPY_RUN = """
 import json, sys
 from pathlib import Path
+
+import pytest
 import mivest.cli
 from mivest.dataio import write_table_csv
 from mivest.simulation import DGPSpec, generate
