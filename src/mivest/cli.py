@@ -15,11 +15,9 @@ import warnings
 from typing import Any
 
 from .corruption import run_robustness
-# crossfit_beta and crossfit_population_mean stay bound here for callers
-# that wrap the CLI's bindings (perfbench/trace_child.py); `estimate` gets
-# both mean reports from one fold pass per repetition.
-from .crossfit import (_crossfit_mean_reports, crossfit_beta,  # noqa: F401
-                       crossfit_population_mean)
+# crossfit_population_mean has no caller here: it stays bound only because
+# the benchmark tracer (perfbench/trace_child.py) wraps this binding.
+from .crossfit import crossfit_beta, crossfit_population_mean  # noqa: F401
 from .data import validate_table
 from .dataio import (
     REPORT_FORMAT,
@@ -36,10 +34,11 @@ from .exceptions import (
     MivestError,
     _tally_messages,
 )
-# solve_functional stays bound here for the same callers; `estimate` roots
-# both quantile reports from one grid pass.
+# solve_functional, likewise, is bound here only for the tracer; `estimate`
+# roots both quantile reports from one grid pass.
 from .general import _solve_quantiles, solve_functional  # noqa: F401
 from .simulation import (
+    _LEVELS,
     FAMILY_DESIGN_BETA,
     DGPSpec,
     oracle_beta,
@@ -172,16 +171,31 @@ def _print_fit_warnings(fit_warnings: list[dict], prefix: str = "") -> None:
         print(f"warning: {prefix}{w['message']} (raised {w['count']} times)", file=sys.stderr)
 
 
+def _estimator_label(estimator: str, L: int) -> str:
+    """The mean reports' estimator label: "binary" at L = 2 under "auto".
+
+    One influence function serves every L, so the label selects no code;
+    "binary" on an instrument with L != 2 is a configuration error.
+    """
+    if estimator == "auto":
+        return "binary" if L == 2 else "general"
+    if estimator == "binary" and L != 2:
+        raise ConfigurationError("binary estimator requires a two-level instrument")
+    return estimator
+
+
 def _estimate_results(table, cfg: AnalysisConfig) -> dict:
     """Point estimates for one table: nonrespondent target plus population."""
+    label = _estimator_label(cfg.estimator, table.L)
     if cfg.functional.kind == "mean":
-        beta, pop = _crossfit_mean_reports(
+        missing, population = crossfit_beta(
             table, cfg.functional, cfg.learner,
             n_folds=cfg.n_folds, repetitions=cfg.repetitions, seed=cfg.seed,
-            ci_level=cfg.ci_level, kind=cfg.estimator, mode=cfg.mode,
-            trim=cfg.trim, winsorize=cfg.winsorize,
+            ci_level=cfg.ci_level, mode=cfg.mode, trim=cfg.trim,
+            winsorize=cfg.winsorize,
         )
-        return {"missing_mean": beta.as_dict(), "population_mean": pop.as_dict()}
+        return {"missing_mean": {**missing.as_dict(), "estimator": label},
+                "population_mean": {**population.as_dict(), "estimator": label}}
     q = cfg.functional.q
     missing, population = _solve_quantiles(
         table, cfg.learner, q, ("missing", "population"),
@@ -249,11 +263,12 @@ def cmd_simulate(cfg: AnalysisConfig, args: argparse.Namespace) -> int:
     replications = args.replications if args.replications is not None else sim.replications
     dgp = DGPSpec(family=sim.family, n=n, seed=cfg.seed,
                   clamp_policy=sim.clamp_policy, parameters=sim.parameters)
+    _estimator_label(cfg.estimator, _LEVELS[sim.family])  # simulate reports carry no label
     oracle = oracle_beta(dgp, draws=sim.oracle_draws, functional=cfg.functional)
     mc = run_monte_carlo(
         dgp, replications, cfg.learner, cfg.functional, oracle.value,
         n_folds=cfg.n_folds, repetitions=cfg.repetitions, ci_level=cfg.ci_level,
-        kind=cfg.estimator, mode=cfg.mode, trim=cfg.trim, winsorize=cfg.winsorize,
+        mode=cfg.mode, trim=cfg.trim, winsorize=cfg.winsorize,
         threads=args.threads, master_seed=cfg.seed,
     )
     report = {

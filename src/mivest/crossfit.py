@@ -12,20 +12,20 @@ per-repetition estimates, and the reported variance is
 
 which charges each repetition for its distance from the consensus.
 
-One fold loop (_crossfit_pass) serves every estimator here, and one
-influence function (mivest.general) serves every instrument: at L = 2 it
-is the binary one, so the `kind` argument validates and labels a report
-but selects no code.  The nonrespondent mean beta and the population mean
+One repetition driver (crossfit_beta) runs one fold loop
+(_crossfit_pass) per repetition, and one influence function
+(mivest.general) serves every instrument: at L = 2 it is the binary one.
+The nonrespondent mean beta and the population mean
 (1 - pi0) alpha + pi0 beta are both computed from one shared split and one
-nuisance fit per fold and repetition, so `mivest estimate` fits K x S
-nuisance sets for both reports.
+nuisance fit per fold and repetition, so `mivest estimate` and every
+`mivest simulate` replication fit K x S nuisance sets for both reports.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Literal
+from typing import Callable
 
 import numpy as np
 
@@ -44,7 +44,6 @@ from .nuisance import (
 
 _DOMAIN_FOLDS = 2
 
-EstimatorKind = Literal["auto", "binary", "general"]
 FitterType = Callable[..., NuisanceSet]
 
 
@@ -81,15 +80,6 @@ def make_folds(n: int, n_folds: int, seed: int, repetition: int = 0) -> FoldPlan
     return FoldPlan(
         n=n, n_folds=n_folds, seed=seed, repetition=repetition, assignments=assignments
     )
-
-
-def _resolve_kind(kind: EstimatorKind, L: int) -> str:
-    """The report's estimator label: "binary" at L = 2 unless asked otherwise."""
-    if kind == "auto":
-        return "binary" if L == 2 else "general"
-    if kind == "binary" and L != 2:
-        raise ConfigurationError("binary estimator requires a two-level instrument")
-    return kind
 
 
 @dataclass
@@ -178,38 +168,6 @@ def _crossfit_pass(
     return result, (phi, keep, coef, delta_own)
 
 
-def crossfit_estimate(
-    table: ObservationTable,
-    spec: FunctionalSpec,
-    cfg: LearnerConfig,
-    *,
-    n_folds: int = 5,
-    seed: int = 0,
-    repetition: int = 0,
-    kind: EstimatorKind = "auto",
-    mode: str = "marginalize",
-    trim: TrimPolicy = "floor",
-    winsorize: float | None = None,
-    plan: FoldPlan | None = None,
-    fitter: FitterType | None = None,
-) -> CrossfitResult:
-    """One cross-fitted pass: fit on fold complements, pool, grand-mean.
-
-    `plan` overrides the internal fold draw (for tests); `fitter` replaces
-    fit_nuisance_set with the same signature.
-    """
-    if table.n0 == 0:
-        raise NoIncompleteCasesError("no rows with R = 0; the target is undefined")
-    if plan is None:
-        plan = make_folds(table.n, n_folds, seed, repetition)
-    elif plan.n != table.n:
-        raise ConfigurationError("fold plan was built for a different table size")
-    fit = fitter if fitter is not None else fit_nuisance_set
-    _resolve_kind(kind, table.L)
-    result, _ = _crossfit_pass(table, spec, cfg, plan, mode, trim, winsorize, fit)
-    return result
-
-
 def median_adjust(estimates: np.ndarray, variances: np.ndarray) -> tuple[float, float]:
     """Median point estimate with discordance-penalised variance.
 
@@ -238,7 +196,6 @@ class EstimateReport:
     n0: int
     n_folds: int
     repetitions: int
-    kind: str
     mode: str
     trim: str
     winsorize: float | None
@@ -258,7 +215,6 @@ class EstimateReport:
             "n_incomplete": self.n0,
             "n_folds": self.n_folds,
             "repetitions": self.repetitions,
-            "estimator": self.kind,
             "mode": self.mode,
             "trim": self.trim,
             "winsorize": self.winsorize,
@@ -280,7 +236,6 @@ def _report(
     n_folds: int,
     seed: int,
     ci_level: float,
-    kind: str,
     mode: str,
     trim: TrimPolicy,
     winsorize: float | None,
@@ -299,7 +254,6 @@ def _report(
         n0=table.n0,
         n_folds=n_folds,
         repetitions=len(est),
-        kind=kind,
         mode=mode,
         trim=trim,
         winsorize=winsorize,
@@ -308,13 +262,6 @@ def _report(
         per_repetition_variances=[float(x) for x in var],
         diagnostics=diag.as_dict(),
     )
-
-
-def _merged(results: list[CrossfitResult]) -> Diagnostics:
-    diag = Diagnostics()
-    for r in results:
-        diag.merge(r.diagnostics)
-    return diag
 
 
 def crossfit_beta(
@@ -326,52 +273,22 @@ def crossfit_beta(
     repetitions: int = 1,
     seed: int = 0,
     ci_level: float = 0.95,
-    kind: EstimatorKind = "auto",
-    mode: str = "marginalize",
-    trim: TrimPolicy = "floor",
-    winsorize: float | None = None,
-    fitter: FitterType | None = None,
-) -> EstimateReport:
-    """Repeated cross-fitting, median adjustment, and a normal interval."""
-    _check_repetitions(repetitions)
-    results = [
-        crossfit_estimate(
-            table, spec, cfg,
-            n_folds=n_folds, seed=seed, repetition=r, kind=kind,
-            mode=mode, trim=trim, winsorize=winsorize, fitter=fitter,
-        )
-        for r in range(repetitions)
-    ]
-    return _report(
-        table,
-        np.array([r.estimate for r in results]),
-        np.array([r.variance for r in results]),
-        _merged(results),
-        n_folds=n_folds, seed=seed, ci_level=ci_level,
-        kind=_resolve_kind(kind, table.L), mode=mode, trim=trim, winsorize=winsorize,
-    )
-
-
-def _crossfit_mean_reports(
-    table: ObservationTable,
-    spec: FunctionalSpec,
-    cfg: LearnerConfig,
-    *,
-    n_folds: int = 5,
-    repetitions: int = 1,
-    seed: int = 0,
-    ci_level: float = 0.95,
-    kind: EstimatorKind = "auto",
     mode: str = "marginalize",
     trim: TrimPolicy = "floor",
     winsorize: float | None = None,
     fitter: FitterType | None = None,
 ) -> tuple[EstimateReport, EstimateReport]:
-    """(crossfit_beta report, crossfit_population_mean report) from one pass.
+    """Repeated cross-fitting: (missing, population) mean reports.
 
-    Each repetition runs the fold loop once; both reports reduce its per-row
-    values to (estimate, variance) pairs before the next repetition, so
-    the result equals the two separate calls with half the nuisance fits.
+    missing is beta = E[h | R = 0]; population is (1 - pi0) alpha + pi0 beta,
+    with alpha the complete-case mean of h (no model, no cross-fitting
+    needed) and pi0 the full-sample share, so the identity
+    estimate == (1 - pi0) alpha + pi0 beta holds in every repetition.
+    Each repetition runs the fold loop once, on folds drawn from
+    (seed, repetition), and both reports reduce its per-row values to
+    (estimate, variance) pairs before the next repetition.  Each report is
+    the median adjustment of those pairs with a normal interval.  `fitter`
+    replaces fit_nuisance_set with the same signature.
     """
     if table.n1 == 0:
         raise EstimationError("no complete cases; population functional needs both")
@@ -382,7 +299,6 @@ def _crossfit_mean_reports(
     pi0 = table.n0 / table.n
 
     fit = fitter if fitter is not None else fit_nuisance_set
-    label = _resolve_kind(kind, table.L)
     R = table.R.astype(float)
     rh = table.rh(spec)
 
@@ -399,41 +315,18 @@ def _crossfit_mean_reports(
         pop_var[rep] = variance_if(phi_pop[keep])
         results.append(res)
 
-    diag = _merged(results)
-    common = dict(n_folds=n_folds, seed=seed, ci_level=ci_level, kind=label, mode=mode,
+    diag = Diagnostics()
+    for r in results:
+        diag.merge(r.diagnostics)
+    common = dict(n_folds=n_folds, seed=seed, ci_level=ci_level, mode=mode,
                   trim=trim, winsorize=winsorize)
-    beta_report = _report(table, np.array([r.estimate for r in results]),
-                          np.array([r.variance for r in results]), diag, **common)
-    return beta_report, _report(table, pop_est, pop_var, diag, **common)
+    missing = _report(table, np.array([r.estimate for r in results]),
+                      np.array([r.variance for r in results]), diag, **common)
+    return missing, _report(table, pop_est, pop_var, diag, **common)
 
 
-def crossfit_population_mean(
-    table: ObservationTable,
-    spec: FunctionalSpec,
-    cfg: LearnerConfig,
-    *,
-    n_folds: int = 5,
-    repetitions: int = 1,
-    seed: int = 0,
-    ci_level: float = 0.95,
-    kind: EstimatorKind = "auto",
-    mode: str = "marginalize",
-    trim: TrimPolicy = "floor",
-    winsorize: float | None = None,
-    fitter: FitterType | None = None,
-) -> EstimateReport:
-    """Cross-fitted population functional (1 - pi0) alpha + pi0 beta.
-
-    alpha is the complete-case mean of h (no model, no cross-fitting
-    needed).  beta and the influence-value variance come from one shared
-    fold pass per repetition: the same split and per-fold nuisance fits
-    that crossfit_beta uses with equal arguments, which is how `mivest
-    estimate` gets both mean reports from one pass.  pi0 in the
-    composition is the full-sample share so the identity
-    estimate == (1 - pi0) alpha + pi0 beta holds exactly.
-    """
-    return _crossfit_mean_reports(
-        table, spec, cfg,
-        n_folds=n_folds, repetitions=repetitions, seed=seed, ci_level=ci_level,
-        kind=kind, mode=mode, trim=trim, winsorize=winsorize, fitter=fitter,
-    )[1]
+# No library code calls this: it stays bound because the benchmark tracer
+# (perfbench/trace_child.py) wraps mivest.cli.crossfit_population_mean.
+def crossfit_population_mean(table, spec, cfg, **kwargs) -> EstimateReport:
+    """The population report of crossfit_beta with the same arguments."""
+    return crossfit_beta(table, spec, cfg, **kwargs)[1]

@@ -49,6 +49,11 @@ class SimulationSection:
     parameters: Mapping[str, float] = field(default_factory=dict)
     oracle_draws: int = 10_000_000
 
+    def __post_init__(self) -> None:
+        if self.oracle_draws < 1:
+            raise ConfigurationError(
+                f"simulation.oracle_draws must be at least 1, got {self.oracle_draws}")
+
     def as_dict(self) -> dict:
         return {
             "family": self.family,

@@ -143,11 +143,6 @@ def if_values_general(
     return parts.phi_tilde - (1.0 - R) / ns.pi0 * beta
 
 
-def g_value(ns: NuisanceSet, z: int, x: np.ndarray, *, on_floor: str = "raise") -> float:
-    """g(z, x) at a single point."""
-    return float(ns.g(z, np.atleast_2d(np.asarray(x, dtype=float)), on_floor=on_floor)[0])
-
-
 def _require_incomplete(table: ObservationTable, ns: NuisanceSet) -> None:
     if table.n0 == 0:
         raise NoIncompleteCasesError("no rows with R = 0; the target is undefined")
@@ -233,51 +228,6 @@ def normal_ci(estimate: float, variance: float, level: float = 0.95) -> tuple[fl
     zq = NormalDist().inv_cdf(0.5 + level / 2.0)
     hw = zq * float(np.sqrt(max(variance, 0.0)))
     return (estimate - hw, estimate + hw)
-
-
-@dataclass
-class PopulationMeanResult:
-    """Estimate of E[h(Y; psi)] over the full population.
-
-    estimate = P(R=1) * alpha + pi0 * beta with alpha the complete-case
-    mean of h and beta the influence-function estimate for nonrespondents.
-    """
-
-    estimate: float
-    variance: float
-    alpha: float
-    beta: float
-    p_respond: float
-
-
-def population_mean_if(
-    table: ObservationTable,
-    ns: NuisanceSet,
-    spec: FunctionalSpec,
-    *,
-    trim: TrimPolicy = "floor",
-    winsorize: float | None = None,
-    diag: Diagnostics | None = None,
-) -> PopulationMeanResult:
-    """Population functional E[h] with its influence-function variance."""
-    _require_incomplete(table, ns)
-    if table.n1 == 0:
-        raise EstimationError("no complete cases; population functional needs both")
-    h_obs = evaluate_h(spec, table.y_observed)
-    alpha = float(np.mean(h_obs))
-    p1 = 1.0 - ns.pi0
-    parts = _phi_parts_general(table, ns, spec, trim, diag)
-    beta = _retained_mean(parts, winsorize, diag)
-    R = table.R.astype(float)
-    phi = _population_phi(parts.phi_tilde, (1.0 - R) / ns.pi0, parts.delta_own,
-                          R, table.rh(spec), alpha, beta, ns.pi0)
-    return PopulationMeanResult(
-        estimate=p1 * alpha + ns.pi0 * beta,
-        variance=variance_if(phi[parts.keep]),
-        alpha=alpha,
-        beta=beta,
-        p_respond=p1,
-    )
 
 
 def _population_phi(

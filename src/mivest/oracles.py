@@ -37,6 +37,7 @@ from .simulation import (
     FAMILY_DUAL,
     FAMILY_SINGLE,
     _oracle_batches,
+    _require_draws,
     _rng,
     instrument_prob_single,
     instrument_probs_dual,
@@ -292,6 +293,7 @@ def oracle_identified_beta(
     only by the clamp-induced violation of instrument independence, which
     is tiny for the built-in families.  Returns (value, mc standard error).
     """
+    _require_draws(draws)
     params = dict(parameters or {})
     delta = oracle_delta_fn(family, params, psi)
     rng = _rng(np.random.SeedSequence(seed, spawn_key=(_DOMAIN_ORACLE, 99)))

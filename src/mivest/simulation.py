@@ -412,6 +412,11 @@ def _missing_rows(family, m, rng, clamp_policy, parameters, columns, scratch):
     return tuple(batch[k][r0] for k in columns), p_r0.shape[0], n_invalid
 
 
+def _require_draws(draws: int) -> None:
+    if draws < 1:
+        raise ConfigurationError(f"oracle draws must be at least 1, got {draws}")
+
+
 def _oracle_rng(spec: DGPSpec, seed: int | None) -> np.random.Generator:
     return _rng(np.random.SeedSequence(
         spec.seed if seed is None else seed, spawn_key=(_DOMAIN_ORACLE,)
@@ -429,6 +434,7 @@ def oracle_beta(
     Uses the generator's own clamp policy, so the value is the truth of the
     implemented data law, not of the raw printed formula.
     """
+    _require_draws(draws)
     functional = functional or FunctionalSpec.mean()
     tot_n0 = 0
     s1 = 0.0
@@ -467,6 +473,7 @@ def oracle_missing_quantile(
     seed: int | None = None,
 ) -> float:
     """psi with P(Y >= psi | R = 0) = q, by brute-force draw."""
+    _require_draws(draws)
     y0 = np.concatenate([
         y for (y,), _, _ in _oracle_batches(
             spec.family, draws, _oracle_rng(spec, seed), spec.clamp_policy,
@@ -561,7 +568,7 @@ def _mc_worker(payload: tuple) -> dict:
 
 
 def _mc_replication(r, dgp, cfg, functional, n_folds, repetitions, ci_level,
-                    estimators, mode, trim, winsorize, master_seed, kind) -> dict:
+                    estimators, mode, trim, winsorize, master_seed) -> dict:
     from .crossfit import crossfit_beta
     from .general import beta_id_general
     from .nuisance import fit_nuisance_set
@@ -585,9 +592,8 @@ def _mc_replication(r, dgp, cfg, functional, n_folds, repetitions, ci_level,
             rep = crossfit_beta(
                 table, functional, cfg,
                 n_folds=n_folds, repetitions=repetitions, seed=fold_seed,
-                ci_level=ci_level, kind=kind, mode=mode, trim=trim,
-                winsorize=winsorize,
-            )
+                ci_level=ci_level, mode=mode, trim=trim, winsorize=winsorize,
+            )[0]
             out["if"] = (rep.estimate, rep.variance, rep.ci_lower, rep.ci_upper)
         except (EstimationError, FitError) as e:
             out["if_error"] = str(e)
@@ -625,7 +631,6 @@ def run_monte_carlo(
     repetitions: int = 1,
     ci_level: float = 0.95,
     estimators: tuple[str, ...] = ("id", "if"),
-    kind: str = "auto",
     mode: str = "marginalize",
     trim: str = "floor",
     winsorize: float | None = None,
@@ -634,7 +639,10 @@ def run_monte_carlo(
 ) -> MonteCarloReport:
     """Repeated draw-estimate cycles summarised against a known oracle.
 
-    Replication r draws its data from SeedSequence(master_seed,
+    Each replication runs the estimators named in `estimators`: "id", the
+    plug-in on one in-sample nuisance fit, and "if", the missing report of
+    crossfit_beta with n_folds, repetitions, ci_level, mode, trim and
+    winsorize.  Replication r draws its data from SeedSequence(master_seed,
     spawn_key=(1, r)) and its folds from an independently derived stream,
     so results are identical for any threads value and any scheduling.
     Failed replications are counted per estimator, not silently dropped.
@@ -646,7 +654,7 @@ def run_monte_carlo(
     master = dgp.seed if master_seed is None else master_seed
     payloads = [
         (r, dgp, cfg, functional, n_folds, repetitions, ci_level,
-         tuple(estimators), mode, trim, winsorize, master, kind)
+         tuple(estimators), mode, trim, winsorize, master)
         for r in range(replications)
     ]
     if threads > 1:

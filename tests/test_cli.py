@@ -586,6 +586,82 @@ def test_exit_code_for_estimation_errors(tmp_path, capsys):
     assert "estimation error" in capsys.readouterr().err
 
 
+def test_binary_estimator_needs_two_levels(tmp_path, capsys, monkeypatch):
+    # checked from the table's L before any nuisance fit, for both functionals
+    import mivest.crossfit
+    import mivest.general
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a nuisance set was fitted")
+
+    monkeypatch.setattr(mivest.crossfit, "fit_nuisance_set", no_fit)
+    monkeypatch.setattr(mivest.general, "fit_nuisance_set", no_fit)
+    table, _ = generate(DGPSpec(family="dual_binary_iv", n=800, seed=14))
+    data = tmp_path / "dual.csv"
+    write_table_csv(table, data, covariate_names=["x1", "x2"])
+    for functional in ({"kind": "mean"}, {"kind": "quantile", "q": 0.5}):
+        doc = make_doc(functional=functional, estimation={"estimator": "binary"})
+        out = tmp_path / "r.json"
+        rc = main(["estimate", "--config", write_yaml(tmp_path / "cfg.yaml", doc),
+                   "--data", str(data), "--out", str(out)])
+        assert rc == 4
+        assert "binary estimator requires a two-level instrument" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_simulate_checks_the_estimator_before_the_oracle(tmp_path, capsys, monkeypatch):
+    import mivest.cli
+
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("the oracle was drawn")
+
+    monkeypatch.setattr(mivest.cli, "oracle_beta", no_oracle)
+    doc = make_doc(estimation={"estimator": "binary"},
+                   simulation={"family": "dual_binary_iv", "n": 250, "replications": 2})
+    rc = main(["simulate", "--config", write_yaml(tmp_path / "sim.yaml", doc)])
+    assert rc == 4
+    assert "binary estimator requires a two-level instrument" in capsys.readouterr().err
+
+
+def test_estimator_labels_the_report_and_selects_no_code(tmp_path, survey_csv):
+    # one influence function serves every L, so at L = 2 "binary" and
+    # "general" differ in the report's label only, in both modes; "auto"
+    # reads "binary" at L = 2
+    def report(estimator, mode):
+        doc = make_doc(estimation={"estimator": estimator, "mode": mode})
+        out = tmp_path / f"{estimator}-{mode}.json"
+        assert main(["estimate", "--config", write_yaml(tmp_path / "cfg.yaml", doc),
+                     "--data", survey_csv, "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        rep["config"].pop("estimation")
+        labels = {name: res.pop("estimator") for name, res in rep["results"].items()}
+        assert set(labels.values()) == {estimator if estimator != "auto" else "binary"}
+        return rep
+
+    for mode in ("marginalize", "direct"):
+        auto = report("auto", mode)
+        assert report("binary", mode) == auto
+        assert report("general", mode) == auto
+
+
+@pytest.mark.parametrize("argv, sim", [
+    (["oracle", "--draws", "-5"], {}),
+    (["oracle", "--draws", "0"], {}),
+    (["robustness", "--reference-draws", "-5", "--n", "1000"], {}),
+    (["oracle"], {"oracle_draws": -3}),
+], ids=["oracle-draws-negative", "oracle-draws-zero", "robustness-reference-draws",
+        "config-oracle-draws"])
+def test_draw_counts_below_one_are_configuration_errors(tmp_path, capsys, argv, sim):
+    doc = make_doc(simulation={"family": "dual_binary_iv", **sim})
+    out = tmp_path / "o.json"
+    rc = main([argv[0], "--config", write_yaml(tmp_path / "cfg.yaml", doc),
+               "--out", str(out), *argv[1:]])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "at least 1" in err
+    assert not out.exists()
+
+
 def test_simulate_command(tmp_path, capsys):
     doc = make_doc(simulation={"family": "single_binary_iv", "n": 250,
                                "replications": 2, "oracle_draws": 200_000})

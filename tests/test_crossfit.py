@@ -1,25 +1,30 @@
-"""Fold plans, one-pass cross-fitting, repetition medians, final reports."""
+"""Fold plans, the fold loop, the repetition driver and its reports."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mivest.crossfit import (FoldPlan, _crossfit_mean_reports, crossfit_beta,
-                             crossfit_estimate, crossfit_population_mean,
-                             make_folds, median_adjust)
+from mivest.crossfit import (FoldPlan, _crossfit_pass, crossfit_beta, make_folds,
+                             median_adjust)
 from mivest.data import FunctionalSpec, ObservationTable
 from mivest.general import beta_if_general
 from mivest.exceptions import (ConfigurationError, EstimationError, FitError,
                                NoIncompleteCasesError, NuisanceFitError)
 from mivest.learners import LearnerConfig
-from mivest.nuisance import fit_nuisance_set
+from mivest.nuisance import Diagnostics, fit_nuisance_set
 from mivest.simulation import DGPSpec, generate
 
 from helpers import small_table
 
 SPEC = FunctionalSpec.mean()
 CFG = LearnerConfig()
+
+
+def one_pass(table, plan, fitter=fit_nuisance_set, winsorize=None):
+    """One repetition's fold loop, marginalize mode, floor trim."""
+    return _crossfit_pass(table, SPEC, CFG, plan, "marginalize", "floor", winsorize,
+                          fitter)[0]
 
 
 @pytest.fixture(scope="module")
@@ -104,7 +109,7 @@ def test_crossfit_on_duplicated_halves_matches_plain_fit(mid_table):
     assignments = np.repeat([0, 1], m)
     plan = FoldPlan(n=2 * m, n_folds=2, seed=0, repetition=0,
                     assignments=assignments)
-    res = crossfit_estimate(t2, SPEC, CFG, plan=plan)
+    res = one_pass(t2, plan)
     ns = fit_nuisance_set(mid_table, SPEC, CFG)
     plain = beta_if_general(mid_table, ns, SPEC)
     assert res.estimate == pytest.approx(plain, abs=1e-12)
@@ -119,8 +124,7 @@ def test_fitter_never_sees_the_evaluation_fold(mid_table):
         seen.append(train)
         return fit_nuisance_set(train, spec, cfg, mode=mode)
 
-    res = crossfit_estimate(mid_table, SPEC, CFG, n_folds=4, seed=2,
-                            fitter=spy)
+    res = one_pass(mid_table, make_folds(mid_table.n, 4, seed=2), fitter=spy)
     assert len(seen) == 4
     for k, train in enumerate(seen):
         expected = mid_table.X[res.plan.assignments != k]
@@ -133,24 +137,13 @@ def test_fold_errors_name_the_fold():
     plan = FoldPlan(n=6, n_folds=3, seed=0, repetition=0,
                     assignments=np.array([0, 0, 1, 1, 2, 2]))
     with pytest.raises(NuisanceFitError, match="fold 0.*level 1"):
-        crossfit_estimate(t, SPEC, CFG, plan=plan)
-
-
-def test_plan_size_mismatch(mid_table):
-    plan = make_folds(10, 2, seed=0)
-    with pytest.raises(ConfigurationError):
-        crossfit_estimate(mid_table, SPEC, CFG, plan=plan)
+        one_pass(t, plan)
 
 
 def test_crossfit_requires_incomplete_rows():
     t = small_table([0, 1, 0, 1], [1, 1, 1, 1], [1.0, 2.0, 3.0, 4.0])
     with pytest.raises(NoIncompleteCasesError):
-        crossfit_estimate(t, SPEC, CFG, n_folds=2)
-
-
-def test_binary_kind_needs_two_levels(dual_table):
-    with pytest.raises(ConfigurationError):
-        crossfit_estimate(dual_table, SPEC, CFG, kind="binary")
+        crossfit_beta(t, SPEC, CFG, n_folds=2)
 
 
 def test_even_repetition_count_warns(mid_table):
@@ -165,10 +158,9 @@ def test_repetitions_must_be_positive(mid_table):
 
 def test_report_shape_and_determinism(mid_table):
     kw = dict(n_folds=4, repetitions=3, seed=11, ci_level=0.9)
-    rep = crossfit_beta(mid_table, SPEC, CFG, **kw)
-    rep2 = crossfit_beta(mid_table, SPEC, CFG, **kw)
+    rep, _ = crossfit_beta(mid_table, SPEC, CFG, **kw)
+    rep2, _ = crossfit_beta(mid_table, SPEC, CFG, **kw)
     assert rep.as_dict() == rep2.as_dict()
-    assert rep.kind == "binary"
     assert rep.n == mid_table.n
     assert rep.n0 == mid_table.n0
     assert rep.std_error == pytest.approx(np.sqrt(rep.variance))
@@ -179,21 +171,20 @@ def test_report_shape_and_determinism(mid_table):
     assert rep.estimate == point
     assert rep.variance == var
     d = rep.as_dict()
-    assert d["estimator"] == "binary"
+    assert "estimator" not in d  # the CLI labels the report
     assert d["n_incomplete"] == mid_table.n0
     assert d["ci"] == [rep.ci_lower, rep.ci_upper]
 
 
 def test_repetition_estimates_are_split_dependent(mid_table):
-    rep = crossfit_beta(mid_table, SPEC, CFG, n_folds=4, repetitions=3,
-                        seed=1)
+    rep, _ = crossfit_beta(mid_table, SPEC, CFG, n_folds=4, repetitions=3,
+                           seed=1)
     assert len(set(rep.per_repetition_estimates)) == 3
 
 
 def test_population_mean_composes_with_missing_mean(mid_table):
     kw = dict(n_folds=4, repetitions=1, seed=6)
-    pop = crossfit_population_mean(mid_table, SPEC, CFG, **kw)
-    beta = crossfit_beta(mid_table, SPEC, CFG, **kw)
+    beta, pop = crossfit_beta(mid_table, SPEC, CFG, **kw)
     alpha = float(np.mean(mid_table.y_observed))
     pi0 = mid_table.n0 / mid_table.n
     assert pop.estimate == pytest.approx(
@@ -203,7 +194,7 @@ def test_population_mean_composes_with_missing_mean(mid_table):
 def test_population_mean_needs_complete_cases():
     t = small_table([0, 1, 0, 1], [0, 0, 0, 0], [None] * 4)
     with pytest.raises(EstimationError):
-        crossfit_population_mean(t, SPEC, CFG, n_folds=2)
+        crossfit_beta(t, SPEC, CFG, n_folds=2)
 
 
 def test_population_mean_learner_failures_name_the_fold(mid_table):
@@ -211,37 +202,32 @@ def test_population_mean_learner_failures_name_the_fold(mid_table):
         raise FitError("learner gave up")
 
     with pytest.raises(FitError, match=r"^fold 0: learner gave up"):
-        crossfit_population_mean(mid_table, SPEC, CFG, n_folds=3, fitter=failing)
+        crossfit_beta(mid_table, SPEC, CFG, n_folds=3, fitter=failing)
 
 
 @pytest.mark.parametrize("family, n", [("single_binary_iv", 400), ("dual_binary_iv", 800)])
 def test_one_fold_pass_gives_both_mean_reports(family, n):
     table, _ = generate(DGPSpec(family=family, n=n, seed=4))
     kw = dict(n_folds=3, repetitions=3, seed=8, winsorize=3.0)
-    beta, pop = _crossfit_mean_reports(table, SPEC, CFG, **kw)
-    assert beta.as_dict() == crossfit_beta(table, SPEC, CFG, **kw).as_dict()
-    assert pop.as_dict() == crossfit_population_mean(table, SPEC, CFG, **kw).as_dict()
-    assert beta.kind == ("binary" if table.L == 2 else "general")
+    beta, pop = crossfit_beta(table, SPEC, CFG, **kw)
+    # the missing report is the median adjustment of one fold pass per
+    # repetition, on the folds drawn from (seed, repetition)
+    passes = [one_pass(table, make_folds(table.n, 3, 8, r), winsorize=3.0)
+              for r in range(3)]
+    assert beta.per_repetition_estimates == [r.estimate for r in passes]
+    assert beta.per_repetition_variances == [r.variance for r in passes]
+    assert (beta.estimate, beta.variance) == median_adjust(
+        beta.per_repetition_estimates, beta.per_repetition_variances)
+    diag = Diagnostics()
+    for r in passes:
+        diag.merge(r.diagnostics)
+    assert beta.diagnostics == pop.diagnostics == diag.as_dict()
     assert beta.diagnostics["winsorized"] > 0
     # each repetition's population estimate composes with that repetition's beta
     alpha = float(np.mean(table.y_observed))
     pi0 = table.n0 / table.n
     for b, p in zip(beta.per_repetition_estimates, pop.per_repetition_estimates):
         assert p == pytest.approx((1.0 - pi0) * alpha + pi0 * b, abs=1e-12)
-
-
-def test_estimator_kind_labels_the_report_and_selects_no_code():
-    # one influence function serves every L, so at L = 2 "binary" and
-    # "general" differ in the report's label only, in both modes
-    table, _ = generate(DGPSpec(family="single_binary_iv", n=5_000, seed=414))
-    kw = dict(n_folds=5, repetitions=3, seed=1)
-    for mode in ("marginalize", "direct"):
-        binary = _crossfit_mean_reports(table, SPEC, CFG, kind="binary", mode=mode, **kw)
-        general = _crossfit_mean_reports(table, SPEC, CFG, kind="general", mode=mode, **kw)
-        for b, g in zip(binary, general):
-            b, g = b.as_dict(), g.as_dict()
-            assert (b.pop("estimator"), g.pop("estimator")) == ("binary", "general")
-            assert b == g
 
 
 @pytest.fixture(scope="module")
@@ -264,7 +250,7 @@ def test_crossfit_estimate_does_not_depend_on_row_order(family_tables, family, s
     perm = np.random.default_rng(seed).permutation(table.n)
     moved = FoldPlan(n=table.n, n_folds=5, seed=1, repetition=0,
                      assignments=plan.assignments[perm])
-    a = crossfit_estimate(table, SPEC, CFG, plan=plan)
-    b = crossfit_estimate(table.subset(perm), SPEC, CFG, plan=moved)
+    a = one_pass(table, plan)
+    b = one_pass(table.subset(perm), moved)
     assert a.estimate == pytest.approx(b.estimate, rel=1e-10, abs=1e-10)
     assert a.variance == pytest.approx(b.variance, rel=1e-10, abs=1e-10)

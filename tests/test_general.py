@@ -8,10 +8,10 @@ from mivest.data import FunctionalSpec, ObservationTable, evaluate_h
 from mivest.exceptions import (DenominatorFloorError, EstimationError,
                                NoIncompleteCasesError)
 from mivest.corruption import shift_probability
+from mivest.crossfit import crossfit_beta
 from mivest.general import (_phi_parts_general, beta_id_general,
-                            beta_if_general, g_value, if_values_general,
-                            normal_ci, population_mean_if, solve_functional,
-                            variance_if)
+                            beta_if_general, if_values_general, normal_ci,
+                            solve_functional, variance_if)
 from mivest.learners import LearnerConfig
 from mivest.nuisance import fit_nuisance_set
 from mivest.oracles import oracle_nuisances
@@ -20,27 +20,32 @@ from mivest.simulation import DGPSpec, generate, oracle_missing_quantile
 from helpers import const_fn, const_ns, one_row_x, small_table
 
 SPEC = FunctionalSpec.mean()
-X_ROW = one_row_x()
+X_ROW = one_row_x()[None, :]
+
+
+def fixed(ns):
+    """A fitter that ignores its training rows and returns ns for every fold."""
+    return lambda train, spec, cfg, mode="marginalize": ns
 
 
 def test_g_value_example():
     ns = const_ns(pi=(0.8, 0.6), rho=(0.5, 0.5), mu=(0.0, 0.0), pi0=0.2,
                   pi_marg=0.3)
-    assert g_value(ns, 0, X_ROW) == pytest.approx(2.0)
+    assert ns.g(0, X_ROW)[0] == pytest.approx(2.0)
 
 
 def test_g_value_vanishes_for_saturated_level():
     ns = const_ns(pi=(1.0 - 1e-6, 0.6), rho=(0.5, 0.5), mu=(0.0, 0.0),
                   pi0=0.2, pi_marg=0.3)
-    assert abs(g_value(ns, 0, X_ROW)) < 1e-5
+    assert abs(ns.g(0, X_ROW)[0]) < 1e-5
 
 
 def test_g_value_floor_policy():
     ns = const_ns(pi=(0.3, 0.6), rho=(0.5, 0.5), mu=(0.0, 0.0), pi0=0.2,
                   pi_marg=0.3)
     with pytest.raises(DenominatorFloorError):
-        g_value(ns, 0, X_ROW)
-    assert np.isfinite(g_value(ns, 0, X_ROW, on_floor="floor"))
+        ns.g(0, X_ROW)
+    assert np.isfinite(ns.g(0, X_ROW, on_floor="floor")[0])
 
 
 def test_rho_weighted_g_identity(dual_fit):
@@ -67,7 +72,7 @@ def test_beta_id_general_ignores_respondents():
 def test_if_value_general_worked_example():
     ns = const_ns(pi=(0.7, 0.9), rho=(1 / 7, 6 / 7), mu=(1.0, 1.0), pi0=0.5,
                   pi_marg=0.3, delta=2.0)
-    t = small_table([0], [1], [2.0], X=X_ROW[None, :], L=2)
+    t = small_table([0], [1], [2.0], X=X_ROW, L=2)
     v = if_values_general(t, ns, 99.0, SPEC)[0]
     assert v == pytest.approx(0.4)
 
@@ -76,7 +81,7 @@ def test_if_value_general_zero_when_weights_balance():
     # constant pi makes g flat in z, and delta = beta kills the tail term
     ns = const_ns(pi=(0.7, 0.7), rho=(0.25, 0.75), mu=(1.0, 1.0), pi0=0.5,
                   pi_marg=0.3, delta=2.0)
-    t = small_table([1], [0], [None], X=X_ROW[None, :], L=2)
+    t = small_table([1], [0], [None], X=X_ROW, L=2)
     v = if_values_general(t, ns, 2.0, SPEC)[0]
     assert v == pytest.approx(0.0, abs=1e-12)
 
@@ -109,18 +114,23 @@ def test_population_mean_constant_outcome():
                   pi_marg=0.3, delta=c)
     t = small_table([0, 1, 0, 1, 0, 1, 0, 1], [1, 1, 1, 0, 1, 0, 1, 1],
                     [c, c, c, None, c, None, c, c], L=2)
-    res = population_mean_if(t, ns, SPEC)
-    assert res.estimate == pytest.approx(c, abs=1e-12)
-    assert res.alpha == pytest.approx(c)
-    assert res.beta == pytest.approx(c)
+    missing, population = crossfit_beta(t, SPEC, LearnerConfig(), n_folds=2,
+                                        fitter=fixed(ns))
+    assert missing.estimate == pytest.approx(c, abs=1e-12)
+    assert population.estimate == pytest.approx(c, abs=1e-12)
 
 
 def test_population_mean_composition(single_table, single_fit):
-    res = population_mean_if(single_table, single_fit, SPEC)
-    composed = ((1.0 - single_fit.pi0) * res.alpha
-                + single_fit.pi0 * res.beta)
-    assert res.estimate == pytest.approx(composed, rel=1e-14)
-    assert res.p_respond == pytest.approx(1.0 - single_fit.pi0)
+    # every fold evaluates the one in-sample set, so the driver's beta is
+    # that set's influence-function estimate
+    missing, population = crossfit_beta(single_table, SPEC, LearnerConfig(), n_folds=2,
+                                        fitter=fixed(single_fit))
+    assert missing.estimate == pytest.approx(
+        beta_if_general(single_table, single_fit, SPEC), rel=1e-12)
+    alpha = float(np.mean(single_table.y_observed))
+    pi0 = single_table.n0 / single_table.n
+    assert population.estimate == pytest.approx(
+        (1.0 - pi0) * alpha + pi0 * missing.estimate, rel=1e-14)
 
 
 def test_population_mean_needs_both_groups():
@@ -128,10 +138,10 @@ def test_population_mean_needs_both_groups():
                   pi_marg=0.3)
     complete = small_table([0, 1], [1, 1], [1.0, 2.0])
     with pytest.raises(NoIncompleteCasesError):
-        population_mean_if(complete, ns, SPEC)
+        crossfit_beta(complete, SPEC, LearnerConfig(), n_folds=2, fitter=fixed(ns))
     missing = small_table([0, 1], [0, 0], [None, None])
-    with pytest.raises(EstimationError):
-        population_mean_if(missing, ns, SPEC)
+    with pytest.raises(EstimationError, match="no complete cases"):
+        crossfit_beta(missing, SPEC, LearnerConfig(), n_folds=2, fitter=fixed(ns))
 
 
 def test_solve_functional_input_contract(single_table):

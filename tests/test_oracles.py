@@ -141,6 +141,10 @@ def test_identified_beta_dual_family():
 
 
 def test_identified_beta_without_missing_draws_is_an_estimation_error():
-    # typed, so `mivest robustness --reference-draws 0` exits with code 3
+    # typed, so a `mivest robustness` reference that draws no nonrespondent
+    # exits with code 3; the one draw of seed 2 is a respondent
     with pytest.raises(EstimationError, match="no R = 0 draws"):
+        oracle_identified_beta("dual_binary_iv", draws=1, seed=2)
+    # a draw count below 1 is a configuration error (exit 4)
+    with pytest.raises(ConfigurationError, match="at least 1"):
         oracle_identified_beta("dual_binary_iv", draws=0)

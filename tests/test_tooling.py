@@ -1,6 +1,8 @@
 """Tooling that reaches into the package by name."""
 
+import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -81,3 +83,45 @@ def test_cli_runs_without_loading_scipy(tmp_path):
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_tracer_sees_the_fold_loop_of_a_mean_estimate(tmp_path):
+    # `estimate` reaches the fold loop through the CLI's crossfit_beta
+    # binding, which the tracer wraps, so the fold time lands in that span
+    from mivest.dataio import write_table_csv
+    from mivest.simulation import DGPSpec, generate
+
+    table, _ = generate(DGPSpec(family="single_binary_iv", n=600, seed=3))
+    write_table_csv(table, tmp_path / "d.csv", covariate_names=["x1", "x2"])
+    doc = {"format": "mivest-config/1",
+           "data": {"outcome": "y", "response": "r", "instruments": ["z"],
+                    "covariates": ["x1", "x2"]},
+           "functional": {"kind": "mean"},
+           "estimation": {"folds": 3, "repetitions": 1, "seed": 1}}
+    (tmp_path / "c.yaml").write_text(json.dumps(doc))
+    spans_path = tmp_path / "spans.json"
+    proc = subprocess.run(
+        [sys.executable, "perfbench/trace_child.py", str(spans_path), "--",
+         "estimate", "--config", str(tmp_path / "c.yaml"), "--data", str(tmp_path / "d.csv")],
+        cwd=ROOT, env=dict(os.environ, PYTHONPATH="src"),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    spans = json.loads(spans_path.read_text())["spans"]
+    folds = [end - start for name, start, end, _, _ in spans
+             if name == "crossfit.crossfit_beta"]
+    assert len(folds) == 1 and folds[0] > 0
+
+
+def test_readme_quickstart_runs(tmp_path):
+    # the README's Python blocks are the documented library entry points
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", text, flags=re.S)
+    assert blocks
+    for block in blocks:
+        proc = subprocess.run(
+            [sys.executable, "-c", block], cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
