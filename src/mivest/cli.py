@@ -23,6 +23,7 @@ from .dataio import (
     REPORT_FORMAT,
     AnalysisConfig,
     ingest_csv,
+    ingest_csv_per_instrument,
     load_config,
     write_report,
 )
@@ -220,9 +221,7 @@ def cmd_estimate(cfg: AnalysisConfig, args: argparse.Namespace) -> int:
     }
     if cfg.instrument_mode == "separate":
         per: dict[str, Any] = {}
-        for col in cfg.instruments:
-            one = dataclasses.replace(cfg, instruments=(col,), instrument_mode="product")
-            table, info = ingest_csv(args.data, one)
+        for col, one, table, info in ingest_csv_per_instrument(args.data, cfg):
             results, fit_warnings = _estimate_one(table, one)
             per[col] = {"data": info.as_dict(), "results": results}
             if fit_warnings:
@@ -261,6 +260,8 @@ def cmd_simulate(cfg: AnalysisConfig, args: argparse.Namespace) -> int:
     sim = _require_simulation(cfg)
     n = args.n if args.n is not None else sim.n
     replications = args.replications if args.replications is not None else sim.replications
+    if replications < 1:    # before the oracle draws its records
+        raise ConfigurationError(f"--replications must be at least 1, got {replications}")
     dgp = DGPSpec(family=sim.family, n=n, seed=cfg.seed,
                   clamp_policy=sim.clamp_policy, parameters=sim.parameters)
     _estimator_label(cfg.estimator, _LEVELS[sim.family])  # simulate reports carry no label

@@ -15,7 +15,7 @@ import json
 import operator
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 import yaml
@@ -50,6 +50,9 @@ class SimulationSection:
     oracle_draws: int = 10_000_000
 
     def __post_init__(self) -> None:
+        if self.replications < 1:
+            raise ConfigurationError(
+                f"simulation.replications must be at least 1, got {self.replications}")
         if self.oracle_draws < 1:
             raise ConfigurationError(
                 f"simulation.oracle_draws must be at least 1, got {self.oracle_draws}")
@@ -502,20 +505,27 @@ def encode_instrument(
     return codes.astype(np.int64), enc
 
 
-def ingest_csv(path: str | Path, config: AnalysisConfig) -> tuple[ObservationTable, IngestInfo]:
-    """Read a survey-style CSV into a validated ObservationTable.
+@dataclass
+class _RoleColumns:
+    """One CSV's parsed response, outcome and covariate columns, plus the
+    raw cells of each instrument column, parsed when an analysis encodes it."""
 
-    Comma-separated, UTF-8, header row required, empty cell = missing.
-    The response column must contain only {0, 1}.  Outcome cells must be
-    empty where the response is 0; under strict_outcome a violation is an
-    error naming the rows, otherwise the cells are masked with a warning.
-    Missing covariate or instrument cells are always errors.
+    path: str | Path
+    r: np.ndarray
+    y: np.ndarray
+    X: np.ndarray
+    masked: tuple[int, ...]
+    warnings: list[str]
+    instrument_cells: dict[str, list[str]]
 
-    csv.reader tokenizes the whole file into one list of records; the
-    width check is one set of record lengths, and each role column is
-    gathered with operator.itemgetter and parsed whole
-    (_parse_numeric_column).  Rows are listed one by one only to name them
-    in an error.
+
+def _read_roles(path: str | Path, config: AnalysisConfig,
+                instruments: Sequence[str]) -> _RoleColumns:
+    """Read the file once and parse its response, outcome and covariates.
+
+    The outcome, response, `instruments` and covariate columns must be in
+    the header; the cells of every config.instruments column the header
+    has are kept for _encode_table.
     """
     try:
         with open(path, newline="", encoding="utf-8") as f:
@@ -529,11 +539,10 @@ def ingest_csv(path: str | Path, config: AnalysisConfig) -> tuple[ObservationTab
         raise DataContractError(f"cannot read data file {path}: {e}") from e
 
     header = [h.strip() for h in header]
-    needed = [config.outcome, config.response, *config.instruments, *config.covariates]
+    needed = [config.outcome, config.response, *instruments, *config.covariates]
     missing_cols = [c for c in needed if c not in header]
     if missing_cols:
         raise DataContractError(f"{path}: missing required columns {missing_cols}")
-    col_idx = {c: header.index(c) for c in needed}
 
     width = len(header)
     if set(map(len, records)) - {width}:
@@ -543,7 +552,7 @@ def ingest_csv(path: str | Path, config: AnalysisConfig) -> tuple[ObservationTab
         raise DataContractError(f"{path}: no data rows")
 
     def column(name: str) -> list[str]:
-        return list(map(operator.itemgetter(col_idx[name]), records))
+        return list(map(operator.itemgetter(header.index(name)), records))
 
     r_vals, r_missing = _parse_numeric_column(column(config.response), config.response,
                                               allow_empty=False, what="response")
@@ -585,11 +594,23 @@ def ingest_csv(path: str | Path, config: AnalysisConfig) -> tuple[ObservationTab
         _parse_numeric_column(column(c), c, allow_empty=False, what="covariate")[0]
         for c in config.covariates
     ])
+    cells = {c: column(c) for c in config.instruments if c in header}
+    return _RoleColumns(path=path, r=r, y=y_vals, X=X, masked=masked, warnings=warnings,
+                        instrument_cells=cells)
 
+
+def _encode_table(roles: _RoleColumns,
+                  config: AnalysisConfig) -> tuple[ObservationTable, IngestInfo]:
+    """The table and its IngestInfo with config's instruments encoded."""
+    missing_cols = [c for c in config.instruments if c not in roles.instrument_cells]
+    if missing_cols:
+        raise DataContractError(f"{roles.path}: missing required columns {missing_cols}")
+    warnings = list(roles.warnings)
     encodings: list[InstrumentEncoding] = []
     code_cols: list[np.ndarray] = []
     for c in config.instruments:
-        vals, _ = _parse_numeric_column(column(c), c, allow_empty=False, what="instrument")
+        vals, _ = _parse_numeric_column(roles.instrument_cells[c], c, allow_empty=False,
+                                        what="instrument")
         codes, enc = encode_instrument(
             vals, c, bins=config.instrument_bins,
             max_levels=config.instrument_max_levels, warnings=warnings,
@@ -598,7 +619,7 @@ def ingest_csv(path: str | Path, config: AnalysisConfig) -> tuple[ObservationTab
         code_cols.append(codes)
     z, level_map = combine_instrument_levels(code_cols)
 
-    table = ObservationTable.from_arrays(X, z, r, y_vals)
+    table = ObservationTable.from_arrays(roles.X, z, roles.r, roles.y)
     info = IngestInfo(
         n=table.n,
         n_complete=table.n1,
@@ -607,9 +628,45 @@ def ingest_csv(path: str | Path, config: AnalysisConfig) -> tuple[ObservationTab
         encodings=encodings,
         level_map=level_map,
         warnings=warnings,
-        masked_rows=masked,
+        masked_rows=roles.masked,
     )
     return table, info
+
+
+def ingest_csv(path: str | Path, config: AnalysisConfig) -> tuple[ObservationTable, IngestInfo]:
+    """Read a survey-style CSV into a validated ObservationTable.
+
+    Comma-separated, UTF-8, header row required, empty cell = missing.
+    The response column must contain only {0, 1}.  Outcome cells must be
+    empty where the response is 0; under strict_outcome a violation is an
+    error naming the rows, otherwise the cells are masked with a warning.
+    Missing covariate or instrument cells are always errors.
+
+    csv.reader tokenizes the whole file into one list of records; the
+    width check is one set of record lengths, and each role column is
+    gathered with operator.itemgetter and parsed whole
+    (_parse_numeric_column).  Rows are listed one by one only to name them
+    in an error.
+    """
+    return _encode_table(_read_roles(path, config, config.instruments), config)
+
+
+def ingest_csv_per_instrument(
+    path: str | Path, config: AnalysisConfig,
+) -> Iterator[tuple[str, AnalysisConfig, ObservationTable, IngestInfo]]:
+    """ingest_csv for each instrument column of config analysed alone.
+
+    Yields (column, config of that one instrument, table, info) in column
+    order.  The file is read and its other role columns are parsed once;
+    each instrument column is parsed and encoded when its turn comes, so
+    a fault in it is raised only after the columns before it were
+    yielded, with the message ingest_csv gives on the one-instrument
+    config.
+    """
+    roles = _read_roles(path, config, config.instruments[:1])
+    for col in config.instruments:
+        one = dataclasses.replace(config, instruments=(col,), instrument_mode="product")
+        yield (col, one, *_encode_table(roles, one))
 
 
 def write_table_csv(

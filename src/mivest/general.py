@@ -24,27 +24,33 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .data import FunctionalSpec, ObservationTable, evaluate_h
+from .data import FunctionalSpec, ObservationTable
 from .exceptions import (
     DataContractError,
     EstimationError,
     NoIncompleteCasesError,
     WeakIdentificationError,
 )
-from .learners import LearnerConfig, PolyBasis, _ridge_solve
-# fit_mu_component has no caller here; it stays bound because the benchmark
-# tracer (perfbench/trace_child.py) wraps mivest.general.fit_mu_component.
+from .learners import LearnerConfig, _ridge_solve
+# fit_nuisance_set and fit_mu_component have no caller here; they stay bound
+# because the benchmark tracer (perfbench/trace_child.py) wraps
+# mivest.general.fit_nuisance_set and mivest.general.fit_mu_component.
 from .nuisance import (  # noqa: F401
+    EPS_DEN,
     Diagnostics,
-    NuisanceEval,
     NuisanceSet,
     TrimPolicy,
     evaluate_nuisances,
     fit_mu_component,
     fit_nuisance_set,
+    fit_propensities,
     floor_mask,
     winsorize_values,
 )
+
+# grid points whose R h rows are built from one comparison; small enough
+# that a block stays a few n-vectors
+_GRID_BLOCK = 4
 
 
 @dataclass
@@ -71,16 +77,19 @@ class _OwnLevel:
 
 def _own_level(
     table: ObservationTable,
-    ns: NuisanceSet,
-    ev: NuisanceEval,
+    pi: np.ndarray,
+    rho: np.ndarray,
+    delta_r: np.ndarray,
+    pi0: float,
+    eps: float,
     trim: TrimPolicy,
 ) -> _OwnLevel:
-    eps = ns.eps_den
-    hits = floor_mask(ev.delta_r, eps)                  # (L, n)
-    sign = np.where(ev.delta_r < 0, -1.0, 1.0)
-    den = np.where(hits, sign * eps, ev.delta_r)
-    g_all = (1.0 - ev.pi) / (ns.pi0 * den)
-    g_x = np.einsum("lm,lm->m", ev.rho, g_all)
+    """The psi-free factors from pi, rho and the unfloored delta_r, all (L, n)."""
+    hits = floor_mask(delta_r, eps)                     # (L, n)
+    den = np.where(hits, np.where(delta_r < 0, -eps, eps), delta_r)
+    g_all = 1.0 - pi
+    g_all /= pi0 * den
+    g_x = np.einsum("lm,lm->m", rho, g_all)
 
     if trim == "drop":
         keep = ~hits.any(axis=0)
@@ -94,16 +103,29 @@ def _own_level(
     return _OwnLevel(
         g_diff=g_all[z, rows] - g_x,
         den=den[z, rows],
-        r_resid=R - ev.pi[z, rows],
-        missing_w=(1.0 - R) / ns.pi0,
+        r_resid=R - pi[z, rows],
+        missing_w=(1.0 - R) / pi0,
         keep=keep,
         floor_hits=int(hits.sum()),
     )
 
 
-def _phi_tilde(own: _OwnLevel, rh: np.ndarray, mu_z: np.ndarray,
-               delta_z: np.ndarray) -> np.ndarray:
-    return own.g_diff * (rh - mu_z - delta_z * own.r_resid) + own.missing_w * delta_z
+def _phi_tilde(own: _OwnLevel, rh: np.ndarray, mu_z: np.ndarray, delta_z: np.ndarray,
+               out: np.ndarray | None = None,
+               work: np.ndarray | None = None) -> np.ndarray:
+    """g_diff * (rh - mu_z - delta_z * r_resid) + missing_w * delta_z.
+
+    Written into out, with work as scratch, when they are given; the
+    operations run in the order of the formula either way, so both give
+    the same bits.
+    """
+    out = np.subtract(rh, mu_z, out=out)
+    work = np.multiply(delta_z, own.r_resid, out=work)
+    out -= work
+    out *= own.g_diff
+    np.multiply(own.missing_w, delta_z, out=work)
+    out += work
+    return out
 
 
 def _phi_parts_general(
@@ -114,7 +136,7 @@ def _phi_parts_general(
     diag: Diagnostics | None,
 ) -> PhiParts:
     ev = evaluate_nuisances(ns, table.X)
-    own = _own_level(table, ns, ev, trim)
+    own = _own_level(table, ev.pi, ev.rho, ev.delta_r, ns.pi0, ns.eps_den, trim)
     if diag is not None:
         diag.floor_hits += own.floor_hits
     rows = np.arange(table.n)
@@ -283,11 +305,12 @@ def solve_functional(
     target "population" roots M(psi) = P(R=1) alpha(psi) + pi0 beta_IF(psi);
     target "missing" roots beta_IF(psi) alone (quantile among nonrespondents).
     The moment is evaluated on a psi-grid spanning the observed outcome
-    range in a single pass: the nuisance set is fitted and evaluated once
-    on the whole table (in sample, no cross-fitting), and only mu depends
-    on psi, so mu for every grid point comes from one ridge solve per level
-    against all grid targets at once.  The root is found by bisection on
-    the piecewise-linear interpolant of the grid moments; no sign change
+    range in a single pass, in sample on the whole table (no
+    cross-fitting): the table's basis is transformed once, only the
+    psi-free models (pi, rho, pi0) are fitted and evaluated once on it, and
+    mu for every grid point comes from one ridge solve per level against
+    all grid targets at once (_grid_beta).  The root is found by bisection
+    on the piecewise-linear interpolant of the grid moments; no sign change
     raises WeakIdentificationError.
     """
     (res,) = _solve_quantiles(table, cfg, q, (target,), grid_size=grid_size, tol=tol,
@@ -325,11 +348,13 @@ def _solve_quantiles(
                             grid=np.array([lo]), moments=np.array([0.0]))
                 for _ in targets]
     grid = np.linspace(lo, hi, grid_size)
-    alpha = np.array([float(np.mean(evaluate_h(FunctionalSpec.quantile(q, psi=p), y)))
-                      for p in grid])
+    # alpha(psi) = mean of h(y; psi) over the observed outcomes, a block of
+    # grid points per comparison
+    alpha = np.concatenate([np.mean((y >= grid[j:j + _GRID_BLOCK, None]) - q, axis=1)
+                            for j in range(0, grid.size, _GRID_BLOCK)])
     if fully_observed:
         return [_root(grid, alpha, tol)]
-    beta, pi0 = _grid_beta(table, cfg, q, grid, mode=mode, trim=trim, winsorize=winsorize)
+    beta, pi0 = _grid_beta(table, cfg, q, grid, y, mode=mode, trim=trim, winsorize=winsorize)
     moments = {"missing": beta, "population": (1.0 - pi0) * alpha + pi0 * beta}
     return [_root(grid, moments[target], tol) for target in targets]
 
@@ -339,57 +364,95 @@ def _grid_beta(
     cfg: LearnerConfig,
     q: float,
     grid: np.ndarray,
+    y: np.ndarray,
     *,
     mode: str,
     trim: TrimPolicy,
     winsorize: float | None,
 ) -> tuple[np.ndarray, float]:
-    """beta_IF(psi) at every grid point, and pi0, from one nuisance fit.
+    """beta_IF(psi) at every grid point, and pi0, from one psi-free fit.
 
-    pi, rho, pi0 and the basis do not depend on psi, so they are fitted and
-    evaluated once.  mu(z, .) for all grid points comes from one ridge solve
-    per level whose right-hand side has one column F_z' (R h) per grid
-    point; direct mode adds one solve over all rows for mu(x).  Equals
-    beta_if_general on a set refitted at each grid point, up to the
-    rounding of the batched solve and products.
+    y holds the observed outcomes.  pi, rho and pi0 do not depend on psi:
+    fit_propensities fits them once and transforms the table's basis F
+    once, and that F also evaluates pi and rho and serves every ridge
+    solve.  The R h rows of a block of grid points come from one
+    comparison against the outcomes.  Each level's F_z' (R h) is the
+    matrix-vector product a refit at that grid point makes, over a slice
+    of level-sorted rows; mu(z, .) for all grid points is then one ridge
+    solve per level, plus one over all rows for mu(x) in direct mode.
+    Each grid point's moment is evaluated in reused n-buffers, in
+    _phi_tilde's operation order.  Equals beta_if_general on a set
+    refitted at each grid point, up to the rounding of the batched solve.
     """
-    ns = fit_nuisance_set(table, FunctionalSpec.quantile(q, psi=grid[0]), cfg, mode=mode)
-    ev = evaluate_nuisances(ns, table.X)
-    own = _own_level(table, ns, ev, trim)
+    props, F = fit_propensities(table, cfg, mode)
+    pi, rho = props.pi(F), props.rho(F)
+    pi_marg = props.pi_marg(F) if mode == "direct" else np.einsum("lm,lm->m", rho, pi)
+    own = _own_level(table, pi, rho, pi - pi_marg[None, :], props.pi0, EPS_DEN, trim)
+    del pi, pi_marg
     if not own.keep.any():
         raise EstimationError("trim policy removed every row")
-    rho = ev.rho
-    del ev
 
     L, n = table.L, table.n
     direct = mode == "direct"
-    F = PolyBasis(cfg.basis_df).fit(table.X).transform(table.X)
-    # the rows of each mu model: one level each, plus all rows for mu(x)
-    masks = [table.Z == z for z in range(L)] + ([slice(None)] if direct else [])
-    blocks = [F[m] for m in masks]
-    specs = [FunctionalSpec.quantile(q, psi=psi) for psi in grid]
-    cross = np.empty((len(blocks), F.shape[1], grid.size))   # F_k' (R h) per psi
-    for j, spec in enumerate(specs):
-        rh = table.rh(spec)
-        for k, (Fk, m) in enumerate(zip(blocks, masks)):
-            cross[k, :, j] = Fk.T @ rh[m]
-    # coef[j] holds mu's coefficients at grid[j], one column per model,
-    # so F @ coef[j] is mu at every row
-    coef = np.stack([_ridge_solve(Fk.T @ Fk, cross[k], cfg.ridge_lambda)
-                     for k, Fk in enumerate(blocks)], axis=-1).transpose(1, 0, 2)
+    K = L + direct                  # mu models: one per level, plus mu(x)
+    responded = table.R == 1
+    y_all = np.full(n, -np.inf)     # R = 0 rows never reach psi: h is 0 there
+    y_all[responded] = y
+    q_r = np.where(responded, q, 0.0)
 
-    rows = np.arange(n)
+    RH = np.empty((_GRID_BLOCK, n))
+
+    def rh_block(ys: np.ndarray, qs: np.ndarray, j: int) -> np.ndarray:
+        """R h(y; psi) = 1{y >= psi} - q R, one row per grid point of the
+        block starting at j, bit for bit ObservationTable.rh; written over
+        the previous block."""
+        psi = grid[j:j + _GRID_BLOCK, None]
+        return np.subtract(ys >= psi, qs, out=RH[:psi.shape[0]])
+
+    # F_z' (R h) over each level's rows, taken in level-sorted order so
+    # that a level is a slice; one matrix-vector product per level and grid
+    # point, the product a refit at that point makes, so mu has its bits
+    counts = np.bincount(table.Z, minlength=L)
+    levels = [slice(e - c, e) for e, c in zip(np.cumsum(counts), counts)]
+    order = np.argsort(table.Z, kind="stable")
+    Fs = F[order]
+    ys, qs = y_all[order], q_r[order]
+    cross = np.empty((K, F.shape[1], grid.size))
+    for j0 in range(0, grid.size, _GRID_BLOCK):
+        for j, rh in enumerate(rh_block(ys, qs, j0), start=j0):
+            for z, rows in enumerate(levels):
+                cross[z, :, j] = Fs[rows].T @ rh[rows]
+        if direct:      # mu(x) over all rows, in row order
+            for j, rh in enumerate(rh_block(y_all, q_r, j0), start=j0):
+                cross[L, :, j] = F.T @ rh
+    grams = [Fs[rows].T @ Fs[rows] for rows in levels] + ([F.T @ F] if direct else [])
+    del Fs, ys, qs
+    # coef[j] holds mu's coefficients at grid[j], one row per model, so
+    # coef[j] @ F.T is mu of every model at every row
+    coef = np.stack([_ridge_solve(gram, cross[k], cfg.ridge_lambda)
+                     for k, gram in enumerate(grams)])
+    coef = np.ascontiguousarray(coef.transpose(2, 0, 1))    # (grid, K, d)
+
+    FT = np.ascontiguousarray(F.T)          # row-major (d, n): a faster product
+    del F
+    own_flat = table.Z * n + np.arange(n)   # each row's own level in a (K, n) array
+    keep = None if own.keep.all() else own.keep
+    M = np.empty((K, n))
+    mu_z, delta_z, phi, work = (np.empty(n) for _ in range(4))
+    mu_x = M[L] if direct else np.empty(n)
     beta = np.empty(grid.size)
-    for j, spec in enumerate(specs):
-        M = F @ coef[j]                                  # (n, L [+ 1])
-        mu_z = M[rows, table.Z]
-        mu_x = M[:, L] if direct else np.einsum("lm,lm->m", rho, M[:, :L].T)
-        delta_z = (mu_z - mu_x) / own.den
-        phi = _phi_tilde(own, table.rh(spec), mu_z, delta_z)
-        if winsorize is not None:
-            phi = winsorize_values(phi, winsorize)
-        beta[j] = float(phi[own.keep].mean())
-    return beta, ns.pi0
+    for j0 in range(0, grid.size, _GRID_BLOCK):
+        for j, rh in enumerate(rh_block(y_all, q_r, j0), start=j0):
+            np.matmul(coef[j], FT, out=M)
+            np.take(M, own_flat, out=mu_z)
+            if not direct:
+                np.einsum("lm,lm->m", rho, M, out=mu_x)
+            np.subtract(mu_z, mu_x, out=delta_z)
+            delta_z /= own.den
+            _phi_tilde(own, rh, mu_z, delta_z, out=phi, work=work)
+            w = phi if winsorize is None else winsorize_values(phi, winsorize)
+            beta[j] = float(w.mean() if keep is None else w[keep].mean())
+    return beta, props.pi0
 
 
 def _root(grid: np.ndarray, moments: np.ndarray, tol: float) -> SolveResult:

@@ -31,6 +31,7 @@ from .learners import (LearnerConfig, MultinomialModel, PolyBasis, expit, fit_li
                        fit_logistic, fit_multinomial)
 
 PROB_CLIP = 1e-6
+EPS_DEN = 1e-6          # default floor on |delta_r|
 MIN_STRATUM_ROWS = 30
 
 MarginalizationMode = Literal["marginalize", "direct"]
@@ -90,7 +91,7 @@ class NuisanceSet:
     pi_marg_fn: MarginalFn | None = None
     mu_marg_fn: MarginalFn | None = None
     delta_fn: ComponentFn | None = None
-    eps_den: float = 1e-6
+    eps_den: float = EPS_DEN
     diagnostics: Diagnostics = field(default_factory=Diagnostics)
 
     def __post_init__(self) -> None:
@@ -199,26 +200,66 @@ def winsorize_values(
     return w
 
 
-def fit_nuisance_set(
+@dataclass
+class Propensities:
+    """The nuisance models that do not depend on psi, fitted on one block.
+
+    pi(z, .) per level, rho, pi(.) in direct mode, and pi0.  The methods
+    take the basis features F (m, d) of the rows, so a caller that already
+    holds the training block's basis evaluates them with no transform;
+    every clipped model output is counted in diagnostics.
+    """
+
+    L: int
+    basis: PolyBasis
+    pi_coef: np.ndarray                     # (L, d) response model per level
+    rho_model: np.ndarray | MultinomialModel  # (d,) logistic coef when L = 2
+    pi_marg_coef: np.ndarray | None         # (d,) direct mode only
+    pi0: float
+    diagnostics: Diagnostics
+
+    def _clip(self, p: np.ndarray) -> np.ndarray:
+        clipped = np.clip(p, PROB_CLIP, 1.0 - PROB_CLIP)
+        self.diagnostics.prob_clips += int(np.count_nonzero(clipped != p))
+        return clipped
+
+    def pi(self, F: np.ndarray) -> np.ndarray:
+        """pi(z, .) at every level, (L, m)."""
+        return self._clip(expit(self.pi_coef @ F.T))
+
+    def rho(self, F: np.ndarray) -> np.ndarray:
+        """rho(z, .) = P(Z = z | X) at every level, (L, m)."""
+        if self.L == 2:
+            p1 = self._clip(expit(F @ self.rho_model))
+            return np.stack([1.0 - p1, p1])
+        P = self.rho_model.predict_proba(F).T      # class-major (L, m)
+        low = P < PROB_CLIP
+        if low.any():
+            self.diagnostics.prob_clips += int(np.count_nonzero(low))
+            P = np.clip(P, PROB_CLIP, None)
+            P = P / P.sum(axis=0)
+        return P
+
+    def pi_marg(self, F: np.ndarray) -> np.ndarray:
+        """The directly fitted pi(.), (m,); direct mode only."""
+        return self._clip(expit(F @ self.pi_marg_coef))
+
+
+def fit_propensities(
     train: ObservationTable,
-    spec: FunctionalSpec,
     cfg: LearnerConfig,
     mode: MarginalizationMode = "marginalize",
-    eps_den: float = 1e-6,
-) -> NuisanceSet:
-    """Fit all nuisance models on a training block.
+) -> tuple[Propensities, np.ndarray]:
+    """Fit pi, rho and pi0 on a training block; returns them and its basis F.
 
     pi(z, .): ridge logistic of R on the basis, stratified by level, with a
     pooled fully-interacted fallback when any level has fewer rows than
     MIN_STRATUM_ROWS.  rho: ridge multinomial (logistic when L = 2) of Z on
-    the basis.  mu(z, .): ridge linear of R*h(Y; psi) on the basis within
-    each level; rows with R = 0 contribute target 0.  pi0 is the sample
-    fraction of R = 0 in the training block.  Direct mode additionally fits
-    unstratified models for pi(X) and mu(X).  Each component callable
-    transforms the basis once per call.  Predicted probabilities are
-    clipped to [1e-6, 1 - 1e-6]; every clipped model output is counted once
-    in diagnostics, so with L = 2 a clip of the instrument model counts
-    once, not once per level.
+    the basis.  pi0 is the sample fraction of R = 0.  Direct mode also fits
+    an unstratified logistic pi(X).  None of these depends on psi, so a
+    caller that varies only psi fits them once.  F is the training block's
+    basis, transformed once here; callers reuse it to fit mu and to
+    evaluate the models on the training rows.
     """
     L = train.L
     diag = Diagnostics()
@@ -232,17 +273,12 @@ def fit_nuisance_set(
             warnings.warn(
                 f"instrument level {z} lacks both response classes in training data",
                 RuntimeWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
 
     basis = PolyBasis(cfg.basis_df).fit(train.X)
     F = basis.transform(train.X)
     R = train.R.astype(float)
-
-    def clip_prob(p: np.ndarray) -> np.ndarray:
-        clipped = np.clip(p, PROB_CLIP, 1.0 - PROB_CLIP)
-        diag.prob_clips += int(np.count_nonzero(clipped != p))
-        return clipped
 
     def logistic(features: np.ndarray, labels: np.ndarray) -> np.ndarray:
         res = fit_logistic(features, labels, cfg)
@@ -260,55 +296,55 @@ def fit_nuisance_set(
         for z in range(L):
             rows = train.Z == z
             Fi[rows, z * d:(z + 1) * d] = F[rows]
-        pi_stack = logistic(Fi, R).reshape(L, d)
+        pi_coef = logistic(Fi, R).reshape(L, d)
     else:
-        pi_stack = np.stack([logistic(F[train.Z == z], R[train.Z == z]) for z in range(L)])
-
-    def pi_fn(X: np.ndarray) -> np.ndarray:
-        return clip_prob(expit(pi_stack @ basis.transform(X).T))
+        pi_coef = np.stack([logistic(F[train.Z == z], R[train.Z == z]) for z in range(L)])
 
     # instrument model
     if L == 2:
-        rho_coef = logistic(F, train.Z.astype(float))
-
-        def rho_fn(X: np.ndarray) -> np.ndarray:
-            p1 = clip_prob(expit(basis.transform(X) @ rho_coef))
-            return np.stack([1.0 - p1, p1])
+        rho_model = logistic(F, train.Z.astype(float))
     else:
-        model: MultinomialModel = fit_multinomial(F, train.Z, cfg, L=L)
-        if not model.converged:
+        rho_model = fit_multinomial(F, train.Z, cfg, L=L)
+        if not rho_model.converged:
             diag.nonconverged_fits += 1
 
-        def rho_fn(X: np.ndarray) -> np.ndarray:
-            P = model.predict_proba(basis.transform(X)).T      # class-major (L, m)
-            low = P < PROB_CLIP
-            if low.any():
-                diag.prob_clips += int(np.count_nonzero(low))
-                P = np.clip(P, PROB_CLIP, None)
-                P = P / P.sum(axis=0)
-            return P
-
-    mu_fn, mu_marg_fn = _fit_mu(train, basis, F, train.rh(spec), cfg, mode)
-
-    pi_marg_fn = None
-    if mode == "direct":
-        pim_coef = logistic(F, R)
-
-        def pi_marg_fn(X: np.ndarray) -> np.ndarray:
-            return clip_prob(expit(basis.transform(X) @ pim_coef))
-
+    pi_marg_coef = logistic(F, R) if mode == "direct" else None
     pi0 = float(np.mean(train.R == 0))
+    return Propensities(L=L, basis=basis, pi_coef=pi_coef, rho_model=rho_model,
+                        pi_marg_coef=pi_marg_coef, pi0=pi0, diagnostics=diag), F
+
+
+def fit_nuisance_set(
+    train: ObservationTable,
+    spec: FunctionalSpec,
+    cfg: LearnerConfig,
+    mode: MarginalizationMode = "marginalize",
+    eps_den: float = EPS_DEN,
+) -> NuisanceSet:
+    """Fit all nuisance models on a training block.
+
+    pi, rho and pi0 come from fit_propensities; mu(z, .) is a ridge linear
+    fit of R*h(Y; psi) on the same basis within each level, rows with
+    R = 0 contributing target 0, and direct mode adds an unstratified
+    mu(X).  Each component callable transforms the basis once per call.
+    Predicted probabilities are clipped to [1e-6, 1 - 1e-6]; every clipped
+    model output is counted once in diagnostics, so with L = 2 a clip of
+    the instrument model counts once, not once per level.
+    """
+    props, F = fit_propensities(train, cfg, mode)
+    basis = props.basis
+    mu_fn, mu_marg_fn = _fit_mu(train, basis, F, train.rh(spec), cfg, mode)
     return NuisanceSet(
-        L=L,
-        pi_fn=pi_fn,
-        rho_fn=rho_fn,
+        L=train.L,
+        pi_fn=lambda X: props.pi(basis.transform(X)),
+        rho_fn=lambda X: props.rho(basis.transform(X)),
         mu_fn=mu_fn,
-        pi0=pi0,
+        pi0=props.pi0,
         mode=mode,
-        pi_marg_fn=pi_marg_fn,
+        pi_marg_fn=(lambda X: props.pi_marg(basis.transform(X))) if mode == "direct" else None,
         mu_marg_fn=mu_marg_fn,
         eps_den=eps_den,
-        diagnostics=diag,
+        diagnostics=props.diagnostics,
     )
 
 
@@ -349,9 +385,10 @@ def fit_mu_component(
 ) -> tuple[ComponentFn, MarginalFn | None]:
     """Fit only the outcome-moment models mu(z, .) (and mu(X) in direct mode).
 
-    pi, rho and pi0 do not depend on the functional, so a caller that
-    changes only psi can refit mu alone.  No library code calls it: the
-    quantile solver solves mu for its whole psi-grid at once
+    pi, rho and pi0 do not depend on the functional (fit_propensities fits
+    them alone), so a caller that changes only psi can refit mu alone.  No
+    library code calls it: the quantile solver fits the psi-free models
+    once and gets mu for its whole psi-grid from one ridge solve per level
     (general._grid_beta).
     """
     counts = np.bincount(train.Z, minlength=train.L)

@@ -1,6 +1,7 @@
 """Config documents, CSV ingestion, report serialization, CLI commands."""
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -411,17 +412,23 @@ def test_estimate_fits_each_fold_once_per_repetition(tmp_path, survey_csv, monke
 
 
 def test_quantile_estimate_fits_the_nuisances_once(tmp_path, monkeypatch):
-    # both quantile reports come from one grid pass over a single fit, and
-    # the instrument model is evaluated once per level, not per grid point
+    # both quantile reports come from one grid pass over a single psi-free
+    # fit on one basis transform: one instrument model, one response model
+    # per level, no outcome regression through fit_linear (the grid's mu
+    # comes from its own ridge solves), and the instrument model is
+    # evaluated once, not per grid point
     import mivest.general
-    from mivest.learners import MultinomialModel
+    import mivest.nuisance
+    from mivest.learners import MultinomialModel, PolyBasis
 
     table, _ = generate(DGPSpec(family="dual_binary_iv", n=800, seed=14))
     data = tmp_path / "dual.csv"
     write_table_csv(table, data, covariate_names=["x1", "x2"])
-    fits, probas = [], []
-    real_fit = mivest.general.fit_nuisance_set
+    fits, probas, transforms = [], [], []
+    learner_calls = {"fit_multinomial": 0, "fit_logistic": 0, "fit_linear": 0}
+    real_fit = mivest.general.fit_propensities
     real_proba = MultinomialModel.predict_proba
+    real_transform = PolyBasis.transform
 
     def counting_fit(*args, **kwargs):
         fits.append(1)
@@ -431,8 +438,23 @@ def test_quantile_estimate_fits_the_nuisances_once(tmp_path, monkeypatch):
         probas.append(1)
         return real_proba(self, *args, **kwargs)
 
-    monkeypatch.setattr(mivest.general, "fit_nuisance_set", counting_fit)
+    def counting_transform(self, X):
+        transforms.append(np.atleast_2d(X).shape[0])
+        return real_transform(self, X)
+
+    def counted(name):
+        real = getattr(mivest.nuisance, name)
+
+        def wrapped(*args, **kwargs):
+            learner_calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(mivest.general, "fit_propensities", counting_fit)
     monkeypatch.setattr(MultinomialModel, "predict_proba", counting_proba)
+    monkeypatch.setattr(PolyBasis, "transform", counting_transform)
+    for name in learner_calls:
+        monkeypatch.setattr(mivest.nuisance, name, counted(name))
     doc = make_doc(functional={"kind": "quantile", "q": 0.5})
     cfg_path = write_yaml(tmp_path / "cfg.yaml", doc)
     out = tmp_path / "q.json"
@@ -443,6 +465,8 @@ def test_quantile_estimate_fits_the_nuisances_once(tmp_path, monkeypatch):
     assert set(report["results"]) == {"missing_quantile", "population_quantile"}
     assert len(fits) == 1
     assert 0 < len(probas) <= table.L
+    assert learner_calls == {"fit_multinomial": 1, "fit_logistic": table.L, "fit_linear": 0}
+    assert transforms == [table.n]
 
 
 def test_estimate_seed_override_changes_the_splits(tmp_path, survey_csv):
@@ -470,17 +494,22 @@ def test_estimate_quantile_functional(tmp_path, survey_csv):
     assert report["results"]["missing_quantile"]["q"] == 0.5
 
 
-def test_estimate_separate_instrument_mode(tmp_path, capsys):
+def two_instrument_csv(path):
+    """The dual family's four-level instrument as two binary columns."""
     table, _ = generate(DGPSpec(family="dual_binary_iv", n=800, seed=14))
     z1, z2 = np.divmod(table.Z, 2)
-    p = tmp_path / "two.csv"
-    with open(p, "w", newline="", encoding="utf-8") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["z1", "z2", "x1", "x2", "r", "y"])
         for i in range(table.n):
             y = repr(table.y_at(i)) if table.y_present[i] else ""
             w.writerow([int(z1[i]), int(z2[i]), repr(float(table.X[i, 0])),
                         repr(float(table.X[i, 1])), int(table.R[i]), y])
+    return path
+
+
+def test_estimate_separate_instrument_mode(tmp_path, capsys):
+    p = two_instrument_csv(tmp_path / "two.csv")
     doc = make_doc(data={"instruments": ["z1", "z2"],
                          "instrument_mode": "separate"})
     cfg_path = write_yaml(tmp_path / "cfg.yaml", doc)
@@ -493,6 +522,58 @@ def test_estimate_separate_instrument_mode(tmp_path, capsys):
     assert set(report["per_instrument"]) == {"z1", "z2"}
     for entry in report["per_instrument"].values():
         assert np.isfinite(entry["results"]["missing_mean"]["estimate"])
+
+
+def test_separate_instruments_parse_the_csv_once(tmp_path, monkeypatch):
+    # the file is tokenized once and each column parsed once; every
+    # instrument's table and ingest info equal ingest_csv on the config of
+    # that instrument alone
+    import mivest.dataio
+
+    p = two_instrument_csv(tmp_path / "two.csv")
+    cfg = load_config(write_yaml(tmp_path / "cfg.yaml", make_doc(
+        data={"instruments": ["z1", "z2"], "instrument_mode": "separate"})))
+    alone = {col: ingest_csv(p, dataclasses.replace(cfg, instruments=(col,),
+                                                    instrument_mode="product"))
+             for col in cfg.instruments}
+    reads, parsed = [], []
+    real_reader = csv.reader
+    real_parse = mivest.dataio._parse_numeric_column
+
+    def counting_reader(*args, **kwargs):
+        reads.append(1)
+        return real_reader(*args, **kwargs)
+
+    def counting_parse(cells, column, **kwargs):
+        parsed.append(column)
+        return real_parse(cells, column, **kwargs)
+
+    monkeypatch.setattr(csv, "reader", counting_reader)
+    monkeypatch.setattr(mivest.dataio, "_parse_numeric_column", counting_parse)
+    out = tmp_path / "sep.json"
+    assert main(["estimate", "--config", str(tmp_path / "cfg.yaml"), "--data", str(p),
+                 "--out", str(out)]) == 0
+    assert len(reads) == 1
+    assert sorted(parsed) == ["r", "x1", "x2", "y", "z1", "z2"]
+    report = json.loads(out.read_text())
+    for col, one, table, info in mivest.dataio.ingest_csv_per_instrument(p, cfg):
+        ref_table, ref_info = alone[col]
+        assert one.instruments == (col,)
+        assert report["per_instrument"][col]["data"] == info.as_dict() == ref_info.as_dict()
+        for name in ("X", "Z", "R", "y_present", "_y_values"):
+            np.testing.assert_array_equal(getattr(table, name), getattr(ref_table, name))
+
+
+def test_separate_instrument_faults_surface_at_their_turn(tmp_path, capsys):
+    # the first instrument's analysis still runs when a later column is
+    # absent, and the error names that column alone, as a per-column
+    # ingest did
+    p = two_instrument_csv(tmp_path / "two.csv")
+    doc = make_doc(data={"instruments": ["z1", "zz"], "instrument_mode": "separate"})
+    rc = main(["estimate", "--config", write_yaml(tmp_path / "cfg.yaml", doc),
+               "--data", str(p)])
+    assert rc == 2
+    assert f"data error: {p}: missing required columns ['zz']" in capsys.readouterr().err
 
 
 def test_estimate_reports_fit_warnings(tmp_path, survey_csv, capsys):
@@ -596,6 +677,7 @@ def test_binary_estimator_needs_two_levels(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(mivest.crossfit, "fit_nuisance_set", no_fit)
     monkeypatch.setattr(mivest.general, "fit_nuisance_set", no_fit)
+    monkeypatch.setattr(mivest.general, "fit_propensities", no_fit)
     table, _ = generate(DGPSpec(family="dual_binary_iv", n=800, seed=14))
     data = tmp_path / "dual.csv"
     write_table_csv(table, data, covariate_names=["x1", "x2"])
@@ -659,6 +741,29 @@ def test_draw_counts_below_one_are_configuration_errors(tmp_path, capsys, argv, 
     assert rc == 4
     err = capsys.readouterr().err
     assert "configuration error" in err and "at least 1" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, sim", [
+    (["--replications", "-2"], {}),
+    (["--replications", "0"], {}),
+    ([], {"replications": 0}),
+], ids=["flag-negative", "flag-zero", "config-zero"])
+def test_simulate_rejects_replications_below_one_before_the_oracle(
+        tmp_path, capsys, monkeypatch, argv, sim):
+    import mivest.cli
+
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("the oracle ran")
+
+    monkeypatch.setattr(mivest.cli, "oracle_beta", no_oracle)
+    doc = make_doc(simulation={"family": "dual_binary_iv", **sim})
+    out = tmp_path / "mc.json"
+    rc = main(["simulate", "--config", write_yaml(tmp_path / "cfg.yaml", doc),
+               "--out", str(out), *argv])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "replications must be at least 1" in err
     assert not out.exists()
 
 

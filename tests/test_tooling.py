@@ -125,3 +125,33 @@ def test_readme_quickstart_runs(tmp_path):
             capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
+
+
+def test_committed_bench_records_share_one_shape():
+    # every BENCH_*.json records the change, the harness and the machine,
+    # and per workload the parent's and the change's result lines of the
+    # alternating pairs, the seed and a summary of each end-to-end metric;
+    # it names only workloads and metrics that BENCHMARK.json declares
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = {w["name"] for w in bench["workloads"]}
+    metrics = {m["name"] for m in bench["end_to_end"]}
+    summary_keys = {f"{side}_{stat}" for side in ("parent", "change")
+                    for stat in ("median", "q1", "q3")} | {"change_better_pairs"}
+    records = sorted(ROOT.glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        assert {"change", "harness", "machine", "end_to_end"} <= set(doc), path.name
+        assert doc["end_to_end"] and set(doc["end_to_end"]) <= workloads, path.name
+        assert set(doc.get("trace", {})) <= workloads, path.name
+        for name, entry in doc["end_to_end"].items():
+            where = f"{path.name}: {name}"
+            assert {"parent", "change", "pairs", "seed", "summary"} <= set(entry), where
+            assert len(entry["parent"]) == len(entry["change"]) == entry["pairs"] > 0, where
+            assert isinstance(entry["seed"], int), where
+            for run in entry["parent"] + entry["change"]:
+                assert set(run["metrics"]) == metrics, where
+            assert set(entry["summary"]) == metrics, where
+            for stats in entry["summary"].values():
+                assert set(stats) == summary_keys, where
+                assert 0 <= stats["change_better_pairs"] <= entry["pairs"], where
