@@ -26,7 +26,6 @@ from .dataio import (
 from .exceptions import (
     ConfigurationError,
     DataContractError,
-    DenominatorFloorError,
     EstimationError,
     FitError,
     MissingOutcomeError,
@@ -55,7 +54,6 @@ __all__ = [
     "ConfigurationError",
     "DGPSpec",
     "DataContractError",
-    "DenominatorFloorError",
     "EstimateReport",
     "EstimationError",
     "FitError",

@@ -222,6 +222,8 @@ def cmd_estimate(cfg: AnalysisConfig, args: argparse.Namespace) -> int:
     if cfg.instrument_mode == "separate":
         per: dict[str, Any] = {}
         for col, one, table, info in ingest_csv_per_instrument(args.data, cfg):
+            for w in info.warnings:
+                print(f"warning: {col}: {w}", file=sys.stderr)
             results, fit_warnings = _estimate_one(table, one)
             per[col] = {"data": info.as_dict(), "results": results}
             if fit_warnings:

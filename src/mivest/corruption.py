@@ -23,7 +23,7 @@ delta_hat = delta.  Each scenario realises one of these routes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -32,7 +32,7 @@ from .data import FunctionalSpec, ObservationTable
 from .exceptions import ConfigurationError
 from .general import _phi_parts_general
 from .learners import expit
-from .nuisance import PROB_CLIP, NuisanceSet
+from .nuisance import PROB_CLIP, NuisanceSet, evaluate_nuisances, floor_denominator
 from .oracles import oracle_delta_fn, oracle_identified_beta, oracle_nuisances
 from .simulation import DGPSpec, generate
 
@@ -95,13 +95,15 @@ def corrupt_nuisance(
             np.asarray(base_mum(X), dtype=float) + level_delta
         )
     if "delta" in comps:
-        snapshot = ns  # delta computed from the uncorrupted parts, then shifted
-        overrides["delta_fn"] = lambda X: (
-            snapshot.delta(slice(None), X, on_floor="floor") + level_delta
-        )
-    if not overrides:
-        return ns.with_overrides()
-    return ns.with_overrides(**overrides)
+        def delta_corrupt(X: np.ndarray) -> np.ndarray:
+            # the uncorrupted set's delta, floored, then shifted
+            ev = evaluate_nuisances(ns, X)
+            if ev.delta is not None:
+                return ev.delta + level_delta
+            return ev.delta_y / floor_denominator(ev.delta_r, ns.eps_den)[0] + level_delta
+
+        overrides["delta_fn"] = delta_corrupt
+    return replace(ns, **overrides)
 
 
 # --------------------------------------------------------------------------
@@ -143,7 +145,7 @@ def _coherent_mu(mu_ref, pi_ref, pi_fn, delta_fn):
 def _around_level_zero(ns: NuisanceSet, delta_fn) -> NuisanceSet:
     """ns with mu_1 rebuilt as mu_0 + delta (pi_1 - pi_0); mu_0 and pi stay."""
     base_mu, base_pi = ns.mu_fn, ns.pi_fn
-    return ns.with_overrides(mu_fn=_coherent_mu(
+    return replace(ns, mu_fn=_coherent_mu(
         lambda X: base_mu(X)[0], lambda X: base_pi(X)[0], base_pi, delta_fn))
 
 
@@ -173,7 +175,8 @@ def binary_scenarios(
     out: list[Scenario] = []
 
     ns1 = truth()
-    ns1 = ns1.with_overrides(
+    ns1 = replace(
+        ns1,
         pi_fn=_shift_one_level(ns1.pi_fn, 1, lambda p: shift_probability(p, LOGIT_SHIFT)),
         rho_fn=corrupt_nuisance(ns1, ["rho_z"]).rho_fn,
     )
@@ -250,7 +253,8 @@ def general_scenarios(
         return shift_probability(base.pi_fn(X), -LOGIT_SHIFT)
 
     out: list[Scenario] = []
-    ns1 = base.with_overrides(
+    ns1 = replace(
+        base,
         pi_fn=shifted_pi,
         mu_fn=_coherent_mu(true_mu_marg, true_pi_marg, shifted_pi, true_delta),
         rho_fn=corrupt_nuisance(base, ["rho_z"]).rho_fn,
@@ -281,7 +285,8 @@ def general_scenarios(
     def corrupted_mu_marg(X: np.ndarray) -> np.ndarray:
         return true_mu_marg(X) + LEVEL_SHIFT
 
-    ns3 = base.with_overrides(
+    ns3 = replace(
+        base,
         pi_fn=shifted_pi,
         mu_fn=_coherent_mu(corrupted_mu_marg, true_pi_marg, shifted_pi, true_delta),
         pi_marg_fn=true_pi_marg,

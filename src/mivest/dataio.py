@@ -129,8 +129,10 @@ class AnalysisConfig:
             raise ConfigurationError("ci_level must lie in (0, 1)")
         if self.trim not in ("floor", "drop"):
             raise ConfigurationError(f"trim must be floor|drop, got {self.trim!r}")
-        if self.winsorize is not None and self.winsorize <= 0:
-            raise ConfigurationError("winsorize must be a positive IQR multiple or off")
+        if self.winsorize is not None and not 0 < self.winsorize < np.inf:
+            raise ConfigurationError(
+                f"winsorize must be finite and positive (an IQR multiple) or off, "
+                f"got {self.winsorize}")
 
     def _validate_roles(self) -> None:
         roles = [self.outcome, self.response, *self.instruments, *self.covariates]
@@ -459,6 +461,19 @@ def _parse_numeric_column(
     return vals, missing
 
 
+def _require_finite(vals: np.ndarray, column: str, what: str,
+                    rows: np.ndarray | None = None) -> None:
+    """Reject the nan and inf cells float() parses, among `rows` if given."""
+    bad = ~np.isfinite(vals)
+    if rows is not None:
+        bad &= rows
+    if bad.any():
+        lines = (np.flatnonzero(bad) + 2).tolist()
+        raise DataContractError(
+            f"{what} column {column!r} has non-finite values at rows {_fmt_rows(lines)}"
+        )
+
+
 def encode_instrument(
     values: np.ndarray, column: str, *, bins: int, max_levels: int,
     warnings: list[str],
@@ -576,6 +591,7 @@ def _read_roles(path: str | Path, config: AnalysisConfig,
         raise DataContractError(
             f"outcome column {config.outcome!r} is empty for respondent rows {_fmt_rows(rows)}"
         )
+    _require_finite(y_vals, config.outcome, "outcome", rows=r == 1)
     leaked = np.flatnonzero((r == 0) & ~y_missing)
     if leaked.size:
         rows = (leaked + 2).tolist()
@@ -594,6 +610,8 @@ def _read_roles(path: str | Path, config: AnalysisConfig,
         _parse_numeric_column(column(c), c, allow_empty=False, what="covariate")[0]
         for c in config.covariates
     ])
+    for j, c in enumerate(config.covariates):
+        _require_finite(X[:, j], c, "covariate")
     cells = {c: column(c) for c in config.instruments if c in header}
     return _RoleColumns(path=path, r=r, y=y_vals, X=X, masked=masked, warnings=warnings,
                         instrument_cells=cells)
@@ -611,6 +629,7 @@ def _encode_table(roles: _RoleColumns,
     for c in config.instruments:
         vals, _ = _parse_numeric_column(roles.instrument_cells[c], c, allow_empty=False,
                                         what="instrument")
+        _require_finite(vals, c, "instrument")
         codes, enc = encode_instrument(
             vals, c, bins=config.instrument_bins,
             max_levels=config.instrument_max_levels, warnings=warnings,
@@ -640,7 +659,9 @@ def ingest_csv(path: str | Path, config: AnalysisConfig) -> tuple[ObservationTab
     The response column must contain only {0, 1}.  Outcome cells must be
     empty where the response is 0; under strict_outcome a violation is an
     error naming the rows, otherwise the cells are masked with a warning.
-    Missing covariate or instrument cells are always errors.
+    Missing covariate or instrument cells are always errors, and so is a
+    nan or inf cell (which float() parses) among the covariates, the
+    instruments or the respondents' outcomes.
 
     csv.reader tokenizes the whole file into one list of records; the
     width check is one set of record lengths, and each role column is

@@ -45,10 +45,6 @@ class EstimationError(MivestError):
     """An estimator could not produce a value on the given inputs."""
 
 
-class DenominatorFloorError(EstimationError):
-    """An instrument-contrast denominator fell below the floor eps_den."""
-
-
 class NoIncompleteCasesError(EstimationError):
     """The target functional is undefined because no rows have R = 0."""
 

@@ -44,7 +44,7 @@ from .nuisance import (  # noqa: F401
     fit_mu_component,
     fit_nuisance_set,
     fit_propensities,
-    floor_mask,
+    floor_denominator,
     winsorize_values,
 )
 
@@ -60,7 +60,6 @@ class PhiParts:
     phi_tilde: np.ndarray       # (n,) uncentered influence contributions
     keep: np.ndarray            # (n,) bool rows retained under the trim policy
     delta_own: np.ndarray       # (n,) delta at each row's own level
-    floor_hits: int
 
 
 @dataclass
@@ -85,8 +84,7 @@ def _own_level(
     trim: TrimPolicy,
 ) -> _OwnLevel:
     """The psi-free factors from pi, rho and the unfloored delta_r, all (L, n)."""
-    hits = floor_mask(delta_r, eps)                     # (L, n)
-    den = np.where(hits, np.where(delta_r < 0, -eps, eps), delta_r)
+    den, hits = floor_denominator(delta_r, eps)         # (L, n)
     g_all = 1.0 - pi
     g_all /= pi0 * den
     g_x = np.einsum("lm,lm->m", rho, g_all)
@@ -146,8 +144,7 @@ def _phi_parts_general(
     else:
         delta_z = ev.delta_y[z, rows] / own.den
     phi_tilde = _phi_tilde(own, table.rh(spec), ev.mu[z, rows], delta_z)
-    return PhiParts(phi_tilde=phi_tilde, keep=own.keep, delta_own=delta_z,
-                    floor_hits=own.floor_hits)
+    return PhiParts(phi_tilde=phi_tilde, keep=own.keep, delta_own=delta_z)
 
 
 def if_values_general(
@@ -183,15 +180,12 @@ def beta_id_general(
     _require_incomplete(table, ns)
     ev = evaluate_nuisances(ns, table.X)
     rows = np.arange(table.n)
-    den_own = ev.delta_r[table.Z, rows]
-    hits = floor_mask(den_own, ns.eps_den)
+    den, hits = floor_denominator(ev.delta_r[table.Z, rows], ns.eps_den)
     if diag is not None:
         diag.floor_hits += int(hits.sum())
     if ev.delta is not None:
         delta_own = ev.delta[table.Z, rows]
     else:
-        sign = np.where(den_own < 0, -1.0, 1.0)
-        den = np.where(hits, sign * ns.eps_den, den_own)
         delta_own = ev.delta_y[table.Z, rows] / den
     mask = table.R == 0
     if trim == "drop":

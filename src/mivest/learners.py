@@ -32,12 +32,13 @@ class LearnerConfig:
     def __post_init__(self) -> None:
         if self.basis_df < 1:
             raise ConfigurationError("basis_df must be >= 1")
-        if self.ridge_lambda < 0:
-            raise ConfigurationError("ridge_lambda must be >= 0")
+        if not 0 <= self.ridge_lambda < np.inf:
+            raise ConfigurationError(
+                f"ridge_lambda must be finite and >= 0, got {self.ridge_lambda}")
         if self.max_irls_iter < 1:
             raise ConfigurationError("max_irls_iter must be >= 1")
-        if self.irls_tol <= 0:
-            raise ConfigurationError("irls_tol must be > 0")
+        if not 0 < self.irls_tol < np.inf:
+            raise ConfigurationError(f"irls_tol must be finite and > 0, got {self.irls_tol}")
 
 
 def expand_basis(x: np.ndarray, df: int) -> np.ndarray:

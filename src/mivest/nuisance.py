@@ -15,18 +15,21 @@ transforms its basis once and predicts the instrument model once per
 call.  Marginal quantities pi(X) and mu(X) are either the exact
 rho-weighted sums over levels ("marginalize", the default) or separately
 supplied models ("direct").
+
+A set is read only through evaluate_nuisances, once per block of rows;
+floor_denominator is the one floor on |delta_r|.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Literal
 
 import numpy as np
 
 from .data import FunctionalSpec, ObservationTable
-from .exceptions import DenominatorFloorError, NuisanceFitError
+from .exceptions import NuisanceFitError
 from .learners import (LearnerConfig, MultinomialModel, PolyBasis, expit, fit_linear,
                        fit_logistic, fit_multinomial)
 
@@ -38,7 +41,6 @@ MarginalizationMode = Literal["marginalize", "direct"]
 TrimPolicy = Literal["floor", "drop"]
 ComponentFn = Callable[[np.ndarray], np.ndarray]    # X (m, p) -> (L, m)
 MarginalFn = Callable[[np.ndarray], np.ndarray]     # X (m, p) -> (m,)
-Levels = int | slice
 
 
 @dataclass
@@ -77,9 +79,9 @@ class NuisanceSet:
     pi_fn, rho_fn, mu_fn and the optional delta_fn take X of shape (m, p)
     and return the (L, m) array of every instrument level; pi_marg_fn and
     mu_marg_fn take X and return (m,).  delta_fn, pi_marg_fn, mu_marg_fn
-    are optional overrides; when absent the derived accessors compute from
-    the parts.  The accessors take a level z, or slice(None) for the
-    (L, m) stack of every level.
+    are optional overrides; when absent, evaluate_nuisances derives those
+    quantities from the parts.  The set has no accessors: it is read
+    through evaluate_nuisances, once per block of rows.
     """
 
     L: int
@@ -98,90 +100,16 @@ class NuisanceSet:
         if self.mode == "direct" and (self.pi_marg_fn is None or self.mu_marg_fn is None):
             raise NuisanceFitError("direct mode requires pi_marg_fn and mu_marg_fn")
 
-    def pi(self, z: Levels, X: np.ndarray) -> np.ndarray:
-        return _levels(self.pi_fn, X)[z]
 
-    def rho(self, z: Levels, X: np.ndarray) -> np.ndarray:
-        return _levels(self.rho_fn, X)[z]
+def floor_denominator(delta_r: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """The denominator floor: (den, hits) for the unfloored delta_r.
 
-    def mu(self, z: Levels, X: np.ndarray) -> np.ndarray:
-        return _levels(self.mu_fn, X)[z]
-
-    def pi_marg(self, X: np.ndarray) -> np.ndarray:
-        return evaluate_nuisances(self, X).pi_marg
-
-    def mu_marg(self, X: np.ndarray) -> np.ndarray:
-        return evaluate_nuisances(self, X).mu_marg
-
-    def delta_r(self, z: Levels, X: np.ndarray) -> np.ndarray:
-        """pi(z, X) - pi(X), unfloored."""
-        return evaluate_nuisances(self, X).delta_r[z]
-
-    def delta_y(self, z: Levels, X: np.ndarray) -> np.ndarray:
-        return evaluate_nuisances(self, X).delta_y[z]
-
-    def delta(self, z: Levels, X: np.ndarray, *, on_floor: str = "raise") -> np.ndarray:
-        """Instrument-contrast ratio delta(z, X) = delta_y / delta_r.
-
-        on_floor: "raise" raises DenominatorFloorError if |delta_r| < eps_den
-        at the requested levels; "floor" substitutes eps_den with the
-        original sign and counts the hits.
-        """
-        if self.delta_fn is not None:
-            return _levels(self.delta_fn, X)[z]
-        ev = evaluate_nuisances(self, X)
-        den = apply_floor(ev.delta_r[z], self.eps_den, on_floor, self.diagnostics)
-        return ev.delta_y[z] / den
-
-    def g(self, z: Levels, X: np.ndarray, *, on_floor: str = "raise") -> np.ndarray:
-        """g(z, X) = (1 - pi(z, X)) / (pi0 * delta_r(z, X))."""
-        ev = evaluate_nuisances(self, X)
-        den = apply_floor(ev.delta_r[z], self.eps_den, on_floor, self.diagnostics)
-        return (1.0 - ev.pi[z]) / (self.pi0 * den)
-
-    def g_marg(self, X: np.ndarray, *, on_floor: str = "raise") -> np.ndarray:
-        """g(X) = sum_z rho(z, X) g(z, X), the exact rho-weighted sum."""
-        all_levels = slice(None)
-        return np.einsum("lm,lm->m", self.rho(all_levels, X),
-                         self.g(all_levels, X, on_floor=on_floor))
-
-    def with_overrides(self, **kwargs) -> "NuisanceSet":
-        """Copy with selected fields replaced (shares unreplaced callables)."""
-        return replace(self, **kwargs)
-
-
-def apply_floor(
-    values: np.ndarray,
-    eps: float,
-    policy: str,
-    diag: Diagnostics | None = None,
-) -> np.ndarray:
-    """Handle near-zero denominators.
-
-    "raise": any |v| < eps raises DenominatorFloorError.
-    "floor": substitute sign(v) * eps (sign 0 treated as +) and count hits.
-    Returns floored values; callers needing the hit mask use floor_mask.
+    Entries with |delta_r| < eps become eps with delta_r's sign (0 counts
+    as +); hits is the mask of those entries, from which the estimators
+    apply their trim policy and count floor_hits.
     """
-    values = np.asarray(values, dtype=float)
-    small = np.abs(values) < eps
-    if policy == "raise":
-        if small.any():
-            raise DenominatorFloorError(
-                f"{int(small.sum())} denominator value(s) below eps_den={eps}"
-            )
-        return values
-    if policy == "floor":
-        if small.any():
-            if diag is not None:
-                diag.floor_hits += int(small.sum())
-            sign = np.where(values < 0, -1.0, 1.0)
-            return np.where(small, sign * eps, values)
-        return values
-    raise ValueError(f"unknown floor policy {policy!r}")
-
-
-def floor_mask(values: np.ndarray, eps: float) -> np.ndarray:
-    return np.abs(np.asarray(values, dtype=float)) < eps
+    hits = np.abs(delta_r) < eps
+    return np.where(hits, np.where(delta_r < 0, -eps, eps), delta_r), hits
 
 
 def winsorize_values(

@@ -31,7 +31,7 @@ import numpy as np
 
 from .data import FunctionalSpec
 from .exceptions import ConfigurationError, EstimationError
-from .nuisance import NuisanceSet
+from .nuisance import NuisanceSet, evaluate_nuisances
 from .simulation import (
     _DOMAIN_ORACLE,
     FAMILY_DUAL,
@@ -265,15 +265,12 @@ def oracle_delta_fn(
     psi: float = 0.0,
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Callable X -> true delta at every level, (L, m), for override-style
-    nuisance sets."""
-    pi_fn, rho_fn, mu_fn = _oracle_level_fns(family, dict(parameters or {}), psi)
+    nuisance sets: delta_y / delta_r of the exact set, unfloored."""
+    ns = oracle_nuisances(family, parameters, functional=FunctionalSpec.mean(psi))
 
     def delta(X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        pi, mu, rho = pi_fn(X), mu_fn(X), rho_fn(X)
-        pi_m = np.einsum("lm,lm->m", rho, pi)
-        mu_m = np.einsum("lm,lm->m", rho, mu)
-        return (mu - mu_m) / (pi - pi_m)
+        ev = evaluate_nuisances(ns, np.asarray(X, dtype=float))
+        return ev.delta_y / ev.delta_r
 
     return delta
 

@@ -3,6 +3,7 @@
 import numpy as np
 
 from mivest.data import ObservationTable
+from mivest.general import _own_level
 from mivest.nuisance import NuisanceSet, evaluate_nuisances
 
 
@@ -56,6 +57,23 @@ def const_ns(pi, rho, mu, pi0, *, pi_marg=None, mu_marg=None, delta=None,
         eps_den=eps_den,
         **kw,
     )
+
+
+def g_weights(ns, X, trim="floor"):
+    """The estimator's weights g(z, x) - g(x) with each row of X at every level.
+
+    _own_level runs on a table holding the rows of X once per instrument
+    level (level-major, all nonrespondents).  Returns rho(z, x) and the
+    weights, both (L, m), and the _OwnLevel itself.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    m = X.shape[0]
+    table = ObservationTable.from_arrays(np.tile(X, (ns.L, 1)),
+                                         np.repeat(np.arange(ns.L), m),
+                                         np.zeros(ns.L * m, dtype=int), L=ns.L)
+    ev = evaluate_nuisances(ns, table.X)
+    own = _own_level(table, ev.pi, ev.rho, ev.delta_r, ns.pi0, ns.eps_den, trim)
+    return ev.rho[:, :m], own.g_diff.reshape(ns.L, m), own
 
 
 def one_row_x(x1=0.5, x2=0.5):

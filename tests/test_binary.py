@@ -1,15 +1,14 @@
-"""The two-level case: the closed-form ratio, and the general estimators at L = 2."""
+"""The two-level case: the contrast ratio, and the general estimators at L = 2."""
 
 import numpy as np
 import pytest
 
-from mivest.binary import wald_ratio_binary
 from mivest.data import FunctionalSpec, ObservationTable
-from mivest.exceptions import (DataContractError, DenominatorFloorError,
-                               NoIncompleteCasesError)
+from mivest.exceptions import NoIncompleteCasesError
 from mivest.general import beta_id_general, beta_if_general, if_values_general
 from mivest.learners import LearnerConfig
-from mivest.nuisance import NuisanceSet, fit_nuisance_set
+from mivest.nuisance import (NuisanceSet, evaluate_nuisances, fit_nuisance_set,
+                             floor_denominator)
 
 from helpers import binary_if_values, const_fn, const_ns, one_row_x, small_table
 
@@ -21,29 +20,28 @@ NS = const_ns(pi=(0.4, 0.8), rho=(0.5, 0.5), mu=(0.3, 0.9), pi0=0.25,
               pi_marg=0.5)
 
 
+def wald_ratio(ns, x):
+    """delta(1, x) = delta_y / delta_r at level 1, the floored contrast ratio."""
+    ev = evaluate_nuisances(ns, x)
+    den, _ = floor_denominator(ev.delta_r[1], ns.eps_den)
+    return ev.delta_y[1] / den
+
+
 def test_wald_ratio_uses_level_contrast():
+    # at L = 2, delta_y / delta_r at level 1 is (mu_1 - mu_0) / (pi_1 - pi_0)
     ns = const_ns(pi=(0.4, 0.7), rho=(0.3, 0.7), mu=(0.3, 0.6), pi0=0.5)
-    assert wald_ratio_binary(ns, X_ROW)[0] == pytest.approx(1.0)
+    assert wald_ratio(ns, X_ROW)[0] == pytest.approx(1.0)
 
 
 def test_wald_ratio_zero_numerator():
     ns = const_ns(pi=(0.4, 0.7), rho=(0.5, 0.5), mu=(0.2, 0.2), pi0=0.5)
-    assert wald_ratio_binary(ns, X_ROW)[0] == 0.0
+    assert wald_ratio(ns, X_ROW)[0] == 0.0
 
 
 def test_wald_ratio_floor_policy():
     ns = const_ns(pi=(0.5, 0.5), rho=(0.5, 0.5), mu=(0.2, 0.8), pi0=0.5)
-    with pytest.raises(DenominatorFloorError):
-        wald_ratio_binary(ns, X_ROW)
-    vals = wald_ratio_binary(ns, X_ROW, on_floor="floor")
+    vals = wald_ratio(ns, X_ROW)
     assert np.all(np.isfinite(vals))
-
-
-def test_wald_ratio_needs_two_levels():
-    ns = const_ns(pi=(0.3, 0.5, 0.7), rho=(0.3, 0.3, 0.4),
-                  mu=(0.1, 0.2, 0.3), pi0=0.5)
-    with pytest.raises(DataContractError):
-        wald_ratio_binary(ns, X_ROW)
 
 
 def test_beta_id_averages_over_incomplete_rows():

@@ -576,6 +576,91 @@ def test_separate_instrument_faults_surface_at_their_turn(tmp_path, capsys):
     assert f"data error: {p}: missing required columns ['zz']" in capsys.readouterr().err
 
 
+def test_ingest_warnings_print_in_both_instrument_modes(tmp_path, capsys):
+    # three filled outcome cells on nonrespondent rows are masked with a
+    # warning under strict_outcome: false; both modes print it (separate
+    # mode once per instrument, prefixed with the column) and report it
+    p = two_instrument_csv(tmp_path / "two.csv")
+    with open(p, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    filled = [i for i, row in enumerate(rows) if row[4] == "0"][:3]
+    for i in filled:
+        rows[i][5] = "1.5"
+    with open(p, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    message = f"masked 3 outcome cells on nonrespondent rows {_fmt_rows([i + 1 for i in filled])}"
+
+    for mode in ("product", "separate"):
+        doc = make_doc(data={"instruments": ["z1", "z2"], "instrument_mode": mode,
+                             "strict_outcome": False})
+        out = tmp_path / f"{mode}.json"
+        assert main(["estimate", "--config", write_yaml(tmp_path / f"{mode}.yaml", doc),
+                     "--data", str(p), "--out", str(out)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        report = json.loads(out.read_text())
+        if mode == "product":
+            assert f"warning: {message}" in err
+            assert report["data"]["warnings"] == [message]
+        else:
+            for col in ("z1", "z2"):
+                assert f"warning: {col}: {message}" in err
+                assert report["per_instrument"][col]["data"]["warnings"] == [message]
+
+
+@pytest.mark.parametrize("column, cell", [("x1", "nan"), ("x2", "-inf"), ("y", "inf"),
+                                          ("y", "nan"), ("z", "nan")])
+def test_non_finite_cells_are_data_errors(tmp_path, capsys, column, cell):
+    # float() parses nan and inf: in a covariate or a respondent's outcome
+    # they reached the learners, and in an instrument column nan became a
+    # level of its own; now each is refused at ingest, naming the row
+    header = ["z", "x1", "x2", "r", "y"]
+    rows = [[i % 2, 0.1 * i, 0.2, 1, float(i)] for i in range(6)]
+    rows[3][header.index(column)] = cell
+    p = rows_to_csv(tmp_path, header, rows)
+    cfg_path = write_yaml(tmp_path / "cfg.yaml", make_doc())
+    with pytest.raises(DataContractError,
+                       match=f"column '{column}' has non-finite values at rows 5$"):
+        ingest_csv(p, load_config(cfg_path))
+    for command in ("estimate", "validate"):
+        assert main([command, "--config", cfg_path, "--data", p]) == 2
+        assert "non-finite values at rows 5" in capsys.readouterr().err
+
+
+def test_nonrespondent_non_finite_outcome_cells_are_masked(tmp_path):
+    # a nonrespondent's outcome cell is never read: under strict_outcome:
+    # false it is masked, whatever it holds
+    rows = [[0, 0.1, 0.2, 1, 2.0], [1, 0.3, 0.4, 0, "inf"], [1, 0.5, 0.6, 0, ""]]
+    p = rows_to_csv(tmp_path, ["z", "x1", "x2", "r", "y"], rows)
+    _, info = ingest_csv(p, config_from_dict(make_doc(data={"strict_outcome": False})))
+    assert info.masked_rows == (3,)
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("estimation", "winsorize", float("nan")),
+    ("estimation", "winsorize", float("inf")),
+    ("learner", "ridge_lambda", float("nan")),
+    ("learner", "ridge_lambda", float("inf")),
+    ("learner", "irls_tol", float("nan")),
+    ("learner", "irls_tol", float("inf")),
+])
+def test_non_finite_config_numbers_are_configuration_errors(tmp_path, survey_csv, capsys,
+                                                            section, key, value):
+    doc = make_doc(**{section: {key: value}})
+    rc = main(["estimate", "--config", write_yaml(tmp_path / "cfg.yaml", doc),
+               "--data", survey_csv])
+    assert rc == 4
+    assert f"configuration error: {key} must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["nan", "inf", "-inf"])
+def test_non_finite_winsorize_flag_is_a_configuration_error(tmp_path, survey_csv, capsys,
+                                                           flag):
+    rc = main(["estimate", "--config", write_yaml(tmp_path / "cfg.yaml", make_doc()),
+               "--data", survey_csv, f"--winsorize={flag}"])
+    assert rc == 4
+    assert "configuration error: winsorize must be finite" in capsys.readouterr().err
+
+
 def test_estimate_reports_fit_warnings(tmp_path, survey_csv, capsys):
     # every unit at level z = 1 responds, so each fold's training block
     # fits that level's response model on one class only

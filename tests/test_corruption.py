@@ -8,6 +8,7 @@ from mivest.corruption import (COMPONENTS, binary_scenarios, corrupt_nuisance,
                                general_scenarios, run_robustness,
                                shift_probability)
 from mivest.exceptions import ConfigurationError
+from mivest.nuisance import evaluate_nuisances, floor_denominator
 from mivest.oracles import oracle_nuisances
 
 from helpers import const_ns
@@ -27,11 +28,11 @@ def test_shift_probability_is_logit_shift():
 
 
 def test_empty_corruption_keeps_predictions(oracle_ns):
-    twin = corrupt_nuisance(oracle_ns, [])
-    for z in (0, 1):
-        assert np.array_equal(twin.pi(z, PROBE), oracle_ns.pi(z, PROBE))
-        assert np.array_equal(twin.mu(z, PROBE), oracle_ns.mu(z, PROBE))
-        assert np.array_equal(twin.rho(z, PROBE), oracle_ns.rho(z, PROBE))
+    twin = evaluate_nuisances(corrupt_nuisance(oracle_ns, []), PROBE)
+    truth = evaluate_nuisances(oracle_ns, PROBE)
+    assert np.array_equal(twin.pi, truth.pi)
+    assert np.array_equal(twin.mu, truth.mu)
+    assert np.array_equal(twin.rho, truth.rho)
 
 
 def test_unknown_component_is_an_error(oracle_ns):
@@ -46,30 +47,30 @@ def test_marginal_corruption_needs_direct_mode(oracle_ns):
 
 
 def test_pi_corruption_moves_on_the_logit_scale(oracle_ns):
-    twin = corrupt_nuisance(oracle_ns, ["pi_z"])
-    for z in (0, 1):
-        want = shift_probability(oracle_ns.pi(z, PROBE), 0.7)
-        assert np.allclose(twin.pi(z, PROBE), want)
+    twin = evaluate_nuisances(corrupt_nuisance(oracle_ns, ["pi_z"]), PROBE)
+    want = shift_probability(evaluate_nuisances(oracle_ns, PROBE).pi, 0.7)
+    assert np.allclose(twin.pi, want)
 
 
 def test_mu_corruption_is_level_dependent(oracle_ns):
-    twin = corrupt_nuisance(oracle_ns, ["mu_z"])
+    twin = evaluate_nuisances(corrupt_nuisance(oracle_ns, ["mu_z"]), PROBE)
+    truth = evaluate_nuisances(oracle_ns, PROBE)
     for z in (0, 1):
-        want = oracle_ns.mu(z, PROBE) + 0.3 * (1 + z)
-        assert np.allclose(twin.mu(z, PROBE), want)
+        assert np.allclose(twin.mu[z], truth.mu[z] + 0.3 * (1 + z))
 
 
 def test_rho_corruption_stays_normalized(oracle_ns):
-    twin = corrupt_nuisance(oracle_ns, ["rho_z"])
-    total = sum(twin.rho(z, PROBE) for z in range(2))
+    twin = evaluate_nuisances(corrupt_nuisance(oracle_ns, ["rho_z"]), PROBE)
+    total = sum(twin.rho[z] for z in range(2))
     assert np.allclose(total, 1.0, atol=1e-12)
-    assert not np.allclose(twin.rho(0, PROBE), oracle_ns.rho(0, PROBE))
+    assert not np.allclose(twin.rho[0], evaluate_nuisances(oracle_ns, PROBE).rho[0])
 
 
 def test_delta_corruption_is_an_offset(oracle_ns):
-    twin = corrupt_nuisance(oracle_ns, ["delta"])
-    want = oracle_ns.delta(1, PROBE, on_floor="floor") + 0.3
-    assert np.allclose(twin.delta(1, PROBE, on_floor="floor"), want)
+    twin = evaluate_nuisances(corrupt_nuisance(oracle_ns, ["delta"]), PROBE)
+    ev = evaluate_nuisances(oracle_ns, PROBE)
+    want = ev.delta_y[1] / floor_denominator(ev.delta_r[1], oracle_ns.eps_den)[0] + 0.3
+    assert np.allclose(twin.delta[1], want)
 
 
 def test_component_inventory_is_stable():
@@ -100,8 +101,8 @@ def test_general_scenario_grid():
 def test_corrupted_scenarios_actually_move_the_nuisances(oracle_ns):
     for s in binary_scenarios("single_binary_iv"):
         if "pi_z" in s.corrupted:
-            assert not np.allclose(s.ns.pi(1, PROBE),
-                                   oracle_ns.pi(1, PROBE), atol=1e-4)
+            assert not np.allclose(evaluate_nuisances(s.ns, PROBE).pi[1],
+                                   evaluate_nuisances(oracle_ns, PROBE).pi[1], atol=1e-4)
 
 
 # the single-family estimates of the run below, recorded when the binary

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mivest.crossfit import (FoldPlan, _crossfit_pass, crossfit_beta, make_folds,
                              median_adjust)
 from mivest.data import FunctionalSpec, ObservationTable
-from mivest.general import beta_if_general
+from mivest.general import beta_id_general, beta_if_general
 from mivest.exceptions import (ConfigurationError, EstimationError, FitError,
                                NoIncompleteCasesError, NuisanceFitError)
 from mivest.learners import LearnerConfig
@@ -254,3 +254,33 @@ def test_crossfit_estimate_does_not_depend_on_row_order(family_tables, family, s
     b = one_pass(table.subset(perm), moved)
     assert a.estimate == pytest.approx(b.estimate, rel=1e-10, abs=1e-10)
     assert a.variance == pytest.approx(b.variance, rel=1e-10, abs=1e-10)
+
+
+def test_each_fold_evaluates_its_set_once(mid_table, monkeypatch):
+    # every estimator reads a nuisance set through one evaluate_nuisances
+    # call per block: K x S calls for crossfit_beta, each on the rows of its
+    # fold, and one for the plug-in; per-evaluation counters such as
+    # prob_clips therefore count each fold's rows once per repetition
+    import mivest.general
+
+    seen = []
+    real = mivest.general.evaluate_nuisances
+
+    def spy(ns, X):
+        seen.append(np.array(X))
+        return real(ns, X)
+
+    monkeypatch.setattr(mivest.general, "evaluate_nuisances", spy)
+    n_folds, repetitions = 3, 3
+    crossfit_beta(mid_table, SPEC, CFG, n_folds=n_folds, repetitions=repetitions, seed=4)
+    assert len(seen) == n_folds * repetitions
+    for rep in range(repetitions):
+        plan = make_folds(mid_table.n, n_folds, 4, rep)
+        for k in range(n_folds):
+            assert np.array_equal(seen[rep * n_folds + k],
+                                  mid_table.X[plan.assignments == k])
+
+    seen.clear()
+    beta_id_general(mid_table, fit_nuisance_set(mid_table, SPEC, CFG))
+    assert len(seen) == 1
+    assert np.array_equal(seen[0], mid_table.X)

@@ -1,5 +1,6 @@
 """Multi-level influence values, variance, population target, quantile root."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -9,8 +10,7 @@ from hypothesis import strategies as st
 
 import mivest.general
 from mivest.data import FunctionalSpec, ObservationTable, evaluate_h
-from mivest.exceptions import (DenominatorFloorError, EstimationError,
-                               NoIncompleteCasesError)
+from mivest.exceptions import EstimationError, NoIncompleteCasesError
 from mivest.corruption import shift_probability
 from mivest.crossfit import crossfit_beta
 from mivest.general import (_grid_beta, _phi_parts_general, _solve_quantiles,
@@ -21,7 +21,7 @@ from mivest.nuisance import fit_mu_component, fit_nuisance_set
 from mivest.oracles import oracle_nuisances
 from mivest.simulation import DGPSpec, generate, oracle_missing_quantile
 
-from helpers import const_fn, const_ns, one_row_x, small_table
+from helpers import const_fn, const_ns, g_weights, one_row_x, small_table
 
 SPEC = FunctionalSpec.mean()
 X_ROW = one_row_x()[None, :]
@@ -33,30 +33,42 @@ def fixed(ns):
 
 
 def test_g_value_example():
+    # g(0, x) = 0.2 / (0.2 * 0.5) = 2 and g(1, x) = 0.4 / (0.2 * 0.3) = 20/3,
+    # so g(x) = 13/3 and the level-0 weight is 2 - 13/3
     ns = const_ns(pi=(0.8, 0.6), rho=(0.5, 0.5), mu=(0.0, 0.0), pi0=0.2,
                   pi_marg=0.3)
-    assert ns.g(0, X_ROW)[0] == pytest.approx(2.0)
+    _, g_diff, _ = g_weights(ns, X_ROW)
+    assert g_diff[0, 0] == pytest.approx(2.0 - 13.0 / 3.0)
+    assert g_diff[1, 0] == pytest.approx(20.0 / 3.0 - 13.0 / 3.0)
 
 
 def test_g_value_vanishes_for_saturated_level():
+    # g(0, x) vanishes as pi(0, x) -> 1, so the level-0 weight is -g(x),
+    # all of it from level 1: -0.5 * 0.4 / (0.2 * 0.3)
     ns = const_ns(pi=(1.0 - 1e-6, 0.6), rho=(0.5, 0.5), mu=(0.0, 0.0),
                   pi0=0.2, pi_marg=0.3)
-    assert abs(ns.g(0, X_ROW)[0]) < 1e-5
+    _, g_diff, _ = g_weights(ns, X_ROW)
+    assert abs(g_diff[0, 0] + 0.5 * 0.4 / (0.2 * 0.3)) < 1e-5
 
 
 def test_g_value_floor_policy():
+    # delta_r(0, x) = 0.3 - 0.3 = 0: the floor keeps the weights finite and
+    # counts the one hit; trim "drop" removes both rows of that x
     ns = const_ns(pi=(0.3, 0.6), rho=(0.5, 0.5), mu=(0.0, 0.0), pi0=0.2,
                   pi_marg=0.3)
-    with pytest.raises(DenominatorFloorError):
-        ns.g(0, X_ROW)
-    assert np.isfinite(ns.g(0, X_ROW, on_floor="floor")[0])
+    _, g_diff, own = g_weights(ns, X_ROW)
+    assert np.all(np.isfinite(g_diff))
+    assert own.floor_hits == 2        # level 0 of x, at both of its rows
+    assert own.keep.all()
+    assert not g_weights(ns, X_ROW, trim="drop")[2].keep.any()
 
 
 def test_rho_weighted_g_identity(dual_fit):
+    # the weights g(z, x) - g(x) average to zero under rho(., x)
     probes = np.random.default_rng(4).random((40, 2))
-    total = sum(dual_fit.rho(z, probes) * dual_fit.g(z, probes)
-                for z in range(dual_fit.L))
-    assert np.allclose(total, dual_fit.g_marg(probes), atol=1e-12)
+    rho, g_diff, _ = g_weights(dual_fit, probes)
+    total = sum(rho[z] * g_diff[z] for z in range(dual_fit.L))
+    assert np.allclose(total, 0.0, atol=1e-12)
 
 
 def test_beta_id_general_uses_own_level_contrast():
@@ -276,7 +288,7 @@ def test_grid_moments_equal_per_psi_refits_at_every_block_edge(
     for psi in grid:
         spec = FunctionalSpec.quantile(q, psi=psi)
         mu_fn, mu_marg_fn = fit_mu_component(table, spec, LearnerConfig(), mode=mode)
-        refit = ns.with_overrides(mu_fn=mu_fn, mu_marg_fn=mu_marg_fn)
+        refit = dataclasses.replace(ns, mu_fn=mu_fn, mu_marg_fn=mu_marg_fn)
         refits.append(beta_if_general(table, refit, spec, trim=trim, winsorize=winsorize))
     assert pi0 == ns.pi0
     np.testing.assert_allclose(beta, refits, rtol=0, atol=1e-12)
@@ -310,10 +322,10 @@ def _perturb(ns, which, t):
     level = (1.0 + np.arange(ns.L))[:, None]
     if which == "mu":
         base = ns.mu_fn
-        return ns.with_overrides(
-            mu_fn=lambda X: base(X) + t * level * np.atleast_2d(X)[:, 0])
+        return dataclasses.replace(
+            ns, mu_fn=lambda X: base(X) + t * level * np.atleast_2d(X)[:, 0])
     base = ns.pi_fn
-    return ns.with_overrides(pi_fn=lambda X: shift_probability(
+    return dataclasses.replace(ns, pi_fn=lambda X: shift_probability(
         base(X), t * level * (np.atleast_2d(X)[:, 0] - 0.3)))
 
 
@@ -346,3 +358,26 @@ def test_influence_function_is_orthogonal_where_the_plug_in_is_not(
     plug_slope = (plug[1] - plug[-1]) / (2.0 * t)
     assert abs(if_slope) <= bound
     assert abs(plug_slope) > 5.0 * bound
+
+
+def test_influence_function_slope_shrinks_with_the_step(orthogonality_tables):
+    # the mean influence value's central-difference slope along the pi
+    # direction is a second-order remainder: it shrinks as t goes
+    # 0.1 -> 0.05 -> 0.025 (about -0.18, -0.055, -0.033 on this table),
+    # while the plug-in slope stays near 0.5 at every step, above five
+    # times the 3-SE bound of the t = 0.025 slope
+    table = orthogonality_tables["dual_binary_iv"]
+    ns = oracle_nuisances("dual_binary_iv")
+    if_slopes, plug_slopes = [], []
+    for t in (0.1, 0.05, 0.025):
+        phi, plug = {}, {}
+        for sign in (1, -1):
+            moved = _perturb(ns, "pi", sign * t)
+            phi[sign] = _phi_parts_general(table, moved, SPEC, "floor", None).phi_tilde
+            plug[sign] = beta_id_general(table, moved)
+        rows = (phi[1] - phi[-1]) / (2.0 * t)
+        if_slopes.append(abs(float(rows.mean())))
+        plug_slopes.append(abs(plug[1] - plug[-1]) / (2.0 * t))
+    bound = 3.0 * float(rows.std()) / np.sqrt(table.n)
+    assert if_slopes[0] > if_slopes[1] > if_slopes[2]
+    assert min(plug_slopes) > 5.0 * bound

@@ -1,4 +1,6 @@
-"""Nuisance fitting, derived contrasts, floors, and diagnostics."""
+"""Nuisance fitting, derived contrasts, the denominator floor, and diagnostics."""
+
+import dataclasses
 
 from collections import Counter
 
@@ -8,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mivest.data import FunctionalSpec
-from mivest.exceptions import (DenominatorFloorError, NuisanceFitError)
+from mivest.exceptions import NuisanceFitError
 from mivest.learners import LearnerConfig, MultinomialModel, PolyBasis
-from mivest.nuisance import (PROB_CLIP, Diagnostics, NuisanceSet, apply_floor,
-                             evaluate_nuisances, fit_mu_component,
-                             fit_nuisance_set, winsorize_values)
+from mivest.nuisance import (PROB_CLIP, Diagnostics, NuisanceSet, evaluate_nuisances,
+                             fit_mu_component, fit_nuisance_set, floor_denominator,
+                             winsorize_values)
 from mivest.oracles import oracle_mu, oracle_pi
 from mivest.simulation import DGPSpec, generate
 
@@ -39,50 +41,53 @@ def test_fitted_pi_tracks_truth(big_fit):
     _, ns = big_fit
     for z in (0, 1):
         truth = oracle_pi("single_binary_iv", z, PROBE, {})
-        assert np.max(np.abs(ns.pi(z, PROBE) - truth)) < 0.03
+        assert np.max(np.abs(evaluate_nuisances(ns, PROBE).pi[z] - truth)) < 0.03
 
 
 def test_fitted_mu_tracks_truth(big_fit):
     _, ns = big_fit
     for z in (0, 1):
         truth = oracle_mu("single_binary_iv", z, PROBE, {}, 0.0)
-        assert np.max(np.abs(ns.mu(z, PROBE) - truth)) < 0.06
+        assert np.max(np.abs(evaluate_nuisances(ns, PROBE).mu[z] - truth)) < 0.06
 
 
 def test_rho_sums_to_one(big_fit, dual_fit):
     _, ns = big_fit
-    total = sum(ns.rho(z, PROBE) for z in range(ns.L))
+    rho = evaluate_nuisances(ns, PROBE).rho
+    total = sum(rho[z] for z in range(ns.L))
     assert np.allclose(total, 1.0, atol=1e-9)
-    total4 = sum(dual_fit.rho(z, PROBE) for z in range(dual_fit.L))
+    rho4 = evaluate_nuisances(dual_fit, PROBE).rho
+    total4 = sum(rho4[z] for z in range(dual_fit.L))
     assert np.allclose(total4, 1.0, atol=1e-9)
 
 
 def test_marginalize_mode_identities(big_fit, dual_fit):
     # rho-weighted response and outcome contrasts cancel by construction
     for ns in (big_fit[1], dual_fit):
-        r_sum = sum(ns.rho(z, PROBE) * ns.delta_r(z, PROBE)
-                    for z in range(ns.L))
-        y_sum = sum(ns.rho(z, PROBE) * ns.delta_y(z, PROBE)
-                    for z in range(ns.L))
+        ev = evaluate_nuisances(ns, PROBE)
+        r_sum = sum(ev.rho[z] * ev.delta_r[z] for z in range(ns.L))
+        y_sum = sum(ev.rho[z] * ev.delta_y[z] for z in range(ns.L))
         assert np.max(np.abs(r_sum)) < 1e-10
         assert np.max(np.abs(y_sum)) < 1e-10
 
 
-def test_derived_accessors_on_constants():
+def test_derived_quantities_on_constants():
     ns = const_ns(pi=(0.4, 0.8), rho=(0.5, 0.5), mu=(0.3, 0.9), pi0=0.25)
-    x = PROBE[:1]
-    assert ns.pi_marg(x)[0] == pytest.approx(0.6)
-    assert ns.delta_r(1, x)[0] == pytest.approx(0.2)
-    assert ns.delta_r(0, x)[0] == pytest.approx(-0.2)
-    assert ns.delta(1, x)[0] == pytest.approx(1.5)
-    assert ns.delta(0, x)[0] == pytest.approx(1.5)
+    ev = evaluate_nuisances(ns, PROBE[:1])
+    delta = ev.delta_y / floor_denominator(ev.delta_r, ns.eps_den)[0]
+    assert ev.pi_marg[0] == pytest.approx(0.6)
+    assert ev.delta_r[1, 0] == pytest.approx(0.2)
+    assert ev.delta_r[0, 0] == pytest.approx(-0.2)
+    assert delta[1, 0] == pytest.approx(1.5)
+    assert delta[0, 0] == pytest.approx(1.5)
 
 
 def test_binary_delta_r_factorization(big_fit):
     # delta_r at level 1 equals rho_0 times the level contrast when L = 2
     _, ns = big_fit
-    lhs = ns.delta_r(1, PROBE)
-    rhs = ns.rho(0, PROBE) * (ns.pi(1, PROBE) - ns.pi(0, PROBE))
+    ev = evaluate_nuisances(ns, PROBE)
+    lhs = ev.delta_r[1]
+    rhs = ev.rho[0] * (ev.pi[1] - ev.pi[0])
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
@@ -94,29 +99,28 @@ def test_rho_weighted_response_contrast_cancels(L, seed):
     pi = rng.uniform(0.05, 0.95, size=L)
     mu = rng.uniform(-2, 2, size=L)
     ns = const_ns(pi=pi, rho=rho, mu=mu, pi0=0.5)
-    total = sum(ns.rho(z, PROBE) * ns.delta_r(z, PROBE) for z in range(L))
+    ev = evaluate_nuisances(ns, PROBE)
+    total = sum(ev.rho[z] * ev.delta_r[z] for z in range(L))
     assert np.max(np.abs(total)) < 1e-10
 
 
 def test_flat_pi_hits_the_floor():
     ns = const_ns(pi=(0.6, 0.6), rho=(0.5, 0.5), mu=(0.3, 0.5), pi0=0.5)
-    with pytest.raises(DenominatorFloorError):
-        ns.delta(1, PROBE)
-    vals = ns.delta(1, PROBE, on_floor="floor")
+    ev = evaluate_nuisances(ns, PROBE)
+    den, hits = floor_denominator(ev.delta_r[1], ns.eps_den)
+    vals = ev.delta_y[1] / den
     assert np.all(np.isfinite(vals))
-    assert ns.diagnostics.floor_hits > 0
+    assert hits.sum() > 0
 
 
-def test_apply_floor_policies():
-    diag = Diagnostics()
+def test_floor_denominator_keeps_the_sign():
     vals = np.array([-1e-8, 1e-8, 0.5, 0.0])
-    floored = apply_floor(vals, 1e-6, "floor", diag)
+    floored, hits = floor_denominator(vals, 1e-6)
     assert floored.tolist() == [-1e-6, 1e-6, 0.5, 1e-6]
-    assert diag.floor_hits == 3
-    with pytest.raises(DenominatorFloorError):
-        apply_floor(vals, 1e-6, "raise", Diagnostics())
-    clean = apply_floor(np.array([0.2, -0.3]), 1e-6, "raise", Diagnostics())
+    assert hits.tolist() == [True, True, False, True]
+    clean, hits = floor_denominator(np.array([0.2, -0.3]), 1e-6)
     assert clean.tolist() == [0.2, -0.3]
+    assert not hits.any()
 
 
 def test_winsorize_values_clips_outliers():
@@ -163,9 +167,8 @@ def test_pooled_fallback_for_thin_strata():
          for v, r in zip(rng.normal(size=312), R)]
     t = small_table(Z, R, Y, X=rng.random((312, 2)))
     ns = fit_nuisance_set(t, SPEC, LearnerConfig())
-    for z in (0, 1):
-        vals = ns.pi(z, PROBE)
-        assert np.all((vals > 0) & (vals < 1))
+    vals = evaluate_nuisances(ns, PROBE).pi
+    assert np.all((vals > 0) & (vals < 1))
 
 
 def test_direct_mode_requires_marginals():
@@ -175,12 +178,12 @@ def test_direct_mode_requires_marginals():
                     pi0=0.5, mode="direct")
 
 
-def test_with_overrides_shares_untouched_components():
+def test_replace_shares_untouched_components():
     ns = const_ns(pi=(0.4, 0.8), rho=(0.5, 0.5), mu=(0.3, 0.9), pi0=0.25)
-    ns2 = ns.with_overrides(mu_fn=const_fn((0.0, 0.0)))
+    ns2 = dataclasses.replace(ns, mu_fn=const_fn((0.0, 0.0)))
     assert ns2.pi_fn is ns.pi_fn
-    assert ns2.mu(1, PROBE)[0] == 0.0
-    assert ns.mu(1, PROBE)[0] == 0.9
+    assert evaluate_nuisances(ns2, PROBE).mu[1, 0] == 0.0
+    assert evaluate_nuisances(ns, PROBE).mu[1, 0] == 0.9
 
 
 def test_evaluate_nuisances_shapes(big_fit):
@@ -237,5 +240,5 @@ def test_fit_mu_component_matches_full_fit(single_table, single_fit):
     mu_fn, _ = fit_mu_component(single_table, SPEC, LearnerConfig(),
                                 mode="marginalize")
     for z in (0, 1):
-        assert np.allclose(mu_fn(PROBE)[z], single_fit.mu(z, PROBE),
+        assert np.allclose(mu_fn(PROBE)[z], evaluate_nuisances(single_fit, PROBE).mu[z],
                            atol=1e-12)

@@ -7,6 +7,7 @@ from scipy.stats import norm
 
 from mivest.data import FunctionalSpec
 from mivest.exceptions import ConfigurationError, EstimationError
+from mivest.nuisance import evaluate_nuisances, floor_denominator
 from mivest.oracles import (integrate_unit_square, normal_partial_exp,
                             oracle_delta_fn, oracle_identified_beta,
                             oracle_mu, oracle_nuisances, oracle_pi,
@@ -106,10 +107,10 @@ def test_true_p_missing_frozen_values():
 def test_oracle_nuisance_set_identities():
     for family in ("single_binary_iv", "dual_binary_iv"):
         ns = oracle_nuisances(family)
-        total = sum(ns.rho(z, PROBE) for z in range(ns.L))
+        ev = evaluate_nuisances(ns, PROBE)
+        total = sum(ev.rho[z] for z in range(ns.L))
         assert np.allclose(total, 1.0, atol=1e-10)
-        cancel = sum(ns.rho(z, PROBE) * ns.delta_r(z, PROBE)
-                     for z in range(ns.L))
+        cancel = sum(ev.rho[z] * ev.delta_r[z] for z in range(ns.L))
         assert np.max(np.abs(cancel)) < 1e-10
         assert ns.pi0 == pytest.approx(true_p_missing(family), abs=1e-12)
 
@@ -117,8 +118,10 @@ def test_oracle_nuisance_set_identities():
 def test_oracle_delta_fn_matches_set_contrast():
     ns = oracle_nuisances("single_binary_iv")
     fn = oracle_delta_fn("single_binary_iv")
+    ev = evaluate_nuisances(ns, PROBE)
+    den, _ = floor_denominator(ev.delta_r, ns.eps_den)
     for z in (0, 1):
-        assert np.allclose(fn(PROBE)[z], ns.delta(z, PROBE), atol=1e-12)
+        assert np.allclose(fn(PROBE)[z], ev.delta_y[z] / den[z], atol=1e-12)
 
 
 def test_closed_forms_are_mean_only():
