@@ -378,7 +378,7 @@ def _grid_beta(
     _phi_tilde's operation order.  Equals beta_if_general on a set
     refitted at each grid point, up to the rounding of the batched solve.
     """
-    props, F = fit_propensities(table, cfg, mode)
+    props, F = fit_propensities(table, cfg, mode)[:2]
     pi, rho = props.pi(F), props.rho(F)
     pi_marg = props.pi_marg(F) if mode == "direct" else np.einsum("lm,lm->m", rho, pi)
     own = _own_level(table, pi, rho, pi - pi_marg[None, :], props.pi0, EPS_DEN, trim)

@@ -214,6 +214,109 @@ def _logistic_hessian(F: np.ndarray, p: np.ndarray, pen: np.ndarray) -> np.ndarr
     return H
 
 
+# a full accepted Newton step below this size lets the next iterations reuse
+# its Newton matrix (chord steps, _newton_fit)
+_CHORD_START = 1e-2
+# a chord step below this many irls_tol is taken in full: its likelihood gain
+# is below the rounding of the n-term likelihood sum (_newton_fit)
+_CHORD_FULL = 10.0
+
+
+def _gram_hessian(F: np.ndarray, p: np.ndarray, pen: np.ndarray) -> np.ndarray:
+    """Penalised Newton matrix where every row has the fitted probabilities p.
+
+    p holds the K fitted classes' probabilities, shared by all rows (an
+    intercept-only start).  The class weights are then constants, so every
+    d x d block is a multiple of one Gram F'F: the matrix is W (x) F'F plus
+    the ridge on the diagonal blocks, with W_kk = max(p_k (1 - p_k), 1e-10)
+    and W_km = -p_k p_m, the weights of _multinomial_hessian (at K = 1,
+    those of _logistic_hessian).
+    """
+    K = p.size
+    d = F.shape[1]
+    W = -np.outer(p, p)
+    np.fill_diagonal(W, np.maximum(p * (1.0 - p), 1e-10))
+    G = F.T @ F
+    H = (W[:, None, :, None] * G[None, :, None, :]).reshape(K * d, K * d)
+    for k in range(K):
+        H[k * d: (k + 1) * d, k * d: (k + 1) * d] += pen
+    return H
+
+
+def _newton_fit(F, coef, pll, score, hessian, pen, cfg, what):
+    """Damped Newton ascent of a penalised likelihood; (coef, converged, n_iter).
+
+    Shared by fit_logistic and fit_multinomial.  pll(b) returns the
+    penalised log-likelihood at b and the state the score needs;
+    score(b, state) returns the penalised score, shaped like b, and the
+    class-major (K, n) fitted probabilities; hessian(Pk) forms the
+    penalised Newton matrix in one chunked pass over the rows, pen is the
+    ridge block of one class and what names the model.  The driver
+    forms only the Newton matrices that an iteration needs:
+
+    - at an intercept-only start every row has the same probabilities, and
+      the matrix is one Gram (_gram_hessian);
+    - after a full accepted step with max|step| < _CHORD_START, the next
+      iteration reuses the last matrix (a chord step; Kelley 1995,
+      Iterative Methods for Linear and Nonlinear Equations, ch. 5).  A chord
+      step is kept only if it is at most a tenth of the step before it;
+      otherwise the matrix is formed afresh at the same iterate;
+    - every other iteration calls hessian.
+
+    Each step is damped by _halving_search, except a chord step below
+    _CHORD_FULL * irls_tol, which is taken in full.  Chord steps converge
+    linearly, so the last ones lie near irls_tol, where a step gains less
+    than the rounding of the likelihood sum and the search's verdict is
+    rounding noise that would decide where the fit stops.  The fit
+    converges when an accepted step, times its scale, is below irls_tol in
+    every coordinate, and stops unconverged when all halvings are rejected.
+    """
+
+    def newton_step(H: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        try:
+            return np.linalg.solve(H, grad.ravel()).reshape(grad.shape)
+        except np.linalg.LinAlgError as exc:
+            raise FitError(
+                f"{what} Newton system singular; use ridge_lambda > 0 for "
+                "separated or collinear data"
+            ) from exc
+
+    cur, state = pll(coef)
+    converged = False
+    H = None
+    chord_limit = 0.0           # the largest chord step kept; 0: no chord step
+    it = 0
+    for it in range(1, cfg.max_irls_iter + 1):
+        grad, Pk = score(coef, state)
+        chord = False
+        if chord_limit:
+            step = newton_step(H, grad)
+            size = np.max(np.abs(step))
+            chord = size <= chord_limit
+        if not chord:
+            if it == 1 and np.all(Pk.min(axis=1) == Pk.max(axis=1)):
+                H = _gram_hessian(F, Pk[:, 0], pen)
+            else:
+                H = hessian(Pk)
+            step = newton_step(H, grad)
+            size = np.max(np.abs(step))
+        if chord and size < _CHORD_FULL * cfg.irls_tol:
+            scale, coef = 1.0, coef + step
+            cur, state = pll(coef)
+        else:
+            accepted = _halving_search(pll, coef, step, cur)
+            if accepted is None:
+                break
+            scale, coef, cur, state = accepted
+        if not np.all(np.isfinite(coef)):
+            raise FitError(f"{what} fit diverged to non-finite coefficients")
+        if scale * size < cfg.irls_tol:
+            converged = True
+            break
+        chord_limit = size / 10.0 if scale == 1.0 and size < _CHORD_START else 0.0
+    return coef, converged, it
+
+
 def fit_logistic(features: np.ndarray, labels: np.ndarray, cfg: LearnerConfig) -> FitResult:
     """Ridge logistic regression by iteratively reweighted least squares.
 
@@ -226,8 +329,8 @@ def fit_logistic(features: np.ndarray, labels: np.ndarray, cfg: LearnerConfig) -
     The likelihood evaluates log(1 + e^eta) as max(eta, 0) +
     log1p(exp(-|eta|)) in one reused n-buffer (the value np.logaddexp
     gives, at a sixth of its cost), and the Hessian is summed over row
-    chunks (_logistic_hessian); besides F and the labels the fit holds a
-    few n-vectors and no (n, d) work array.
+    chunks (_logistic_hessian) when _newton_fit needs a fresh one; besides
+    F and the labels the fit holds a few n-vectors and no (n, d) work array.
     """
     F = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=float)
@@ -246,34 +349,19 @@ def fit_logistic(features: np.ndarray, labels: np.ndarray, cfg: LearnerConfig) -
         np.add(soft, np.maximum(eta, 0.0), out=soft)
         return float(y @ eta - soft.sum() - lam * (b[1:] @ b[1:])), eta
 
+    def score(b: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        p = expit(eta)
+        grad = F.T @ (y - p)
+        grad[1:] -= 2.0 * lam * b[1:]
+        return grad, p[None, :]
+
     coef = np.zeros(d)
     # sensible start: intercept at the empirical logit
     ybar = float(np.clip(y.mean(), 1e-12, 1 - 1e-12))
     coef[0] = np.log(ybar / (1.0 - ybar))
-    cur, eta = pll(coef)
-    converged = False
-    it = 0
-    for it in range(1, cfg.max_irls_iter + 1):
-        p = expit(eta)
-        H = _logistic_hessian(F, p, pen)
-        grad = F.T @ np.subtract(y, p, out=p)   # p is spent: y - p in its place
-        grad[1:] -= 2.0 * lam * coef[1:]
-        try:
-            step = np.linalg.solve(H, grad)
-        except np.linalg.LinAlgError as exc:
-            raise FitError(
-                "IRLS system singular; use ridge_lambda > 0 for separated or "
-                "collinear data"
-            ) from exc
-        accepted = _halving_search(pll, coef, step, cur)
-        if accepted is None:
-            break
-        scale, coef, cur, eta = accepted
-        if not np.all(np.isfinite(coef)):
-            raise FitError("logistic fit diverged to non-finite coefficients")
-        if scale * np.max(np.abs(step)) < cfg.irls_tol:
-            converged = True
-            break
+    coef, converged, it = _newton_fit(
+        F, coef, pll, score, lambda Pk: _logistic_hessian(F, Pk[0], pen), pen, cfg,
+        "logistic")
     return FitResult(coef=coef, converged=converged, n_iter=it)
 
 
@@ -382,7 +470,7 @@ def _multinomial_hessian(F: np.ndarray, Pk: np.ndarray, lam: float) -> np.ndarra
 
 def fit_multinomial(features: np.ndarray, classes: np.ndarray, cfg: LearnerConfig,
                     L: int | None = None) -> MultinomialModel:
-    """Ridge multinomial logistic regression by full Newton iterations.
+    """Ridge multinomial logistic regression by damped Newton iterations.
 
     classes are integer codes 0..L-1; every class should be present.  The
     penalty lambda ||b_k[1:]||^2 applies per class, intercepts free.
@@ -394,9 +482,9 @@ def fit_multinomial(features: np.ndarray, classes: np.ndarray, cfg: LearnerConfi
     instrument levels moved one repetition's estimate by 0.010.
 
     Logits and probabilities are class-major (L, n), computed as B @ F.T
-    with no copy of F; the gradient is the one product (Y - P[:K]) @ F,
-    and every Hessian block comes from one chunked pass over the rows
-    (_multinomial_hessian).
+    with no copy of F; the gradient is the one product (Y - P[:K]) @ F.
+    When _newton_fit needs a fresh Hessian, every block comes from one
+    chunked pass over the rows (_multinomial_hessian).
     """
     F = np.asarray(features, dtype=float)
     y = np.asarray(classes, dtype=np.int64)
@@ -433,27 +521,13 @@ def fit_multinomial(features: np.ndarray, classes: np.ndarray, cfg: LearnerConfi
         lse = float(top.sum() + np.log(total).sum())
         return fit_term - lse - lam * float((B[:, 1:] ** 2).sum()), buf
 
-    cur, P = pll(coef)
-    converged = False
-    it = 0
-    for it in range(1, cfg.max_irls_iter + 1):
+    def score(B: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         Pk = P[:K]
         G = (Y - Pk) @ F                       # (K, d)
-        G[:, 1:] -= 2.0 * lam * coef[:, 1:]
-        H = _multinomial_hessian(F, Pk, lam)
-        try:
-            step = np.linalg.solve(H, G.ravel())
-        except np.linalg.LinAlgError as exc:
-            raise FitError(
-                "multinomial Newton system singular; use ridge_lambda > 0"
-            ) from exc
-        accepted = _halving_search(pll, coef, step.reshape(K, d), cur)
-        if accepted is None:
-            break
-        scale, coef, cur, P = accepted
-        if not np.all(np.isfinite(coef)):
-            raise FitError("multinomial fit diverged to non-finite coefficients")
-        if scale * np.max(np.abs(step)) < cfg.irls_tol:
-            converged = True
-            break
+        G[:, 1:] -= 2.0 * lam * B[:, 1:]
+        return G, Pk
+
+    coef, converged, it = _newton_fit(
+        F, coef, pll, score, lambda Pk: _multinomial_hessian(F, Pk, lam),
+        _penalty_matrix(d, 2.0 * lam), cfg, "multinomial")
     return MultinomialModel(coef=coef, L=L, converged=converged, n_iter=it)

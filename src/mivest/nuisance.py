@@ -11,10 +11,10 @@ same container carries fitted models, closed-form truths, or corrupted
 versions.  Each component callable takes the rows X and returns every
 instrument level at once, an (L, m) array whose row z is level z: the
 influence function needs all levels at every row, and a fitted set then
-transforms its basis once and predicts the instrument model once per
-call.  Marginal quantities pi(X) and mu(X) are either the exact
-rho-weighted sums over levels ("marginalize", the default) or separately
-supplied models ("direct").
+predicts the instrument model once per call and transforms its basis once
+per evaluate_nuisances call.  Marginal quantities pi(X) and mu(X) are
+either the exact rho-weighted sums over levels ("marginalize", the
+default) or separately supplied models ("direct").
 
 A set is read only through evaluate_nuisances, once per block of rows;
 floor_denominator is the one floor on |delta_r|.
@@ -68,8 +68,20 @@ class Diagnostics:
         }
 
 
-def _levels(fn: ComponentFn, X: np.ndarray) -> np.ndarray:
-    return np.asarray(fn(np.atleast_2d(X)), dtype=float)
+@dataclass(frozen=True, eq=False)
+class _OnBasis:
+    """A fitted component: fn applied to the basis features of the rows.
+
+    Called with X it transforms the basis itself, so it is a component
+    callable like any other; evaluate_nuisances instead transforms a block
+    once and hands the features to every component on the same basis.
+    """
+
+    basis: PolyBasis
+    fn: Callable[[np.ndarray], np.ndarray]
+
+    def __call__(self, X: np.ndarray) -> np.ndarray:
+        return self.fn(self.basis.transform(X))
 
 
 @dataclass
@@ -173,12 +185,18 @@ class Propensities:
         return self._clip(expit(F @ self.pi_marg_coef))
 
 
+def _by_level(F: np.ndarray, Z: np.ndarray, L: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per instrument level z: the indices of the rows at level z, and F there."""
+    return [(r, F[r]) for r in (np.flatnonzero(Z == z) for z in range(L))]
+
+
 def fit_propensities(
     train: ObservationTable,
     cfg: LearnerConfig,
     mode: MarginalizationMode = "marginalize",
-) -> tuple[Propensities, np.ndarray]:
-    """Fit pi, rho and pi0 on a training block; returns them and its basis F.
+) -> tuple[Propensities, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """Fit pi, rho and pi0 on a training block; returns them, its basis F
+    and F split by instrument level.
 
     pi(z, .): ridge logistic of R on the basis, stratified by level, with a
     pooled fully-interacted fallback when any level has fewer rows than
@@ -187,7 +205,9 @@ def fit_propensities(
     an unstratified logistic pi(X).  None of these depends on psi, so a
     caller that varies only psi fits them once.  F is the training block's
     basis, transformed once here; callers reuse it to fit mu and to
-    evaluate the models on the training rows.
+    evaluate the models on the training rows.  The split holds, per level
+    z, the row indices of level z and F at those rows; the pi fits use it,
+    and fit_nuisance_set passes it on to the mu fits.
     """
     L = train.L
     diag = Diagnostics()
@@ -214,21 +234,8 @@ def fit_propensities(
             diag.nonconverged_fits += 1
         return res.coef
 
-    # response model per level, pooled interacted fallback for thin strata;
-    # either way one (L, d) coefficient stack
-    if (counts < MIN_STRATUM_ROWS).any():
-        d = F.shape[1]
-        # block-diagonal layout: each level gets its own copy of the basis
-        # (level indicator columns included), jointly ridged
-        Fi = np.zeros((train.n, d * L))
-        for z in range(L):
-            rows = train.Z == z
-            Fi[rows, z * d:(z + 1) * d] = F[rows]
-        pi_coef = logistic(Fi, R).reshape(L, d)
-    else:
-        pi_coef = np.stack([logistic(F[train.Z == z], R[train.Z == z]) for z in range(L)])
-
-    # instrument model
+    # instrument model first: the level blocks gathered below are a second
+    # (n, d) copy of F, which need not be alive during the multinomial fit
     if L == 2:
         rho_model = logistic(F, train.Z.astype(float))
     else:
@@ -236,10 +243,24 @@ def fit_propensities(
         if not rho_model.converged:
             diag.nonconverged_fits += 1
 
+    levels = _by_level(F, train.Z, L)
+    # response model per level, pooled interacted fallback for thin strata;
+    # either way one (L, d) coefficient stack
+    if (counts < MIN_STRATUM_ROWS).any():
+        d = F.shape[1]
+        # block-diagonal layout: each level gets its own copy of the basis
+        # (level indicator columns included), jointly ridged
+        Fi = np.zeros((train.n, d * L))
+        for z, (r, Fz) in enumerate(levels):
+            Fi[r, z * d:(z + 1) * d] = Fz
+        pi_coef = logistic(Fi, R).reshape(L, d)
+    else:
+        pi_coef = np.stack([logistic(Fz, R[r]) for r, Fz in levels])
+
     pi_marg_coef = logistic(F, R) if mode == "direct" else None
     pi0 = float(np.mean(train.R == 0))
     return Propensities(L=L, basis=basis, pi_coef=pi_coef, rho_model=rho_model,
-                        pi_marg_coef=pi_marg_coef, pi0=pi0, diagnostics=diag), F
+                        pi_marg_coef=pi_marg_coef, pi0=pi0, diagnostics=diag), F, levels
 
 
 def fit_nuisance_set(
@@ -254,22 +275,23 @@ def fit_nuisance_set(
     pi, rho and pi0 come from fit_propensities; mu(z, .) is a ridge linear
     fit of R*h(Y; psi) on the same basis within each level, rows with
     R = 0 contributing target 0, and direct mode adds an unstratified
-    mu(X).  Each component callable transforms the basis once per call.
+    mu(X).  Every component is a function of the one fitted basis, so
+    evaluate_nuisances transforms a block once for all of them.
     Predicted probabilities are clipped to [1e-6, 1 - 1e-6]; every clipped
     model output is counted once in diagnostics, so with L = 2 a clip of
     the instrument model counts once, not once per level.
     """
-    props, F = fit_propensities(train, cfg, mode)
+    props, F, levels = fit_propensities(train, cfg, mode)
     basis = props.basis
-    mu_fn, mu_marg_fn = _fit_mu(train, basis, F, train.rh(spec), cfg, mode)
+    mu_fn, mu_marg_fn = _fit_mu(basis, F, levels, train.rh(spec), cfg, mode)
     return NuisanceSet(
         L=train.L,
-        pi_fn=lambda X: props.pi(basis.transform(X)),
-        rho_fn=lambda X: props.rho(basis.transform(X)),
+        pi_fn=_OnBasis(basis, props.pi),
+        rho_fn=_OnBasis(basis, props.rho),
         mu_fn=mu_fn,
         pi0=props.pi0,
         mode=mode,
-        pi_marg_fn=(lambda X: props.pi_marg(basis.transform(X))) if mode == "direct" else None,
+        pi_marg_fn=_OnBasis(basis, props.pi_marg) if mode == "direct" else None,
         mu_marg_fn=mu_marg_fn,
         eps_den=eps_den,
         diagnostics=props.diagnostics,
@@ -277,31 +299,24 @@ def fit_nuisance_set(
 
 
 def _fit_mu(
-    train: ObservationTable,
     basis: PolyBasis,
     F: np.ndarray,
+    levels: list[tuple[np.ndarray, np.ndarray]],
     rh: np.ndarray,
     cfg: LearnerConfig,
     mode: MarginalizationMode,
 ) -> tuple[ComponentFn, MarginalFn | None]:
-    """mu(z, .) per level as one (L, m) callable, and mu(X) in direct mode.
+    """mu(z, .) per level as one (L, m) component, and mu(X) in direct mode.
 
     The target is R*h with 0 for R = 0 rows; F is the training block's
-    basis.
+    basis and levels its split by level, as fit_propensities returns them.
     """
-    mu_stack = np.stack([fit_linear(F[train.Z == z], rh[train.Z == z], cfg).coef
-                         for z in range(train.L)])
-
-    def mu_fn(X: np.ndarray) -> np.ndarray:
-        return mu_stack @ basis.transform(X).T
-
+    mu_stack = np.stack([fit_linear(Fz, rh[r], cfg).coef for r, Fz in levels])
+    mu_fn = _OnBasis(basis, lambda G: mu_stack @ G.T)
     mu_marg_fn = None
     if mode == "direct":
         mum_coef = fit_linear(F, rh, cfg).coef
-
-        def mu_marg_fn(X: np.ndarray) -> np.ndarray:
-            return basis.transform(X) @ mum_coef
-
+        mu_marg_fn = _OnBasis(basis, lambda G: G @ mum_coef)
     return mu_fn, mu_marg_fn
 
 
@@ -324,7 +339,8 @@ def fit_mu_component(
     if empty.size:
         raise NuisanceFitError(f"instrument level {empty[0]} has no training rows")
     basis = PolyBasis(cfg.basis_df).fit(train.X)
-    return _fit_mu(train, basis, basis.transform(train.X), train.rh(spec), cfg, mode)
+    F = basis.transform(train.X)
+    return _fit_mu(basis, F, _by_level(F, train.Z, train.L), train.rh(spec), cfg, mode)
 
 
 @dataclass
@@ -347,19 +363,33 @@ class NuisanceEval:
 
 
 def evaluate_nuisances(ns: NuisanceSet, X: np.ndarray) -> NuisanceEval:
-    """One-pass evaluation of every component on the rows of X."""
+    """One-pass evaluation of every component on the rows of X.
+
+    The rows' basis features are computed once per fitted basis and shared
+    by the fitted components on it (a fitted set has one basis).
+    """
     X = np.atleast_2d(X)
-    pi = _levels(ns.pi_fn, X)
-    rho = _levels(ns.rho_fn, X)
-    mu = _levels(ns.mu_fn, X)
+    features: dict[int, np.ndarray] = {}
+
+    def call(fn: ComponentFn | MarginalFn) -> np.ndarray:
+        if not isinstance(fn, _OnBasis):
+            return np.asarray(fn(X), dtype=float)
+        F = features.get(id(fn.basis))
+        if F is None:
+            F = features[id(fn.basis)] = fn.basis.transform(X)
+        return np.asarray(fn.fn(F), dtype=float)
+
+    pi = call(ns.pi_fn)
+    rho = call(ns.rho_fn)
+    mu = call(ns.mu_fn)
     if ns.mode == "direct":
-        pim = np.asarray(ns.pi_marg_fn(X), dtype=float)
-        mum = np.asarray(ns.mu_marg_fn(X), dtype=float)
+        pim = call(ns.pi_marg_fn)
+        mum = call(ns.mu_marg_fn)
     else:
         pim = np.einsum("lm,lm->m", rho, pi)
         mum = np.einsum("lm,lm->m", rho, mu)
     return NuisanceEval(
         pi=pi, rho=rho, mu=mu, pi_marg=pim, mu_marg=mum,
         delta_r=pi - pim[None, :], delta_y=mu - mum[None, :],
-        delta=None if ns.delta_fn is None else _levels(ns.delta_fn, X),
+        delta=None if ns.delta_fn is None else call(ns.delta_fn),
     )

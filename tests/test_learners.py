@@ -267,7 +267,8 @@ def test_multinomial_needs_two_classes():
 def _row_major_newton(F, y, cfg, L):
     """The row-major Newton fit that the class-major fit replaced, kept as a
     reference: (n, L) logits with a row-wise softmax, and one weighted Gram
-    product per Hessian block.  Returns (coef, converged, n_iter)."""
+    product per Hessian block, formed on the schedule of
+    learners._newton_fit (chord steps).  Returns (coef, converged, n_iter)."""
     n, d = F.shape
     K = L - 1
     lam = cfg.ridge_lambda
@@ -293,16 +294,7 @@ def _row_major_newton(F, y, cfg, L):
         lse = float(top.sum() + np.log(total).sum())
         return fit_term - lse - lam * float((B[:, 1:] ** 2).sum()), buf
 
-    cur, P = pll(coef)
-    converged = False
-    it = 0
-    for it in range(1, cfg.max_irls_iter + 1):
-        Pk = P[:, :K]
-        grad = np.empty(K * d)
-        for k in range(K):
-            gk = F.T @ (Yk[:, k] - Pk[:, k])
-            gk[1:] -= 2.0 * lam * coef[k, 1:]
-            grad[k * d: (k + 1) * d] = gk
+    def hessian(Pk):
         H = np.empty((K * d, K * d))
         for k in range(K):
             for m in range(k, K):
@@ -315,20 +307,41 @@ def _row_major_newton(F, y, cfg, L):
                 if m != k:
                     H[m * d: (m + 1) * d, k * d: (k + 1) * d] = block
             H[k * d: (k + 1) * d, k * d: (k + 1) * d] += _penalty_matrix(d, 2.0 * lam)
-        step = np.linalg.solve(H, grad)
+        return H
+
+    cur, P = pll(coef)
+    converged = False
+    chord_limit = 0.0
+    it = 0
+    for it in range(1, cfg.max_irls_iter + 1):
+        Pk = P[:, :K]
+        grad = np.empty(K * d)
+        for k in range(K):
+            gk = F.T @ (Yk[:, k] - Pk[:, k])
+            gk[1:] -= 2.0 * lam * coef[k, 1:]
+            grad[k * d: (k + 1) * d] = gk
+        step = np.linalg.solve(H, grad) if chord_limit else None
+        chord = step is not None and np.max(np.abs(step)) <= chord_limit
+        if not chord:
+            H = hessian(Pk)
+            step = np.linalg.solve(H, grad)
+        size = np.max(np.abs(step))
         scale = 1.0
         for _ in range(30):
             cand = coef + scale * step.reshape(K, d)
             new, probs = pll(cand)
+            if chord and size < 10.0 * cfg.irls_tol:
+                break   # a small chord step is taken in full
             if np.isfinite(new) and new >= cur - 1e-12:
                 break
             scale *= 0.5
         else:
             break       # failed search: keep the last accepted iterate
         coef, cur, P = cand, new, probs
-        if scale * np.max(np.abs(step)) < cfg.irls_tol:
+        if scale * size < cfg.irls_tol:
             converged = True
             break
+        chord_limit = size / 10.0 if scale == 1.0 and size < 1e-2 else 0.0
     return coef, converged, it
 
 
@@ -457,7 +470,8 @@ def test_multinomial_fit_memory_is_bounded_by_the_features(L):
 def _reference_logistic_newton(F, y, cfg):
     """The logistic Newton fit that the chunked kernel replaced, kept as a
     reference: the likelihood through np.logaddexp and the Hessian as one
-    (F * w[:, None]).T @ F product.  Returns (coef, converged, n_iter)."""
+    (F * w[:, None]).T @ F product, formed on the schedule of
+    learners._newton_fit (chord steps).  Returns (coef, converged, n_iter)."""
     n, d = F.shape
     lam = cfg.ridge_lambda
     pen = _penalty_matrix(d, 2.0 * lam)
@@ -471,27 +485,35 @@ def _reference_logistic_newton(F, y, cfg):
     coef[0] = np.log(ybar / (1.0 - ybar))
     cur, eta = pll(coef)
     converged = False
+    chord_limit = 0.0
     it = 0
     for it in range(1, cfg.max_irls_iter + 1):
         p = expit(eta)
-        w = np.maximum(p * (1.0 - p), 1e-10)
         grad = F.T @ (y - p)
         grad[1:] -= 2.0 * lam * coef[1:]
-        H = (F * w[:, None]).T @ F + pen
-        step = np.linalg.solve(H, grad)
+        step = np.linalg.solve(H, grad) if chord_limit else None
+        chord = step is not None and np.max(np.abs(step)) <= chord_limit
+        if not chord:
+            w = np.maximum(p * (1.0 - p), 1e-10)
+            H = (F * w[:, None]).T @ F + pen
+            step = np.linalg.solve(H, grad)
+        size = np.max(np.abs(step))
         scale = 1.0
         for _ in range(30):
             cand = coef + scale * step
             new, eta_new = pll(cand)
+            if chord and size < 10.0 * cfg.irls_tol:
+                break   # a small chord step is taken in full
             if np.isfinite(new) and new >= cur - 1e-12:
                 break
             scale *= 0.5
         else:
             break       # failed search: keep the last accepted iterate
         coef, cur, eta = cand, new, eta_new
-        if scale * np.max(np.abs(step)) < cfg.irls_tol:
+        if scale * size < cfg.irls_tol:
             converged = True
             break
+        chord_limit = size / 10.0 if scale == 1.0 and size < 1e-2 else 0.0
     return coef, converged, it
 
 
@@ -560,3 +582,27 @@ def test_logistic_fit_memory_is_bounded_by_a_few_label_vectors():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * y.nbytes
+
+
+# -- the Newton driver's Hessian schedule --------------------------------------
+
+
+def test_newton_fits_form_only_the_hessians_they_need(monkeypatch):
+    # the intercept-only start needs one Gram, not a chunked pass, and once
+    # a full step is below 1e-2 the last Newton matrix serves the chord steps
+    # that follow; a Hessian per iteration (8 multinomial, 7 logistic on
+    # these draws) would fail the pinned counts
+    calls = {"_multinomial_hessian": 0, "_logistic_hessian": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(learners, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(learners, name, counted)
+    F, classes = _class_draw(40_000, 4, seed=8)
+    model = fit_multinomial(F, classes, CFG, L=4)
+    assert model.converged
+    assert (model.n_iter, calls["_multinomial_hessian"]) == (9, 4)
+    F, y = _binary_draw(40_000, seed=8)
+    res = fit_logistic(F, y, CFG)
+    assert res.converged
+    assert (res.n_iter, calls["_logistic_hessian"]) == (10, 3)

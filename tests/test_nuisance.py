@@ -214,12 +214,14 @@ def test_two_level_instrument_clip_counts_once():
     assert ns.diagnostics.prob_clips == at_bound
 
 
-@pytest.mark.parametrize("mode, transforms", [("marginalize", 3), ("direct", 5)])
-def test_one_evaluation_transforms_once_per_component(monkeypatch, mode, transforms):
-    # one basis transform per component callable and one multinomial
-    # prediction, whatever the number of instrument levels
+@pytest.mark.parametrize("mode, components", [("marginalize", 3), ("direct", 5)])
+def test_one_evaluation_transforms_the_basis_once(monkeypatch, mode, components):
+    # one basis transform shared by all the fitted component callables and
+    # one multinomial prediction, whatever the number of instrument levels
     table, _ = generate(DGPSpec(family="dual_binary_iv", n=3_000, seed=12))
     ns = fit_nuisance_set(table, SPEC, LearnerConfig(), mode=mode)
+    fns = (ns.pi_fn, ns.rho_fn, ns.mu_fn, ns.pi_marg_fn, ns.mu_marg_fn)
+    assert sum(fn is not None for fn in fns) == components
     calls = Counter()
 
     def counted(name, fn):
@@ -233,7 +235,7 @@ def test_one_evaluation_transforms_once_per_component(monkeypatch, mode, transfo
                         counted("predict_proba", MultinomialModel.predict_proba))
     evaluate_nuisances(ns, PROBE)
     assert ns.L == 4
-    assert calls == {"transform": transforms, "predict_proba": 1}
+    assert calls == {"transform": 1, "predict_proba": 1}
 
 
 def test_fit_mu_component_matches_full_fit(single_table, single_fit):

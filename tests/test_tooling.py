@@ -26,6 +26,34 @@ def test_benchmark_tracer_finds_every_name_it_patches():
     assert proc.returncode == 0, proc.stderr
 
 
+_BENCH_WORKLOADS = ("estimate-dual-mean", "estimate-single-mean", "estimate-dual-quantile",
+                    "simulate-dual")
+
+
+@pytest.mark.parametrize("name", _BENCH_WORKLOADS)
+def test_benchmark_workload_matches_its_pinned_outputs(name, tmp_path, monkeypatch):
+    # one run of input variant 0 per workload, checked as perfbench checks
+    # every invocation: point estimates within PIN_TOL of pinned.json, plus
+    # the oracle checks, so a drift past the pins fails here first
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from workloads import WORKLOADS, check_report, load_pinned, write_inputs
+
+    assert set(WORKLOADS) == set(_BENCH_WORKLOADS)
+    w = WORKLOADS[name]
+    pinned = load_pinned()[name]["0"]
+    inputs = write_inputs(w, 0, tmp_path)
+    assert inputs["sha256"] == pinned["sha256"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "mivest.cli", *inputs["args"], "--out", str(tmp_path / "r.json")],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+        env=dict(os.environ, PYTHONPATH="src", OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                 MKL_NUM_THREADS="1"),
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))
+    assert check_report(w, report, pinned) == []
+
+
 @pytest.mark.parametrize("script", sorted(p.name for p in (ROOT / "scripts").glob("*.py")))
 def test_script_help_runs(script):
     # the scripts import public names at the top, so --help fails when one
