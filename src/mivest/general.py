@@ -302,8 +302,8 @@ def solve_functional(
     range in a single pass, in sample on the whole table (no
     cross-fitting): the table's basis is transformed once, only the
     psi-free models (pi, rho, pi0) are fitted and evaluated once on it, and
-    mu for every grid point comes from one ridge solve per level against
-    all grid targets at once (_grid_beta).  The root is found by bisection
+    mu for every grid point comes from one stacked ridge solve per level
+    over all grid targets (_grid_beta).  The root is found by bisection
     on the piecewise-linear interpolant of the grid moments; no sign change
     raises WeakIdentificationError.
     """
@@ -372,11 +372,12 @@ def _grid_beta(
     solve.  The R h rows of a block of grid points come from one
     comparison against the outcomes.  Each level's F_z' (R h) is the
     matrix-vector product a refit at that grid point makes, over a slice
-    of level-sorted rows; mu(z, .) for all grid points is then one ridge
-    solve per level, plus one over all rows for mu(x) in direct mode.
-    Each grid point's moment is evaluated in reused n-buffers, in
-    _phi_tilde's operation order.  Equals beta_if_general on a set
-    refitted at each grid point, up to the rounding of the batched solve.
+    of level-sorted rows; mu(z, .) for all grid points is then one stacked
+    ridge solve per level, plus one over all rows for mu(x) in direct mode,
+    each grid point's system solved alone as a refit solves it.  Each grid
+    point's moment is evaluated in reused n-buffers, in _phi_tilde's
+    operation order.  Equals beta_if_general on a set refitted at each grid
+    point, up to the rounding of the matrix products that evaluate mu.
     """
     props, F = fit_propensities(table, cfg, mode)[:2]
     pi, rho = props.pi(F), props.rho(F)
@@ -411,21 +412,21 @@ def _grid_beta(
     order = np.argsort(table.Z, kind="stable")
     Fs = F[order]
     ys, qs = y_all[order], q_r[order]
-    cross = np.empty((K, F.shape[1], grid.size))
+    cross = np.empty((K, grid.size, F.shape[1]))
     for j0 in range(0, grid.size, _GRID_BLOCK):
         for j, rh in enumerate(rh_block(ys, qs, j0), start=j0):
             for z, rows in enumerate(levels):
-                cross[z, :, j] = Fs[rows].T @ rh[rows]
+                cross[z, j] = Fs[rows].T @ rh[rows]
         if direct:      # mu(x) over all rows, in row order
             for j, rh in enumerate(rh_block(y_all, q_r, j0), start=j0):
-                cross[L, :, j] = F.T @ rh
+                cross[L, j] = F.T @ rh
     grams = [Fs[rows].T @ Fs[rows] for rows in levels] + ([F.T @ F] if direct else [])
     del Fs, ys, qs
     # coef[j] holds mu's coefficients at grid[j], one row per model, so
-    # coef[j] @ F.T is mu of every model at every row
+    # coef[j] @ F.T is mu of every model at every row; one system per grid
+    # point, not one multi-column solve, whose columns round differently
     coef = np.stack([_ridge_solve(gram, cross[k], cfg.ridge_lambda)
-                     for k, gram in enumerate(grams)])
-    coef = np.ascontiguousarray(coef.transpose(2, 0, 1))    # (grid, K, d)
+                     for k, gram in enumerate(grams)], axis=1)     # (grid, K, d)
 
     FT = np.ascontiguousarray(F.T)          # row-major (d, n): a faster product
     del F

@@ -148,11 +148,14 @@ def fit_linear(features: np.ndarray, targets: np.ndarray, cfg: LearnerConfig) ->
 def _ridge_solve(gram: np.ndarray, cross: np.ndarray, lam: float) -> np.ndarray:
     """Solve (F'F + lambda D) b = F'y given gram = F'F and cross = F'y.
 
-    cross may be (d,) or (d, k); k columns share one factorisation.
+    cross may be (d,) or (k, d); each of the k rows is solved as its own
+    system, bit for bit the (d,) solve of that row, and row i of the
+    result is its coefficients.
     """
     A = gram + _penalty_matrix(gram.shape[0], lam)
     try:
-        coef = np.linalg.solve(A, cross)
+        coef = np.linalg.solve(A, cross) if cross.ndim == 1 else \
+            np.linalg.solve(A, cross[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise FitError(
             "normal equations singular; a ridge_lambda > 0 is required for "

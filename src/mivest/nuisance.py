@@ -331,8 +331,8 @@ def fit_mu_component(
     pi, rho and pi0 do not depend on the functional (fit_propensities fits
     them alone), so a caller that changes only psi can refit mu alone.  No
     library code calls it: the quantile solver fits the psi-free models
-    once and gets mu for its whole psi-grid from one ridge solve per level
-    (general._grid_beta).
+    once and gets mu for its whole psi-grid from one stacked ridge solve
+    per level (general._grid_beta).
     """
     counts = np.bincount(train.Z, minlength=train.L)
     empty = np.flatnonzero(counts == 0)
