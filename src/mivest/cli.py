@@ -93,7 +93,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("robustness", help="estimator behaviour under corrupted nuisances")
     common(p)
     p.add_argument("--n", type=int, default=None, help="table size (default 100000)")
-    p.add_argument("--reference-draws", type=int, default=None, dest="reference_draws")
 
     p = sub.add_parser("validate", help="table diagnostics for a CSV, no estimation")
     p.add_argument("--config", required=True)
@@ -336,11 +335,9 @@ def cmd_oracle(cfg: AnalysisConfig, args: argparse.Namespace) -> int:
 def cmd_robustness(cfg: AnalysisConfig, args: argparse.Namespace) -> int:
     sim = _require_simulation(cfg)
     n = args.n if args.n is not None else 100_000
-    ref_draws = args.reference_draws if args.reference_draws is not None else 4_000_000
     psi = cfg.functional.psi if cfg.functional.kind == "mean" else 0.0
     rep = run_robustness(sim.family, n=n, seed=cfg.seed,
-                         parameters=dict(sim.parameters), psi=psi,
-                         reference_draws=ref_draws)
+                         parameters=dict(sim.parameters), psi=psi)
     report = {
         "format": REPORT_FORMAT,
         "command": "robustness",
@@ -349,7 +346,7 @@ def cmd_robustness(cfg: AnalysisConfig, args: argparse.Namespace) -> int:
     }
     _emit(report, args.out)
     print(f"{sim.family}  n={n}  reference={rep.reference:.5f} "
-          f"(mc_se {rep.reference_mc_se:.5f})")
+          f"(quadrature error {rep.reference_error:.1e})")
     for row in rep.rows:
         ratio = row.abs_bias / row.mc_se if row.mc_se > 0 else float("inf")
         tag = "consistent" if row.expect_consistent else "control"

@@ -7,11 +7,9 @@ corrupt_nuisance perturbs chosen components of a nuisance set:
              then renormalised (still sums to 1)
     mu_z     outcome regressions, +0.3 * (1 + z); the shift varies with z
              so contrasts are genuinely wrong (a constant would cancel)
-    pi_marg  marginal response propensity (direct mode only), logit +0.7
-    mu_marg  marginal outcome regression (direct mode only), +0.3
-    delta    contrast ratio, +0.3 via an override callable
 
-Scenario builders wire these into the configurations under which the
+Scenario builders wire these, and the marginals and contrasts they hold
+or shift themselves, into the configurations under which the
 influence-function estimator stays consistent.  Which components must be
 held follows from the bracket algebra: writing b(z, x) for the expected
 bracket E[R h - mu_hat_z - delta_hat_z (R - pi_hat_z) | z, x], the first
@@ -19,6 +17,10 @@ term of the influence value is unbiased whenever b(z, x) = 0 pointwise,
 or whenever b is constant in z and the weights g_hat(z,x) - g_hat(x)
 average to zero under the true instrument density; the second term needs
 delta_hat = delta.  Each scenario realises one of these routes.
+
+run_robustness measures every scenario against the identified value of
+the family, a quadrature of the closed forms (oracles), so the reference
+carries no Monte Carlo error.
 """
 
 from __future__ import annotations
@@ -32,11 +34,11 @@ from .data import FunctionalSpec, ObservationTable
 from .exceptions import ConfigurationError
 from .general import _phi_parts_general
 from .learners import expit
-from .nuisance import PROB_CLIP, NuisanceSet, evaluate_nuisances, floor_denominator
-from .oracles import oracle_delta_fn, oracle_identified_beta, oracle_nuisances
+from .nuisance import PROB_CLIP, NuisanceSet
+from .oracles import oracle_delta, oracle_identified_beta, oracle_nuisances
 from .simulation import DGPSpec, generate
 
-COMPONENTS = ("pi_z", "rho_z", "mu_z", "pi_marg", "mu_marg", "delta")
+COMPONENTS = ("pi_z", "rho_z", "mu_z")
 LOGIT_SHIFT = 0.7
 LEVEL_SHIFT = 0.3
 
@@ -57,19 +59,12 @@ def corrupt_nuisance(
     """A new nuisance set with the named components perturbed.
 
     An empty component list returns a set with identical predictions.
-    Asking for pi_marg or mu_marg on a marginalising set is an error:
-    there is no stored marginal there to corrupt.
     """
     comps = set(components)
     unknown = comps - set(COMPONENTS)
     if unknown:
         raise ConfigurationError(
             f"unknown corruption components {sorted(unknown)}; valid: {COMPONENTS}"
-        )
-    if ns.mode != "direct" and comps & {"pi_marg", "mu_marg"}:
-        raise ConfigurationError(
-            "pi_marg / mu_marg can only be corrupted in direct mode; a "
-            "marginalising set derives them from rho_z and the levels"
         )
     base_pi, base_rho, base_mu = ns.pi_fn, ns.rho_fn, ns.mu_fn
     overrides: dict = {}
@@ -86,23 +81,6 @@ def corrupt_nuisance(
     if "mu_z" in comps:
         level_shift = level_delta * (1.0 + np.arange(ns.L))[:, None]
         overrides["mu_fn"] = lambda X: np.asarray(base_mu(X), dtype=float) + level_shift
-    if "pi_marg" in comps:
-        base_pim = ns.pi_marg_fn
-        overrides["pi_marg_fn"] = lambda X: shift_probability(base_pim(X), logit_delta)
-    if "mu_marg" in comps:
-        base_mum = ns.mu_marg_fn
-        overrides["mu_marg_fn"] = lambda X: (
-            np.asarray(base_mum(X), dtype=float) + level_delta
-        )
-    if "delta" in comps:
-        def delta_corrupt(X: np.ndarray) -> np.ndarray:
-            # the uncorrupted set's delta, floored, then shifted
-            ev = evaluate_nuisances(ns, X)
-            if ev.delta is not None:
-                return ev.delta + level_delta
-            return ev.delta_y / floor_denominator(ev.delta_r, ns.eps_den)[0] + level_delta
-
-        overrides["delta_fn"] = delta_corrupt
     return replace(ns, **overrides)
 
 
@@ -131,22 +109,22 @@ def _shift_one_level(fn, level: int, shift):
     return shifted
 
 
-def _coherent_mu(mu_ref, pi_ref, pi_fn, delta_fn):
+def _coherent_mu(mu_ref, pi_ref, pi_fn, delta):
     """mu_z = mu_ref + delta (pi_z - pi_ref) at every level z.
 
     With propensities pi_fn, these level regressions imply the contrast
-    delta_fn exactly (up to rounding) wherever they are wrong themselves.
+    delta exactly (up to rounding) wherever they are wrong themselves.
     """
     def fn(X: np.ndarray) -> np.ndarray:
-        return mu_ref(X) + delta_fn(X) * (pi_fn(X) - pi_ref(X))
+        return mu_ref(X) + delta(X) * (pi_fn(X) - pi_ref(X))
     return fn
 
 
-def _around_level_zero(ns: NuisanceSet, delta_fn) -> NuisanceSet:
+def _around_level_zero(ns: NuisanceSet, delta) -> NuisanceSet:
     """ns with mu_1 rebuilt as mu_0 + delta (pi_1 - pi_0); mu_0 and pi stay."""
     base_mu, base_pi = ns.mu_fn, ns.pi_fn
     return replace(ns, mu_fn=_coherent_mu(
-        lambda X: base_mu(X)[0], lambda X: base_pi(X)[0], base_pi, delta_fn))
+        lambda X: base_mu(X)[0], lambda X: base_pi(X)[0], base_pi, delta))
 
 
 def binary_scenarios(
@@ -171,7 +149,7 @@ def binary_scenarios(
     params = dict(parameters or {})
     truth = lambda: oracle_nuisances(family, params,
                                      functional=FunctionalSpec.mean(psi))
-    true_delta = oracle_delta_fn(family, params, psi)
+    true_delta = oracle_delta(family, params, psi)
     out: list[Scenario] = []
 
     ns1 = truth()
@@ -239,7 +217,7 @@ def general_scenarios(
     """
     params = dict(parameters or {})
     spec = FunctionalSpec.mean(psi)
-    true_delta = oracle_delta_fn(family, params, psi)
+    true_delta = oracle_delta(family, params, psi)
     base = oracle_nuisances(family, params, functional=spec, mode="direct")
     true_pi_marg, true_mu_marg = base.pi_marg_fn, base.mu_marg_fn
 
@@ -346,7 +324,7 @@ class RobustnessReport:
     n: int
     seed: int
     reference: float
-    reference_mc_se: float
+    reference_error: float
     rows: list[RobustnessRow] = field(default_factory=list)
 
     def as_dict(self) -> dict:
@@ -355,7 +333,7 @@ class RobustnessReport:
             "n": self.n,
             "seed": self.seed,
             "reference": self.reference,
-            "reference_mc_se": self.reference_mc_se,
+            "reference_error": self.reference_error,
             "scenarios": [r.as_dict() for r in self.rows],
         }
 
@@ -368,13 +346,13 @@ def run_robustness(
     parameters: Mapping[str, float] | None = None,
     psi: float = 0.0,
     scenarios: list[Scenario] | None = None,
-    reference_draws: int = 4_000_000,
 ) -> RobustnessReport:
     """Evaluate the influence-function estimator under each scenario.
 
     One large table is drawn; every scenario's corrupted nuisance set is
     plugged into the estimator on that same table, and the estimates are
-    compared against the identified value computed by brute force.
+    compared against the identified value, a quadrature whose error is the
+    gap between two rule sizes (oracle_identified_beta).
     """
     params = dict(parameters or {})
     spec = FunctionalSpec.mean(psi)
@@ -382,19 +360,19 @@ def run_robustness(
         probe = oracle_nuisances(family, params, functional=spec)
         scenarios = (binary_scenarios(family, params, psi) if probe.L == 2
                      else general_scenarios(family, params, psi))
+    ref, ref_err = oracle_identified_beta(family, params, psi=psi)
     table, _ = generate(DGPSpec(family=family, n=n, seed=seed,
                                 parameters=params))
-    ref, ref_se = oracle_identified_beta(family, params, psi=psi,
-                                         draws=reference_draws)
     report = RobustnessReport(family=family, n=n, seed=seed,
-                              reference=ref, reference_mc_se=ref_se)
+                              reference=ref, reference_error=ref_err)
     for sc in scenarios:
         # the estimate is a plain mean of phi~ (pi0 fixed at its true
-        # value), so its sampling error comes from the uncentered values
+        # value), so its sampling error comes from the uncentered values;
+        # the reference's quadrature error is added in quadrature
         parts = _phi_parts_general(table, sc.ns, spec, "floor", None)
         vals = parts.phi_tilde[parts.keep]
         est = float(vals.mean())
-        se = float(np.sqrt(np.var(vals, ddof=0) / vals.size + ref_se * ref_se))
+        se = float(np.sqrt(np.var(vals, ddof=0) / vals.size + ref_err * ref_err))
         report.rows.append(RobustnessRow(
             scenario=sc.name,
             held=sc.held,

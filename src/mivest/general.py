@@ -139,10 +139,7 @@ def _phi_parts_general(
         diag.floor_hits += own.floor_hits
     rows = np.arange(table.n)
     z = table.Z
-    if ev.delta is not None:
-        delta_z = ev.delta[z, rows]
-    else:
-        delta_z = ev.delta_y[z, rows] / own.den
+    delta_z = ev.delta_y[z, rows] / own.den
     phi_tilde = _phi_tilde(own, table.rh(spec), ev.mu[z, rows], delta_z)
     return PhiParts(phi_tilde=phi_tilde, keep=own.keep, delta_own=delta_z)
 
@@ -183,10 +180,7 @@ def beta_id_general(
     den, hits = floor_denominator(ev.delta_r[table.Z, rows], ns.eps_den)
     if diag is not None:
         diag.floor_hits += int(hits.sum())
-    if ev.delta is not None:
-        delta_own = ev.delta[table.Z, rows]
-    else:
-        delta_own = ev.delta_y[table.Z, rows] / den
+    delta_own = ev.delta_y[table.Z, rows] / den
     mask = table.R == 0
     if trim == "drop":
         mask = mask & ~hits
@@ -353,6 +347,60 @@ def _solve_quantiles(
     return [_root(grid, moments[target], tol) for target in targets]
 
 
+def _rh_targets(table: ObservationTable, y: np.ndarray,
+                q: float) -> tuple[np.ndarray, np.ndarray]:
+    """(y_all, q_r) per row: the observed outcome y where R = 1 and -inf
+    elsewhere, and q R.  1{y_all >= psi} - q_r is R h(y; psi) bit for bit
+    ObservationTable.rh: an R = 0 row never reaches psi, so h is 0 there."""
+    responded = table.R == 1
+    y_all = np.full(table.n, -np.inf)
+    y_all[responded] = y
+    return y_all, np.where(responded, q, 0.0)
+
+
+def _rh_rows(ys: np.ndarray, qs: np.ndarray, psi: np.ndarray,
+             out: np.ndarray) -> np.ndarray:
+    """R h at each psi of a block of grid points, one row per point, from
+    one comparison against the outcomes; written over out's first rows."""
+    return np.subtract(ys >= psi[:, None], qs, out=out[:psi.size])
+
+
+def _mu_grid_coef(
+    table: ObservationTable,
+    F: np.ndarray,
+    by_level: list[tuple[np.ndarray, np.ndarray]],
+    y: np.ndarray,
+    q: float,
+    grid: np.ndarray,
+    cfg: LearnerConfig,
+    direct: bool,
+) -> np.ndarray:
+    """mu's ridge coefficients at every grid point, (grid, K, d).
+
+    coef[j] holds one row per model, mu(z, .) per level then mu(x) in
+    direct mode, so coef[j] @ F.T is mu of every model at every row.  F is
+    the table's basis and by_level its split by level, as fit_propensities
+    returns them.  Each level's F_z' (R h), over R h gathered at the
+    level's rows, and each level's Gram are the products a refit at that
+    grid point makes; one system per grid point, not one multi-column
+    solve, whose columns round differently, so mu has a refit's bits.
+    """
+    y_all, q_r = _rh_targets(table, y, q)
+    L = len(by_level)
+    RH = np.empty((_GRID_BLOCK, table.n))
+    cross = np.empty((L + direct, grid.size, F.shape[1]))
+    for j0 in range(0, grid.size, _GRID_BLOCK):
+        for j, rh in enumerate(_rh_rows(y_all, q_r, grid[j0:j0 + _GRID_BLOCK], RH),
+                               start=j0):
+            for z, (r, Fz) in enumerate(by_level):
+                cross[z, j] = Fz.T @ rh[r]
+            if direct:      # mu(x) over all rows
+                cross[L, j] = F.T @ rh
+    grams = [Fz.T @ Fz for _, Fz in by_level] + ([F.T @ F] if direct else [])
+    return np.stack([_ridge_solve(gram, cross[k], cfg.ridge_lambda)
+                     for k, gram in enumerate(grams)], axis=1)
+
+
 def _grid_beta(
     table: ObservationTable,
     cfg: LearnerConfig,
@@ -369,65 +417,30 @@ def _grid_beta(
     y holds the observed outcomes.  pi, rho and pi0 do not depend on psi:
     fit_propensities fits them once and transforms the table's basis F
     once, and that F also evaluates pi and rho and serves every ridge
-    solve.  The R h rows of a block of grid points come from one
-    comparison against the outcomes.  Each level's F_z' (R h) is the
-    matrix-vector product a refit at that grid point makes, over a slice
-    of level-sorted rows; mu(z, .) for all grid points is then one stacked
-    ridge solve per level, plus one over all rows for mu(x) in direct mode,
-    each grid point's system solved alone as a refit solves it.  Each grid
-    point's moment is evaluated in reused n-buffers, in _phi_tilde's
+    solve.  mu(z, .) for all grid points is one stacked ridge solve per
+    level over the level blocks fit_propensities split off for its pi fits,
+    plus one over all rows for mu(x) in direct mode (_mu_grid_coef).  Each
+    grid point's moment is evaluated in reused n-buffers, in _phi_tilde's
     operation order.  Equals beta_if_general on a set refitted at each grid
     point, up to the rounding of the matrix products that evaluate mu.
     """
-    props, F = fit_propensities(table, cfg, mode)[:2]
+    props, F, by_level = fit_propensities(table, cfg, mode)
+    direct = mode == "direct"
+    coef = _mu_grid_coef(table, F, by_level, y, q, grid, cfg, direct)  # (grid, K, d)
+    # the level blocks go before pi and rho are evaluated: their (L, n)
+    # stacks need not be alive beside them
+    del by_level
     pi, rho = props.pi(F), props.rho(F)
-    pi_marg = props.pi_marg(F) if mode == "direct" else np.einsum("lm,lm->m", rho, pi)
+    pi_marg = props.pi_marg(F) if direct else np.einsum("lm,lm->m", rho, pi)
     own = _own_level(table, pi, rho, pi - pi_marg[None, :], props.pi0, EPS_DEN, trim)
     del pi, pi_marg
     if not own.keep.any():
         raise EstimationError("trim policy removed every row")
 
     L, n = table.L, table.n
-    direct = mode == "direct"
     K = L + direct                  # mu models: one per level, plus mu(x)
-    responded = table.R == 1
-    y_all = np.full(n, -np.inf)     # R = 0 rows never reach psi: h is 0 there
-    y_all[responded] = y
-    q_r = np.where(responded, q, 0.0)
-
+    y_all, q_r = _rh_targets(table, y, q)
     RH = np.empty((_GRID_BLOCK, n))
-
-    def rh_block(ys: np.ndarray, qs: np.ndarray, j: int) -> np.ndarray:
-        """R h(y; psi) = 1{y >= psi} - q R, one row per grid point of the
-        block starting at j, bit for bit ObservationTable.rh; written over
-        the previous block."""
-        psi = grid[j:j + _GRID_BLOCK, None]
-        return np.subtract(ys >= psi, qs, out=RH[:psi.shape[0]])
-
-    # F_z' (R h) over each level's rows, taken in level-sorted order so
-    # that a level is a slice; one matrix-vector product per level and grid
-    # point, the product a refit at that point makes, so mu has its bits
-    counts = np.bincount(table.Z, minlength=L)
-    levels = [slice(e - c, e) for e, c in zip(np.cumsum(counts), counts)]
-    order = np.argsort(table.Z, kind="stable")
-    Fs = F[order]
-    ys, qs = y_all[order], q_r[order]
-    cross = np.empty((K, grid.size, F.shape[1]))
-    for j0 in range(0, grid.size, _GRID_BLOCK):
-        for j, rh in enumerate(rh_block(ys, qs, j0), start=j0):
-            for z, rows in enumerate(levels):
-                cross[z, j] = Fs[rows].T @ rh[rows]
-        if direct:      # mu(x) over all rows, in row order
-            for j, rh in enumerate(rh_block(y_all, q_r, j0), start=j0):
-                cross[L, j] = F.T @ rh
-    grams = [Fs[rows].T @ Fs[rows] for rows in levels] + ([F.T @ F] if direct else [])
-    del Fs, ys, qs
-    # coef[j] holds mu's coefficients at grid[j], one row per model, so
-    # coef[j] @ F.T is mu of every model at every row; one system per grid
-    # point, not one multi-column solve, whose columns round differently
-    coef = np.stack([_ridge_solve(gram, cross[k], cfg.ridge_lambda)
-                     for k, gram in enumerate(grams)], axis=1)     # (grid, K, d)
-
     FT = np.ascontiguousarray(F.T)          # row-major (d, n): a faster product
     del F
     own_flat = table.Z * n + np.arange(n)   # each row's own level in a (K, n) array
@@ -437,7 +450,8 @@ def _grid_beta(
     mu_x = M[L] if direct else np.empty(n)
     beta = np.empty(grid.size)
     for j0 in range(0, grid.size, _GRID_BLOCK):
-        for j, rh in enumerate(rh_block(y_all, q_r, j0), start=j0):
+        psi = grid[j0:j0 + _GRID_BLOCK]
+        for j, rh in enumerate(_rh_rows(y_all, q_r, psi, RH), start=j0):
             np.matmul(coef[j], FT, out=M)
             np.take(M, own_flat, out=mu_z)
             if not direct:

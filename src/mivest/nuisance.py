@@ -88,12 +88,12 @@ class _OnBasis:
 class NuisanceSet:
     """Bundle of nuisance callables, immutable by convention.
 
-    pi_fn, rho_fn, mu_fn and the optional delta_fn take X of shape (m, p)
-    and return the (L, m) array of every instrument level; pi_marg_fn and
-    mu_marg_fn take X and return (m,).  delta_fn, pi_marg_fn, mu_marg_fn
-    are optional overrides; when absent, evaluate_nuisances derives those
-    quantities from the parts.  The set has no accessors: it is read
-    through evaluate_nuisances, once per block of rows.
+    pi_fn, rho_fn and mu_fn take X of shape (m, p) and return the (L, m)
+    array of every instrument level; pi_marg_fn and mu_marg_fn take X and
+    return (m,), and are set in direct mode only: otherwise
+    evaluate_nuisances derives the marginals from the parts.  The set has
+    no accessors: it is read through evaluate_nuisances, once per block of
+    rows.
     """
 
     L: int
@@ -104,7 +104,6 @@ class NuisanceSet:
     mode: MarginalizationMode = "marginalize"
     pi_marg_fn: MarginalFn | None = None
     mu_marg_fn: MarginalFn | None = None
-    delta_fn: ComponentFn | None = None
     eps_den: float = EPS_DEN
     diagnostics: Diagnostics = field(default_factory=Diagnostics)
 
@@ -348,8 +347,7 @@ class NuisanceEval:
     """All nuisance quantities evaluated on one block of rows.
 
     Matrices are (L, m); vectors are (m,).  delta_r is unfloored; the
-    estimators apply their trim policy.  delta holds the set's delta_fn
-    override, or None when delta derives from the parts.
+    estimators apply their trim policy.
     """
 
     pi: np.ndarray
@@ -359,7 +357,6 @@ class NuisanceEval:
     mu_marg: np.ndarray
     delta_r: np.ndarray
     delta_y: np.ndarray
-    delta: np.ndarray | None
 
 
 def evaluate_nuisances(ns: NuisanceSet, X: np.ndarray) -> NuisanceEval:
@@ -391,5 +388,4 @@ def evaluate_nuisances(ns: NuisanceSet, X: np.ndarray) -> NuisanceEval:
     return NuisanceEval(
         pi=pi, rho=rho, mu=mu, pi_marg=pim, mu_marg=mum,
         delta_r=pi - pim[None, :], delta_y=mu - mum[None, :],
-        delta=None if ns.delta_fn is None else call(ns.delta_fn),
     )

@@ -14,8 +14,9 @@ instrument_prob* in simulation), so the two modules state each family's
 law once.  The clamp threshold is u* = 4 A_z(x): the raw exponent exceeds
 0 exactly when u < u*.  The closed forms use the cap at 1 rather than
 1 - 1e-9; the gap is below 1e-9 everywhere and irrelevant at test
-tolerances.  oracle_identified_beta draws its R = 0 records through the
-generator's shared draw loop under clamp_to_one_minus_eps.
+tolerances.  oracle_identified_beta needs no draws: it is a ratio of two
+Gauss-Legendre quadratures of these closed forms over the covariate
+square, as true_p_missing is one.
 
 Outcome-model truths are implemented for the mean functional
 h(y; psi) = y - psi, where E[R h | z, x] has a closed form because the
@@ -33,12 +34,8 @@ from .data import FunctionalSpec
 from .exceptions import ConfigurationError, EstimationError
 from .nuisance import NuisanceSet, evaluate_nuisances
 from .simulation import (
-    _DOMAIN_ORACLE,
     FAMILY_DUAL,
     FAMILY_SINGLE,
-    _oracle_batches,
-    _require_draws,
-    _rng,
     instrument_prob_single,
     instrument_probs_dual,
     selection_alpha_z_dual,
@@ -186,14 +183,18 @@ def _check_mean_functional(spec: FunctionalSpec | None) -> float:
 _GL_K = 96
 
 
-def integrate_unit_square(f: Callable[[np.ndarray], np.ndarray], k: int = _GL_K) -> float:
-    """Gauss-Legendre tensor quadrature of f over [0,1]^2; f maps (m,2)->(m,)."""
+def _unit_square_rule(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre tensor nodes (k^2, 2) and weights (k^2,) on [0,1]^2."""
     x, w = np.polynomial.legendre.leggauss(k)
     t = 0.5 * (x + 1.0)
     wt = 0.5 * w
     g1, g2 = np.meshgrid(t, t, indexing="ij")
-    X = np.column_stack([g1.ravel(), g2.ravel()])
-    W = np.outer(wt, wt).ravel()
+    return np.column_stack([g1.ravel(), g2.ravel()]), np.outer(wt, wt).ravel()
+
+
+def integrate_unit_square(f: Callable[[np.ndarray], np.ndarray], k: int = _GL_K) -> float:
+    """Gauss-Legendre tensor quadrature of f over [0,1]^2; f maps (m,2)->(m,)."""
+    X, W = _unit_square_rule(k)
     return float(np.sum(W * np.asarray(f(X), dtype=float)))
 
 
@@ -259,13 +260,14 @@ def _oracle_level_fns(family: str, params: Mapping[str, float], psi: float):
     return pi_fn, rho_fn, mu_fn
 
 
-def oracle_delta_fn(
+def oracle_delta(
     family: str,
     parameters: Mapping[str, float] | None = None,
     psi: float = 0.0,
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Callable X -> true delta at every level, (L, m), for override-style
-    nuisance sets: delta_y / delta_r of the exact set, unfloored."""
+    """Callable X -> true delta at every level, (L, m): delta_y / delta_r
+    of the exact set, unfloored.  The scenarios that hold delta build their
+    level regressions around it."""
     ns = oracle_nuisances(family, parameters, functional=FunctionalSpec.mean(psi))
 
     def delta(X: np.ndarray) -> np.ndarray:
@@ -280,32 +282,31 @@ def oracle_identified_beta(
     parameters: Mapping[str, float] | None = None,
     *,
     psi: float = 0.0,
-    draws: int = 4_000_000,
-    seed: int = 20_260_819,
 ) -> tuple[float, float]:
-    """E[delta(Z, X) | R = 0] with delta from the closed forms.
+    """E[delta(Z, X) | R = 0] with delta from the closed forms, by quadrature.
 
     This is the identified value: the quantity the estimators converge to
     under the actual (clamped) data law.  It differs from E[Y - psi | R=0]
-    only by the clamp-induced violation of instrument independence, which
-    is tiny for the built-in families.  Returns (value, mc standard error).
+    only by the clamp-induced violation of instrument independence.  With
+    X uniform on the unit square it is the ratio
+
+        int sum_z rho (1 - pi) delta dx  /  int sum_z rho (1 - pi) dx
+
+    over the exact set, each integral taken by the k = 96 Gauss-Legendre
+    tensor rule.  Returns (value, error), error the gap |Q_96 - Q_48| to
+    the same ratio at k = 48.  Raises EstimationError when P(R = 0) is 0.
     """
-    _require_draws(draws)
-    params = dict(parameters or {})
-    delta = oracle_delta_fn(family, params, psi)
-    rng = _rng(np.random.SeedSequence(seed, spawn_key=(_DOMAIN_ORACLE, 99)))
-    s1 = 0.0
-    s2 = 0.0
-    n0 = 0
-    for (X0, z0), _, _ in _oracle_batches(family, draws, rng, "clamp_to_one_minus_eps",
-                                          params, ("X", "z"), batch_size=500_000):
-        vals = delta(X0)[z0, np.arange(z0.size)]
-        s1 += float(vals.sum())
-        s2 += float((vals * vals).sum())
-        n0 += z0.size
-        del X0, z0, vals  # released before the next batch is drawn
-    if n0 == 0:
-        raise EstimationError("oracle saw no R = 0 draws")
-    mean = s1 / n0
-    var = max(s2 / n0 - mean * mean, 0.0)
-    return mean, float(np.sqrt(var / n0))
+    ns = oracle_nuisances(family, parameters, functional=FunctionalSpec.mean(psi))
+
+    def ratio(k: int) -> float:
+        X, W = _unit_square_rule(k)
+        ev = evaluate_nuisances(ns, X)
+        missing = ev.rho * (1.0 - ev.pi)        # (L, m) density of R = 0 at z
+        p_missing = float(W @ missing.sum(axis=0))
+        if not p_missing > 0:
+            raise EstimationError(f"P(R = 0) is {p_missing:.3g} under the "
+                                  "closed forms; the identified value is undefined")
+        return float(W @ (missing * ev.delta_y / ev.delta_r).sum(axis=0)) / p_missing
+
+    value = ratio(_GL_K)
+    return value, abs(value - ratio(_GL_K // 2))

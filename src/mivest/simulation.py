@@ -23,14 +23,15 @@ is not a probability there.  clamp_policy decides what the generator does:
 fraction, "reject_invalid" redraws offending records, "as_printed_error"
 raises on the first offender.
 
-The table generator and every brute-force oracle (oracle_beta,
-oracle_missing_quantile here, oracle_identified_beta in oracles) draw
-through one draw -> clamp -> reject step, _draw_batch, so each oracle is
-the truth of the generated law under the chosen clamp policy.  The
-instrument probabilities and the selection exponents are stated once,
-here, and the closed forms in oracles reuse them.  The oracles draw in
-fixed batches (_oracle_batches) and keep one batch alive at a time; the
-batch size is part of the stream, so it stays fixed.
+The table generator and both brute-force oracles (oracle_beta and
+oracle_missing_quantile) draw through one draw -> clamp -> reject step,
+_draw_batch, so each oracle is the truth of the generated law under the
+chosen clamp policy.  The instrument probabilities and the selection
+exponents are stated once, here, and the closed forms in oracles reuse
+them (the identified value there is a quadrature and draws nothing).
+The oracles draw the outcomes of nonrespondents in fixed batches of
+_ORACLE_BATCH raw draws (_oracle_batches) and keep one batch alive at a
+time; the batch size is part of the stream, so it stays fixed.
 """
 
 from __future__ import annotations
@@ -383,33 +384,30 @@ def _oracle_batches(
     rng: np.random.Generator,
     clamp_policy: ClampPolicy,
     parameters: Mapping[str, float],
-    columns: tuple[str, ...],
-    batch_size: int = _ORACLE_BATCH,
-) -> Iterator[tuple[tuple[np.ndarray, ...], int, int]]:
-    """Batches of at most batch_size raw draws, draws in all, via _draw_batch.
+) -> Iterator[tuple[np.ndarray, int, int]]:
+    """Batches of at most _ORACLE_BATCH raw draws, draws in all, via _draw_batch.
 
-    Yields (picked, accepted, n_invalid): the R = 0 rows of the named
-    batch columns, in the order named; the batch's row count after the
-    clamp policy; its invalid count.  Only one batch of draws is alive at
-    a time: a batch is released before the next one is drawn, and the
-    caller sees only the rows it reads.  batch_size fixes how the draws
-    are cut into RNG calls, so changing it changes the stream.
+    Yields (y0, accepted, n_invalid): the outcomes of the batch's R = 0
+    rows; the batch's row count after the clamp policy; its invalid count.
+    Only one batch of draws is alive at a time: a batch is released before
+    the next one is drawn, and the caller sees only the outcomes it reads.
+    The batch size fixes how the draws are cut into RNG calls, so changing
+    it changes the stream.
     """
-    scratch = np.empty(min(batch_size, draws))
+    scratch = np.empty(min(_ORACLE_BATCH, draws))
     done = 0
     while done < draws:
-        m = min(batch_size, draws - done)
-        yield _missing_rows(family, m, rng, clamp_policy, parameters, columns,
-                            scratch[:m])
+        m = min(_ORACLE_BATCH, draws - done)
+        yield _missing_rows(family, m, rng, clamp_policy, parameters, scratch[:m])
         done += m
 
 
-def _missing_rows(family, m, rng, clamp_policy, parameters, columns, scratch):
+def _missing_rows(family, m, rng, clamp_policy, parameters, scratch):
     """One batch of _oracle_batches; the batch dies when this returns."""
     batch, n_invalid = _draw_batch(family, m, rng, clamp_policy, parameters, scratch)
     p_r0 = batch["p_r0"]
     r0 = rng.random(out=scratch[:p_r0.shape[0]]) < p_r0
-    return tuple(batch[k][r0] for k in columns), p_r0.shape[0], n_invalid
+    return batch["y"][r0], p_r0.shape[0], n_invalid
 
 
 def _require_draws(draws: int) -> None:
@@ -441,9 +439,8 @@ def oracle_beta(
     s2 = 0.0
     invalid = 0
     accepted = 0
-    for (y0,), n_accepted, n_invalid in _oracle_batches(
+    for y0, n_accepted, n_invalid in _oracle_batches(
         spec.family, draws, _oracle_rng(spec, seed), spec.clamp_policy, spec.parameters,
-        ("y",),
     ):
         h = evaluate_h(functional, y0)
         tot_n0 += y0.shape[0]
@@ -475,9 +472,9 @@ def oracle_missing_quantile(
     """psi with P(Y >= psi | R = 0) = q, by brute-force draw."""
     _require_draws(draws)
     y0 = np.concatenate([
-        y for (y,), _, _ in _oracle_batches(
+        y for y, _, _ in _oracle_batches(
             spec.family, draws, _oracle_rng(spec, seed), spec.clamp_policy,
-            spec.parameters, ("y",),
+            spec.parameters,
         )
     ])
     return float(np.quantile(y0, 1.0 - q))
@@ -568,7 +565,7 @@ def _mc_worker(payload: tuple) -> dict:
 
 
 def _mc_replication(r, dgp, cfg, functional, n_folds, repetitions, ci_level,
-                    estimators, mode, trim, winsorize, master_seed) -> dict:
+                    mode, trim, winsorize, master_seed) -> dict:
     from .crossfit import crossfit_beta
     from .general import beta_id_general
     from .nuisance import fit_nuisance_set
@@ -578,25 +575,23 @@ def _mc_replication(r, dgp, cfg, functional, n_folds, repetitions, ci_level,
     out: dict = {"r": r}
     # a replication whose nuisance fit degenerates counts as failed for
     # that estimator; it must not bring down the whole study
-    if "id" in estimators:
-        try:
-            ns = fit_nuisance_set(table, functional, cfg, mode=mode)
-            out["id"] = beta_id_general(table, ns, trim=trim)
-        except (EstimationError, FitError) as e:
-            out["id_error"] = str(e)
-    if "if" in estimators:
-        fold_seed = int(np.random.SeedSequence(
-            master_seed, spawn_key=(_DOMAIN_FOLDSEED, r)
-        ).generate_state(1)[0])
-        try:
-            rep = crossfit_beta(
-                table, functional, cfg,
-                n_folds=n_folds, repetitions=repetitions, seed=fold_seed,
-                ci_level=ci_level, mode=mode, trim=trim, winsorize=winsorize,
-            )[0]
-            out["if"] = (rep.estimate, rep.variance, rep.ci_lower, rep.ci_upper)
-        except (EstimationError, FitError) as e:
-            out["if_error"] = str(e)
+    try:
+        ns = fit_nuisance_set(table, functional, cfg, mode=mode)
+        out["id"] = beta_id_general(table, ns, trim=trim)
+    except (EstimationError, FitError) as e:
+        out["id_error"] = str(e)
+    fold_seed = int(np.random.SeedSequence(
+        master_seed, spawn_key=(_DOMAIN_FOLDSEED, r)
+    ).generate_state(1)[0])
+    try:
+        rep = crossfit_beta(
+            table, functional, cfg,
+            n_folds=n_folds, repetitions=repetitions, seed=fold_seed,
+            ci_level=ci_level, mode=mode, trim=trim, winsorize=winsorize,
+        )[0]
+        out["if"] = (rep.estimate, rep.variance, rep.ci_lower, rep.ci_upper)
+    except (EstimationError, FitError) as e:
+        out["if_error"] = str(e)
     return out
 
 
@@ -630,7 +625,6 @@ def run_monte_carlo(
     n_folds: int = 5,
     repetitions: int = 1,
     ci_level: float = 0.95,
-    estimators: tuple[str, ...] = ("id", "if"),
     mode: str = "marginalize",
     trim: str = "floor",
     winsorize: float | None = None,
@@ -639,10 +633,9 @@ def run_monte_carlo(
 ) -> MonteCarloReport:
     """Repeated draw-estimate cycles summarised against a known oracle.
 
-    Each replication runs the estimators named in `estimators`: "id", the
-    plug-in on one in-sample nuisance fit, and "if", the missing report of
-    crossfit_beta with n_folds, repetitions, ci_level, mode, trim and
-    winsorize.  Replication r draws its data from SeedSequence(master_seed,
+    Each replication runs both estimators: "id", the plug-in on one
+    in-sample nuisance fit, and "if", the missing report of crossfit_beta
+    with n_folds, repetitions, ci_level, mode, trim and winsorize.  Replication r draws its data from SeedSequence(master_seed,
     spawn_key=(1, r)) and its folds from an independently derived stream,
     so results are identical for any threads value and any scheduling.
     Failed replications are counted per estimator, not silently dropped.
@@ -654,7 +647,7 @@ def run_monte_carlo(
     master = dgp.seed if master_seed is None else master_seed
     payloads = [
         (r, dgp, cfg, functional, n_folds, repetitions, ci_level,
-         tuple(estimators), mode, trim, winsorize, master)
+         mode, trim, winsorize, master)
         for r in range(replications)
     ]
     if threads > 1:
@@ -665,23 +658,16 @@ def run_monte_carlo(
         rows = [_mc_worker(p) for p in payloads]
     rows.sort(key=lambda d: d["r"])
 
-    summaries: dict[str, EstimatorSummary] = {}
-    if "id" in estimators:
-        vals = [d["id"] for d in rows if "id" in d]
-        s = _summarise("id", vals, oracle)
-        s.n_failed = sum(1 for d in rows if "id_error" in d)
-        summaries["id"] = s
-    if "if" in estimators:
-        tuples = [d["if"] for d in rows if "if" in d]
-        vals = [t[0] for t in tuples]
-        s = _summarise("if", vals, oracle)
-        s.n_failed = sum(1 for d in rows if "if_error" in d)
-        if tuples:
-            s.mean_if_variance = float(np.mean([t[1] for t in tuples]))
-            s.coverage = float(np.mean([
-                1.0 if (t[2] <= oracle <= t[3]) else 0.0 for t in tuples
-            ]))
-        summaries["if"] = s
+    s_id = _summarise("id", [d["id"] for d in rows if "id" in d], oracle)
+    s_id.n_failed = sum(1 for d in rows if "id_error" in d)
+    tuples = [d["if"] for d in rows if "if" in d]
+    s_if = _summarise("if", [t[0] for t in tuples], oracle)
+    s_if.n_failed = sum(1 for d in rows if "if_error" in d)
+    if tuples:
+        s_if.mean_if_variance = float(np.mean([t[1] for t in tuples]))
+        s_if.coverage = float(np.mean([
+            1.0 if (t[2] <= oracle <= t[3]) else 0.0 for t in tuples
+        ]))
     return MonteCarloReport(
         family=dgp.family,
         n=dgp.n,
@@ -691,6 +677,6 @@ def run_monte_carlo(
         n_folds=n_folds,
         repetitions=repetitions,
         ci_level=ci_level,
-        summaries=summaries,
+        summaries={"id": s_id, "if": s_if},
         fit_warnings=_tally_messages(m for d in rows for m in d["warnings"]),
     )

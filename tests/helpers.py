@@ -5,6 +5,8 @@ import numpy as np
 from mivest.data import ObservationTable
 from mivest.general import _own_level
 from mivest.nuisance import NuisanceSet, evaluate_nuisances
+from mivest.oracles import oracle_delta
+from mivest.simulation import DGPSpec, generate
 
 
 def const_fn(values):
@@ -27,13 +29,12 @@ def const_marg(value):
     return fn
 
 
-def const_ns(pi, rho, mu, pi0, *, pi_marg=None, mu_marg=None, delta=None,
-             eps_den=1e-6):
+def const_ns(pi, rho, mu, pi0, *, pi_marg=None, mu_marg=None, eps_den=1e-6):
     """Nuisance set with per-level constants.
 
     Passing pi_marg or mu_marg pins the marginals directly (direct mode);
-    otherwise they are the exact rho-weighted sums.  delta may be a scalar
-    or a per-level sequence and installs an override callable.
+    otherwise they are the exact rho-weighted sums.  The contrast delta is
+    then (mu - mu_marg) / (pi - pi_marg) at each level.
     """
     L = len(pi)
     kw = {}
@@ -44,9 +45,6 @@ def const_ns(pi, rho, mu, pi0, *, pi_marg=None, mu_marg=None, delta=None,
         mm = mu_marg if mu_marg is not None else float(np.dot(rho, mu))
         kw["pi_marg_fn"] = const_marg(pm)
         kw["mu_marg_fn"] = const_marg(mm)
-    if delta is not None:
-        dvals = delta if hasattr(delta, "__len__") else [delta] * L
-        kw["delta_fn"] = const_fn(dvals)
     return NuisanceSet(
         L=L,
         pi_fn=const_fn(pi),
@@ -89,6 +87,20 @@ def small_table(Z, R, Y, X=None, L=None):
         X = np.column_stack([t, t[::-1]])
     return ObservationTable.from_arrays(np.asarray(X, dtype=float), Z,
                                         np.asarray(R), Y, L=L)
+
+
+def identified_beta_by_draws(family, n=1_000_000, seed=414):
+    """E[delta(Z, X) | R = 0] by brute force, with its standard error.
+
+    The mean of the closed-form delta (oracle_delta) at each row's own
+    level over the nonrespondent rows of one generated table: a check of
+    oracle_identified_beta that shares none of its quadrature.
+    """
+    table, _ = generate(DGPSpec(family=family, n=n, seed=seed))
+    missing = table.R == 0
+    Z = table.Z[missing]
+    vals = oracle_delta(family)(table.X[missing])[Z, np.arange(Z.size)]
+    return float(vals.mean()), float(vals.std() / np.sqrt(vals.size))
 
 
 def binary_if_values(table, ns, beta, spec):

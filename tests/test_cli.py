@@ -814,10 +814,8 @@ def test_estimator_labels_the_report_and_selects_no_code(tmp_path, survey_csv):
 @pytest.mark.parametrize("argv, sim", [
     (["oracle", "--draws", "-5"], {}),
     (["oracle", "--draws", "0"], {}),
-    (["robustness", "--reference-draws", "-5", "--n", "1000"], {}),
     (["oracle"], {"oracle_draws": -3}),
-], ids=["oracle-draws-negative", "oracle-draws-zero", "robustness-reference-draws",
-        "config-oracle-draws"])
+], ids=["oracle-draws-negative", "oracle-draws-zero", "config-oracle-draws"])
 def test_draw_counts_below_one_are_configuration_errors(tmp_path, capsys, argv, sim):
     doc = make_doc(simulation={"family": "dual_binary_iv", **sim})
     out = tmp_path / "o.json"
@@ -913,11 +911,36 @@ def test_robustness_command(tmp_path, capsys):
     cfg_path = write_yaml(tmp_path / "r.yaml", doc)
     out = tmp_path / "rob.json"
     rc = main(["robustness", "--config", cfg_path, "--out", str(out),
-               "--n", "15000", "--reference-draws", "300000"])
+               "--n", "15000"])
     assert rc == 0
     assert "all_corrupt" in capsys.readouterr().out
     report = json.loads(out.read_text())
     assert len(report["robustness"]["scenarios"]) == 4
+    # the reference is a quadrature: its error is the gap between rule sizes
+    assert report["robustness"]["reference_error"] < 1e-8
+
+
+def test_robustness_has_no_reference_draws_flag(tmp_path, capsys):
+    # the reference draws nothing, so the flag is unknown (exit 4)
+    doc = make_doc(simulation={"family": "dual_binary_iv"})
+    out = tmp_path / "rob.json"
+    rc = main(["robustness", "--config", write_yaml(tmp_path / "r.yaml", doc),
+               "--out", str(out), "--reference-draws", "5"])
+    assert rc == 4
+    assert "unrecognized arguments: --reference-draws" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_robustness_without_nonrespondents_is_an_estimation_error(tmp_path, capsys):
+    # P(R = 0) is 0 at this intercept, so the identified value is undefined
+    doc = make_doc(simulation={"family": "dual_binary_iv",
+                               "parameters": {"selection_intercept": -5000}})
+    out = tmp_path / "rob.json"
+    rc = main(["robustness", "--config", write_yaml(tmp_path / "r.yaml", doc),
+               "--out", str(out), "--n", "2000"])
+    assert rc == 3
+    assert "estimation error: P(R = 0) is 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["estimate", "simulate", "oracle", "robustness"])

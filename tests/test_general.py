@@ -72,31 +72,35 @@ def test_rho_weighted_g_identity(dual_fit):
 
 
 def test_beta_id_general_uses_own_level_contrast():
-    ns = const_ns(pi=(0.7, 0.9), rho=(0.5, 0.5), mu=(0.0, 0.0), pi0=0.5,
-                  pi_marg=0.3, delta=(0.5, 1.5))
+    # delta = (mu - mu_marg) / (pi - pi_marg) = (0.2 / 0.4, 0.9 / 0.6)
+    ns = const_ns(pi=(0.7, 0.9), rho=(0.5, 0.5), mu=(0.2, 0.9), pi0=0.5,
+                  pi_marg=0.3, mu_marg=0.0)
     t = small_table([0, 1], [0, 0], [None, None])
     assert beta_id_general(t, ns) == pytest.approx(1.0)
 
 
 def test_beta_id_general_ignores_respondents():
-    ns = const_ns(pi=(0.7, 0.9), rho=(0.5, 0.5), mu=(0.0, 0.0), pi0=0.5,
-                  pi_marg=0.3, delta=(0.5, 1.5))
+    # delta = (mu - mu_marg) / (pi - pi_marg) = (0.2 / 0.4, 0.9 / 0.6)
+    ns = const_ns(pi=(0.7, 0.9), rho=(0.5, 0.5), mu=(0.2, 0.9), pi0=0.5,
+                  pi_marg=0.3, mu_marg=0.0)
     t = small_table([0, 1, 1, 1], [0, 0, 1, 1], [None, None, 9.0, 9.0])
     assert beta_id_general(t, ns) == pytest.approx(1.0)
 
 
 def test_if_value_general_worked_example():
-    ns = const_ns(pi=(0.7, 0.9), rho=(1 / 7, 6 / 7), mu=(1.0, 1.0), pi0=0.5,
-                  pi_marg=0.3, delta=2.0)
+    # delta = 2 at both levels: (1.0 - 0.2) / 0.4 and (1.4 - 0.2) / 0.6
+    ns = const_ns(pi=(0.7, 0.9), rho=(1 / 7, 6 / 7), mu=(1.0, 1.4), pi0=0.5,
+                  pi_marg=0.3, mu_marg=0.2)
     t = small_table([0], [1], [2.0], X=X_ROW, L=2)
     v = if_values_general(t, ns, 99.0, SPEC)[0]
     assert v == pytest.approx(0.4)
 
 
 def test_if_value_general_zero_when_weights_balance():
-    # constant pi makes g flat in z, and delta = beta kills the tail term
+    # constant pi makes g flat in z, and delta = (1.0 - 0.2) / 0.4 = beta
+    # kills the tail term
     ns = const_ns(pi=(0.7, 0.7), rho=(0.25, 0.75), mu=(1.0, 1.0), pi0=0.5,
-                  pi_marg=0.3, delta=2.0)
+                  pi_marg=0.3, mu_marg=0.2)
     t = small_table([1], [0], [None], X=X_ROW, L=2)
     v = if_values_general(t, ns, 2.0, SPEC)[0]
     assert v == pytest.approx(0.0, abs=1e-12)
@@ -126,8 +130,9 @@ def test_normal_ci_width():
 
 def test_population_mean_constant_outcome():
     c = 2.5
+    # delta = (c - 0.6 c) / 0.4 = c
     ns = const_ns(pi=(0.7, 0.7), rho=(0.5, 0.5), mu=(c, c), pi0=0.25,
-                  pi_marg=0.3, delta=c)
+                  pi_marg=0.3, mu_marg=0.6 * c)
     t = small_table([0, 1, 0, 1, 0, 1, 0, 1], [1, 1, 1, 0, 1, 0, 1, 1],
                     [c, c, c, None, c, None, c, c], L=2)
     missing, population = crossfit_beta(t, SPEC, LearnerConfig(), n_folds=2,

@@ -9,15 +9,20 @@ from mivest.data import FunctionalSpec
 from mivest.exceptions import ConfigurationError, EstimationError
 from mivest.nuisance import evaluate_nuisances, floor_denominator
 from mivest.oracles import (integrate_unit_square, normal_partial_exp,
-                            oracle_delta_fn, oracle_identified_beta,
+                            oracle_delta, oracle_identified_beta,
                             oracle_mu, oracle_nuisances, oracle_pi,
                             oracle_rho, true_p_missing, uniform_partial_exp)
+
+from helpers import identified_beta_by_draws
 
 PROBE = np.array([[0.25, 0.6], [0.5, 0.5], [0.85, 0.15]])
 
 # values fixed by the designs; both are deterministic quadrature outputs
 P_MISS_SINGLE = 0.556847092047698
 P_MISS_DUAL = 0.40300527336799
+# E[delta(Z, X) | R = 0] by quadrature at k = 96 (agrees with k = 48 to
+# 1e-15 and 6e-10)
+IDENTIFIED = {"single_binary_iv": 2.0148714713, "dual_binary_iv": 1.0622342631}
 
 
 def test_normal_partial_exp_against_quadrature():
@@ -117,7 +122,7 @@ def test_oracle_nuisance_set_identities():
 
 def test_oracle_delta_fn_matches_set_contrast():
     ns = oracle_nuisances("single_binary_iv")
-    fn = oracle_delta_fn("single_binary_iv")
+    fn = oracle_delta("single_binary_iv")
     ev = evaluate_nuisances(ns, PROBE)
     den, _ = floor_denominator(ev.delta_r, ns.eps_den)
     for z in (0, 1):
@@ -133,21 +138,28 @@ def test_closed_forms_are_mean_only():
 
 
 def test_identified_beta_single_family():
-    value, mc_se = oracle_identified_beta("single_binary_iv", draws=400_000)
-    assert mc_se < 0.01
-    assert value == pytest.approx(2.0149, abs=4 * mc_se + 0.002)
+    value, error = oracle_identified_beta("single_binary_iv")
+    assert value == pytest.approx(IDENTIFIED["single_binary_iv"], abs=1e-9)
+    assert error < 1e-8
 
 
 def test_identified_beta_dual_family():
-    value, mc_se = oracle_identified_beta("dual_binary_iv", draws=400_000)
-    assert value == pytest.approx(1.0622, abs=4 * mc_se + 0.002)
+    value, error = oracle_identified_beta("dual_binary_iv")
+    assert value == pytest.approx(IDENTIFIED["dual_binary_iv"], abs=1e-9)
+    assert error < 1e-8
 
 
-def test_identified_beta_without_missing_draws_is_an_estimation_error():
-    # typed, so a `mivest robustness` reference that draws no nonrespondent
-    # exits with code 3; the one draw of seed 2 is a respondent
-    with pytest.raises(EstimationError, match="no R = 0 draws"):
-        oracle_identified_beta("dual_binary_iv", draws=1, seed=2)
-    # a draw count below 1 is a configuration error (exit 4)
-    with pytest.raises(ConfigurationError, match="at least 1"):
-        oracle_identified_beta("dual_binary_iv", draws=0)
+@pytest.mark.parametrize("family", sorted(IDENTIFIED))
+def test_identified_beta_agrees_with_brute_force_draws(family):
+    # the closed-form delta averaged over the nonrespondents of a 1e6-row
+    # table; at seed 414 the gaps are -1.81 (single) and +0.40 (dual) SE
+    mean, se = identified_beta_by_draws(family)
+    value, _ = oracle_identified_beta(family)
+    assert abs(mean - value) < 4.0 * se
+
+
+def test_identified_beta_without_missing_mass_is_an_estimation_error():
+    # typed, so a `mivest robustness` reference with P(R = 0) = 0 exits
+    # with code 3: at this intercept exp(A) underflows to 0 everywhere
+    with pytest.raises(EstimationError, match="P\\(R = 0\\) is 0"):
+        oracle_identified_beta("dual_binary_iv", {"selection_intercept": -5000.0})

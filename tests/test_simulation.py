@@ -9,7 +9,6 @@ import pytest
 from mivest.data import FunctionalSpec
 from mivest.exceptions import ConfigurationError
 from mivest.learners import LearnerConfig
-from mivest.oracles import oracle_identified_beta
 from mivest.simulation import (_ORACLE_BATCH, DGPSpec, GenerationError, generate,
                                oracle_beta, oracle_missing_quantile, run_monte_carlo,
                                selection_alpha_u_single,
@@ -224,13 +223,6 @@ GOLDEN_ORACLE = {
         (1.064584371001385, 0.0011413919089100547, 358228, 0.07692818181818181, 1.5326615386040152),
 }
 
-# oracle_identified_beta(family, draws=600_000) at its default seed (two batches)
-GOLDEN_IDENTIFIED = {
-    "single_binary_iv": (2.0161249019838223, 0.0013870654000308856),
-    "dual_binary_iv": (1.0616482005467809, 0.0008991279253104355),
-}
-
-
 def _sha256(a):
     return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
 
@@ -257,11 +249,6 @@ def test_oracle_streams_are_pinned(family, policy):
     rejected = round(clamp_fraction * draws) if policy == "reject_invalid" else 0
     assert res.p_missing == n_missing / (draws - rejected)
     assert oracle_missing_quantile(spec, 0.25, draws=draws) == quantile
-
-
-@pytest.mark.parametrize("family", sorted(GOLDEN_IDENTIFIED))
-def test_identified_beta_stream_is_pinned(family):
-    assert oracle_identified_beta(family, draws=600_000) == GOLDEN_IDENTIFIED[family]
 
 
 @pytest.mark.parametrize("family", ["single_binary_iv", "dual_binary_iv"])
@@ -332,13 +319,6 @@ def test_mc_counts_failed_replications():
     s = report.summaries["if"]
     assert s.n_success + s.n_failed == 3
     assert s.n_failed >= 1
-
-
-def test_mc_estimator_subset():
-    dgp = DGPSpec(family="single_binary_iv", n=300, seed=0)
-    report = run_monte_carlo(dgp, 2, CFG, MEAN, oracle=2.0122, n_folds=3,
-                             estimators=("id",), master_seed=1)
-    assert set(report.summaries) == {"id"}
 
 
 def test_mc_validation():

@@ -66,6 +66,20 @@ def test_script_help_runs(script):
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize("study", sorted(p.name for p in (ROOT / "studies").glob("*.yaml")))
+def test_study_configs_run(study, tmp_path):
+    # the committed study configs are run as the README lists them, so a
+    # renamed config key or family fails here
+    from mivest.cli import main
+    from mivest.dataio import load_config
+    from mivest.simulation import FAMILIES
+
+    path = str(ROOT / "studies" / study)
+    assert load_config(path).simulation.family in FAMILIES
+    assert main(["robustness", "--config", path, "--n", "5000",
+                 "--out", str(tmp_path / "r.json")]) == 0
+
+
 # Imports the CLI, runs estimate (mean and quantile, L = 4) and a small
 # simulate in one process, then fails if any scipy module was loaded.
 # argv[1] is a scratch directory.
