@@ -334,6 +334,11 @@ def cmd_oracle(cfg: AnalysisConfig, args: argparse.Namespace) -> int:
 
 def cmd_robustness(cfg: AnalysisConfig, args: argparse.Namespace) -> int:
     sim = _require_simulation(cfg)
+    if sim.clamp_policy != "clamp_to_one_minus_eps":
+        # the scenarios and the reference are closed forms of the clamped law
+        raise ConfigurationError(
+            f"robustness draws and measures under clamp_to_one_minus_eps only; "
+            f"simulation.clamp_policy is {sim.clamp_policy!r}")
     n = args.n if args.n is not None else 100_000
     psi = cfg.functional.psi if cfg.functional.kind == "mean" else 0.0
     rep = run_robustness(sim.family, n=n, seed=cfg.seed,

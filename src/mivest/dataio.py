@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import json
 import operator
 from dataclasses import dataclass, field
@@ -520,10 +521,25 @@ def encode_instrument(
     return codes.astype(np.int64), enc
 
 
+# A role column as a reader hands it over: csv.reader's cells, parsed when
+# read (_parse_numeric_column), or the (values, missing) pair the one-pass
+# reader parsed already.
+_Column = list[str] | tuple[np.ndarray, np.ndarray]
+
+# Bytes that send a file to the csv.reader path: a quote, which csv.reader
+# honours and loadtxt does not; NUL, which a bytes cell drops; and 0x1c-0x1f,
+# which loadtxt strips from around a number and float() does not.
+_ONE_PASS_REFUSED = (b'"', b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+# The one-pass reader keeps this many bytes of each outcome cell; a file with
+# a cell that fills them takes the csv.reader path, so no cell is cut short.
+_OUTCOME_BYTES = 32
+
+
 @dataclass
 class _RoleColumns:
-    """One CSV's parsed response, outcome and covariate columns, plus the
-    raw cells of each instrument column, parsed when an analysis encodes it."""
+    """One CSV's parsed response, outcome and covariate columns, plus each
+    instrument column, parsed when an analysis encodes it."""
 
     path: str | Path
     r: np.ndarray
@@ -531,30 +547,136 @@ class _RoleColumns:
     X: np.ndarray
     masked: tuple[int, ...]
     warnings: list[str]
-    instrument_cells: dict[str, list[str]]
+    instrument_columns: dict[str, _Column]
 
 
-def _read_roles(path: str | Path, config: AnalysisConfig,
-                instruments: Sequence[str]) -> _RoleColumns:
-    """Read the file once and parse its response, outcome and covariates.
+def _column_values(col: _Column, name: str, *, allow_empty: bool,
+                   what: str) -> tuple[np.ndarray, np.ndarray]:
+    """(values, missing) of one role column from either reader."""
+    if isinstance(col, list):
+        return _parse_numeric_column(col, name, allow_empty=allow_empty, what=what)
+    return col
 
-    The outcome, response, `instruments` and covariate columns must be in
-    the header; the cells of every config.instruments column the header
-    has are kept for _encode_table.
-    """
+
+def _line_breaks(data: bytes) -> int:
+    """Line ends in data as csv.reader counts them: CR LF, LF or a lone CR."""
+    breaks = data.count(b"\n")
+    if b"\r" in data:
+        breaks += data.count(b"\r") - data.count(b"\r\n")
+    return breaks
+
+
+def _read_utf8(path: str | Path) -> bytes:
+    """The file's bytes, checked to be UTF-8; a bad byte names its line."""
     try:
-        with open(path, newline="", encoding="utf-8") as f:
-            reader = csv.reader(f)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DataContractError(f"{path}: empty file; a header row is required")
-            records = list(reader)
+        with open(path, "rb") as f:
+            data = f.read()
     except OSError as e:
         raise DataContractError(f"cannot read data file {path}: {e}") from e
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as e:
+            line = _line_breaks(data[:e.start]) + 1
+            raise DataContractError(
+                f"{path}: line {line} is not UTF-8 text (byte 0x{data[e.start]:02x})"
+            ) from None
+    return data
+
+
+def _longest_line(data: bytes) -> int:
+    """Bytes in the longest line of data, its line end not counted."""
+    b = np.frombuffer(data, dtype=np.uint8)
+    is_end = b == ord("\n")
+    if b"\r" in data:
+        is_end |= b == ord("\r")
+    ends = np.flatnonzero(is_end)
+    del is_end
+    return int(np.diff(ends, prepend=-1, append=b.size).max()) - 1
+
+
+def _plain_shape(data: bytes) -> tuple[list[str], int] | None:
+    """The header and line count of data, or None unless data holds no
+    byte of _ONE_PASS_REFUSED, no line past csv's field size limit, and as
+    many commas as its lines hold at the header's width."""
+    if any(b in data for b in _ONE_PASS_REFUSED):
+        return None
+    limit = csv.field_size_limit()
+    if len(data) > limit and _longest_line(data) > limit:
+        return None
+    ends = [i for i in (data.find(b"\n"), data.find(b"\r")) if i >= 0]
+    header = [h.strip() for h in data[:min(ends, default=len(data))].decode("utf-8").split(",")]
+    lines = _line_breaks(data) + (not data.endswith((b"\n", b"\r")))
+    if data.count(b",") != (len(header) - 1) * lines:
+        return None
+    return header, lines
+
+
+def _one_pass_columns(path: str | Path, needed: Sequence[str],
+                      config: AnalysisConfig) -> dict[str, _Column] | None:
+    """The role columns from one np.loadtxt pass, or None where that pass
+    cannot show it reads what the csv.reader path reads.
+
+    It refuses a file _plain_shape refuses, one with fewer than two lines
+    or a needed column missing from the header, and any file loadtxt
+    rejects: an empty or non-numeric float cell, or one only float() reads
+    (`1_0`, non-ASCII digits).  The comma count and a last column that
+    every row must reach prove that each row has the header's width; a
+    row count equal to the line count proves that loadtxt skipped no blank
+    line.  An outcome cell must be blank or a number float() reads, so a
+    whitespace-only one also falls back.
+    """
+    shape = _plain_shape(_read_utf8(path))
+    if shape is None:
+        return None
+    header, lines = shape
+    if lines < 2 or not set(needed) <= set(header):
+        return None
+
+    kept = {c: header.index(c) for c in [*needed, *config.instruments] if c in header}
+    y_at = kept[config.outcome]
+    roles = set(kept.values())
+    usecols = sorted(roles | {len(header) - 1})
+    dtype = [(f"c{j}", f"S{_OUTCOME_BYTES}" if j == y_at else "f8" if j in roles else "U1")
+             for j in usecols]
+    try:
+        rows = np.loadtxt(path, dtype=dtype, delimiter=",", comments=None, skiprows=1,
+                          usecols=usecols, encoding="utf-8", ndmin=1)
+    except (OSError, ValueError):
+        return None
+    cells = rows[f"c{y_at}"]
+    if rows.size != lines - 1 or (np.char.str_len(cells) == _OUTCOME_BYTES).any():
+        return None
+
+    none_missing = np.zeros(rows.size, dtype=bool)
+    none_missing.flags.writeable = False
+    columns: dict[str, _Column] = {
+        c: (np.ascontiguousarray(rows[f"c{j}"]), none_missing)
+        for c, j in kept.items() if j != y_at}
+    y_missing = cells == b""
+    y = np.full(rows.size, np.nan)
+    try:
+        y[~y_missing] = cells[~y_missing].astype(np.float64)
+    except ValueError:
+        return None
+    columns[config.outcome] = (y, y_missing)
+    return columns
+
+
+def _csv_columns(path: str | Path, needed: Sequence[str],
+                 config: AnalysisConfig) -> dict[str, _Column]:
+    """The role columns as csv.reader's cells: the reference reader, which
+    takes every file and names the rows of a malformed one."""
+    reader = csv.reader(io.StringIO(_read_utf8(path).decode("utf-8"), newline=""))
+    try:
+        header = next(reader, None)
+        records = list(reader)
+    except csv.Error as e:
+        raise DataContractError(f"{path}: line {reader.line_num}: {e}") from None
+    if header is None:
+        raise DataContractError(f"{path}: empty file; a header row is required")
 
     header = [h.strip() for h in header]
-    needed = [config.outcome, config.response, *instruments, *config.covariates]
     missing_cols = [c for c in needed if c not in header]
     if missing_cols:
         raise DataContractError(f"{path}: missing required columns {missing_cols}")
@@ -566,11 +688,26 @@ def _read_roles(path: str | Path, config: AnalysisConfig,
     if not records:
         raise DataContractError(f"{path}: no data rows")
 
-    def column(name: str) -> list[str]:
-        return list(map(operator.itemgetter(header.index(name)), records))
+    return {c: list(map(operator.itemgetter(header.index(c)), records))
+            for c in [*needed, *config.instruments] if c in header}
 
-    r_vals, r_missing = _parse_numeric_column(column(config.response), config.response,
-                                              allow_empty=False, what="response")
+
+def _read_roles(path: str | Path, config: AnalysisConfig,
+                instruments: Sequence[str]) -> _RoleColumns:
+    """Tokenize the file once and parse its response, outcome and covariates.
+
+    The outcome, response, `instruments` and covariate columns must be in
+    the header; every config.instruments column the header has is kept
+    for _encode_table.  The one-pass reader takes the file when it can,
+    and the csv.reader path otherwise.
+    """
+    needed = [config.outcome, config.response, *instruments, *config.covariates]
+    columns = _one_pass_columns(path, needed, config)
+    if columns is None:
+        columns = _csv_columns(path, needed, config)
+
+    r_vals, r_missing = _column_values(columns[config.response], config.response,
+                                       allow_empty=False, what="response")
     bad_r = np.flatnonzero(~np.isin(r_vals, (0.0, 1.0)))
     if bad_r.size:
         rows = (bad_r + 2).tolist()
@@ -580,8 +717,8 @@ def _read_roles(path: str | Path, config: AnalysisConfig,
         )
     r = r_vals.astype(np.int64)
 
-    y_vals, y_missing = _parse_numeric_column(column(config.outcome), config.outcome,
-                                              allow_empty=True, what="outcome")
+    y_vals, y_missing = _column_values(columns[config.outcome], config.outcome,
+                                       allow_empty=True, what="outcome")
 
     warnings: list[str] = []
     masked: tuple[int, ...] = ()
@@ -607,28 +744,28 @@ def _read_roles(path: str | Path, config: AnalysisConfig,
         )
 
     X = np.column_stack([
-        _parse_numeric_column(column(c), c, allow_empty=False, what="covariate")[0]
+        _column_values(columns[c], c, allow_empty=False, what="covariate")[0]
         for c in config.covariates
     ])
     for j, c in enumerate(config.covariates):
         _require_finite(X[:, j], c, "covariate")
-    cells = {c: column(c) for c in config.instruments if c in header}
+    kept = {c: columns[c] for c in config.instruments if c in columns}
     return _RoleColumns(path=path, r=r, y=y_vals, X=X, masked=masked, warnings=warnings,
-                        instrument_cells=cells)
+                        instrument_columns=kept)
 
 
 def _encode_table(roles: _RoleColumns,
                   config: AnalysisConfig) -> tuple[ObservationTable, IngestInfo]:
     """The table and its IngestInfo with config's instruments encoded."""
-    missing_cols = [c for c in config.instruments if c not in roles.instrument_cells]
+    missing_cols = [c for c in config.instruments if c not in roles.instrument_columns]
     if missing_cols:
         raise DataContractError(f"{roles.path}: missing required columns {missing_cols}")
     warnings = list(roles.warnings)
     encodings: list[InstrumentEncoding] = []
     code_cols: list[np.ndarray] = []
     for c in config.instruments:
-        vals, _ = _parse_numeric_column(roles.instrument_cells[c], c, allow_empty=False,
-                                        what="instrument")
+        vals, _ = _column_values(roles.instrument_columns[c], c, allow_empty=False,
+                                 what="instrument")
         _require_finite(vals, c, "instrument")
         codes, enc = encode_instrument(
             vals, c, bins=config.instrument_bins,
@@ -661,13 +798,18 @@ def ingest_csv(path: str | Path, config: AnalysisConfig) -> tuple[ObservationTab
     error naming the rows, otherwise the cells are masked with a warning.
     Missing covariate or instrument cells are always errors, and so is a
     nan or inf cell (which float() parses) among the covariates, the
-    instruments or the respondents' outcomes.
+    instruments or the respondents' outcomes.  A byte that is not UTF-8
+    is an error naming its line.
 
-    csv.reader tokenizes the whole file into one list of records; the
-    width check is one set of record lengths, and each role column is
-    gathered with operator.itemgetter and parsed whole
-    (_parse_numeric_column).  Rows are listed one by one only to name them
-    in an error.
+    Two readers give the same table, info and errors.  A file with no
+    quote, NUL or 0x1c-0x1f byte, every line as wide as the header, no
+    blank line, and role cells that are plain numbers (the outcome's may
+    be blank) is read by one np.loadtxt pass over its role columns, float64
+    for the numbers and bytes for the outcome, so a blank cell stays apart
+    from a literal nan; write_table_csv writes such files.  Every other
+    file falls back to csv.reader: it tokenizes the whole file into one
+    list of records, each role column is parsed whole
+    (_parse_numeric_column), and its errors name the rows.
     """
     return _encode_table(_read_roles(path, config, config.instruments), config)
 

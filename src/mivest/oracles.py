@@ -26,6 +26,7 @@ form here; use the brute-force oracles in simulation instead.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Mapping
 
 import numpy as np
@@ -199,8 +200,18 @@ def integrate_unit_square(f: Callable[[np.ndarray], np.ndarray], k: int = _GL_K)
 
 
 def true_p_missing(family: str, parameters: Mapping[str, float] | None = None) -> float:
-    """Marginal P(R=0) under the clamped data law."""
-    pi_fn, rho_fn, _ = _oracle_level_fns(family, parameters or {}, 0.0)
+    """Marginal P(R=0) under the clamped data law.
+
+    Every exact set carries it, and one robustness run builds six or seven
+    sets of one law, so the deterministic quadrature is cached per family
+    and sorted parameters.
+    """
+    return _p_missing(family, tuple(sorted((parameters or {}).items())))
+
+
+@functools.lru_cache(maxsize=16)
+def _p_missing(family: str, parameters: tuple[tuple[str, float], ...]) -> float:
+    pi_fn, rho_fn, _ = _oracle_level_fns(family, dict(parameters), 0.0)
     return integrate_unit_square(lambda X: (rho_fn(X) * (1.0 - pi_fn(X))).sum(axis=0))
 
 

@@ -52,13 +52,17 @@ def oracle_dual():
 
 @pytest.fixture(scope="module")
 def mc_single(oracle_single):
+    # two processes give the same numbers as one (criterion 09) in about
+    # half the time
     dgp = DGPSpec(family="single_binary_iv", n=1000, seed=0)
     return run_monte_carlo(dgp, 300, CFG, MEAN, oracle=oracle_single.value,
-                           n_folds=5, repetitions=11, master_seed=MASTER)
+                           n_folds=5, repetitions=11, master_seed=MASTER, threads=2)
 
 
 @pytest.fixture(scope="module")
 def mc_dual(oracle_dual):
+    # serial: its n = 10^4 fits already use the BLAS threads, and two
+    # forked processes that each inherit them ran slower on two cores
     dgp = DGPSpec(family="dual_binary_iv", n=10_000, seed=0)
     return run_monte_carlo(dgp, 100, CFG, MEAN, oracle=oracle_dual.value,
                            n_folds=5, repetitions=11, winsorize=5.0,

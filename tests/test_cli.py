@@ -2,7 +2,9 @@
 
 import csv
 import dataclasses
+import io
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from mivest.dataio import (AnalysisConfig, SimulationSection, _fmt_rows,
                            _parse_numeric_column, config_from_dict, ingest_csv,
                            load_config, report_json, write_table_csv)
 from mivest.data import FunctionalSpec
-from mivest.exceptions import ConfigurationError, DataContractError
+from mivest.exceptions import ConfigurationError, DataContractError, MivestError
 from mivest.simulation import DGPSpec, generate
 
 BASE = {
@@ -340,6 +342,133 @@ def test_column_parse_matches_the_cell_by_cell_loop(cells, allow_empty):
     assert run(_parse_numeric_column) == run(_cell_by_cell_parse)
 
 
+NUMBER = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+ROLES = ("x1", "x2", "z", "r", "y")
+
+
+@st.composite
+def csv_files(draw):
+    """Whole CSV files around the five role columns: clean or with CELLS in
+    the role cells, an optional free-text column, plain, minimally or fully
+    quoted, LF or CRLF endings, with or without a final newline, blank
+    lines and ragged rows, and filled nonrespondent outcomes."""
+    names = draw(st.permutations([*ROLES, *draw(st.sampled_from([(), ("note",)]))]))
+    dirty = draw(st.sampled_from([False, False, True]))
+
+    def cell(valid):
+        return draw(st.one_of(valid, CELLS) if dirty else valid)
+
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        row = {"x1": cell(NUMBER), "x2": cell(NUMBER),
+               "z": cell(st.sampled_from(["0", "1", "2"])),
+               "r": cell(st.sampled_from(["0", "1", "1.0", " 1"])),
+               "note": draw(st.text(max_size=4))}
+        filled = NUMBER if row["r"].strip() not in ("0", "0.0") else st.just("")
+        row["y"] = cell(st.one_of(filled, NUMBER) if draw(st.booleans()) else filled)
+        rows.append([row[c] for c in names])
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    quoting = draw(st.sampled_from([None, csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+    lines = []
+    for cells in [list(names), *rows]:
+        if quoting is None:
+            lines.append(",".join(cells) + ending)
+        else:
+            buf = io.StringIO()
+            csv.writer(buf, quoting=quoting, lineterminator=ending).writerow(cells)
+            lines.append(buf.getvalue())
+    defect = draw(st.sampled_from([None, None, "ragged", "blank"]))
+    if defect == "ragged":
+        at = draw(st.integers(1, len(lines) - 1))
+        lines[at] = draw(st.sampled_from(["0,", ",0,"])) + lines[at]
+    elif defect == "blank":
+        lines.insert(draw(st.integers(1, len(lines))), ending)
+    text = "".join(lines)
+    if draw(st.booleans()):
+        text = text[:-len(ending)]
+    return text
+
+
+def _ingest_outcome(path, cfg):
+    try:
+        table, info = ingest_csv(path, cfg)
+    except MivestError as exc:
+        return type(exc).__name__, str(exc)
+    arrays = [(a.dtype.str, a.shape, a.tobytes())
+              for a in (table.X, table.Z, table.R, table.y_present, table._y_values)]
+    return arrays, info.as_dict()
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=csv_files(), strict=st.booleans())
+def test_one_pass_ingest_matches_the_csv_reader_path(tmp_path_factory, text, strict):
+    # ingest_csv equals the csv.reader path on whole files: table arrays bit
+    # for bit and equal ingest info, or the same error
+    import mivest.dataio
+
+    p = tmp_path_factory.mktemp("files") / "f.csv"
+    p.write_bytes(text.encode("utf-8"))
+    cfg = config_from_dict(make_doc(data={"strict_outcome": strict}))
+    got = _ingest_outcome(p, cfg)
+    with mock.patch.object(mivest.dataio, "_one_pass_columns", lambda *a: None):
+        assert got == _ingest_outcome(p, cfg)
+
+
+def test_written_tables_take_the_one_pass_reader(tmp_path, monkeypatch):
+    # write_table_csv's files (and the benchmark's, which are written the
+    # same way) are read by np.loadtxt, never by csv.reader
+    import mivest.dataio
+
+    table, _ = generate(DGPSpec(family="dual_binary_iv", n=500, seed=3))
+    p = tmp_path / "t.csv"
+    write_table_csv(table, p, covariate_names=["x1", "x2"])
+    passes = []
+    real = mivest.dataio._one_pass_columns
+
+    def spy(*args):
+        passes.append(real(*args))
+        return passes[-1]
+
+    def no_reader(*args, **kwargs):
+        raise AssertionError("csv.reader called")
+
+    monkeypatch.setattr(mivest.dataio, "_one_pass_columns", spy)
+    monkeypatch.setattr(csv, "reader", no_reader)
+    again, _ = ingest_csv(p, config_from_dict(make_doc()))
+    assert len(passes) == 1 and passes[0] is not None
+    np.testing.assert_array_equal(again.X, table.X)
+    np.testing.assert_array_equal(again.y_dense(), table.y_dense())
+
+
+def test_oversized_cells_are_data_errors(tmp_path, capsys):
+    # csv.reader refuses a cell past its field size limit; that was a
+    # csv.Error traceback (exit 1) and is now a data error naming the line
+    p = tmp_path / "long.csv"
+    p.write_text("z,x1,x2,r,y,note\n0,0.1,0.2,1,2.0,a\n1,0.3,0.4,0,," + "x" * 200_000 + "\n",
+                 encoding="utf-8")
+    cfg_path = write_yaml(tmp_path / "cfg.yaml", make_doc())
+    assert main(["validate", "--config", cfg_path, "--data", str(p)]) == 2
+    assert f"data error: {p}: line 3: field larger than field limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("one_pass", [True, False])
+def test_non_utf8_data_is_a_data_error(tmp_path, capsys, monkeypatch, one_pass):
+    # byte 0xE9 (latin-1 e-acute) in an outcome cell on line 4 was a
+    # UnicodeDecodeError traceback (exit 1); each reader names the line
+    import mivest.dataio
+
+    if not one_pass:
+        monkeypatch.setattr(mivest.dataio, "_one_pass_columns", lambda *a: None)
+    p = tmp_path / "latin1.csv"
+    p.write_bytes(b"z,x1,x2,r,y\n0,0.1,0.2,1,2.0\n1,0.3,0.4,0,\n1,0.5,0.6,1,\xe9\n")
+    cfg_path = write_yaml(tmp_path / "cfg.yaml", make_doc())
+    with pytest.raises(DataContractError, match=r"line 4 is not UTF-8 text \(byte 0xe9\)$"):
+        ingest_csv(p, load_config(cfg_path))
+    for command in ("estimate", "validate"):
+        assert main([command, "--config", cfg_path, "--data", str(p)]) == 2
+        assert "line 4 is not UTF-8 text" in capsys.readouterr().err
+
+
 def test_empty_and_headless_files_rejected(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("", encoding="utf-8")
@@ -525,43 +654,59 @@ def test_estimate_separate_instrument_mode(tmp_path, capsys):
 
 
 def test_separate_instruments_parse_the_csv_once(tmp_path, monkeypatch):
-    # the file is tokenized once and each column parsed once; every
-    # instrument's table and ingest info equal ingest_csv on the config of
-    # that instrument alone
+    # the file is tokenized once and each column parsed once, by either
+    # reader: one np.loadtxt pass over the six role columns, or (for a file
+    # with a quoted header cell) one csv.reader pass and one parse per
+    # column; every instrument's table and ingest info equal ingest_csv on
+    # the config of that instrument alone
     import mivest.dataio
 
-    p = two_instrument_csv(tmp_path / "two.csv")
+    plain = two_instrument_csv(tmp_path / "two.csv")
+    quoted = tmp_path / "quoted.csv"
+    quoted.write_bytes(b'"z1"' + plain.read_bytes()[2:])
     cfg = load_config(write_yaml(tmp_path / "cfg.yaml", make_doc(
         data={"instruments": ["z1", "z2"], "instrument_mode": "separate"})))
-    alone = {col: ingest_csv(p, dataclasses.replace(cfg, instruments=(col,),
-                                                    instrument_mode="product"))
-             for col in cfg.instruments}
-    reads, parsed = [], []
+    real_loadtxt = np.loadtxt
     real_reader = csv.reader
     real_parse = mivest.dataio._parse_numeric_column
 
+    def counting_loadtxt(*args, usecols, **kwargs):
+        reads.append(list(usecols))
+        return real_loadtxt(*args, usecols=usecols, **kwargs)
+
     def counting_reader(*args, **kwargs):
-        reads.append(1)
+        tokenized.append(1)
         return real_reader(*args, **kwargs)
 
     def counting_parse(cells, column, **kwargs):
         parsed.append(column)
         return real_parse(cells, column, **kwargs)
 
-    monkeypatch.setattr(csv, "reader", counting_reader)
-    monkeypatch.setattr(mivest.dataio, "_parse_numeric_column", counting_parse)
-    out = tmp_path / "sep.json"
-    assert main(["estimate", "--config", str(tmp_path / "cfg.yaml"), "--data", str(p),
-                 "--out", str(out)]) == 0
-    assert len(reads) == 1
-    assert sorted(parsed) == ["r", "x1", "x2", "y", "z1", "z2"]
-    report = json.loads(out.read_text())
-    for col, one, table, info in mivest.dataio.ingest_csv_per_instrument(p, cfg):
-        ref_table, ref_info = alone[col]
-        assert one.instruments == (col,)
-        assert report["per_instrument"][col]["data"] == info.as_dict() == ref_info.as_dict()
-        for name in ("X", "Z", "R", "y_present", "_y_values"):
-            np.testing.assert_array_equal(getattr(table, name), getattr(ref_table, name))
+    for p, one_pass in ((plain, True), (quoted, False)):
+        alone = {col: ingest_csv(p, dataclasses.replace(cfg, instruments=(col,),
+                                                        instrument_mode="product"))
+                 for col in cfg.instruments}
+        reads, tokenized, parsed = [], [], []
+        with monkeypatch.context() as m:
+            m.setattr(np, "loadtxt", counting_loadtxt)
+            m.setattr(csv, "reader", counting_reader)
+            m.setattr(mivest.dataio, "_parse_numeric_column", counting_parse)
+            out = tmp_path / "sep.json"
+            assert main(["estimate", "--config", str(tmp_path / "cfg.yaml"),
+                         "--data", str(p), "--out", str(out)]) == 0
+        if one_pass:
+            assert reads == [[0, 1, 2, 3, 4, 5]]
+            assert not tokenized and not parsed
+        else:
+            assert not reads and len(tokenized) == 1
+            assert sorted(parsed) == ["r", "x1", "x2", "y", "z1", "z2"]
+        report = json.loads(out.read_text())
+        for col, one, table, info in mivest.dataio.ingest_csv_per_instrument(p, cfg):
+            ref_table, ref_info = alone[col]
+            assert one.instruments == (col,)
+            assert report["per_instrument"][col]["data"] == info.as_dict() == ref_info.as_dict()
+            for name in ("X", "Z", "R", "y_present", "_y_values"):
+                np.testing.assert_array_equal(getattr(table, name), getattr(ref_table, name))
 
 
 def test_separate_instrument_faults_surface_at_their_turn(tmp_path, capsys):
@@ -918,6 +1063,32 @@ def test_robustness_command(tmp_path, capsys):
     assert len(report["robustness"]["scenarios"]) == 4
     # the reference is a quadrature: its error is the gap between rule sizes
     assert report["robustness"]["reference_error"] < 1e-8
+
+
+@pytest.mark.parametrize("policy", ["reject_invalid", "as_printed_error"])
+def test_robustness_refuses_other_clamp_policies(tmp_path, capsys, policy):
+    # its table and closed forms follow the clamped law alone; another
+    # policy was silently ignored (exit 0) and is now a configuration error
+    doc = make_doc(simulation={"family": "single_binary_iv", "clamp_policy": policy})
+    out = tmp_path / "rob.json"
+    rc = main(["robustness", "--config", write_yaml(tmp_path / "r.yaml", doc),
+               "--out", str(out), "--n", "2000"])
+    assert rc == 4
+    assert (f"configuration error: robustness draws and measures under "
+            f"clamp_to_one_minus_eps only; simulation.clamp_policy is {policy!r}"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_robustness_default_clamp_policy_report_is_unchanged(tmp_path):
+    # naming the default policy gives the report of a config that omits it
+    outs = []
+    for name, extra in (("implicit", {}), ("explicit", {"clamp_policy": "clamp_to_one_minus_eps"})):
+        doc = make_doc(simulation={"family": "dual_binary_iv", **extra})
+        outs.append(tmp_path / f"{name}.json")
+        assert main(["robustness", "--config", write_yaml(tmp_path / f"{name}.yaml", doc),
+                     "--out", str(outs[-1]), "--n", "3000"]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def test_robustness_has_no_reference_draws_flag(tmp_path, capsys):

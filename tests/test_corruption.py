@@ -113,3 +113,26 @@ def test_robustness_run_separates_consistent_from_broken():
     d = report.as_dict()
     assert d["family"] == "single_binary_iv"
     assert len(d["scenarios"]) == 4
+
+
+def test_robustness_runs_one_p_missing_quadrature_per_law(monkeypatch):
+    # every exact set of a run carries P(R = 0); the quadrature behind it
+    # runs once per family and sorted parameters, not once per set
+    import mivest.oracles
+
+    calls = []
+    real = mivest.oracles.integrate_unit_square
+
+    def counting(f, *args, **kwargs):
+        calls.append(1)
+        return real(f, *args, **kwargs)
+
+    monkeypatch.setattr(mivest.oracles, "integrate_unit_square", counting)
+    mivest.oracles._p_missing.cache_clear()
+    runs = [("single_binary_iv", None), ("dual_binary_iv", None),
+            ("dual_binary_iv", {"selection_intercept": -7.5}), ("single_binary_iv", {})]
+    counts = []
+    for family, params in runs:
+        run_robustness(family, n=2_000, seed=11, parameters=params)
+        counts.append(len(calls))
+    assert counts == [1, 2, 3, 3]
