@@ -355,14 +355,14 @@ def run_robustness(
     gap between two rule sizes (oracle_identified_beta).
     """
     params = dict(parameters or {})
+    dgp = DGPSpec(family=family, n=n, seed=seed, parameters=params)  # checks the keys
     spec = FunctionalSpec.mean(psi)
     if scenarios is None:
         probe = oracle_nuisances(family, params, functional=spec)
         scenarios = (binary_scenarios(family, params, psi) if probe.L == 2
                      else general_scenarios(family, params, psi))
     ref, ref_err = oracle_identified_beta(family, params, psi=psi)
-    table, _ = generate(DGPSpec(family=family, n=n, seed=seed,
-                                parameters=params))
+    table, _ = generate(dgp)
     report = RobustnessReport(family=family, n=n, seed=seed,
                               reference=ref, reference_error=ref_err)
     for sc in scenarios:

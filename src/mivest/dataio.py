@@ -598,14 +598,16 @@ def _longest_line(data: bytes) -> int:
 def _plain_shape(data: bytes) -> tuple[list[str], int] | None:
     """The header and line count of data, or None unless data holds no
     byte of _ONE_PASS_REFUSED, no line past csv's field size limit, and as
-    many commas as its lines hold at the header's width."""
+    many commas as its lines hold at the header's width.  A leading UTF-8
+    byte-order mark is not part of the first header name."""
     if any(b in data for b in _ONE_PASS_REFUSED):
         return None
     limit = csv.field_size_limit()
     if len(data) > limit and _longest_line(data) > limit:
         return None
     ends = [i for i in (data.find(b"\n"), data.find(b"\r")) if i >= 0]
-    header = [h.strip() for h in data[:min(ends, default=len(data))].decode("utf-8").split(",")]
+    first = data[:min(ends, default=len(data))].decode("utf-8-sig")
+    header = [h.strip() for h in first.split(",")]
     lines = _line_breaks(data) + (not data.endswith((b"\n", b"\r")))
     if data.count(b",") != (len(header) - 1) * lines:
         return None
@@ -666,8 +668,9 @@ def _one_pass_columns(path: str | Path, needed: Sequence[str],
 def _csv_columns(path: str | Path, needed: Sequence[str],
                  config: AnalysisConfig) -> dict[str, _Column]:
     """The role columns as csv.reader's cells: the reference reader, which
-    takes every file and names the rows of a malformed one."""
-    reader = csv.reader(io.StringIO(_read_utf8(path).decode("utf-8"), newline=""))
+    takes every file and names the rows of a malformed one.  A leading
+    UTF-8 byte-order mark, which spreadsheet programs write, is dropped."""
+    reader = csv.reader(io.StringIO(_read_utf8(path).decode("utf-8-sig"), newline=""))
     try:
         header = next(reader, None)
         records = list(reader)

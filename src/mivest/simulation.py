@@ -29,14 +29,23 @@ _draw_batch, so each oracle is the truth of the generated law under the
 chosen clamp policy.  The instrument probabilities and the selection
 exponents are stated once, here, and the closed forms in oracles reuse
 them (the identified value there is a quadrature and draws nothing).
-The oracles draw the outcomes of nonrespondents in fixed batches of
+
+A batch draws its phases in a fixed order: X, U, the instrument uniforms,
+the outcome noise, then the R = 0 uniforms.  Philox and numpy's ziggurat
+normal read the bit stream in order, so a phase drawn in several calls
+gives the draws of one call: the phase order, not the sizes of the RNG
+calls, fixes the stream.  The step therefore draws every phase after X
+and U in chunks of _CHUNK rows and runs the formulas on each chunk in
+cache.  The oracles draw the outcomes of nonrespondents in batches of
 _ORACLE_BATCH raw draws (_oracle_batches) and keep one batch alive at a
-time; the batch size is part of the stream, so it stays fixed.
+time; the batch size fixes where each phase starts, so it stays fixed.
 """
 
 from __future__ import annotations
 
+import os
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Literal, Mapping
 
@@ -64,6 +73,12 @@ _DOMAIN_ORACLE = 3
 
 DUAL_LEVEL_MAP: dict[int, tuple[int, int]] = {0: (0, 0), 1: (0, 1), 2: (1, 0), 3: (1, 1)}
 
+# the keys of DGPSpec.parameters each family reads; any other is refused
+FAMILY_PARAMETERS: dict[str, tuple[str, ...]] = {
+    FAMILY_SINGLE: (),
+    FAMILY_DUAL: ("selection_intercept",),
+}
+
 
 @dataclass(frozen=True)
 class DGPSpec:
@@ -86,6 +101,13 @@ class DGPSpec:
             "as_printed_error",
         ):
             raise ConfigurationError(f"unknown clamp policy {self.clamp_policy!r}")
+        allowed = FAMILY_PARAMETERS[self.family]
+        unknown = sorted(set(self.parameters) - set(allowed))
+        if unknown:
+            raise ConfigurationError(
+                f"unknown simulation parameter {', '.join(map(repr, unknown))} for "
+                f"{self.family}; it allows "
+                f"{', '.join(map(repr, allowed)) if allowed else 'none'}")
 
 
 @dataclass
@@ -164,17 +186,20 @@ selection_alpha_u_dual = selection_alpha_u_single  # the same -u / 4
 
 
 def _apply_clamp(
-    p_r0: np.ndarray, policy: ClampPolicy, context: tuple[np.ndarray, ...]
+    p_r0: np.ndarray, policy: ClampPolicy,
+    context: Callable[[], tuple[np.ndarray, ...]],
 ) -> np.ndarray:
     """Treats p_r0 in place under the policy; returns the invalid mask.
 
-    The mask marks the draws with p_r0 > 1 before treatment.
+    The mask marks the draws with p_r0 > 1 before treatment.  context()
+    gives the (Z, U, X1, X2) columns of those draws, read only to name the
+    first offender under as_printed_error.
     """
     invalid = p_r0 > 1.0
     if policy == "as_printed_error":
         if invalid.any():
             i = int(np.flatnonzero(invalid)[0])
-            bits = ", ".join(f"{np.asarray(c).reshape(-1)[i]:.6g}" for c in context)
+            bits = ", ".join(f"{np.asarray(c).reshape(-1)[i]:.6g}" for c in context())
             raise GenerationError(
                 f"P(R=0) = {p_r0[i]:.6g} > 1 at draw with (Z, U, X1, X2) = ({bits})"
             )
@@ -187,9 +212,11 @@ def _apply_clamp(
 # latent draws (shared by the table generators and the oracles)
 # --------------------------------------------------------------------------
 
-def instrument_prob_single(X: np.ndarray) -> np.ndarray:
-    """P(Z = 1 | X) in the single family."""
-    return expit(-1.0 + X[:, 0] + X[:, 1])
+def instrument_prob_single(X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """P(Z = 1 | X) in the single family: expit(-1 + X1 + X2)."""
+    a = np.add(-1.0, X[:, 0], out=out)
+    a += X[:, 1]
+    return expit(a, out=a)
 
 
 def _instrument_prob_dual(
@@ -212,12 +239,12 @@ def instrument_probs_dual(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _draw_outcome(X: np.ndarray, u: np.ndarray, rng: np.random.Generator,
-                  w: np.ndarray) -> np.ndarray:
-    """Y ~ N((X1 + X2) exp(U / 6), 0.5^2), the same draws as rng.normal.
+                  out: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Y ~ N((X1 + X2) exp(U / 6), 0.5^2) into out, the same draws as rng.normal.
 
     rng.normal(loc, 0.5) is loc + 0.5 * standard_normal; w is overwritten.
     """
-    y = np.divide(u, 6.0)
+    y = np.divide(u, 6.0, out=out)
     np.exp(y, out=y)
     y *= np.add(X[:, 0], X[:, 1], out=w)
     w = rng.standard_normal(out=w)
@@ -226,47 +253,88 @@ def _draw_outcome(X: np.ndarray, u: np.ndarray, rng: np.random.Generator,
     return y
 
 
-def _draw_single(
-    m: int, rng: np.random.Generator, parameters: Mapping[str, float], w: np.ndarray
-) -> dict[str, np.ndarray]:
+def _latent_single(m: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     X = rng.uniform(0.0, 1.0, size=(m, 2))
     u = rng.standard_normal(m)  # U ~ N(4, 0.5^2), as rng.normal(4.0, 0.5) draws it
     u *= 0.5
     u += 4.0
-    p_r0 = instrument_prob_single(X)
-    z = rng.random(out=w) < p_r0
-    selection_alpha_z_single(z, X, out=p_r0)
-    p_r0 += selection_alpha_u_single(u, out=w)
-    np.exp(p_r0, out=p_r0)
-    y = _draw_outcome(X, u, rng, w)
-    return {"X": X, "z": z.astype(np.int64), "u": u, "p_r0": p_r0, "y": y}
+    return X, u
 
 
-def _draw_dual(
-    m: int, rng: np.random.Generator, parameters: Mapping[str, float], w: np.ndarray
-) -> dict[str, np.ndarray]:
-    X = rng.uniform(0.0, 1.0, size=(m, 2))
-    u = rng.uniform(0.0, 1.0, size=m)
-    p_r0 = _instrument_prob_dual(X, 1)
-    z1 = rng.random(out=w) < p_r0
-    z2 = rng.random(out=w) < _instrument_prob_dual(X, 2, out=p_r0)
-    z = z1.astype(np.int64)
-    z *= 2
-    z += z2
-    selection_alpha_z_dual(z1, z2, X, parameters, out=p_r0)
-    p_r0 += selection_alpha_u_dual(u, out=w)
-    np.exp(p_r0, out=p_r0)
-    y = _draw_outcome(X, u, rng, w)
-    return {"X": X, "z": z, "u": u, "p_r0": p_r0, "y": y}
+def _latent_dual(m: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    return rng.uniform(0.0, 1.0, size=(m, 2)), rng.uniform(0.0, 1.0, size=m)
 
 
-_DRAWERS: dict[str, Callable[..., dict[str, np.ndarray]]] = {
-    FAMILY_SINGLE: _draw_single,
-    FAMILY_DUAL: _draw_dual,
+@dataclass(frozen=True)
+class _Law:
+    """What the draw step reads of one family, in the family's draw order.
+
+    latent(m, rng) draws X and U; instrument_probs give P(Z_k = 1 | X) for
+    each binary instrument, drawn in this order; alpha_z(zs, X, parameters,
+    out) and alpha_u(u, out) are the selection exponent's two parts.  The
+    level code reads the instruments as binary digits, the first most
+    significant.
+    """
+
+    latent: Callable[[int, np.random.Generator], tuple[np.ndarray, np.ndarray]]
+    instrument_probs: tuple[Callable[..., np.ndarray], ...]
+    alpha_z: Callable[..., np.ndarray]
+    alpha_u: Callable[..., np.ndarray]
+
+
+_LAWS: dict[str, _Law] = {
+    FAMILY_SINGLE: _Law(
+        _latent_single, (instrument_prob_single,),
+        lambda zs, X, parameters, out: selection_alpha_z_single(*zs, X, out=out),
+        selection_alpha_u_single,
+    ),
+    FAMILY_DUAL: _Law(
+        _latent_dual,
+        (lambda X, out: _instrument_prob_dual(X, 1, out),
+         lambda X, out: _instrument_prob_dual(X, 2, out)),
+        lambda zs, X, parameters, out: selection_alpha_z_dual(*zs, X, parameters, out=out),
+        selection_alpha_u_dual,
+    ),
 }
-_LEVELS: dict[str, int] = {FAMILY_SINGLE: 2, FAMILY_DUAL: 4}
+_LEVELS: dict[str, int] = {family: 2 ** len(law.instrument_probs)
+                           for family, law in _LAWS.items()}
 
 _MAX_REJECT_ROUNDS = 1000
+
+# Rows per chunk of the draw step's streamed phases: the work buffer holds
+# three float64 chunks, 384 KiB, so a chunk's formulas run in cache.
+_CHUNK = 1 << 14
+
+
+def _chunks(m: int) -> Iterator[tuple[int, int]]:
+    for a in range(0, m, _CHUNK):
+        yield a, min(a + _CHUNK, m)
+
+
+def _level_code(zs: list[np.ndarray]) -> np.ndarray:
+    code = zs[0].astype(np.int64)
+    for z in zs[1:]:
+        code *= 2
+        code += z
+    return code
+
+
+def _work_buffer(m: int) -> np.ndarray:
+    return np.empty((3, min(m, _CHUNK)))
+
+
+@dataclass
+class _Batch:
+    """One pass of _draw_batch.  y and p_r0 hold all m raw draws; invalid
+    marks the draws reject_invalid drops (None under the other policies)."""
+
+    X: np.ndarray
+    zs: list[np.ndarray]
+    u: np.ndarray
+    y: np.ndarray
+    p_r0: np.ndarray
+    invalid: np.ndarray | None
+    n_invalid: int
 
 
 def _draw_batch(
@@ -275,29 +343,46 @@ def _draw_batch(
     rng: np.random.Generator,
     clamp_policy: ClampPolicy,
     parameters: Mapping[str, float],
-    scratch: np.ndarray | None = None,
-) -> tuple[dict[str, np.ndarray], int]:
-    """m latent draws with the clamp policy applied: (batch, invalid count).
+    work: np.ndarray,
+    in_place: bool,
+) -> _Batch:
+    """m latent draws with the clamp policy applied, streamed through work.
 
-    batch holds X, z (the int64 level code), u, y and p_r0, the treated
-    P(R = 0).  Under reject_invalid the batch keeps only the valid draws,
-    so it may hold fewer than m rows.  scratch, m float64 values, is the
-    one work buffer the derived columns are built in (the instrument
-    uniforms, the exponent's U part, the outcome noise); its contents are
-    left undefined.  Without it a buffer is allocated.
+    The phases are drawn in a fixed order: X, U, each instrument's uniforms,
+    the outcome noise.  X and U are drawn whole; every later phase is drawn
+    _CHUNK rows at a time into work, a _work_buffer, and its formulas run on
+    that chunk.  Philox and the ziggurat normal read the bit stream in order,
+    so a phase cut into chunks gives the draws of one call.  The instruments
+    are kept as bool.  in_place writes P(R = 0) over U and Y over X1, which
+    the oracles read no more; otherwise both get columns of their own.
     """
-    w = np.empty(m) if scratch is None else scratch
-    batch = _DRAWERS[family](m, rng, parameters, w)
-    invalid = _apply_clamp(
-        batch["p_r0"], clamp_policy,
-        (batch["z"], batch["u"], batch["X"][:, 0], batch["X"][:, 1]),
-    )
-    n_invalid = int(invalid.sum())
-    if clamp_policy == "reject_invalid" and n_invalid:
-        keep = ~invalid
-        for k in batch:
-            batch[k] = batch[k][keep]
-    return batch, n_invalid
+    law = _LAWS[family]
+    X, u = law.latent(m, rng)
+    zs = []
+    for prob in law.instrument_probs:
+        z = np.empty(m, dtype=bool)
+        for a, b in _chunks(m):
+            p = prob(X[a:b], out=work[0, :b - a])
+            np.less(rng.random(out=work[1, :b - a]), p, out=z[a:b])
+        zs.append(z)
+
+    y, p_r0 = (X[:, 0], u) if in_place else (np.empty(m), np.empty(m))
+    invalid = np.empty(m, dtype=bool) if clamp_policy == "reject_invalid" else None
+    n_invalid = 0
+    for a, b in _chunks(m):
+        Xc, uc, zc = X[a:b], u[a:b], [z[a:b] for z in zs]
+        yc = _draw_outcome(Xc, uc, rng, work[0, :b - a], work[1, :b - a])
+        pc = law.alpha_z(zc, Xc, parameters, out=work[1, :b - a])
+        pc += law.alpha_u(uc, out=work[2, :b - a])
+        np.exp(pc, out=pc)
+        bad = _apply_clamp(pc, clamp_policy,
+                           lambda: (_level_code(zc), uc, Xc[:, 0], Xc[:, 1]))
+        n_invalid += int(bad.sum())
+        if invalid is not None:
+            invalid[a:b] = bad
+        y[a:b] = yc
+        p_r0[a:b] = pc
+    return _Batch(X, zs, u, y, p_r0, invalid, n_invalid)
 
 
 def _generate_family(
@@ -308,6 +393,7 @@ def _generate_family(
     parameters: Mapping[str, float],
 ) -> tuple[ObservationTable, LatentRecord]:
     rng = _rng(seed)
+    work = _work_buffer(n)
     got: list[dict[str, np.ndarray]] = []
     total_invalid = 0
     total_drawn = 0
@@ -318,11 +404,17 @@ def _generate_family(
                 "reject_invalid could not find enough valid draws; the DGP's "
                 "valid region is too small"
             )
-        batch, n_invalid = _draw_batch(family, n - have, rng, clamp_policy, parameters)
+        batch = _draw_batch(family, n - have, rng, clamp_policy, parameters, work,
+                            in_place=False)
+        cols = {"X": batch.X, "z": _level_code(batch.zs), "u": batch.u, "y": batch.y,
+                "p_r0": batch.p_r0}
+        if batch.invalid is not None and batch.n_invalid:
+            keep = ~batch.invalid
+            cols = {k: v[keep] for k, v in cols.items()}
         total_drawn += n - have
-        total_invalid += n_invalid
-        got.append(batch)
-        have += batch["y"].shape[0]
+        total_invalid += batch.n_invalid
+        got.append(cols)
+        have += cols["y"].shape[0]
 
     keys = ("X", "z", "u", "y", "p_r0")
     if len(got) == 1:  # every policy but reject_invalid fills the table at once
@@ -375,6 +467,9 @@ class OracleResult:
     clamp_fraction: float
 
 
+# Raw draws per oracle batch.  Each batch draws its phases in order, so the
+# batch size sets where each phase starts in the stream and changing it
+# changes the draws; cutting a phase into chunks within a batch does not.
 _ORACLE_BATCH = 1_000_000
 
 
@@ -388,26 +483,41 @@ def _oracle_batches(
     """Batches of at most _ORACLE_BATCH raw draws, draws in all, via _draw_batch.
 
     Yields (y0, accepted, n_invalid): the outcomes of the batch's R = 0
-    rows; the batch's row count after the clamp policy; its invalid count.
-    Only one batch of draws is alive at a time: a batch is released before
-    the next one is drawn, and the caller sees only the outcomes it reads.
-    The batch size fixes how the draws are cut into RNG calls, so changing
-    it changes the stream.
+    rows, in row order; the batch's row count after the clamp policy; its
+    invalid count.  Only one batch of draws is alive at a time: a batch is
+    released before the next one is drawn, and the caller sees only the
+    outcomes it reads.  The batch size fixes where each phase of the
+    stream starts, so changing it changes the draws.
     """
-    scratch = np.empty(min(_ORACLE_BATCH, draws))
+    work = _work_buffer(draws)
     done = 0
     while done < draws:
         m = min(_ORACLE_BATCH, draws - done)
-        yield _missing_rows(family, m, rng, clamp_policy, parameters, scratch[:m])
+        yield _missing_rows(family, m, rng, clamp_policy, parameters, work)
         done += m
 
 
-def _missing_rows(family, m, rng, clamp_policy, parameters, scratch):
-    """One batch of _oracle_batches; the batch dies when this returns."""
-    batch, n_invalid = _draw_batch(family, m, rng, clamp_policy, parameters, scratch)
-    p_r0 = batch["p_r0"]
-    r0 = rng.random(out=scratch[:p_r0.shape[0]]) < p_r0
-    return batch["y"][r0], p_r0.shape[0], n_invalid
+def _missing_rows(family, m, rng, clamp_policy, parameters, work):
+    """One batch of _oracle_batches; the batch dies when this returns.
+
+    The R = 0 uniforms are the batch's last phase, drawn for the accepted
+    rows in chunks.  The chosen outcomes are packed into the front of the
+    P(R = 0) column, over rows whose P(R = 0) has been read, so y0 is a
+    view of that column.
+    """
+    batch = _draw_batch(family, m, rng, clamp_policy, parameters, work, in_place=True)
+    y, p_r0, invalid = batch.y, batch.p_r0, batch.invalid
+    n0 = 0
+    for a, b in _chunks(m):
+        yc, pc = y[a:b], p_r0[a:b]
+        if invalid is not None:
+            keep = ~invalid[a:b]
+            yc, pc = yc[keep], pc[keep]
+        y0 = yc[rng.random(out=work[0, :pc.shape[0]]) < pc]
+        p_r0[n0:n0 + y0.shape[0]] = y0
+        n0 += y0.shape[0]
+    accepted = m if invalid is None else m - batch.n_invalid
+    return p_r0[:n0], accepted, batch.n_invalid
 
 
 def _require_draws(draws: int) -> None:
@@ -471,8 +581,8 @@ def oracle_missing_quantile(
 ) -> float:
     """psi with P(Y >= psi | R = 0) = q, by brute-force draw."""
     _require_draws(draws)
-    y0 = np.concatenate([
-        y for y, _, _ in _oracle_batches(
+    y0 = np.concatenate([  # copies, so no batch's column outlives it
+        y.copy() for y, _, _ in _oracle_batches(
             spec.family, draws, _oracle_rng(spec, seed), spec.clamp_policy,
             spec.parameters,
         )
@@ -549,6 +659,30 @@ class MonteCarloReport:
         if self.fit_warnings:
             out["fit_warnings"] = self.fit_warnings
         return out
+
+
+# BLAS reads its thread count from these when it loads.  A pool worker gets
+# one thread: the workers already share the cores, and workers that each ran
+# BLAS's own threads were slower than one process.
+_WORKER_BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+                    "MKL_NUM_THREADS": "1"}
+
+
+@contextmanager
+def _worker_blas_env() -> Iterator[None]:
+    """Sets _WORKER_BLAS_ENV for the processes started inside, then restores
+    the environment.  This process's BLAS is loaded already and keeps its
+    threads."""
+    saved = {k: os.environ.get(k) for k in _WORKER_BLAS_ENV}
+    os.environ.update(_WORKER_BLAS_ENV)
+    try:
+        yield
+    finally:
+        for k, v in saved.items():
+            if v is None:
+                os.environ.pop(k, None)
+            else:
+                os.environ[k] = v
 
 
 def _mc_worker(payload: tuple) -> dict:
@@ -635,9 +769,12 @@ def run_monte_carlo(
 
     Each replication runs both estimators: "id", the plug-in on one
     in-sample nuisance fit, and "if", the missing report of crossfit_beta
-    with n_folds, repetitions, ci_level, mode, trim and winsorize.  Replication r draws its data from SeedSequence(master_seed,
+    with n_folds, repetitions, ci_level, mode, trim and winsorize.
+    Replication r draws its data from SeedSequence(master_seed,
     spawn_key=(1, r)) and its folds from an independently derived stream,
     so results are identical for any threads value and any scheduling.
+    threads > 1 runs the replications in that many spawned processes, each
+    with one BLAS thread.
     Failed replications are counted per estimator, not silently dropped.
     The warnings the replications raise are tallied into fit_warnings,
     first-seen in replication order, so they too are thread-independent.
@@ -651,8 +788,12 @@ def run_monte_carlo(
         for r in range(replications)
     ]
     if threads > 1:
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+
+        # spawned, not forked, workers load BLAS afresh under the pinned env
+        with _worker_blas_env(), ProcessPoolExecutor(
+                max_workers=threads, mp_context=multiprocessing.get_context("spawn")) as pool:
             rows = list(pool.map(_mc_worker, payloads, chunksize=8))
     else:
         rows = [_mc_worker(p) for p in payloads]

@@ -6,7 +6,11 @@ from mivest.data import ObservationTable
 from mivest.general import _own_level
 from mivest.nuisance import NuisanceSet, evaluate_nuisances
 from mivest.oracles import oracle_delta
-from mivest.simulation import DGPSpec, generate
+from mivest.simulation import (_ORACLE_BATCH, CLAMP_EPS, FAMILY_SINGLE, DGPSpec,
+                               GenerationError, _instrument_prob_dual, _oracle_rng,
+                               _rng, generate, instrument_prob_single,
+                               selection_alpha_u_single, selection_alpha_z_dual,
+                               selection_alpha_z_single)
 
 
 def const_fn(values):
@@ -124,3 +128,90 @@ def binary_if_values(table, ns, beta, spec):
     weight = zsign / rho_z * (1.0 - ev.pi_marg) / (ns.pi0 * den)
     bracket = table.rh(spec) - R * delta - ev.mu[0] + ev.pi[0] * delta
     return weight * bracket + (1.0 - R) / ns.pi0 * (delta - beta)
+
+
+# --------------------------------------------------------------------------
+# the draw step without chunks: a reference for simulation's streamed pass
+# --------------------------------------------------------------------------
+
+def _reference_batch(family, m, rng, clamp_policy, parameters):
+    """m latent draws of one family, every phase drawn in one RNG call.
+
+    The phases and the formulas of simulation's draw step, over whole
+    columns: X, U, the instrument uniforms, the outcome noise.  Returns
+    (batch, n_invalid) as the draw step's batch: X, z (the level code),
+    u, y and p_r0, the draws the clamp policy rejects dropped.
+    """
+    X = rng.uniform(0.0, 1.0, size=(m, 2))
+    if family == FAMILY_SINGLE:
+        u = rng.standard_normal(m)
+        u *= 0.5
+        u += 4.0
+        p1 = instrument_prob_single(X)
+        z1 = rng.random(m) < p1
+        z = z1.astype(np.int64)
+        alpha = selection_alpha_z_single(z1, X)
+    else:
+        u = rng.uniform(0.0, 1.0, size=m)
+        z1 = rng.random(m) < _instrument_prob_dual(X, 1)
+        z2 = rng.random(m) < _instrument_prob_dual(X, 2)
+        z = z1.astype(np.int64)
+        z *= 2
+        z += z2
+        alpha = selection_alpha_z_dual(z1, z2, X, parameters)
+    alpha += selection_alpha_u_single(u)
+    p_r0 = np.exp(alpha)
+    y = np.exp(u / 6.0)
+    y *= X[:, 0] + X[:, 1]
+    y += 0.5 * rng.standard_normal(m)
+
+    invalid = p_r0 > 1.0
+    if clamp_policy == "as_printed_error" and invalid.any():
+        i = int(np.flatnonzero(invalid)[0])
+        raise GenerationError(
+            f"P(R=0) = {p_r0[i]:.6g} > 1 at draw with (Z, U, X1, X2) = "
+            f"({z[i]:.6g}, {u[i]:.6g}, {X[i, 0]:.6g}, {X[i, 1]:.6g})")
+    if clamp_policy == "clamp_to_one_minus_eps":
+        np.minimum(p_r0, 1.0 - CLAMP_EPS, out=p_r0)
+    batch = {"X": X, "z": z, "u": u, "y": y, "p_r0": p_r0}
+    if clamp_policy == "reject_invalid":
+        batch = {k: v[~invalid] for k, v in batch.items()}
+    return batch, int(invalid.sum())
+
+
+def reference_generate(spec):
+    """generate(spec) from _reference_batch: (arrays, clamp_fraction, n_rejected).
+
+    arrays holds X, Z, R, y_full, u and p_r0 of the table and its latents.
+    """
+    rng = _rng(spec.seed)
+    got, n_invalid, drawn = [], 0, 0
+    while sum(b["y"].shape[0] for b in got) < spec.n:
+        m = spec.n - sum(b["y"].shape[0] for b in got)
+        batch, bad = _reference_batch(spec.family, m, rng, spec.clamp_policy,
+                                      spec.parameters)
+        got.append(batch)
+        n_invalid += bad
+        drawn += m
+    cols = {k: np.concatenate([b[k] for b in got]) for k in got[0]}
+    R = (rng.uniform(size=spec.n) >= cols["p_r0"]).astype(np.int64)
+    arrays = {"X": cols["X"], "Z": cols["z"], "R": R, "y_full": cols["y"],
+              "u": cols["u"], "p_r0": cols["p_r0"]}
+    rejected = n_invalid if spec.clamp_policy == "reject_invalid" else 0
+    return arrays, n_invalid / drawn, rejected
+
+
+def reference_missing_outcomes(spec, draws):
+    """The R = 0 outcomes of oracle_beta's draws, one array per batch of
+    _ORACLE_BATCH, with the accepted and invalid counts summed over them."""
+    rng = _oracle_rng(spec, None)
+    outcomes, accepted, n_invalid = [], 0, 0
+    for start in range(0, draws, _ORACLE_BATCH):
+        m = min(_ORACLE_BATCH, draws - start)
+        batch, bad = _reference_batch(spec.family, m, rng, spec.clamp_policy,
+                                      spec.parameters)
+        r0 = rng.random(batch["p_r0"].shape[0]) < batch["p_r0"]
+        outcomes.append(batch["y"][r0])
+        accepted += batch["p_r0"].shape[0]
+        n_invalid += bad
+    return outcomes, accepted, n_invalid

@@ -61,12 +61,12 @@ def mc_single(oracle_single):
 
 @pytest.fixture(scope="module")
 def mc_dual(oracle_dual):
-    # serial: its n = 10^4 fits already use the BLAS threads, and two
-    # forked processes that each inherit them ran slower on two cores
+    # two processes with one BLAS thread each give the same numbers as one
+    # (criterion 09): 49 s against 81 s serial on two cores
     dgp = DGPSpec(family="dual_binary_iv", n=10_000, seed=0)
     return run_monte_carlo(dgp, 100, CFG, MEAN, oracle=oracle_dual.value,
                            n_folds=5, repetitions=11, winsorize=5.0,
-                           master_seed=MASTER)
+                           master_seed=MASTER, threads=2)
 
 
 def test_criterion_01_single_family_truth(oracle_single):

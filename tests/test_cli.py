@@ -440,6 +440,44 @@ def test_written_tables_take_the_one_pass_reader(tmp_path, monkeypatch):
     np.testing.assert_array_equal(again.y_dense(), table.y_dense())
 
 
+@pytest.mark.parametrize("first", ["z", "x1"])
+def test_byte_order_mark_is_not_part_of_the_header(tmp_path, monkeypatch, first):
+    # spreadsheet programs start a UTF-8 CSV with EF BB BF; the first
+    # header name read as "\ufeffz" and the file was refused.  The one-pass
+    # reader still takes the file, and the csv.reader path reads the same.
+    import mivest.dataio
+
+    table, _ = generate(DGPSpec(family="dual_binary_iv", n=300, seed=3))
+    plain = tmp_path / "plain.csv"
+    write_table_csv(table, plain, covariate_names=["x1", "x2"])
+    rows = [line.split(",") for line in plain.read_text(encoding="utf-8").splitlines()]
+    at = rows[0].index(first)
+    text = "\n".join(",".join([r[at], *r[:at], *r[at + 1:]]) for r in rows) + "\n"
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    cfg = config_from_dict(make_doc())
+
+    passes = []
+    real = mivest.dataio._one_pass_columns
+
+    def spy(*args):
+        passes.append(real(*args))
+        return passes[-1]
+
+    with mock.patch.object(mivest.dataio, "_one_pass_columns", spy):
+        got, info = ingest_csv(bom, cfg)
+    assert len(passes) == 1 and passes[0] is not None
+    with mock.patch.object(mivest.dataio, "_one_pass_columns", lambda *a: None):
+        ref, ref_info = ingest_csv(bom, cfg)
+    want, _ = ingest_csv(plain, cfg)
+    for t in (got, ref):
+        np.testing.assert_array_equal(t.X, want.X)
+        np.testing.assert_array_equal(t.Z, want.Z)
+        np.testing.assert_array_equal(t.R, want.R)
+        np.testing.assert_array_equal(t.y_dense(), want.y_dense())
+    assert info.as_dict() == ref_info.as_dict()
+
+
 def test_oversized_cells_are_data_errors(tmp_path, capsys):
     # csv.reader refuses a cell past its field size limit; that was a
     # csv.Error traceback (exit 1) and is now a data error naming the line
@@ -1049,6 +1087,34 @@ def test_commands_without_a_csv_need_no_data_section(tmp_path, survey_csv, capsy
         rc = main([command, "--config", cfg_path, "--data", survey_csv])
         assert rc == 4
         assert "'data' section" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "oracle", "robustness"])
+@pytest.mark.parametrize("family, allowed", [
+    ("single_binary_iv", "none"),
+    ("dual_binary_iv", "'selection_intercept'"),
+])
+def test_unknown_simulation_parameters_are_configuration_errors(
+        tmp_path, capsys, monkeypatch, command, family, allowed):
+    # a misspelt key was silently ignored; it is refused before any draw
+    import mivest.cli
+    import mivest.corruption
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew records")
+
+    monkeypatch.setattr(mivest.cli, "oracle_beta", no_draws)
+    monkeypatch.setattr(mivest.corruption, "generate", no_draws)
+    monkeypatch.setattr(mivest.corruption, "oracle_identified_beta", no_draws)
+    doc = make_doc(simulation={"family": family,
+                               "parameters": {"selection_intercpt": -8.0}})
+    out = tmp_path / "o.json"
+    rc = main([command, "--config", write_yaml(tmp_path / "cfg.yaml", doc),
+               "--out", str(out)])
+    assert rc == 4
+    assert (f"configuration error: unknown simulation parameter 'selection_intercpt' "
+            f"for {family}; it allows {allowed}" in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_robustness_command(tmp_path, capsys):
