@@ -177,9 +177,20 @@ def median_adjust(estimates: np.ndarray, variances: np.ndarray) -> tuple[float, 
     var = np.asarray(variances, dtype=float)
     if est.size == 0 or est.shape != var.shape:
         raise EstimationError("median_adjust needs matching nonempty arrays")
-    point = float(np.median(est))
-    adj = float(np.median(var + (est - point) ** 2))
+    point = _median(est)
+    adj = _median(var + (est - point) ** 2)
     return point, adj
+
+
+def _median(values: np.ndarray) -> float:
+    """np.median(values), the middle order statistic or the mean of the
+    two middle ones (nan if any value is nan), without np.median's
+    masked-array check, which on numpy 2.4 imports numpy.ma."""
+    s = np.sort(values, axis=None)
+    if np.isnan(s[-1]):
+        return float("nan")
+    mid = s.size // 2
+    return float(s[mid] if s.size % 2 else (s[mid - 1] + s[mid]) / 2.0)
 
 
 @dataclass

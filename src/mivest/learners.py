@@ -9,7 +9,9 @@ from the training fold.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -131,9 +133,14 @@ def expit(x, out=None):
     return np.divide(1.0, e, out=e)
 
 
-def _penalty_matrix(d: int, lam: float) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _penalty_matrix(d: int, lam: float, first: int = 1) -> np.ndarray:
+    """lambda on the diagonal from coefficient `first` on (by default all
+    but the intercept); cached per (d, lam, first) and shared by every
+    fit, hence read-only."""
     D = np.eye(d) * lam
-    D[0, 0] = 0.0  # intercept unpenalized
+    D[:first, :first] = 0.0  # intercept unpenalized
+    D.flags.writeable = False
     return D
 
 
@@ -161,7 +168,7 @@ def _ridge_solve(gram: np.ndarray, cross: np.ndarray, lam: float) -> np.ndarray:
             "normal equations singular; a ridge_lambda > 0 is required for "
             "rank-deficient features"
         ) from exc
-    if not np.all(np.isfinite(coef)):
+    if not np.isfinite(coef).all():
         raise FitError("linear fit produced non-finite coefficients")
     return coef
 
@@ -177,12 +184,13 @@ def _halving_search(pll, coef: np.ndarray, step: np.ndarray, cur: float):
     the step tolerance.
     """
     scale = 1.0
+    cand = coef + step                          # the full step: no scaling
     for _ in range(30):
-        cand = coef + scale * step
         new, extra = pll(cand)
-        if np.isfinite(new) and new >= cur - 1e-12:
+        if math.isfinite(new) and new >= cur - 1e-12:
             return scale, cand, new, extra
         scale *= 0.5
+        cand = coef + scale * step
     return None
 
 
@@ -237,8 +245,9 @@ def _gram_hessian(F: np.ndarray, p: np.ndarray, pen: np.ndarray) -> np.ndarray:
     """
     K = p.size
     d = F.shape[1]
-    W = -np.outer(p, p)
-    np.fill_diagonal(W, np.maximum(p * (1.0 - p), 1e-10))
+    W = np.multiply.outer(p, p)
+    np.negative(W, out=W)
+    W.reshape(-1)[::K + 1] = np.maximum(p * (1.0 - p), 1e-10)     # the diagonal
     G = F.T @ F
     H = (W[:, None, :, None] * G[None, :, None, :]).reshape(K * d, K * d)
     for k in range(K):
@@ -277,6 +286,8 @@ def _newton_fit(F, coef, pll, score, hessian, pen, cfg, what):
 
     def newton_step(H: np.ndarray, grad: np.ndarray) -> np.ndarray:
         try:
+            if grad.ndim == 1:
+                return np.linalg.solve(H, grad)
             return np.linalg.solve(H, grad.ravel()).reshape(grad.shape)
         except np.linalg.LinAlgError as exc:
             raise FitError(
@@ -294,7 +305,7 @@ def _newton_fit(F, coef, pll, score, hessian, pen, cfg, what):
         chord = False
         if chord_limit:
             step = newton_step(H, grad)
-            size = np.max(np.abs(step))
+            size = np.abs(step).max()
             chord = size <= chord_limit
         if not chord:
             if it == 1 and np.all(Pk.min(axis=1) == Pk.max(axis=1)):
@@ -302,7 +313,7 @@ def _newton_fit(F, coef, pll, score, hessian, pen, cfg, what):
             else:
                 H = hessian(Pk)
             step = newton_step(H, grad)
-            size = np.max(np.abs(step))
+            size = np.abs(step).max()
         if chord and size < _CHORD_FULL * cfg.irls_tol:
             scale, coef = 1.0, coef + step
             cur, state = pll(coef)
@@ -311,7 +322,7 @@ def _newton_fit(F, coef, pll, score, hessian, pen, cfg, what):
             if accepted is None:
                 break
             scale, coef, cur, state = accepted
-        if not np.all(np.isfinite(coef)):
+        if not np.isfinite(coef).all():
             raise FitError(f"{what} fit diverged to non-finite coefficients")
         if scale * size < cfg.irls_tol:
             converged = True
@@ -320,7 +331,8 @@ def _newton_fit(F, coef, pll, score, hessian, pen, cfg, what):
     return coef, converged, it
 
 
-def fit_logistic(features: np.ndarray, labels: np.ndarray, cfg: LearnerConfig) -> FitResult:
+def fit_logistic(features: np.ndarray, labels: np.ndarray, cfg: LearnerConfig, *,
+                 ridge_intercept: bool = False) -> FitResult:
     """Ridge logistic regression by iteratively reweighted least squares.
 
     Maximizes sum(y log p + (1-y) log(1-p)) - lambda ||b[1:]||^2 with
@@ -328,6 +340,8 @@ def fit_logistic(features: np.ndarray, labels: np.ndarray, cfg: LearnerConfig) -
     decreasing; full steps overshoot badly once a stratum is close to
     separated.  Separated data with lambda = 0 has no finite optimum and
     is reported as non-converged, as is a fit whose step search fails.
+    ridge_intercept penalises b[0] as well, for features whose first
+    column is not an intercept (the pooled fallback of fit_propensities).
 
     The likelihood evaluates log(1 + e^eta) as max(eta, 0) +
     log1p(exp(-|eta|)) in one reused n-buffer (the value np.logaddexp
@@ -339,7 +353,8 @@ def fit_logistic(features: np.ndarray, labels: np.ndarray, cfg: LearnerConfig) -
     y = np.asarray(labels, dtype=float)
     n, d = F.shape
     lam = cfg.ridge_lambda
-    pen = _penalty_matrix(d, 2.0 * lam)
+    first = 0 if ridge_intercept else 1        # the first penalised coefficient
+    pen = _penalty_matrix(d, 2.0 * lam, first)
     soft = np.empty(n)                         # log(1 + e^eta) of the candidate
 
     def pll(b: np.ndarray) -> tuple[float, np.ndarray]:
@@ -350,12 +365,12 @@ def fit_logistic(features: np.ndarray, labels: np.ndarray, cfg: LearnerConfig) -
         np.exp(soft, out=soft)
         np.log1p(soft, out=soft)
         np.add(soft, np.maximum(eta, 0.0), out=soft)
-        return float(y @ eta - soft.sum() - lam * (b[1:] @ b[1:])), eta
+        return float(y @ eta - soft.sum() - lam * (b[first:] @ b[first:])), eta
 
     def score(b: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        p = expit(eta)
+        p = expit(eta, out=eta)                # eta is read only here
         grad = F.T @ (y - p)
-        grad[1:] -= 2.0 * lam * b[1:]
+        grad[first:] -= 2.0 * lam * b[first:]
         return grad, p[None, :]
 
     coef = np.zeros(d)
@@ -426,7 +441,11 @@ def _multinomial_hessian(F: np.ndarray, Pk: np.ndarray, lam: float) -> np.ndarra
     a chunk's d(d+1)/2 feature pair products f_a f_b times its
     K(K+1)/2 block weights is one matrix product into a
     (d(d+1)/2, K(K+1)/2) accumulator.  The weights are formed per chunk,
-    so the extra memory is O(chunk), not O(n K^2).
+    so the extra memory is O(chunk), not O(n K^2).  The matrix is then one
+    gather from the accumulator plus the ridge on its diagonal, through the
+    index maps _hessian_layout caches per (d, K); the entries outside the
+    ridged diagonal would gain nothing from adding 0.0, since the
+    accumulator, summed from +0.0, holds no -0.0.
     """
     n, d = F.shape
     K = Pk.shape[0]
@@ -453,22 +472,34 @@ def _multinomial_hessian(F: np.ndarray, Pk: np.ndarray, lam: float) -> np.ndarra
             np.multiply(Pc[k + 1:], -Pc[k], out=weights[row + 1: row + K - k, :c])
             row += K - k
         acc += pairs[:, :c] @ weights[:, :c].T
-    upper = np.triu_indices(d)
-    lower = (upper[1], upper[0])
-    pen = _penalty_matrix(d, 2.0 * lam)
-    H = np.empty((K * d, K * d))
-    block = np.empty((d, d))
-    col = 0
-    for k in range(K):
-        for m in range(k, K):
-            block[upper] = acc[:, col]
-            block[lower] = acc[:, col]
-            col += 1
-            H[k * d: (k + 1) * d, m * d: (m + 1) * d] = block
-            if m != k:
-                H[m * d: (m + 1) * d, k * d: (k + 1) * d] = block
-        H[k * d: (k + 1) * d, k * d: (k + 1) * d] += pen
+    gather, ridge = _hessian_layout(d, K)
+    H = acc.take(gather)
+    H.reshape(-1)[ridge] += 2.0 * lam
     return H
+
+
+@lru_cache(maxsize=None)
+def _hessian_layout(d: int, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where the (K d, K d) Newton matrix of _multinomial_hessian reads its
+    (d(d+1)/2, K(K+1)/2) accumulator, and where it takes the ridge.
+
+    The first array holds, for entry (k d + a, m d + b), the flat index of
+    pair (min(a, b), max(a, b)) in block (min(k, m), max(k, m)), both
+    counted in the accumulator's row-major upper triangle order; the
+    second the flat indices of the diagonal entries of every class's
+    coefficients but its intercept.  Cached per (d, K), hence read-only.
+    """
+    def upper(size: int) -> np.ndarray:
+        a, b = np.triu_indices(size)
+        order = np.empty((size, size), dtype=np.intp)
+        order[a, b] = order[b, a] = np.arange(a.size)
+        return order
+    pair, block = upper(d), upper(K)
+    gather = (pair[None, :, None, :] * (K * (K + 1) // 2)
+              + block[:, None, :, None]).reshape(K * d, K * d)
+    ridge = np.arange(K * d).reshape(K, d)[:, 1:].ravel() * (K * d + 1)
+    gather.flags.writeable = ridge.flags.writeable = False
+    return gather, ridge
 
 
 def fit_multinomial(features: np.ndarray, classes: np.ndarray, cfg: LearnerConfig,

@@ -227,8 +227,9 @@ def fit_propensities(
     F = basis.transform(train.X)
     R = train.R.astype(float)
 
-    def logistic(features: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        res = fit_logistic(features, labels, cfg)
+    def logistic(features: np.ndarray, labels: np.ndarray,
+                 ridge_intercept: bool = False) -> np.ndarray:
+        res = fit_logistic(features, labels, cfg, ridge_intercept=ridge_intercept)
         if not res.converged:
             diag.nonconverged_fits += 1
         return res.coef
@@ -247,12 +248,14 @@ def fit_propensities(
     # either way one (L, d) coefficient stack
     if (counts < MIN_STRATUM_ROWS).any():
         d = F.shape[1]
-        # block-diagonal layout: each level gets its own copy of the basis
-        # (level indicator columns included), jointly ridged
+        # block-diagonal layout: each level gets its own copy of the basis,
+        # jointly ridged, every level's indicator column included: an
+        # unpenalised level 0 would make the fit depend on the labels, and
+        # a thin level 0 with one response class would diverge
         Fi = np.zeros((train.n, d * L))
         for z, (r, Fz) in enumerate(levels):
             Fi[r, z * d:(z + 1) * d] = Fz
-        pi_coef = logistic(Fi, R).reshape(L, d)
+        pi_coef = logistic(Fi, R, ridge_intercept=True).reshape(L, d)
     else:
         pi_coef = np.stack([logistic(Fz, R[r]) for r, Fz in levels])
 

@@ -685,6 +685,13 @@ def _worker_blas_env() -> Iterator[None]:
                 os.environ[k] = v
 
 
+def _pool_chunksize(replications: int, threads: int) -> int:
+    """Replications per task of a pool of `threads` workers: as many as
+    keeps every worker busy when replications >= threads, since a worker
+    takes a whole task at a time."""
+    return max(1, replications // threads)
+
+
 def _mc_worker(payload: tuple) -> dict:
     """One replication; module level so process pools can pickle it.
 
@@ -793,8 +800,10 @@ def run_monte_carlo(
 
         # spawned, not forked, workers load BLAS afresh under the pinned env
         with _worker_blas_env(), ProcessPoolExecutor(
-                max_workers=threads, mp_context=multiprocessing.get_context("spawn")) as pool:
-            rows = list(pool.map(_mc_worker, payloads, chunksize=8))
+                max_workers=min(threads, replications),
+                mp_context=multiprocessing.get_context("spawn")) as pool:
+            rows = list(pool.map(_mc_worker, payloads,
+                                 chunksize=_pool_chunksize(replications, threads)))
     else:
         rows = [_mc_worker(p) for p in payloads]
     rows.sort(key=lambda d: d["r"])

@@ -4,6 +4,7 @@ import numpy as np
 
 from mivest.data import ObservationTable
 from mivest.general import _own_level
+from mivest.learners import _HESSIAN_CHUNK, _penalty_matrix
 from mivest.nuisance import NuisanceSet, evaluate_nuisances
 from mivest.oracles import oracle_delta
 from mivest.simulation import (_ORACLE_BATCH, CLAMP_EPS, FAMILY_SINGLE, DGPSpec,
@@ -215,3 +216,50 @@ def reference_missing_outcomes(spec, draws):
         accepted += batch["p_r0"].shape[0]
         n_invalid += bad
     return outcomes, accepted, n_invalid
+
+
+def reference_multinomial_hessian(F, Pk, lam):
+    """The multinomial Newton matrix as learners._multinomial_hessian built
+    it block by block: the same chunked pair accumulator, then each of the
+    K(K+1)/2 blocks filled from it through the upper and lower triangle
+    indices, copied into place (twice off the diagonal) and the ridge
+    block added to each diagonal block."""
+    n, d = F.shape
+    K = Pk.shape[0]
+    n_pairs = d * (d + 1) // 2
+    n_blocks = K * (K + 1) // 2
+    width = min(n, _HESSIAN_CHUNK)
+    acc = np.zeros((n_pairs, n_blocks))
+    pairs = np.empty((n_pairs, width))
+    weights = np.empty((n_blocks, width))
+    for start in range(0, n, _HESSIAN_CHUNK):
+        stop = min(start + _HESSIAN_CHUNK, n)
+        c = stop - start
+        Fc = np.ascontiguousarray(F[start:stop].T)
+        Pc = Pk[:, start:stop]
+        row = 0
+        for a in range(d):
+            np.multiply(Fc[a:], Fc[a], out=pairs[row: row + d - a, :c])
+            row += d - a
+        row = 0
+        for k in range(K):
+            np.maximum(Pc[k] * (1.0 - Pc[k]), 1e-10, out=weights[row, :c])
+            np.multiply(Pc[k + 1:], -Pc[k], out=weights[row + 1: row + K - k, :c])
+            row += K - k
+        acc += pairs[:, :c] @ weights[:, :c].T
+    upper = np.triu_indices(d)
+    lower = (upper[1], upper[0])
+    pen = _penalty_matrix(d, 2.0 * lam)
+    H = np.empty((K * d, K * d))
+    block = np.empty((d, d))
+    col = 0
+    for k in range(K):
+        for m in range(k, K):
+            block[upper] = acc[:, col]
+            block[lower] = acc[:, col]
+            col += 1
+            H[k * d: (k + 1) * d, m * d: (m + 1) * d] = block
+            if m != k:
+                H[m * d: (m + 1) * d, k * d: (k + 1) * d] = block
+        H[k * d: (k + 1) * d, k * d: (k + 1) * d] += pen
+    return H

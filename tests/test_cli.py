@@ -440,6 +440,35 @@ def test_written_tables_take_the_one_pass_reader(tmp_path, monkeypatch):
     np.testing.assert_array_equal(again.y_dense(), table.y_dense())
 
 
+@pytest.mark.parametrize("width", [31, 32])
+def test_one_pass_reader_refuses_an_outcome_cell_that_fills_its_bytes(tmp_path, width):
+    # the one-pass reader keeps 32 bytes of an outcome cell, so a cell that
+    # fills them all may be cut short and sends the file to csv.reader
+    import mivest.dataio
+
+    table, _ = generate(DGPSpec(family="dual_binary_iv", n=200, seed=3))
+    p = tmp_path / "t.csv"
+    write_table_csv(table, p, covariate_names=["x1", "x2"])
+    lines = p.read_text(encoding="utf-8").splitlines()
+    y_at = lines[0].split(",").index("y")
+    at = next(i for i, line in enumerate(lines[1:], 1) if line.split(",")[y_at])
+    cells = lines[at].split(",")
+    cells[y_at] = "1." + "0" * (width - 3) + "1"
+    lines[at] = ",".join(cells)
+    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    passes = []
+    real = mivest.dataio._one_pass_columns
+
+    def spy(*args):
+        passes.append(real(*args))
+        return passes[-1]
+
+    with mock.patch.object(mivest.dataio, "_one_pass_columns", spy):
+        got, _ = ingest_csv(p, config_from_dict(make_doc()))
+    assert (passes[0] is None) == (width == 32)
+    assert got.y_dense()[at - 1] == float(cells[y_at])
+
+
 @pytest.mark.parametrize("first", ["z", "x1"])
 def test_byte_order_mark_is_not_part_of_the_header(tmp_path, monkeypatch, first):
     # spreadsheet programs start a UTF-8 CSV with EF BB BF; the first

@@ -9,9 +9,11 @@ from scipy.special import expit, logsumexp, softmax
 
 from mivest import learners
 from mivest.exceptions import ConfigurationError, FitError
-from mivest.learners import (LearnerConfig, PolyBasis, _multinomial_hessian, _penalty_matrix,
-                             _softmax_inplace, expand_basis, fit_linear, fit_logistic,
-                             fit_multinomial)
+from mivest.learners import (_HESSIAN_CHUNK, LearnerConfig, PolyBasis, _multinomial_hessian,
+                             _penalty_matrix, _softmax_inplace, expand_basis, fit_linear,
+                             fit_logistic, fit_multinomial)
+
+from helpers import reference_multinomial_hessian
 
 CFG = LearnerConfig()
 
@@ -104,6 +106,7 @@ def test_expit_matches_the_scipy_reference():
     assert np.allclose(got, expit(x), rtol=1e-15, atol=0.0)
     assert ends[0] == 0.0 and ends[1] == 1.0
     assert np.isnan(ends[2])
+    assert learners.expit(0.0) == 0.5 and learners.expit(-800) == 0.0   # scalars
 
 
 def test_logistic_intercept_only():
@@ -448,6 +451,34 @@ def test_chunked_hessian_equals_per_block_gram_products(L):
             ref[k * d: (k + 1) * d, m * d: (m + 1) * d] = F.T @ (w[:, None] * F)
         ref[k * d: (k + 1) * d, k * d: (k + 1) * d] += _penalty_matrix(d, 2.0 * lam)
     assert np.max(np.abs(H - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+@pytest.mark.parametrize("K", [1, 2, 3, 5])
+def test_gathered_hessian_equals_the_block_loop_bit_for_bit(d, K):
+    # one gather through the cached index map (and the ridge through the
+    # cached diagonal index) lays the accumulator out exactly as the block
+    # loop did, at every chunk edge and with and without the ridge
+    rng = np.random.default_rng(10 * d + K)
+    for n in (1, 7, _HESSIAN_CHUNK - 1, _HESSIAN_CHUNK, _HESSIAN_CHUNK + 1,
+              2 * _HESSIAN_CHUNK):
+        F = np.column_stack([np.ones(n), rng.normal(size=(n, d - 1))])
+        P = rng.dirichlet(np.ones(K + 1), size=n).T
+        P[0, : n // 3] = 1.0 - 1e-13                        # floored weights
+        for lam in (0.0, 1e-3, 0.37):
+            got = _multinomial_hessian(F, P[:K], lam)
+            want = reference_multinomial_hessian(F, P[:K], lam)
+            assert got.tobytes() == want.tobytes(), (n, lam)
+            assert got.flags.writeable and got.flags.c_contiguous
+
+
+def test_penalty_matrix_is_cached_and_read_only():
+    D = _penalty_matrix(9, 2e-3)
+    assert _penalty_matrix(9, 2e-3) is D
+    assert D[0, 0] == 0.0 and np.all(np.diag(D)[1:] == 2e-3)
+    with pytest.raises(ValueError):
+        D[1, 1] = 0.0
+    assert np.diag(_penalty_matrix(9, 2e-3, 0)).tolist() == [2e-3] * 9
 
 
 @pytest.mark.parametrize("L", [4, 6])

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from mivest.data import FunctionalSpec
 from mivest.exceptions import NuisanceFitError
 from mivest.learners import LearnerConfig, MultinomialModel, PolyBasis
-from mivest.nuisance import (PROB_CLIP, Diagnostics, NuisanceSet, evaluate_nuisances,
-                             fit_mu_component, fit_nuisance_set, floor_denominator,
-                             winsorize_values)
+from mivest.nuisance import (MIN_STRATUM_ROWS, PROB_CLIP, Diagnostics, NuisanceSet,
+                             evaluate_nuisances, fit_mu_component, fit_nuisance_set,
+                             fit_propensities, floor_denominator, winsorize_values)
 from mivest.oracles import oracle_mu, oracle_pi
 from mivest.simulation import DGPSpec, generate
 
@@ -169,6 +169,38 @@ def test_pooled_fallback_for_thin_strata():
     ns = fit_nuisance_set(t, SPEC, LearnerConfig())
     vals = evaluate_nuisances(ns, PROBE).pi
     assert np.all((vals > 0) & (vals < 1))
+
+
+def _thin_level_table(Z):
+    # 1054 rows; the 20 rows with Z = 0 (before any relabelling) all respond
+    rng = np.random.default_rng(4)
+    n = Z.size
+    R = (rng.random(n) < 0.6).astype(int)
+    R[Z == Z[0]] = 1
+    Y = [float(v) if r else None for v, r in zip(rng.normal(size=n), R)]
+    return small_table(Z, R, Y, X=rng.random((n, 2)))
+
+
+THIN_Z = np.r_[np.zeros(20, dtype=int), np.ones(1034, dtype=int)]
+
+
+@pytest.mark.filterwarnings("ignore:instrument level")
+def test_pooled_fallback_converges_on_a_thin_one_class_level_0():
+    # the fallback ridges every level's indicator column; with level 0's
+    # left unpenalised its intercept ran off to 27.4 and the fit did not
+    # converge, while the same table with the labels swapped converged
+    assert (THIN_Z == 0).sum() < MIN_STRATUM_ROWS
+    props, _, _ = fit_propensities(_thin_level_table(THIN_Z), LearnerConfig())
+    assert props.diagnostics.nonconverged_fits == 0
+    assert 0.0 < props.pi_coef[0, 0] < 10.0
+
+
+@pytest.mark.filterwarnings("ignore:instrument level")
+def test_pooled_fallback_does_not_depend_on_the_level_labels():
+    fits = [fit_propensities(_thin_level_table(Z), LearnerConfig())[0]
+            for Z in (THIN_Z, 1 - THIN_Z)]
+    pi, swapped = (p.pi(p.basis.transform(PROBE)) for p in fits)
+    np.testing.assert_allclose(swapped[::-1], pi, rtol=0.0, atol=1e-9)
 
 
 def test_direct_mode_requires_marginals():

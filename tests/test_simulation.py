@@ -10,8 +10,8 @@ from mivest.corruption import run_robustness
 from mivest.data import FunctionalSpec
 from mivest.exceptions import ConfigurationError, EstimationError
 from mivest.learners import LearnerConfig
-from mivest.simulation import (_CHUNK, _ORACLE_BATCH, DGPSpec, GenerationError, generate,
-                               oracle_beta, oracle_missing_quantile, run_monte_carlo,
+from mivest.simulation import (_CHUNK, _ORACLE_BATCH, DGPSpec, GenerationError,
+                               _pool_chunksize, generate, oracle_beta, oracle_missing_quantile, run_monte_carlo,
                                selection_alpha_u_single,
                                selection_alpha_z_single)
 
@@ -395,6 +395,19 @@ def test_mc_thread_count_does_not_change_results():
     r1 = run_monte_carlo(dgp, 4, CFG, MEAN, oracle=2.0122, threads=1, **kw)
     r2 = run_monte_carlo(dgp, 4, CFG, MEAN, oracle=2.0122, threads=2, **kw)
     assert r1.as_dict() == r2.as_dict()
+
+
+def test_pool_tasks_reach_every_worker():
+    # a worker takes a whole task at a time, so a study needs at least as
+    # many tasks as workers; 8 replications in one task of 8 ran on one
+    # worker whatever the thread count
+    for threads in range(1, 9):
+        for replications in range(1, 41):
+            chunk = _pool_chunksize(replications, threads)
+            tasks = -(-replications // chunk)
+            assert chunk >= 1
+            assert tasks >= min(threads, replications), (replications, threads)
+    assert _pool_chunksize(20, 2) == 10
 
 
 @pytest.mark.filterwarnings("ignore:instrument level")

@@ -95,7 +95,12 @@ from mivest.simulation import DGPSpec, generate
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
+def masked_or_char_modules():
+    return sorted(m for m in sys.modules if m.split(".")[:2] in (["numpy", "ma"],
+                                                                 ["numpy", "char"]))
+
 assert not scipy_modules(), scipy_modules()
+assert not masked_or_char_modules(), masked_or_char_modules()
 work = Path(sys.argv[1])
 table, _ = generate(DGPSpec(family="dual_binary_iv", n=600, seed=3))
 write_table_csv(table, work / "d.csv", covariate_names=["x1", "x2"])
@@ -110,6 +115,7 @@ for kind in ("mean", "quantile"):
     (work / f"{kind}.yaml").write_text(json.dumps(doc))
     argv = ["estimate", "--config", str(work / f"{kind}.yaml"), "--data", str(work / "d.csv")]
     assert mivest.cli.main(argv) == 0
+assert not masked_or_char_modules(), masked_or_char_modules()
 assert mivest.cli.main(["simulate", "--config", str(work / "mean.yaml")]) == 0
 assert not scipy_modules(), scipy_modules()
 """
@@ -118,7 +124,8 @@ assert not scipy_modules(), scipy_modules()
 def test_cli_runs_without_loading_scipy(tmp_path):
     # importing scipy.special costs about as much as a small estimate; only
     # the single-family closed-form oracles (robustness) need it, and they
-    # import it where they call it
+    # import it where they call it.  numpy.ma (about 17 ms of CPU) and
+    # numpy.char stay unloaded by the two estimates too
     proc = subprocess.run(
         [sys.executable, "-c", _NO_SCIPY_RUN, str(tmp_path)], cwd=ROOT,
         env=dict(os.environ, PYTHONPATH="src"),
