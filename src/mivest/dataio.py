@@ -21,7 +21,8 @@ from typing import Any, Iterator, Mapping, Sequence
 import numpy as np
 import yaml
 
-from .data import FunctionalSpec, ObservationTable, combine_instrument_levels
+from .data import (FunctionalSpec, ObservationTable, combine_instrument_levels,
+                   _linear_quantiles)
 from .exceptions import ConfigurationError, DataContractError
 from .learners import LearnerConfig
 
@@ -506,7 +507,7 @@ def encode_instrument(
         return codes.astype(np.int64), enc
 
     probs = np.arange(1, bins) / bins
-    edges = _sorted_unique(np.quantile(values, probs))
+    edges = _sorted_unique(_linear_quantiles(values, probs))
     if edges.size < bins - 1:
         warnings.append(
             f"column {column!r}: quantile ties collapsed the bin edges to {edges.size}"
@@ -756,10 +757,11 @@ def _read_roles(path: str | Path, config: AnalysisConfig,
             f"masked {leaked.size} outcome cells on nonrespondent rows {_fmt_rows(rows)}"
         )
 
-    X = np.column_stack([
-        _column_values(columns[c], c, allow_empty=False, what="covariate")[0]
-        for c in config.covariates
-    ])
+    # column-major, the layout ObservationTable stores: each covariate is
+    # written into its own contiguous column
+    X = np.empty((r.size, len(config.covariates)), order="F")
+    for j, c in enumerate(config.covariates):
+        X[:, j] = _column_values(columns[c], c, allow_empty=False, what="covariate")[0]
     for j, c in enumerate(config.covariates):
         _require_finite(X[:, j], c, "covariate")
     kept = {c: columns[c] for c in config.instruments if c in columns}

@@ -423,6 +423,9 @@ def _grid_beta(
     grid point's moment is evaluated in reused n-buffers, in _phi_tilde's
     operation order.  Equals beta_if_general on a set refitted at each grid
     point, up to the rounding of the matrix products that evaluate mu.
+    F is column-major, as PolyBasis.transform returns it, so each grid
+    point's mu is coef[j] @ F.T over the row-major (d, n) view of F, with
+    no transposed copy.
     """
     props, F, by_level = fit_propensities(table, cfg, mode)
     direct = mode == "direct"
@@ -441,8 +444,6 @@ def _grid_beta(
     K = L + direct                  # mu models: one per level, plus mu(x)
     y_all, q_r = _rh_targets(table, y, q)
     RH = np.empty((_GRID_BLOCK, n))
-    FT = np.ascontiguousarray(F.T)          # row-major (d, n): a faster product
-    del F
     own_flat = table.Z * n + np.arange(n)   # each row's own level in a (K, n) array
     keep = None if own.keep.all() else own.keep
     M = np.empty((K, n))
@@ -452,7 +453,7 @@ def _grid_beta(
     for j0 in range(0, grid.size, _GRID_BLOCK):
         psi = grid[j0:j0 + _GRID_BLOCK]
         for j, rh in enumerate(_rh_rows(y_all, q_r, psi, RH), start=j0):
-            np.matmul(coef[j], FT, out=M)
+            np.matmul(coef[j], F.T, out=M)
             np.take(M, own_flat, out=mu_z)
             if not direct:
                 np.einsum("lm,lm->m", rho, M, out=mu_x)

@@ -47,23 +47,25 @@ def expand_basis(x: np.ndarray, df: int) -> np.ndarray:
     """Feature vector [1, x_j, x_j^2, ..., x_j^df for each coordinate j].
 
     Operates on coordinates as given (standardization is PolyBasis's job).
-    Accepts (p,) or (m, p); returns (1 + p*df,) or (m, 1 + p*df).
+    Accepts (p,) or (m, p); returns (1 + p*df,) or the (m, 1 + p*df)
+    features column-major (Fortran order).  Each power is written into its
+    own contiguous column as the previous power times x_j (the first is
+    x_j itself, which 1.0 * x_j is bit for bit), so x_j^k is the same
+    product chain whatever the layout of x.
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     if single:
         x = x[None, :]
     m, p = x.shape
-    out = np.empty((m, 1 + p * df), dtype=float)
+    out = np.empty((m, 1 + p * df), dtype=float, order="F")
     out[:, 0] = 1.0
-    col = 1
     for j in range(p):
-        acc = np.ones(m)
         xj = x[:, j]
-        for _ in range(df):
-            acc = acc * xj
-            out[:, col] = acc
-            col += 1
+        col = 1 + j * df
+        out[:, col] = xj
+        for k in range(col + 1, col + df):
+            np.multiply(out[:, k - 1], xj, out=out[:, k])
     return out[0] if single else out
 
 
@@ -75,7 +77,11 @@ class PolyBasis:
     deviation (scale 1 is substituted for degenerate coordinates), then
     raised to powers 1..df.  The scaling parameters are carried with the
     fitted object so transform() applied to new rows uses training-fold
-    statistics only.
+    statistics only.  transform() returns the (m, d) features column-major
+    (Fortran order), as expand_basis does: the learners read them a column
+    at a time (F' r, F' diag(w) F), and ObservationTable.X arrives
+    column-major too, so the per-column mean, scale and powers each run
+    over one contiguous column.
     """
 
     df: int
@@ -97,7 +103,7 @@ class PolyBasis:
         single = X.ndim == 1
         if single:
             X = X[None, :]
-        Xs = (X - self.mean_) / self.scale_
+        Xs = (X - self.mean_) / self.scale_     # keeps a column-major X's layout
         F = expand_basis(Xs, self.df)
         return F[0] if single else F
 
@@ -279,9 +285,12 @@ def _newton_fit(F, coef, pll, score, hessian, pen, cfg, what):
     _CHORD_FULL * irls_tol, which is taken in full.  Chord steps converge
     linearly, so the last ones lie near irls_tol, where a step gains less
     than the rounding of the likelihood sum and the search's verdict is
-    rounding noise that would decide where the fit stops.  The fit
-    converges when an accepted step, times its scale, is below irls_tol in
-    every coordinate, and stops unconverged when all halvings are rejected.
+    rounding noise that would decide where the fit stops.  The fit stops
+    when an accepted step, times its scale, is below irls_tol in every
+    coordinate, and has converged if the full step is below irls_tol too:
+    a step the search damped below irls_tol although the full step is not
+    (the likelihood is flat to rounding there) is a stall, reported as
+    non-convergence, as is a search that rejects all halvings.
     """
 
     def newton_step(H: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -325,7 +334,7 @@ def _newton_fit(F, coef, pll, score, hessian, pen, cfg, what):
         if not np.isfinite(coef).all():
             raise FitError(f"{what} fit diverged to non-finite coefficients")
         if scale * size < cfg.irls_tol:
-            converged = True
+            converged = size < cfg.irls_tol     # else a stalled, damped step
             break
         chord_limit = size / 10.0 if scale == 1.0 and size < _CHORD_START else 0.0
     return coef, converged, it
@@ -434,7 +443,11 @@ def _multinomial_hessian(F: np.ndarray, Pk: np.ndarray, lam: float) -> np.ndarra
     """Penalised Newton matrix of the multinomial log-likelihood.
 
     F is the (n, d) feature matrix and Pk the class-major (K, n)
-    probabilities of the K fitted classes.  Block (k, m), of size d x d,
+    probabilities of the K fitted classes.  F is read a chunk of rows at a
+    time through the (d, c) view F[start:stop].T, with no copy; for the
+    column-major features PolyBasis.transform returns, each row of that
+    view (one feature over the chunk) is contiguous.  Any layout gives the
+    same bits: the products are elementwise.  Block (k, m), of size d x d,
     is F' diag(w_km) F plus the ridge on the diagonal blocks, with
     w_kk = max(p_k (1 - p_k), 1e-10) and w_km = -p_k p_m.  Every block is
     summed over rows in one pass over chunks of _HESSIAN_CHUNK rows:
@@ -458,7 +471,7 @@ def _multinomial_hessian(F: np.ndarray, Pk: np.ndarray, lam: float) -> np.ndarra
     for start in range(0, n, _HESSIAN_CHUNK):
         stop = min(start + _HESSIAN_CHUNK, n)
         c = stop - start
-        Fc = np.ascontiguousarray(F[start:stop].T)          # (d, c)
+        Fc = F[start:stop].T                                # (d, c) view
         Pc = Pk[:, start:stop]
         row = 0
         for a in range(d):                                  # pairs (a, b >= a)

@@ -28,7 +28,7 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .data import FunctionalSpec, ObservationTable
+from .data import FunctionalSpec, ObservationTable, _linear_quantiles
 from .exceptions import NuisanceFitError
 from .learners import (LearnerConfig, MultinomialModel, PolyBasis, expit, fit_linear,
                        fit_logistic, fit_multinomial)
@@ -130,7 +130,7 @@ def winsorize_values(
 ) -> np.ndarray:
     """Pull values outside [Q1 - k IQR, Q3 + k IQR] to the boundary."""
     v = np.asarray(values, dtype=float)
-    q1, q3 = np.percentile(v, [25.0, 75.0])
+    q1, q3 = _linear_quantiles(v, (0.25, 0.75))     # np.percentile(v, [25, 75])
     iqr = q3 - q1
     lo, hi = q1 - k * iqr, q3 + k * iqr
     w = np.clip(v, lo, hi)
@@ -185,8 +185,14 @@ class Propensities:
 
 
 def _by_level(F: np.ndarray, Z: np.ndarray, L: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per instrument level z: the indices of the rows at level z, and F there."""
-    return [(r, F[r]) for r in (np.flatnonzero(Z == z) for z in range(L))]
+    """Per instrument level z: the indices of the rows at level z, and F there.
+
+    F's rows are gathered along axis 1 of its transposed view, so a
+    column-major F gives column-major level blocks; F[r] would return
+    them row-major.
+    """
+    return [(r, np.take(F.T, r, axis=1).T)
+            for r in (np.flatnonzero(Z == z) for z in range(L))]
 
 
 def fit_propensities(
@@ -252,7 +258,7 @@ def fit_propensities(
         # jointly ridged, every level's indicator column included: an
         # unpenalised level 0 would make the fit depend on the labels, and
         # a thin level 0 with one response class would diverge
-        Fi = np.zeros((train.n, d * L))
+        Fi = np.zeros((train.n, d * L), order="F")
         for z, (r, Fz) in enumerate(levels):
             Fi[r, z * d:(z + 1) * d] = Fz
         pi_coef = logistic(Fi, R, ridge_intercept=True).reshape(L, d)

@@ -51,7 +51,7 @@ from typing import Callable, Iterator, Literal, Mapping
 
 import numpy as np
 
-from .data import FunctionalSpec, ObservationTable, evaluate_h
+from .data import FunctionalSpec, ObservationTable, _linear_quantiles, evaluate_h
 from .exceptions import ConfigurationError, EstimationError, FitError, _tally_messages
 from .learners import LearnerConfig, expit
 
@@ -587,7 +587,7 @@ def oracle_missing_quantile(
             spec.parameters,
         )
     ])
-    return float(np.quantile(y0, 1.0 - q))
+    return float(_linear_quantiles(y0, (1.0 - q,))[0])     # np.quantile(y0, 1 - q)
 
 
 # --------------------------------------------------------------------------

@@ -263,3 +263,25 @@ def reference_multinomial_hessian(F, Pk, lam):
                 H[m * d: (m + 1) * d, k * d: (k + 1) * d] = block
         H[k * d: (k + 1) * d, k * d: (k + 1) * d] += pen
     return H
+
+
+def reference_expand_basis(x, df):
+    """learners.expand_basis as it was row-major: powers accumulated in a
+    scratch vector and copied, column by column, into a C-order (m, 1 +
+    p df) matrix."""
+    x = np.asarray(x, dtype=float)
+    single = x.ndim == 1
+    if single:
+        x = x[None, :]
+    m, p = x.shape
+    out = np.empty((m, 1 + p * df), dtype=float)
+    out[:, 0] = 1.0
+    col = 1
+    for j in range(p):
+        acc = np.ones(m)
+        xj = x[:, j]
+        for _ in range(df):
+            acc = acc * xj
+            out[:, col] = acc
+            col += 1
+    return out[0] if single else out

@@ -440,6 +440,21 @@ def test_written_tables_take_the_one_pass_reader(tmp_path, monkeypatch):
     np.testing.assert_array_equal(again.y_dense(), table.y_dense())
 
 
+def test_both_readers_store_covariates_column_major(tmp_path):
+    import mivest.dataio
+
+    table, _ = generate(DGPSpec(family="dual_binary_iv", n=300, seed=3))
+    p = tmp_path / "t.csv"
+    write_table_csv(table, p, covariate_names=["x1", "x2"])
+    cfg = config_from_dict(make_doc())
+    one_pass, _ = ingest_csv(p, cfg)
+    with mock.patch.object(mivest.dataio, "_one_pass_columns", lambda *a: None):
+        by_reader, _ = ingest_csv(p, cfg)
+    for got in (one_pass, by_reader):
+        assert got.X.flags.f_contiguous and not got.X.flags.writeable
+        np.testing.assert_array_equal(got.X, table.X)
+
+
 @pytest.mark.parametrize("width", [31, 32])
 def test_one_pass_reader_refuses_an_outcome_cell_that_fills_its_bytes(tmp_path, width):
     # the one-pass reader keeps 32 bytes of an outcome cell, so a cell that

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mivest.data import (FunctionalSpec, ObservationTable,
+from mivest.data import (FunctionalSpec, ObservationTable, _linear_quantiles,
                          combine_instrument_levels, evaluate_h, validate_table)
 from mivest.exceptions import (ConfigurationError, DataContractError,
                                MissingOutcomeError)
@@ -207,3 +207,77 @@ def test_combine_levels_input_contract():
         combine_instrument_levels([])
     with pytest.raises(DataContractError):
         combine_instrument_levels([np.array([0, 1]), np.array([0, 1, 1])])
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_table_stores_covariates_column_major_and_read_only(order):
+    rng = np.random.default_rng(5)
+    X = np.array(rng.normal(size=(60, 3)), order=order)
+    R = (np.arange(60) % 3 > 0).astype(int)
+    table = ObservationTable.from_arrays(X, np.arange(60) % 2, R,
+                                         np.where(R == 1, 1.0, np.nan))
+    assert table.X.flags.f_contiguous and not table.X.flags.writeable
+    assert table.X.tobytes() == np.ascontiguousarray(X).tobytes()
+    mask = rng.random(60) < 0.5
+    for idx in (mask, np.flatnonzero(mask), np.arange(60)[::-4], np.empty(0, dtype=int)):
+        sub = table.subset(idx)
+        assert sub.X.flags.f_contiguous and not sub.X.flags.writeable
+        assert sub.X.tobytes() == np.ascontiguousarray(X[idx]).tobytes()
+    one = ObservationTable.from_arrays(X[:, 0], np.arange(60) % 2, R)
+    assert one.X.shape == (60, 1) and one.X.flags.f_contiguous
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")   # inf - inf, as numpy
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.sampled_from([-2.0, -0.0, 0.0, 0.5, 3.0]) | st.floats(-1e6, 1e6)
+                       | st.sampled_from([np.inf, -np.inf]), min_size=1, max_size=50),
+       nan_at=st.none() | st.integers(0, 50),
+       probs=st.lists(st.floats(0.0, 1.0) | st.sampled_from([0.0, 0.25, 0.75, 1.0]),
+                      min_size=1, max_size=5))
+def test_linear_quantiles_match_numpy_bit_for_bit(values, nan_at, probs):
+    # sizes 1 to 50, ties from the small sampled set, infinities, and a NaN
+    # anywhere, which makes every quantile NaN
+    v = np.array(values)
+    if nan_at is not None:
+        v = np.insert(v, min(nan_at, v.size), np.nan)
+    kept = v.copy()
+    got = _linear_quantiles(v, np.array(probs))
+    assert got.tobytes() == np.quantile(v, probs).tobytes()
+    quartiles = _linear_quantiles(v, np.array([0.25, 0.75]))
+    assert quartiles.tobytes() == np.percentile(v, [25.0, 75.0]).tobytes()
+    assert v.tobytes() == kept.tobytes()     # the input is not reordered
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.tuples(st.integers(0, 1), st.booleans()), min_size=1, max_size=40),
+       picks=st.lists(st.integers(0, 39), max_size=40))
+def test_outcome_positions_match_the_per_call_cumsum(rows, picks):
+    # subset, y_observed and rh read each row's value position from one
+    # cumsum per table; they equal recomputing it on every call, on tables
+    # that hold absent outcomes (R = 0 rows without a value, outcomes
+    # supplied where R = 0, and R = 1 rows without one, which raise)
+    R = np.array([r for r, _ in rows])
+    present = np.array([p for _, p in rows])
+    Y = np.where(present, np.arange(R.size) * 1.5 - 7.0, np.nan)
+    table = ObservationTable.from_arrays(np.arange(R.size, dtype=float), R % 2, R, Y, L=2)
+    pos = np.cumsum(table.y_present) - 1
+    assert table._y_positions is table._y_positions
+    assert table._y_positions.tolist() == pos.tolist()
+
+    idx = np.array([i for i in picks if i < R.size], dtype=int)
+    sub = table.subset(idx)
+    taken = idx[table.y_present[idx]]
+    assert sub.y_present.tolist() == table.y_present[idx].tolist()
+    assert sub._y_values.tolist() == table._y_values[pos[taken]].tolist()
+    spec = FunctionalSpec.mean(psi=0.5)
+    if np.all(present[R == 1]):
+        want = table._y_values[pos[R == 1]]
+        assert table.y_observed.tolist() == want.tolist()
+        rh = np.zeros(R.size)
+        rh[R == 1] = want - 0.5
+        assert table.rh(spec).tolist() == rh.tolist()
+    else:
+        with pytest.raises(MissingOutcomeError):
+            table.y_observed
+        with pytest.raises(MissingOutcomeError):
+            table.rh(spec)

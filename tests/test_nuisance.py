@@ -184,6 +184,20 @@ def _thin_level_table(Z):
 THIN_Z = np.r_[np.zeros(20, dtype=int), np.ones(1034, dtype=int)]
 
 
+def test_fit_propensities_keeps_the_features_column_major():
+    # the basis and each level block are column-major, so the fits read
+    # them as views, with no transposed copies; the blocks are F's rows
+    table, _ = generate(DGPSpec(family="dual_binary_iv", n=3000, seed=12))
+    props, F, levels = fit_propensities(table, LearnerConfig())
+    assert F.flags.f_contiguous
+    assert F.tobytes() == props.basis.transform(table.X).tobytes()
+    assert len(levels) == table.L
+    for z, (r, Fz) in enumerate(levels):
+        assert Fz.flags.f_contiguous
+        assert r.tolist() == np.flatnonzero(table.Z == z).tolist()
+        assert Fz.tobytes(order="C") == F[r].tobytes()
+
+
 @pytest.mark.filterwarnings("ignore:instrument level")
 def test_pooled_fallback_converges_on_a_thin_one_class_level_0():
     # the fallback ridges every level's indicator column; with level 0's

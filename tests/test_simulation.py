@@ -294,6 +294,7 @@ def test_generate_matches_the_unchunked_draw_step(family, policy, n):
         assert got == want
         return
     t, lat = got
+    assert t.X.flags.f_contiguous       # drawn as row pairs, stored column-major
     arrays = {"X": t.X, "Z": t.Z, "R": t.R, "y_full": lat.y_full, "u": lat.u,
               "p_r0": lat.p_r0}
     ref, clamp_fraction, n_rejected = want

@@ -80,9 +80,10 @@ def test_study_configs_run(study, tmp_path):
                  "--out", str(tmp_path / "r.json")]) == 0
 
 
-# Imports the CLI, runs estimate (mean and quantile, L = 4) and a small
-# simulate in one process, then fails if any scipy module was loaded.
-# argv[1] is a scratch directory.
+# Imports the CLI, runs estimate (mean and quantile, L = 4, then the mean
+# winsorized) and a small winsorized simulate in one process, then fails if
+# any scipy, numpy.ma or numpy.char module was loaded.  argv[1] is a scratch
+# directory.
 _NO_SCIPY_RUN = """
 import json, sys
 from pathlib import Path
@@ -116,7 +117,14 @@ for kind in ("mean", "quantile"):
     argv = ["estimate", "--config", str(work / f"{kind}.yaml"), "--data", str(work / "d.csv")]
     assert mivest.cli.main(argv) == 0
 assert not masked_or_char_modules(), masked_or_char_modules()
-assert mivest.cli.main(["simulate", "--config", str(work / "mean.yaml")]) == 0
+doc["functional"] = {"kind": "mean"}
+doc["estimation"]["winsorize"] = 5
+(work / "winsorized.yaml").write_text(json.dumps(doc))
+argv = ["estimate", "--config", str(work / "winsorized.yaml"), "--data", str(work / "d.csv")]
+assert mivest.cli.main(argv) == 0
+assert not masked_or_char_modules(), masked_or_char_modules()
+assert mivest.cli.main(["simulate", "--config", str(work / "winsorized.yaml")]) == 0
+assert not masked_or_char_modules(), masked_or_char_modules()
 assert not scipy_modules(), scipy_modules()
 """
 
@@ -125,7 +133,8 @@ def test_cli_runs_without_loading_scipy(tmp_path):
     # importing scipy.special costs about as much as a small estimate; only
     # the single-family closed-form oracles (robustness) need it, and they
     # import it where they call it.  numpy.ma (about 17 ms of CPU) and
-    # numpy.char stay unloaded by the two estimates too
+    # numpy.char stay unloaded by the estimates, winsorized or not, and by
+    # the winsorized simulate
     proc = subprocess.run(
         [sys.executable, "-c", _NO_SCIPY_RUN, str(tmp_path)], cwd=ROOT,
         env=dict(os.environ, PYTHONPATH="src"),
