@@ -60,15 +60,21 @@ class FunctionalSpec:
         return FunctionalSpec(kind=self.kind, psi=psi, q=self.q, h=self.h)
 
 
-def evaluate_h(spec: FunctionalSpec, y: np.ndarray | float) -> np.ndarray | float:
-    """Evaluate h(y; spec.psi) elementwise."""
+def evaluate_h(spec: FunctionalSpec, y: np.ndarray | float,
+               out: np.ndarray | None = None) -> np.ndarray | float:
+    """Evaluate h(y; spec.psi) elementwise, into out if given (a float
+    array of y's shape, which may be y itself)."""
     arr = np.asarray(y, dtype=float)
     if spec.kind == "mean":
-        out = arr - spec.psi
+        out = np.subtract(arr, spec.psi, out=out)
     elif spec.kind == "quantile":
-        out = (arr >= spec.psi).astype(float) - spec.q
-    else:
+        out = np.greater_equal(arr, spec.psi,       # 1.0 or 0.0
+                               out=np.empty(arr.shape) if out is None else out)
+        out -= spec.q
+    elif out is None:
         out = np.asarray(spec.h(arr, spec.psi), dtype=float)
+    else:
+        out[...] = spec.h(arr, spec.psi)
     if np.isscalar(y) or np.ndim(y) == 0:
         return float(out)
     return out
@@ -159,14 +165,16 @@ class ObservationTable:
     ) -> "ObservationTable":
         """Build a table from full-length arrays.
 
-        X may come in any memory layout; the table stores it column-major.
+        X may come in any memory layout; the table stores a column-major
+        copy, so the caller's array stays writeable and its later writes
+        do not reach the table.
         Y may be a full-length sequence with None (or NaN) marking absent
         outcomes, or None for a table with no outcomes supplied at all.
         Structural problems (shape mismatches, non-integer codes) raise
         DataContractError; contract violations that validate_table reports
         (e.g. Y present where R = 0) are representable and not raised here.
         """
-        X = np.asarray(X, dtype=float)
+        X = np.array(X, dtype=float, order="F")     # a copy: the caller's X is untouched
         if X.ndim == 1:
             X = X[:, None]
         if X.ndim != 2:

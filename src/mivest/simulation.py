@@ -30,13 +30,19 @@ chosen clamp policy.  The instrument probabilities and the selection
 exponents are stated once, here, and the closed forms in oracles reuse
 them (the identified value there is a quadrature and draws nothing).
 
-A batch draws its phases in a fixed order: X, U, the instrument uniforms,
-the outcome noise, then the R = 0 uniforms.  Philox and numpy's ziggurat
-normal read the bit stream in order, so a phase drawn in several calls
-gives the draws of one call: the phase order, not the sizes of the RNG
-calls, fixes the stream.  The step therefore draws every phase after X
-and U in chunks of _CHUNK rows and runs the formulas on each chunk in
-cache.  The oracles draw the outcomes of nonrespondents in batches of
+A batch's phases sit in the stream in a fixed order: X, U, the instrument
+uniforms, the outcome noise, then the R = 0 uniforms.  That order, not the
+order or sizes of the RNG calls, fixes the stream.  Philox is counter-based,
+and each uniform phase takes one 64-bit word per draw, so a uniform phase
+of known start is drawn from a generator placed at its own counter position
+(_placed), chunk by chunk, beside the other phases.  U is drawn whole
+first: on the single family it is a ziggurat normal, whose word count is
+known only once it is drawn, and the instrument phases start after it.
+The outcome noise, a ziggurat normal too, and the R = 0 uniforms after it
+are drawn in order from the caller's generator, which ends where drawing
+each phase in one call would leave it.  The step works through _CHUNK rows
+at a time, in cache, and an oracle batch keeps two float64 columns:
+P(R = 0), written over U, and Y.  The oracles draw in batches of
 _ORACLE_BATCH raw draws (_oracle_batches) and keep one batch alive at a
 time; the batch size fixes where each phase starts, so it stays fixed.
 """
@@ -253,30 +259,31 @@ def _draw_outcome(X: np.ndarray, u: np.ndarray, rng: np.random.Generator,
     return y
 
 
-def _latent_single(m: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    X = rng.uniform(0.0, 1.0, size=(m, 2))
-    u = rng.standard_normal(m)  # U ~ N(4, 0.5^2), as rng.normal(4.0, 0.5) draws it
+def _u_single(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """U ~ N(4, 0.5^2) into out, as rng.normal(4.0, 0.5) draws it."""
+    u = rng.standard_normal(out=out)
     u *= 0.5
     u += 4.0
-    return X, u
+    return u
 
 
-def _latent_dual(m: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    return rng.uniform(0.0, 1.0, size=(m, 2)), rng.uniform(0.0, 1.0, size=m)
+def _u_dual(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """U ~ U(0, 1) into out, as rng.uniform(0.0, 1.0) draws it."""
+    return rng.random(out=out)
 
 
 @dataclass(frozen=True)
 class _Law:
     """What the draw step reads of one family, in the family's draw order.
 
-    latent(m, rng) draws X and U; instrument_probs give P(Z_k = 1 | X) for
-    each binary instrument, drawn in this order; alpha_z(zs, X, parameters,
-    out) and alpha_u(u, out) are the selection exponent's two parts.  The
-    level code reads the instruments as binary digits, the first most
-    significant.
+    Both families draw X ~ U(0, 1)^2 first, as row pairs.  draw_u(rng, out)
+    then draws U; instrument_probs give P(Z_k = 1 | X) for each binary
+    instrument, drawn in this order; alpha_z(zs, X, parameters, out) and
+    alpha_u(u, out) are the selection exponent's two parts.  The level code
+    reads the instruments as binary digits, the first most significant.
     """
 
-    latent: Callable[[int, np.random.Generator], tuple[np.ndarray, np.ndarray]]
+    draw_u: Callable[[np.random.Generator, np.ndarray], np.ndarray]
     instrument_probs: tuple[Callable[..., np.ndarray], ...]
     alpha_z: Callable[..., np.ndarray]
     alpha_u: Callable[..., np.ndarray]
@@ -284,12 +291,12 @@ class _Law:
 
 _LAWS: dict[str, _Law] = {
     FAMILY_SINGLE: _Law(
-        _latent_single, (instrument_prob_single,),
+        _u_single, (instrument_prob_single,),
         lambda zs, X, parameters, out: selection_alpha_z_single(*zs, X, out=out),
         selection_alpha_u_single,
     ),
     FAMILY_DUAL: _Law(
-        _latent_dual,
+        _u_dual,
         (lambda X, out: _instrument_prob_dual(X, 1, out),
          lambda X, out: _instrument_prob_dual(X, 2, out)),
         lambda zs, X, parameters, out: selection_alpha_z_dual(*zs, X, parameters, out=out),
@@ -304,6 +311,34 @@ _MAX_REJECT_ROUNDS = 1000
 # Rows per chunk of the draw step's streamed phases: the work buffer holds
 # three float64 chunks, 384 KiB, so a chunk's formulas run in cache.
 _CHUNK = 1 << 14
+
+# 64-bit words per Philox-4x64 counter block
+_PHILOX_BLOCK = 4
+
+
+def _skip(bit_generator: np.random.Philox, words: int) -> None:
+    """Moves a Philox bit generator `words` 64-bit words ahead, to where it
+    would be after drawing them.
+
+    advance(k) adds k to the counter and drops the rest of the current
+    block, so the words left in that block are skipped first, then whole
+    blocks, and the remainder is drawn.
+    """
+    left = _PHILOX_BLOCK - bit_generator.state["buffer_pos"]
+    if words > left:
+        words -= left
+        bit_generator.advance(words // _PHILOX_BLOCK)
+        words %= _PHILOX_BLOCK
+    bit_generator.random_raw(words, output=False)
+
+
+def _placed(rng: np.random.Generator, words: int) -> np.random.Generator:
+    """A new generator whose stream starts `words` 64-bit words past rng's
+    current position; rng does not move."""
+    bit_generator = np.random.Philox(0)
+    bit_generator.state = rng.bit_generator.state
+    _skip(bit_generator, words)
+    return np.random.Generator(bit_generator)
 
 
 def _chunks(m: int) -> Iterator[tuple[int, int]]:
@@ -326,10 +361,12 @@ def _work_buffer(m: int) -> np.ndarray:
 @dataclass
 class _Batch:
     """One pass of _draw_batch.  y and p_r0 hold all m raw draws; invalid
-    marks the draws reject_invalid drops (None under the other policies)."""
+    marks the draws reject_invalid drops (None under the other policies).
+    X and z (the level codes) are kept only for the table generator (None
+    in the oracles, where p_r0 is u's array, written over)."""
 
-    X: np.ndarray
-    zs: list[np.ndarray]
+    X: np.ndarray | None
+    z: np.ndarray | None
     u: np.ndarray
     y: np.ndarray
     p_r0: np.ndarray
@@ -344,36 +381,54 @@ def _draw_batch(
     clamp_policy: ClampPolicy,
     parameters: Mapping[str, float],
     work: np.ndarray,
-    in_place: bool,
+    keep: bool,
 ) -> _Batch:
     """m latent draws with the clamp policy applied, streamed through work.
 
-    The phases are drawn in a fixed order: X, U, each instrument's uniforms,
-    the outcome noise.  X and U are drawn whole; every later phase is drawn
-    _CHUNK rows at a time into work, a _work_buffer, and its formulas run on
-    that chunk.  Philox and the ziggurat normal read the bit stream in order,
-    so a phase cut into chunks gives the draws of one call.  The instruments
-    are kept as bool.  in_place writes P(R = 0) over U and Y over X1, which
-    the oracles read no more; otherwise both get columns of their own.
+    The phases sit in the stream in a fixed order: X (2 m words), U, each
+    instrument's uniforms (m words each), the outcome noise.  Each uniform
+    phase takes one 64-bit word per draw, so it is drawn from a generator
+    placed at its own counter position (_placed), _CHUNK rows at a time,
+    beside the other phases.  U is drawn whole, first: on the single family
+    it is a ziggurat normal, whose word count is known only once it is
+    drawn, and the instrument phases start after it.  The outcome noise,
+    also a ziggurat normal, is drawn from rng itself, in order, a chunk at
+    a time, so rng ends where the noise ends, as if each phase had been
+    drawn in one call in turn.  Each chunk's formulas run in cache, in
+    work, a _work_buffer.
+
+    keep (the table generator) returns X, the level codes, U, Y and
+    P(R = 0), each in its own array.  Otherwise (the oracles) the batch
+    holds two float64 columns: P(R = 0) is written over U, chunk by chunk,
+    and Y has a column of its own.
     """
     law = _LAWS[family]
-    X, u = law.latent(m, rng)
-    zs = []
-    for prob in law.instrument_probs:
-        z = np.empty(m, dtype=bool)
-        for a, b in _chunks(m):
-            p = prob(X[a:b], out=work[0, :b - a])
-            np.less(rng.random(out=work[1, :b - a]), p, out=z[a:b])
-        zs.append(z)
+    x_rng = _placed(rng, 0)
+    _skip(rng.bit_generator, 2 * m)
+    u = law.draw_u(rng, np.empty(m))
+    z_rngs = [_placed(rng, k * m) for k in range(len(law.instrument_probs))]
+    _skip(rng.bit_generator, len(z_rngs) * m)
 
-    y, p_r0 = (X[:, 0], u) if in_place else (np.empty(m), np.empty(m))
+    X, z = (np.empty((m, 2)), np.empty(m, dtype=np.int64)) if keep else (None, None)
+    y = np.empty(m)
+    p_r0 = np.empty(m) if keep else u
     invalid = np.empty(m, dtype=bool) if clamp_policy == "reject_invalid" else None
+    x_rows = None if keep else np.empty((min(m, _CHUNK), 2))
+    z_bits = np.empty((len(z_rngs), min(m, _CHUNK)), dtype=bool)
     n_invalid = 0
     for a, b in _chunks(m):
-        Xc, uc, zc = X[a:b], u[a:b], [z[a:b] for z in zs]
-        yc = _draw_outcome(Xc, uc, rng, work[0, :b - a], work[1, :b - a])
-        pc = law.alpha_z(zc, Xc, parameters, out=work[1, :b - a])
-        pc += law.alpha_u(uc, out=work[2, :b - a])
+        c = b - a
+        Xc = x_rng.random(out=X[a:b] if keep else x_rows[:c])
+        uc = u[a:b]
+        zc = []
+        for k, (z_rng, prob) in enumerate(zip(z_rngs, law.instrument_probs)):
+            p = prob(Xc, out=work[0, :c])
+            zc.append(np.less(z_rng.random(out=work[1, :c]), p, out=z_bits[k, :c]))
+        if keep:
+            z[a:b] = _level_code(zc)
+        yc = _draw_outcome(Xc, uc, rng, work[0, :c], work[1, :c])
+        pc = law.alpha_z(zc, Xc, parameters, out=work[1, :c])
+        pc += law.alpha_u(uc, out=work[2, :c])
         np.exp(pc, out=pc)
         bad = _apply_clamp(pc, clamp_policy,
                            lambda: (_level_code(zc), uc, Xc[:, 0], Xc[:, 1]))
@@ -382,7 +437,7 @@ def _draw_batch(
             invalid[a:b] = bad
         y[a:b] = yc
         p_r0[a:b] = pc
-    return _Batch(X, zs, u, y, p_r0, invalid, n_invalid)
+    return _Batch(X, z, u, y, p_r0, invalid, n_invalid)
 
 
 def _generate_family(
@@ -405,8 +460,8 @@ def _generate_family(
                 "valid region is too small"
             )
         batch = _draw_batch(family, n - have, rng, clamp_policy, parameters, work,
-                            in_place=False)
-        cols = {"X": batch.X, "z": _level_code(batch.zs), "u": batch.u, "y": batch.y,
+                            keep=True)
+        cols = {"X": batch.X, "z": batch.z, "u": batch.u, "y": batch.y,
                 "p_r0": batch.p_r0}
         if batch.invalid is not None and batch.n_invalid:
             keep = ~batch.invalid
@@ -479,15 +534,16 @@ def _oracle_batches(
     rng: np.random.Generator,
     clamp_policy: ClampPolicy,
     parameters: Mapping[str, float],
-) -> Iterator[tuple[np.ndarray, int, int]]:
+) -> Iterator[tuple[np.ndarray, np.ndarray, int, int]]:
     """Batches of at most _ORACLE_BATCH raw draws, draws in all, via _draw_batch.
 
-    Yields (y0, accepted, n_invalid): the outcomes of the batch's R = 0
-    rows, in row order; the batch's row count after the clamp policy; its
-    invalid count.  Only one batch of draws is alive at a time: a batch is
-    released before the next one is drawn, and the caller sees only the
-    outcomes it reads.  The batch size fixes where each phase of the
-    stream starts, so changing it changes the draws.
+    Yields (y0, free, accepted, n_invalid): the outcomes of the batch's
+    R = 0 rows, in row order; the batch's outcome column, which nothing
+    reads any more and the caller may write over; the batch's row count
+    after the clamp policy; its invalid count.  Only one batch of draws is
+    alive at a time: a batch is released before the next one is drawn, and
+    the caller sees only those two columns.  The batch size fixes where
+    each phase of the stream starts, so changing it changes the draws.
     """
     work = _work_buffer(draws)
     done = 0
@@ -498,14 +554,14 @@ def _oracle_batches(
 
 
 def _missing_rows(family, m, rng, clamp_policy, parameters, work):
-    """One batch of _oracle_batches; the batch dies when this returns.
+    """One batch of _oracle_batches: its two columns and its counts.
 
-    The R = 0 uniforms are the batch's last phase, drawn for the accepted
-    rows in chunks.  The chosen outcomes are packed into the front of the
-    P(R = 0) column, over rows whose P(R = 0) has been read, so y0 is a
-    view of that column.
+    The R = 0 uniforms are the batch's last phase, drawn from rng, where
+    the outcome noise ended, for the accepted rows in chunks.  The chosen
+    outcomes are packed into the front of the P(R = 0) column, over rows
+    whose P(R = 0) has been read, so y0 is a view of that column.
     """
-    batch = _draw_batch(family, m, rng, clamp_policy, parameters, work, in_place=True)
+    batch = _draw_batch(family, m, rng, clamp_policy, parameters, work, keep=False)
     y, p_r0, invalid = batch.y, batch.p_r0, batch.invalid
     n0 = 0
     for a, b in _chunks(m):
@@ -517,7 +573,7 @@ def _missing_rows(family, m, rng, clamp_policy, parameters, work):
         p_r0[n0:n0 + y0.shape[0]] = y0
         n0 += y0.shape[0]
     accepted = m if invalid is None else m - batch.n_invalid
-    return p_r0[:n0], accepted, batch.n_invalid
+    return p_r0[:n0], y, accepted, batch.n_invalid
 
 
 def _require_draws(draws: int) -> None:
@@ -549,16 +605,17 @@ def oracle_beta(
     s2 = 0.0
     invalid = 0
     accepted = 0
-    for y0, n_accepted, n_invalid in _oracle_batches(
+    for y0, free, n_accepted, n_invalid in _oracle_batches(
         spec.family, draws, _oracle_rng(spec, seed), spec.clamp_policy, spec.parameters,
     ):
-        h = evaluate_h(functional, y0)
-        tot_n0 += y0.shape[0]
+        n0 = y0.shape[0]
+        h = evaluate_h(functional, y0, out=free[:n0])
+        tot_n0 += n0
         s1 += float(np.sum(h))
-        s2 += float(np.sum(h * h))
+        s2 += float(np.sum(np.multiply(h, h, out=y0)))     # y0 is read no more
         invalid += n_invalid
         accepted += n_accepted
-        del y0, h  # released before the next batch is drawn
+        del y0, free, h  # released before the next batch is drawn
     if tot_n0 == 0:
         raise EstimationError("oracle saw no R = 0 draws")
     mean = s1 / tot_n0
@@ -582,7 +639,7 @@ def oracle_missing_quantile(
     """psi with P(Y >= psi | R = 0) = q, by brute-force draw."""
     _require_draws(draws)
     y0 = np.concatenate([  # copies, so no batch's column outlives it
-        y.copy() for y, _, _ in _oracle_batches(
+        y.copy() for y, _, _, _ in _oracle_batches(
             spec.family, draws, _oracle_rng(spec, seed), spec.clamp_policy,
             spec.parameters,
         )

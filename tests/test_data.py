@@ -26,6 +26,21 @@ def test_quantile_h_example():
     assert evaluate_h(spec, 0.3) == -0.5
 
 
+@pytest.mark.parametrize("spec", [
+    FunctionalSpec.mean(psi=0.75), FunctionalSpec.quantile(0.3, psi=0.5),
+    FunctionalSpec(kind="custom", psi=0.5, h=lambda y, psi: np.tanh(y - psi))],
+    ids=["mean", "quantile", "custom"])
+def test_h_written_into_a_given_array_has_the_same_bits(spec):
+    # the oracle writes h into a column it no longer reads, or over y itself
+    y = np.random.default_rng(3).normal(size=1000)
+    want = evaluate_h(spec, y)
+    out = np.full(1000, np.nan)
+    assert evaluate_h(spec, y, out=out) is out
+    assert out.tobytes() == want.tobytes()
+    same = y.copy()
+    assert evaluate_h(spec, same, out=same).tobytes() == want.tobytes()
+
+
 @given(psi=st.floats(-50, 50), y1=st.floats(-50, 50), y2=st.floats(-50, 50))
 def test_mean_h_has_unit_slope(psi, y1, y2):
     spec = FunctionalSpec.mean(psi=psi)
@@ -225,6 +240,18 @@ def test_table_stores_covariates_column_major_and_read_only(order):
         assert sub.X.tobytes() == np.ascontiguousarray(X[idx]).tobytes()
     one = ObservationTable.from_arrays(X[:, 0], np.arange(60) % 2, R)
     assert one.X.shape == (60, 1) and one.X.flags.f_contiguous
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_table_copies_the_callers_covariates(order):
+    # in either layout the table stores its own read-only copy: the caller's
+    # array stays writeable, and writing to it later leaves table.X alone
+    X = np.array(np.arange(12.0).reshape(6, 2), order=order)
+    table = ObservationTable.from_arrays(X, np.arange(6) % 2, np.ones(6, dtype=int))
+    assert X.flags.writeable and not table.X.flags.writeable
+    assert not np.shares_memory(X, table.X)
+    X[:] = -1.0
+    assert np.array_equal(table.X, np.arange(12.0).reshape(6, 2))
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")   # inf - inf, as numpy
