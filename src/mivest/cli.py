@@ -66,7 +66,9 @@ def _build_parser() -> _Parser:
             p.add_argument("--data", required=True, help="input CSV")
         p.add_argument("--out", default=None, help="write the JSON report here")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1,
+                       help="worker processes for simulate's replications; the "
+                            "other commands only check that it is at least 1")
 
     def estimation_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--folds", type=int, default=None)

@@ -144,21 +144,6 @@ def _phi_parts_general(
     return PhiParts(phi_tilde=phi_tilde, keep=own.keep, delta_own=delta_z)
 
 
-def if_values_general(
-    table: ObservationTable,
-    ns: NuisanceSet,
-    beta: float,
-    spec: FunctionalSpec,
-    *,
-    trim: TrimPolicy = "floor",
-    diag: Diagnostics | None = None,
-) -> np.ndarray:
-    """Centered influence values phi(beta) for every row."""
-    parts = _phi_parts_general(table, ns, spec, trim, diag)
-    R = table.R.astype(float)
-    return parts.phi_tilde - (1.0 - R) / ns.pi0 * beta
-
-
 def _require_incomplete(table: ObservationTable, ns: NuisanceSet) -> None:
     if table.n0 == 0:
         raise NoIncompleteCasesError("no rows with R = 0; the target is undefined")
@@ -187,35 +172,6 @@ def beta_id_general(
     if not mask.any():
         raise NoIncompleteCasesError("trim policy removed every incomplete row")
     return float(delta_own[mask].mean())
-
-
-def beta_if_general(
-    table: ObservationTable,
-    ns: NuisanceSet,
-    spec: FunctionalSpec,
-    *,
-    trim: TrimPolicy = "floor",
-    winsorize: float | None = None,
-    diag: Diagnostics | None = None,
-) -> float:
-    """Influence-function estimator: mean of phi~ over retained rows.
-
-    With winsorize = k, values outside [Q1 - k IQR, Q3 + k IQR] of the
-    block's own influence-value distribution are pulled to the boundary.
-    """
-    _require_incomplete(table, ns)
-    parts = _phi_parts_general(table, ns, spec, trim, diag)
-    return _retained_mean(parts, winsorize, diag)
-
-
-def _retained_mean(parts: PhiParts, winsorize: float | None,
-                   diag: Diagnostics | None) -> float:
-    phi = parts.phi_tilde
-    if winsorize is not None:
-        phi = winsorize_values(phi, winsorize, diag)
-    if not parts.keep.any():
-        raise EstimationError("trim policy removed every row")
-    return float(phi[parts.keep].mean())
 
 
 def variance_if(phi_values: np.ndarray) -> float:
@@ -421,8 +377,9 @@ def _grid_beta(
     level over the level blocks fit_propensities split off for its pi fits,
     plus one over all rows for mu(x) in direct mode (_mu_grid_coef).  Each
     grid point's moment is evaluated in reused n-buffers, in _phi_tilde's
-    operation order.  Equals beta_if_general on a set refitted at each grid
-    point, up to the rounding of the matrix products that evaluate mu.
+    operation order.  Equals the influence-function mean of _phi_parts_general
+    (over its retained rows) on a set refitted at each grid point, up to the
+    rounding of the matrix products that evaluate mu.
     F is column-major, as PolyBasis.transform returns it, so each grid
     point's mu is coef[j] @ F.T over the row-major (d, n) view of F, with
     no transposed copy.

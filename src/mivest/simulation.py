@@ -24,27 +24,31 @@ fraction, "reject_invalid" redraws offending records, "as_printed_error"
 raises on the first offender.
 
 The table generator and both brute-force oracles (oracle_beta and
-oracle_missing_quantile) draw through one draw -> clamp -> reject step,
-_draw_batch, so each oracle is the truth of the generated law under the
-chosen clamp policy.  The instrument probabilities and the selection
-exponents are stated once, here, and the closed forms in oracles reuse
-them (the identified value there is a quadrature and draws nothing).
+oracle_missing_quantile) share the family laws (_LAWS), the clamp
+(_selection_prob) and the phase order, so each oracle is the truth of the
+generated law under the chosen clamp policy; both are tested bit for bit
+against one unchunked reference of the draws.  The instrument
+probabilities and the selection exponents are stated once, here, and the
+closed forms in oracles reuse them (the identified value there is a
+quadrature and draws nothing).
 
 A batch's phases sit in the stream in a fixed order: X, U, the instrument
 uniforms, the outcome noise, then the R = 0 uniforms.  That order, not the
-order or sizes of the RNG calls, fixes the stream.  Philox is counter-based,
-and each uniform phase takes one 64-bit word per draw, so a uniform phase
-of known start is drawn from a generator placed at its own counter position
-(_placed), chunk by chunk, beside the other phases.  U is drawn whole
-first: on the single family it is a ziggurat normal, whose word count is
-known only once it is drawn, and the instrument phases start after it.
-The outcome noise, a ziggurat normal too, and the R = 0 uniforms after it
-are drawn in order from the caller's generator, which ends where drawing
-each phase in one call would leave it.  The step works through _CHUNK rows
-at a time, in cache, and an oracle batch keeps two float64 columns:
-P(R = 0), written over U, and Y.  The oracles draw in batches of
-_ORACLE_BATCH raw draws (_oracle_batches) and keep one batch alive at a
-time; the batch size fixes where each phase starts, so it stays fixed.
+order or sizes of the RNG calls, fixes the stream.  generate draws each
+phase whole, in that order (_draw_table_batch).  The oracles draw in
+batches of _ORACLE_BATCH raw draws (_oracle_batches), one pass of _CHUNK
+rows at a time per batch, each batch into the same columns.  Philox is
+counter-based, and each uniform phase takes one 64-bit word per draw, so X,
+the instrument uniforms and the dual family's U are drawn chunk by chunk
+from generators placed at their own counter positions (_placed).  The
+single family's U and the outcome noise are ziggurat normals, whose word
+counts are known only once drawn, so they are drawn whole, in order, from
+the caller's generator; the R = 0 uniforms follow, chunk by chunk, and the
+generator ends where drawing each phase in one call would leave it.  Y is
+formed only at the R = 0 rows and packed over the noise column, so the
+dual family's oracle holds one float64 column of a batch and the single
+family's two (U and the noise).  The batch size fixes where each phase
+starts, so it stays fixed.
 """
 
 from __future__ import annotations
@@ -142,8 +146,8 @@ def _rng(seed: int | np.random.SeedSequence) -> np.random.Generator:
 # --------------------------------------------------------------------------
 # selection exponents, kept additively separable on purpose
 #
-# Each takes an optional out array for the result; the draw step passes its
-# reused buffers there.  The in-place steps are the printed formula's
+# Each takes an optional out array for the result; the oracle's chunked pass
+# passes its reused buffers there.  The in-place steps are the printed formula's
 # operations in its left-to-right order, so both forms give the same bits.
 # --------------------------------------------------------------------------
 
@@ -191,29 +195,6 @@ def selection_alpha_z_dual(
 selection_alpha_u_dual = selection_alpha_u_single  # the same -u / 4
 
 
-def _apply_clamp(
-    p_r0: np.ndarray, policy: ClampPolicy,
-    context: Callable[[], tuple[np.ndarray, ...]],
-) -> np.ndarray:
-    """Treats p_r0 in place under the policy; returns the invalid mask.
-
-    The mask marks the draws with p_r0 > 1 before treatment.  context()
-    gives the (Z, U, X1, X2) columns of those draws, read only to name the
-    first offender under as_printed_error.
-    """
-    invalid = p_r0 > 1.0
-    if policy == "as_printed_error":
-        if invalid.any():
-            i = int(np.flatnonzero(invalid)[0])
-            bits = ", ".join(f"{np.asarray(c).reshape(-1)[i]:.6g}" for c in context())
-            raise GenerationError(
-                f"P(R=0) = {p_r0[i]:.6g} > 1 at draw with (Z, U, X1, X2) = ({bits})"
-            )
-    elif policy == "clamp_to_one_minus_eps":
-        np.minimum(p_r0, 1.0 - CLAMP_EPS, out=p_r0)
-    return invalid  # reject_invalid: caller redraws
-
-
 # --------------------------------------------------------------------------
 # latent draws (shared by the table generators and the oracles)
 # --------------------------------------------------------------------------
@@ -244,18 +225,14 @@ def instrument_probs_dual(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _instrument_prob_dual(X, 1), _instrument_prob_dual(X, 2)
 
 
-def _draw_outcome(X: np.ndarray, u: np.ndarray, rng: np.random.Generator,
-                  out: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Y ~ N((X1 + X2) exp(U / 6), 0.5^2) into out, the same draws as rng.normal.
-
-    rng.normal(loc, 0.5) is loc + 0.5 * standard_normal; w is overwritten.
-    """
-    y = np.divide(u, 6.0, out=out)
+def _outcome(X: np.ndarray, u: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """Y = (X1 + X2) exp(U / 6) + 0.5 noise, noise a standard normal draw
+    (overwritten): rng.normal(loc, 0.5) is loc + 0.5 * standard_normal."""
+    y = np.divide(u, 6.0)
     np.exp(y, out=y)
-    y *= np.add(X[:, 0], X[:, 1], out=w)
-    w = rng.standard_normal(out=w)
-    w *= 0.5
-    y += w
+    y *= X[:, 0] + X[:, 1]
+    noise *= 0.5
+    y += noise
     return y
 
 
@@ -274,16 +251,19 @@ def _u_dual(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Law:
-    """What the draw step reads of one family, in the family's draw order.
+    """What generate and the oracle read of one family, in its draw order.
 
     Both families draw X ~ U(0, 1)^2 first, as row pairs.  draw_u(rng, out)
-    then draws U; instrument_probs give P(Z_k = 1 | X) for each binary
-    instrument, drawn in this order; alpha_z(zs, X, parameters, out) and
-    alpha_u(u, out) are the selection exponent's two parts.  The level code
-    reads the instruments as binary digits, the first most significant.
+    then draws U; u_one_word says it takes one 64-bit word per draw (a
+    uniform), so the oracle can draw it from a placed generator.
+    instrument_probs give P(Z_k = 1 | X) for each binary instrument, drawn
+    in this order; alpha_z(zs, X, parameters, out) and alpha_u(u, out) are
+    the selection exponent's two parts.  The level code reads the
+    instruments as binary digits, the first most significant.
     """
 
     draw_u: Callable[[np.random.Generator, np.ndarray], np.ndarray]
+    u_one_word: bool
     instrument_probs: tuple[Callable[..., np.ndarray], ...]
     alpha_z: Callable[..., np.ndarray]
     alpha_u: Callable[..., np.ndarray]
@@ -291,12 +271,12 @@ class _Law:
 
 _LAWS: dict[str, _Law] = {
     FAMILY_SINGLE: _Law(
-        _u_single, (instrument_prob_single,),
+        _u_single, False, (instrument_prob_single,),
         lambda zs, X, parameters, out: selection_alpha_z_single(*zs, X, out=out),
         selection_alpha_u_single,
     ),
     FAMILY_DUAL: _Law(
-        _u_dual,
+        _u_dual, True,
         (lambda X, out: _instrument_prob_dual(X, 1, out),
          lambda X, out: _instrument_prob_dual(X, 2, out)),
         lambda zs, X, parameters, out: selection_alpha_z_dual(*zs, X, parameters, out=out),
@@ -308,43 +288,6 @@ _LEVELS: dict[str, int] = {family: 2 ** len(law.instrument_probs)
 
 _MAX_REJECT_ROUNDS = 1000
 
-# Rows per chunk of the draw step's streamed phases: the work buffer holds
-# three float64 chunks, 384 KiB, so a chunk's formulas run in cache.
-_CHUNK = 1 << 14
-
-# 64-bit words per Philox-4x64 counter block
-_PHILOX_BLOCK = 4
-
-
-def _skip(bit_generator: np.random.Philox, words: int) -> None:
-    """Moves a Philox bit generator `words` 64-bit words ahead, to where it
-    would be after drawing them.
-
-    advance(k) adds k to the counter and drops the rest of the current
-    block, so the words left in that block are skipped first, then whole
-    blocks, and the remainder is drawn.
-    """
-    left = _PHILOX_BLOCK - bit_generator.state["buffer_pos"]
-    if words > left:
-        words -= left
-        bit_generator.advance(words // _PHILOX_BLOCK)
-        words %= _PHILOX_BLOCK
-    bit_generator.random_raw(words, output=False)
-
-
-def _placed(rng: np.random.Generator, words: int) -> np.random.Generator:
-    """A new generator whose stream starts `words` 64-bit words past rng's
-    current position; rng does not move."""
-    bit_generator = np.random.Philox(0)
-    bit_generator.state = rng.bit_generator.state
-    _skip(bit_generator, words)
-    return np.random.Generator(bit_generator)
-
-
-def _chunks(m: int) -> Iterator[tuple[int, int]]:
-    for a in range(0, m, _CHUNK):
-        yield a, min(a + _CHUNK, m)
-
 
 def _level_code(zs: list[np.ndarray]) -> np.ndarray:
     code = zs[0].astype(np.int64)
@@ -354,90 +297,59 @@ def _level_code(zs: list[np.ndarray]) -> np.ndarray:
     return code
 
 
-def _work_buffer(m: int) -> np.ndarray:
-    return np.empty((3, min(m, _CHUNK)))
+def _selection_prob(
+    law: _Law, zs: list[np.ndarray], X: np.ndarray, u: np.ndarray,
+    clamp_policy: ClampPolicy, parameters: Mapping[str, float],
+    out: np.ndarray | None = None, work: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """P(R = 0 | Z, U, X) treated under the clamp policy, into out (work is
+    overwritten), and the mask of the draws whose untreated value is above 1.
+
+    as_printed_error names the first of those by its (Z, U, X1, X2);
+    reject_invalid leaves the redraw to the caller.
+    """
+    p_r0 = law.alpha_z(zs, X, parameters, out)
+    p_r0 += law.alpha_u(u, work)
+    np.exp(p_r0, out=p_r0)
+    invalid = p_r0 > 1.0
+    if clamp_policy == "as_printed_error":
+        if invalid.any():
+            i = int(np.flatnonzero(invalid)[0])
+            bits = ", ".join(f"{c[i]:.6g}"
+                             for c in (_level_code(zs), u, X[:, 0], X[:, 1]))
+            raise GenerationError(
+                f"P(R=0) = {p_r0[i]:.6g} > 1 at draw with (Z, U, X1, X2) = ({bits})"
+            )
+    elif clamp_policy == "clamp_to_one_minus_eps":
+        np.minimum(p_r0, 1.0 - CLAMP_EPS, out=p_r0)
+    return p_r0, invalid
 
 
-@dataclass
-class _Batch:
-    """One pass of _draw_batch.  y and p_r0 hold all m raw draws; invalid
-    marks the draws reject_invalid drops (None under the other policies).
-    X and z (the level codes) are kept only for the table generator (None
-    in the oracles, where p_r0 is u's array, written over)."""
-
-    X: np.ndarray | None
-    z: np.ndarray | None
-    u: np.ndarray
-    y: np.ndarray
-    p_r0: np.ndarray
-    invalid: np.ndarray | None
-    n_invalid: int
-
-
-def _draw_batch(
+def _draw_table_batch(
     family: str,
     m: int,
     rng: np.random.Generator,
     clamp_policy: ClampPolicy,
     parameters: Mapping[str, float],
-    work: np.ndarray,
-    keep: bool,
-) -> _Batch:
-    """m latent draws with the clamp policy applied, streamed through work.
+) -> tuple[tuple[np.ndarray, ...], int]:
+    """m latent draws for the table generator, each phase drawn whole, in
+    stream order: X (as row pairs), U, each instrument's uniforms, the
+    outcome noise.
 
-    The phases sit in the stream in a fixed order: X (2 m words), U, each
-    instrument's uniforms (m words each), the outcome noise.  Each uniform
-    phase takes one 64-bit word per draw, so it is drawn from a generator
-    placed at its own counter position (_placed), _CHUNK rows at a time,
-    beside the other phases.  U is drawn whole, first: on the single family
-    it is a ziggurat normal, whose word count is known only once it is
-    drawn, and the instrument phases start after it.  The outcome noise,
-    also a ziggurat normal, is drawn from rng itself, in order, a chunk at
-    a time, so rng ends where the noise ends, as if each phase had been
-    drawn in one call in turn.  Each chunk's formulas run in cache, in
-    work, a _work_buffer.
-
-    keep (the table generator) returns X, the level codes, U, Y and
-    P(R = 0), each in its own array.  Otherwise (the oracles) the batch
-    holds two float64 columns: P(R = 0) is written over U, chunk by chunk,
-    and Y has a column of its own.
+    Returns (X, z, u, y, p_r0), z the level codes, without the draws
+    reject_invalid drops, and the invalid count.
     """
     law = _LAWS[family]
-    x_rng = _placed(rng, 0)
-    _skip(rng.bit_generator, 2 * m)
+    X = rng.random((m, 2))
     u = law.draw_u(rng, np.empty(m))
-    z_rngs = [_placed(rng, k * m) for k in range(len(law.instrument_probs))]
-    _skip(rng.bit_generator, len(z_rngs) * m)
-
-    X, z = (np.empty((m, 2)), np.empty(m, dtype=np.int64)) if keep else (None, None)
-    y = np.empty(m)
-    p_r0 = np.empty(m) if keep else u
-    invalid = np.empty(m, dtype=bool) if clamp_policy == "reject_invalid" else None
-    x_rows = None if keep else np.empty((min(m, _CHUNK), 2))
-    z_bits = np.empty((len(z_rngs), min(m, _CHUNK)), dtype=bool)
-    n_invalid = 0
-    for a, b in _chunks(m):
-        c = b - a
-        Xc = x_rng.random(out=X[a:b] if keep else x_rows[:c])
-        uc = u[a:b]
-        zc = []
-        for k, (z_rng, prob) in enumerate(zip(z_rngs, law.instrument_probs)):
-            p = prob(Xc, out=work[0, :c])
-            zc.append(np.less(z_rng.random(out=work[1, :c]), p, out=z_bits[k, :c]))
-        if keep:
-            z[a:b] = _level_code(zc)
-        yc = _draw_outcome(Xc, uc, rng, work[0, :c], work[1, :c])
-        pc = law.alpha_z(zc, Xc, parameters, out=work[1, :c])
-        pc += law.alpha_u(uc, out=work[2, :c])
-        np.exp(pc, out=pc)
-        bad = _apply_clamp(pc, clamp_policy,
-                           lambda: (_level_code(zc), uc, Xc[:, 0], Xc[:, 1]))
-        n_invalid += int(bad.sum())
-        if invalid is not None:
-            invalid[a:b] = bad
-        y[a:b] = yc
-        p_r0[a:b] = pc
-    return _Batch(X, z, u, y, p_r0, invalid, n_invalid)
+    zs = [np.less(rng.random(m), prob(X, None)) for prob in law.instrument_probs]
+    y = _outcome(X, u, rng.standard_normal(m))
+    p_r0, invalid = _selection_prob(law, zs, X, u, clamp_policy, parameters)
+    cols = (X, _level_code(zs), u, y, p_r0)
+    n_invalid = int(invalid.sum())
+    if clamp_policy == "reject_invalid" and n_invalid:
+        cols = tuple(c[~invalid] for c in cols)
+    return cols, n_invalid
 
 
 def _generate_family(
@@ -448,8 +360,7 @@ def _generate_family(
     parameters: Mapping[str, float],
 ) -> tuple[ObservationTable, LatentRecord]:
     rng = _rng(seed)
-    work = _work_buffer(n)
-    got: list[dict[str, np.ndarray]] = []
+    got: list[tuple[np.ndarray, ...]] = []
     total_invalid = 0
     total_drawn = 0
     have = 0
@@ -459,23 +370,17 @@ def _generate_family(
                 "reject_invalid could not find enough valid draws; the DGP's "
                 "valid region is too small"
             )
-        batch = _draw_batch(family, n - have, rng, clamp_policy, parameters, work,
-                            keep=True)
-        cols = {"X": batch.X, "z": batch.z, "u": batch.u, "y": batch.y,
-                "p_r0": batch.p_r0}
-        if batch.invalid is not None and batch.n_invalid:
-            keep = ~batch.invalid
-            cols = {k: v[keep] for k, v in cols.items()}
+        cols, n_invalid = _draw_table_batch(family, n - have, rng, clamp_policy,
+                                            parameters)
         total_drawn += n - have
-        total_invalid += batch.n_invalid
+        total_invalid += n_invalid
         got.append(cols)
-        have += cols["y"].shape[0]
+        have += cols[3].shape[0]
 
-    keys = ("X", "z", "u", "y", "p_r0")
     if len(got) == 1:  # every policy but reject_invalid fills the table at once
-        X, z, u, y, p_r0 = (got[0][k] for k in keys)
+        X, z, u, y, p_r0 = got[0]
     else:
-        X, z, u, y, p_r0 = (np.concatenate([b[k] for b in got]) for k in keys)
+        X, z, u, y, p_r0 = (np.concatenate(c) for c in zip(*got))
     r = (rng.uniform(size=n) >= p_r0).astype(np.int64)  # R=0 with prob p_r0
     y_masked = np.where(r == 1, y, np.nan)
     table = ObservationTable.from_arrays(X, z, r, y_masked, L=_LEVELS[family])
@@ -527,6 +432,43 @@ class OracleResult:
 # changes the draws; cutting a phase into chunks within a batch does not.
 _ORACLE_BATCH = 1_000_000
 
+# Rows per chunk of an oracle batch's pass: a chunk's buffers and
+# temporaries take about 1 MiB, so its formulas run in cache.
+_CHUNK = 1 << 14
+
+# 64-bit words per Philox-4x64 counter block
+_PHILOX_BLOCK = 4
+
+
+def _skip(bit_generator: np.random.Philox, words: int) -> None:
+    """Moves a Philox bit generator `words` 64-bit words ahead, to where it
+    would be after drawing them.
+
+    advance(k) adds k to the counter and drops the rest of the current
+    block, so the words left in that block are skipped first, then whole
+    blocks, and the remainder is drawn.
+    """
+    left = _PHILOX_BLOCK - bit_generator.state["buffer_pos"]
+    if words > left:
+        words -= left
+        bit_generator.advance(words // _PHILOX_BLOCK)
+        words %= _PHILOX_BLOCK
+    bit_generator.random_raw(words, output=False)
+
+
+def _placed(rng: np.random.Generator, words: int) -> np.random.Generator:
+    """A new generator whose stream starts `words` 64-bit words past rng's
+    current position; rng does not move."""
+    bit_generator = np.random.Philox(0)
+    bit_generator.state = rng.bit_generator.state
+    _skip(bit_generator, words)
+    return np.random.Generator(bit_generator)
+
+
+def _chunks(m: int) -> Iterator[tuple[int, int]]:
+    for a in range(0, m, _CHUNK):
+        yield a, min(a + _CHUNK, m)
+
 
 def _oracle_batches(
     family: str,
@@ -534,46 +476,77 @@ def _oracle_batches(
     rng: np.random.Generator,
     clamp_policy: ClampPolicy,
     parameters: Mapping[str, float],
-) -> Iterator[tuple[np.ndarray, np.ndarray, int, int]]:
-    """Batches of at most _ORACLE_BATCH raw draws, draws in all, via _draw_batch.
+) -> Iterator[tuple[np.ndarray, int, int]]:
+    """Batches of at most _ORACLE_BATCH raw draws, draws in all, each in one
+    pass over _CHUNK-row chunks.
 
-    Yields (y0, free, accepted, n_invalid): the outcomes of the batch's
-    R = 0 rows, in row order; the batch's outcome column, which nothing
-    reads any more and the caller may write over; the batch's row count
-    after the clamp policy; its invalid count.  Only one batch of draws is
-    alive at a time: a batch is released before the next one is drawn, and
-    the caller sees only those two columns.  The batch size fixes where
-    each phase of the stream starts, so changing it changes the draws.
+    Yields (y0, accepted, n_invalid): the outcomes of the batch's R = 0
+    rows, in row order; the batch's row count after the clamp policy; its
+    invalid count.  y0 is a view of the noise column, which the caller may
+    write over and which the next batch draws into, so the caller is done
+    with it before asking for the next batch.
+
+    The phases are those of _draw_table_batch, at the same stream
+    positions.  X, the instrument uniforms and, when the law's U takes one
+    word per draw, U are drawn by chunk from generators placed at their own
+    counter positions.  A ziggurat U (the single family) and the outcome
+    noise are drawn whole, in order, from rng; the R = 0 uniforms follow
+    the noise, one per accepted row, drawn chunk by chunk.  Y is formed
+    only at the R = 0 rows, and those outcomes are packed over the front of
+    the noise column, whose rows there have been read.  So the oracle holds
+    one float64 column of a batch, the noise, and on the single family a
+    second, U; both are allocated once and serve every batch.  The batch
+    size fixes where each phase starts, so changing it changes the draws.
     """
-    work = _work_buffer(draws)
-    done = 0
-    while done < draws:
-        m = min(_ORACLE_BATCH, draws - done)
-        yield _missing_rows(family, m, rng, clamp_policy, parameters, work)
-        done += m
+    law = _LAWS[family]
+    n_z = len(law.instrument_probs)
+    size = min(draws, _ORACLE_BATCH)
+    noise_column = np.empty(size)
+    u_column = None if law.u_one_word else np.empty(size)
+    width = min(size, _CHUNK)
+    x_rows = np.empty((width, 2))
+    u_rows = np.empty(width)
+    work = np.empty((2, width))
+    z_bits = np.empty((n_z, width), dtype=bool)
+    for start in range(0, draws, _ORACLE_BATCH):
+        m = min(_ORACLE_BATCH, draws - start)
+        x_rng = _placed(rng, 0)
+        _skip(rng.bit_generator, 2 * m)
+        if law.u_one_word:
+            u_rng = _placed(rng, 0)
+            _skip(rng.bit_generator, m)
+        else:
+            u = law.draw_u(rng, u_column[:m])
+        z_rngs = [_placed(rng, k * m) for k in range(n_z)]
+        _skip(rng.bit_generator, n_z * m)
+        noise = rng.standard_normal(out=noise_column[:m])
 
-
-def _missing_rows(family, m, rng, clamp_policy, parameters, work):
-    """One batch of _oracle_batches: its two columns and its counts.
-
-    The R = 0 uniforms are the batch's last phase, drawn from rng, where
-    the outcome noise ended, for the accepted rows in chunks.  The chosen
-    outcomes are packed into the front of the P(R = 0) column, over rows
-    whose P(R = 0) has been read, so y0 is a view of that column.
-    """
-    batch = _draw_batch(family, m, rng, clamp_policy, parameters, work, keep=False)
-    y, p_r0, invalid = batch.y, batch.p_r0, batch.invalid
-    n0 = 0
-    for a, b in _chunks(m):
-        yc, pc = y[a:b], p_r0[a:b]
-        if invalid is not None:
-            keep = ~invalid[a:b]
-            yc, pc = yc[keep], pc[keep]
-        y0 = yc[rng.random(out=work[0, :pc.shape[0]]) < pc]
-        p_r0[n0:n0 + y0.shape[0]] = y0
-        n0 += y0.shape[0]
-    accepted = m if invalid is None else m - batch.n_invalid
-    return p_r0[:n0], y, accepted, batch.n_invalid
+        n0 = 0
+        n_invalid = 0
+        for a, b in _chunks(m):
+            c = b - a
+            Xc = x_rng.random(out=x_rows[:c])
+            uc = law.draw_u(u_rng, u_rows[:c]) if law.u_one_word else u[a:b]
+            zc = []
+            for k, (z_rng, prob) in enumerate(zip(z_rngs, law.instrument_probs)):
+                p = prob(Xc, work[0, :c])
+                zc.append(np.less(z_rng.random(out=work[1, :c]), p, out=z_bits[k, :c]))
+            pc, bad = _selection_prob(law, zc, Xc, uc, clamp_policy, parameters,
+                                      out=work[0, :c], work=work[1, :c])
+            c_bad = np.count_nonzero(bad)
+            n_invalid += c_bad
+            # the R = 0 rows as indices: take() gathers them faster than a mask
+            if clamp_policy == "reject_invalid" and c_bad:
+                kept = np.flatnonzero(~bad)
+                r0 = rng.random(out=work[1, :kept.shape[0]]) < pc.take(kept)
+                rows = kept.take(np.flatnonzero(r0))
+            else:
+                rows = np.flatnonzero(rng.random(out=work[1, :c]) < pc)
+            y0 = _outcome(Xc.take(rows, axis=0), uc.take(rows), noise[a:b].take(rows))
+            noise[n0:n0 + y0.shape[0]] = y0
+            n0 += y0.shape[0]
+        accepted = m - n_invalid if clamp_policy == "reject_invalid" else m
+        yield noise[:n0], accepted, n_invalid
 
 
 def _require_draws(draws: int) -> None:
@@ -605,17 +578,15 @@ def oracle_beta(
     s2 = 0.0
     invalid = 0
     accepted = 0
-    for y0, free, n_accepted, n_invalid in _oracle_batches(
+    for y0, n_accepted, n_invalid in _oracle_batches(
         spec.family, draws, _oracle_rng(spec, seed), spec.clamp_policy, spec.parameters,
     ):
-        n0 = y0.shape[0]
-        h = evaluate_h(functional, y0, out=free[:n0])
-        tot_n0 += n0
+        h = evaluate_h(functional, y0, out=y0)
+        tot_n0 += h.shape[0]
         s1 += float(np.sum(h))
-        s2 += float(np.sum(np.multiply(h, h, out=y0)))     # y0 is read no more
+        s2 += float(np.sum(np.multiply(h, h, out=h)))
         invalid += n_invalid
         accepted += n_accepted
-        del y0, free, h  # released before the next batch is drawn
     if tot_n0 == 0:
         raise EstimationError("oracle saw no R = 0 draws")
     mean = s1 / tot_n0
@@ -638,8 +609,8 @@ def oracle_missing_quantile(
 ) -> float:
     """psi with P(Y >= psi | R = 0) = q, by brute-force draw."""
     _require_draws(draws)
-    y0 = np.concatenate([  # copies, so no batch's column outlives it
-        y.copy() for y, _, _, _ in _oracle_batches(
+    y0 = np.concatenate([  # copies: the next batch draws over y
+        y.copy() for y, _, _ in _oracle_batches(
             spec.family, draws, _oracle_rng(spec, seed), spec.clamp_policy,
             spec.parameters,
         )

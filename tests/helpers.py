@@ -3,9 +3,10 @@
 import numpy as np
 
 from mivest.data import ObservationTable
-from mivest.general import _own_level
+from mivest.exceptions import EstimationError
+from mivest.general import _own_level, _phi_parts_general, _require_incomplete
 from mivest.learners import _HESSIAN_CHUNK, _penalty_matrix
-from mivest.nuisance import NuisanceSet, evaluate_nuisances
+from mivest.nuisance import NuisanceSet, evaluate_nuisances, winsorize_values
 from mivest.oracles import oracle_delta
 from mivest.simulation import (_ORACLE_BATCH, CLAMP_EPS, FAMILY_SINGLE, DGPSpec,
                                GenerationError, _instrument_prob_dual, _oracle_rng,
@@ -108,6 +109,30 @@ def identified_beta_by_draws(family, n=1_000_000, seed=414):
     return float(vals.mean()), float(vals.std() / np.sqrt(vals.size))
 
 
+def if_values_general(table, ns, beta, spec, *, trim="floor", diag=None):
+    """Centered influence values phi(beta) for every row."""
+    parts = _phi_parts_general(table, ns, spec, trim, diag)
+    R = table.R.astype(float)
+    return parts.phi_tilde - (1.0 - R) / ns.pi0 * beta
+
+
+def beta_if_general(table, ns, spec, *, trim="floor", winsorize=None, diag=None):
+    """Influence-function estimator on one nuisance set: the mean of phi~
+    over the retained rows.
+
+    With winsorize = k, values outside [Q1 - k IQR, Q3 + k IQR] of the
+    table's own influence-value distribution are pulled to the boundary.
+    """
+    _require_incomplete(table, ns)
+    parts = _phi_parts_general(table, ns, spec, trim, diag)
+    phi = parts.phi_tilde
+    if winsorize is not None:
+        phi = winsorize_values(phi, winsorize, diag)
+    if not parts.keep.any():
+        raise EstimationError("trim policy removed every row")
+    return float(phi[parts.keep].mean())
+
+
 def binary_if_values(table, ns, beta, spec):
     """Centered influence values in the paper's closed form for L = 2.
 
@@ -132,15 +157,15 @@ def binary_if_values(table, ns, beta, spec):
 
 
 # --------------------------------------------------------------------------
-# the draw step without chunks: a reference for simulation's streamed pass
+# the draws without chunks: a reference for generate and the oracle's pass
 # --------------------------------------------------------------------------
 
 def _reference_batch(family, m, rng, clamp_policy, parameters):
     """m latent draws of one family, every phase drawn in one RNG call.
 
-    The phases and the formulas of simulation's draw step, over whole
-    columns: X, U, the instrument uniforms, the outcome noise.  Returns
-    (batch, n_invalid) as the draw step's batch: X, z (the level code),
+    The phases and the formulas of simulation's draws, over whole columns,
+    written out apart from the library's: X, U, the instrument uniforms,
+    the outcome noise.  Returns (batch, n_invalid): X, z (the level code),
     u, y and p_r0, the draws the clamp policy rejects dropped.
     """
     X = rng.uniform(0.0, 1.0, size=(m, 2))

@@ -16,14 +16,13 @@ from mivest.cli import main
 from mivest.corruption import run_robustness
 from mivest.data import FunctionalSpec, ObservationTable
 from mivest.dataio import write_table_csv
-from mivest.general import if_values_general
 from mivest.learners import LearnerConfig
 from mivest.nuisance import NuisanceSet, evaluate_nuisances
 from mivest.oracles import oracle_identified_beta, oracle_nuisances
 from mivest.simulation import (DGPSpec, generate, oracle_beta,
                                run_monte_carlo)
 
-from helpers import binary_if_values, g_weights
+from helpers import binary_if_values, g_weights, if_values_general
 
 MEAN = FunctionalSpec.mean()
 CFG = LearnerConfig()

@@ -5,12 +5,13 @@ import pytest
 
 from mivest.data import FunctionalSpec, ObservationTable
 from mivest.exceptions import NoIncompleteCasesError
-from mivest.general import beta_id_general, beta_if_general, if_values_general
+from mivest.general import beta_id_general
 from mivest.learners import LearnerConfig
 from mivest.nuisance import (NuisanceSet, evaluate_nuisances, fit_nuisance_set,
                              floor_denominator)
 
-from helpers import binary_if_values, const_fn, const_ns, one_row_x, small_table
+from helpers import (beta_if_general, binary_if_values, const_fn, const_ns,
+                     if_values_general, one_row_x, small_table)
 
 SPEC = FunctionalSpec.mean()
 X_ROW = one_row_x()

@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 from mivest.crossfit import (FoldPlan, _crossfit_pass, crossfit_beta, make_folds,
                              median_adjust)
 from mivest.data import FunctionalSpec, ObservationTable
-from mivest.general import beta_id_general, beta_if_general
+from mivest.general import beta_id_general
 from mivest.exceptions import (ConfigurationError, EstimationError, FitError,
                                NoIncompleteCasesError, NuisanceFitError)
 from mivest.learners import LearnerConfig
 from mivest.nuisance import Diagnostics, fit_nuisance_set
 from mivest.simulation import DGPSpec, generate
 
-from helpers import small_table
+from helpers import beta_if_general, small_table
 
 SPEC = FunctionalSpec.mean()
 CFG = LearnerConfig()

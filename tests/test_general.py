@@ -14,14 +14,14 @@ from mivest.exceptions import EstimationError, NoIncompleteCasesError
 from mivest.corruption import shift_probability
 from mivest.crossfit import crossfit_beta
 from mivest.general import (_grid_beta, _phi_parts_general, _solve_quantiles,
-                            beta_id_general, beta_if_general, if_values_general,
-                            normal_ci, solve_functional, variance_if)
+                            beta_id_general, normal_ci, solve_functional, variance_if)
 from mivest.learners import LearnerConfig
 from mivest.nuisance import fit_mu_component, fit_nuisance_set
 from mivest.oracles import oracle_nuisances
 from mivest.simulation import DGPSpec, generate, oracle_missing_quantile
 
-from helpers import const_fn, const_ns, g_weights, one_row_x, small_table
+from helpers import (beta_if_general, const_fn, const_ns, g_weights, if_values_general,
+                     one_row_x, small_table)
 
 SPEC = FunctionalSpec.mean()
 X_ROW = one_row_x()[None, :]
