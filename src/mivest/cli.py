@@ -39,8 +39,8 @@ from .exceptions import (
 # roots both quantile reports from one grid pass.
 from .general import _solve_quantiles, solve_functional  # noqa: F401
 from .simulation import (
+    _LAWS,
     _LEVELS,
-    FAMILY_DESIGN_BETA,
     DGPSpec,
     oracle_beta,
     run_monte_carlo,
@@ -309,8 +309,8 @@ def cmd_oracle(cfg: AnalysisConfig, args: argparse.Namespace) -> int:
     dgp = DGPSpec(family=sim.family, n=max(sim.n, 1), seed=cfg.seed,
                   clamp_policy=sim.clamp_policy, parameters=sim.parameters)
     res = oracle_beta(dgp, draws=draws, functional=cfg.functional)
-    reference = FAMILY_DESIGN_BETA.get(sim.family)
-    agrees = None if reference is None else abs(res.value - reference) <= DESIGN_TOLERANCE
+    reference = _LAWS[sim.family].design_beta
+    agrees = abs(res.value - reference) <= DESIGN_TOLERANCE
     report = {
         "format": REPORT_FORMAT,
         "command": "oracle",
@@ -323,9 +323,7 @@ def cmd_oracle(cfg: AnalysisConfig, args: argparse.Namespace) -> int:
     _emit(report, args.out)
     print(f"{sim.family}: oracle={res.value:.6f}  mc_se={res.mc_se:.6f}  "
           f"p_missing={res.p_missing:.4f}  clamp_fraction={res.clamp_fraction:.4f}")
-    if agrees is None:
-        print("no design reference for this family")
-    elif agrees:
+    if agrees:
         print(f"agrees with the design value {reference} within {DESIGN_TOLERANCE}")
     else:
         print(f"DIFFERS from the design value {reference} by "

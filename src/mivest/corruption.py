@@ -36,7 +36,7 @@ from .general import _phi_parts_general
 from .learners import expit
 from .nuisance import PROB_CLIP, NuisanceSet
 from .oracles import oracle_delta, oracle_identified_beta, oracle_nuisances
-from .simulation import DGPSpec, generate
+from .simulation import _LEVELS, DGPSpec, generate
 
 COMPONENTS = ("pi_z", "rho_z", "mu_z")
 LOGIT_SHIFT = 0.7
@@ -358,8 +358,7 @@ def run_robustness(
     dgp = DGPSpec(family=family, n=n, seed=seed, parameters=params)  # checks the keys
     spec = FunctionalSpec.mean(psi)
     if scenarios is None:
-        probe = oracle_nuisances(family, params, functional=spec)
-        scenarios = (binary_scenarios(family, params, psi) if probe.L == 2
+        scenarios = (binary_scenarios(family, params, psi) if _LEVELS[family] == 2
                      else general_scenarios(family, params, psi))
     ref, ref_err = oracle_identified_beta(family, params, psi=psi)
     table, _ = generate(dgp)

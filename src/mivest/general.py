@@ -36,7 +36,6 @@ from .learners import LearnerConfig, _ridge_solve
 # because the benchmark tracer (perfbench/trace_child.py) wraps
 # mivest.general.fit_nuisance_set and mivest.general.fit_mu_component.
 from .nuisance import (  # noqa: F401
-    EPS_DEN,
     Diagnostics,
     NuisanceSet,
     TrimPolicy,
@@ -80,11 +79,10 @@ def _own_level(
     rho: np.ndarray,
     delta_r: np.ndarray,
     pi0: float,
-    eps: float,
     trim: TrimPolicy,
 ) -> _OwnLevel:
     """The psi-free factors from pi, rho and the unfloored delta_r, all (L, n)."""
-    den, hits = floor_denominator(delta_r, eps)         # (L, n)
+    den, hits = floor_denominator(delta_r)              # (L, n)
     g_all = 1.0 - pi
     g_all /= pi0 * den
     g_x = np.einsum("lm,lm->m", rho, g_all)
@@ -134,7 +132,7 @@ def _phi_parts_general(
     diag: Diagnostics | None,
 ) -> PhiParts:
     ev = evaluate_nuisances(ns, table.X)
-    own = _own_level(table, ev.pi, ev.rho, ev.delta_r, ns.pi0, ns.eps_den, trim)
+    own = _own_level(table, ev.pi, ev.rho, ev.delta_r, ns.pi0, trim)
     if diag is not None:
         diag.floor_hits += own.floor_hits
     rows = np.arange(table.n)
@@ -162,7 +160,7 @@ def beta_id_general(
     _require_incomplete(table, ns)
     ev = evaluate_nuisances(ns, table.X)
     rows = np.arange(table.n)
-    den, hits = floor_denominator(ev.delta_r[table.Z, rows], ns.eps_den)
+    den, hits = floor_denominator(ev.delta_r[table.Z, rows])
     if diag is not None:
         diag.floor_hits += int(hits.sum())
     delta_own = ev.delta_y[table.Z, rows] / den
@@ -392,7 +390,7 @@ def _grid_beta(
     del by_level
     pi, rho = props.pi(F), props.rho(F)
     pi_marg = props.pi_marg(F) if direct else np.einsum("lm,lm->m", rho, pi)
-    own = _own_level(table, pi, rho, pi - pi_marg[None, :], props.pi0, EPS_DEN, trim)
+    own = _own_level(table, pi, rho, pi - pi_marg[None, :], props.pi0, trim)
     del pi, pi_marg
     if not own.keep.any():
         raise EstimationError("trim policy removed every row")

@@ -34,7 +34,7 @@ from .learners import (LearnerConfig, MultinomialModel, PolyBasis, expit, fit_li
                        fit_logistic, fit_multinomial)
 
 PROB_CLIP = 1e-6
-EPS_DEN = 1e-6          # default floor on |delta_r|
+EPS_DEN = 1e-6          # the floor on |delta_r|
 MIN_STRATUM_ROWS = 30
 
 MarginalizationMode = Literal["marginalize", "direct"]
@@ -104,7 +104,6 @@ class NuisanceSet:
     mode: MarginalizationMode = "marginalize"
     pi_marg_fn: MarginalFn | None = None
     mu_marg_fn: MarginalFn | None = None
-    eps_den: float = EPS_DEN
     diagnostics: Diagnostics = field(default_factory=Diagnostics)
 
     def __post_init__(self) -> None:
@@ -112,15 +111,15 @@ class NuisanceSet:
             raise NuisanceFitError("direct mode requires pi_marg_fn and mu_marg_fn")
 
 
-def floor_denominator(delta_r: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+def floor_denominator(delta_r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The denominator floor: (den, hits) for the unfloored delta_r.
 
-    Entries with |delta_r| < eps become eps with delta_r's sign (0 counts
-    as +); hits is the mask of those entries, from which the estimators
-    apply their trim policy and count floor_hits.
+    Entries with |delta_r| < EPS_DEN become EPS_DEN with delta_r's sign (0
+    counts as +); hits is the mask of those entries, from which the
+    estimators apply their trim policy and count floor_hits.
     """
-    hits = np.abs(delta_r) < eps
-    return np.where(hits, np.where(delta_r < 0, -eps, eps), delta_r), hits
+    hits = np.abs(delta_r) < EPS_DEN
+    return np.where(hits, np.where(delta_r < 0, -EPS_DEN, EPS_DEN), delta_r), hits
 
 
 def winsorize_values(
@@ -276,7 +275,6 @@ def fit_nuisance_set(
     spec: FunctionalSpec,
     cfg: LearnerConfig,
     mode: MarginalizationMode = "marginalize",
-    eps_den: float = EPS_DEN,
 ) -> NuisanceSet:
     """Fit all nuisance models on a training block.
 
@@ -301,7 +299,6 @@ def fit_nuisance_set(
         mode=mode,
         pi_marg_fn=_OnBasis(basis, props.pi_marg) if mode == "direct" else None,
         mu_marg_fn=mu_marg_fn,
-        eps_den=eps_den,
         diagnostics=props.diagnostics,
     )
 

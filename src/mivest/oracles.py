@@ -1,27 +1,25 @@
 """Closed-form nuisance truths for the built-in families.
 
-For both families the selection exponent is A_z(x) + B u with B = -1/4, so
+Every family's selection exponent is A_z(x) + B u with B = -1/4, so
 P(R=0 | z, u, x) = min(exp(A + B u), 1) and every nuisance reduces to
-partial exponential moments of U:
+partial exponential moments of U, M(a; lo, hi) = E[e^{aU} 1{lo < U < hi}]:
 
-    normal U:   E[e^{aU} 1{lo < U < hi}]
-                = e^{a m + a^2 s^2 / 2} [Phi((hi - m - a s^2)/s)
-                                         - Phi((lo - m - a s^2)/s)]
-    uniform U:  (e^{a hi'} - e^{a lo'}) / a   on the clipped interval.
+    P(R = 0 | z, x) = M(0; -inf, u*) + e^A M(B; u*, inf),
 
-A_z(x) and P(Z = z | X) are the generator's own (selection_alpha_z_* and
-instrument_prob* in simulation), so the two modules state each family's
-law once.  The clamp threshold is u* = 4 A_z(x): the raw exponent exceeds
-0 exactly when u < u*.  The closed forms use the cap at 1 rather than
-1 - 1e-9; the gap is below 1e-9 everywhere and irrelevant at test
-tolerances.  oracle_identified_beta needs no draws: it is a ratio of two
-Gauss-Legendre quadratures of these closed forms over the covariate
-square, as true_p_missing is one.
+where the clamp threshold is u* = A / -B: the raw exponent exceeds 0
+exactly when u < u*.  A family is read only through its entry in
+simulation._LAWS: A_z(x) (alpha_z), P(Z_k = 1 | X) (instrument_probs) and
+M (u_moment, the normal or the uniform formula there), so the two modules
+state each family's law once and no code here names a family.  The
+closed forms use the cap at 1 rather than 1 - 1e-9; the gap is below
+1e-9 everywhere and irrelevant at test tolerances.  oracle_identified_beta
+needs no draws: it is a ratio of two Gauss-Legendre quadratures of these
+closed forms over the covariate square, as true_p_missing is one.
 
 Outcome-model truths are implemented for the mean functional
 h(y; psi) = y - psi, where E[R h | z, x] has a closed form because the
 outcome mean is (x1 + x2) e^{U/6}.  Quantile functionals have no closed
-form here; use the brute-force oracles in simulation instead.
+form here; use the brute-force oracle in simulation instead.
 """
 
 from __future__ import annotations
@@ -34,116 +32,58 @@ import numpy as np
 from .data import FunctionalSpec
 from .exceptions import ConfigurationError, EstimationError
 from .nuisance import NuisanceSet, evaluate_nuisances
-from .simulation import (
-    FAMILY_DUAL,
-    FAMILY_SINGLE,
-    instrument_prob_single,
-    instrument_probs_dual,
-    selection_alpha_z_dual,
-    selection_alpha_z_single,
-)
+from .simulation import _B, _LAWS, _LEVELS, _Y_DIV, _Law
 
-_B = -0.25          # shared U coefficient in the selection exponent
-_U_MEAN = 4.0       # single family latent
-_U_SD = 0.5
-_Y_EXP = 1.0 / 6.0  # outcome mean is (x1 + x2) exp(U / 6)
-
-
-def normal_partial_exp(a: float, mean: float, sd: float,
-                       lo: np.ndarray | float, hi: np.ndarray | float) -> np.ndarray:
-    """E[e^{aU} 1{lo < U < hi}] for U ~ N(mean, sd^2)."""
-    # imported here, not at module level, so that loading mivest does not
-    # load scipy: only the single-family closed forms need the normal CDF
-    from scipy.special import ndtr
-
-    scale = np.exp(a * mean + 0.5 * a * a * sd * sd)
-    shift = mean + a * sd * sd
-    upper = ndtr((np.asarray(hi, dtype=float) - shift) / sd)
-    lower = ndtr((np.asarray(lo, dtype=float) - shift) / sd)
-    return scale * (upper - lower)
-
-
-def uniform_partial_exp(a: float, lo: np.ndarray | float,
-                        hi: np.ndarray | float) -> np.ndarray:
-    """E[e^{aU} 1{lo < U < hi}] for U ~ U(0, 1); bounds are clipped."""
-    lo_c = np.clip(np.asarray(lo, dtype=float), 0.0, 1.0)
-    hi_c = np.clip(np.asarray(hi, dtype=float), 0.0, 1.0)
-    hi_c = np.maximum(hi_c, lo_c)
-    if a == 0.0:
-        return hi_c - lo_c
-    return (np.exp(a * hi_c) - np.exp(a * lo_c)) / a
+_Y_EXP = 1.0 / _Y_DIV  # outcome mean is (x1 + x2) exp(U / 6)
 
 
 # --------------------------------------------------------------------------
-# per-family building blocks, vectorised over rows of X
+# the closed forms at one level, vectorised over rows of X
 # --------------------------------------------------------------------------
 
-def _p_r0_single(z: int, X: np.ndarray) -> np.ndarray:
-    from scipy.special import ndtr
-
-    A = selection_alpha_z_single(z, X)
-    u_star = 4.0 * A  # exponent > 0 iff u < u*
-    clamped = ndtr((u_star - _U_MEAN) / _U_SD)
-    tail = normal_partial_exp(_B, _U_MEAN, _U_SD, u_star, np.inf)
-    return clamped + np.exp(A) * tail
+def _law(family: str) -> _Law:
+    try:
+        return _LAWS[family]
+    except KeyError:
+        raise ConfigurationError(f"no oracle for family {family!r}") from None
 
 
-def _p_r0_dual(code: int, X: np.ndarray, parameters: Mapping[str, float]) -> np.ndarray:
-    A = selection_alpha_z_dual(*divmod(code, 2), X, parameters)
-    u_star = np.clip(4.0 * A, 0.0, 1.0)
-    tail = uniform_partial_exp(_B, u_star, 1.0)
-    return u_star + np.exp(A) * tail
+def _bits(law: _Law, z: int) -> list[int]:
+    """Level z's instrument values, the first most significant, as
+    simulation._level_code reads them."""
+    n = len(law.instrument_probs)
+    return [(z >> (n - 1 - k)) & 1 for k in range(n)]
 
 
-def _mu_single(z: int, X: np.ndarray, psi: float) -> np.ndarray:
-    """E[R (Y - psi) | Z = z, X] for the single family."""
-    A = selection_alpha_z_single(z, X)
-    u_star = 4.0 * A
-    s = X[:, 0] + X[:, 1]
-    full = normal_partial_exp(_Y_EXP, _U_MEAN, _U_SD, -np.inf, np.inf)
-    below = normal_partial_exp(_Y_EXP, _U_MEAN, _U_SD, -np.inf, u_star)
-    above = normal_partial_exp(_B + _Y_EXP, _U_MEAN, _U_SD, u_star, np.inf)
-    captured = below + np.exp(A) * above  # E[P(R=0|z,U,x) e^{U/6}]
-    pi_z = 1.0 - _p_r0_single(z, X)
-    return s * (full - captured) - psi * pi_z
+def _threshold(law: _Law, z: int, X: np.ndarray,
+               parameters: Mapping[str, float]) -> tuple[np.ndarray, np.ndarray]:
+    """A_z(X) and the clamp threshold u* = A / -B."""
+    A = law.alpha_z(_bits(law, z), X, parameters, None)
+    return A, A / -_B
 
 
-def _mu_dual(code: int, X: np.ndarray, psi: float,
-             parameters: Mapping[str, float]) -> np.ndarray:
-    A = selection_alpha_z_dual(*divmod(code, 2), X, parameters)
-    u_star = np.clip(4.0 * A, 0.0, 1.0)
-    s = X[:, 0] + X[:, 1]
-    full = uniform_partial_exp(_Y_EXP, 0.0, 1.0)
-    below = uniform_partial_exp(_Y_EXP, 0.0, u_star)
-    above = uniform_partial_exp(_B + _Y_EXP, u_star, 1.0)
-    captured = below + np.exp(A) * above
-    pi_z = 1.0 - _p_r0_dual(code, X, parameters)
-    return s * (full - captured) - psi * pi_z
+def _p_r0(law: _Law, z: int, X: np.ndarray, parameters: Mapping[str, float]) -> np.ndarray:
+    A, u_star = _threshold(law, z, X, parameters)
+    return law.u_moment(0.0, -np.inf, u_star) + np.exp(A) * law.u_moment(_B, u_star, np.inf)
 
 
 def oracle_pi(family: str, z: int, X: np.ndarray,
               parameters: Mapping[str, float] | None = None) -> np.ndarray:
     """True P(R=1 | Z=z, X) under the clamped data law."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if family == FAMILY_SINGLE:
-        return 1.0 - _p_r0_single(z, X)
-    if family == FAMILY_DUAL:
-        return 1.0 - _p_r0_dual(z, X, parameters or {})
-    raise ConfigurationError(f"no oracle for family {family!r}")
+    return 1.0 - _p_r0(_law(family), z, X, parameters or {})
 
 
 def oracle_rho(family: str, z: int, X: np.ndarray,
                parameters: Mapping[str, float] | None = None) -> np.ndarray:
-    """True P(Z=z | X)."""
+    """True P(Z=z | X), the product of the instruments' probabilities."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if family == FAMILY_SINGLE:
-        p1 = instrument_prob_single(X)
-        return p1 if z == 1 else 1.0 - p1
-    if family == FAMILY_DUAL:
-        z1, z2 = divmod(z, 2)
-        p1, p2 = instrument_probs_dual(X)
-        return (p1 if z1 == 1 else 1.0 - p1) * (p2 if z2 == 1 else 1.0 - p2)
-    raise ConfigurationError(f"no oracle for family {family!r}")
+    law = _law(family)
+    rho = 1.0
+    for bit, prob in zip(_bits(law, z), law.instrument_probs):
+        p = prob(X, None)
+        rho = rho * (p if bit else 1.0 - p)
+    return rho
 
 
 def oracle_mu(family: str, z: int, X: np.ndarray,
@@ -151,19 +91,16 @@ def oracle_mu(family: str, z: int, X: np.ndarray,
               psi: float = 0.0) -> np.ndarray:
     """True E[R h(Y; psi) | Z=z, X] for the mean functional."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if family == FAMILY_SINGLE:
-        return _mu_single(z, X, psi)
-    if family == FAMILY_DUAL:
-        return _mu_dual(z, X, psi, parameters or {})
-    raise ConfigurationError(f"no oracle for family {family!r}")
-
-
-def _levels(family: str) -> int:
-    if family == FAMILY_SINGLE:
-        return 2
-    if family == FAMILY_DUAL:
-        return 4
-    raise ConfigurationError(f"no oracle for family {family!r}")
+    law = _law(family)
+    params = parameters or {}
+    A, u_star = _threshold(law, z, X, params)
+    s = X[:, 0] + X[:, 1]
+    full = law.u_moment(_Y_EXP, -np.inf, np.inf)
+    below = law.u_moment(_Y_EXP, -np.inf, u_star)
+    above = law.u_moment(_B + _Y_EXP, u_star, np.inf)
+    captured = below + np.exp(A) * above  # E[P(R=0|z,U,x) e^{U/6}]
+    pi_z = 1.0 - _p_r0(law, z, X, params)
+    return s * (full - captured) - psi * pi_z
 
 
 def _check_mean_functional(spec: FunctionalSpec | None) -> float:
@@ -172,7 +109,7 @@ def _check_mean_functional(spec: FunctionalSpec | None) -> float:
     if spec.kind != "mean":
         raise ConfigurationError(
             "closed-form oracles cover the mean functional only; use the "
-            "brute-force oracles for quantiles"
+            "brute-force oracle (oracle_beta) for quantiles"
         )
     return spec.psi
 
@@ -221,7 +158,6 @@ def oracle_nuisances(
     *,
     functional: FunctionalSpec | None = None,
     mode: str = "marginalize",
-    eps_den: float = 1e-6,
 ) -> NuisanceSet:
     """Exact nuisance set for a built-in family (mean functional).
 
@@ -243,7 +179,7 @@ def oracle_nuisances(
             return (rho_fn(X) * mu_fn(X)).sum(axis=0)
 
     return NuisanceSet(
-        L=_levels(family),
+        L=_LEVELS[family],
         pi_fn=pi_fn,
         rho_fn=rho_fn,
         mu_fn=mu_fn,
@@ -251,13 +187,13 @@ def oracle_nuisances(
         mode=mode,
         pi_marg_fn=pi_marg_fn,
         mu_marg_fn=mu_marg_fn,
-        eps_den=eps_den,
     )
 
 
 def _oracle_level_fns(family: str, params: Mapping[str, float], psi: float):
     """The closed forms of pi, rho and mu as X -> (L, m) callables."""
-    L = _levels(family)
+    _law(family)  # an unknown family is a configuration error
+    L = _LEVELS[family]
 
     def pi_fn(X: np.ndarray) -> np.ndarray:
         return np.stack([oracle_pi(family, z, X, params) for z in range(L)])

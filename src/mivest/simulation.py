@@ -1,4 +1,4 @@
-"""Synthetic data generators, brute-force oracles, and the Monte Carlo harness.
+"""Synthetic data generators, the brute-force oracle, and the Monte Carlo harness.
 
 Two built-in families:
 
@@ -15,27 +15,28 @@ dual_binary_iv
                         + Z2 (8 + X1 - X2)) / 4},  c0 = -8 by default;
     Y as above with the uniform U.
 
-Both selection exponents are additively separable into a (Z, X) part and a
-U part (exposed as selection_alpha_z / selection_alpha_u), but the raw
-exponent can be positive on part of the support, i.e. the printed formula
-is not a probability there.  clamp_policy decides what the generator does:
-"clamp_to_one_minus_eps" caps P(R=0) at 1 - 1e-9 and reports the clamped
-fraction, "reject_invalid" redraws offending records, "as_printed_error"
-raises on the first offender.
+Both selection exponents are additively separable into a (Z, X) part and
+the U part _B U with _B = -1/4 (selection_alpha_z_* and selection_alpha_u),
+but the raw exponent can be positive on part of the support, i.e. the
+printed formula is not a probability there.  clamp_policy decides what the
+generator does: "clamp_to_one_minus_eps" caps P(R=0) at 1 - 1e-9 and
+reports the clamped fraction, "reject_invalid" redraws offending records,
+"as_printed_error" raises on the first offender.
 
-The table generator and both brute-force oracles (oracle_beta and
-oracle_missing_quantile) share the family laws (_LAWS), the clamp
-(_selection_prob) and the phase order, so each oracle is the truth of the
-generated law under the chosen clamp policy; both are tested bit for bit
-against one unchunked reference of the draws.  The instrument
-probabilities and the selection exponents are stated once, here, and the
-closed forms in oracles reuse them (the identified value there is a
-quadrature and draws nothing).
+Each family is one _Law entry in _LAWS: U's law and its partial
+exponential moment, the instrument probabilities, the selection exponent,
+the parameters it reads and its design value.  The table generator and the
+brute-force oracle (oracle_beta) read it, with the clamp (_selection_prob)
+and the phase order, so the oracle is the truth of the generated law under
+the chosen clamp policy; both are tested bit for bit against one unchunked
+reference of the draws.  The closed forms in oracles read the same entry
+and nothing else of a family (the identified value there is a quadrature
+and draws nothing), so a new family is one more entry.
 
 A batch's phases sit in the stream in a fixed order: X, U, the instrument
 uniforms, the outcome noise, then the R = 0 uniforms.  That order, not the
 order or sizes of the RNG calls, fixes the stream.  generate draws each
-phase whole, in that order (_draw_table_batch).  The oracles draw in
+phase whole, in that order (_draw_table_batch).  The oracle draws in
 batches of _ORACLE_BATCH raw draws (_oracle_batches), one pass of _CHUNK
 rows at a time per batch, each batch into the same columns.  Philox is
 counter-based, and each uniform phase takes one 64-bit word per draw, so X,
@@ -61,7 +62,7 @@ from typing import Callable, Iterator, Literal, Mapping
 
 import numpy as np
 
-from .data import FunctionalSpec, ObservationTable, _linear_quantiles, evaluate_h
+from .data import FunctionalSpec, ObservationTable, evaluate_h
 from .exceptions import ConfigurationError, EstimationError, FitError, _tally_messages
 from .learners import LearnerConfig, expit
 
@@ -70,24 +71,16 @@ ClampPolicy = Literal["clamp_to_one_minus_eps", "reject_invalid", "as_printed_er
 
 FAMILY_SINGLE = "single_binary_iv"
 FAMILY_DUAL = "dual_binary_iv"
-FAMILIES = (FAMILY_SINGLE, FAMILY_DUAL)
-
-# Nominal targets the families were designed around.  Clamping the selection
-# probability at 1 shifts the realized truth, so oracle_beta is authoritative;
-# these are kept only for the flagged comparison in reports.
-FAMILY_DESIGN_BETA = {FAMILY_SINGLE: 1.8, FAMILY_DUAL: 1.07}
 
 # domain tags for deterministic seed derivation
 _DOMAIN_DATA = 1
 _DOMAIN_ORACLE = 3
 
-DUAL_LEVEL_MAP: dict[int, tuple[int, int]] = {0: (0, 0), 1: (0, 1), 2: (1, 0), 3: (1, 1)}
-
-# the keys of DGPSpec.parameters each family reads; any other is refused
-FAMILY_PARAMETERS: dict[str, tuple[str, ...]] = {
-    FAMILY_SINGLE: (),
-    FAMILY_DUAL: ("selection_intercept",),
-}
+# the constants both families share
+_B = -0.25          # U's coefficient in the selection exponent
+_Y_DIV = 6.0        # the outcome mean is (X1 + X2) exp(U / _Y_DIV)
+_U_MEAN = 4.0       # the single family's U ~ N(_U_MEAN, _U_SD^2)
+_U_SD = 0.5
 
 
 @dataclass(frozen=True)
@@ -111,7 +104,7 @@ class DGPSpec:
             "as_printed_error",
         ):
             raise ConfigurationError(f"unknown clamp policy {self.clamp_policy!r}")
-        allowed = FAMILY_PARAMETERS[self.family]
+        allowed = _LAWS[self.family].parameters
         unknown = sorted(set(self.parameters) - set(allowed))
         if unknown:
             raise ConfigurationError(
@@ -161,11 +154,9 @@ def selection_alpha_z_single(
     return np.subtract(t, s, out=s)
 
 
-def selection_alpha_u_single(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """-u / 4."""
-    a = np.negative(u, out=out)
-    a /= 4.0
-    return a
+def selection_alpha_u(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """_B u = -u / 4, the U part of both families' exponents."""
+    return np.multiply(u, _B, out=out)
 
 
 def dual_intercept(parameters: Mapping[str, float]) -> float:
@@ -190,9 +181,6 @@ def selection_alpha_z_dual(
     a += t
     a *= 0.25
     return a
-
-
-selection_alpha_u_dual = selection_alpha_u_single  # the same -u / 4
 
 
 # --------------------------------------------------------------------------
@@ -220,15 +208,10 @@ def _instrument_prob_dual(
     return expit(a, out=a)
 
 
-def instrument_probs_dual(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(P(Z1 = 1 | X), P(Z2 = 1 | X)) in the dual family."""
-    return _instrument_prob_dual(X, 1), _instrument_prob_dual(X, 2)
-
-
 def _outcome(X: np.ndarray, u: np.ndarray, noise: np.ndarray) -> np.ndarray:
     """Y = (X1 + X2) exp(U / 6) + 0.5 noise, noise a standard normal draw
     (overwritten): rng.normal(loc, 0.5) is loc + 0.5 * standard_normal."""
-    y = np.divide(u, 6.0)
+    y = np.divide(u, _Y_DIV)
     np.exp(y, out=y)
     y *= X[:, 0] + X[:, 1]
     noise *= 0.5
@@ -239,8 +222,8 @@ def _outcome(X: np.ndarray, u: np.ndarray, noise: np.ndarray) -> np.ndarray:
 def _u_single(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     """U ~ N(4, 0.5^2) into out, as rng.normal(4.0, 0.5) draws it."""
     u = rng.standard_normal(out=out)
-    u *= 0.5
-    u += 4.0
+    u *= _U_SD
+    u += _U_MEAN
     return u
 
 
@@ -249,40 +232,81 @@ def _u_dual(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     return rng.random(out=out)
 
 
+def normal_partial_exp(a: float, mean: float, sd: float,
+                       lo: np.ndarray | float, hi: np.ndarray | float) -> np.ndarray:
+    """E[e^{aU} 1{lo < U < hi}] for U ~ N(mean, sd^2)."""
+    # imported here, not at module level, so that loading mivest does not
+    # load scipy: only the single family's closed forms need the normal CDF
+    from scipy.special import ndtr
+
+    scale = np.exp(a * mean + 0.5 * a * a * sd * sd)
+    shift = mean + a * sd * sd
+    upper = ndtr((np.asarray(hi, dtype=float) - shift) / sd)
+    lower = ndtr((np.asarray(lo, dtype=float) - shift) / sd)
+    return scale * (upper - lower)
+
+
+def uniform_partial_exp(a: float, lo: np.ndarray | float,
+                        hi: np.ndarray | float) -> np.ndarray:
+    """E[e^{aU} 1{lo < U < hi}] for U ~ U(0, 1); bounds are clipped."""
+    lo_c = np.clip(np.asarray(lo, dtype=float), 0.0, 1.0)
+    hi_c = np.clip(np.asarray(hi, dtype=float), 0.0, 1.0)
+    hi_c = np.maximum(hi_c, lo_c)
+    if a == 0.0:
+        return hi_c - lo_c
+    return (np.exp(a * hi_c) - np.exp(a * lo_c)) / a
+
+
 @dataclass(frozen=True)
 class _Law:
-    """What generate and the oracle read of one family, in its draw order.
+    """One family: everything generate, the oracle and the closed forms in
+    oracles read of it.  A new family is one more entry in _LAWS.
 
-    Both families draw X ~ U(0, 1)^2 first, as row pairs.  draw_u(rng, out)
+    Every family draws X ~ U(0, 1)^2 first, as row pairs.  draw_u(rng, out)
     then draws U; u_one_word says it takes one 64-bit word per draw (a
-    uniform), so the oracle can draw it from a placed generator.
-    instrument_probs give P(Z_k = 1 | X) for each binary instrument, drawn
-    in this order; alpha_z(zs, X, parameters, out) and alpha_u(u, out) are
-    the selection exponent's two parts.  The level code reads the
-    instruments as binary digits, the first most significant.
+    uniform), so the oracle can draw it from a placed generator, and
+    u_moment(a, lo, hi) is U's partial exponential moment E[e^{aU} 1{lo <
+    U < hi}].  instrument_probs(X, out) give P(Z_k = 1 | X) for each binary
+    instrument, drawn in this order; the level code reads the instruments
+    as binary digits, the first most significant.  The selection exponent
+    is alpha_z(zs, X, parameters, out) + _B U, and parameters names the
+    keys of DGPSpec.parameters the family reads.  design_beta is the
+    nominal target the family was designed around: clamping P(R = 0) at 1
+    shifts the realized truth, so oracle_beta is authoritative and the
+    design value serves only the flagged comparison in oracle reports.
     """
 
     draw_u: Callable[[np.random.Generator, np.ndarray], np.ndarray]
     u_one_word: bool
+    u_moment: Callable[..., np.ndarray]
     instrument_probs: tuple[Callable[..., np.ndarray], ...]
     alpha_z: Callable[..., np.ndarray]
-    alpha_u: Callable[..., np.ndarray]
+    design_beta: float
+    parameters: tuple[str, ...] = ()
 
 
 _LAWS: dict[str, _Law] = {
     FAMILY_SINGLE: _Law(
-        _u_single, False, (instrument_prob_single,),
-        lambda zs, X, parameters, out: selection_alpha_z_single(*zs, X, out=out),
-        selection_alpha_u_single,
+        draw_u=_u_single,
+        u_one_word=False,
+        u_moment=lambda a, lo, hi: normal_partial_exp(a, _U_MEAN, _U_SD, lo, hi),
+        instrument_probs=(instrument_prob_single,),
+        alpha_z=lambda zs, X, parameters, out: selection_alpha_z_single(*zs, X, out=out),
+        design_beta=1.8,
     ),
     FAMILY_DUAL: _Law(
-        _u_dual, True,
-        (lambda X, out: _instrument_prob_dual(X, 1, out),
-         lambda X, out: _instrument_prob_dual(X, 2, out)),
-        lambda zs, X, parameters, out: selection_alpha_z_dual(*zs, X, parameters, out=out),
-        selection_alpha_u_dual,
+        draw_u=_u_dual,
+        u_one_word=True,
+        u_moment=uniform_partial_exp,
+        instrument_probs=(lambda X, out: _instrument_prob_dual(X, 1, out),
+                          lambda X, out: _instrument_prob_dual(X, 2, out)),
+        alpha_z=lambda zs, X, parameters, out: selection_alpha_z_dual(*zs, X, parameters,
+                                                                      out=out),
+        design_beta=1.07,
+        parameters=("selection_intercept",),
     ),
 }
+FAMILIES = tuple(_LAWS)
 _LEVELS: dict[str, int] = {family: 2 ** len(law.instrument_probs)
                            for family, law in _LAWS.items()}
 
@@ -309,7 +333,7 @@ def _selection_prob(
     reject_invalid leaves the redraw to the caller.
     """
     p_r0 = law.alpha_z(zs, X, parameters, out)
-    p_r0 += law.alpha_u(u, work)
+    p_r0 += selection_alpha_u(u, work)
     np.exp(p_r0, out=p_r0)
     invalid = p_r0 > 1.0
     if clamp_policy == "as_printed_error":
@@ -352,14 +376,11 @@ def _draw_table_batch(
     return cols, n_invalid
 
 
-def _generate_family(
-    family: str,
-    n: int,
-    seed: int | np.random.SeedSequence,
-    clamp_policy: ClampPolicy,
-    parameters: Mapping[str, float],
-) -> tuple[ObservationTable, LatentRecord]:
-    rng = _rng(seed)
+def generate(spec: DGPSpec, seed: int | np.random.SeedSequence | None = None
+             ) -> tuple[ObservationTable, LatentRecord]:
+    """Draw a table according to a DGPSpec (seed override for harness use)."""
+    n = spec.n
+    rng = _rng(spec.seed if seed is None else seed)
     got: list[tuple[np.ndarray, ...]] = []
     total_invalid = 0
     total_drawn = 0
@@ -370,8 +391,8 @@ def _generate_family(
                 "reject_invalid could not find enough valid draws; the DGP's "
                 "valid region is too small"
             )
-        cols, n_invalid = _draw_table_batch(family, n - have, rng, clamp_policy,
-                                            parameters)
+        cols, n_invalid = _draw_table_batch(spec.family, n - have, rng,
+                                            spec.clamp_policy, spec.parameters)
         total_drawn += n - have
         total_invalid += n_invalid
         got.append(cols)
@@ -383,31 +404,19 @@ def _generate_family(
         X, z, u, y, p_r0 = (np.concatenate(c) for c in zip(*got))
     r = (rng.uniform(size=n) >= p_r0).astype(np.int64)  # R=0 with prob p_r0
     y_masked = np.where(r == 1, y, np.nan)
-    table = ObservationTable.from_arrays(X, z, r, y_masked, L=_LEVELS[family])
+    table = ObservationTable.from_arrays(X, z, r, y_masked, L=_LEVELS[spec.family])
     latent = LatentRecord(
         u=u,
         y_full=y,
         p_r0=p_r0,
         clamp_fraction=total_invalid / total_drawn,
-        n_rejected=total_invalid if clamp_policy == "reject_invalid" else 0,
+        n_rejected=total_invalid if spec.clamp_policy == "reject_invalid" else 0,
     )
     return table, latent
 
 
-def generate(spec: DGPSpec, seed: int | np.random.SeedSequence | None = None
-             ) -> tuple[ObservationTable, LatentRecord]:
-    """Draw a table according to a DGPSpec (seed override for harness use)."""
-    return _generate_family(
-        spec.family,
-        spec.n,
-        spec.seed if seed is None else seed,
-        spec.clamp_policy,
-        spec.parameters,
-    )
-
-
 # --------------------------------------------------------------------------
-# brute-force oracles
+# brute-force oracle
 # --------------------------------------------------------------------------
 
 @dataclass
@@ -599,23 +608,6 @@ def oracle_beta(
         p_missing=tot_n0 / accepted,
         clamp_fraction=invalid / draws,
     )
-
-
-def oracle_missing_quantile(
-    spec: DGPSpec,
-    q: float,
-    draws: int = 10_000_000,
-    seed: int | None = None,
-) -> float:
-    """psi with P(Y >= psi | R = 0) = q, by brute-force draw."""
-    _require_draws(draws)
-    y0 = np.concatenate([  # copies: the next batch draws over y
-        y.copy() for y, _, _ in _oracle_batches(
-            spec.family, draws, _oracle_rng(spec, seed), spec.clamp_policy,
-            spec.parameters,
-        )
-    ])
-    return float(_linear_quantiles(y0, (1.0 - q,))[0])     # np.quantile(y0, 1 - q)
 
 
 # --------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from mivest.oracles import oracle_delta
 from mivest.simulation import (_ORACLE_BATCH, CLAMP_EPS, FAMILY_SINGLE, DGPSpec,
                                GenerationError, _instrument_prob_dual, _oracle_rng,
                                _rng, generate, instrument_prob_single,
-                               selection_alpha_u_single, selection_alpha_z_dual,
+                               selection_alpha_u, selection_alpha_z_dual,
                                selection_alpha_z_single)
 
 
@@ -35,7 +35,7 @@ def const_marg(value):
     return fn
 
 
-def const_ns(pi, rho, mu, pi0, *, pi_marg=None, mu_marg=None, eps_den=1e-6):
+def const_ns(pi, rho, mu, pi0, *, pi_marg=None, mu_marg=None):
     """Nuisance set with per-level constants.
 
     Passing pi_marg or mu_marg pins the marginals directly (direct mode);
@@ -58,7 +58,6 @@ def const_ns(pi, rho, mu, pi0, *, pi_marg=None, mu_marg=None, eps_den=1e-6):
         mu_fn=const_fn(mu),
         pi0=float(pi0),
         mode=mode,
-        eps_den=eps_den,
         **kw,
     )
 
@@ -76,7 +75,7 @@ def g_weights(ns, X, trim="floor"):
                                          np.repeat(np.arange(ns.L), m),
                                          np.zeros(ns.L * m, dtype=int), L=ns.L)
     ev = evaluate_nuisances(ns, table.X)
-    own = _own_level(table, ev.pi, ev.rho, ev.delta_r, ns.pi0, ns.eps_den, trim)
+    own = _own_level(table, ev.pi, ev.rho, ev.delta_r, ns.pi0, trim)
     return ev.rho[:, :m], own.g_diff.reshape(ns.L, m), own
 
 
@@ -185,7 +184,7 @@ def _reference_batch(family, m, rng, clamp_policy, parameters):
         z *= 2
         z += z2
         alpha = selection_alpha_z_dual(z1, z2, X, parameters)
-    alpha += selection_alpha_u_single(u)
+    alpha += selection_alpha_u(u)
     p_r0 = np.exp(alpha)
     y = np.exp(u / 6.0)
     y *= X[:, 0] + X[:, 1]

@@ -24,7 +24,7 @@ NS = const_ns(pi=(0.4, 0.8), rho=(0.5, 0.5), mu=(0.3, 0.9), pi0=0.25,
 def wald_ratio(ns, x):
     """delta(1, x) = delta_y / delta_r at level 1, the floored contrast ratio."""
     ev = evaluate_nuisances(ns, x)
-    den, _ = floor_denominator(ev.delta_r[1], ns.eps_den)
+    den, _ = floor_denominator(ev.delta_r[1])
     return ev.delta_y[1] / den
 
 

@@ -18,10 +18,10 @@ from mivest.general import (_grid_beta, _phi_parts_general, _solve_quantiles,
 from mivest.learners import LearnerConfig
 from mivest.nuisance import fit_mu_component, fit_nuisance_set
 from mivest.oracles import oracle_nuisances
-from mivest.simulation import DGPSpec, generate, oracle_missing_quantile
+from mivest.simulation import DGPSpec, generate
 
 from helpers import (beta_if_general, const_fn, const_ns, g_weights, if_values_general,
-                     one_row_x, small_table)
+                     one_row_x, reference_missing_outcomes, small_table)
 
 SPEC = FunctionalSpec.mean()
 X_ROW = one_row_x()[None, :]
@@ -206,7 +206,8 @@ def test_missing_quantile_against_latent_draw():
     dgp = DGPSpec(family="single_binary_iv", n=6_000, seed=31)
     table, _ = generate(dgp)
     res = solve_functional(table, LearnerConfig(), 0.5, target="missing")
-    ref = oracle_missing_quantile(dgp, 0.5, draws=2_000_000)
+    outcomes, _, _ = reference_missing_outcomes(dgp, 2_000_000)
+    ref = np.quantile(np.concatenate(outcomes), 0.5)
     assert abs(res.psi - ref) < 0.15
 
 

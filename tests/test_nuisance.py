@@ -74,7 +74,7 @@ def test_marginalize_mode_identities(big_fit, dual_fit):
 def test_derived_quantities_on_constants():
     ns = const_ns(pi=(0.4, 0.8), rho=(0.5, 0.5), mu=(0.3, 0.9), pi0=0.25)
     ev = evaluate_nuisances(ns, PROBE[:1])
-    delta = ev.delta_y / floor_denominator(ev.delta_r, ns.eps_den)[0]
+    delta = ev.delta_y / floor_denominator(ev.delta_r)[0]
     assert ev.pi_marg[0] == pytest.approx(0.6)
     assert ev.delta_r[1, 0] == pytest.approx(0.2)
     assert ev.delta_r[0, 0] == pytest.approx(-0.2)
@@ -107,7 +107,7 @@ def test_rho_weighted_response_contrast_cancels(L, seed):
 def test_flat_pi_hits_the_floor():
     ns = const_ns(pi=(0.6, 0.6), rho=(0.5, 0.5), mu=(0.3, 0.5), pi0=0.5)
     ev = evaluate_nuisances(ns, PROBE)
-    den, hits = floor_denominator(ev.delta_r[1], ns.eps_den)
+    den, hits = floor_denominator(ev.delta_r[1])
     vals = ev.delta_y[1] / den
     assert np.all(np.isfinite(vals))
     assert hits.sum() > 0
@@ -115,10 +115,10 @@ def test_flat_pi_hits_the_floor():
 
 def test_floor_denominator_keeps_the_sign():
     vals = np.array([-1e-8, 1e-8, 0.5, 0.0])
-    floored, hits = floor_denominator(vals, 1e-6)
+    floored, hits = floor_denominator(vals)
     assert floored.tolist() == [-1e-6, 1e-6, 0.5, 1e-6]
     assert hits.tolist() == [True, True, False, True]
-    clean, hits = floor_denominator(np.array([0.2, -0.3]), 1e-6)
+    clean, hits = floor_denominator(np.array([0.2, -0.3]))
     assert clean.tolist() == [0.2, -0.3]
     assert not hits.any()
 

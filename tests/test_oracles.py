@@ -8,10 +8,11 @@ from scipy.stats import norm
 from mivest.data import FunctionalSpec
 from mivest.exceptions import ConfigurationError, EstimationError
 from mivest.nuisance import evaluate_nuisances, floor_denominator
-from mivest.oracles import (integrate_unit_square, normal_partial_exp,
-                            oracle_delta, oracle_identified_beta,
-                            oracle_mu, oracle_nuisances, oracle_pi,
-                            oracle_rho, true_p_missing, uniform_partial_exp)
+from mivest.oracles import (integrate_unit_square, oracle_delta, oracle_identified_beta,
+                            oracle_mu, oracle_nuisances, oracle_pi, oracle_rho,
+                            true_p_missing)
+from mivest.simulation import (_LAWS, _LEVELS, FAMILIES, normal_partial_exp,
+                               uniform_partial_exp)
 
 from helpers import identified_beta_by_draws
 
@@ -54,40 +55,41 @@ def test_integrate_unit_square_polynomial_and_exp():
                                                               rel=1e-12)
 
 
-def test_single_family_response_probability_against_mc():
-    rng = np.random.default_rng(100)
-    u = rng.normal(4.0, 0.5, size=2_000_000)
-    for z in (0, 1):
+def _exponent(family, z, row):
+    """A_z(x) of P(R=0 | z, u, x) = min(exp(A_z(x) - u / 4), 1), written
+    out from the family's printed formula."""
+    x1, x2 = row
+    if family == "single_binary_iv":
+        return -(x1 + x2) + z * (x1 + x2 + 1.0)
+    z1, z2 = divmod(z, 2)
+    return 0.25 * (-8.0 + x1 - x2 + z1 * (-1.0 - x1 - x2) + z2 * (8.0 + x1 - x2))
+
+
+def _latent_draws(family, seed):
+    return _LAWS[family].draw_u(np.random.default_rng(seed), np.empty(2_000_000))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_response_probability_against_mc(family):
+    u = _latent_draws(family, 100)
+    for z in range(_LEVELS[family]):
         for row in PROBE:
-            A = -(row[0] + row[1]) + z * (row[0] + row[1] + 1.0)
-            p_r0 = np.minimum(np.exp(A - u / 4.0), 1.0).mean()
-            want = 1.0 - p_r0
-            got = oracle_pi("single_binary_iv", z, row[None, :])[0]
-            assert got == pytest.approx(want, abs=0.002)
+            p_r0 = np.minimum(np.exp(_exponent(family, z, row) - u / 4.0), 1.0).mean()
+            got = oracle_pi(family, z, row[None, :])[0]
+            assert got == pytest.approx(1.0 - p_r0, abs=0.002), (z, row)
 
 
-def test_single_family_mu_against_mc():
-    rng = np.random.default_rng(101)
-    u = rng.normal(4.0, 0.5, size=2_000_000)
-    z, row, psi = 1, PROBE[0], 0.3
-    s = row[0] + row[1]
-    A = -s + z * (s + 1.0)
-    p_r0 = np.minimum(np.exp(A - u / 4.0), 1.0)
-    want = np.mean((1.0 - p_r0) * (s * np.exp(u / 6.0) - psi))
-    got = oracle_mu("single_binary_iv", z, row[None, :], {}, psi)[0]
-    assert got == pytest.approx(want, abs=0.003)
-
-
-def test_dual_family_response_probability_against_mc():
-    rng = np.random.default_rng(102)
-    u = rng.uniform(0.0, 1.0, size=2_000_000)
-    code, row = 2, PROBE[1]
-    z1, z2 = divmod(code, 2)
-    A = 0.25 * (-8.0 + row[0] - row[1] + z1 * (-1.0 - row[0] - row[1])
-                + z2 * (8.0 + row[0] - row[1]))
-    p_r0 = np.minimum(np.exp(A - u / 4.0), 1.0).mean()
-    got = oracle_pi("dual_binary_iv", code, row[None, :])[0]
-    assert got == pytest.approx(1.0 - p_r0, abs=0.002)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_mu_against_mc(family):
+    u = _latent_draws(family, 101)
+    psi = 0.3
+    for z in range(_LEVELS[family]):
+        for row in PROBE:
+            s = row[0] + row[1]
+            p_r0 = np.minimum(np.exp(_exponent(family, z, row) - u / 4.0), 1.0)
+            want = np.mean((1.0 - p_r0) * (s * np.exp(u / 6.0) - psi))
+            got = oracle_mu(family, z, row[None, :], {}, psi)[0]
+            assert got == pytest.approx(want, abs=0.003), (z, row)
 
 
 def test_rho_single_is_the_assignment_model():
@@ -124,7 +126,7 @@ def test_oracle_delta_fn_matches_set_contrast():
     ns = oracle_nuisances("single_binary_iv")
     fn = oracle_delta("single_binary_iv")
     ev = evaluate_nuisances(ns, PROBE)
-    den, _ = floor_denominator(ev.delta_r, ns.eps_den)
+    den, _ = floor_denominator(ev.delta_r)
     for z in (0, 1):
         assert np.allclose(fn(PROBE)[z], ev.delta_y[z] / den[z], atol=1e-12)
 

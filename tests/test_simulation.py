@@ -13,9 +13,8 @@ from mivest.data import FunctionalSpec
 from mivest.exceptions import ConfigurationError, EstimationError
 from mivest.learners import LearnerConfig
 from mivest.simulation import (_CHUNK, _ORACLE_BATCH, DGPSpec, GenerationError,
-                               _placed, _pool_chunksize, _skip, generate, oracle_beta, oracle_missing_quantile, run_monte_carlo,
-                               selection_alpha_u_single,
-                               selection_alpha_z_single)
+                               _placed, _pool_chunksize, _skip, generate, oracle_beta,
+                               run_monte_carlo, selection_alpha_u, selection_alpha_z_single)
 
 from helpers import reference_generate, reference_missing_outcomes
 
@@ -146,7 +145,7 @@ def test_selection_exponent_is_separable():
     # instrument piece times the latent piece
     t, lat = generate(DGPSpec(family="single_binary_iv", n=30_000, seed=6))
     raw = np.exp(selection_alpha_z_single(t.Z, t.X)
-                 + selection_alpha_u_single(lat.u))
+                 + selection_alpha_u(lat.u))
     unclamped = raw < 1.0 - 1e-9
     assert unclamped.mean() > 0.5
     assert np.allclose(lat.p_r0[unclamped], raw[unclamped], rtol=1e-12)
@@ -171,7 +170,8 @@ def test_oracle_quantile_consistency():
     # evaluating the indicator functional at the reported quantile over the
     # same draw stream must return a moment of essentially zero
     spec = DGPSpec(family="single_binary_iv", n=1, seed=8)
-    med = oracle_missing_quantile(spec, 0.5, draws=300_000)
+    outcomes, _, _ = reference_missing_outcomes(spec, 300_000)
+    med = float(np.quantile(np.concatenate(outcomes), 0.5))
     probe = oracle_beta(spec, draws=300_000,
                         functional=FunctionalSpec.quantile(0.5, psi=med))
     assert abs(probe.value) < 1e-4
@@ -232,8 +232,8 @@ GOLDEN_GENERATE = {
 }
 
 # oracle_beta on DGPSpec(family, n=1, seed=5, clamp_policy) with 1.1e6 draws
-# (two batches): value, mc_se, n_missing, clamp_fraction, and the 0.25
-# nonrespondent quantile of oracle_missing_quantile on the same draws
+# (two batches): value, mc_se, n_missing, clamp_fraction, and the 0.75
+# quantile of the R = 0 outcomes of the same draws (reference_missing_outcomes)
 GOLDEN_ORACLE = {
     ("single_binary_iv", "clamp_to_one_minus_eps"):
         (2.0146346565806605, 0.0012300472714668617, 611781, 0.24952727272727274, 2.682111626399427),
@@ -270,7 +270,8 @@ def test_oracle_streams_are_pinned(family, policy):
         value, mc_se, n_missing, clamp_fraction)
     rejected = round(clamp_fraction * draws) if policy == "reject_invalid" else 0
     assert res.p_missing == n_missing / (draws - rejected)
-    assert oracle_missing_quantile(spec, 0.25, draws=draws) == quantile
+    outcomes, _, _ = reference_missing_outcomes(spec, draws)
+    assert float(np.quantile(np.concatenate(outcomes), 0.75)) == quantile
 
 
 POLICIES = ("clamp_to_one_minus_eps", "reject_invalid", "as_printed_error")
@@ -332,8 +333,6 @@ def test_oracle_matches_the_unchunked_draw_step(family, policy, draws):
     mean = s1 / n0
     assert got.value == mean
     assert got.mc_se == float(np.sqrt(max(s2 / n0 - mean * mean, 0.0) / n0))
-    assert oracle_missing_quantile(spec, 0.25, draws=draws) == float(
-        np.quantile(np.concatenate(outcomes), 0.75))
 
 
 @settings(max_examples=200, deadline=None)

@@ -213,3 +213,15 @@ def test_committed_bench_records_share_one_shape():
             for stats in entry["summary"].values():
                 assert set(stats) == summary_keys, where
                 assert 0 <= stats["change_better_pairs"] <= entry["pairs"], where
+
+
+def test_only_the_simulation_module_names_a_family():
+    # a family is one entry of simulation._LAWS; every other module reads
+    # it from there, so a family branch elsewhere fails here
+    family = re.compile(r"FAMILY_SINGLE|FAMILY_DUAL|_binary_iv")
+    hits = [f"{path.name}:{i}: {line.strip()}"
+            for path in sorted((ROOT / "src" / "mivest").glob("*.py"))
+            if path.name != "simulation.py"
+            for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if family.search(line)]
+    assert hits == []
