@@ -232,6 +232,10 @@ def _u_dual(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     return rng.random(out=out)
 
 
+# --------------------------------------------------------------------------
+# U's partial exponential moments (the closed forms in oracles)
+# --------------------------------------------------------------------------
+
 def normal_partial_exp(a: float, mean: float, sd: float,
                        lo: np.ndarray | float, hi: np.ndarray | float) -> np.ndarray:
     """E[e^{aU} 1{lo < U < hi}] for U ~ N(mean, sd^2)."""
@@ -256,6 +260,10 @@ def uniform_partial_exp(a: float, lo: np.ndarray | float,
         return hi_c - lo_c
     return (np.exp(a * hi_c) - np.exp(a * lo_c)) / a
 
+
+# --------------------------------------------------------------------------
+# the family table
+# --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class _Law:
