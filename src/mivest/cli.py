@@ -22,9 +22,10 @@ from .data import validate_table
 from .dataio import (
     REPORT_FORMAT,
     AnalysisConfig,
+    _read_config,
+    config_from_dict,
     ingest_csv,
     ingest_csv_per_instrument,
-    load_config,
     write_report,
 )
 from .exceptions import (
@@ -75,7 +76,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--reps", type=int, default=None)
         p.add_argument("--ci-level", type=float, default=None, dest="ci_level")
         p.add_argument("--trim", choices=("floor", "drop"), default=None)
-        p.add_argument("--winsorize", default=None,
+        p.add_argument("--winsorize", type=_number_or_off, default=None,
                        help="IQR multiple for influence-value clipping, or 'off'")
 
     p = sub.add_parser("estimate", help="nonrespondent and population functionals from a CSV")
@@ -94,7 +95,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("robustness", help="estimator behaviour under corrupted nuisances")
     common(p)
-    p.add_argument("--n", type=int, default=None, help="table size (default 100000)")
+    p.add_argument("--n", type=int, default=100_000, dest="table_n", metavar="N",
+                   help="table size (default 100000)")
 
     p = sub.add_parser("validate", help="table diagnostics for a CSV, no estimation")
     p.add_argument("--config", required=True)
@@ -103,32 +105,41 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _apply_overrides(cfg: AnalysisConfig, args: argparse.Namespace) -> AnalysisConfig:
-    rep: dict[str, Any] = {}
-    if getattr(args, "seed", None) is not None:
-        rep["seed"] = args.seed
-    if getattr(args, "folds", None) is not None:
-        rep["n_folds"] = args.folds
-    if getattr(args, "reps", None) is not None:
-        rep["repetitions"] = args.reps
-    if getattr(args, "ci_level", None) is not None:
-        rep["ci_level"] = args.ci_level
-    if getattr(args, "trim", None) is not None:
-        rep["trim"] = args.trim
-    w = getattr(args, "winsorize", None)
-    if w is not None:
-        if w == "off":
-            rep["winsorize"] = None
-        else:
-            try:
-                rep["winsorize"] = float(w)
-            except ValueError:
-                raise ConfigurationError(f"--winsorize must be a number or 'off', got {w!r}")
-    if not rep:
-        return cfg
-    cfg = dataclasses.replace(cfg, **rep)
-    cfg.validate()
-    return cfg
+def _number_or_off(text: str) -> float | str:
+    try:
+        return text if text == "off" else float(text)
+    except ValueError:  # argparse would reword it; a ConfigurationError passes through
+        raise ConfigurationError(f"--winsorize must be a number or 'off', got {text!r}")
+
+
+# the config key that each override flag sets, by the flag's argparse dest
+_FLAG_KEYS = {
+    "seed": ("estimation", "seed"),
+    "folds": ("estimation", "folds"),
+    "reps": ("estimation", "repetitions"),
+    "ci_level": ("estimation", "ci_level"),
+    "trim": ("estimation", "trim"),
+    "winsorize": ("estimation", "winsorize"),
+    "n": ("simulation", "n"),
+    "replications": ("simulation", "replications"),
+    "draws": ("simulation", "oracle_draws"),
+}
+
+
+def _load_config(args: argparse.Namespace) -> AnalysisConfig:
+    """The config file's document, with each given flag written into its key."""
+    doc = _read_config(args.config)
+    for dest, (section, key) in _FLAG_KEYS.items():
+        value = getattr(args, dest, None)
+        if value is None or not isinstance(doc, dict):
+            continue
+        sec = doc.get(section)
+        if isinstance(sec, dict):
+            sec[key] = value
+        elif sec is None and section != "simulation":
+            # an absent simulation section stays absent, for the command to name
+            doc[section] = {key: value}
+    return config_from_dict(doc)
 
 
 def _require_data(cfg: AnalysisConfig) -> None:
@@ -261,16 +272,12 @@ def cmd_estimate(cfg: AnalysisConfig, args: argparse.Namespace) -> int:
 
 def cmd_simulate(cfg: AnalysisConfig, args: argparse.Namespace) -> int:
     sim = _require_simulation(cfg)
-    n = args.n if args.n is not None else sim.n
-    replications = args.replications if args.replications is not None else sim.replications
-    if replications < 1:    # before the oracle draws its records
-        raise ConfigurationError(f"--replications must be at least 1, got {replications}")
-    dgp = DGPSpec(family=sim.family, n=n, seed=cfg.seed,
+    dgp = DGPSpec(family=sim.family, n=sim.n, seed=cfg.seed,
                   clamp_policy=sim.clamp_policy, parameters=sim.parameters)
     _estimator_label(cfg.estimator, _LEVELS[sim.family])  # simulate reports carry no label
     oracle = oracle_beta(dgp, draws=sim.oracle_draws, functional=cfg.functional)
     mc = run_monte_carlo(
-        dgp, replications, cfg.learner, cfg.functional, oracle.value,
+        dgp, sim.replications, cfg.learner, cfg.functional, oracle.value,
         n_folds=cfg.n_folds, repetitions=cfg.repetitions, ci_level=cfg.ci_level,
         mode=cfg.mode, trim=cfg.trim, winsorize=cfg.winsorize,
         threads=args.threads, master_seed=cfg.seed,
@@ -292,7 +299,8 @@ def cmd_simulate(cfg: AnalysisConfig, args: argparse.Namespace) -> int:
         ("mse", lambda s: s.mse),
         ("coverage", lambda s: s.coverage),
     ]
-    print(f"{sim.family}  n={n}  replications={replications}  oracle={oracle.value:.4f}")
+    print(f"{sim.family}  n={sim.n}  replications={sim.replications}  "
+          f"oracle={oracle.value:.4f}")
     print("  metric    " + "".join(f"{nm:>12}" for nm in names))
     for label, get in rows:
         cells = []
@@ -305,10 +313,9 @@ def cmd_simulate(cfg: AnalysisConfig, args: argparse.Namespace) -> int:
 
 def cmd_oracle(cfg: AnalysisConfig, args: argparse.Namespace) -> int:
     sim = _require_simulation(cfg)
-    draws = args.draws if args.draws is not None else sim.oracle_draws
-    dgp = DGPSpec(family=sim.family, n=max(sim.n, 1), seed=cfg.seed,
+    dgp = DGPSpec(family=sim.family, n=sim.n, seed=cfg.seed,
                   clamp_policy=sim.clamp_policy, parameters=sim.parameters)
-    res = oracle_beta(dgp, draws=draws, functional=cfg.functional)
+    res = oracle_beta(dgp, draws=sim.oracle_draws, functional=cfg.functional)
     reference = _LAWS[sim.family].design_beta
     agrees = abs(res.value - reference) <= DESIGN_TOLERANCE
     report = {
@@ -339,9 +346,8 @@ def cmd_robustness(cfg: AnalysisConfig, args: argparse.Namespace) -> int:
         raise ConfigurationError(
             f"robustness draws and measures under clamp_to_one_minus_eps only; "
             f"simulation.clamp_policy is {sim.clamp_policy!r}")
-    n = args.n if args.n is not None else 100_000
     psi = cfg.functional.psi if cfg.functional.kind == "mean" else 0.0
-    rep = run_robustness(sim.family, n=n, seed=cfg.seed,
+    rep = run_robustness(sim.family, n=args.table_n, seed=cfg.seed,
                          parameters=dict(sim.parameters), psi=psi)
     report = {
         "format": REPORT_FORMAT,
@@ -350,7 +356,7 @@ def cmd_robustness(cfg: AnalysisConfig, args: argparse.Namespace) -> int:
         "robustness": rep.as_dict(),
     }
     _emit(report, args.out)
-    print(f"{sim.family}  n={n}  reference={rep.reference:.5f} "
+    print(f"{sim.family}  n={args.table_n}  reference={rep.reference:.5f} "
           f"(quadrature error {rep.reference_error:.1e})")
     for row in rep.rows:
         ratio = row.abs_bias / row.mc_se if row.mc_se > 0 else float("inf")
@@ -396,7 +402,7 @@ def main(argv: list[str] | None = None) -> int:
         threads = getattr(args, "threads", 1)
         if threads < 1:
             raise ConfigurationError(f"--threads must be at least 1, got {threads}")
-        cfg = _apply_overrides(load_config(args.config), args)
+        cfg = _load_config(args)
         return _COMMANDS[args.command](cfg, args)
     except DataContractError as e:
         print(f"data error: {e}", file=sys.stderr)

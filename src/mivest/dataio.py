@@ -1,10 +1,14 @@
 """CSV ingestion, configuration documents, and report serialization.
 
 The configuration file is YAML with a versioned format tag so stale
-documents fail loudly instead of being silently reinterpreted.  Reports
-are JSON with sorted keys and no timestamps: two runs with the same seeds
-must produce byte-identical files, so execution-topology knobs (thread
-count, output path) never enter the report body.
+documents fail loudly instead of being silently reinterpreted.  Each of
+its sections has one key table (_DATA_KEYS, _FUNCTIONAL_KEYS,
+_ESTIMATION_KEYS, _LEARNER_KEYS, _SIMULATION_KEYS): config_from_dict
+parses a document with them, and the reports' config echo is written from
+them; the defaults live in the dataclasses alone.  Reports are JSON with
+sorted keys and no timestamps: two runs with the same seeds must produce
+byte-identical files, so execution-topology knobs (thread count, output
+path) never enter the report body.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import json
 import operator
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 import yaml
@@ -28,12 +32,6 @@ from .learners import LearnerConfig
 
 CONFIG_FORMAT = "mivest-config/1"
 REPORT_FORMAT = "mivest-report/1"
-
-# A column with more distinct values than this is treated as continuous and
-# quartile-binned; at or below it the sorted values become the level codes
-# directly.  10 keeps small integer codes (survey scales, prior encodings)
-# intact while catching genuinely continuous columns.
-DEFAULT_MAX_LEVELS = 10
 
 
 # --------------------------------------------------------------------------
@@ -52,22 +50,13 @@ class SimulationSection:
     oracle_draws: int = 10_000_000
 
     def __post_init__(self) -> None:
-        if self.replications < 1:
-            raise ConfigurationError(
-                f"simulation.replications must be at least 1, got {self.replications}")
-        if self.oracle_draws < 1:
-            raise ConfigurationError(
-                f"simulation.oracle_draws must be at least 1, got {self.oracle_draws}")
+        for name in ("n", "replications", "oracle_draws"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(
+                    f"simulation.{name} must be at least 1, got {getattr(self, name)}")
 
     def as_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "n": self.n,
-            "replications": self.replications,
-            "clamp_policy": self.clamp_policy,
-            "parameters": dict(self.parameters),
-            "oracle_draws": self.oracle_draws,
-        }
+        return _echo(self, _SIMULATION_KEYS)
 
 
 @dataclass(frozen=True)
@@ -87,7 +76,11 @@ class AnalysisConfig:
     instruments: tuple[str, ...] = ()
     covariates: tuple[str, ...] = ()
     instrument_bins: int = 4
-    instrument_max_levels: int = DEFAULT_MAX_LEVELS
+    # A column with more distinct values than this is treated as continuous
+    # and quartile-binned; at or below it the sorted values become the level
+    # codes directly.  10 keeps small integer codes (survey scales, prior
+    # encodings) intact while catching genuinely continuous columns.
+    instrument_max_levels: int = 10
     instrument_mode: str = "product"
     strict_outcome: bool = True
     functional: FunctionalSpec = field(default_factory=FunctionalSpec.mean)
@@ -108,29 +101,28 @@ class AnalysisConfig:
         roles = (self.outcome, self.response, self.instruments, self.covariates)
         return roles != (None, None, (), ())
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.has_data:
             self._validate_roles()
+        for name, allowed in (("instrument_mode", ("product", "separate")),
+                              ("estimator", ("auto", "binary", "general")),
+                              ("mode", ("marginalize", "direct")),
+                              ("trim", ("floor", "drop"))):
+            if getattr(self, name) not in allowed:
+                raise ConfigurationError(
+                    f"{name} must be {'|'.join(allowed)}, got {getattr(self, name)!r}")
         if self.instrument_bins < 2:
             raise ConfigurationError("instrument_bins must be at least 2")
-        if self.instrument_mode not in ("product", "separate"):
-            raise ConfigurationError(
-                f"instrument_mode must be 'product' or 'separate', got {self.instrument_mode!r}"
-            )
         if self.functional.kind == "custom":
             raise ConfigurationError("config files can express mean or quantile functionals only")
-        if self.estimator not in ("auto", "binary", "general"):
-            raise ConfigurationError(f"estimator must be auto|binary|general, got {self.estimator!r}")
-        if self.mode not in ("marginalize", "direct"):
-            raise ConfigurationError(f"mode must be marginalize|direct, got {self.mode!r}")
         if self.n_folds < 2:
             raise ConfigurationError("folds must be at least 2")
         if self.repetitions < 1:
             raise ConfigurationError("repetitions must be at least 1")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be a non-negative integer, got {self.seed}")
         if not 0.0 < self.ci_level < 1.0:
             raise ConfigurationError("ci_level must lie in (0, 1)")
-        if self.trim not in ("floor", "drop"):
-            raise ConfigurationError(f"trim must be floor|drop, got {self.trim!r}")
         if self.winsorize is not None and not 0 < self.winsorize < np.inf:
             raise ConfigurationError(
                 f"winsorize must be finite and positive (an IQR multiple) or off, "
@@ -150,82 +142,133 @@ class AnalysisConfig:
             raise ConfigurationError("at least one covariate column is required")
 
     def as_dict(self) -> dict:
-        f: dict[str, Any] = {"kind": self.functional.kind, "psi": self.functional.psi}
-        if self.functional.kind == "quantile":
-            f["q"] = self.functional.q
+        """The config document that rebuilds this config: the report's echo."""
+        functional = _echo(self.functional, _FUNCTIONAL_KEYS)
         out: dict[str, Any] = {
             "format": CONFIG_FORMAT,
-            "functional": f,
-            "estimation": {
-                "estimator": self.estimator,
-                "mode": self.mode,
-                "folds": self.n_folds,
-                "repetitions": self.repetitions,
-                "seed": self.seed,
-                "ci_level": self.ci_level,
-                "trim": self.trim,
-                "winsorize": self.winsorize,
-            },
-            "learner": {
-                "basis_df": self.learner.basis_df,
-                "ridge_lambda": self.learner.ridge_lambda,
-                "max_irls_iter": self.learner.max_irls_iter,
-                "irls_tol": self.learner.irls_tol,
-            },
+            # q is left out where unset, as a mean functional leaves it
+            "functional": {k: v for k, v in functional.items() if v is not None},
+            "estimation": _echo(self, _ESTIMATION_KEYS),
+            "learner": _echo(self.learner, _LEARNER_KEYS),
         }
         if self.has_data:
-            out["data"] = {
-                "outcome": self.outcome,
-                "response": self.response,
-                "instruments": list(self.instruments),
-                "covariates": list(self.covariates),
-                "instrument_bins": self.instrument_bins,
-                "instrument_max_levels": self.instrument_max_levels,
-                "instrument_mode": self.instrument_mode,
-                "strict_outcome": self.strict_outcome,
-            }
+            out["data"] = _echo(self, _DATA_KEYS)
         if self.simulation is not None:
             out["simulation"] = self.simulation.as_dict()
         return out
 
 
-def _known_keys(section: str, given: Mapping, allowed: Sequence[str]) -> None:
-    unknown = sorted(set(given) - set(allowed))
-    if unknown:
-        raise ConfigurationError(f"unknown keys in {section!r} section: {unknown}")
+# One key table per config section.  A _Key names the dataclass field its
+# YAML key sets and how the value is read: a tuple of accepted types (bool
+# only where listed; the first type converts the value) or a parser called
+# as parser(value, "section.key").  A key the document leaves out takes its
+# field's default, unless it is required.  config_from_dict reads these
+# tables to parse a document and the as_dict methods to echo one.
 
 
-def _get(section: Mapping, key: str, default: Any, types: tuple, label: str) -> Any:
-    val = section.get(key, default)
-    if val is default:
-        return default
-    if not isinstance(val, types) or isinstance(val, bool) and bool not in types:
-        raise ConfigurationError(f"{label}.{key} has the wrong type: {val!r}")
-    return val
+class _Key(NamedTuple):
+    field: str
+    read: tuple | Callable[[Any, str], Any]
+    required: bool = False
 
 
-def _parse_winsorize(raw: Any) -> float | None:
+def _typed(raw: Any, types: tuple, label: str) -> Any:
+    """raw converted by the first of types, if it is one of them (bool only if listed)."""
+    if isinstance(raw, types) and (bool in types or not isinstance(raw, bool)):
+        return types[0](raw)
+    raise ConfigurationError(f"{label} has the wrong type: {raw!r}")
+
+
+def _columns(raw: Any, label: str) -> tuple[str, ...]:
+    if isinstance(raw, (list, tuple)) and all(isinstance(c, str) for c in raw):
+        return tuple(raw)
+    raise ConfigurationError(f"{label} must be a list of column names")
+
+
+def _winsorize(raw: Any, label: str) -> float | None:
     # YAML 1.1 reads the documented literal "off" as boolean False
-    if raw is None or raw is False or raw == "off":
-        return None
-    if isinstance(raw, bool):
-        raise ConfigurationError("winsorize must be a positive number or off")
-    if isinstance(raw, (int, float)):
-        return float(raw)
-    raise ConfigurationError(f"winsorize must be a positive number or off, got {raw!r}")
+    off = raw is None or raw is False or raw == "off"
+    return None if off else _typed(raw, (float, int), label)
 
 
-def _str_list(section: Mapping, key: str, label: str, required: bool) -> tuple[str, ...]:
-    raw = section.get(key)
-    if raw is None:
-        if required:
-            raise ConfigurationError(f"{label}.{key} is required")
-        return ()
-    if isinstance(raw, str):
-        raise ConfigurationError(f"{label}.{key} must be a list of column names")
-    if not isinstance(raw, (list, tuple)) or not all(isinstance(c, str) for c in raw):
-        raise ConfigurationError(f"{label}.{key} must be a list of column names")
-    return tuple(raw)
+def _parameters(raw: Any, label: str) -> dict[str, float]:
+    raw = raw or {}     # "parameters:" with nothing under it sets none
+    if not isinstance(raw, Mapping):
+        raise ConfigurationError(f"{label} must be a mapping")
+    return {str(k): _typed(v, (float, int), f"{label}.{k}") for k, v in raw.items()}
+
+
+_DATA_KEYS = {
+    "outcome": _Key("outcome", (str,), required=True),
+    "response": _Key("response", (str,), required=True),
+    "instruments": _Key("instruments", _columns, required=True),
+    "covariates": _Key("covariates", _columns, required=True),
+    "instrument_bins": _Key("instrument_bins", (int,)),
+    "instrument_max_levels": _Key("instrument_max_levels", (int,)),
+    "instrument_mode": _Key("instrument_mode", (str,)),
+    "strict_outcome": _Key("strict_outcome", (bool,)),
+}
+_FUNCTIONAL_KEYS = {
+    "kind": _Key("kind", (str,)),
+    "psi": _Key("psi", (float, int)),
+    "q": _Key("q", (float, int)),
+}
+_ESTIMATION_KEYS = {
+    "estimator": _Key("estimator", (str,)),
+    "mode": _Key("mode", (str,)),
+    "folds": _Key("n_folds", (int,)),
+    "repetitions": _Key("repetitions", (int,)),
+    "seed": _Key("seed", (int,)),
+    "ci_level": _Key("ci_level", (float, int)),
+    "trim": _Key("trim", (str,)),
+    "winsorize": _Key("winsorize", _winsorize),
+}
+_LEARNER_KEYS = {
+    "basis_df": _Key("basis_df", (int,)),
+    "ridge_lambda": _Key("ridge_lambda", (float, int)),
+    "max_irls_iter": _Key("max_irls_iter", (int,)),
+    "irls_tol": _Key("irls_tol", (float, int)),
+}
+_SIMULATION_KEYS = {
+    "family": _Key("family", (str,), required=True),
+    "n": _Key("n", (int,)),
+    "replications": _Key("replications", (int,)),
+    "clamp_policy": _Key("clamp_policy", (str,)),
+    "parameters": _Key("parameters", _parameters),
+    "oracle_draws": _Key("oracle_draws", (int,)),
+}
+_SECTIONS = {"data": _DATA_KEYS, "functional": _FUNCTIONAL_KEYS,
+             "estimation": _ESTIMATION_KEYS, "learner": _LEARNER_KEYS,
+             "simulation": _SIMULATION_KEYS}
+
+
+def _section(doc: Mapping, name: str) -> dict[str, Any]:
+    """The field values that section `name` of doc sets, none if it is absent."""
+    sec = doc.get(name)
+    if sec is None:
+        return {}
+    if not isinstance(sec, Mapping):
+        raise ConfigurationError(f"'{name}' section must be a mapping")
+    table = _SECTIONS[name]
+    unknown = sorted(set(sec) - set(table))
+    if unknown:
+        raise ConfigurationError(f"unknown keys in {name!r} section: {unknown}")
+    values: dict[str, Any] = {}
+    for key, (fname, read, required) in table.items():
+        label = f"{name}.{key}"
+        if key in sec:
+            raw = sec[key]
+            values[fname] = read(raw, label) if callable(read) else _typed(raw, read, label)
+        elif required:
+            raise ConfigurationError(f"{label} is required")
+    return values
+
+
+def _echo(obj: Any, table: Mapping[str, _Key]) -> dict:
+    """The YAML section that sets obj's fields as they are."""
+    values = {key: getattr(obj, entry.field) for key, entry in table.items()}
+    return {key: list(v) if isinstance(v, tuple) else dict(v) if isinstance(v, Mapping) else v
+            for key, v in values.items()}
 
 
 def config_from_dict(doc: Mapping) -> AnalysisConfig:
@@ -237,117 +280,31 @@ def config_from_dict(doc: Mapping) -> AnalysisConfig:
         raise ConfigurationError(
             f"missing or unsupported format tag {tag!r}; expected {CONFIG_FORMAT!r}"
         )
-    _known_keys("top-level", doc, ["format", "data", "functional", "estimation",
-                                   "learner", "simulation"])
-
-    data = doc.get("data")
-    columns: dict[str, Any] = {}
-    if data is not None:
-        if not isinstance(data, Mapping):
-            raise ConfigurationError("'data' section must be a mapping")
-        _known_keys("data", data, ["outcome", "response", "instruments", "covariates",
-                                   "instrument_bins", "instrument_max_levels",
-                                   "instrument_mode", "strict_outcome"])
-        if not isinstance(data.get("outcome"), str):
-            raise ConfigurationError("data.outcome must name exactly one column")
-        if not isinstance(data.get("response"), str):
-            raise ConfigurationError("data.response must name exactly one column")
-        columns = dict(
-            outcome=data["outcome"],
-            response=data["response"],
-            instruments=_str_list(data, "instruments", "data", required=True),
-            covariates=_str_list(data, "covariates", "data", required=True),
-            instrument_bins=int(_get(data, "instrument_bins", 4, (int,), "data")),
-            instrument_max_levels=int(_get(data, "instrument_max_levels",
-                                           DEFAULT_MAX_LEVELS, (int,), "data")),
-            instrument_mode=_get(data, "instrument_mode", "product", (str,), "data"),
-            strict_outcome=bool(_get(data, "strict_outcome", True, (bool,), "data")),
-        )
-
-    fsec = doc.get("functional") or {}
-    if not isinstance(fsec, Mapping):
-        raise ConfigurationError("'functional' section must be a mapping")
-    _known_keys("functional", fsec, ["kind", "psi", "q"])
-    kind = _get(fsec, "kind", "mean", (str,), "functional")
-    psi = float(_get(fsec, "psi", 0.0, (int, float), "functional"))
-    if kind == "mean":
-        functional = FunctionalSpec.mean(psi)
-    elif kind == "quantile":
-        qraw = fsec.get("q")
-        if not isinstance(qraw, (int, float)) or isinstance(qraw, bool):
-            raise ConfigurationError("functional.q is required for the quantile kind")
-        functional = FunctionalSpec.quantile(float(qraw), psi=psi)
-    else:
-        raise ConfigurationError(f"functional.kind must be mean|quantile, got {kind!r}")
-
-    esec = doc.get("estimation") or {}
-    if not isinstance(esec, Mapping):
-        raise ConfigurationError("'estimation' section must be a mapping")
-    _known_keys("estimation", esec, ["estimator", "mode", "folds", "repetitions",
-                                     "seed", "ci_level", "trim", "winsorize"])
-
-    lsec = doc.get("learner") or {}
-    if not isinstance(lsec, Mapping):
-        raise ConfigurationError("'learner' section must be a mapping")
-    _known_keys("learner", lsec, ["basis_df", "ridge_lambda", "max_irls_iter", "irls_tol"])
-    learner = LearnerConfig(
-        basis_df=int(_get(lsec, "basis_df", 4, (int,), "learner")),
-        ridge_lambda=float(_get(lsec, "ridge_lambda", 1e-3, (int, float), "learner")),
-        max_irls_iter=int(_get(lsec, "max_irls_iter", 100, (int,), "learner")),
-        irls_tol=float(_get(lsec, "irls_tol", 1e-8, (int, float), "learner")),
-    )
-
-    simulation: SimulationSection | None = None
-    ssec = doc.get("simulation")
-    if ssec is not None:
-        if not isinstance(ssec, Mapping):
-            raise ConfigurationError("'simulation' section must be a mapping")
-        _known_keys("simulation", ssec, ["family", "n", "replications", "clamp_policy",
-                                         "parameters", "oracle_draws"])
-        family = ssec.get("family")
-        if not isinstance(family, str):
-            raise ConfigurationError("simulation.family is required")
-        params = ssec.get("parameters") or {}
-        if not isinstance(params, Mapping):
-            raise ConfigurationError("simulation.parameters must be a mapping")
-        simulation = SimulationSection(
-            family=family,
-            n=int(_get(ssec, "n", 1000, (int,), "simulation")),
-            replications=int(_get(ssec, "replications", 100, (int,), "simulation")),
-            clamp_policy=_get(ssec, "clamp_policy", "clamp_to_one_minus_eps",
-                              (str,), "simulation"),
-            parameters={str(k): float(v) for k, v in params.items()},
-            oracle_draws=int(_get(ssec, "oracle_draws", 10_000_000, (int,), "simulation")),
-        )
-
-    cfg = AnalysisConfig(
-        **columns,
-        functional=functional,
-        learner=learner,
-        estimator=_get(esec, "estimator", "auto", (str,), "estimation"),
-        mode=_get(esec, "mode", "marginalize", (str,), "estimation"),
-        n_folds=int(_get(esec, "folds", 5, (int,), "estimation")),
-        repetitions=int(_get(esec, "repetitions", 11, (int,), "estimation")),
-        seed=int(_get(esec, "seed", 1, (int,), "estimation")),
-        ci_level=float(_get(esec, "ci_level", 0.95, (int, float), "estimation")),
-        trim=_get(esec, "trim", "floor", (str,), "estimation"),
-        winsorize=_parse_winsorize(esec.get("winsorize")),
-        simulation=simulation,
-    )
-    cfg.validate()
-    return cfg
+    unknown = sorted(set(doc) - {"format", *_SECTIONS})
+    if unknown:
+        raise ConfigurationError(f"unknown keys in 'top-level' section: {unknown}")
+    data, functional, estimation, learner, simulation = (
+        _section(doc, name) for name in _SECTIONS)
+    return AnalysisConfig(
+        **data, **estimation, functional=FunctionalSpec(**functional),
+        learner=LearnerConfig(**learner),
+        simulation=None if doc.get("simulation") is None else SimulationSection(**simulation))
 
 
-def load_config(path: str | Path) -> AnalysisConfig:
+def _read_config(path: str | Path) -> Any:
+    """The parsed YAML document of a config file."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise ConfigurationError(f"cannot read config file {path}: {e}") from e
     try:
-        doc = yaml.safe_load(text)
+        return yaml.safe_load(text)
     except yaml.YAMLError as e:
         raise ConfigurationError(f"config file {path} is not valid YAML: {e}") from e
-    return config_from_dict(doc)
+
+
+def load_config(path: str | Path) -> AnalysisConfig:
+    return config_from_dict(_read_config(path))
 
 
 # --------------------------------------------------------------------------

@@ -13,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mivest.cli import main
-from mivest.dataio import (AnalysisConfig, SimulationSection, _fmt_rows,
+from mivest.dataio import (_SECTIONS, AnalysisConfig, SimulationSection, _fmt_rows,
                            _parse_numeric_column, config_from_dict, ingest_csv,
                            load_config, report_json, write_table_csv)
+from mivest.learners import LearnerConfig
 from mivest.data import FunctionalSpec
 from mivest.exceptions import ConfigurationError, DataContractError, MivestError
 from mivest.simulation import DGPSpec, generate
@@ -67,6 +68,99 @@ def test_config_roundtrip():
         simulation=SimulationSection(family="dual_binary_iv", n=500))
     again = config_from_dict(cfg.as_dict())
     assert again == cfg
+
+
+@pytest.mark.parametrize("cls, sections, unset", [
+    (AnalysisConfig, ["data", "estimation"], {"functional", "learner", "simulation"}),
+    (FunctionalSpec, ["functional"], {"h"}),
+    (LearnerConfig, ["learner"], set()),
+    (SimulationSection, ["simulation"], set()),
+])
+def test_each_config_field_is_set_by_exactly_one_table_key(cls, sections, unset):
+    # the key tables parse and echo the documents; a field that no key
+    # sets, or that two keys set, would drift from the dataclass
+    set_by = sorted(entry.field for name in sections for entry in _SECTIONS[name].values())
+    assert set_by == sorted(f.name for f in dataclasses.fields(cls) if f.name not in unset)
+
+
+def test_a_config_with_every_key_changed_survives_its_echo():
+    doc = {
+        "format": "mivest-config/1",
+        "data": {"outcome": "out", "response": "resp", "instruments": ["z1", "z2"],
+                 "covariates": ["age"], "instrument_bins": 3, "instrument_max_levels": 7,
+                 "instrument_mode": "separate", "strict_outcome": False},
+        "functional": {"kind": "quantile", "psi": 0.5, "q": 0.3},
+        "estimation": {"estimator": "general", "mode": "direct", "folds": 4,
+                       "repetitions": 3, "seed": 9, "ci_level": 0.9, "trim": "drop",
+                       "winsorize": 4.5},
+        "learner": {"basis_df": 3, "ridge_lambda": 0.01, "max_irls_iter": 50,
+                    "irls_tol": 1e-6},
+        "simulation": {"family": "dual_binary_iv", "n": 500, "replications": 7,
+                       "clamp_policy": "reject_invalid",
+                       "parameters": {"selection_intercept": -6.0}, "oracle_draws": 12345},
+    }
+    cfg = config_from_dict(doc)
+    defaults = {"data": AnalysisConfig(), "estimation": AnalysisConfig(),
+                "functional": FunctionalSpec(), "learner": LearnerConfig(),
+                "simulation": SimulationSection(family="single_binary_iv")}
+    parsed = {"data": cfg, "estimation": cfg, "functional": cfg.functional,
+              "learner": cfg.learner, "simulation": cfg.simulation}
+    for name, table in _SECTIONS.items():
+        assert set(doc[name]) == set(table), name
+        for key, entry in table.items():
+            value = getattr(parsed[name], entry.field)
+            assert value != getattr(defaults[name], entry.field), f"{name}.{key}"
+    assert cfg.as_dict() == doc
+    assert config_from_dict(cfg.as_dict()) == cfg
+
+
+@pytest.mark.parametrize("command", ["estimate", "oracle"])
+@pytest.mark.parametrize("where", ["key", "flag"])
+def test_a_negative_seed_is_a_configuration_error(tmp_path, survey_csv, capsys,
+                                                  monkeypatch, command, where):
+    import mivest.cli
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(mivest.cli, "oracle_beta", no_draws)
+    monkeypatch.setattr(mivest.cli, "crossfit_beta", no_draws)
+    doc = make_doc(simulation={"family": "dual_binary_iv"})
+    flags = ["--seed", "-3"] if where == "flag" else []
+    if where == "key":
+        doc["estimation"]["seed"] = -1
+    if command == "estimate":
+        flags += ["--data", survey_csv]
+    out = tmp_path / "o.json"
+    assert main([command, "--config", write_yaml(tmp_path / "cfg.yaml", doc),
+                 "--out", str(out), *flags]) == 4
+    seed = -3 if where == "flag" else -1
+    assert (f"configuration error: seed must be a non-negative integer, got {seed}"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sim, message", [
+    ({"parameters": {"selection_intercept": "abc"}},
+     "simulation.parameters.selection_intercept has the wrong type: 'abc'"),
+    ({"parameters": {"selection_intercept": [1.0]}},
+     "simulation.parameters.selection_intercept has the wrong type: [1.0]"),
+    ({"parameters": {"selection_intercept": True}},
+     "simulation.parameters.selection_intercept has the wrong type: True"),
+    ({"n": 0}, "simulation.n must be at least 1, got 0"),
+    ({"n": -4}, "simulation.n must be at least 1, got -4"),
+], ids=["string", "list", "bool", "n-zero", "n-negative"])
+def test_simulation_values_are_checked_when_the_config_is_parsed(tmp_path, capsys, sim,
+                                                                 message):
+    doc = make_doc(simulation={"family": "dual_binary_iv", "oracle_draws": 100_000, **sim})
+    with pytest.raises(ConfigurationError) as excinfo:
+        config_from_dict(doc)
+    assert str(excinfo.value) == message
+    out = tmp_path / "o.json"
+    assert main(["oracle", "--config", write_yaml(tmp_path / "cfg.yaml", doc),
+                 "--out", str(out)]) == 4
+    assert f"configuration error: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_requires_format_tag():
@@ -1090,6 +1184,45 @@ def test_simulate_command(tmp_path, capsys):
     assert mc["replications"] == 2
     assert "if" in mc["estimators"]
     assert report["oracle"]["draws"] == 200_000
+
+
+@pytest.mark.parametrize("argv, sim", [
+    (["simulate", "--n", "250", "--replications", "3"],
+     {"n": 250, "replications": 3}),
+    (["oracle", "--draws", "100000"], {"oracle_draws": 100_000}),
+], ids=["simulate", "oracle"])
+def test_the_config_echo_reproduces_the_run(tmp_path, capsys, argv, sim):
+    # the flags are keys of the config document, so the report's config
+    # echoes the values that ran and rebuilds the config that ran
+    doc = make_doc(simulation={"family": "single_binary_iv", "n": 300,
+                               "replications": 2, "oracle_draws": 200_000})
+    out = tmp_path / "r.json"
+    assert main([argv[0], "--config", write_yaml(tmp_path / "cfg.yaml", doc),
+                 "--out", str(out), *argv[1:]]) == 0
+    capsys.readouterr()
+    report = json.loads(out.read_text())
+    echo = report["config"]["simulation"]
+    assert echo["oracle_draws"] == report["oracle"]["draws"]
+    if "monte_carlo" in report:
+        assert echo["n"] == report["monte_carlo"]["n"]
+        assert echo["replications"] == report["monte_carlo"]["replications"]
+    ran = make_doc(simulation={**doc["simulation"], **sim})
+    assert config_from_dict(report["config"]) == config_from_dict(ran)
+    assert {k: echo[k] for k in sim} == sim
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n", "250"],
+    ["simulate", "--replications", "3"],
+    ["oracle", "--draws", "100000"],
+], ids=["n", "replications", "draws"])
+def test_a_simulation_flag_does_not_make_a_simulation_section(tmp_path, capsys, argv):
+    out = tmp_path / "r.json"
+    assert main([argv[0], "--config", write_yaml(tmp_path / "cfg.yaml", make_doc()),
+                 "--out", str(out), *argv[1:]]) == 4
+    assert ("configuration error: this command needs a 'simulation' section in the config"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_oracle_command_flags_the_single_family_gap(tmp_path, capsys):

@@ -185,6 +185,28 @@ def test_readme_quickstart_runs(tmp_path):
         assert proc.returncode == 0, proc.stderr
 
 
+def test_readme_config_and_commands_parse():
+    # the README's config block is a valid document, and each `mivest ...`
+    # line of its command blocks parses with the CLI's own parser
+    import yaml
+
+    from mivest.cli import _build_parser
+    from mivest.dataio import config_from_dict
+
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```(\w*)\n(.*?)^```$", text, flags=re.S | re.M)
+    configs = [body for lang, body in blocks if lang == "yaml"]
+    assert configs
+    for block in configs:
+        config_from_dict(yaml.safe_load(block))
+    commands = [line.split()[1:] for lang, body in blocks if not lang
+                for line in body.splitlines() if line.startswith("mivest ")]
+    assert len(commands) >= 7
+    parser = _build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
+
+
 def test_committed_bench_records_share_one_shape():
     # every BENCH_*.json records the change, the harness and the machine,
     # and per workload the parent's and the change's result lines of the
