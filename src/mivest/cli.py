@@ -36,16 +36,8 @@ from .exceptions import (
     MivestError,
     _tally_messages,
 )
-# solve_functional, likewise, is bound here only for the tracer; `estimate`
-# roots both quantile reports from one grid pass.
-from .general import _solve_quantiles, solve_functional  # noqa: F401
-from .simulation import (
-    _LAWS,
-    _LEVELS,
-    DGPSpec,
-    oracle_beta,
-    run_monte_carlo,
-)
+from .general import solve_functional
+from .simulation import _LAWS, DGPSpec, oracle_beta, run_monte_carlo
 
 DESIGN_TOLERANCE = 0.05
 
@@ -184,23 +176,11 @@ def _print_fit_warnings(fit_warnings: list[dict], prefix: str = "") -> None:
         print(f"warning: {prefix}{w['message']} (raised {w['count']} times)", file=sys.stderr)
 
 
-def _estimator_label(estimator: str, L: int) -> str:
-    """The mean reports' estimator label: "binary" at L = 2 under "auto".
-
-    One influence function serves every L, so the label selects no code;
-    "binary" on an instrument with L != 2 is a configuration error.
-    """
-    if estimator == "auto":
-        return "binary" if L == 2 else "general"
-    if estimator == "binary" and L != 2:
-        raise ConfigurationError("binary estimator requires a two-level instrument")
-    return estimator
-
-
 def _estimate_results(table, cfg: AnalysisConfig) -> dict:
     """Point estimates for one table: nonrespondent target plus population."""
-    label = _estimator_label(cfg.estimator, table.L)
     if cfg.functional.kind == "mean":
+        # one influence function serves every L; the label only names L = 2
+        label = "binary" if table.L == 2 else "general"
         missing, population = crossfit_beta(
             table, cfg.functional, cfg.learner,
             n_folds=cfg.n_folds, repetitions=cfg.repetitions, seed=cfg.seed,
@@ -210,16 +190,12 @@ def _estimate_results(table, cfg: AnalysisConfig) -> dict:
         return {"missing_mean": {**missing.as_dict(), "estimator": label},
                 "population_mean": {**population.as_dict(), "estimator": label}}
     q = cfg.functional.q
-    missing, population = _solve_quantiles(
-        table, cfg.learner, q, ("missing", "population"),
-        mode=cfg.mode, trim=cfg.trim, winsorize=cfg.winsorize,
+    missing, population = solve_functional(
+        table, cfg.learner, q, mode=cfg.mode, trim=cfg.trim, winsorize=cfg.winsorize,
     )
     return {
-        "missing_quantile": {"q": q, "psi": missing.psi,
-                             "iterations": missing.iterations,
-                             "bracket": list(missing.bracket)},
+        "missing_quantile": {"q": q, "psi": missing.psi, "bracket": list(missing.bracket)},
         "population_quantile": {"q": q, "psi": population.psi,
-                                "iterations": population.iterations,
                                 "bracket": list(population.bracket)},
     }
 
@@ -274,7 +250,6 @@ def cmd_simulate(cfg: AnalysisConfig, args: argparse.Namespace) -> int:
     sim = _require_simulation(cfg)
     dgp = DGPSpec(family=sim.family, n=sim.n, seed=cfg.seed,
                   clamp_policy=sim.clamp_policy, parameters=sim.parameters)
-    _estimator_label(cfg.estimator, _LEVELS[sim.family])  # simulate reports carry no label
     oracle = oracle_beta(dgp, draws=sim.oracle_draws, functional=cfg.functional)
     mc = run_monte_carlo(
         dgp, sim.replications, cfg.learner, cfg.functional, oracle.value,

@@ -54,7 +54,6 @@ def corrupt_nuisance(
     components: Iterable[str],
     *,
     logit_delta: float = LOGIT_SHIFT,
-    level_delta: float = LEVEL_SHIFT,
 ) -> NuisanceSet:
     """A new nuisance set with the named components perturbed.
 
@@ -79,7 +78,7 @@ def corrupt_nuisance(
 
         overrides["rho_fn"] = rho_corrupt
     if "mu_z" in comps:
-        level_shift = level_delta * (1.0 + np.arange(ns.L))[:, None]
+        level_shift = LEVEL_SHIFT * (1.0 + np.arange(ns.L))[:, None]
         overrides["mu_fn"] = lambda X: np.asarray(base_mu(X), dtype=float) + level_shift
     return replace(ns, **overrides)
 
@@ -345,7 +344,6 @@ def run_robustness(
     seed: int = 11,
     parameters: Mapping[str, float] | None = None,
     psi: float = 0.0,
-    scenarios: list[Scenario] | None = None,
 ) -> RobustnessReport:
     """Evaluate the influence-function estimator under each scenario.
 
@@ -357,9 +355,8 @@ def run_robustness(
     params = dict(parameters or {})
     dgp = DGPSpec(family=family, n=n, seed=seed, parameters=params)  # checks the keys
     spec = FunctionalSpec.mean(psi)
-    if scenarios is None:
-        scenarios = (binary_scenarios(family, params, psi) if _LEVELS[family] == 2
-                     else general_scenarios(family, params, psi))
+    scenarios = (binary_scenarios(family, params, psi) if _LEVELS[family] == 2
+                 else general_scenarios(family, params, psi))
     ref, ref_err = oracle_identified_beta(family, params, psi=psi)
     table, _ = generate(dgp)
     report = RobustnessReport(family=family, n=n, seed=seed,

@@ -85,7 +85,6 @@ class AnalysisConfig:
     strict_outcome: bool = True
     functional: FunctionalSpec = field(default_factory=FunctionalSpec.mean)
     learner: LearnerConfig = field(default_factory=LearnerConfig)
-    estimator: str = "auto"
     mode: str = "marginalize"
     n_folds: int = 5
     repetitions: int = 11
@@ -105,7 +104,6 @@ class AnalysisConfig:
         if self.has_data:
             self._validate_roles()
         for name, allowed in (("instrument_mode", ("product", "separate")),
-                              ("estimator", ("auto", "binary", "general")),
                               ("mode", ("marginalize", "direct")),
                               ("trim", ("floor", "drop"))):
             if getattr(self, name) not in allowed:
@@ -214,7 +212,6 @@ _FUNCTIONAL_KEYS = {
     "q": _Key("q", (float, int)),
 }
 _ESTIMATION_KEYS = {
-    "estimator": _Key("estimator", (str,)),
     "mode": _Key("mode", (str,)),
     "folds": _Key("n_folds", (int,)),
     "repetitions": _Key("repetitions", (int,)),

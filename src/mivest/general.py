@@ -25,12 +25,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .data import FunctionalSpec, ObservationTable
-from .exceptions import (
-    DataContractError,
-    EstimationError,
-    NoIncompleteCasesError,
-    WeakIdentificationError,
-)
+from .exceptions import EstimationError, NoIncompleteCasesError, WeakIdentificationError
 from .learners import LearnerConfig, _ridge_solve
 # fit_nuisance_set and fit_mu_component have no caller here; they stay bound
 # because the benchmark tracer (perfbench/trace_child.py) wraps
@@ -47,6 +42,8 @@ from .nuisance import (  # noqa: F401
     winsorize_values,
 )
 
+# psi values at which solve_functional evaluates its moments
+_GRID_SIZE = 64
 # grid points whose R h rows are built from one comparison; small enough
 # that a block stays a few n-vectors
 _GRID_BLOCK = 4
@@ -219,12 +216,11 @@ def _population_phi(
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveResult:
-    """Root of the estimated population moment in psi."""
+    """Root of one estimated quantile moment in psi."""
 
     psi: float
-    iterations: int
     bracket: tuple[float, float]
     grid: np.ndarray
     moments: np.ndarray
@@ -235,70 +231,44 @@ def solve_functional(
     cfg: LearnerConfig,
     q: float,
     *,
-    grid_size: int = 64,
-    tol: float = 1e-6,
     mode: str = "marginalize",
     trim: TrimPolicy = "floor",
     winsorize: float | None = None,
-    target: str = "population",
-) -> SolveResult:
-    """Solve for psi with h(y; psi) = 1{y >= psi} - q over the target group.
+) -> tuple[SolveResult, SolveResult]:
+    """The q-quantile of the outcome among nonrespondents and in the population.
 
-    target "population" roots M(psi) = P(R=1) alpha(psi) + pi0 beta_IF(psi);
-    target "missing" roots beta_IF(psi) alone (quantile among nonrespondents).
-    The moment is evaluated on a psi-grid spanning the observed outcome
-    range in a single pass, in sample on the whole table (no
+    With h(y; psi) = 1{y >= psi} - q, the missing target roots beta_IF(psi)
+    and the population target roots M(psi) = P(R=1) alpha(psi) + pi0
+    beta_IF(psi).  Returns (missing, population), as crossfit_beta does.
+    Both moments are evaluated on one psi-grid spanning the observed
+    outcome range in a single pass, in sample on the whole table (no
     cross-fitting): the table's basis is transformed once, only the
     psi-free models (pi, rho, pi0) are fitted and evaluated once on it, and
     mu for every grid point comes from one stacked ridge solve per level
-    over all grid targets (_grid_beta).  The root is found by bisection
-    on the piecewise-linear interpolant of the grid moments; no sign change
-    raises WeakIdentificationError.
+    over all grid targets (_grid_beta).  Each psi is the root of the
+    piecewise-linear interpolant of its grid moments (_root); a moment
+    with no sign change raises WeakIdentificationError.
     """
-    (res,) = _solve_quantiles(table, cfg, q, (target,), grid_size=grid_size, tol=tol,
-                              mode=mode, trim=trim, winsorize=winsorize)
-    return res
-
-
-def _solve_quantiles(
-    table: ObservationTable,
-    cfg: LearnerConfig,
-    q: float,
-    targets: tuple[str, ...],
-    *,
-    grid_size: int = 64,
-    tol: float = 1e-6,
-    mode: str = "marginalize",
-    trim: TrimPolicy = "floor",
-    winsorize: float | None = None,
-) -> list[SolveResult]:
-    """solve_functional for each of `targets`, all rooted from one grid pass."""
-    for target in targets:
-        if target not in ("population", "missing"):
-            raise EstimationError(f"unknown solve target {target!r}")
     if table.n1 == 0:
         raise EstimationError("no observed outcomes; cannot bracket the quantile")
     if not 0.0 < q < 1.0:
         raise EstimationError("q must be in (0, 1)")
-    fully_observed = table.n0 == 0
-    if fully_observed and "missing" in targets:
+    if table.n0 == 0:
         raise NoIncompleteCasesError("no rows with R = 0; the target is undefined")
     y = table.y_observed
     lo, hi = float(y.min()), float(y.max())
     if lo == hi:
-        return [SolveResult(psi=lo, iterations=0, bracket=(lo, hi),
-                            grid=np.array([lo]), moments=np.array([0.0]))
-                for _ in targets]
-    grid = np.linspace(lo, hi, grid_size)
+        point = SolveResult(psi=lo, bracket=(lo, hi), grid=np.array([lo]),
+                            moments=np.array([0.0]))
+        return point, point
+    grid = np.linspace(lo, hi, _GRID_SIZE)
     # alpha(psi) = mean of h(y; psi) over the observed outcomes, a block of
     # grid points per comparison
     alpha = np.concatenate([np.mean((y >= grid[j:j + _GRID_BLOCK, None]) - q, axis=1)
                             for j in range(0, grid.size, _GRID_BLOCK)])
-    if fully_observed:
-        return [_root(grid, alpha, tol)]
     beta, pi0 = _grid_beta(table, cfg, q, grid, y, mode=mode, trim=trim, winsorize=winsorize)
-    moments = {"missing": beta, "population": (1.0 - pi0) * alpha + pi0 * beta}
-    return [_root(grid, moments[target], tol) for target in targets]
+    return (_root(grid, beta, "missing"),
+            _root(grid, (1.0 - pi0) * alpha + pi0 * beta, "population"))
 
 
 def _rh_targets(table: ObservationTable, y: np.ndarray,
@@ -420,41 +390,18 @@ def _grid_beta(
     return beta, props.pi0
 
 
-def _root(grid: np.ndarray, moments: np.ndarray, tol: float) -> SolveResult:
-    """First sign change of the grid moments, bisected on the interpolant."""
+def _root(grid: np.ndarray, moments: np.ndarray, target: str) -> SolveResult:
+    """The root of the grid moments' piecewise-linear interpolant on the
+    first grid interval whose ends do not share a strict sign: the end that
+    is exactly 0, or else the one zero of the line between the ends."""
     sign = np.sign(moments)
     crossings = np.flatnonzero(sign[:-1] * sign[1:] <= 0)
-    exact = np.flatnonzero(moments == 0.0)
-    if exact.size:
-        p = float(grid[exact[0]])
-        return SolveResult(psi=p, iterations=0, bracket=(p, p), grid=grid, moments=moments)
     if crossings.size == 0:
         raise WeakIdentificationError(
-            "population moment has no sign change over the candidate grid"
-        )
+            f"{target} moment has no sign change over the candidate grid")
     i = int(crossings[0])
     a, b = float(grid[i]), float(grid[i + 1])
     fa, fb = float(moments[i]), float(moments[i + 1])
-
-    def interp(p: float) -> float:
-        t = (p - a) / (b - a)
-        return fa + t * (fb - fa)
-
-    it = 0
-    lo_b, hi_b = a, b
-    flo = fa
-    while hi_b - lo_b > tol:
-        it += 1
-        mid = 0.5 * (lo_b + hi_b)
-        fm = interp(mid)
-        if fm == 0.0:
-            lo_b = hi_b = mid
-            break
-        if np.sign(fm) == np.sign(flo):
-            lo_b, flo = mid, fm
-        else:
-            hi_b = mid
-        if it > 200:
-            break
-    psi = 0.5 * (lo_b + hi_b)
-    return SolveResult(psi=psi, iterations=it, bracket=(a, b), grid=grid, moments=moments)
+    # a plus a non-negative step, which rounding can carry one ulp past b
+    psi = a if fa == 0.0 else b if fb == 0.0 else min(a + fa * (b - a) / (fa - fb), b)
+    return SolveResult(psi=psi, bracket=(a, b), grid=grid, moments=moments)

@@ -107,12 +107,6 @@ class PolyBasis:
         F = expand_basis(Xs, self.df)
         return F[0] if single else F
 
-    @property
-    def n_features(self) -> int:
-        if self.mean_ is None:
-            raise FitError("basis not fitted")
-        return 1 + self.mean_.shape[0] * self.df
-
 
 @dataclass(frozen=True)
 class FitResult:

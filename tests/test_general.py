@@ -5,16 +5,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mivest.general
-from mivest.data import FunctionalSpec, ObservationTable, evaluate_h
-from mivest.exceptions import EstimationError, NoIncompleteCasesError
+from mivest.data import FunctionalSpec, evaluate_h
+from mivest.exceptions import EstimationError, NoIncompleteCasesError, WeakIdentificationError
 from mivest.corruption import shift_probability
 from mivest.crossfit import crossfit_beta
-from mivest.general import (_grid_beta, _phi_parts_general, _solve_quantiles,
-                            beta_id_general, normal_ci, solve_functional, variance_if)
+from mivest.general import (_grid_beta, _phi_parts_general, _root, beta_id_general,
+                            normal_ci, solve_functional, variance_if)
 from mivest.learners import LearnerConfig
 from mivest.nuisance import fit_mu_component, fit_nuisance_set
 from mivest.oracles import oracle_nuisances
@@ -169,22 +169,14 @@ def test_solve_functional_input_contract(single_table):
     cfg = LearnerConfig()
     with pytest.raises(EstimationError):
         solve_functional(single_table, cfg, 0.0)
-    with pytest.raises(EstimationError):
-        solve_functional(single_table, cfg, 0.5, target="both")
 
 
-def test_solve_functional_fully_observed_matches_sample_quantile():
-    rng = np.random.default_rng(17)
-    n = 3_000
-    X = rng.random((n, 2))
-    y = rng.normal(loc=1.0 + X[:, 0], scale=0.5)
-    Z = rng.integers(0, 2, size=n)
-    t = ObservationTable.from_arrays(X, Z, np.ones(n, dtype=int), y)
-    res = solve_functional(t, LearnerConfig(), 0.3, grid_size=96)
-    target = np.quantile(y, 0.7)
-    assert abs(res.psi - target) < 0.08
+def test_solve_functional_needs_incomplete_rows():
+    # both targets come from one pass that needs the R = 0 rows, so a fully
+    # observed table is refused as crossfit_beta refuses it
+    complete = small_table([0, 1, 0], [1, 1, 1], [1.0, 2.0, 3.0])
     with pytest.raises(NoIncompleteCasesError):
-        solve_functional(t, LearnerConfig(), 0.3, target="missing")
+        solve_functional(complete, LearnerConfig(), 0.3)
 
 
 def test_solve_functional_degenerate_outcome():
@@ -192,8 +184,8 @@ def test_solve_functional_degenerate_outcome():
     y = [3.0 if r else None for r in [1, 0] * (n // 2)]
     t = small_table([0, 1] * (n // 2), [1, 0] * (n // 2), y,
                     X=np.random.default_rng(2).random((n, 2)))
-    res = solve_functional(t, LearnerConfig(), 0.4)
-    assert res.psi == 3.0
+    missing, population = solve_functional(t, LearnerConfig(), 0.4)
+    assert missing.psi == population.psi == 3.0
 
 
 def test_solve_functional_no_observed_outcomes():
@@ -202,10 +194,58 @@ def test_solve_functional_no_observed_outcomes():
         solve_functional(t, LearnerConfig(), 0.5)
 
 
+# -- the root of the interpolated grid moments --------------------------------
+
+def test_root_takes_the_first_sign_change():
+    # a later exact zero does not win over an earlier crossing
+    res = _root(np.linspace(0.0, 3.0, 4), np.array([1.0, -1.0, 0.0, 1.0]), "missing")
+    assert (res.psi, res.bracket) == (0.5, (0.0, 1.0))
+
+
+@pytest.mark.parametrize("moments, psi, bracket", [
+    ([0.0, 1.0, 2.0], 0.0, (0.0, 1.0)),       # a zero at the first grid point
+    ([-2.0, -1.0, 0.0], 2.0, (1.0, 2.0)),     # a zero at the last grid point
+    ([1.0, 0.0, -1.0], 1.0, (0.0, 1.0)),      # an interior zero ends the first interval
+    ([0.0, 0.0, 1.0], 0.0, (0.0, 1.0)),       # flat at zero: the first end
+])
+def test_root_returns_an_exact_zero_at_a_grid_point(moments, psi, bracket):
+    res = _root(np.linspace(0.0, 2.0, 3), np.array(moments), "population")
+    assert (res.psi, res.bracket) == (psi, bracket)
+
+
+def test_root_names_the_moment_without_a_sign_change(single_table, monkeypatch):
+    with pytest.raises(WeakIdentificationError, match="population moment"):
+        _root(np.linspace(0.0, 1.0, 5), np.full(5, 0.25), "population")
+    # a missing-target moment that stays positive fails first, under its name
+    monkeypatch.setattr(mivest.general, "_grid_beta",
+                        lambda table, cfg, q, grid, *a, **k: (np.full(grid.size, 0.25), 0.3))
+    with pytest.raises(WeakIdentificationError, match="missing moment"):
+        solve_functional(single_table, LearnerConfig(), 0.5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lo=st.floats(-1e3, 1e3), width=st.floats(1e-3, 1e3),
+       moments=st.lists(st.one_of(st.just(0.0), st.floats(-1e3, 1e3)), min_size=2, max_size=70))
+def test_root_is_the_interpolant_zero_in_its_bracket(lo, width, moments):
+    grid = np.linspace(lo, lo + width, len(moments))
+    m = np.array(moments)
+    sign = np.sign(m)
+    assume(np.any(sign[:-1] * sign[1:] <= 0))
+    res = _root(grid, m, "missing")
+    a, b = res.bracket
+    i = int(np.flatnonzero(grid == a)[0])
+    assert b == grid[i + 1] and np.all(sign[:i] * sign[1:i + 1] > 0)
+    assert a <= res.psi <= b
+    fa, fb = m[i], m[i + 1]
+    # zero up to the rounding of psi, whose size is that of the grid values
+    scale = (abs(fa) + abs(fb)) * (1.0 + (abs(a) + abs(b)) / (b - a))
+    assert abs(fa + (res.psi - a) / (b - a) * (fb - fa)) <= 8 * np.finfo(float).eps * scale
+
+
 def test_missing_quantile_against_latent_draw():
     dgp = DGPSpec(family="single_binary_iv", n=6_000, seed=31)
     table, _ = generate(dgp)
-    res = solve_functional(table, LearnerConfig(), 0.5, target="missing")
+    res, _ = solve_functional(table, LearnerConfig(), 0.5)
     outcomes, _, _ = reference_missing_outcomes(dgp, 2_000_000)
     ref = np.quantile(np.concatenate(outcomes), 0.5)
     assert abs(res.psi - ref) < 0.15
@@ -246,15 +286,18 @@ def test_grid_pass_equals_per_psi_refits(family, mode, trim, winsorize, target,
     pi0 = sets[0].pi0
     reference = betas if target == "missing" else (1.0 - pi0) * alphas + pi0 * betas
 
-    kw = dict(mode=mode, trim=trim, winsorize=winsorize, target=target)
-    res = solve_functional(table, LearnerConfig(), 0.5, **kw)
+    kw = dict(mode=mode, trim=trim, winsorize=winsorize)
+    pick = 0 if target == "missing" else 1
+    res = solve_functional(table, LearnerConfig(), 0.5, **kw)[pick]
     np.testing.assert_array_equal(res.grid, grid)
     np.testing.assert_allclose(res.moments, reference, rtol=0, atol=1e-12)
 
-    # the same bisection on the refitted moments lands on the same root
+    # the root of the refitted moments lies in the same grid interval, and
+    # the interpolant's root moves with the moments by their rounding only
     monkeypatch.setattr(mivest.general, "_grid_beta", lambda *a, **k: (betas, pi0))
-    ref = solve_functional(table, LearnerConfig(), 0.5, **kw)
-    assert (res.psi, res.iterations, res.bracket) == (ref.psi, ref.iterations, ref.bracket)
+    ref = solve_functional(table, LearnerConfig(), 0.5, **kw)[pick]
+    assert res.bracket == ref.bracket
+    assert abs(res.psi - ref.psi) <= 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -309,7 +352,7 @@ def test_grid_pass_peak_memory_stays_below_the_per_point_pass():
     table, _ = generate(DGPSpec(family="dual_binary_iv", n=20_000, seed=3))
     tracemalloc.start()
     try:
-        _solve_quantiles(table, LearnerConfig(), 0.5, ("missing", "population"))
+        solve_functional(table, LearnerConfig(), 0.5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -171,6 +171,28 @@ def test_benchmark_tracer_sees_the_fold_loop_of_a_mean_estimate(tmp_path):
     assert len(folds) == 1 and folds[0] > 0
 
 
+def test_benchmark_tracer_sees_the_quantile_grid_pass(tmp_path, monkeypatch):
+    # `estimate` roots both quantile reports through the CLI's
+    # solve_functional binding, which the tracer wraps, so the grid pass's
+    # psi-free fits land under that one span
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from workloads import WORKLOADS, write_inputs
+
+    inputs = write_inputs(WORKLOADS["estimate-dual-quantile"], 0, tmp_path, scale=0.02)
+    spans_path = tmp_path / "spans.json"
+    proc = subprocess.run(
+        [sys.executable, "perfbench/trace_child.py", str(spans_path), "--", *inputs["args"]],
+        cwd=ROOT, env=dict(os.environ, PYTHONPATH="src"),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    spans = json.loads(spans_path.read_text())["spans"]
+    solves = [i for i, (name, *_) in enumerate(spans) if name == "general.solve_functional"]
+    assert len(solves) == 1
+    fit_parents = {parent for name, _, _, parent, _ in spans if name.startswith("learners.fit_")}
+    assert fit_parents == set(solves)
+
+
 def test_readme_quickstart_runs(tmp_path):
     # the README's Python blocks are the documented library entry points
     text = (ROOT / "README.md").read_text(encoding="utf-8")
