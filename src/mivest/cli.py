@@ -337,7 +337,8 @@ def cmd_robustness(cfg: AnalysisConfig, args: argparse.Namespace) -> int:
         ratio = row.abs_bias / row.mc_se if row.mc_se > 0 else float("inf")
         tag = "consistent" if row.expect_consistent else "control"
         print(f"  {row.scenario:<26} {tag:<10} estimate={row.estimate:9.5f}  "
-              f"|bias|={row.abs_bias:8.5f}  ({ratio:5.1f} mc se)")
+              f"|bias|={row.abs_bias:8.5f}  ({ratio:5.1f} mc se)  "
+              f"population_bias={row.population_bias:+.1e}")
     return 0
 
 

@@ -8,19 +8,25 @@ corrupt_nuisance perturbs chosen components of a nuisance set:
     mu_z     outcome regressions, +0.3 * (1 + z); the shift varies with z
              so contrasts are genuinely wrong (a constant would cancel)
 
-Scenario builders wire these, and the marginals and contrasts they hold
-or shift themselves, into the configurations under which the
-influence-function estimator stays consistent.  Which components must be
-held follows from the bracket algebra: writing b(z, x) for the expected
-bracket E[R h - mu_hat_z - delta_hat_z (R - pi_hat_z) | z, x], the first
-term of the influence value is unbiased whenever b(z, x) = 0 pointwise,
-or whenever b is constant in z and the weights g_hat(z,x) - g_hat(x)
-average to zero under the true instrument density; the second term needs
+general_scenarios wires these, and the marginals and contrasts it holds or
+shifts itself, into the configurations under which the influence-function
+estimator stays consistent: one scenario set for every number of
+instrument levels.  Which components must be held follows from the bracket
+algebra: writing b(z, x) for the expected bracket
+E[R h - mu_hat_z - delta_hat_z (R - pi_hat_z) | z, x], the first term of
+the influence value is unbiased whenever b(z, x) = 0 pointwise, or
+whenever b is constant in z and the weights g_hat(z,x) - g_hat(x) average
+to zero under the true instrument density; the second term needs
 delta_hat = delta.  Each scenario realises one of these routes.
 
 run_robustness measures every scenario against the identified value of
 the family, a quadrature of the closed forms (oracles), so the reference
-carries no Monte Carlo error.
+carries no Monte Carlo error.  Beside each sampled estimate it reports the
+exact population bias, E[phi~] under the scenario's set minus that value:
+phi~ is affine in R h and R, so its conditional mean given (z, x) is phi~
+with the true mu and pi in their place, integrated against the true rho by
+the same quadrature.  A consistent route's population bias is zero up to
+rounding; a control's is not.
 """
 
 from __future__ import annotations
@@ -30,13 +36,14 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .data import FunctionalSpec, ObservationTable
+from .data import FunctionalSpec
 from .exceptions import ConfigurationError
-from .general import _phi_parts_general
+from .general import _own_level, _phi_parts_general, _phi_tilde
 from .learners import expit
-from .nuisance import PROB_CLIP, NuisanceSet
-from .oracles import oracle_delta, oracle_identified_beta, oracle_nuisances
-from .simulation import _LEVELS, DGPSpec, generate
+from .nuisance import PROB_CLIP, NuisanceSet, evaluate_nuisances
+from .oracles import (_GL_K, _unit_square_rule, oracle_delta, oracle_identified_beta,
+                      oracle_nuisances)
+from .simulation import DGPSpec, generate
 
 COMPONENTS = ("pi_z", "rho_z", "mu_z")
 LOGIT_SHIFT = 0.7
@@ -99,15 +106,6 @@ class Scenario:
     note: str = ""
 
 
-def _shift_one_level(fn, level: int, shift):
-    """fn with row `level` of its (L, m) output replaced by shift(row)."""
-    def shifted(X: np.ndarray) -> np.ndarray:
-        out = np.array(fn(X), dtype=float)
-        out[level] = shift(out[level])
-        return out
-    return shifted
-
-
 def _coherent_mu(mu_ref, pi_ref, pi_fn, delta):
     """mu_z = mu_ref + delta (pi_z - pi_ref) at every level z.
 
@@ -119,89 +117,13 @@ def _coherent_mu(mu_ref, pi_ref, pi_fn, delta):
     return fn
 
 
-def _around_level_zero(ns: NuisanceSet, delta) -> NuisanceSet:
-    """ns with mu_1 rebuilt as mu_0 + delta (pi_1 - pi_0); mu_0 and pi stay."""
-    base_mu, base_pi = ns.mu_fn, ns.pi_fn
-    return replace(ns, mu_fn=_coherent_mu(
-        lambda X: base_mu(X)[0], lambda X: base_pi(X)[0], base_pi, delta))
-
-
-def binary_scenarios(
-    family: str,
-    parameters: Mapping[str, float] | None = None,
-    psi: float = 0.0,
-) -> list[Scenario]:
-    """Consistency configurations of the paper's binary-instrument routes.
-
-    Each scenario corrupts everything outside its held set; the held sets
-    are the three routes to consistency for the binary influence function:
-
-      contrast_and_reference   delta(x), mu_{z=0}(x), pi_{z=0}(x) true
-      response_models          pi_z(x) both levels and rho(x) true
-      contrast_and_instrument  delta(x) and rho(x) true
-
-    The influence function that evaluates them is the general one at
-    L = 2.  Where delta is held, mu_1 is rebuilt around level 0 as
-    mu_0 + delta (pi_1 - pi_0), so the contrast the levels imply is the
-    true one while mu_1 and the corrupted propensities stay wrong.
-    """
-    params = dict(parameters or {})
-    truth = lambda: oracle_nuisances(family, params,
-                                     functional=FunctionalSpec.mean(psi))
-    true_delta = oracle_delta(family, params, psi)
-    out: list[Scenario] = []
-
-    ns1 = truth()
-    ns1 = replace(
-        ns1,
-        pi_fn=_shift_one_level(ns1.pi_fn, 1, lambda p: shift_probability(p, LOGIT_SHIFT)),
-        rho_fn=corrupt_nuisance(ns1, ["rho_z"]).rho_fn,
-    )
-    out.append(Scenario(
-        name="contrast_and_reference",
-        ns=_around_level_zero(ns1, true_delta),
-        held=("delta", "mu_z0", "pi_z0"),
-        corrupted=("pi_z1", "mu_z1", "rho_z"),
-        expect_consistent=True,
-        note="bracket is exactly zero at both levels; weights are free",
-    ))
-
-    ns2 = corrupt_nuisance(truth(), ["mu_z"])
-    out.append(Scenario(
-        name="response_models",
-        ns=ns2,
-        held=("pi_z", "rho_z"),
-        corrupted=("mu_z", "delta"),
-        expect_consistent=True,
-        note="bracket bias is constant in z and the true-density weights "
-             "cancel it",
-    ))
-
-    ns3 = corrupt_nuisance(truth(), ["pi_z", "mu_z"])
-    out.append(Scenario(
-        name="contrast_and_instrument",
-        ns=_around_level_zero(ns3, true_delta),
-        held=("delta", "rho_z"),
-        corrupted=("pi_z", "mu_z"),
-        expect_consistent=True,
-    ))
-
-    out.append(Scenario(
-        name="all_corrupt",
-        ns=corrupt_nuisance(truth(), ["pi_z", "rho_z", "mu_z"]),
-        held=(),
-        corrupted=("pi_z", "rho_z", "mu_z", "delta"),
-        expect_consistent=False,
-    ))
-    return out
-
-
 def general_scenarios(
     family: str,
     parameters: Mapping[str, float] | None = None,
     psi: float = 0.0,
 ) -> list[Scenario]:
-    """Consistency configurations for the multi-level estimator.
+    """Consistency configurations of the influence-function estimator, for
+    a family with any number of instrument levels.
 
     The held sets:
 
@@ -303,6 +225,7 @@ class RobustnessRow:
     reference: float
     abs_bias: float
     mc_se: float
+    population_bias: float
 
     def as_dict(self) -> dict:
         return {
@@ -314,6 +237,7 @@ class RobustnessRow:
             "reference": self.reference,
             "abs_bias": self.abs_bias,
             "mc_se": self.mc_se,
+            "population_bias": self.population_bias,
         }
 
 
@@ -337,6 +261,22 @@ class RobustnessReport:
         }
 
 
+def _population_bias(ns: NuisanceSet, truth: NuisanceSet, reference: float) -> float:
+    """E[phi~] under the set ns minus reference, with no draws.
+
+    phi~ is affine in R h and R, so E[phi~ | z, x] is phi~ with R h replaced
+    by the true mu(z, x) and R by the true pi(z, x); it is evaluated at every
+    level of every node of oracle_identified_beta's rule, with the floored
+    denominator the estimator uses, and integrated against the true rho.
+    """
+    X, W = _unit_square_rule(_GL_K)
+    ev, tr = evaluate_nuisances(ns, X), evaluate_nuisances(truth, X)
+    own = _own_level(np.arange(ns.L)[:, None], tr.pi, ev.pi, ev.rho, ev.delta_r,
+                     ns.pi0, "floor")
+    phi = _phi_tilde(own, tr.mu, ev.mu, ev.delta_y / own.den)       # (L, m)
+    return float(W @ (tr.rho * phi).sum(axis=0)) - reference
+
+
 def run_robustness(
     family: str,
     *,
@@ -350,14 +290,15 @@ def run_robustness(
     One large table is drawn; every scenario's corrupted nuisance set is
     plugged into the estimator on that same table, and the estimates are
     compared against the identified value, a quadrature whose error is the
-    gap between two rule sizes (oracle_identified_beta).
+    gap between two rule sizes (oracle_identified_beta).  Each row also
+    carries the scenario's exact population bias (_population_bias).
     """
     params = dict(parameters or {})
     dgp = DGPSpec(family=family, n=n, seed=seed, parameters=params)  # checks the keys
     spec = FunctionalSpec.mean(psi)
-    scenarios = (binary_scenarios(family, params, psi) if _LEVELS[family] == 2
-                 else general_scenarios(family, params, psi))
+    scenarios = general_scenarios(family, params, psi)
     ref, ref_err = oracle_identified_beta(family, params, psi=psi)
+    truth = oracle_nuisances(family, params, functional=spec)
     table, _ = generate(dgp)
     report = RobustnessReport(family=family, n=n, seed=seed,
                               reference=ref, reference_error=ref_err)
@@ -378,5 +319,6 @@ def run_robustness(
             reference=ref,
             abs_bias=abs(est - ref),
             mc_se=se,
+            population_bias=_population_bias(sc.ns, truth, ref),
         ))
     return report

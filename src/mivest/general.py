@@ -60,7 +60,8 @@ class PhiParts:
 
 @dataclass
 class _OwnLevel:
-    """The psi-free factors of phi~ at each row's own instrument level."""
+    """The psi-free factors of phi~ at each row's own instrument level; the
+    per-row factors are (L, n) in _own_level's every-level form."""
 
     g_diff: np.ndarray          # (n,) g(Z_i, x_i) - g(x_i)
     den: np.ndarray             # (n,) floored delta_r(Z_i, x_i)
@@ -71,28 +72,34 @@ class _OwnLevel:
 
 
 def _own_level(
-    table: ObservationTable,
+    z: np.ndarray,
+    R: np.ndarray,
     pi: np.ndarray,
     rho: np.ndarray,
     delta_r: np.ndarray,
     pi0: float,
     trim: TrimPolicy,
 ) -> _OwnLevel:
-    """The psi-free factors from pi, rho and the unfloored delta_r, all (L, n)."""
+    """The psi-free factors from pi, rho and the unfloored delta_r, all (L, n).
+
+    z is each row's level and R its response, both (n,).  z may also be
+    np.arange(L)[:, None] with R the (L, n) expected response at every
+    level: the factors are then (L, n), one row per level.
+    """
     den, hits = floor_denominator(delta_r)              # (L, n)
     g_all = 1.0 - pi
     g_all /= pi0 * den
     g_x = np.einsum("lm,lm->m", rho, g_all)
 
+    n = pi.shape[1]
     if trim == "drop":
         keep = ~hits.any(axis=0)
     elif trim == "floor":
-        keep = np.ones(table.n, dtype=bool)
+        keep = np.ones(n, dtype=bool)
     else:
         raise ValueError(f"unknown trim policy {trim!r}")
-    rows = np.arange(table.n)
-    z = table.Z
-    R = table.R.astype(float)
+    rows = np.arange(n)
+    R = R.astype(float)
     return _OwnLevel(
         g_diff=g_all[z, rows] - g_x,
         den=den[z, rows],
@@ -129,7 +136,7 @@ def _phi_parts_general(
     diag: Diagnostics | None,
 ) -> PhiParts:
     ev = evaluate_nuisances(ns, table.X)
-    own = _own_level(table, ev.pi, ev.rho, ev.delta_r, ns.pi0, trim)
+    own = _own_level(table.Z, table.R, ev.pi, ev.rho, ev.delta_r, ns.pi0, trim)
     if diag is not None:
         diag.floor_hits += own.floor_hits
     rows = np.arange(table.n)
@@ -360,7 +367,7 @@ def _grid_beta(
     del by_level
     pi, rho = props.pi(F), props.rho(F)
     pi_marg = props.pi_marg(F) if direct else np.einsum("lm,lm->m", rho, pi)
-    own = _own_level(table, pi, rho, pi - pi_marg[None, :], props.pi0, trim)
+    own = _own_level(table.Z, table.R, pi, rho, pi - pi_marg[None, :], props.pi0, trim)
     del pi, pi_marg
     if not own.keep.any():
         raise EstimationError("trim policy removed every row")

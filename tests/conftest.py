@@ -1,9 +1,14 @@
 import pytest
+from hypothesis import settings
 
 from mivest.data import FunctionalSpec
 from mivest.learners import LearnerConfig
 from mivest.nuisance import fit_nuisance_set
 from mivest.simulation import DGPSpec, generate
+
+# CI runs with --hypothesis-profile=ci, so a failing property prints the blob
+# that reproduces it (@reproduce_failure); the default profile prints none
+settings.register_profile("ci", print_blob=True)
 
 
 @pytest.fixture(scope="session")

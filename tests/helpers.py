@@ -65,18 +65,14 @@ def const_ns(pi, rho, mu, pi0, *, pi_marg=None, mu_marg=None):
 def g_weights(ns, X, trim="floor"):
     """The estimator's weights g(z, x) - g(x) with each row of X at every level.
 
-    _own_level runs on a table holding the rows of X once per instrument
-    level (level-major, all nonrespondents).  Returns rho(z, x) and the
-    weights, both (L, m), and the _OwnLevel itself.
+    _own_level runs in its every-level form on the rows of X (all
+    nonrespondents).  Returns rho(z, x) and the weights, both (L, m), and
+    the _OwnLevel itself.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    m = X.shape[0]
-    table = ObservationTable.from_arrays(np.tile(X, (ns.L, 1)),
-                                         np.repeat(np.arange(ns.L), m),
-                                         np.zeros(ns.L * m, dtype=int), L=ns.L)
-    ev = evaluate_nuisances(ns, table.X)
-    own = _own_level(table, ev.pi, ev.rho, ev.delta_r, ns.pi0, trim)
-    return ev.rho[:, :m], own.g_diff.reshape(ns.L, m), own
+    ev = evaluate_nuisances(ns, np.atleast_2d(np.asarray(X, dtype=float)))
+    own = _own_level(np.arange(ns.L)[:, None], np.zeros_like(ev.pi), ev.pi, ev.rho,
+                     ev.delta_r, ns.pi0, trim)
+    return ev.rho, own.g_diff, own
 
 
 def one_row_x(x1=0.5, x2=0.5):

@@ -191,15 +191,17 @@ def test_criterion_07_robustness_scenarios():
         for row in report.rows:
             ratio = row.abs_bias / row.mc_se
             if row.expect_consistent:
-                good = ratio <= 3.0
-                lines.append(f"{family}/{row.scenario} {ratio:.2f} se")
+                good = ratio <= 3.0 and abs(row.population_bias) <= 1e-10
+                lines.append(f"{family}/{row.scenario} {ratio:.2f} se, "
+                             f"population bias {row.population_bias:.1e}")
             else:
                 good = ratio > 5.0
-                lines.append(f"{family}/{row.scenario} {ratio:.1f} se "
-                             "(control)")
+                lines.append(f"{family}/{row.scenario} {ratio:.1f} se, "
+                             f"population bias {row.population_bias:.3f} (control)")
             ok = ok and good
-    verdict(7, ok, "held-nuisance scenarios within 3 mc se, corrupted "
-            "controls beyond 5: " + ", ".join(lines))
+    verdict(7, ok, "held-nuisance scenarios within 3 mc se and with an exact "
+            "population bias of at most 1e-10, corrupted controls beyond 5 mc se: "
+            + ", ".join(lines))
 
 
 def test_criterion_08_variance_estimator_tracks_the_sampling_variance(

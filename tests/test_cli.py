@@ -12,7 +12,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mivest.cli import main
+from mivest.cli import _build_parser, main
 from mivest.dataio import (_SECTIONS, AnalysisConfig, SimulationSection, _fmt_rows,
                            _parse_numeric_column, config_from_dict, ingest_csv,
                            load_config, report_json, write_table_csv)
@@ -1241,9 +1241,16 @@ def test_robustness_command(tmp_path, capsys):
     rc = main(["robustness", "--config", cfg_path, "--out", str(out),
                "--n", "15000"])
     assert rc == 0
-    assert "all_corrupt" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "all_corrupt" in printed
+    assert printed.count("population_bias=") == 4
     report = json.loads(out.read_text())
-    assert len(report["robustness"]["scenarios"]) == 4
+    rows = report["robustness"]["scenarios"]
+    assert [r["scenario"] for r in rows] == ["contrast_and_marginals", "response_models",
+                                              "contrast_and_instrument", "all_corrupt"]
+    # the exact column: zero on every consistent route, far from it on the control
+    for r in rows:
+        assert (abs(r["population_bias"]) <= 1e-10) == r["expect_consistent"], r["scenario"]
     # the reference is a quadrature: its error is the gap between rule sizes
     assert report["robustness"]["reference_error"] < 1e-8
 
@@ -1317,6 +1324,21 @@ def test_threads_below_one_are_configuration_errors(tmp_path, survey_csv, capsys
     err = capsys.readouterr().err
     assert f"--threads must be at least 1, got {threads}" in err
     assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize("command, takes_threads", [
+    ("estimate", True), ("simulate", True), ("oracle", True), ("robustness", True),
+    ("validate", False),
+])
+def test_every_command_but_validate_takes_threads(command, takes_threads):
+    argv = [command, "--config", "c.yaml", "--threads", "1"]
+    if command in ("estimate", "validate"):
+        argv += ["--data", "d.csv"]
+    if takes_threads:
+        assert _build_parser().parse_args(argv).threads == 1
+    else:
+        with pytest.raises(ConfigurationError, match="unrecognized arguments: --threads 1"):
+            _build_parser().parse_args(argv)
 
 
 def test_simulate_reports_fit_warnings_whatever_the_thread_count(tmp_path, capsys):

@@ -2,14 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit, logit
 
-from mivest.corruption import (COMPONENTS, binary_scenarios, corrupt_nuisance,
+from mivest.corruption import (COMPONENTS, _population_bias, corrupt_nuisance,
                                general_scenarios, run_robustness,
                                shift_probability)
+from mivest.data import FunctionalSpec
 from mivest.exceptions import ConfigurationError
 from mivest.nuisance import evaluate_nuisances
-from mivest.oracles import oracle_nuisances
+from mivest.oracles import oracle_identified_beta, oracle_nuisances
 
 PROBE = np.array([[0.3, 0.4], [0.6, 0.1], [0.9, 0.9]])
 
@@ -62,11 +65,14 @@ def test_component_inventory_is_stable():
     assert COMPONENTS == ("pi_z", "rho_z", "mu_z")
 
 
-def test_binary_scenario_grid():
-    rows = binary_scenarios("single_binary_iv")
-    names = [s.name for s in rows]
-    assert names == ["contrast_and_reference", "response_models",
-                     "contrast_and_instrument", "all_corrupt"]
+SCENARIO_NAMES = ["contrast_and_marginals", "response_models",
+                  "contrast_and_instrument", "all_corrupt"]
+
+
+@pytest.mark.parametrize("family", ["single_binary_iv", "dual_binary_iv"])
+def test_general_scenario_grid(family):
+    rows = general_scenarios(family)
+    assert [s.name for s in rows] == SCENARIO_NAMES
     assert [s.expect_consistent for s in rows] == [True, True, True, False]
     for s in rows[:3]:
         assert s.held
@@ -74,28 +80,59 @@ def test_binary_scenario_grid():
     assert rows[3].held == ()
 
 
-def test_general_scenario_grid():
-    rows = general_scenarios("dual_binary_iv")
-    names = [s.name for s in rows]
-    assert names == ["contrast_and_marginals", "response_models",
-                     "contrast_and_instrument", "all_corrupt"]
-    assert [s.expect_consistent for s in rows] == [True, True, True, False]
+def _component(ev, name):
+    """The evaluated nuisance component that a scenario holds or corrupts."""
+    return {"pi_z": ev.pi, "rho_z": ev.rho, "mu_z": ev.mu, "pi_marg": ev.pi_marg,
+            "mu_marg": ev.mu_marg, "delta": ev.delta_y / ev.delta_r}[name]
 
 
-def test_corrupted_scenarios_actually_move_the_nuisances(oracle_ns):
-    for s in binary_scenarios("single_binary_iv"):
-        if "pi_z" in s.corrupted:
-            assert not np.allclose(evaluate_nuisances(s.ns, PROBE).pi[1],
-                                   evaluate_nuisances(oracle_ns, PROBE).pi[1], atol=1e-4)
+def test_corrupted_scenarios_actually_move_the_nuisances():
+    for family in ("single_binary_iv", "dual_binary_iv"):
+        truth = evaluate_nuisances(oracle_nuisances(family), PROBE)
+        for s in general_scenarios(family):
+            ev = evaluate_nuisances(s.ns, PROBE)
+            for name in s.corrupted:
+                assert not np.allclose(_component(ev, name), _component(truth, name),
+                                       atol=1e-4), (family, s.name, name)
+            for name in s.held:
+                assert np.allclose(_component(ev, name), _component(truth, name),
+                                   rtol=1e-12, atol=1e-12), (family, s.name, name)
 
 
-# the single-family estimates of the run below, recorded when the binary
-# scenarios were still evaluated by a separate level-0 influence function
+def _population_biases(family, params, psi):
+    """{scenario: (expect_consistent, population bias)} at one law and psi."""
+    truth = oracle_nuisances(family, params, functional=FunctionalSpec.mean(psi))
+    ref, _ = oracle_identified_beta(family, params, psi=psi)
+    return {s.name: (s.expect_consistent, _population_bias(s.ns, truth, ref))
+            for s in general_scenarios(family, params, psi)}
+
+
+@settings(max_examples=12, deadline=None)
+@given(psi=st.floats(-2.0, 2.0), intercept=st.floats(-12.0, -5.0))
+def test_consistent_routes_have_no_population_bias(psi, intercept):
+    # E[phi~] is the identified value on every route that holds a sufficient
+    # subset, whatever psi and the dual family's selection law; the control's
+    # bias changes sign in psi, so it is checked at psi = 0 below
+    for family, params in (("single_binary_iv", {}),
+                           ("dual_binary_iv", {"selection_intercept": intercept})):
+        for name, (consistent, bias) in _population_biases(family, params, psi).items():
+            if consistent:
+                assert abs(bias) <= 1e-10, (family, name, bias)
+
+
+@pytest.mark.parametrize("family", ["single_binary_iv", "dual_binary_iv"])
+def test_control_has_a_population_bias(family):
+    consistent, bias = _population_biases(family, {}, 0.0)["all_corrupt"]
+    assert not consistent
+    assert abs(bias) >= 0.1
+
+
+# the single-family estimates of the run below, to 1e-12
 PINNED_SINGLE = {
-    "contrast_and_reference": 2.012575020266822,
+    "contrast_and_marginals": 2.063388824277558,
     "response_models": 2.0114991764723014,
-    "contrast_and_instrument": 2.010904287499349,
-    "all_corrupt": 2.11863819242039,
+    "contrast_and_instrument": 2.1325318683159527,
+    "all_corrupt": 1.3950930961960335,
 }
 
 
@@ -113,6 +150,7 @@ def test_robustness_run_separates_consistent_from_broken():
     d = report.as_dict()
     assert d["family"] == "single_binary_iv"
     assert len(d["scenarios"]) == 4
+    assert all("population_bias" in row for row in d["scenarios"])
 
 
 def test_robustness_runs_one_p_missing_quadrature_per_law(monkeypatch):

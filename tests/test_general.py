@@ -53,12 +53,12 @@ def test_g_value_vanishes_for_saturated_level():
 
 def test_g_value_floor_policy():
     # delta_r(0, x) = 0.3 - 0.3 = 0: the floor keeps the weights finite and
-    # counts the one hit; trim "drop" removes both rows of that x
+    # counts the one hit; trim "drop" removes x
     ns = const_ns(pi=(0.3, 0.6), rho=(0.5, 0.5), mu=(0.0, 0.0), pi0=0.2,
                   pi_marg=0.3)
     _, g_diff, own = g_weights(ns, X_ROW)
     assert np.all(np.isfinite(g_diff))
-    assert own.floor_hits == 2        # level 0 of x, at both of its rows
+    assert own.floor_hits == 1        # level 0 of x
     assert own.keep.all()
     assert not g_weights(ns, X_ROW, trim="drop")[2].keep.any()
 
