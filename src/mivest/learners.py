@@ -173,22 +173,29 @@ def _ridge_solve(gram: np.ndarray, cross: np.ndarray, lam: float) -> np.ndarray:
     return coef
 
 
-def _halving_search(pll, coef: np.ndarray, step: np.ndarray, cur: float):
-    """Damp a Newton step by halving until the penalized likelihood stops
-    decreasing.
+# _newton_fit accepts a candidate no lower than cur - _ACCEPT_ROUNDING S,
+# S = |cur| + lse, lse = sum_i log sum_k exp(eta_ik) >= 0 the log-partition
+# sum.  The likelihood is the observed logits' sum less lse and the penalty,
+# each at most S in size, so S scales its rounding (Higham 2002, Accuracy and
+# Stability of Numerical Algorithms, ch. 4).  Row permutations and feature
+# layout moved it by at most 2.9 eps S at the fit, on 20 to 1e6 rows
+_ACCEPT_ROUNDING = 64 * np.finfo(float).eps
 
-    pll(b) returns (value, extra) at b.  Returns (scale, candidate, value,
-    extra) of the first accepted candidate, or None when all 30 halvings
-    are rejected; the fit then keeps its last accepted iterate and reports
-    non-convergence, since the rejected scale of 2^-30 could otherwise pass
-    the step tolerance.
+
+def _halving_search(pll, coef: np.ndarray, step: np.ndarray, floor: float):
+    """Halve a Newton step until the penalized likelihood reaches floor.
+
+    pll(b) returns (value, lse, extra) at b.  Returns (scale, candidate,
+    value, lse, extra) of the first accepted candidate, or None when all 30
+    halvings are rejected; the fit then keeps its last accepted iterate and
+    reports non-convergence.
     """
     scale = 1.0
     cand = coef + step                          # the full step: no scaling
     for _ in range(30):
-        new, extra = pll(cand)
-        if math.isfinite(new) and new >= cur - 1e-12:
-            return scale, cand, new, extra
+        new, lse, extra = pll(cand)
+        if math.isfinite(new) and new >= floor:
+            return scale, cand, new, lse, extra
         scale *= 0.5
         cand = coef + scale * step
     return None
@@ -228,9 +235,6 @@ def _logistic_hessian(F: np.ndarray, p: np.ndarray, pen: np.ndarray) -> np.ndarr
 # a full accepted Newton step below this size lets the next iterations reuse
 # its Newton matrix (chord steps, _newton_fit)
 _CHORD_START = 1e-2
-# a chord step below this many irls_tol is taken in full: its likelihood gain
-# is below the rounding of the n-term likelihood sum (_newton_fit)
-_CHORD_FULL = 10.0
 
 
 def _gram_hessian(F: np.ndarray, p: np.ndarray, pen: np.ndarray) -> np.ndarray:
@@ -259,7 +263,8 @@ def _newton_fit(F, coef, pll, score, hessian, pen, cfg, what):
     """Damped Newton ascent of a penalised likelihood; (coef, converged, n_iter).
 
     Shared by fit_logistic and fit_multinomial.  pll(b) returns the
-    penalised log-likelihood at b and the state the score needs;
+    penalised log-likelihood at b, its log-partition sum (_ACCEPT_ROUNDING)
+    and the state the score needs;
     score(b, state) returns the penalised score, shaped like b, and the
     class-major (K, n) fitted probabilities; hessian(Pk) forms the
     penalised Newton matrix in one chunked pass over the rows, pen is the
@@ -275,16 +280,14 @@ def _newton_fit(F, coef, pll, score, hessian, pen, cfg, what):
       otherwise the matrix is formed afresh at the same iterate;
     - every other iteration calls hessian.
 
-    Each step is damped by _halving_search, except a chord step below
-    _CHORD_FULL * irls_tol, which is taken in full.  Chord steps converge
-    linearly, so the last ones lie near irls_tol, where a step gains less
-    than the rounding of the likelihood sum and the search's verdict is
-    rounding noise that would decide where the fit stops.  The fit stops
-    when an accepted step, times its scale, is below irls_tol in every
-    coordinate, and has converged if the full step is below irls_tol too:
-    a step the search damped below irls_tol although the full step is not
-    (the likelihood is flat to rounding there) is a stall, reported as
-    non-convergence, as is a search that rejects all halvings.
+    One rule stops the fit: a step, fresh or chord, below irls_tol in every
+    coordinate is taken in full before any line search, and the fit has
+    converged (the Newton decrement's stopping logic, Boyd & Vandenberghe
+    2004, Convex Optimization, sec. 9.5, with the reused matrix for a chord
+    step); such a step gains less than the likelihood sum's rounding.
+    Larger steps are damped by _halving_search to within that rounding; a
+    search that rejects all 30 halvings ends the fit non-converged at its
+    last accepted iterate.
     """
 
     def newton_step(H: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -298,11 +301,9 @@ def _newton_fit(F, coef, pll, score, hessian, pen, cfg, what):
                 "separated or collinear data"
             ) from exc
 
-    cur, state = pll(coef)
-    converged = False
+    cur, lse, state = pll(coef)
     H = None
     chord_limit = 0.0           # the largest chord step kept; 0: no chord step
-    it = 0
     for it in range(1, cfg.max_irls_iter + 1):
         grad, Pk = score(coef, state)
         chord = False
@@ -317,21 +318,16 @@ def _newton_fit(F, coef, pll, score, hessian, pen, cfg, what):
                 H = hessian(Pk)
             step = newton_step(H, grad)
             size = np.abs(step).max()
-        if chord and size < _CHORD_FULL * cfg.irls_tol:
-            scale, coef = 1.0, coef + step
-            cur, state = pll(coef)
-        else:
-            accepted = _halving_search(pll, coef, step, cur)
-            if accepted is None:
-                break
-            scale, coef, cur, state = accepted
+        if size < cfg.irls_tol:
+            return coef + step, True, it
+        accepted = _halving_search(pll, coef, step, cur - _ACCEPT_ROUNDING * (abs(cur) + lse))
+        if accepted is None:
+            break
+        scale, coef, cur, lse, state = accepted
         if not np.isfinite(coef).all():
             raise FitError(f"{what} fit diverged to non-finite coefficients")
-        if scale * size < cfg.irls_tol:
-            converged = size < cfg.irls_tol     # else a stalled, damped step
-            break
         chord_limit = size / 10.0 if scale == 1.0 and size < _CHORD_START else 0.0
-    return coef, converged, it
+    return coef, False, it
 
 
 def fit_logistic(features: np.ndarray, labels: np.ndarray, cfg: LearnerConfig, *,
@@ -339,10 +335,10 @@ def fit_logistic(features: np.ndarray, labels: np.ndarray, cfg: LearnerConfig, *
     """Ridge logistic regression by iteratively reweighted least squares.
 
     Maximizes sum(y log p + (1-y) log(1-p)) - lambda ||b[1:]||^2 with
-    Newton steps damped by halving until the penalized likelihood stops
-    decreasing; full steps overshoot badly once a stratum is close to
-    separated.  Separated data with lambda = 0 has no finite optimum and
-    is reported as non-converged, as is a fit whose step search fails.
+    Newton steps damped by halving; full steps overshoot badly once a
+    stratum is close to separated.  It has converged when a full step is
+    below irls_tol in every coordinate (_newton_fit).  Separated data with
+    lambda = 0 has no finite optimum and is reported as non-converged.
     ridge_intercept penalises b[0] as well, for features whose first
     column is not an intercept (the pooled fallback of fit_propensities).
 
@@ -360,15 +356,16 @@ def fit_logistic(features: np.ndarray, labels: np.ndarray, cfg: LearnerConfig, *
     pen = _penalty_matrix(d, 2.0 * lam, first)
     soft = np.empty(n)                         # log(1 + e^eta) of the candidate
 
-    def pll(b: np.ndarray) -> tuple[float, np.ndarray]:
-        """Penalized log-likelihood at b and the linear predictor F @ b."""
+    def pll(b: np.ndarray) -> tuple[float, float, np.ndarray]:
+        """Penalized log-likelihood, log-partition sum and F @ b at b."""
         eta = F @ b
         np.abs(eta, out=soft)
         np.negative(soft, out=soft)
         np.exp(soft, out=soft)
         np.log1p(soft, out=soft)
         np.add(soft, np.maximum(eta, 0.0), out=soft)
-        return float(y @ eta - soft.sum() - lam * (b[first:] @ b[first:])), eta
+        lse = float(soft.sum())
+        return float(y @ eta) - lse - lam * float(b[first:] @ b[first:]), lse, eta
 
     def score(b: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         p = expit(eta, out=eta)                # eta is read only here
@@ -514,7 +511,8 @@ def fit_multinomial(features: np.ndarray, classes: np.ndarray, cfg: LearnerConfi
     """Ridge multinomial logistic regression by damped Newton iterations.
 
     classes are integer codes 0..L-1; every class should be present.  The
-    penalty lambda ||b_k[1:]||^2 applies per class, intercepts free.
+    penalty lambda ||b_k[1:]||^2 applies per class, intercepts free; the
+    Newton driver and its stopping rule are fit_logistic's (_newton_fit).
 
     The parametrisation is asymmetric: class L-1 is the reference with
     coefficients fixed at zero, so it is the one class the ridge never
@@ -548,8 +546,8 @@ def fit_multinomial(features: np.ndarray, classes: np.ndarray, cfg: LearnerConfi
 
     buf = np.empty((L, n))                     # logits, then probabilities
 
-    def pll(B: np.ndarray) -> tuple[float, np.ndarray]:
-        """Penalized log-likelihood at B and the class probabilities there.
+    def pll(B: np.ndarray) -> tuple[float, float, np.ndarray]:
+        """Penalized log-likelihood, log-partition sum and probabilities at B.
 
         The probabilities live in `buf`, so they stay valid until the next
         call; an accepted candidate is always the last one scored, and a
@@ -560,7 +558,7 @@ def fit_multinomial(features: np.ndarray, classes: np.ndarray, cfg: LearnerConfi
         fit_term = float(buf.take(picked).sum())
         top, total = _softmax_inplace(buf)
         lse = float(top.sum() + np.log(total).sum())
-        return fit_term - lse - lam * float((B[:, 1:] ** 2).sum()), buf
+        return fit_term - lse - lam * float((B[:, 1:] ** 2).sum()), lse, buf
 
     def score(B: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         Pk = P[:K]

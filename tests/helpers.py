@@ -305,3 +305,45 @@ def reference_expand_basis(x, df):
             out[:, col] = acc
             col += 1
     return out[0] if single else out
+
+
+def reference_newton(coef, pll, score, hessian, cfg):
+    """learners._newton_fit's schedule, written out apart from the library's:
+    (coef, converged, n_iter) of a damped Newton ascent over flat coefficients.
+
+    pll(b) returns the penalised log-likelihood at b, its log-partition
+    sum lse and a state; score(b, state) the flat penalised score and the
+    probabilities that hessian(probs) forms the Newton matrix from.  After
+    a full accepted step below 1e-2 the last matrix serves the next steps
+    (chord steps) while each is at most a tenth of the step before it.  A
+    step below irls_tol in every coordinate, tested before any line search,
+    is taken in full and ends the fit as converged.  Any larger step is
+    halved until the likelihood is finite and no lower than the current
+    value less 64 eps times its magnitude plus lse; a search that rejects
+    30 halvings ends the fit non-converged at its last accepted iterate.
+    """
+    cur, lse, state = pll(coef)
+    chord_limit = 0.0
+    it = 0
+    for it in range(1, cfg.max_irls_iter + 1):
+        grad, probs = score(coef, state)
+        step = np.linalg.solve(H, grad) if chord_limit else None
+        chord = step is not None and np.max(np.abs(step)) <= chord_limit
+        if not chord:
+            H = hessian(probs)
+            step = np.linalg.solve(H, grad)
+        size = np.max(np.abs(step))
+        if size < cfg.irls_tol:
+            return coef + step, True, it
+        scale = 1.0
+        for _ in range(30):
+            cand = coef + scale * step
+            new, new_lse, new_state = pll(cand)
+            if np.isfinite(new) and new >= cur - 64 * np.finfo(float).eps * (abs(cur) + lse):
+                break
+            scale *= 0.5
+        else:
+            break       # failed search: keep the last accepted iterate
+        coef, cur, lse, state = cand, new, new_lse, new_state
+        chord_limit = size / 10.0 if scale == 1.0 and size < 1e-2 else 0.0
+    return coef, False, it

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit, logsumexp, softmax
 
@@ -15,7 +15,7 @@ from mivest.learners import (_HESSIAN_CHUNK, LearnerConfig, PolyBasis, _multinom
                              _penalty_matrix, _softmax_inplace, expand_basis, fit_linear,
                              fit_logistic, fit_multinomial)
 
-from helpers import reference_expand_basis, reference_multinomial_hessian
+from helpers import reference_expand_basis, reference_multinomial_hessian, reference_newton
 
 CFG = LearnerConfig()
 
@@ -288,10 +288,16 @@ def test_multinomial_fit_is_stationary():
     cfg = LearnerConfig(ridge_lambda=0.5)
     model = fit_multinomial(F, classes, cfg, L=4)
     assert model.converged
-    resid = np.eye(4)[classes][:, :3] - model.predict_proba(F)[:, :3]
+    assert _max_penalised_score(F, classes, model, cfg) < 1e-6 * n
+
+
+def _max_penalised_score(F, classes, model, cfg):
+    """max |penalised score| of a multinomial fit at its coefficients."""
+    K = model.L - 1
+    resid = np.eye(model.L)[classes][:, :K] - model.predict_proba(F)[:, :K]
     score = F.T @ resid                                   # (d, L - 1)
     score[1:] -= 2.0 * cfg.ridge_lambda * model.coef[:, 1:].T
-    assert np.max(np.abs(score)) < 1e-6 * n
+    return np.max(np.abs(score))
 
 
 def test_multinomial_survives_large_linear_predictors():
@@ -320,8 +326,8 @@ def test_multinomial_needs_two_classes():
 def _row_major_newton(F, y, cfg, L):
     """The row-major Newton fit that the class-major fit replaced, kept as a
     reference: (n, L) logits with a row-wise softmax, and one weighted Gram
-    product per Hessian block, formed on the schedule of
-    learners._newton_fit (chord steps).  Returns (coef, converged, n_iter)."""
+    product per Hessian block, on the schedule of helpers.reference_newton.
+    Returns (coef, converged, n_iter)."""
     n, d = F.shape
     K = L - 1
     lam = cfg.ridge_lambda
@@ -335,7 +341,8 @@ def _row_major_newton(F, y, cfg, L):
     buf = np.empty((n, L))
     picked = np.arange(n) * L + y
 
-    def pll(B):
+    def pll(b):
+        B = b.reshape(K, d)
         np.matmul(F, B.T, out=buf[:, :K])
         buf[:, K] = 0.0
         fit_term = float(buf.take(picked).sum())
@@ -345,7 +352,16 @@ def _row_major_newton(F, y, cfg, L):
         total = buf.sum(axis=1, keepdims=True)
         buf[:] /= total
         lse = float(top.sum() + np.log(total).sum())
-        return fit_term - lse - lam * float((B[:, 1:] ** 2).sum()), buf
+        return fit_term - lse - lam * float((B[:, 1:] ** 2).sum()), lse, buf
+
+    def score(b, P):
+        Pk = P[:, :K]
+        grad = np.empty(K * d)
+        for k in range(K):
+            gk = F.T @ (Yk[:, k] - Pk[:, k])
+            gk[1:] -= 2.0 * lam * b[k * d + 1: (k + 1) * d]
+            grad[k * d: (k + 1) * d] = gk
+        return grad, Pk
 
     def hessian(Pk):
         H = np.empty((K * d, K * d))
@@ -362,40 +378,8 @@ def _row_major_newton(F, y, cfg, L):
             H[k * d: (k + 1) * d, k * d: (k + 1) * d] += _penalty_matrix(d, 2.0 * lam)
         return H
 
-    cur, P = pll(coef)
-    converged = False
-    chord_limit = 0.0
-    it = 0
-    for it in range(1, cfg.max_irls_iter + 1):
-        Pk = P[:, :K]
-        grad = np.empty(K * d)
-        for k in range(K):
-            gk = F.T @ (Yk[:, k] - Pk[:, k])
-            gk[1:] -= 2.0 * lam * coef[k, 1:]
-            grad[k * d: (k + 1) * d] = gk
-        step = np.linalg.solve(H, grad) if chord_limit else None
-        chord = step is not None and np.max(np.abs(step)) <= chord_limit
-        if not chord:
-            H = hessian(Pk)
-            step = np.linalg.solve(H, grad)
-        size = np.max(np.abs(step))
-        scale = 1.0
-        for _ in range(30):
-            cand = coef + scale * step.reshape(K, d)
-            new, probs = pll(cand)
-            if chord and size < 10.0 * cfg.irls_tol:
-                break   # a small chord step is taken in full
-            if np.isfinite(new) and new >= cur - 1e-12:
-                break
-            scale *= 0.5
-        else:
-            break       # failed search: keep the last accepted iterate
-        coef, cur, P = cand, new, probs
-        if scale * size < cfg.irls_tol:
-            converged = size < cfg.irls_tol
-            break
-        chord_limit = size / 10.0 if scale == 1.0 and size < 1e-2 else 0.0
-    return coef, converged, it
+    coef, converged, n_iter = reference_newton(coef.ravel(), pll, score, hessian, cfg)
+    return coef.reshape(K, d), converged, n_iter
 
 
 def _class_draw(n, L, seed, spread=1.0):
@@ -446,23 +430,62 @@ def test_class_major_fit_matches_row_major_newton_at_chunk_edges(n):
 def test_class_major_fit_matches_row_major_newton_where_the_weight_floor_binds():
     # nearly separated classes: at the fit 120 rows have p_k (1 - p_k)
     # below the 1e-10 floor of the diagonal Hessian weights.  Where it
-    # binds on most rows the coefficients are not determined to rounding:
-    # at spread 14 (seed 3) the reference itself moved by 1.4e-4 when its
-    # rows were permuted.
+    # binds on most rows the coefficients are not determined to 1e-10:
+    # at spread 14 (seed 3) the reference itself moved by 1.4e-9 over 8
+    # permutations of its rows.
     F, classes = _class_draw(3_000, 4, seed=2, spread=6.0)
     model = _assert_matches_row_major(F, classes, CFG, 4)
     P = model.predict_proba(F)[:, :3]
     assert np.min(P * (1.0 - P)) < 1e-10
 
 
-def test_failed_step_search_is_not_reported_as_convergence(monkeypatch):
-    # nearly separated classes: the multinomial Newton stalls at a full
-    # step of 1.6e-6, far above irls_tol, that no halving turns into an
-    # ascent step; the rejected 2^-30 scale must not pass the step tolerance
+def test_nearly_separated_multinomial_fit_converges_to_the_penalised_optimum():
+    # nearly separated classes: at the fit 3268 of the 9000 class weights
+    # p_k (1 - p_k) lie below the 1e-10 floor.  The fit converges in 33
+    # iterations, at a stationary point of the strictly concave penalised
+    # likelihood: the penalised score there is 2.4e-13.  On 16 row
+    # permutations it converged in 33 or 34 iterations, every time within
+    # 1.7e-9 of these coefficients
     F, classes = _class_draw(3_000, 4, seed=3, spread=14.0)
     model = fit_multinomial(F, classes, CFG, L=4)
-    assert not model.converged
-    assert model.n_iter < CFG.max_irls_iter
+    assert model.converged and model.n_iter < CFG.max_irls_iter
+    assert _max_penalised_score(F, classes, model, CFG) < 1e-10
+    rng = np.random.default_rng(0)
+    for _ in range(4):
+        perm = rng.permutation(3_000)
+        other = fit_multinomial(F[perm], classes[perm], CFG, L=4)
+        assert other.converged
+        assert np.max(np.abs(other.coef - model.coef)) <= 1e-8
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(200, 3000), L=st.integers(2, 5), lam=st.sampled_from([1e-3, 1e-2, 1.0]),
+       spread=st.sampled_from([1.0, 3.0]), seed=st.integers(0, 2**32 - 1))
+def test_fits_on_permuted_rows_reach_the_same_verdict_and_coefficients(n, L, lam, spread, seed):
+    # a row permutation reorders every sum of the fit.  On well-conditioned
+    # draws (ridge > 0, at least 30 rows per class, no fitted weight at the
+    # 1e-10 floor) it changed no verdict over 995 draws times 4
+    # permutations, and moved the coefficients by at most 6.6e-14
+    F, classes = _class_draw(n, L, seed=seed, spread=spread)
+    assume(np.bincount(classes, minlength=L).min() >= 30)
+    cfg = LearnerConfig(ridge_lambda=lam)
+    perm = np.random.default_rng(seed).permutation(n)
+    y = (classes == 0).astype(float)
+    logistic = fit_logistic(F, y, cfg)
+    multi = fit_multinomial(F, classes, cfg, L=L)
+    for fit, P, refit in (
+            (logistic, expit(F @ logistic.coef),
+             lambda: fit_logistic(F[perm], y[perm], cfg)),
+            (multi, multi.predict_proba(F)[:, :-1],
+             lambda: fit_multinomial(F[perm], classes[perm], cfg, L=L))):
+        if np.min(P * (1.0 - P)) <= 1e-10:
+            continue                                        # the floor binds
+        other = refit()
+        assert other.converged == fit.converged
+        assert np.max(np.abs(other.coef - fit.coef)) <= 1e-11
+
+
+def test_failed_step_search_is_not_reported_as_convergence(monkeypatch):
     # the logistic fit behind a likelihood that never ascends: all 30
     # halvings are rejected, and the fit stops at its start point
     search = learners._halving_search
@@ -470,7 +493,7 @@ def test_failed_step_search_is_not_reported_as_convergence(monkeypatch):
 
     def never_ascends(b):
         scored.append(b)
-        return -np.inf, None
+        return -np.inf, 0.0, None
 
     monkeypatch.setattr(learners, "_halving_search",
                         lambda pll, coef, step, cur: search(never_ascends, coef, step, cur))
@@ -552,51 +575,31 @@ def test_multinomial_fit_memory_is_bounded_by_the_features(L):
 def _reference_logistic_newton(F, y, cfg):
     """The logistic Newton fit that the chunked kernel replaced, kept as a
     reference: the likelihood through np.logaddexp and the Hessian as one
-    (F * w[:, None]).T @ F product, formed on the schedule of
-    learners._newton_fit (chord steps).  Returns (coef, converged, n_iter)."""
+    (F * w[:, None]).T @ F product, on the schedule of
+    helpers.reference_newton.  Returns (coef, converged, n_iter)."""
     n, d = F.shape
     lam = cfg.ridge_lambda
     pen = _penalty_matrix(d, 2.0 * lam)
 
     def pll(b):
         eta = F @ b
-        return float(y @ eta - np.logaddexp(0.0, eta).sum() - lam * (b[1:] @ b[1:])), eta
+        lse = float(np.logaddexp(0.0, eta).sum())
+        return float(y @ eta) - lse - lam * float(b[1:] @ b[1:]), lse, eta
+
+    def score(b, eta):
+        p = expit(eta)
+        grad = F.T @ (y - p)
+        grad[1:] -= 2.0 * lam * b[1:]
+        return grad, p
+
+    def hessian(p):
+        w = np.maximum(p * (1.0 - p), 1e-10)
+        return (F * w[:, None]).T @ F + pen
 
     coef = np.zeros(d)
     ybar = float(np.clip(y.mean(), 1e-12, 1 - 1e-12))
     coef[0] = np.log(ybar / (1.0 - ybar))
-    cur, eta = pll(coef)
-    converged = False
-    chord_limit = 0.0
-    it = 0
-    for it in range(1, cfg.max_irls_iter + 1):
-        p = expit(eta)
-        grad = F.T @ (y - p)
-        grad[1:] -= 2.0 * lam * coef[1:]
-        step = np.linalg.solve(H, grad) if chord_limit else None
-        chord = step is not None and np.max(np.abs(step)) <= chord_limit
-        if not chord:
-            w = np.maximum(p * (1.0 - p), 1e-10)
-            H = (F * w[:, None]).T @ F + pen
-            step = np.linalg.solve(H, grad)
-        size = np.max(np.abs(step))
-        scale = 1.0
-        for _ in range(30):
-            cand = coef + scale * step
-            new, eta_new = pll(cand)
-            if chord and size < 10.0 * cfg.irls_tol:
-                break   # a small chord step is taken in full
-            if np.isfinite(new) and new >= cur - 1e-12:
-                break
-            scale *= 0.5
-        else:
-            break       # failed search: keep the last accepted iterate
-        coef, cur, eta = cand, new, eta_new
-        if scale * size < cfg.irls_tol:
-            converged = size < cfg.irls_tol
-            break
-        chord_limit = size / 10.0 if scale == 1.0 and size < 1e-2 else 0.0
-    return coef, converged, it
+    return reference_newton(coef, pll, score, hessian, cfg)
 
 
 def _binary_draw(n, seed, spread=1.0):
