@@ -1,10 +1,11 @@
 """Ridge-penalized parametric learners on polynomial bases.
 
 All three learners take an explicit feature matrix whose first column is
-the intercept; the ridge penalty never touches the intercept.  Feature
-construction (standardization + powers) lives in PolyBasis so that the
-scaling parameters travel with the fitted object and are always taken
-from the training fold.
+the intercept; the ridge penalty never touches the intercept unless
+fit_logistic is asked to (ridge_intercept).  Feature construction
+(standardization + powers) lives in PolyBasis so that the scaling
+parameters travel with the fitted object and are always taken from the
+training fold.
 """
 
 from __future__ import annotations
@@ -339,8 +340,9 @@ def fit_logistic(features: np.ndarray, labels: np.ndarray, cfg: LearnerConfig, *
     stratum is close to separated.  It has converged when a full step is
     below irls_tol in every coordinate (_newton_fit).  Separated data with
     lambda = 0 has no finite optimum and is reported as non-converged.
-    ridge_intercept penalises b[0] as well, for features whose first
-    column is not an intercept (the pooled fallback of fit_propensities).
+    ridge_intercept penalises the intercept b[0] as well, which keeps the
+    fit finite on a stratum with one response class (fit_propensities
+    sets it when an instrument level is thin).
 
     The likelihood evaluates log(1 + e^eta) as max(eta, 0) +
     log1p(exp(-|eta|)) in one reused n-buffer (the value np.logaddexp

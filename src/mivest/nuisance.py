@@ -202,16 +202,19 @@ def fit_propensities(
     """Fit pi, rho and pi0 on a training block; returns them, its basis F
     and F split by instrument level.
 
-    pi(z, .): ridge logistic of R on the basis, stratified by level, with a
-    pooled fully-interacted fallback when any level has fewer rows than
-    MIN_STRATUM_ROWS.  rho: ridge multinomial (logistic when L = 2) of Z on
-    the basis.  pi0 is the sample fraction of R = 0.  Direct mode also fits
-    an unstratified logistic pi(X).  None of these depends on psi, so a
-    caller that varies only psi fits them once.  F is the training block's
-    basis, transformed once here; callers reuse it to fit mu and to
-    evaluate the models on the training rows.  The split holds, per level
-    z, the row indices of level z and F at those rows; the pi fits use it,
-    and fit_nuisance_set passes it on to the mu fits.
+    pi(z, .): one ridge logistic of R on the basis per level, on that
+    level's rows.  When any level has fewer rows than MIN_STRATUM_ROWS,
+    every level's fit ridges its intercept too (ridge_intercept), which
+    keeps a thin level with one response class finite; each level's fit
+    that does not converge counts once in nonconverged_fits.  rho: ridge
+    multinomial (logistic when L = 2) of Z on the basis.  pi0 is the sample
+    fraction of R = 0.  Direct mode also fits an unstratified logistic
+    pi(X).  None of these depends on psi, so a caller that varies only psi
+    fits them once.  F is the training block's basis, transformed once
+    here; callers reuse it to fit mu and to evaluate the models on the
+    training rows.  The split holds, per level z, the row indices of level
+    z and F at those rows; the pi fits use it, and fit_nuisance_set passes
+    it on to the mu fits.
     """
     L = train.L
     diag = Diagnostics()
@@ -248,21 +251,12 @@ def fit_propensities(
         if not rho_model.converged:
             diag.nonconverged_fits += 1
 
+    # response model per level, on that level's rows; a thin level ridges
+    # every level's intercept, so all levels keep one penalty: the stack is
+    # the fully interacted model's optimum with every coefficient ridged
     levels = _by_level(F, train.Z, L)
-    # response model per level, pooled interacted fallback for thin strata;
-    # either way one (L, d) coefficient stack
-    if (counts < MIN_STRATUM_ROWS).any():
-        d = F.shape[1]
-        # block-diagonal layout: each level gets its own copy of the basis,
-        # jointly ridged, every level's indicator column included: an
-        # unpenalised level 0 would make the fit depend on the labels, and
-        # a thin level 0 with one response class would diverge
-        Fi = np.zeros((train.n, d * L), order="F")
-        for z, (r, Fz) in enumerate(levels):
-            Fi[r, z * d:(z + 1) * d] = Fz
-        pi_coef = logistic(Fi, R, ridge_intercept=True).reshape(L, d)
-    else:
-        pi_coef = np.stack([logistic(Fz, R[r]) for r, Fz in levels])
+    thin = bool((counts < MIN_STRATUM_ROWS).any())
+    pi_coef = np.stack([logistic(Fz, R[r], thin) for r, Fz in levels])
 
     pi_marg_coef = logistic(F, R) if mode == "direct" else None
     pi0 = float(np.mean(train.R == 0))

@@ -5,7 +5,7 @@ import numpy as np
 from mivest.data import ObservationTable
 from mivest.exceptions import EstimationError
 from mivest.general import _own_level, _phi_parts_general, _require_incomplete
-from mivest.learners import _HESSIAN_CHUNK, _penalty_matrix
+from mivest.learners import _HESSIAN_CHUNK, _penalty_matrix, fit_logistic
 from mivest.nuisance import NuisanceSet, evaluate_nuisances, winsorize_values
 from mivest.oracles import oracle_delta
 from mivest.simulation import (_ORACLE_BATCH, CLAMP_EPS, FAMILY_SINGLE, DGPSpec,
@@ -347,3 +347,19 @@ def reference_newton(coef, pll, score, hessian, cfg):
         coef, cur, lse, state = cand, new, new_lse, new_state
         chord_limit = size / 10.0 if scale == 1.0 and size < 1e-2 else 0.0
     return coef, False, it
+
+
+def reference_pooled_pi_coef(F, Z, R, L, cfg):
+    """The per-level response coefficients from one logistic fit over the
+    (n, d L) block-diagonal design: a row of level z carries its basis
+    features in columns z d to (z + 1) d - 1 and zeros elsewhere, and every
+    coefficient is ridged, each level's intercept included.  The likelihood
+    and the penalty split by level, so the optimum is that of the per-level
+    fits with ridged intercepts.  Returns the (L, d) coefficients."""
+    n, d = F.shape
+    Fi = np.zeros((n, d * L), order="F")
+    for z in range(L):
+        r = np.flatnonzero(Z == z)
+        Fi[r, z * d:(z + 1) * d] = F[r]
+    res = fit_logistic(Fi, np.asarray(R, dtype=float), cfg, ridge_intercept=True)
+    return res.coef.reshape(L, d)

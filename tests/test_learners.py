@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit, logsumexp, softmax
 
@@ -58,6 +58,8 @@ def test_basis_features_are_column_major_and_equal_the_row_major_expansion(order
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(20, 3000), L=st.integers(2, 5), lam=st.sampled_from([0.0, 1e-3, 1.0]),
        seed=st.integers(0, 2**32 - 1))
+@example(n=34, L=4, lam=0.0, seed=4294967295)
+@example(n=100, L=4, lam=0.0, seed=532)
 def test_fits_agree_on_row_and_column_major_features(n, L, lam, seed):
     # the products F @ b, F' r and F' diag(w) F round differently in the two
     # layouts.  Over 1200 such draws the two fits always reached the same
@@ -65,7 +67,10 @@ def test_fits_agree_on_row_and_column_major_features(n, L, lam, seed):
     # agreed to 9.4e-13 (multinomial), 2.0e-13 (logistic) and 2.5e-15
     # (linear).  A fit that does not converge is one diverging on separated
     # classes (small n, lambda = 0), where the rounding grows with the
-    # coefficients, so only converged coefficients are compared
+    # coefficients, so only converged coefficients are compared.  Their
+    # rounding scales with them too: the two examples, nearly separated at
+    # lambda = 0, converge to multinomial coefficients of size 309 and 204
+    # that the layouts move by 2.4e-10 and 2.7e-10, about 1e-12 relative
     F, classes = _class_draw(n, L, seed=seed)
     if np.bincount(classes, minlength=L).min() == 0:
         return
@@ -79,7 +84,7 @@ def test_fits_agree_on_row_and_column_major_features(n, L, lam, seed):
     for a, b in pairs:
         assert (a.converged, a.n_iter) == (b.converged, b.n_iter)
         if a.converged:
-            assert np.max(np.abs(a.coef - b.coef)) <= 1e-10
+            assert np.max(np.abs(a.coef - b.coef)) <= 1e-10 * max(1.0, np.max(np.abs(a.coef)))
 
 
 def test_config_validation():

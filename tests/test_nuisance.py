@@ -1,6 +1,7 @@
 """Nuisance fitting, derived contrasts, the denominator floor, and diagnostics."""
 
 import dataclasses
+import tracemalloc
 
 from collections import Counter
 
@@ -18,7 +19,7 @@ from mivest.nuisance import (MIN_STRATUM_ROWS, PROB_CLIP, Diagnostics, NuisanceS
 from mivest.oracles import oracle_mu, oracle_pi
 from mivest.simulation import DGPSpec, generate
 
-from helpers import const_fn, const_marg, const_ns, small_table
+from helpers import const_fn, const_marg, const_ns, reference_pooled_pi_coef, small_table
 
 SPEC = FunctionalSpec.mean()
 PROBE = np.array([[0.2, 0.2], [0.2, 0.8], [0.5, 0.5], [0.8, 0.2], [0.8, 0.8]])
@@ -157,7 +158,7 @@ def test_one_sided_level_warns():
         fit_nuisance_set(t, SPEC, LearnerConfig())
 
 
-def test_pooled_fallback_for_thin_strata():
+def test_a_thin_level_keeps_every_fitted_pi_inside_the_unit_interval():
     # one level has 12 rows, below the per-stratum threshold
     rng = np.random.default_rng(8)
     Z = np.array([0] * 12 + [1] * 300)
@@ -199,10 +200,10 @@ def test_fit_propensities_keeps_the_features_column_major():
 
 
 @pytest.mark.filterwarnings("ignore:instrument level")
-def test_pooled_fallback_converges_on_a_thin_one_class_level_0():
-    # the fallback ridges every level's indicator column; with level 0's
-    # left unpenalised its intercept ran off to 27.4 and the fit did not
-    # converge, while the same table with the labels swapped converged
+def test_a_thin_one_class_level_converges_with_a_ridged_intercept():
+    # a thin level ridges every level's intercept; level 0's all-respondent
+    # rows have no finite unpenalised optimum, and an unridged intercept
+    # there ran off to 27.4 without converging
     assert (THIN_Z == 0).sum() < MIN_STRATUM_ROWS
     props, _, _ = fit_propensities(_thin_level_table(THIN_Z), LearnerConfig())
     assert props.diagnostics.nonconverged_fits == 0
@@ -210,11 +211,59 @@ def test_pooled_fallback_converges_on_a_thin_one_class_level_0():
 
 
 @pytest.mark.filterwarnings("ignore:instrument level")
-def test_pooled_fallback_does_not_depend_on_the_level_labels():
+def test_thin_level_fits_do_not_depend_on_the_level_labels():
     fits = [fit_propensities(_thin_level_table(Z), LearnerConfig())[0]
             for Z in (THIN_Z, 1 - THIN_Z)]
     pi, swapped = (p.pi(p.basis.transform(PROBE)) for p in fits)
     np.testing.assert_allclose(swapped[::-1], pi, rtol=0.0, atol=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(L=st.integers(2, 5), thin=st.integers(0, 4), thin_rows=st.integers(1, MIN_STRATUM_ROWS - 1),
+       one_class=st.booleans(), lam=st.sampled_from([1e-3, 1.0]),
+       seed=st.integers(0, 2**32 - 1))
+@pytest.mark.filterwarnings("ignore:instrument level")
+def test_thin_level_response_fits_equal_the_block_diagonal_fit(L, thin, thin_rows, one_class,
+                                                                lam, seed):
+    # one level under MIN_STRATUM_ROWS (one response class if one_class or
+    # a single row), the others 30 to 119 rows: the per-level fits with
+    # ridged intercepts reach the optimum of the one block-diagonal fit,
+    # and relabelling the levels permutes the fitted pi bit for bit
+    rng = np.random.default_rng(seed)
+    thin %= L
+    sizes = rng.integers(MIN_STRATUM_ROWS, 120, size=L)
+    sizes[thin] = thin_rows
+    Z = rng.permutation(np.repeat(np.arange(L), sizes))
+    X = rng.random((Z.size, 2))
+    R = (rng.random(Z.size) < 1.0 / (1.0 + np.exp(X[:, 1] - X[:, 0] - 0.3 * Z))).astype(int)
+    if one_class:
+        R[Z == thin] = R[Z == thin][0]
+    Y = [float(v) if r else None for v, r in zip(rng.normal(size=Z.size), R)]
+    cfg = LearnerConfig(ridge_lambda=lam)
+    props, F, _ = fit_propensities(small_table(Z, R, Y, X=X, L=L), cfg)
+    want = reference_pooled_pi_coef(F, Z, R, L, cfg)
+    assert np.max(np.abs(props.pi_coef - want)) <= 1e-8
+    perm = rng.permutation(L)                   # level z is relabelled perm[z]
+    swapped, _, _ = fit_propensities(small_table(perm[Z], R, Y, X=X, L=L), cfg)
+    pi = props.pi(props.basis.transform(PROBE))
+    assert swapped.pi(swapped.basis.transform(PROBE))[perm].tobytes() == pi.tobytes()
+
+
+def test_fit_propensities_on_a_thin_level_peaks_under_45_float64_per_row():
+    # the dual family with level 0 cut to 25 rows (15 021 rows): the basis
+    # and its per-level copy are 9 float64 per row each, the instrument
+    # model's class-major buffers about 8 more, and the Hessian chunks a
+    # fixed size.  Measured: 33.0 per row
+    table, _ = generate(DGPSpec(family="dual_binary_iv", n=20_000, seed=5))
+    keep = np.r_[np.flatnonzero(table.Z == 0)[:25], np.flatnonzero(table.Z != 0)]
+    thin = table.subset(np.sort(keep))
+    tracemalloc.start()
+    try:
+        fit_propensities(thin, LearnerConfig())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 45 * 8 * thin.n
 
 
 def test_direct_mode_requires_marginals():

@@ -1,6 +1,7 @@
 """Tooling that reaches into the package by name."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -82,6 +83,26 @@ def test_script_help_runs(script):
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_survey_script_output_validates_and_estimates(tmp_path):
+    # the README's survey-shaped example: the script's CSV and config are
+    # ready for validate and estimate as written
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    csv, config, out = (str(tmp_path / name) for name in ("s.csv", "s.yaml", "r.json"))
+
+    def run(*argv):
+        proc = subprocess.run([sys.executable, *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+
+    run(str(ROOT / "scripts" / "make_survey_csv.py"), "--n", "2000", "--csv", csv,
+        "--config", config)
+    run("-m", "mivest.cli", "validate", "--config", config, "--data", csv)
+    run("-m", "mivest.cli", "estimate", "--config", config, "--data", csv, "--reps", "1",
+        "--out", out)
+    report = json.loads(Path(out).read_text(encoding="utf-8"))
+    assert math.isfinite(report["results"]["missing_mean"]["estimate"])
 
 
 @pytest.mark.parametrize("study", sorted(p.name for p in (ROOT / "studies").glob("*.yaml")))
