@@ -158,8 +158,10 @@ def test_one_sided_level_warns():
         fit_nuisance_set(t, SPEC, LearnerConfig())
 
 
-def test_a_thin_level_keeps_every_fitted_pi_inside_the_unit_interval():
-    # one level has 12 rows, below the per-stratum threshold
+def test_pooled_fallback_for_thin_strata():
+    # one level has 12 rows, below the per-stratum threshold; the name is
+    # older than the per-level fit that replaced the pooled one, and the
+    # check is the same: every fitted pi stays inside (0, 1)
     rng = np.random.default_rng(8)
     Z = np.array([0] * 12 + [1] * 300)
     R = rng.integers(0, 2, size=312)
