@@ -2,8 +2,8 @@
 
 corrupt_nuisance perturbs chosen components of a nuisance set:
 
-    pi_z     response propensities, logit shift +0.7 at every level
-    rho_z    instrument density, level-0 likelihood scaled by e^{0.7}
+    pi_z     response propensities, logit shift +0.5 at every level
+    rho_z    instrument density, level-0 likelihood scaled by e^{0.5}
              then renormalised (still sums to 1)
     mu_z     outcome regressions, +0.3 * (1 + z); the shift varies with z
              so contrasts are genuinely wrong (a constant would cancel)
@@ -46,7 +46,7 @@ from .oracles import (_GL_K, _unit_square_rule, oracle_delta, oracle_identified_
 from .simulation import DGPSpec, generate
 
 COMPONENTS = ("pi_z", "rho_z", "mu_z")
-LOGIT_SHIFT = 0.7
+LOGIT_SHIFT = 0.5
 LEVEL_SHIFT = 0.3
 
 
@@ -142,12 +142,14 @@ def general_scenarios(
     base = oracle_nuisances(family, params, functional=spec, mode="direct")
     true_pi_marg, true_mu_marg = base.pi_marg_fn, base.mu_marg_fn
 
-    # The general scenarios shift propensities downward (-0.7 on the logit
-    # scale).  An upward shift can push a level's corrupted propensity across
-    # the true marginal, putting a zero of the contrast denominator inside
-    # the covariate space; the exploding 1/delta_r weights would then test
-    # the floor diagnostics rather than robustness.  The downward direction
-    # moves every level away from its zero for these families.
+    # The general scenarios shift propensities downward (-LOGIT_SHIFT on
+    # the logit scale).  A shift too large, or upward, can push a level's
+    # corrupted propensity across the true marginal, putting a zero of the
+    # contrast denominator inside the covariate space; the exploding
+    # 1/delta_r weights would then test the floor diagnostics rather than
+    # robustness.  At -0.5 every level's corrupted contrast keeps one sign
+    # over the covariate square for these families (at -0.7 the single
+    # family's level 0 does not).
     def shifted_pi(X: np.ndarray) -> np.ndarray:
         return shift_probability(base.pi_fn(X), -LOGIT_SHIFT)
 

@@ -2,16 +2,17 @@
 
 The estimators in this package work on a rectangular table of n records
 (X, Z, R, Y) where Y is observed only when the response indicator R is 1.
-Absent outcomes are represented by an explicit presence mask, never by a
-sentinel value: touching a missing Y raises instead of silently producing
-a number.
+The outcome is one float column with NaN marking an absent value, as at
+every boundary of the package (from_arrays, the CSV reader and writer, the
+simulators).  Touching a missing outcome through the table raises
+instead of producing a number: y_observed, y_at and rh raise
+MissingOutcomeError on an R = 1 row without a value.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Callable, Iterable, Literal, Sequence
 
 import numpy as np
@@ -133,7 +134,7 @@ def _readonly_columns(X: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ObservationTable:
-    """Immutable table of n records (X, Z, R, Y-with-presence-mask).
+    """Immutable table of n records (X, Z, R, Y).
 
     X: (n, p) float covariates, stored column-major (Fortran order) and
        read-only: every consumer reads X a covariate at a time (the basis
@@ -141,17 +142,15 @@ class ObservationTable:
        array is one contiguous run.
     Z: (n,) integer instrument codes in {0, ..., L-1}.
     R: (n,) response indicator in {0, 1}; Y observed only where R = 1.
-    Outcome storage is a compact vector of the values that were actually
-    supplied plus a presence mask; rows without a supplied value have no
-    stored number at all.
+    Y: (n,) float outcomes, read-only, NaN exactly where no value was
+       supplied.
     """
 
     X: np.ndarray
     Z: np.ndarray
     R: np.ndarray
     L: int
-    y_present: np.ndarray          # (n,) bool: an outcome value was supplied
-    _y_values: np.ndarray = field(repr=False)  # (y_present.sum(),) floats, row order
+    Y: np.ndarray
 
     @classmethod
     def from_arrays(
@@ -165,9 +164,9 @@ class ObservationTable:
     ) -> "ObservationTable":
         """Build a table from full-length arrays.
 
-        X may come in any memory layout; the table stores a column-major
-        copy, so the caller's array stays writeable and its later writes
-        do not reach the table.
+        X and Y may come in any memory layout; the table stores copies, so
+        the caller's arrays stay writeable and their later writes do not
+        reach the table.
         Y may be a full-length sequence with None (or NaN) marking absent
         outcomes, or None for a table with no outcomes supplied at all.
         Structural problems (shape mismatches, non-integer codes) raise
@@ -197,34 +196,18 @@ class ObservationTable:
         R = rf.astype(np.int64)
 
         if Y is None:
-            present = np.zeros(n, dtype=bool)
-            vals = np.empty(0, dtype=float)
+            Y = np.full(n, np.nan)
         elif isinstance(Y, np.ndarray) and Y.dtype != object:
-            Yf = np.asarray(Y, dtype=float)
-            if Yf.shape != (n,):
-                raise DataContractError("Y must have one entry per row")
-            present = ~np.isnan(Yf)
-            vals = Yf[present].astype(float)
+            Y = np.array(Y, dtype=float)            # a copy, as for X
         else:
-            items = list(Y)
-            if len(items) != n:
-                raise DataContractError("Y must have one entry per row")
-            present = np.array(
-                [v is not None and not (isinstance(v, float) and np.isnan(v)) for v in items],
-                dtype=bool,
-            )
-            vals = np.array([float(items[i]) for i in np.flatnonzero(present)], dtype=float)
+            Y = np.array([np.nan if v is None else float(v) for v in Y], dtype=float)
+        if Y.shape != (n,):
+            raise DataContractError("Y must have one entry per row")
 
         if L is None:
             L = int(Z.max()) + 1 if n else 0
-        return cls(
-            X=_readonly_columns(X),
-            Z=_readonly(Z),
-            R=_readonly(R),
-            L=int(L),
-            y_present=_readonly(present),
-            _y_values=_readonly(vals),
-        )
+        return cls(X=_readonly_columns(X), Z=_readonly(Z), R=_readonly(R), L=int(L),
+                   Y=_readonly(Y))
 
     # -- size properties -------------------------------------------------
 
@@ -246,14 +229,10 @@ class ObservationTable:
 
     # -- outcome access --------------------------------------------------
 
-    @cached_property
-    def _y_positions(self) -> np.ndarray:
-        """Per row, the position of its value in _y_values if it has one
-        (the count of present rows up to it, minus one); computed once per
-        table, and read-only."""
-        pos = np.cumsum(self.y_present) - 1
-        pos.flags.writeable = False
-        return pos
+    @property
+    def y_present(self) -> np.ndarray:
+        """(n,) bool: an outcome value was supplied."""
+        return ~np.isnan(self.Y)
 
     @property
     def y_observed(self) -> np.ndarray:
@@ -262,25 +241,21 @@ class ObservationTable:
         Raises MissingOutcomeError if any R = 1 row lacks a value.
         """
         r1 = self.R == 1
-        if not np.all(self.y_present[r1]):
-            bad = np.flatnonzero(r1 & ~self.y_present)[:5]
+        y = self.Y[r1]
+        absent = np.isnan(y)
+        if absent.any():
+            bad = np.flatnonzero(r1)[absent][:5]
             raise MissingOutcomeError(
                 f"rows {bad.tolist()} have R=1 but no outcome value"
             )
-        return self._y_values[self._y_positions[r1]]
+        return y
 
     def y_at(self, i: int) -> float:
         """Outcome for row i; raises MissingOutcomeError when absent."""
-        if not self.y_present[i]:
+        y = float(self.Y[i])
+        if np.isnan(y):
             raise MissingOutcomeError(f"row {i} has no outcome value")
-        pos = int(np.count_nonzero(self.y_present[: i + 1])) - 1
-        return float(self._y_values[pos])
-
-    def y_dense(self) -> np.ndarray:
-        """Length-n outcome vector with NaN marking absent values."""
-        out = np.full(self.n, np.nan)
-        out[self.y_present] = self._y_values
-        return out
+        return y
 
     def rh(self, spec: FunctionalSpec) -> np.ndarray:
         """R * h(Y; psi) as a full-length vector; 0 where R = 0.
@@ -304,16 +279,12 @@ class ObservationTable:
         idx = np.asarray(idx)
         if idx.dtype == bool:
             idx = np.flatnonzero(idx)
-        present = self.y_present[idx]
-        taken = idx[present]
-        vals = self._y_values[self._y_positions[taken]] if taken.size else np.empty(0)
         return ObservationTable(
             X=_readonly_columns(np.take(self.X.T, idx, axis=1).T),
             Z=_readonly(self.Z[idx]),
             R=_readonly(self.R[idx]),
             L=self.L,
-            y_present=_readonly(present),
-            _y_values=_readonly(np.asarray(vals, dtype=float)),
+            Y=_readonly(self.Y[idx]),
         )
 
 
@@ -346,16 +317,15 @@ def validate_table(table: ObservationTable) -> list[Violation]:
         absent = np.flatnonzero(counts == 0)
         if absent.size:
             out.append(Violation("level_absent", f"instrument levels {absent.tolist()} have no rows"))
-    extra = np.flatnonzero((table.R == 0) & table.y_present)
+    present = table.y_present
+    extra = np.flatnonzero((table.R == 0) & present)
     if extra.size:
         out.append(Violation("outcome_under_missing", "Y supplied where R=0", tuple(extra[:10].tolist())))
-    gone = np.flatnonzero((table.R == 1) & ~table.y_present)
+    gone = np.flatnonzero((table.R == 1) & ~present)
     if gone.size:
         out.append(Violation("outcome_absent", "Y absent where R=1", tuple(gone[:10].tolist())))
-    if table.y_present.any():
-        vals = table._y_values
-        if not np.all(np.isfinite(vals)):
-            out.append(Violation("outcome_nonfinite", "supplied Y values contain non-finite entries"))
+    if np.isinf(table.Y).any():         # a supplied value is never NaN
+        out.append(Violation("outcome_nonfinite", "supplied Y values contain non-finite entries"))
     return out
 
 

@@ -827,7 +827,7 @@ def write_table_csv(
     cols = [list(map(repr, table.X[:, j].tolist())) for j in range(p)]
     cols.append(table.Z.tolist())
     cols.append(table.R.tolist())
-    cols.append(["" if v != v else repr(v) for v in table.y_dense().tolist()])  # NaN: blank
+    cols.append(["" if v != v else repr(v) for v in table.Y.tolist()])  # NaN: blank
     with open(path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow([*names, instrument_name, response_name, outcome_name])

@@ -158,15 +158,12 @@ def beta_id_general(
     ns: NuisanceSet,
     *,
     trim: TrimPolicy = "floor",
-    diag: Diagnostics | None = None,
 ) -> float:
     """Plug-in estimator: mean of delta(Z_i, X_i) over rows with R_i = 0."""
     _require_incomplete(table, ns)
     ev = evaluate_nuisances(ns, table.X)
     rows = np.arange(table.n)
     den, hits = floor_denominator(ev.delta_r[table.Z, rows])
-    if diag is not None:
-        diag.floor_hits += int(hits.sum())
     delta_own = ev.delta_y[table.Z, rows] / den
     mask = table.R == 0
     if trim == "drop":
@@ -273,34 +270,29 @@ def solve_functional(
     # grid points per comparison
     alpha = np.concatenate([np.mean((y >= grid[j:j + _GRID_BLOCK, None]) - q, axis=1)
                             for j in range(0, grid.size, _GRID_BLOCK)])
-    beta, pi0 = _grid_beta(table, cfg, q, grid, y, mode=mode, trim=trim, winsorize=winsorize)
+    beta, pi0 = _grid_beta(table, cfg, q, grid, mode=mode, trim=trim, winsorize=winsorize)
     return (_root(grid, beta, "missing"),
             _root(grid, (1.0 - pi0) * alpha + pi0 * beta, "population"))
 
 
-def _rh_targets(table: ObservationTable, y: np.ndarray,
-                q: float) -> tuple[np.ndarray, np.ndarray]:
-    """(y_all, q_r) per row: the observed outcome y where R = 1 and -inf
-    elsewhere, and q R.  1{y_all >= psi} - q_r is R h(y; psi) bit for bit
-    ObservationTable.rh: an R = 0 row never reaches psi, so h is 0 there."""
-    responded = table.R == 1
-    y_all = np.full(table.n, -np.inf)
-    y_all[responded] = y
-    return y_all, np.where(responded, q, 0.0)
-
-
-def _rh_rows(ys: np.ndarray, qs: np.ndarray, psi: np.ndarray,
+def _rh_rows(table: ObservationTable, q_r: np.ndarray, psi: np.ndarray,
              out: np.ndarray) -> np.ndarray:
     """R h at each psi of a block of grid points, one row per point, from
-    one comparison against the outcomes; written over out's first rows."""
-    return np.subtract(ys >= psi[:, None], qs, out=out[:psi.size])
+    one comparison against the outcomes; written over out's first rows.
+
+    q_r is q R.  1{Y >= psi} - q_r is R h(Y; psi) bit for bit
+    ObservationTable.rh once the comparison is masked by R: an R = 0 row,
+    whose Y is NaN (never >= psi) or a value validate_table flags, gets 0.
+    """
+    hit = np.greater_equal(table.Y, psi[:, None])
+    np.logical_and(hit, table.R, out=hit)
+    return np.subtract(hit, q_r, out=out[:psi.size])
 
 
 def _mu_grid_coef(
     table: ObservationTable,
     F: np.ndarray,
     by_level: list[tuple[np.ndarray, np.ndarray]],
-    y: np.ndarray,
     q: float,
     grid: np.ndarray,
     cfg: LearnerConfig,
@@ -316,12 +308,12 @@ def _mu_grid_coef(
     grid point makes; one system per grid point, not one multi-column
     solve, whose columns round differently, so mu has a refit's bits.
     """
-    y_all, q_r = _rh_targets(table, y, q)
+    q_r = q * table.R
     L = len(by_level)
     RH = np.empty((_GRID_BLOCK, table.n))
     cross = np.empty((L + direct, grid.size, F.shape[1]))
     for j0 in range(0, grid.size, _GRID_BLOCK):
-        for j, rh in enumerate(_rh_rows(y_all, q_r, grid[j0:j0 + _GRID_BLOCK], RH),
+        for j, rh in enumerate(_rh_rows(table, q_r, grid[j0:j0 + _GRID_BLOCK], RH),
                                start=j0):
             for z, (r, Fz) in enumerate(by_level):
                 cross[z, j] = Fz.T @ rh[r]
@@ -337,7 +329,6 @@ def _grid_beta(
     cfg: LearnerConfig,
     q: float,
     grid: np.ndarray,
-    y: np.ndarray,
     *,
     mode: str,
     trim: TrimPolicy,
@@ -345,12 +336,13 @@ def _grid_beta(
 ) -> tuple[np.ndarray, float]:
     """beta_IF(psi) at every grid point, and pi0, from one psi-free fit.
 
-    y holds the observed outcomes.  pi, rho and pi0 do not depend on psi:
-    fit_propensities fits them once and transforms the table's basis F
-    once, and that F also evaluates pi and rho and serves every ridge
-    solve.  mu(z, .) for all grid points is one stacked ridge solve per
-    level over the level blocks fit_propensities split off for its pi fits,
-    plus one over all rows for mu(x) in direct mode (_mu_grid_coef).  Each
+    pi, rho and pi0 do not depend on psi: fit_propensities fits them once
+    and transforms the table's basis F once, and that F also evaluates pi
+    and rho and serves every ridge solve.  R h at each grid point comes
+    from one comparison against table.Y (_rh_rows).  mu(z, .) for all grid
+    points is one stacked ridge solve per level over the level blocks
+    fit_propensities split off for its pi fits, plus one over all rows for
+    mu(x) in direct mode (_mu_grid_coef).  Each
     grid point's moment is evaluated in reused n-buffers, in _phi_tilde's
     operation order.  Equals the influence-function mean of _phi_parts_general
     (over its retained rows) on a set refitted at each grid point, up to the
@@ -361,7 +353,7 @@ def _grid_beta(
     """
     props, F, by_level = fit_propensities(table, cfg, mode)
     direct = mode == "direct"
-    coef = _mu_grid_coef(table, F, by_level, y, q, grid, cfg, direct)  # (grid, K, d)
+    coef = _mu_grid_coef(table, F, by_level, q, grid, cfg, direct)  # (grid, K, d)
     # the level blocks go before pi and rho are evaluated: their (L, n)
     # stacks need not be alive beside them
     del by_level
@@ -374,7 +366,7 @@ def _grid_beta(
 
     L, n = table.L, table.n
     K = L + direct                  # mu models: one per level, plus mu(x)
-    y_all, q_r = _rh_targets(table, y, q)
+    q_r = q * table.R
     RH = np.empty((_GRID_BLOCK, n))
     own_flat = table.Z * n + np.arange(n)   # each row's own level in a (K, n) array
     keep = None if own.keep.all() else own.keep
@@ -384,7 +376,7 @@ def _grid_beta(
     beta = np.empty(grid.size)
     for j0 in range(0, grid.size, _GRID_BLOCK):
         psi = grid[j0:j0 + _GRID_BLOCK]
-        for j, rh in enumerate(_rh_rows(y_all, q_r, psi, RH), start=j0):
+        for j, rh in enumerate(_rh_rows(table, q_r, psi, RH), start=j0):
             np.matmul(coef[j], F.T, out=M)
             np.take(M, own_flat, out=mu_z)
             if not direct:

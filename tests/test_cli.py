@@ -259,7 +259,7 @@ def test_write_then_ingest_roundtrip(tmp_path):
     assert np.array_equal(again.X, table.X)
     assert np.array_equal(again.Z, table.Z)
     assert np.array_equal(again.R, table.R)
-    assert np.array_equal(again.y_dense(), table.y_dense(), equal_nan=True)
+    assert np.array_equal(again.Y, table.Y, equal_nan=True)
     assert info.n == 300
     assert info.n_complete == table.n1
     assert info.encodings[0].kind == "categorical"
@@ -268,7 +268,7 @@ def test_write_then_ingest_roundtrip(tmp_path):
 def _per_row_table_csv(table, path, names):
     """The per-row writer that the column-wise write_table_csv replaced,
     kept as a reference."""
-    y_full = table.y_dense()
+    y_full = table.Y
     with open(path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow([*names, "z", "r", "y"])
@@ -382,7 +382,7 @@ def test_quoted_commas_in_other_columns_are_one_cell(tmp_path):
     assert table.X.tolist() == [[0.1, 0.2], [0.3, 0.4]]
     assert table.Z.tolist() == [0, 1]
     assert table.R.tolist() == [1, 0]
-    assert np.array_equal(table.y_dense(), [2.0, np.nan], equal_nan=True)
+    assert np.array_equal(table.Y, [2.0, np.nan], equal_nan=True)
 
 
 def _cell_by_cell_parse(cells, column, *, allow_empty, what):
@@ -488,7 +488,7 @@ def _ingest_outcome(path, cfg):
     except MivestError as exc:
         return type(exc).__name__, str(exc)
     arrays = [(a.dtype.str, a.shape, a.tobytes())
-              for a in (table.X, table.Z, table.R, table.y_present, table._y_values)]
+              for a in (table.X, table.Z, table.R, table.Y)]
     return arrays, info.as_dict()
 
 
@@ -530,7 +530,7 @@ def test_written_tables_take_the_one_pass_reader(tmp_path, monkeypatch):
     again, _ = ingest_csv(p, config_from_dict(make_doc()))
     assert len(passes) == 1 and passes[0] is not None
     np.testing.assert_array_equal(again.X, table.X)
-    np.testing.assert_array_equal(again.y_dense(), table.y_dense())
+    np.testing.assert_array_equal(again.Y, table.Y)
 
 
 def test_both_readers_store_covariates_column_major(tmp_path):
@@ -574,7 +574,7 @@ def test_one_pass_reader_refuses_an_outcome_cell_that_fills_its_bytes(tmp_path, 
     with mock.patch.object(mivest.dataio, "_one_pass_columns", spy):
         got, _ = ingest_csv(p, config_from_dict(make_doc()))
     assert (passes[0] is None) == (width == 32)
-    assert got.y_dense()[at - 1] == float(cells[y_at])
+    assert got.Y[at - 1] == float(cells[y_at])
 
 
 @pytest.mark.parametrize("first", ["z", "x1"])
@@ -611,7 +611,7 @@ def test_byte_order_mark_is_not_part_of_the_header(tmp_path, monkeypatch, first)
         np.testing.assert_array_equal(t.X, want.X)
         np.testing.assert_array_equal(t.Z, want.Z)
         np.testing.assert_array_equal(t.R, want.R)
-        np.testing.assert_array_equal(t.y_dense(), want.y_dense())
+        np.testing.assert_array_equal(t.Y, want.Y)
     assert info.as_dict() == ref_info.as_dict()
 
 
@@ -880,7 +880,7 @@ def test_separate_instruments_parse_the_csv_once(tmp_path, monkeypatch):
             ref_table, ref_info = alone[col]
             assert one.instruments == (col,)
             assert report["per_instrument"][col]["data"] == info.as_dict() == ref_info.as_dict()
-            for name in ("X", "Z", "R", "y_present", "_y_values"):
+            for name in ("X", "Z", "R", "Y"):
                 np.testing.assert_array_equal(getattr(table, name), getattr(ref_table, name))
 
 

@@ -6,13 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit, logit
 
-from mivest.corruption import (COMPONENTS, _population_bias, corrupt_nuisance,
-                               general_scenarios, run_robustness,
+import mivest.corruption
+from mivest.corruption import (COMPONENTS, LOGIT_SHIFT, _population_bias,
+                               corrupt_nuisance, general_scenarios, run_robustness,
                                shift_probability)
 from mivest.data import FunctionalSpec
 from mivest.exceptions import ConfigurationError
 from mivest.nuisance import evaluate_nuisances
-from mivest.oracles import oracle_identified_beta, oracle_nuisances
+from mivest.oracles import (_GL_K, _unit_square_rule, oracle_identified_beta,
+                            oracle_nuisances)
 
 PROBE = np.array([[0.3, 0.4], [0.6, 0.1], [0.9, 0.9]])
 
@@ -43,7 +45,7 @@ def test_unknown_component_is_an_error(oracle_ns):
 
 def test_pi_corruption_moves_on_the_logit_scale(oracle_ns):
     twin = evaluate_nuisances(corrupt_nuisance(oracle_ns, ["pi_z"]), PROBE)
-    want = shift_probability(evaluate_nuisances(oracle_ns, PROBE).pi, 0.7)
+    want = shift_probability(evaluate_nuisances(oracle_ns, PROBE).pi, LOGIT_SHIFT)
     assert np.allclose(twin.pi, want)
 
 
@@ -120,6 +122,46 @@ def test_consistent_routes_have_no_population_bias(psi, intercept):
                 assert abs(bias) <= 1e-10, (family, name, bias)
 
 
+def _two_signed_contrasts(family, params, psi):
+    """(scenario, level) pairs of the consistent routes whose delta_r takes
+    both signs (or 0) on the nodes of oracle_identified_beta's rule."""
+    X, _ = _unit_square_rule(_GL_K)
+    return [(s.name, z) for s in general_scenarios(family, params, psi) if s.expect_consistent
+            for z, d in enumerate(evaluate_nuisances(s.ns, X).delta_r)
+            if not ((d > 0).all() or (d < 0).all())]
+
+
+@pytest.mark.parametrize("family", ["single_binary_iv", "dual_binary_iv"])
+def test_consistent_routes_keep_a_one_signed_contrast(family):
+    # a consistent route tests robustness, not the denominator floor: no
+    # corrupted contrast has a zero inside the covariate square, where g
+    # has a pole and the sampled influence values are heavy-tailed
+    assert _two_signed_contrasts(family, {}, 0.0) == []
+
+
+@settings(max_examples=10, deadline=None)
+@given(shift=st.floats(0.05, 0.5), level_shift=st.floats(0.05, 3.0),
+       intercept=st.floats(-12.0, -5.0))
+def test_consistent_routes_stay_exact_at_drawn_corruption_sizes(shift, level_shift,
+                                                                intercept):
+    # the robustness of a route does not hinge on the size of its
+    # corruption: at any pi logit shift in [0.05, 0.5] and any mu level
+    # shift in [0.05, 3], every consistent route keeps a one-signed
+    # contrast and no population bias.  corrupt_nuisance's default
+    # logit_delta is bound at import, so the rho corruption keeps the
+    # module's size while the pi shift is drawn (MonkeyPatch.context: the
+    # function-scoped monkeypatch fixture is not reset between examples)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mivest.corruption, "LOGIT_SHIFT", shift)
+        mp.setattr(mivest.corruption, "LEVEL_SHIFT", level_shift)
+        for family, params in (("single_binary_iv", {}),
+                               ("dual_binary_iv", {"selection_intercept": intercept})):
+            assert _two_signed_contrasts(family, params, 0.0) == [], family
+            for name, (consistent, bias) in _population_biases(family, params, 0.0).items():
+                if consistent:
+                    assert abs(bias) <= 1e-10, (family, name, bias)
+
+
 @pytest.mark.parametrize("family", ["single_binary_iv", "dual_binary_iv"])
 def test_control_has_a_population_bias(family):
     consistent, bias = _population_biases(family, {}, 0.0)["all_corrupt"]
@@ -129,10 +171,10 @@ def test_control_has_a_population_bias(family):
 
 # the single-family estimates of the run below, to 1e-12
 PINNED_SINGLE = {
-    "contrast_and_marginals": 2.063388824277558,
+    "contrast_and_marginals": 2.013874083940782,
     "response_models": 2.0114991764723014,
-    "contrast_and_instrument": 2.1325318683159527,
-    "all_corrupt": 1.3950930961960335,
+    "contrast_and_instrument": 2.0122344888998853,
+    "all_corrupt": 1.684877974022987,
 }
 
 

@@ -113,9 +113,15 @@ def test_outcome_storage_and_lookup():
     assert t.y_at(2) == 2.5
     with pytest.raises(MissingOutcomeError):
         t.y_at(1)
-    dense = t.y_dense()
-    assert np.isnan(dense[1])
-    assert dense[0] == 1.5
+    assert np.isnan(t.Y[1])
+    assert t.Y[0] == 1.5
+    assert t.y_present.tolist() == [True, False, True]
+    assert not t.Y.flags.writeable
+
+
+def test_every_nan_in_a_sequence_marks_an_absent_outcome():
+    t = small_table([0, 1, 1], [1, 0, 1], [1.5, np.float32("nan"), float("nan")])
+    assert t.y_present.tolist() == [True, False, False]
 
 
 def test_y_observed_requires_values_for_respondents():
@@ -143,10 +149,9 @@ def test_validate_clean_table():
 
 
 def test_validate_flags_outcome_under_missing():
-    # bypass from_arrays by building the mask directly
-    t = small_table([0, 1], [1, 0], [1.0, None])
-    object.__setattr__(t, "y_present", np.array([True, True]))
-    object.__setattr__(t, "_y_values", np.array([1.0, 9.0]))
+    # from_arrays represents the violation: it stores the value and leaves
+    # the verdict to validate_table
+    t = small_table([0, 1], [1, 0], [1.0, 9.0])
     codes = {v.code for v in validate_table(t)}
     assert "outcome_under_missing" in codes
 
@@ -278,30 +283,30 @@ def test_linear_quantiles_match_numpy_bit_for_bit(values, nan_at, probs):
 @settings(max_examples=100, deadline=None)
 @given(rows=st.lists(st.tuples(st.integers(0, 1), st.booleans()), min_size=1, max_size=40),
        picks=st.lists(st.integers(0, 39), max_size=40))
-def test_outcome_positions_match_the_per_call_cumsum(rows, picks):
-    # subset, y_observed and rh read each row's value position from one
-    # cumsum per table; they equal recomputing it on every call, on tables
-    # that hold absent outcomes (R = 0 rows without a value, outcomes
-    # supplied where R = 0, and R = 1 rows without one, which raise)
+def test_outcome_column_is_the_supplied_values_with_nan_where_absent(rows, picks):
+    # Y holds each supplied value at its row and NaN elsewhere, through
+    # subset too, and y_observed and rh read it, on tables that hold absent
+    # outcomes (R = 0 rows without a value, outcomes supplied where R = 0,
+    # and R = 1 rows without one, which raise)
     R = np.array([r for r, _ in rows])
     present = np.array([p for _, p in rows])
-    Y = np.where(present, np.arange(R.size) * 1.5 - 7.0, np.nan)
-    table = ObservationTable.from_arrays(np.arange(R.size, dtype=float), R % 2, R, Y, L=2)
-    pos = np.cumsum(table.y_present) - 1
-    assert table._y_positions is table._y_positions
-    assert table._y_positions.tolist() == pos.tolist()
+    values = np.arange(R.size) * 1.5 - 7.0
+    supplied = [float(v) if p else None for v, p in zip(values, present)]
+    table = ObservationTable.from_arrays(np.arange(R.size, dtype=float), R % 2, R,
+                                         supplied, L=2)
+    Y = np.where(present, values, np.nan)
+    assert table.Y.tobytes() == Y.tobytes()
+    assert table.y_present.tolist() == present.tolist()
 
     idx = np.array([i for i in picks if i < R.size], dtype=int)
     sub = table.subset(idx)
-    taken = idx[table.y_present[idx]]
-    assert sub.y_present.tolist() == table.y_present[idx].tolist()
-    assert sub._y_values.tolist() == table._y_values[pos[taken]].tolist()
+    assert sub.Y.tobytes() == Y[idx].tobytes()
+    assert not sub.Y.flags.writeable
     spec = FunctionalSpec.mean(psi=0.5)
     if np.all(present[R == 1]):
-        want = table._y_values[pos[R == 1]]
-        assert table.y_observed.tolist() == want.tolist()
+        assert table.y_observed.tolist() == values[R == 1].tolist()
         rh = np.zeros(R.size)
-        rh[R == 1] = want - 0.5
+        rh[R == 1] = values[R == 1] - 0.5
         assert table.rh(spec).tolist() == rh.tolist()
     else:
         with pytest.raises(MissingOutcomeError):

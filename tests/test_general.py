@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mivest.general
-from mivest.data import FunctionalSpec, evaluate_h
+from mivest.data import FunctionalSpec, ObservationTable, evaluate_h
 from mivest.exceptions import EstimationError, NoIncompleteCasesError, WeakIdentificationError
 from mivest.corruption import shift_probability
 from mivest.crossfit import crossfit_beta
@@ -331,7 +331,7 @@ def test_grid_moments_equal_per_psi_refits_at_every_block_edge(
     table, ns = psi_free_sets(family, mode)
     y = table.y_observed
     grid = np.linspace(y.min(), y.max(), grid_size)
-    beta, pi0 = _grid_beta(table, LearnerConfig(), q, grid, y,
+    beta, pi0 = _grid_beta(table, LearnerConfig(), q, grid,
                            mode=mode, trim=trim, winsorize=winsorize)
     refits = []
     for psi in grid:
@@ -341,6 +341,20 @@ def test_grid_moments_equal_per_psi_refits_at_every_block_edge(
         refits.append(beta_if_general(table, refit, spec, trim=trim, winsorize=winsorize))
     assert pi0 == ns.pi0
     np.testing.assert_allclose(beta, refits, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["marginalize", "direct"])
+def test_grid_moments_ignore_outcomes_supplied_where_r_is_zero(mode):
+    # ObservationTable.rh is 0 on an R = 0 row whatever its Y holds, and so
+    # is the grid's R h: a table with values under R = 0 (which
+    # validate_table flags) gives the moments of the same table without them
+    table, latent = generate(DGPSpec(family="dual_binary_iv", n=1_500, seed=23))
+    leaked = ObservationTable.from_arrays(table.X, table.Z, table.R, latent.y_full)
+    assert leaked.y_present[leaked.R == 0].all()
+    for clean, dirty in zip(solve_functional(table, LearnerConfig(), 0.5, mode=mode),
+                            solve_functional(leaked, LearnerConfig(), 0.5, mode=mode)):
+        assert clean.moments.tobytes() == dirty.moments.tobytes()
+        assert clean.psi == dirty.psi
 
 
 def test_grid_pass_peak_memory_stays_below_the_per_point_pass():

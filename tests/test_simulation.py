@@ -62,7 +62,7 @@ def test_generate_is_deterministic():
         assert np.array_equal(t1.X, t2.X)
         assert np.array_equal(t1.Z, t2.Z)
         assert np.array_equal(t1.R, t2.R)
-        assert np.array_equal(t1.y_dense(), t2.y_dense(), equal_nan=True)
+        assert np.array_equal(t1.Y, t2.Y, equal_nan=True)
         assert np.array_equal(lat1.y_full, lat2.y_full)
 
 
@@ -252,7 +252,7 @@ def _sha256(a):
 @pytest.mark.parametrize("family, policy", sorted(GOLDEN_GENERATE))
 def test_generate_streams_are_pinned(family, policy):
     t, lat = generate(DGPSpec(family=family, n=3000, seed=21, clamp_policy=policy))
-    arrays = {"X": t.X, "Z": t.Z, "R": t.R, "y": t.y_dense(), "u": lat.u,
+    arrays = {"X": t.X, "Z": t.Z, "R": t.R, "y": t.Y, "u": lat.u,
               "y_full": lat.y_full, "p_r0": lat.p_r0}
     hashes, clamp_fraction, n_rejected = GOLDEN_GENERATE[family, policy]
     assert {k: _sha256(v) for k, v in arrays.items()} == hashes
@@ -303,7 +303,7 @@ def test_generate_matches_the_unchunked_draw_step(family, policy, n):
     ref, clamp_fraction, n_rejected = want
     for k, v in ref.items():
         assert np.array_equal(arrays[k], v), k
-    assert np.array_equal(t.y_dense(), np.where(t.R == 1, lat.y_full, np.nan),
+    assert np.array_equal(t.Y, np.where(t.R == 1, lat.y_full, np.nan),
                           equal_nan=True)
     assert (lat.clamp_fraction, lat.n_rejected) == (clamp_fraction, n_rejected)
 
