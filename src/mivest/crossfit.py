@@ -38,6 +38,7 @@ from .nuisance import (
     Diagnostics,
     NuisanceSet,
     TrimPolicy,
+    _require_codes_in_range,
     fit_nuisance_set,
     winsorize_values,
 )
@@ -56,9 +57,6 @@ class FoldPlan:
     seed: int
     repetition: int
     assignments: np.ndarray
-
-    def fold_sizes(self) -> np.ndarray:
-        return np.bincount(self.assignments, minlength=self.n_folds)
 
 
 def make_folds(n: int, n_folds: int, seed: int, repetition: int = 0) -> FoldPlan:
@@ -306,6 +304,7 @@ def crossfit_beta(
     if table.n0 == 0:
         raise NoIncompleteCasesError("no rows with R = 0; the target is undefined")
     _check_repetitions(repetitions)
+    _require_codes_in_range(table)      # a fold's rows may be absent from its training split
     alpha = float(np.mean(evaluate_h(spec, table.y_observed)))
     pi0 = table.n0 / table.n
 

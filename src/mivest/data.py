@@ -57,9 +57,6 @@ class FunctionalSpec:
     def custom(h: Callable[[np.ndarray, float], np.ndarray], psi: float = 0.0) -> "FunctionalSpec":
         return FunctionalSpec(kind="custom", psi=psi, h=h)
 
-    def with_psi(self, psi: float) -> "FunctionalSpec":
-        return FunctionalSpec(kind=self.kind, psi=psi, q=self.q, h=self.h)
-
 
 def evaluate_h(spec: FunctionalSpec, y: np.ndarray | float,
                out: np.ndarray | None = None) -> np.ndarray | float:
@@ -214,10 +211,6 @@ class ObservationTable:
     @property
     def n(self) -> int:
         return self.X.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.X.shape[1]
 
     @property
     def n1(self) -> int:

@@ -202,34 +202,63 @@ def _halving_search(pll, coef: np.ndarray, step: np.ndarray, floor: float):
     return None
 
 
-# rows per pass of the Hessian accumulations: a chunk's (d, chunk) weighted
-# rows (logistic) and (d(d+1)/2, chunk) feature pair products (multinomial)
-# stay cache-sized (1.5 MB for the pairs of the default basis of two
-# covariates at degree 4, d = 9)
+# rows per pass of _weighted_gram: a chunk's (d, chunk) weighted rows stay
+# cache-sized (288 KB for the default basis of two covariates at degree 4,
+# d = 9)
 _HESSIAN_CHUNK = 4096
 
 
-def _logistic_hessian(F: np.ndarray, p: np.ndarray, pen: np.ndarray) -> np.ndarray:
-    """Penalised Newton matrix F' diag(w) F + pen of the logistic fit.
+def _weighted_gram(F: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """F' diag(w) F, summed over chunks of _HESSIAN_CHUNK rows.
 
-    w = max(p (1 - p), 1e-10): saturated probabilities zero out the
-    observed information, and the floor keeps the intercept coordinate
-    (unpenalized) solvable.  The weighted transposed rows Fc' * wc are
-    formed per chunk of _HESSIAN_CHUNK rows in one reused (d, chunk)
-    buffer, so besides w the extra memory is O(chunk), not an (n, d) copy
-    of F.
+    The weighted transposed rows Fc' * wc are formed per chunk in one
+    reused (d, chunk) buffer, so besides w the extra memory is O(chunk),
+    not an (n, d) copy of F.  F is read through the views F[start:stop];
+    for column-major features each row of Fc' (one feature over the
+    chunk) is contiguous.
     """
     n, d = F.shape
-    w = p * (1.0 - p)
-    np.maximum(w, 1e-10, out=w)
     scaled = np.empty((d, min(n, _HESSIAN_CHUNK)))
-    H = np.zeros((d, d))
+    G = np.zeros((d, d))
     for start in range(0, n, _HESSIAN_CHUNK):
         Fc = F[start:start + _HESSIAN_CHUNK]
         rows = scaled[:, :Fc.shape[0]]
         np.multiply(Fc.T, w[start:start + _HESSIAN_CHUNK], out=rows)
-        H += rows @ Fc
-    H += pen
+        G += rows @ Fc
+    return G
+
+
+def _newton_matrix(F: np.ndarray, P: np.ndarray, pen: np.ndarray) -> np.ndarray:
+    """Penalised Newton matrix of the logistic (K = 1) or multinomial fit.
+
+    P holds the K fitted classes' probabilities, class-major (K, n), or
+    (K,) when every row has the same ones (an intercept-only start).
+    Block (k, m) of the (K d, K d) matrix, of size d x d, is
+    F' diag(w_km) F, plus the ridge block pen when k = m, with
+    w_kk = max(p_k (1 - p_k), 1e-10) and w_km = -p_k p_m.  The floor keeps
+    the unpenalized intercept coordinate solvable when a class saturates.
+    Each block (k, m >= k) is one _weighted_gram pass over the rows, or,
+    for (K,) probabilities, w_km times the one Gram F'F; it is mirrored
+    into (m, k).  The weights are formed a block at a time, so the extra
+    memory is a few n-vectors, not O(n K^2).
+    """
+    K, d = P.shape[0], F.shape[1]
+    gram = F.T @ F if P.ndim == 1 else None
+
+    def block(w):
+        return _weighted_gram(F, w) if gram is None else w * gram
+
+    H = np.empty((K * d, K * d))
+    for k in range(K):
+        rows = slice(k * d, (k + 1) * d)
+        B = block(np.maximum(P[k] * (1.0 - P[k]), 1e-10))
+        B += pen
+        H[rows, rows] = B
+        for m in range(k + 1, K):
+            cols = slice(m * d, (m + 1) * d)
+            B = block(-P[k] * P[m])
+            H[rows, cols] = B
+            H[cols, rows] = B.T
     return H
 
 
@@ -238,48 +267,25 @@ def _logistic_hessian(F: np.ndarray, p: np.ndarray, pen: np.ndarray) -> np.ndarr
 _CHORD_START = 1e-2
 
 
-def _gram_hessian(F: np.ndarray, p: np.ndarray, pen: np.ndarray) -> np.ndarray:
-    """Penalised Newton matrix where every row has the fitted probabilities p.
-
-    p holds the K fitted classes' probabilities, shared by all rows (an
-    intercept-only start).  The class weights are then constants, so every
-    d x d block is a multiple of one Gram F'F: the matrix is W (x) F'F plus
-    the ridge on the diagonal blocks, with W_kk = max(p_k (1 - p_k), 1e-10)
-    and W_km = -p_k p_m, the weights of _multinomial_hessian (at K = 1,
-    those of _logistic_hessian).
-    """
-    K = p.size
-    d = F.shape[1]
-    W = np.multiply.outer(p, p)
-    np.negative(W, out=W)
-    W.reshape(-1)[::K + 1] = np.maximum(p * (1.0 - p), 1e-10)     # the diagonal
-    G = F.T @ F
-    H = (W[:, None, :, None] * G[None, :, None, :]).reshape(K * d, K * d)
-    for k in range(K):
-        H[k * d: (k + 1) * d, k * d: (k + 1) * d] += pen
-    return H
-
-
-def _newton_fit(F, coef, pll, score, hessian, pen, cfg, what):
+def _newton_fit(F, coef, pll, score, pen, cfg, what):
     """Damped Newton ascent of a penalised likelihood; (coef, converged, n_iter).
 
     Shared by fit_logistic and fit_multinomial.  pll(b) returns the
     penalised log-likelihood at b, its log-partition sum (_ACCEPT_ROUNDING)
     and the state the score needs;
     score(b, state) returns the penalised score, shaped like b, and the
-    class-major (K, n) fitted probabilities; hessian(Pk) forms the
-    penalised Newton matrix in one chunked pass over the rows, pen is the
-    ridge block of one class and what names the model.  The driver
-    forms only the Newton matrices that an iteration needs:
+    class-major (K, n) fitted probabilities; pen is the ridge block of one
+    class and what names the model.  Every Newton matrix comes from
+    _newton_matrix, and the driver forms only those an iteration needs:
 
     - at an intercept-only start every row has the same probabilities, and
-      the matrix is one Gram (_gram_hessian);
+      every block is a multiple of one Gram F'F;
     - after a full accepted step with max|step| < _CHORD_START, the next
       iteration reuses the last matrix (a chord step; Kelley 1995,
       Iterative Methods for Linear and Nonlinear Equations, ch. 5).  A chord
       step is kept only if it is at most a tenth of the step before it;
       otherwise the matrix is formed afresh at the same iterate;
-    - every other iteration calls hessian.
+    - every other iteration makes one chunked pass per block.
 
     One rule stops the fit: a step, fresh or chord, below irls_tol in every
     coordinate is taken in full before any line search, and the fit has
@@ -313,10 +319,8 @@ def _newton_fit(F, coef, pll, score, hessian, pen, cfg, what):
             size = np.abs(step).max()
             chord = size <= chord_limit
         if not chord:
-            if it == 1 and np.all(Pk.min(axis=1) == Pk.max(axis=1)):
-                H = _gram_hessian(F, Pk[:, 0], pen)
-            else:
-                H = hessian(Pk)
+            start = it == 1 and np.all(Pk.min(axis=1) == Pk.max(axis=1))
+            H = _newton_matrix(F, Pk[:, 0] if start else Pk, pen)
             step = newton_step(H, grad)
             size = np.abs(step).max()
         if size < cfg.irls_tol:
@@ -346,9 +350,9 @@ def fit_logistic(features: np.ndarray, labels: np.ndarray, cfg: LearnerConfig, *
 
     The likelihood evaluates log(1 + e^eta) as max(eta, 0) +
     log1p(exp(-|eta|)) in one reused n-buffer (the value np.logaddexp
-    gives, at a sixth of its cost), and the Hessian is summed over row
-    chunks (_logistic_hessian) when _newton_fit needs a fresh one; besides
-    F and the labels the fit holds a few n-vectors and no (n, d) work array.
+    gives, at a sixth of its cost), and a fresh Newton matrix is the one
+    block of _newton_matrix at K = 1, summed over row chunks; besides F and
+    the labels the fit holds a few n-vectors and no (n, d) work array.
     """
     F = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=float)
@@ -379,9 +383,7 @@ def fit_logistic(features: np.ndarray, labels: np.ndarray, cfg: LearnerConfig, *
     # sensible start: intercept at the empirical logit
     ybar = float(np.clip(y.mean(), 1e-12, 1 - 1e-12))
     coef[0] = np.log(ybar / (1.0 - ybar))
-    coef, converged, it = _newton_fit(
-        F, coef, pll, score, lambda Pk: _logistic_hessian(F, Pk[0], pen), pen, cfg,
-        "logistic")
+    coef, converged, it = _newton_fit(F, coef, pll, score, pen, cfg, "logistic")
     return FitResult(coef=coef, converged=converged, n_iter=it)
 
 
@@ -432,82 +434,6 @@ def _softmax_inplace(full: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return top, total
 
 
-def _multinomial_hessian(F: np.ndarray, Pk: np.ndarray, lam: float) -> np.ndarray:
-    """Penalised Newton matrix of the multinomial log-likelihood.
-
-    F is the (n, d) feature matrix and Pk the class-major (K, n)
-    probabilities of the K fitted classes.  F is read a chunk of rows at a
-    time through the (d, c) view F[start:stop].T, with no copy; for the
-    column-major features PolyBasis.transform returns, each row of that
-    view (one feature over the chunk) is contiguous.  Any layout gives the
-    same bits: the products are elementwise.  Block (k, m), of size d x d,
-    is F' diag(w_km) F plus the ridge on the diagonal blocks, with
-    w_kk = max(p_k (1 - p_k), 1e-10) and w_km = -p_k p_m.  Every block is
-    summed over rows in one pass over chunks of _HESSIAN_CHUNK rows:
-    a chunk's d(d+1)/2 feature pair products f_a f_b times its
-    K(K+1)/2 block weights is one matrix product into a
-    (d(d+1)/2, K(K+1)/2) accumulator.  The weights are formed per chunk,
-    so the extra memory is O(chunk), not O(n K^2).  The matrix is then one
-    gather from the accumulator plus the ridge on its diagonal, through the
-    index maps _hessian_layout caches per (d, K); the entries outside the
-    ridged diagonal would gain nothing from adding 0.0, since the
-    accumulator, summed from +0.0, holds no -0.0.
-    """
-    n, d = F.shape
-    K = Pk.shape[0]
-    n_pairs = d * (d + 1) // 2
-    n_blocks = K * (K + 1) // 2
-    width = min(n, _HESSIAN_CHUNK)
-    acc = np.zeros((n_pairs, n_blocks))
-    pairs = np.empty((n_pairs, width))
-    weights = np.empty((n_blocks, width))
-    for start in range(0, n, _HESSIAN_CHUNK):
-        stop = min(start + _HESSIAN_CHUNK, n)
-        c = stop - start
-        Fc = F[start:stop].T                                # (d, c) view
-        Pc = Pk[:, start:stop]
-        row = 0
-        for a in range(d):                                  # pairs (a, b >= a)
-            np.multiply(Fc[a:], Fc[a], out=pairs[row: row + d - a, :c])
-            row += d - a
-        row = 0
-        for k in range(K):                                  # blocks (k, m >= k)
-            # floor, as in the binary fit, so saturated classes do not
-            # void the unpenalized intercept coordinate
-            np.maximum(Pc[k] * (1.0 - Pc[k]), 1e-10, out=weights[row, :c])
-            np.multiply(Pc[k + 1:], -Pc[k], out=weights[row + 1: row + K - k, :c])
-            row += K - k
-        acc += pairs[:, :c] @ weights[:, :c].T
-    gather, ridge = _hessian_layout(d, K)
-    H = acc.take(gather)
-    H.reshape(-1)[ridge] += 2.0 * lam
-    return H
-
-
-@lru_cache(maxsize=None)
-def _hessian_layout(d: int, K: int) -> tuple[np.ndarray, np.ndarray]:
-    """Where the (K d, K d) Newton matrix of _multinomial_hessian reads its
-    (d(d+1)/2, K(K+1)/2) accumulator, and where it takes the ridge.
-
-    The first array holds, for entry (k d + a, m d + b), the flat index of
-    pair (min(a, b), max(a, b)) in block (min(k, m), max(k, m)), both
-    counted in the accumulator's row-major upper triangle order; the
-    second the flat indices of the diagonal entries of every class's
-    coefficients but its intercept.  Cached per (d, K), hence read-only.
-    """
-    def upper(size: int) -> np.ndarray:
-        a, b = np.triu_indices(size)
-        order = np.empty((size, size), dtype=np.intp)
-        order[a, b] = order[b, a] = np.arange(a.size)
-        return order
-    pair, block = upper(d), upper(K)
-    gather = (pair[None, :, None, :] * (K * (K + 1) // 2)
-              + block[:, None, :, None]).reshape(K * d, K * d)
-    ridge = np.arange(K * d).reshape(K, d)[:, 1:].ravel() * (K * d + 1)
-    gather.flags.writeable = ridge.flags.writeable = False
-    return gather, ridge
-
-
 def fit_multinomial(features: np.ndarray, classes: np.ndarray, cfg: LearnerConfig,
                     L: int | None = None) -> MultinomialModel:
     """Ridge multinomial logistic regression by damped Newton iterations.
@@ -524,8 +450,8 @@ def fit_multinomial(features: np.ndarray, classes: np.ndarray, cfg: LearnerConfi
 
     Logits and probabilities are class-major (L, n), computed as B @ F.T
     with no copy of F; the gradient is the one product (Y - P[:K]) @ F.
-    When _newton_fit needs a fresh Hessian, every block comes from one
-    chunked pass over the rows (_multinomial_hessian).
+    A fresh Newton matrix is _newton_matrix at K = L - 1: one chunked
+    weighted Gram per block (k, m >= k), mirrored into (m, k).
     """
     F = np.asarray(features, dtype=float)
     y = np.asarray(classes, dtype=np.int64)
@@ -568,7 +494,6 @@ def fit_multinomial(features: np.ndarray, classes: np.ndarray, cfg: LearnerConfi
         G[:, 1:] -= 2.0 * lam * B[:, 1:]
         return G, Pk
 
-    coef, converged, it = _newton_fit(
-        F, coef, pll, score, lambda Pk: _multinomial_hessian(F, Pk, lam),
-        _penalty_matrix(d, 2.0 * lam), cfg, "multinomial")
+    coef, converged, it = _newton_fit(F, coef, pll, score, _penalty_matrix(d, 2.0 * lam),
+                                      cfg, "multinomial")
     return MultinomialModel(coef=coef, L=L, converged=converged, n_iter=it)

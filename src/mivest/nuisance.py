@@ -29,7 +29,7 @@ from typing import Callable, Literal
 import numpy as np
 
 from .data import FunctionalSpec, ObservationTable, _linear_quantiles
-from .exceptions import NuisanceFitError
+from .exceptions import DataContractError, NuisanceFitError
 from .learners import (LearnerConfig, MultinomialModel, PolyBasis, expit, fit_linear,
                        fit_logistic, fit_multinomial)
 
@@ -194,6 +194,14 @@ def _by_level(F: np.ndarray, Z: np.ndarray, L: int) -> list[tuple[np.ndarray, np
             for r in (np.flatnonzero(Z == z) for z in range(L))]
 
 
+def _require_codes_in_range(table: ObservationTable) -> None:
+    """Raise DataContractError naming an instrument code outside 0..L-1."""
+    lo, hi = int(table.Z.min(initial=0)), int(table.Z.max(initial=0))
+    if lo < 0 or hi >= table.L:
+        raise DataContractError(f"instrument code {lo if lo < 0 else hi} is outside "
+                                f"0..{table.L - 1} (L = {table.L})")
+
+
 def fit_propensities(
     train: ObservationTable,
     cfg: LearnerConfig,
@@ -208,7 +216,8 @@ def fit_propensities(
     keeps a thin level with one response class finite; each level's fit
     that does not converge counts once in nonconverged_fits.  rho: ridge
     multinomial (logistic when L = 2) of Z on the basis.  pi0 is the sample
-    fraction of R = 0.  Direct mode also fits an unstratified logistic
+    fraction of R = 0.  An instrument code outside 0..L-1 raises
+    DataContractError.  Direct mode also fits an unstratified logistic
     pi(X).  None of these depends on psi, so a caller that varies only psi
     fits them once.  F is the training block's basis, transformed once
     here; callers reuse it to fit mu and to evaluate the models on the
@@ -217,6 +226,7 @@ def fit_propensities(
     it on to the mu fits.
     """
     L = train.L
+    _require_codes_in_range(train)
     diag = Diagnostics()
     counts = np.bincount(train.Z, minlength=L)
     empty = np.flatnonzero(counts == 0)

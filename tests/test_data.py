@@ -74,18 +74,10 @@ def test_custom_h_is_used():
     assert evaluate_h(spec, 3.0) == 8.0
 
 
-def test_with_psi_keeps_kind():
-    spec = FunctionalSpec.quantile(0.25).with_psi(4.0)
-    assert spec.kind == "quantile"
-    assert spec.q == 0.25
-    assert spec.psi == 4.0
-
-
 def test_from_arrays_promotes_vector_covariate():
     t = ObservationTable.from_arrays(np.arange(4.0), [0, 1, 0, 1],
                                      [0, 1, 0, 1], [None, 2.0, None, 3.0])
     assert t.X.shape == (4, 1)
-    assert t.p == 1
 
 
 def test_from_arrays_rejects_bad_shapes():

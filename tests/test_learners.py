@@ -11,11 +11,11 @@ from scipy.special import expit, logsumexp, softmax
 
 from mivest import learners
 from mivest.exceptions import ConfigurationError, FitError
-from mivest.learners import (_HESSIAN_CHUNK, LearnerConfig, PolyBasis, _multinomial_hessian,
+from mivest.learners import (_HESSIAN_CHUNK, LearnerConfig, PolyBasis, _newton_matrix,
                              _penalty_matrix, _softmax_inplace, expand_basis, fit_linear,
                              fit_logistic, fit_multinomial)
 
-from helpers import reference_expand_basis, reference_multinomial_hessian, reference_newton
+from helpers import reference_expand_basis, reference_newton
 
 CFG = LearnerConfig()
 
@@ -512,6 +512,20 @@ def test_failed_step_search_is_not_reported_as_convergence(monkeypatch):
     assert res.coef[0] == pytest.approx(np.log(y.mean() / (1.0 - y.mean())))
 
 
+def _per_block_reference(F, Pk, lam):
+    """The (K d, K d) Newton matrix with every d x d block, both triangles,
+    formed directly as F' diag(w) F on all rows, plus the ridge."""
+    K, d = Pk.shape[0], F.shape[1]
+    ref = np.empty((K * d, K * d))
+    for k in range(K):
+        for m in range(K):
+            w = (np.maximum(Pk[k] * (1.0 - Pk[k]), 1e-10) if k == m
+                 else -Pk[k] * Pk[m])
+            ref[k * d: (k + 1) * d, m * d: (m + 1) * d] = F.T @ (w[:, None] * F)
+        ref[k * d: (k + 1) * d, k * d: (k + 1) * d] += _penalty_matrix(d, 2.0 * lam)
+    return ref
+
+
 @pytest.mark.parametrize("L", [3, 6])
 def test_chunked_hessian_equals_per_block_gram_products(L):
     n = 3 * 4096 + 17
@@ -520,23 +534,17 @@ def test_chunked_hessian_equals_per_block_gram_products(L):
     P = rng.dirichlet(np.ones(L), size=n).T                # class-major (L, n)
     P[0, :50] = 1.0 - 1e-12                                # floored rows
     K, d, lam = L - 1, F.shape[1], 0.25
-    H = _multinomial_hessian(F, P[:K], lam)
-    ref = np.empty_like(H)
-    for k in range(K):
-        for m in range(K):
-            w = (np.maximum(P[k] * (1.0 - P[k]), 1e-10) if k == m
-                 else -P[k] * P[m])
-            ref[k * d: (k + 1) * d, m * d: (m + 1) * d] = F.T @ (w[:, None] * F)
-        ref[k * d: (k + 1) * d, k * d: (k + 1) * d] += _penalty_matrix(d, 2.0 * lam)
+    H = _newton_matrix(F, P[:K], _penalty_matrix(d, 2.0 * lam))
+    ref = _per_block_reference(F, P[:K], lam)
     assert np.max(np.abs(H - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
 @pytest.mark.parametrize("K", [1, 2, 3, 5])
-def test_gathered_hessian_equals_the_block_loop_bit_for_bit(d, K):
-    # one gather through the cached index map (and the ridge through the
-    # cached diagonal index) lays the accumulator out exactly as the block
-    # loop did, at every chunk edge and with and without the ridge
+def test_chunked_hessian_equals_per_block_gram_products_at_chunk_edges(d, K):
+    # every block of the assembled matrix, mirrored or not, against its
+    # direct product, at every chunk edge, with and without the ridge and
+    # for both feature layouts (the chunks are views of either)
     rng = np.random.default_rng(10 * d + K)
     for n in (1, 7, _HESSIAN_CHUNK - 1, _HESSIAN_CHUNK, _HESSIAN_CHUNK + 1,
               2 * _HESSIAN_CHUNK):
@@ -544,11 +552,26 @@ def test_gathered_hessian_equals_the_block_loop_bit_for_bit(d, K):
         P = rng.dirichlet(np.ones(K + 1), size=n).T
         P[0, : n // 3] = 1.0 - 1e-13                        # floored weights
         for lam in (0.0, 1e-3, 0.37):
-            want = reference_multinomial_hessian(F, P[:K], lam)
-            for G in (F, np.asfortranarray(F)):     # the chunks are views
-                got = _multinomial_hessian(G, P[:K], lam)
-                assert got.tobytes() == want.tobytes(), (n, lam)
+            ref = _per_block_reference(F, P[:K], lam)
+            for G in (F, np.asfortranarray(F)):
+                got = _newton_matrix(G, P[:K], _penalty_matrix(d, 2.0 * lam))
+                assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), (n, lam)
                 assert got.flags.writeable and got.flags.c_contiguous
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 5])
+def test_intercept_only_start_matrix_equals_the_chunked_matrix(K):
+    # with every row given the same probabilities, the start's blocks
+    # (w_km times one Gram F'F) are the chunked weighted Grams
+    rng = np.random.default_rng(K)
+    for n in (1, _HESSIAN_CHUNK - 1, _HESSIAN_CHUNK, _HESSIAN_CHUNK + 1):
+        F = np.asfortranarray(np.column_stack([np.ones(n), rng.normal(size=(n, 4))]))
+        p = rng.dirichlet(np.ones(K + 1))[:K]
+        for lam in (0.0, 1e-3):
+            pen = _penalty_matrix(F.shape[1], 2.0 * lam)
+            start = _newton_matrix(F, p, pen)
+            chunked = _newton_matrix(F, np.repeat(p[:, None], n, axis=1), pen)
+            assert np.max(np.abs(start - chunked)) <= 1e-12 * np.max(np.abs(chunked)), (n, lam)
 
 
 def test_penalty_matrix_is_cached_and_read_only():
@@ -681,18 +704,21 @@ def test_newton_fits_form_only_the_hessians_they_need(monkeypatch):
     # the intercept-only start needs one Gram, not a chunked pass, and once
     # a full step is below 1e-2 the last Newton matrix serves the chord steps
     # that follow; a Hessian per iteration (8 multinomial, 7 logistic on
-    # these draws) would fail the pinned counts
-    calls = {"_multinomial_hessian": 0, "_logistic_hessian": 0}
-    for name in calls:
-        def counted(*args, _real=getattr(learners, name), _name=name):
-            calls[_name] += 1
-            return _real(*args)
-        monkeypatch.setattr(learners, name, counted)
+    # these draws) would fail the pinned counts.  Each chunked matrix makes
+    # one _weighted_gram pass per block (k, m >= k): 6 at K = 3, 1 at K = 1
+    grams = []
+
+    def counted(F, w, _real=learners._weighted_gram):
+        grams.append(w.size)
+        return _real(F, w)
+
+    monkeypatch.setattr(learners, "_weighted_gram", counted)
     F, classes = _class_draw(40_000, 4, seed=8)
     model = fit_multinomial(F, classes, CFG, L=4)
     assert model.converged
-    assert (model.n_iter, calls["_multinomial_hessian"]) == (9, 4)
+    assert (model.n_iter, len(grams)) == (9, 4 * 6)
+    grams.clear()
     F, y = _binary_draw(40_000, seed=8)
     res = fit_logistic(F, y, CFG)
     assert res.converged
-    assert (res.n_iter, calls["_logistic_hessian"]) == (10, 3)
+    assert (res.n_iter, len(grams)) == (10, 3)

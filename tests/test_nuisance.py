@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mivest.crossfit import crossfit_beta
 from mivest.data import FunctionalSpec
-from mivest.exceptions import NuisanceFitError
+from mivest.exceptions import DataContractError, NuisanceFitError
+from mivest.general import solve_functional
 from mivest.learners import LearnerConfig, MultinomialModel, PolyBasis
 from mivest.nuisance import (MIN_STRATUM_ROWS, PROB_CLIP, Diagnostics, NuisanceSet,
                              evaluate_nuisances, fit_mu_component, fit_nuisance_set,
@@ -147,6 +149,26 @@ def test_missing_level_in_training_raises():
     t = small_table([0, 0, 0, 0], [1, 0, 1, 0], [1.0, None, 2.0, None], L=2)
     with pytest.raises(NuisanceFitError, match="level 1"):
         fit_nuisance_set(t, SPEC, LearnerConfig())
+
+
+@pytest.mark.parametrize("code", [-1, 3])
+def test_instrument_codes_outside_the_levels_are_a_data_contract_error(code):
+    # from_arrays keeps the code (validate_table flags it as code_range); each
+    # estimator names it instead of failing inside a fit or np.bincount, also
+    # when the one bad row sits in an evaluation fold only
+    rng = np.random.default_rng(12)
+    n = 600
+    Z = rng.integers(0, 3, size=n)
+    Z[10] = code
+    R = (rng.random(n) < 0.6).astype(int)
+    Y = [float(v) if r == 1 else None for v, r in zip(rng.normal(size=n), R)]
+    t = small_table(Z, R, Y, X=rng.normal(size=(n, 2)), L=3)
+    match = rf"instrument code {code} is outside 0\.\.2 \(L = 3\)"
+    for estimate in (lambda: crossfit_beta(t, SPEC, LearnerConfig()),
+                     lambda: solve_functional(t, LearnerConfig(), 0.5),
+                     lambda: fit_nuisance_set(t, SPEC, LearnerConfig())):
+        with pytest.raises(DataContractError, match=match):
+            estimate()
 
 
 def test_one_sided_level_warns():
