@@ -38,7 +38,7 @@ import numpy as np
 
 from .data import FunctionalSpec
 from .exceptions import ConfigurationError
-from .general import _own_level, _phi_parts_general, _phi_tilde
+from .general import _evaluate_own, _own_level, _phi_pass, _phi_tilde
 from .learners import expit
 from .nuisance import PROB_CLIP, NuisanceSet, evaluate_nuisances
 from .oracles import (_GL_K, _unit_square_rule, oracle_delta, oracle_identified_beta,
@@ -308,8 +308,9 @@ def run_robustness(
         # the estimate is a plain mean of phi~ (pi0 fixed at its true
         # value), so its sampling error comes from the uncentered values;
         # the reference's quadrature error is added in quadrature
-        parts = _phi_parts_general(table, sc.ns, spec, "floor", None)
-        vals = parts.phi_tilde[parts.keep]
+        ev, own = _evaluate_own(table, sc.ns, "floor")
+        _, vals = next(_phi_pass(own, table.Z, [(table.rh(spec), ev.mu, ev.mu_marg)]))
+        del ev, own     # not kept alive through the next scenario's evaluation
         est = float(vals.mean())
         se = float(np.sqrt(np.var(vals, ddof=0) / vals.size + ref_err * ref_err))
         report.rows.append(RobustnessRow(

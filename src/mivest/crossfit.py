@@ -15,6 +15,9 @@ which charges each repetition for its distance from the consensus.
 One repetition driver (crossfit_beta) runs one fold loop
 (_crossfit_pass) per repetition, and one influence function
 (mivest.general) serves every instrument: at L = 2 it is the binary one.
+Each fold evaluates its nuisance set once on its rows (evaluate_nuisances)
+and runs the influence function's pass (general._phi_pass) over one target
+column, the pass the quantile grid runs over 64.
 The nonrespondent mean beta and the population mean
 (1 - pi0) alpha + pi0 beta are both computed from one shared split and one
 nuisance fit per fold and repetition, so `mivest estimate` and every
@@ -32,7 +35,7 @@ import numpy as np
 from .data import FunctionalSpec, ObservationTable, evaluate_h
 from .exceptions import (ConfigurationError, EstimationError, FitError,
                          NoIncompleteCasesError)
-from .general import _phi_parts_general, _population_phi, normal_ci, variance_if
+from .general import _evaluate_own, _phi_pass, _population_phi, normal_ci, variance_if
 from .learners import LearnerConfig
 from .nuisance import (
     Diagnostics,
@@ -139,13 +142,15 @@ def _crossfit_pass(
             raise type(e)(f"fold {k}: {e}") from e
         if not ns.pi0 > 0:
             raise NoIncompleteCasesError(f"fold {k}: training split has no incomplete rows")
-        parts = _phi_parts_general(block, ns, spec, trim, diag)
-        phi[mask] = parts.phi_tilde
-        keep[mask] = parts.keep
-        delta_own[mask] = parts.delta_own
+        ev, own = _evaluate_own(block, ns, trim)
+        delta_own[mask], phi[mask] = next(
+            _phi_pass(own, block.Z, [(block.rh(spec), ev.mu, ev.mu_marg)]))
+        keep[mask] = own.keep
         coef[mask] = (1.0 - block.R.astype(float)) / ns.pi0
         pi0s[k] = ns.pi0
+        diag.floor_hits += own.floor_hits
         diag.merge(ns.diagnostics)
+        del ev, own     # the fold's evaluation is not kept alive through the next fit
 
     if winsorize is not None:
         phi = winsorize_values(phi, winsorize, diag)

@@ -24,16 +24,18 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .data import FunctionalSpec, ObservationTable
+from .data import ObservationTable
 from .exceptions import EstimationError, NoIncompleteCasesError, WeakIdentificationError
-from .learners import LearnerConfig, _ridge_solve
+from .learners import LearnerConfig
 # fit_nuisance_set and fit_mu_component have no caller here; they stay bound
-# because the benchmark tracer (perfbench/trace_child.py) wraps
-# mivest.general.fit_nuisance_set and mivest.general.fit_mu_component.
+# because the benchmark tracer (perfbench/trace_child.py) wraps them here.  It
+# also wraps evaluate_nuisances here, which _evaluate_own calls, and
+# mivest.nuisance.fit_linear, which the grid's mu solve calls through _fit_mu.
 from .nuisance import (  # noqa: F401
-    Diagnostics,
+    NuisanceEval,
     NuisanceSet,
     TrimPolicy,
+    _fit_mu,
     evaluate_nuisances,
     fit_mu_component,
     fit_nuisance_set,
@@ -50,15 +52,6 @@ _GRID_BLOCK = 4
 
 
 @dataclass
-class PhiParts:
-    """Uncentered influence values and row bookkeeping for one block."""
-
-    phi_tilde: np.ndarray       # (n,) uncentered influence contributions
-    keep: np.ndarray            # (n,) bool rows retained under the trim policy
-    delta_own: np.ndarray       # (n,) delta at each row's own level
-
-
-@dataclass
 class _OwnLevel:
     """The psi-free factors of phi~ at each row's own instrument level; the
     per-row factors are (L, n) in _own_level's every-level form."""
@@ -68,6 +61,7 @@ class _OwnLevel:
     r_resid: np.ndarray         # (n,) R_i - pi(Z_i, x_i)
     missing_w: np.ndarray       # (n,) (1 - R_i) / pi0
     keep: np.ndarray            # (n,) bool rows retained under the trim policy
+    floored: np.ndarray         # (n,) bool: delta_r(Z_i, x_i) was floored
     floor_hits: int
 
 
@@ -106,6 +100,7 @@ def _own_level(
         r_resid=R - pi[z, rows],
         missing_w=(1.0 - R) / pi0,
         keep=keep,
+        floored=hits[z, rows],
         floor_hits=int(hits.sum()),
     )
 
@@ -128,22 +123,33 @@ def _phi_tilde(own: _OwnLevel, rh: np.ndarray, mu_z: np.ndarray, delta_z: np.nda
     return out
 
 
-def _phi_parts_general(
-    table: ObservationTable,
-    ns: NuisanceSet,
-    spec: FunctionalSpec,
-    trim: TrimPolicy,
-    diag: Diagnostics | None,
-) -> PhiParts:
+def _evaluate_own(table: ObservationTable, ns: NuisanceSet,
+                  trim: TrimPolicy) -> tuple[NuisanceEval, _OwnLevel]:
+    """One evaluate_nuisances call on the table's rows, and the psi-free
+    factors of phi~ at each row's own level."""
     ev = evaluate_nuisances(ns, table.X)
-    own = _own_level(table.Z, table.R, ev.pi, ev.rho, ev.delta_r, ns.pi0, trim)
-    if diag is not None:
-        diag.floor_hits += own.floor_hits
-    rows = np.arange(table.n)
-    z = table.Z
-    delta_z = ev.delta_y[z, rows] / own.den
-    phi_tilde = _phi_tilde(own, table.rh(spec), ev.mu[z, rows], delta_z)
-    return PhiParts(phi_tilde=phi_tilde, keep=own.keep, delta_own=delta_z)
+    return ev, _own_level(table.Z, table.R, ev.pi, ev.rho, ev.delta_r, ns.pi0, trim)
+
+
+def _phi_pass(own: _OwnLevel, z: np.ndarray, columns):
+    """The own-level delta and phi~ of each target column.
+
+    columns yields (rh, mu, mu_marg) per column: R h (n,), mu at every
+    level (K, n) with K >= L (rows past L are ignored), and mu's marginal
+    (n,).  Yields (delta_z, phi~) per column, delta_z = (mu(Z_i, x_i) -
+    mu(x_i)) / den and phi~ in _phi_tilde's operation order, both written
+    into buffers that the next column reuses; a column whose rh is None
+    yields its delta alone (phi~ is None), which is what the plug-in reads.
+    """
+    n = own.den.shape[0]
+    own_flat = z * n + np.arange(n)         # each row's own level in a (K, n) array
+    mu_z, delta_z, phi, work = (np.empty(n) for _ in range(4))
+    for rh, mu, mu_marg in columns:
+        np.take(mu, own_flat, out=mu_z)
+        np.subtract(mu_z, mu_marg, out=delta_z)
+        delta_z /= own.den
+        yield delta_z, (None if rh is None else
+                        _phi_tilde(own, rh, mu_z, delta_z, out=phi, work=work))
 
 
 def _require_incomplete(table: ObservationTable, ns: NuisanceSet) -> None:
@@ -159,15 +165,20 @@ def beta_id_general(
     *,
     trim: TrimPolicy = "floor",
 ) -> float:
-    """Plug-in estimator: mean of delta(Z_i, X_i) over rows with R_i = 0."""
+    """Plug-in estimator: mean of delta(Z_i, X_i) over rows with R_i = 0.
+
+    delta is read from the influence function's pass (_phi_pass).  Under
+    trim "drop" it leaves out an R = 0 row whose own level's |delta_r| is
+    floored, the only denominator its delta divides by; the
+    influence-function estimators leave out a row when any level is
+    floored, since g(x) reads every level.
+    """
     _require_incomplete(table, ns)
-    ev = evaluate_nuisances(ns, table.X)
-    rows = np.arange(table.n)
-    den, hits = floor_denominator(ev.delta_r[table.Z, rows])
-    delta_own = ev.delta_y[table.Z, rows] / den
+    ev, own = _evaluate_own(table, ns, trim)
+    delta_own, _ = next(_phi_pass(own, table.Z, [(None, ev.mu, ev.mu_marg)]))
     mask = table.R == 0
     if trim == "drop":
-        mask = mask & ~hits
+        mask &= ~own.floored
     if not mask.any():
         raise NoIncompleteCasesError("trim policy removed every incomplete row")
     return float(delta_own[mask].mean())
@@ -247,9 +258,10 @@ def solve_functional(
     Both moments are evaluated on one psi-grid spanning the observed
     outcome range in a single pass, in sample on the whole table (no
     cross-fitting): the table's basis is transformed once, only the
-    psi-free models (pi, rho, pi0) are fitted and evaluated once on it, and
-    mu for every grid point comes from one stacked ridge solve per level
-    over all grid targets (_grid_beta).  Each psi is the root of the
+    psi-free models (pi, rho, pi0) are fitted and evaluated once on it, mu
+    for every grid point comes from one fit_linear per level over the stack
+    of all grid targets, and the influence function's pass (_phi_pass)
+    evaluates every grid point (_grid_beta).  Each psi is the root of the
     piecewise-linear interpolant of its grid moments (_root); a moment
     with no sign change raises WeakIdentificationError.
     """
@@ -275,53 +287,21 @@ def solve_functional(
             _root(grid, (1.0 - pi0) * alpha + pi0 * beta, "population"))
 
 
-def _rh_rows(table: ObservationTable, q_r: np.ndarray, psi: np.ndarray,
-             out: np.ndarray) -> np.ndarray:
-    """R h at each psi of a block of grid points, one row per point, from
-    one comparison against the outcomes; written over out's first rows.
+def _rh_rows(Y: np.ndarray, R: np.ndarray, q_r: np.ndarray, psi: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """R h at each psi, one row per point, from one comparison against the
+    outcomes Y of rows whose response is R; written over out's first rows
+    when out is given.
 
-    q_r is q R.  1{Y >= psi} - q_r is R h(Y; psi) bit for bit
-    ObservationTable.rh once the comparison is masked by R: an R = 0 row,
-    whose Y is NaN (never >= psi) or a value validate_table flags, gets 0.
+    q_r is q R.  1{Y >= psi} R - q_r is R h(Y; psi) bit for bit
+    ObservationTable.rh: an R = 0 row, whose Y is NaN (never >= psi) or a
+    value validate_table flags, gets 0.
     """
-    hit = np.greater_equal(table.Y, psi[:, None])
-    np.logical_and(hit, table.R, out=hit)
-    return np.subtract(hit, q_r, out=out[:psi.size])
-
-
-def _mu_grid_coef(
-    table: ObservationTable,
-    F: np.ndarray,
-    by_level: list[tuple[np.ndarray, np.ndarray]],
-    q: float,
-    grid: np.ndarray,
-    cfg: LearnerConfig,
-    direct: bool,
-) -> np.ndarray:
-    """mu's ridge coefficients at every grid point, (grid, K, d).
-
-    coef[j] holds one row per model, mu(z, .) per level then mu(x) in
-    direct mode, so coef[j] @ F.T is mu of every model at every row.  F is
-    the table's basis and by_level its split by level, as fit_propensities
-    returns them.  Each level's F_z' (R h), over R h gathered at the
-    level's rows, and each level's Gram are the products a refit at that
-    grid point makes; one system per grid point, not one multi-column
-    solve, whose columns round differently, so mu has a refit's bits.
-    """
-    q_r = q * table.R
-    L = len(by_level)
-    RH = np.empty((_GRID_BLOCK, table.n))
-    cross = np.empty((L + direct, grid.size, F.shape[1]))
-    for j0 in range(0, grid.size, _GRID_BLOCK):
-        for j, rh in enumerate(_rh_rows(table, q_r, grid[j0:j0 + _GRID_BLOCK], RH),
-                               start=j0):
-            for z, (r, Fz) in enumerate(by_level):
-                cross[z, j] = Fz.T @ rh[r]
-            if direct:      # mu(x) over all rows
-                cross[L, j] = F.T @ rh
-    grams = [Fz.T @ Fz for _, Fz in by_level] + ([F.T @ F] if direct else [])
-    return np.stack([_ridge_solve(gram, cross[k], cfg.ridge_lambda)
-                     for k, gram in enumerate(grams)], axis=1)
+    out = np.empty((psi.size, Y.size)) if out is None else out[:psi.size]
+    np.greater_equal(Y, psi[:, None], out=out)
+    out *= R
+    out -= q_r
+    return out
 
 
 def _grid_beta(
@@ -336,57 +316,57 @@ def _grid_beta(
 ) -> tuple[np.ndarray, float]:
     """beta_IF(psi) at every grid point, and pi0, from one psi-free fit.
 
-    pi, rho and pi0 do not depend on psi: fit_propensities fits them once
-    and transforms the table's basis F once, and that F also evaluates pi
-    and rho and serves every ridge solve.  R h at each grid point comes
-    from one comparison against table.Y (_rh_rows).  mu(z, .) for all grid
-    points is one stacked ridge solve per level over the level blocks
-    fit_propensities split off for its pi fits, plus one over all rows for
-    mu(x) in direct mode (_mu_grid_coef).  Each
-    grid point's moment is evaluated in reused n-buffers, in _phi_tilde's
-    operation order.  Equals the influence-function mean of _phi_parts_general
-    (over its retained rows) on a set refitted at each grid point, up to the
-    rounding of the matrix products that evaluate mu.
-    F is column-major, as PolyBasis.transform returns it, so each grid
-    point's mu is coef[j] @ F.T over the row-major (d, n) view of F, with
-    no transposed copy.
+    The table is one in-sample fold and each grid point a target column.
+    fit_propensities fits pi, rho and pi0, which do not depend on psi, once
+    and transforms the table's basis F once; F evaluates them and serves
+    every mu solve.  _fit_mu solves mu over the stack of every grid point's
+    R h, each column with the bits of a refit at its point, and _phi_pass
+    evaluates every column, R h built _GRID_BLOCK points at a time.
     """
-    props, F, by_level = fit_propensities(table, cfg, mode)
-    direct = mode == "direct"
-    coef = _mu_grid_coef(table, F, by_level, q, grid, cfg, direct)  # (grid, K, d)
+    props, F, levels = fit_propensities(table, cfg, mode)
+    Y, R = table.Y, table.R
+    coef = np.stack(_fit_mu(F, levels, lambda r: _rh_rows(Y[r], R[r], q * R[r], grid),
+                            cfg, mode), axis=1)                     # (grid, K, d)
     # the level blocks go before pi and rho are evaluated: their (L, n)
     # stacks need not be alive beside them
-    del by_level
+    del levels
     pi, rho = props.pi(F), props.rho(F)
-    pi_marg = props.pi_marg(F) if direct else np.einsum("lm,lm->m", rho, pi)
+    pi_marg = props.pi_marg(F) if mode == "direct" else np.einsum("lm,lm->m", rho, pi)
     own = _own_level(table.Z, table.R, pi, rho, pi - pi_marg[None, :], props.pi0, trim)
     del pi, pi_marg
     if not own.keep.any():
         raise EstimationError("trim policy removed every row")
 
-    L, n = table.L, table.n
-    K = L + direct                  # mu models: one per level, plus mu(x)
+    keep = None if own.keep.all() else own.keep
+    beta = np.empty(grid.size)
+    columns = _grid_columns(table, q, grid, coef, F, rho)
+    for j, (_, phi) in enumerate(_phi_pass(own, table.Z, columns)):
+        w = phi if winsorize is None else winsorize_values(phi, winsorize)
+        beta[j] = float(w.mean() if keep is None else w[keep].mean())
+    return beta, props.pi0
+
+
+def _grid_columns(table: ObservationTable, q: float, grid: np.ndarray,
+                  coef: np.ndarray, F: np.ndarray, rho: np.ndarray):
+    """_phi_pass's (rh, mu, mu_marg) at each grid point, in reused n-buffers.
+
+    coef[j] @ F.T is every mu model at every row: mu(z, .) per level, then
+    mu(x) in direct mode (else the marginal is the rho-weighted sum).  F is
+    column-major, so F.T is a row-major view, with no transposed copy.
+    """
+    L, n = rho.shape
     q_r = q * table.R
     RH = np.empty((_GRID_BLOCK, n))
-    own_flat = table.Z * n + np.arange(n)   # each row's own level in a (K, n) array
-    keep = None if own.keep.all() else own.keep
-    M = np.empty((K, n))
-    mu_z, delta_z, phi, work = (np.empty(n) for _ in range(4))
+    M = np.empty((coef.shape[1], n))
+    direct = M.shape[0] > L
     mu_x = M[L] if direct else np.empty(n)
-    beta = np.empty(grid.size)
     for j0 in range(0, grid.size, _GRID_BLOCK):
         psi = grid[j0:j0 + _GRID_BLOCK]
-        for j, rh in enumerate(_rh_rows(table, q_r, psi, RH), start=j0):
+        for j, rh in enumerate(_rh_rows(table.Y, table.R, q_r, psi, RH), start=j0):
             np.matmul(coef[j], F.T, out=M)
-            np.take(M, own_flat, out=mu_z)
             if not direct:
                 np.einsum("lm,lm->m", rho, M, out=mu_x)
-            np.subtract(mu_z, mu_x, out=delta_z)
-            delta_z /= own.den
-            _phi_tilde(own, rh, mu_z, delta_z, out=phi, work=work)
-            w = phi if winsorize is None else winsorize_values(phi, winsorize)
-            beta[j] = float(w.mean() if keep is None else w[keep].mean())
-    return beta, props.pi0
+            yield rh, M, mu_x
 
 
 def _root(grid: np.ndarray, moments: np.ndarray, target: str) -> SolveResult:

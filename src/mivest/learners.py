@@ -146,24 +146,19 @@ def _penalty_matrix(d: int, lam: float, first: int = 1) -> np.ndarray:
 
 
 def fit_linear(features: np.ndarray, targets: np.ndarray, cfg: LearnerConfig) -> FitResult:
-    """Ridge least squares: argmin ||y - F b||^2 + lambda ||b[1:]||^2."""
-    F = np.asarray(features, dtype=float)
-    y = np.asarray(targets, dtype=float)
-    coef = _ridge_solve(F.T @ F, F.T @ y, cfg.ridge_lambda)
-    return FitResult(coef=coef, converged=True, n_iter=1)
+    """Ridge least squares: argmin ||t - F b||^2 + lambda ||b[1:]||^2.
 
-
-def _ridge_solve(gram: np.ndarray, cross: np.ndarray, lam: float) -> np.ndarray:
-    """Solve (F'F + lambda D) b = F'y given gram = F'F and cross = F'y.
-
-    cross may be (d,) or (k, d); each of the k rows is solved as its own
-    system, bit for bit the (d,) solve of that row, and row i of the
-    result is its coefficients.
+    targets is (m,), or (k, m) with one target per row.  The Gram F'F is
+    formed once; each row t has its own product F't and its own system, so
+    row i of the (k, d) coefficients is bit for bit the (m,) fit of
+    targets[i].
     """
-    A = gram + _penalty_matrix(gram.shape[0], lam)
+    F = np.asarray(features, dtype=float)
+    t = np.asarray(targets, dtype=float)
+    A = F.T @ F + _penalty_matrix(F.shape[1], cfg.ridge_lambda)
     try:
-        coef = np.linalg.solve(A, cross) if cross.ndim == 1 else \
-            np.linalg.solve(A, cross[..., None])[..., 0]
+        coef = np.linalg.solve(A, F.T @ t) if t.ndim == 1 else \
+            np.linalg.solve(A, np.stack([F.T @ row for row in t])[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise FitError(
             "normal equations singular; a ridge_lambda > 0 is required for "
@@ -171,7 +166,7 @@ def _ridge_solve(gram: np.ndarray, cross: np.ndarray, lam: float) -> np.ndarray:
         ) from exc
     if not np.isfinite(coef).all():
         raise FitError("linear fit produced non-finite coefficients")
-    return coef
+    return FitResult(coef=coef, converged=True, n_iter=1)
 
 
 # _newton_fit accepts a candidate no lower than cur - _ACCEPT_ROUNDING S,

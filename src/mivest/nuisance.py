@@ -17,7 +17,10 @@ either the exact rho-weighted sums over levels ("marginalize", the
 default) or separately supplied models ("direct").
 
 A set is read only through evaluate_nuisances, once per block of rows;
-floor_denominator is the one floor on |delta_r|.
+floor_denominator is the one floor on |delta_r|.  mu has one solver,
+_fit_mu: one fit_linear per level (and one for mu(X) in direct mode), for
+one functional's target or for a stack of them, as the quantile grid
+solves its 64 targets at once.
 """
 
 from __future__ import annotations
@@ -293,7 +296,8 @@ def fit_nuisance_set(
     """
     props, F, levels = fit_propensities(train, cfg, mode)
     basis = props.basis
-    mu_fn, mu_marg_fn = _fit_mu(basis, F, levels, train.rh(spec), cfg, mode)
+    mu_fn, mu_marg_fn = _mu_on_basis(
+        basis, _fit_mu(F, levels, train.rh(spec).__getitem__, cfg, mode), train.L)
     return NuisanceSet(
         L=train.L,
         pi_fn=_OnBasis(basis, props.pi),
@@ -308,25 +312,32 @@ def fit_nuisance_set(
 
 
 def _fit_mu(
-    basis: PolyBasis,
     F: np.ndarray,
     levels: list[tuple[np.ndarray, np.ndarray]],
-    rh: np.ndarray,
+    rh_at: Callable[[np.ndarray | slice], np.ndarray],
     cfg: LearnerConfig,
     mode: MarginalizationMode,
-) -> tuple[ComponentFn, MarginalFn | None]:
-    """mu(z, .) per level as one (L, m) component, and mu(X) in direct mode.
+) -> list[np.ndarray]:
+    """mu's ridge coefficients: one fit_linear per level, then one over all
+    rows for mu(X) in direct mode.
 
-    The target is R*h with 0 for R = 0 rows; F is the training block's
-    basis and levels its split by level, as fit_propensities returns them.
+    F and levels are fit_propensities' basis and its split by level.
+    rh_at(rows) is the target R*h at those rows (slice(None): every row),
+    (m,) for one functional or (k, m) for k, with (k, d) coefficients.
     """
-    mu_stack = np.stack([fit_linear(Fz, rh[r], cfg).coef for r, Fz in levels])
-    mu_fn = _OnBasis(basis, lambda G: mu_stack @ G.T)
-    mu_marg_fn = None
+    coef = [fit_linear(Fz, rh_at(r), cfg).coef for r, Fz in levels]
     if mode == "direct":
-        mum_coef = fit_linear(F, rh, cfg).coef
-        mu_marg_fn = _OnBasis(basis, lambda G: G @ mum_coef)
-    return mu_fn, mu_marg_fn
+        coef.append(fit_linear(F, rh_at(slice(None)), cfg).coef)
+    return coef
+
+
+def _mu_on_basis(basis: PolyBasis, coef: list[np.ndarray],
+                 L: int) -> tuple[ComponentFn, MarginalFn | None]:
+    """_fit_mu's (d,) coefficients as the (L, m) component mu and, in
+    direct mode, the marginal mu(X)."""
+    mu_stack = np.stack(coef[:L])
+    return (_OnBasis(basis, lambda G: mu_stack @ G.T),
+            _OnBasis(basis, lambda G: G @ coef[L]) if len(coef) > L else None)
 
 
 def fit_mu_component(
@@ -339,9 +350,9 @@ def fit_mu_component(
 
     pi, rho and pi0 do not depend on the functional (fit_propensities fits
     them alone), so a caller that changes only psi can refit mu alone.  No
-    library code calls it: the quantile solver fits the psi-free models
-    once and gets mu for its whole psi-grid from one stacked ridge solve
-    per level (general._grid_beta).
+    library code calls it: general.solve_functional fits the psi-free
+    models once and solves mu for its whole psi-grid with one fit_linear
+    per level over the stack of every grid point's target.
     """
     counts = np.bincount(train.Z, minlength=train.L)
     empty = np.flatnonzero(counts == 0)
@@ -349,7 +360,9 @@ def fit_mu_component(
         raise NuisanceFitError(f"instrument level {empty[0]} has no training rows")
     basis = PolyBasis(cfg.basis_df).fit(train.X)
     F = basis.transform(train.X)
-    return _fit_mu(basis, F, _by_level(F, train.Z, train.L), train.rh(spec), cfg, mode)
+    levels = _by_level(F, train.Z, train.L)
+    return _mu_on_basis(basis, _fit_mu(F, levels, train.rh(spec).__getitem__, cfg, mode),
+                        train.L)
 
 
 @dataclass

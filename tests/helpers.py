@@ -4,9 +4,9 @@ import numpy as np
 
 from mivest.data import ObservationTable
 from mivest.exceptions import EstimationError
-from mivest.general import _own_level, _phi_parts_general, _require_incomplete
+from mivest.general import _own_level, _require_incomplete
 from mivest.learners import fit_logistic
-from mivest.nuisance import NuisanceSet, evaluate_nuisances, winsorize_values
+from mivest.nuisance import EPS_DEN, NuisanceSet, evaluate_nuisances, winsorize_values
 from mivest.oracles import oracle_delta
 from mivest.simulation import (_ORACLE_BATCH, CLAMP_EPS, FAMILY_SINGLE, DGPSpec,
                                GenerationError, _instrument_prob_dual, _oracle_rng,
@@ -104,14 +104,41 @@ def identified_beta_by_draws(family, n=1_000_000, seed=414):
     return float(vals.mean()), float(vals.std() / np.sqrt(vals.size))
 
 
-def if_values_general(table, ns, beta, spec, *, trim="floor", diag=None):
-    """Centered influence values phi(beta) for every row."""
-    parts = _phi_parts_general(table, ns, spec, trim, diag)
+def phi_tilde_values(table, ns, spec, trim="floor"):
+    """phi~ of every row and the rows the trim policy keeps, written out from
+    the formula of general.py's docstring on evaluate_nuisances arrays,
+    apart from the library's pass:
+
+        phi~ = (g(Z,x) - g(x)) * [R h - mu(Z,x) - delta(Z,x) (R - pi(Z,x))]
+               + (1 - R) / pi0 * delta(Z,x)
+
+    g(z, x) = (1 - pi(z, x)) / (pi0 den(z, x)), g(x) its rho-weighted sum,
+    and delta = delta_y / den, where den is delta_r with any entry below
+    EPS_DEN in size set to EPS_DEN with delta_r's sign (0 counts as +).
+    trim "drop" keeps a row only when none of its levels was floored.
+    """
+    ev = evaluate_nuisances(ns, table.X)
+    hits = np.abs(ev.delta_r) < EPS_DEN
+    den = np.where(hits, np.where(ev.delta_r < 0, -EPS_DEN, EPS_DEN), ev.delta_r)
+    g = (1.0 - ev.pi) / (ns.pi0 * den)
+    g_x = np.einsum("lm,lm->m", ev.rho, g)
+    own = (table.Z, np.arange(table.n))             # each row at its own level
+    delta = ev.delta_y[own] / den[own]
     R = table.R.astype(float)
-    return parts.phi_tilde - (1.0 - R) / ns.pi0 * beta
+    bracket = table.rh(spec) - ev.mu[own] - delta * (R - ev.pi[own])
+    phi = (g[own] - g_x) * bracket + (1.0 - R) / ns.pi0 * delta
+    keep = ~hits.any(axis=0) if trim == "drop" else np.ones(table.n, dtype=bool)
+    return phi, keep
 
 
-def beta_if_general(table, ns, spec, *, trim="floor", winsorize=None, diag=None):
+def if_values_general(table, ns, beta, spec, *, trim="floor"):
+    """Centered influence values phi(beta) for every row."""
+    phi, _ = phi_tilde_values(table, ns, spec, trim)
+    R = table.R.astype(float)
+    return phi - (1.0 - R) / ns.pi0 * beta
+
+
+def beta_if_general(table, ns, spec, *, trim="floor", winsorize=None):
     """Influence-function estimator on one nuisance set: the mean of phi~
     over the retained rows.
 
@@ -119,13 +146,12 @@ def beta_if_general(table, ns, spec, *, trim="floor", winsorize=None, diag=None)
     table's own influence-value distribution are pulled to the boundary.
     """
     _require_incomplete(table, ns)
-    parts = _phi_parts_general(table, ns, spec, trim, diag)
-    phi = parts.phi_tilde
+    phi, keep = phi_tilde_values(table, ns, spec, trim)
     if winsorize is not None:
-        phi = winsorize_values(phi, winsorize, diag)
-    if not parts.keep.any():
+        phi = winsorize_values(phi, winsorize)
+    if not keep.any():
         raise EstimationError("trim policy removed every row")
-    return float(phi[parts.keep].mean())
+    return float(phi[keep].mean())
 
 
 def binary_if_values(table, ns, beta, spec):

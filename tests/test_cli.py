@@ -718,9 +718,9 @@ def test_estimate_fits_each_fold_once_per_repetition(tmp_path, survey_csv, monke
 def test_quantile_estimate_fits_the_nuisances_once(tmp_path, monkeypatch):
     # both quantile reports come from one grid pass over a single psi-free
     # fit on one basis transform: one instrument model, one response model
-    # per level, no outcome regression through fit_linear (the grid's mu
-    # comes from its own ridge solves), and the instrument model is
-    # evaluated once, not per grid point
+    # per level, one outcome regression per level (fit_linear over every
+    # grid point's target at once), and the instrument model is evaluated
+    # once, not per grid point
     import mivest.general
     import mivest.nuisance
     from mivest.learners import MultinomialModel, PolyBasis
@@ -769,7 +769,8 @@ def test_quantile_estimate_fits_the_nuisances_once(tmp_path, monkeypatch):
     assert set(report["results"]) == {"missing_quantile", "population_quantile"}
     assert len(fits) == 1
     assert 0 < len(probas) <= table.L
-    assert learner_calls == {"fit_multinomial": 1, "fit_logistic": table.L, "fit_linear": 0}
+    assert learner_calls == {"fit_multinomial": 1, "fit_logistic": table.L,
+                             "fit_linear": table.L}
     assert transforms == [table.n]
 
 

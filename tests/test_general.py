@@ -13,15 +13,15 @@ from mivest.data import FunctionalSpec, ObservationTable, evaluate_h
 from mivest.exceptions import EstimationError, NoIncompleteCasesError, WeakIdentificationError
 from mivest.corruption import shift_probability
 from mivest.crossfit import crossfit_beta
-from mivest.general import (_grid_beta, _phi_parts_general, _root, beta_id_general,
-                            normal_ci, solve_functional, variance_if)
+from mivest.general import (_grid_beta, _root, beta_id_general, normal_ci, solve_functional,
+                            variance_if)
 from mivest.learners import LearnerConfig
 from mivest.nuisance import fit_mu_component, fit_nuisance_set
 from mivest.oracles import oracle_nuisances
 from mivest.simulation import DGPSpec, generate
 
 from helpers import (beta_if_general, const_fn, const_ns, g_weights, if_values_general,
-                     one_row_x, reference_missing_outcomes, small_table)
+                     one_row_x, phi_tilde_values, reference_missing_outcomes, small_table)
 
 SPEC = FunctionalSpec.mean()
 X_ROW = one_row_x()[None, :]
@@ -85,6 +85,25 @@ def test_beta_id_general_ignores_respondents():
                   pi_marg=0.3, mu_marg=0.0)
     t = small_table([0, 1, 1, 1], [0, 0, 1, 1], [None, None, 9.0, 9.0])
     assert beta_id_general(t, ns) == pytest.approx(1.0)
+
+
+def test_trim_drop_reads_the_own_level_in_the_plug_in_and_every_level_in_the_if():
+    # delta_r = pi - pi_marg is 0 at level 0, which the floor turns into
+    # +1e-6, and 0.3 at level 1.  Under trim "drop" the plug-in leaves out
+    # only the R = 0 rows at level 0, whose own delta divides by the floor;
+    # the influence-function estimators leave out every row, since g(x)
+    # reads both levels at every row
+    ns = const_ns(pi=(0.5, 0.8), rho=(0.5, 0.5), mu=(0.2, 0.9), pi0=0.5,
+                  pi_marg=0.5, mu_marg=0.3)
+    t = small_table([0, 1, 0, 1, 1, 0], [0, 0, 1, 1, 0, 0],
+                    [None, None, 1.0, 2.0, None, None])
+    floored, kept = (0.2 - 0.3) / 1e-6, (0.9 - 0.3) / 0.3
+    assert beta_id_general(t, ns, trim="drop") == pytest.approx(kept)
+    assert beta_id_general(t, ns, trim="floor") == pytest.approx((2 * floored + 2 * kept) / 4)
+    with pytest.raises(EstimationError, match="trim policy removed every row"):
+        crossfit_beta(t, SPEC, LearnerConfig(), n_folds=2, fitter=fixed(ns), trim="drop")
+    with pytest.raises(EstimationError, match="trim policy removed every row"):
+        beta_if_general(t, ns, SPEC, trim="drop")
 
 
 def test_if_value_general_worked_example():
@@ -344,6 +363,35 @@ def test_grid_moments_equal_per_psi_refits_at_every_block_edge(
 
 
 @pytest.mark.parametrize("mode", ["marginalize", "direct"])
+def test_grid_fits_once_and_solves_mu_once_per_model(dual_table, mode, monkeypatch):
+    # one psi-free fit, then one fit_linear per mu model over the stack of
+    # all 64 grid targets: per level on that level's rows, and under
+    # direct mode once more over every row for mu(x)
+    import mivest.nuisance
+
+    fits, solves = [], []
+    real_fit = mivest.general.fit_propensities
+    real_linear = mivest.nuisance.fit_linear
+
+    def counting_fit(*args, **kwargs):
+        fits.append(1)
+        return real_fit(*args, **kwargs)
+
+    def spy(features, targets, cfg):
+        solves.append((features.shape[0], np.shape(targets)))
+        return real_linear(features, targets, cfg)
+
+    monkeypatch.setattr(mivest.general, "fit_propensities", counting_fit)
+    monkeypatch.setattr(mivest.nuisance, "fit_linear", spy)
+    solve_functional(dual_table, LearnerConfig(), 0.5, mode=mode)
+    rows = list(np.bincount(dual_table.Z, minlength=dual_table.L))
+    if mode == "direct":
+        rows.append(dual_table.n)
+    assert len(fits) == 1
+    assert solves == [(m, (64, m)) for m in rows]
+
+
+@pytest.mark.parametrize("mode", ["marginalize", "direct"])
 def test_grid_moments_ignore_outcomes_supplied_where_r_is_zero(mode):
     # ObservationTable.rh is 0 on an R = 0 row whatever its Y holds, and so
     # is the grid's R h: a table with values under R = 0 (which
@@ -413,7 +461,7 @@ def test_influence_function_is_orthogonal_where_the_plug_in_is_not(
     plug = {}
     for sign in (1, -1):
         moved = _perturb(ns, which, sign * t)
-        phi[sign] = _phi_parts_general(table, moved, SPEC, "floor", None).phi_tilde
+        phi[sign] = phi_tilde_values(table, moved, SPEC)[0]
         plug[sign] = beta_id_general(table, moved)
     rows = (phi[1] - phi[-1]) / (2.0 * t)
     if_slope = float(rows.mean())
@@ -436,7 +484,7 @@ def test_influence_function_slope_shrinks_with_the_step(orthogonality_tables):
         phi, plug = {}, {}
         for sign in (1, -1):
             moved = _perturb(ns, "pi", sign * t)
-            phi[sign] = _phi_parts_general(table, moved, SPEC, "floor", None).phi_tilde
+            phi[sign] = phi_tilde_values(table, moved, SPEC)[0]
             plug[sign] = beta_id_general(table, moved)
         rows = (phi[1] - phi[-1]) / (2.0 * t)
         if_slopes.append(abs(float(rows.mean())))
@@ -476,6 +524,6 @@ def test_influence_function_is_orthogonal_along_random_smooth_directions(
         else:
             moved = dataclasses.replace(ns, pi_fn=lambda X, s=sign: shift_probability(
                 ns.pi_fn(X), s * t * direction(X)))
-        phi[sign] = _phi_parts_general(table, moved, SPEC, "floor", None).phi_tilde
+        phi[sign] = phi_tilde_values(table, moved, SPEC)[0]
     rows = (phi[1] - phi[-1]) / (2.0 * t)
     assert abs(float(rows.mean())) <= 3.0 * float(rows.std()) / np.sqrt(table.n)

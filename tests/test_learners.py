@@ -151,6 +151,29 @@ def test_linear_singular_without_ridge():
         fit_linear(F, np.arange(20.0), LearnerConfig(ridge_lambda=0.0))
 
 
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 9), m=st.integers(1, 60), d=st.integers(1, 12),
+       lam=st.sampled_from([1e-3, 1.0]), seed=st.integers(0, 2**32 - 1))
+def test_multi_target_linear_fit_equals_the_single_target_fits(k, m, d, lam, seed):
+    # a (k, m) target stack shares one Gram, and each row keeps its own
+    # F't and its own solve: bit for bit the k separate (m,) fits, m < d
+    # included (the ridge makes those systems regular).  A zero feature
+    # column makes the normal equations singular at lambda = 0, and both
+    # shapes raise
+    rng = np.random.default_rng(seed)
+    F = np.asfortranarray(np.column_stack([np.ones(m), rng.normal(size=(m, d - 1))]))
+    T = rng.normal(size=(k, m))
+    cfg = LearnerConfig(ridge_lambda=lam)
+    stacked = fit_linear(F, T, cfg).coef
+    assert stacked.shape == (k, d)
+    for i in range(k):
+        assert stacked[i].tobytes() == fit_linear(F, T[i], cfg).coef.tobytes()
+    singular = np.column_stack([F, np.zeros(m)])
+    for targets in (T, T[0]):
+        with pytest.raises(FitError, match="singular"):
+            fit_linear(singular, targets, LearnerConfig(ridge_lambda=0.0))
+
+
 def test_expit_matches_the_scipy_reference():
     x = np.concatenate([np.linspace(-745.0, 745.0, 200_001),
                         np.random.default_rng(4).normal(scale=10.0, size=100_000)])

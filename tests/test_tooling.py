@@ -1,5 +1,6 @@
 """Tooling that reaches into the package by name."""
 
+import ast
 import json
 import math
 import os
@@ -308,3 +309,53 @@ def test_only_the_simulation_module_names_a_family():
             for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
             if family.search(line)]
     assert hits == []
+
+
+# Held only by the benchmark tracer (perfbench/trace_child.py), which wraps
+# them by name; they go when the library carries its own spans (ROADMAP
+# item 18).  "binary.py" is a module that defines nothing.
+_TRACER_HELD = {
+    "binary.py",                            # ROADMAP item 18
+    "crossfit.crossfit_population_mean",    # ROADMAP item 18
+    "nuisance.fit_mu_component",            # ROADMAP item 18
+}
+
+
+def _module_definitions(tree):
+    """The names a module binds at top level: functions, classes and
+    assigned names, dunders left out."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
+def test_every_library_definition_has_a_caller():
+    # a module-level definition counts as used when the library (the CLI
+    # included) or scripts/ reads its name, or mivest.__all__ exports it;
+    # an import alone, the tests and the benchmark do not count.  Methods
+    # are not scanned, so an override such as _Parser.error needs no caller
+    import mivest
+
+    used = set(mivest.__all__)
+    modules = {}
+    for path in sorted((ROOT / "src" / "mivest").glob("*.py")) + sorted(
+            (ROOT / "scripts").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+        if path.parent.name == "mivest":
+            modules[path.name] = _module_definitions(tree)
+    # __init__.py binds only __all__: it is the package's export list
+    found = {name for name, defs in modules.items() if not defs and name != "__init__.py"}
+    found |= {f"{name[:-3]}.{d}" for name, defs in modules.items() for d in defs
+              if d not in used}
+    assert found - _TRACER_HELD == set(), "no caller"
+    assert _TRACER_HELD - found == set(), "in use again, or gone: drop it from the allowlist"
