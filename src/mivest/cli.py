@@ -25,7 +25,6 @@ from .dataio import (
     _read_config,
     config_from_dict,
     ingest_csv,
-    ingest_csv_per_instrument,
     write_report,
 )
 from .exceptions import (
@@ -209,7 +208,9 @@ def cmd_estimate(cfg: AnalysisConfig, args: argparse.Namespace) -> int:
     }
     if cfg.instrument_mode == "separate":
         per: dict[str, Any] = {}
-        for col, one, table, info in ingest_csv_per_instrument(args.data, cfg):
+        for col in cfg.instruments:
+            one = dataclasses.replace(cfg, instruments=(col,), instrument_mode="product")
+            table, info = ingest_csv(args.data, one)
             for w in info.warnings:
                 print(f"warning: {col}: {w}", file=sys.stderr)
             results, fit_warnings = _estimate_one(table, one)

@@ -20,7 +20,7 @@ import json
 import operator
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 import yaml
@@ -360,9 +360,15 @@ def _fmt_rows(rows: Sequence[int], limit: int = 10) -> str:
     return shown + (f" and {extra} more" if extra > 0 else "")
 
 
-def _parse_cells(cells: list[str], column: str, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Cell-by-cell parse of one column: strips each cell, counts a blank
-    or whitespace-only cell as missing, and names every non-numeric row."""
+def _parse_numeric_column(
+    cells: list[str], column: str, *, allow_empty: bool, what: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Parse one column to float; returns (values, missing mask).
+
+    Each cell is stripped; a blank or whitespace-only cell counts as
+    missing, and every non-numeric row is named.  Row numbers in error
+    messages are file line numbers (header is line 1).
+    """
     n = len(cells)
     vals = np.full(n, np.nan)
     missing = np.zeros(n, dtype=bool)
@@ -380,35 +386,6 @@ def _parse_cells(cells: list[str], column: str, what: str) -> tuple[np.ndarray, 
         raise DataContractError(
             f"{what} column {column!r} has non-numeric cells at rows {_fmt_rows(bad)}"
         )
-    return vals, missing
-
-
-def _parse_numeric_column(
-    cells: list[str], column: str, *, allow_empty: bool, what: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Parse one column to float; returns (values, missing mask).
-
-    The whole column goes through float() in one C-level pass, its empty
-    cells masked out first when it has any.  float() accepts surrounding
-    whitespace, so a cell parses to the value of its stripped text.  Only
-    when some cell fails (junk, or a whitespace-only cell, which counts as
-    missing) is the column walked cell by cell (_parse_cells), so that the
-    error names the exact rows.
-
-    Row numbers in error messages are file line numbers (header is line 1).
-    """
-    n = len(cells)
-    try:
-        if "" in cells:
-            missing = np.fromiter(map(operator.not_, cells), dtype=bool, count=n)
-            vals = np.full(n, np.nan)
-            vals[~missing] = np.fromiter(map(float, filter(None, cells)), dtype=float,
-                                         count=n - int(np.count_nonzero(missing)))
-        else:
-            missing = np.zeros(n, dtype=bool)
-            vals = np.fromiter(map(float, cells), dtype=float, count=n)
-    except ValueError:
-        vals, missing = _parse_cells(cells, column, what)
     if not allow_empty and missing.any():
         rows = (np.flatnonzero(missing) + 2).tolist()
         raise DataContractError(
@@ -498,20 +475,6 @@ _ONE_PASS_REFUSED = (b'"', b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 _OUTCOME_BYTES = 32
 
 
-@dataclass
-class _RoleColumns:
-    """One CSV's parsed response, outcome and covariate columns, plus each
-    instrument column, parsed when an analysis encodes it."""
-
-    path: str | Path
-    r: np.ndarray
-    y: np.ndarray
-    X: np.ndarray
-    masked: tuple[int, ...]
-    warnings: list[str]
-    instrument_columns: dict[str, _Column]
-
-
 def _column_values(col: _Column, name: str, *, allow_empty: bool,
                    what: str) -> tuple[np.ndarray, np.ndarray]:
     """(values, missing) of one role column from either reader."""
@@ -578,8 +541,9 @@ def _plain_shape(data: bytes) -> tuple[list[str], int] | None:
 
 def _one_pass_columns(path: str | Path, needed: Sequence[str],
                       config: AnalysisConfig) -> dict[str, _Column] | None:
-    """The role columns from one np.loadtxt pass, or None where that pass
-    cannot show it reads what the csv.reader path reads.
+    """The `needed` columns from one np.loadtxt pass over them alone,
+    config.outcome's as bytes and the rest as float64, or None where that
+    pass cannot show it reads what the csv.reader path reads.
 
     It refuses a file _plain_shape refuses, one with fewer than two lines
     or a needed column missing from the header, and any file loadtxt
@@ -597,7 +561,7 @@ def _one_pass_columns(path: str | Path, needed: Sequence[str],
     if lines < 2 or not set(needed) <= set(header):
         return None
 
-    kept = {c: header.index(c) for c in [*needed, *config.instruments] if c in header}
+    kept = {c: header.index(c) for c in needed}
     y_at = kept[config.outcome]
     roles = set(kept.values())
     usecols = sorted(roles | {len(header) - 1})
@@ -630,8 +594,7 @@ def _one_pass_columns(path: str | Path, needed: Sequence[str],
     return columns
 
 
-def _csv_columns(path: str | Path, needed: Sequence[str],
-                 config: AnalysisConfig) -> dict[str, _Column]:
+def _csv_columns(path: str | Path, needed: Sequence[str]) -> dict[str, _Column]:
     """The role columns as csv.reader's cells: the reference reader, which
     takes every file and names the rows of a malformed one.  A leading
     UTF-8 byte-order mark, which spreadsheet programs write, is dropped."""
@@ -656,23 +619,40 @@ def _csv_columns(path: str | Path, needed: Sequence[str],
     if not records:
         raise DataContractError(f"{path}: no data rows")
 
-    return {c: list(map(operator.itemgetter(header.index(c)), records))
-            for c in [*needed, *config.instruments] if c in header}
+    return {c: list(map(operator.itemgetter(header.index(c)), records)) for c in needed}
 
 
-def _read_roles(path: str | Path, config: AnalysisConfig,
-                instruments: Sequence[str]) -> _RoleColumns:
-    """Tokenize the file once and parse its response, outcome and covariates.
+def ingest_csv(path: str | Path, config: AnalysisConfig) -> tuple[ObservationTable, IngestInfo]:
+    """Read a survey-style CSV into a validated ObservationTable.
 
-    The outcome, response, `instruments` and covariate columns must be in
-    the header; every config.instruments column the header has is kept
-    for _encode_table.  The one-pass reader takes the file when it can,
-    and the csv.reader path otherwise.
+    Comma-separated, UTF-8, header row required, empty cell = missing.
+    The response column must contain only {0, 1}.  Outcome cells must be
+    empty where the response is 0; under strict_outcome a violation is an
+    error naming the rows, otherwise the cells are masked with a warning.
+    Missing covariate or instrument cells are always errors, and so is a
+    nan or inf cell (which float() parses) among the covariates, the
+    instruments or the respondents' outcomes.  A byte that is not UTF-8
+    is an error naming its line.
+
+    Two readers give the same table, info and errors.  A file with no
+    quote, NUL or 0x1c-0x1f byte, every line as wide as the header, no
+    blank line, and role cells that are plain numbers (the outcome's may
+    be blank) is read by one np.loadtxt pass over its role columns, float64
+    for the numbers and bytes for the outcome, so a blank cell stays apart
+    from a literal nan; write_table_csv writes such files.  Every other
+    file falls back to csv.reader: it tokenizes the whole file into one
+    list of records, each role column is parsed cell by cell
+    (_parse_numeric_column), and its errors name the rows.  Either way the
+    columns are parsed in the order they are used (response, outcome,
+    covariates, instruments), so a file with several faults raises the
+    first of them in that order.  Each call reads the file anew: separate
+    instrument mode calls it once per instrument, on the config of that
+    instrument alone.
     """
-    needed = [config.outcome, config.response, *instruments, *config.covariates]
+    needed = [config.outcome, config.response, *config.instruments, *config.covariates]
     columns = _one_pass_columns(path, needed, config)
     if columns is None:
-        columns = _csv_columns(path, needed, config)
+        columns = _csv_columns(path, needed)
 
     r_vals, r_missing = _column_values(columns[config.response], config.response,
                                        allow_empty=False, what="response")
@@ -718,23 +698,11 @@ def _read_roles(path: str | Path, config: AnalysisConfig,
         X[:, j] = _column_values(columns[c], c, allow_empty=False, what="covariate")[0]
     for j, c in enumerate(config.covariates):
         _require_finite(X[:, j], c, "covariate")
-    kept = {c: columns[c] for c in config.instruments if c in columns}
-    return _RoleColumns(path=path, r=r, y=y_vals, X=X, masked=masked, warnings=warnings,
-                        instrument_columns=kept)
 
-
-def _encode_table(roles: _RoleColumns,
-                  config: AnalysisConfig) -> tuple[ObservationTable, IngestInfo]:
-    """The table and its IngestInfo with config's instruments encoded."""
-    missing_cols = [c for c in config.instruments if c not in roles.instrument_columns]
-    if missing_cols:
-        raise DataContractError(f"{roles.path}: missing required columns {missing_cols}")
-    warnings = list(roles.warnings)
     encodings: list[InstrumentEncoding] = []
     code_cols: list[np.ndarray] = []
     for c in config.instruments:
-        vals, _ = _column_values(roles.instrument_columns[c], c, allow_empty=False,
-                                 what="instrument")
+        vals, _ = _column_values(columns[c], c, allow_empty=False, what="instrument")
         _require_finite(vals, c, "instrument")
         codes, enc = encode_instrument(
             vals, c, bins=config.instrument_bins,
@@ -744,7 +712,7 @@ def _encode_table(roles: _RoleColumns,
         code_cols.append(codes)
     z, level_map = combine_instrument_levels(code_cols)
 
-    table = ObservationTable.from_arrays(roles.X, z, roles.r, roles.y)
+    table = ObservationTable.from_arrays(X, z, r, y_vals)
     info = IngestInfo(
         n=table.n,
         n_complete=table.n1,
@@ -753,52 +721,9 @@ def _encode_table(roles: _RoleColumns,
         encodings=encodings,
         level_map=level_map,
         warnings=warnings,
-        masked_rows=roles.masked,
+        masked_rows=masked,
     )
     return table, info
-
-
-def ingest_csv(path: str | Path, config: AnalysisConfig) -> tuple[ObservationTable, IngestInfo]:
-    """Read a survey-style CSV into a validated ObservationTable.
-
-    Comma-separated, UTF-8, header row required, empty cell = missing.
-    The response column must contain only {0, 1}.  Outcome cells must be
-    empty where the response is 0; under strict_outcome a violation is an
-    error naming the rows, otherwise the cells are masked with a warning.
-    Missing covariate or instrument cells are always errors, and so is a
-    nan or inf cell (which float() parses) among the covariates, the
-    instruments or the respondents' outcomes.  A byte that is not UTF-8
-    is an error naming its line.
-
-    Two readers give the same table, info and errors.  A file with no
-    quote, NUL or 0x1c-0x1f byte, every line as wide as the header, no
-    blank line, and role cells that are plain numbers (the outcome's may
-    be blank) is read by one np.loadtxt pass over its role columns, float64
-    for the numbers and bytes for the outcome, so a blank cell stays apart
-    from a literal nan; write_table_csv writes such files.  Every other
-    file falls back to csv.reader: it tokenizes the whole file into one
-    list of records, each role column is parsed whole
-    (_parse_numeric_column), and its errors name the rows.
-    """
-    return _encode_table(_read_roles(path, config, config.instruments), config)
-
-
-def ingest_csv_per_instrument(
-    path: str | Path, config: AnalysisConfig,
-) -> Iterator[tuple[str, AnalysisConfig, ObservationTable, IngestInfo]]:
-    """ingest_csv for each instrument column of config analysed alone.
-
-    Yields (column, config of that one instrument, table, info) in column
-    order.  The file is read and its other role columns are parsed once;
-    each instrument column is parsed and encoded when its turn comes, so
-    a fault in it is raised only after the columns before it were
-    yielded, with the message ingest_csv gives on the one-instrument
-    config.
-    """
-    roles = _read_roles(path, config, config.instruments[:1])
-    for col in config.instruments:
-        one = dataclasses.replace(config, instruments=(col,), instrument_mode="product")
-        yield (col, one, *_encode_table(roles, one))
 
 
 def write_table_csv(

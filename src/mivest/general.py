@@ -319,14 +319,26 @@ def _grid_beta(
     The table is one in-sample fold and each grid point a target column.
     fit_propensities fits pi, rho and pi0, which do not depend on psi, once
     and transforms the table's basis F once; F evaluates them and serves
-    every mu solve.  _fit_mu solves mu over the stack of every grid point's
-    R h, each column with the bits of a refit at its point, and _phi_pass
-    evaluates every column, R h built _GRID_BLOCK points at a time.
+    every mu solve.  _fit_mu solves each level's mu over the stack of every
+    grid point's R h, each column with the bits of a refit at its point
+    (direct mode's mu(x), over every row, a _GRID_BLOCK of points at a
+    time), and _phi_pass evaluates every column, R h built _GRID_BLOCK
+    points at a time.
     """
     props, F, levels = fit_propensities(table, cfg, mode)
     Y, R = table.Y, table.R
-    coef = np.stack(_fit_mu(F, levels, lambda r: _rh_rows(Y[r], R[r], q * R[r], grid),
-                            cfg, mode), axis=1)                     # (grid, K, d)
+    coef = _fit_mu(F, levels, lambda r: _rh_rows(Y[r], R[r], q * R[r], grid), cfg,
+                   "marginalize")
+    if mode == "direct":
+        # mu(x) is fitted on every row, so its target stack is built
+        # _GRID_BLOCK points at a time (_fit_mu with no levels fits mu(x)
+        # alone); each block's coefficient rows are the whole stack's
+        q_r = q * R
+        coef.append(np.concatenate([
+            _fit_mu(F, [], lambda _, psi=grid[j:j + _GRID_BLOCK]: _rh_rows(Y, R, q_r, psi),
+                    cfg, mode)[0]
+            for j in range(0, grid.size, _GRID_BLOCK)]))
+    coef = np.stack(coef, axis=1)                                   # (grid, K, d)
     # the level blocks go before pi and rho are evaluated: their (L, n)
     # stacks need not be alive beside them
     del levels

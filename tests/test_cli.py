@@ -829,60 +829,37 @@ def test_estimate_separate_instrument_mode(tmp_path, capsys):
         assert np.isfinite(entry["results"]["missing_mean"]["estimate"])
 
 
-def test_separate_instruments_parse_the_csv_once(tmp_path, monkeypatch):
-    # the file is tokenized once and each column parsed once, by either
-    # reader: one np.loadtxt pass over the six role columns, or (for a file
-    # with a quoted header cell) one csv.reader pass and one parse per
-    # column; every instrument's table and ingest info equal ingest_csv on
-    # the config of that instrument alone
+def test_separate_instruments_equal_product_runs_on_each_column(tmp_path):
+    # separate mode is product mode run once per instrument column: on a
+    # plain file, which the one-pass reader takes, and on one with a quoted
+    # header cell, which takes the csv.reader path, each per-instrument
+    # entry (ingest info, results and any fit warnings) equals the report
+    # of a product-mode estimate on the config of that instrument alone
     import mivest.dataio
 
     plain = two_instrument_csv(tmp_path / "two.csv")
     quoted = tmp_path / "quoted.csv"
     quoted.write_bytes(b'"z1"' + plain.read_bytes()[2:])
-    cfg = load_config(write_yaml(tmp_path / "cfg.yaml", make_doc(
-        data={"instruments": ["z1", "z2"], "instrument_mode": "separate"})))
-    real_loadtxt = np.loadtxt
-    real_reader = csv.reader
-    real_parse = mivest.dataio._parse_numeric_column
-
-    def counting_loadtxt(*args, usecols, **kwargs):
-        reads.append(list(usecols))
-        return real_loadtxt(*args, usecols=usecols, **kwargs)
-
-    def counting_reader(*args, **kwargs):
-        tokenized.append(1)
-        return real_reader(*args, **kwargs)
-
-    def counting_parse(cells, column, **kwargs):
-        parsed.append(column)
-        return real_parse(cells, column, **kwargs)
-
+    sep = write_yaml(tmp_path / "sep.yaml", make_doc(
+        data={"instruments": ["z1", "z2"], "instrument_mode": "separate"}))
+    needed = ["y", "r", "z1", "z2", "x1", "x2"]
     for p, one_pass in ((plain, True), (quoted, False)):
-        alone = {col: ingest_csv(p, dataclasses.replace(cfg, instruments=(col,),
-                                                        instrument_mode="product"))
-                 for col in cfg.instruments}
-        reads, tokenized, parsed = [], [], []
-        with monkeypatch.context() as m:
-            m.setattr(np, "loadtxt", counting_loadtxt)
-            m.setattr(csv, "reader", counting_reader)
-            m.setattr(mivest.dataio, "_parse_numeric_column", counting_parse)
-            out = tmp_path / "sep.json"
-            assert main(["estimate", "--config", str(tmp_path / "cfg.yaml"),
-                         "--data", str(p), "--out", str(out)]) == 0
-        if one_pass:
-            assert reads == [[0, 1, 2, 3, 4, 5]]
-            assert not tokenized and not parsed
-        else:
-            assert not reads and len(tokenized) == 1
-            assert sorted(parsed) == ["r", "x1", "x2", "y", "z1", "z2"]
-        report = json.loads(out.read_text())
-        for col, one, table, info in mivest.dataio.ingest_csv_per_instrument(p, cfg):
-            ref_table, ref_info = alone[col]
-            assert one.instruments == (col,)
-            assert report["per_instrument"][col]["data"] == info.as_dict() == ref_info.as_dict()
-            for name in ("X", "Z", "R", "Y"):
-                np.testing.assert_array_equal(getattr(table, name), getattr(ref_table, name))
+        columns = mivest.dataio._one_pass_columns(p, needed, load_config(sep))
+        assert (columns is not None) == one_pass
+        out = tmp_path / "sep.json"
+        assert main(["estimate", "--config", sep, "--data", str(p), "--out", str(out)]) == 0
+        per = json.loads(out.read_text())["per_instrument"]
+        assert set(per) == {"z1", "z2"}
+        for col in ("z1", "z2"):
+            alone = write_yaml(tmp_path / f"{col}.yaml",
+                               make_doc(data={"instruments": [col]}))
+            ref_out = tmp_path / f"{col}.json"
+            assert main(["estimate", "--config", alone, "--data", str(p),
+                         "--out", str(ref_out)]) == 0
+            ref = json.loads(ref_out.read_text())
+            assert ref["config"]["data"]["instrument_mode"] == "product"
+            assert per[col] == {k: ref[k] for k in ("data", "results", "fit_warnings")
+                                if k in ref}
 
 
 def test_separate_instrument_faults_surface_at_their_turn(tmp_path, capsys):

@@ -364,9 +364,9 @@ def test_grid_moments_equal_per_psi_refits_at_every_block_edge(
 
 @pytest.mark.parametrize("mode", ["marginalize", "direct"])
 def test_grid_fits_once_and_solves_mu_once_per_model(dual_table, mode, monkeypatch):
-    # one psi-free fit, then one fit_linear per mu model over the stack of
-    # all 64 grid targets: per level on that level's rows, and under
-    # direct mode once more over every row for mu(x)
+    # one psi-free fit, then one fit_linear per level over the stack of
+    # all 64 grid targets on that level's rows; under direct mode mu(x) is
+    # fitted over every row, its stack _GRID_BLOCK grid points at a time
     import mivest.nuisance
 
     fits, solves = [], []
@@ -384,11 +384,12 @@ def test_grid_fits_once_and_solves_mu_once_per_model(dual_table, mode, monkeypat
     monkeypatch.setattr(mivest.general, "fit_propensities", counting_fit)
     monkeypatch.setattr(mivest.nuisance, "fit_linear", spy)
     solve_functional(dual_table, LearnerConfig(), 0.5, mode=mode)
-    rows = list(np.bincount(dual_table.Z, minlength=dual_table.L))
+    expected = [(m, (64, m)) for m in np.bincount(dual_table.Z, minlength=dual_table.L)]
     if mode == "direct":
-        rows.append(dual_table.n)
+        block = mivest.general._GRID_BLOCK
+        expected += [(dual_table.n, (block, dual_table.n))] * (64 // block)
     assert len(fits) == 1
-    assert solves == [(m, (64, m)) for m in rows]
+    assert solves == expected
 
 
 @pytest.mark.parametrize("mode", ["marginalize", "direct"])
@@ -405,16 +406,18 @@ def test_grid_moments_ignore_outcomes_supplied_where_r_is_zero(mode):
         assert clean.psi == dirty.psi
 
 
-def test_grid_pass_peak_memory_stays_below_the_per_point_pass():
+@pytest.mark.parametrize("mode", ["marginalize", "direct"])
+def test_grid_pass_peak_memory_stays_below_the_per_point_pass(mode):
     # one psi-free fit and one basis, R h built a few grid points at a
     # time: the traced peak of both quantile solves at n = 20 000 stays
     # within 43 n-vectors (float64 columns of n rows); a pass that also
     # fitted the unused mu models and transformed the basis five times
-    # peaked at 43.3 on this table
+    # peaked at 43.3 on this table, and a direct-mode pass that built
+    # mu(x)'s all-rows target for every grid point at once peaked at 85.2
     table, _ = generate(DGPSpec(family="dual_binary_iv", n=20_000, seed=3))
     tracemalloc.start()
     try:
-        solve_functional(table, LearnerConfig(), 0.5)
+        solve_functional(table, LearnerConfig(), 0.5, mode=mode)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -359,3 +359,29 @@ def test_every_library_definition_has_a_caller():
               if d not in used}
     assert found - _TRACER_HELD == set(), "no caller"
     assert _TRACER_HELD - found == set(), "in use again, or gone: drop it from the allowlist"
+
+
+def test_every_library_import_is_read():
+    # a module-level import counts as read when its module loads the bound
+    # name; __init__.py re-exports by design, and a `# noqa: F401` import
+    # is one that the benchmark tracer wraps where it is bound
+    unread = []
+    for path in sorted((ROOT / "src" / "mivest").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                    isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+                continue
+            if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in read:
+                    unread.append(f"{path.name}:{node.lineno}: {bound}")
+    assert unread == []
