@@ -157,17 +157,26 @@ def _fmt(x: float | None, nd: int = 6) -> str:
 # commands
 
 
-def _estimate_one(table, cfg: AnalysisConfig) -> tuple[dict, list[dict]]:
-    """Point estimates for one table, and the warnings raised computing them.
+def _estimate_entry(path: str, cfg: AnalysisConfig, prefix: str = "") -> dict:
+    """One table's {"data", "results", "fit_warnings"} entry of the report.
 
-    The warnings (a level that lacks a response class in some fold, say)
-    come back as one {"message", "count"} entry per distinct message, in
-    the order first raised; count is the number of times it was raised.
+    Ingests the CSV and estimates on it, printing the ingest and fit warnings
+    to stderr behind `prefix`.  The fit warnings (a level that lacks a
+    response class in some fold, say) are one {"message", "count"} entry per
+    distinct message, in the order first raised; count is the number of times
+    it was raised.  The entry leaves them out when there are none.
     """
+    table, info = ingest_csv(path, cfg)
+    for w in info.warnings:
+        print(f"warning: {prefix}{w}", file=sys.stderr)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        results = _estimate_results(table, cfg)
-    return results, _tally_messages(str(w.message) for w in caught)
+        entry: dict[str, Any] = {"data": info, "results": _estimate_results(table, cfg)}
+    fit_warnings = _tally_messages(str(w.message) for w in caught)
+    _print_fit_warnings(fit_warnings, prefix)
+    if fit_warnings:
+        entry["fit_warnings"] = fit_warnings
+    return entry
 
 
 def _print_fit_warnings(fit_warnings: list[dict], prefix: str = "") -> None:
@@ -186,8 +195,8 @@ def _estimate_results(table, cfg: AnalysisConfig) -> dict:
             ci_level=cfg.ci_level, mode=cfg.mode, trim=cfg.trim,
             winsorize=cfg.winsorize,
         )
-        return {"missing_mean": {**missing.as_dict(), "estimator": label},
-                "population_mean": {**population.as_dict(), "estimator": label}}
+        return {"missing_mean": {**dataclasses.asdict(missing), "estimator": label},
+                "population_mean": {**dataclasses.asdict(population), "estimator": label}}
     q = cfg.functional.q
     missing, population = solve_functional(
         table, cfg.learner, q, mode=cfg.mode, trim=cfg.trim, winsorize=cfg.winsorize,
@@ -207,17 +216,10 @@ def cmd_estimate(cfg: AnalysisConfig, args: argparse.Namespace) -> int:
         "config": cfg.as_dict(),
     }
     if cfg.instrument_mode == "separate":
-        per: dict[str, Any] = {}
-        for col in cfg.instruments:
-            one = dataclasses.replace(cfg, instruments=(col,), instrument_mode="product")
-            table, info = ingest_csv(args.data, one)
-            for w in info.warnings:
-                print(f"warning: {col}: {w}", file=sys.stderr)
-            results, fit_warnings = _estimate_one(table, one)
-            per[col] = {"data": info.as_dict(), "results": results}
-            if fit_warnings:
-                per[col]["fit_warnings"] = fit_warnings
-            _print_fit_warnings(fit_warnings, prefix=f"{col}: ")
+        # separate mode is product mode run once per instrument column
+        per = {col: _estimate_entry(args.data, dataclasses.replace(
+                   cfg, instruments=(col,), instrument_mode="product"), f"{col}: ")
+               for col in cfg.instruments}
         report["per_instrument"] = per
         print(f"separate analyses for {len(per)} instruments")
         for col, entry in per.items():
@@ -225,18 +227,11 @@ def cmd_estimate(cfg: AnalysisConfig, args: argparse.Namespace) -> int:
                 point = res.get("estimate", res.get("psi"))
                 print(f"  {col} {name}: {_fmt(point)}")
     else:
-        table, info = ingest_csv(args.data, cfg)
-        for w in info.warnings:
-            print(f"warning: {w}", file=sys.stderr)
-        results, fit_warnings = _estimate_one(table, cfg)
-        _print_fit_warnings(fit_warnings)
-        report["data"] = info.as_dict()
-        report["results"] = results
-        if fit_warnings:
-            report["fit_warnings"] = fit_warnings
+        report.update(_estimate_entry(args.data, cfg))
+        info = report["data"]
         print(f"n={info.n} complete={info.n_complete} incomplete={info.n_incomplete} "
-              f"levels={info.L}")
-        for name, res in results.items():
+              f"levels={info.instrument_levels}")
+        for name, res in report["results"].items():
             if "estimate" in res:
                 lo, hi = res["ci"]
                 print(f"{name}: {_fmt(res['estimate'])}  se={_fmt(res['std_error'])}  "
@@ -262,7 +257,7 @@ def cmd_simulate(cfg: AnalysisConfig, args: argparse.Namespace) -> int:
         "format": REPORT_FORMAT,
         "command": "simulate",
         "config": cfg.as_dict(),
-        "oracle": dataclasses.asdict(oracle),
+        "oracle": oracle,
         "monte_carlo": mc.as_dict(),
     }
     _print_fit_warnings(mc.fit_warnings)
@@ -298,7 +293,7 @@ def cmd_oracle(cfg: AnalysisConfig, args: argparse.Namespace) -> int:
         "format": REPORT_FORMAT,
         "command": "oracle",
         "config": cfg.as_dict(),
-        "oracle": dataclasses.asdict(res),
+        "oracle": res,
         "design_reference": reference,
         "design_tolerance": DESIGN_TOLERANCE,
         "agrees_with_design": agrees,
@@ -322,19 +317,23 @@ def cmd_robustness(cfg: AnalysisConfig, args: argparse.Namespace) -> int:
         raise ConfigurationError(
             f"robustness draws and measures under clamp_to_one_minus_eps only; "
             f"simulation.clamp_policy is {sim.clamp_policy!r}")
-    psi = cfg.functional.psi if cfg.functional.kind == "mean" else 0.0
+    if cfg.functional.kind != "mean":
+        # the scenarios and the reference are closed forms of the mean functional
+        raise ConfigurationError(
+            f"robustness measures the mean functional only; "
+            f"functional.kind is {cfg.functional.kind!r}")
     rep = run_robustness(sim.family, n=args.table_n, seed=cfg.seed,
-                         parameters=dict(sim.parameters), psi=psi)
+                         parameters=dict(sim.parameters), psi=cfg.functional.psi)
     report = {
         "format": REPORT_FORMAT,
         "command": "robustness",
         "config": cfg.as_dict(),
-        "robustness": rep.as_dict(),
+        "robustness": rep,
     }
     _emit(report, args.out)
     print(f"{sim.family}  n={args.table_n}  reference={rep.reference:.5f} "
           f"(quadrature error {rep.reference_error:.1e})")
-    for row in rep.rows:
+    for row in rep.scenarios:
         ratio = row.abs_bias / row.mc_se if row.mc_se > 0 else float("inf")
         tag = "consistent" if row.expect_consistent else "control"
         print(f"  {row.scenario:<26} {tag:<10} estimate={row.estimate:9.5f}  "
@@ -350,7 +349,7 @@ def cmd_validate(cfg: AnalysisConfig, args: argparse.Namespace) -> int:
         print(f"warning: {w}")
     violations = validate_table(table)
     print(f"n={info.n} complete={info.n_complete} incomplete={info.n_incomplete} "
-          f"levels={info.L}")
+          f"levels={info.instrument_levels}")
     for enc in info.encodings:
         detail = enc.values if enc.kind == "categorical" else enc.edges
         print(f"instrument {enc.column}: {enc.kind}, {enc.levels} levels, {detail}")

@@ -229,19 +229,6 @@ class RobustnessRow:
     mc_se: float
     population_bias: float
 
-    def as_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "held": list(self.held),
-            "corrupted": list(self.corrupted),
-            "expect_consistent": self.expect_consistent,
-            "estimate": self.estimate,
-            "reference": self.reference,
-            "abs_bias": self.abs_bias,
-            "mc_se": self.mc_se,
-            "population_bias": self.population_bias,
-        }
-
 
 @dataclass
 class RobustnessReport:
@@ -250,17 +237,7 @@ class RobustnessReport:
     seed: int
     reference: float
     reference_error: float
-    rows: list[RobustnessRow] = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "n": self.n,
-            "seed": self.seed,
-            "reference": self.reference,
-            "reference_error": self.reference_error,
-            "scenarios": [r.as_dict() for r in self.rows],
-        }
+    scenarios: list[RobustnessRow] = field(default_factory=list)
 
 
 def _population_bias(ns: NuisanceSet, truth: NuisanceSet, reference: float) -> float:
@@ -313,7 +290,7 @@ def run_robustness(
         del ev, own     # not kept alive through the next scenario's evaluation
         est = float(vals.mean())
         se = float(np.sqrt(np.var(vals, ddof=0) / vals.size + ref_err * ref_err))
-        report.rows.append(RobustnessRow(
+        report.scenarios.append(RobustnessRow(
             scenario=sc.name,
             held=sc.held,
             corrupted=sc.corrupted,

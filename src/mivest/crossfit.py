@@ -27,7 +27,7 @@ nuisance fit per fold and repetition, so `mivest estimate` and every
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -198,47 +198,23 @@ def _median(values: np.ndarray) -> float:
 
 @dataclass
 class EstimateReport:
-    """Final deliverable of a cross-fitted run."""
+    """Final deliverable of a cross-fitted run; its fields are the report's keys."""
 
     estimate: float
     variance: float
     std_error: float
     ci_level: float
-    ci_lower: float
-    ci_upper: float
+    ci: tuple[float, float]
     n: int
-    n0: int
+    n_incomplete: int
     n_folds: int
     repetitions: int
     mode: str
     trim: str
     winsorize: float | None
     seed: int
-    per_repetition_estimates: list[float]
-    per_repetition_variances: list[float]
-    diagnostics: dict[str, int] = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "variance": self.variance,
-            "std_error": self.std_error,
-            "ci_level": self.ci_level,
-            "ci": [self.ci_lower, self.ci_upper],
-            "n": self.n,
-            "n_incomplete": self.n0,
-            "n_folds": self.n_folds,
-            "repetitions": self.repetitions,
-            "mode": self.mode,
-            "trim": self.trim,
-            "winsorize": self.winsorize,
-            "seed": self.seed,
-            "per_repetition": {
-                "estimates": self.per_repetition_estimates,
-                "variances": self.per_repetition_variances,
-            },
-            "diagnostics": self.diagnostics,
-        }
+    per_repetition: dict[str, list[float]]      # "estimates", "variances"
+    diagnostics: Diagnostics
 
 
 def _report(
@@ -256,25 +232,23 @@ def _report(
 ) -> EstimateReport:
     """Median-adjust per-repetition (estimate, variance) pairs into a report."""
     point, adj = median_adjust(est, var)
-    lo, hi = normal_ci(point, adj, ci_level)
     return EstimateReport(
         estimate=point,
         variance=adj,
         std_error=float(np.sqrt(max(adj, 0.0))),
         ci_level=ci_level,
-        ci_lower=lo,
-        ci_upper=hi,
+        ci=normal_ci(point, adj, ci_level),
         n=table.n,
-        n0=table.n0,
+        n_incomplete=table.n0,
         n_folds=n_folds,
         repetitions=len(est),
         mode=mode,
         trim=trim,
         winsorize=winsorize,
         seed=seed,
-        per_repetition_estimates=[float(x) for x in est],
-        per_repetition_variances=[float(x) for x in var],
-        diagnostics=diag.as_dict(),
+        per_repetition={"estimates": [float(x) for x in est],
+                        "variances": [float(x) for x in var]},
+        diagnostics=replace(diag),
     )
 
 

@@ -8,7 +8,11 @@ parses a document with them, and the reports' config echo is written from
 them; the defaults live in the dataclasses alone.  Reports are JSON with
 sorted keys and no timestamps: two runs with the same seeds must produce
 byte-identical files, so execution-topology knobs (thread count, output
-path) never enter the report body.
+path) never enter the report body.  One serializer (_jsonable) writes
+every report tree, and it writes a dataclass through its fields: a report
+type's field names are its report keys.  Only a type whose keys follow a
+rule of their own (the config echo, the Monte Carlo summaries) has an
+as_dict.
 """
 
 from __future__ import annotations
@@ -318,40 +322,22 @@ class InstrumentEncoding:
     values: list[float] | None = None   # categorical: sorted observed values
     edges: list[float] | None = None    # quartile: deduplicated bin edges
 
-    def as_dict(self) -> dict:
-        return {
-            "column": self.column,
-            "kind": self.kind,
-            "levels": self.levels,
-            "values": self.values,
-            "edges": self.edges,
-        }
-
 
 @dataclass
 class IngestInfo:
-    """Everything about the file -> table encoding needed to reproduce it."""
+    """Everything about the file -> table encoding needed to reproduce it.
+
+    Its fields are the keys of a report's "data" entry.
+    """
 
     n: int
     n_complete: int
     n_incomplete: int
-    L: int
+    instrument_levels: int
     encodings: list[InstrumentEncoding]
     level_map: dict[int, tuple[int, ...]]
     warnings: list[str] = field(default_factory=list)
     masked_rows: tuple[int, ...] = ()
-
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "n_complete": self.n_complete,
-            "n_incomplete": self.n_incomplete,
-            "instrument_levels": self.L,
-            "encodings": [e.as_dict() for e in self.encodings],
-            "level_map": {str(k): list(v) for k, v in self.level_map.items()},
-            "warnings": list(self.warnings),
-            "masked_rows": list(self.masked_rows),
-        }
 
 
 def _fmt_rows(rows: Sequence[int], limit: int = 10) -> str:
@@ -717,7 +703,7 @@ def ingest_csv(path: str | Path, config: AnalysisConfig) -> tuple[ObservationTab
         n=table.n,
         n_complete=table.n1,
         n_incomplete=table.n0,
-        L=table.L,
+        instrument_levels=table.L,
         encodings=encodings,
         level_map=level_map,
         warnings=warnings,

@@ -62,14 +62,6 @@ class Diagnostics:
         self.nonconverged_fits += other.nonconverged_fits
         return self
 
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "floor_hits": self.floor_hits,
-            "prob_clips": self.prob_clips,
-            "winsorized": self.winsorized,
-            "nonconverged_fits": self.nonconverged_fits,
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class _OnBasis:

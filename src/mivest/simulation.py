@@ -758,7 +758,7 @@ def _mc_replication(r, dgp, cfg, functional, n_folds, repetitions, ci_level,
             n_folds=n_folds, repetitions=repetitions, seed=fold_seed,
             ci_level=ci_level, mode=mode, trim=trim, winsorize=winsorize,
         )[0]
-        out["if"] = (rep.estimate, rep.variance, rep.ci_lower, rep.ci_upper)
+        out["if"] = (rep.estimate, rep.variance, *rep.ci)
     except (EstimationError, FitError) as e:
         out["if_error"] = str(e)
     return out

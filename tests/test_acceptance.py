@@ -188,7 +188,7 @@ def test_criterion_07_robustness_scenarios():
     ok = True
     for family in ("single_binary_iv", "dual_binary_iv"):
         report = run_robustness(family, n=100_000, seed=11)
-        for row in report.rows:
+        for row in report.scenarios:
             ratio = row.abs_bias / row.mc_se
             if row.expect_consistent:
                 good = ratio <= 3.0 and abs(row.population_bias) <= 1e-10

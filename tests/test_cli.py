@@ -307,7 +307,7 @@ def test_quartile_ties_collapse_with_warning(tmp_path):
     p = rows_to_csv(tmp_path, ["z", "x1", "x2", "r", "y"], rows)
     table, info = ingest_csv(p, config_from_dict(make_doc()))
     assert any("collapsed" in w for w in info.warnings)
-    assert info.L < 4
+    assert info.instrument_levels < 4
 
 
 def test_constant_instrument_rejected(tmp_path):
@@ -489,7 +489,7 @@ def _ingest_outcome(path, cfg):
         return type(exc).__name__, str(exc)
     arrays = [(a.dtype.str, a.shape, a.tobytes())
               for a in (table.X, table.Z, table.R, table.Y)]
-    return arrays, info.as_dict()
+    return arrays, info
 
 
 @settings(max_examples=300, deadline=None)
@@ -612,7 +612,7 @@ def test_byte_order_mark_is_not_part_of_the_header(tmp_path, monkeypatch, first)
         np.testing.assert_array_equal(t.Z, want.Z)
         np.testing.assert_array_equal(t.R, want.R)
         np.testing.assert_array_equal(t.Y, want.Y)
-    assert info.as_dict() == ref_info.as_dict()
+    assert info == ref_info
 
 
 def test_oversized_cells_are_data_errors(tmp_path, capsys):
@@ -661,7 +661,7 @@ def test_product_mode_combines_instrument_columns(tmp_path):
     p = rows_to_csv(tmp_path, ["z1", "z2", "x1", "x2", "r", "y"], rows)
     cfg = config_from_dict(make_doc(data={"instruments": ["z1", "z2"]}))
     table, info = ingest_csv(p, cfg)
-    assert info.L == 4
+    assert info.instrument_levels == 4
     assert table.Z.tolist() == [0, 1, 2, 3]
     assert len(info.encodings) == 2
 
@@ -1248,6 +1248,20 @@ def test_robustness_refuses_other_clamp_policies(tmp_path, capsys, policy):
     assert not out.exists()
 
 
+def test_robustness_refuses_other_functionals(tmp_path, capsys):
+    # the scenarios and the reference are closed forms of the mean; a
+    # quantile config wrote a mean report under its echo (exit 0)
+    doc = make_doc(functional={"kind": "quantile", "q": 0.5},
+                   simulation={"family": "dual_binary_iv"})
+    out = tmp_path / "rob.json"
+    rc = main(["robustness", "--config", write_yaml(tmp_path / "r.yaml", doc),
+               "--out", str(out), "--n", "2000"])
+    assert rc == 4
+    assert ("configuration error: robustness measures the mean functional only; "
+            "functional.kind is 'quantile'" in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_robustness_default_clamp_policy_report_is_unchanged(tmp_path):
     # naming the default policy gives the report of a config that omits it
     outs = []
@@ -1349,3 +1363,95 @@ def test_warning_free_simulate_reports_have_no_fit_warnings(tmp_path, capsys):
                  "--out", str(out)]) == 0
     assert "warning:" not in capsys.readouterr().err
     assert "fit_warnings" not in json.loads(out.read_text())["monte_carlo"]
+
+
+# -- report key trees ----------------------------------------------------------
+# A report's keys are its report types' field names, so renaming or adding a
+# field changes the report.  These pin every key path of each command's
+# report; the config echo's keys are pinned by
+# test_a_config_with_every_key_changed_survives_its_echo.
+
+
+def _key_paths(node, prefix=""):
+    """Every key of a report tree as a dotted path; list items share one "[]" step."""
+    paths = set()
+    if isinstance(node, dict):
+        for k, v in node.items():
+            paths.add(prefix + k)
+            paths |= _key_paths(v, f"{prefix}{k}.")
+    elif isinstance(node, list):
+        for v in node:
+            paths |= _key_paths(v, prefix[:-1] + "[].")
+    return paths
+
+
+def _under(prefix, keys):
+    return [prefix, *(f"{prefix}.{k}" for k in keys)]
+
+
+DATA_KEYS = ["encodings", "encodings[].column", "encodings[].edges", "encodings[].kind",
+             "encodings[].levels", "encodings[].values", "instrument_levels", "level_map",
+             "level_map.0", "level_map.1", "masked_rows", "n", "n_complete", "n_incomplete",
+             "warnings"]
+MEAN_KEYS = ["ci", "ci_level", "diagnostics", "diagnostics.floor_hits",
+             "diagnostics.nonconverged_fits", "diagnostics.prob_clips",
+             "diagnostics.winsorized", "estimate", "estimator", "mode", "n", "n_folds",
+             "n_incomplete", "per_repetition", "per_repetition.estimates",
+             "per_repetition.variances", "repetitions", "seed", "std_error", "trim",
+             "variance", "winsorize"]
+QUANTILE_KEYS = ["bracket", "psi", "q"]
+ORACLE_KEYS = ["clamp_fraction", "draws", "mc_se", "n_missing", "p_missing", "value"]
+SUMMARY_KEYS = ["bias", "mean", "mse", "n_failed", "n_success", "name", "variance"]
+HEAD = ["command", "config", "format"]
+
+
+def _mean_entry(prefix):
+    return [*_under(f"{prefix}data", DATA_KEYS), f"{prefix}results",
+            *_under(f"{prefix}results.missing_mean", MEAN_KEYS),
+            *_under(f"{prefix}results.population_mean", MEAN_KEYS)]
+
+
+REPORT_KEYS = {
+    "estimate-mean": [*HEAD, *_mean_entry("")],
+    "estimate-quantile": [*HEAD, *_under("data", DATA_KEYS), "results",
+                          *_under("results.missing_quantile", QUANTILE_KEYS),
+                          *_under("results.population_quantile", QUANTILE_KEYS)],
+    "estimate-separate": [*HEAD, "per_instrument",
+                          *_under("per_instrument.z1", _mean_entry("")),
+                          *_under("per_instrument.z2", _mean_entry(""))],
+    "simulate": [*HEAD, *_under("oracle", ORACLE_KEYS),
+                 *_under("monte_carlo", [
+                     "ci_level", "estimators", "family", "master_seed", "n", "n_folds",
+                     "oracle", "repetitions", "replications",
+                     *_under("estimators.id", SUMMARY_KEYS),
+                     *_under("estimators.if", [*SUMMARY_KEYS, "coverage",
+                                               "mean_if_variance"])])],
+    "oracle": [*HEAD, "agrees_with_design", "design_reference", "design_tolerance",
+               *_under("oracle", ORACLE_KEYS)],
+    "robustness": [*HEAD, *_under("robustness", [
+        "family", "n", "reference", "reference_error", "seed",
+        "scenarios", *(f"scenarios[].{k}" for k in (
+            "abs_bias", "corrupted", "estimate", "expect_consistent", "held", "mc_se",
+            "population_bias", "reference", "scenario"))])],
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_KEYS))
+def test_every_report_key_is_pinned(tmp_path, survey_csv, case):
+    command, _, variant = case.partition("-")
+    over = {
+        "quantile": {"functional": {"kind": "quantile", "q": 0.5}},
+        "separate": {"data": {"instruments": ["z1", "z2"], "instrument_mode": "separate"}},
+        "simulate": {"simulation": {"family": "single_binary_iv", "n": 250,
+                                    "replications": 2, "oracle_draws": 200_000}},
+        "oracle": {"simulation": {"family": "dual_binary_iv", "oracle_draws": 200_000}},
+        "robustness": {"simulation": {"family": "single_binary_iv"}},
+    }.get(variant or command, {})
+    argv = {"estimate": ["--data", survey_csv], "robustness": ["--n", "3000"]}.get(command, [])
+    if variant == "separate":
+        argv = ["--data", str(two_instrument_csv(tmp_path / "two.csv"))]
+    out = tmp_path / "report.json"
+    assert main([command, "--config", write_yaml(tmp_path / "c.yaml", make_doc(**over)),
+                 *argv, "--out", str(out)]) == 0
+    paths = _key_paths(json.loads(out.read_text()))
+    assert sorted(p for p in paths if not p.startswith("config.")) == sorted(REPORT_KEYS[case])

@@ -1,5 +1,7 @@
 """Deliberate nuisance corruption and the consistency scenario grid."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from mivest.corruption import (COMPONENTS, LOGIT_SHIFT, _population_bias,
                                corrupt_nuisance, general_scenarios, run_robustness,
                                shift_probability)
 from mivest.data import FunctionalSpec
+from mivest.dataio import report_json
 from mivest.exceptions import ConfigurationError
 from mivest.nuisance import evaluate_nuisances
 from mivest.oracles import (_GL_K, _unit_square_rule, oracle_identified_beta,
@@ -180,7 +183,7 @@ PINNED_SINGLE = {
 
 def test_robustness_run_separates_consistent_from_broken():
     report = run_robustness("single_binary_iv", n=30_000, seed=11)
-    rows = {r.scenario: r for r in report.rows}
+    rows = {r.scenario: r for r in report.scenarios}
     assert len(rows) == 4
     for name, pinned in PINNED_SINGLE.items():
         assert rows[name].estimate == pytest.approx(pinned, rel=0, abs=1e-12), name
@@ -189,7 +192,7 @@ def test_robustness_run_separates_consistent_from_broken():
             assert row.abs_bias < 4.0 * row.mc_se, name
         else:
             assert row.abs_bias > 5.0 * row.mc_se, name
-    d = report.as_dict()
+    d = json.loads(report_json(report))
     assert d["family"] == "single_binary_iv"
     assert len(d["scenarios"]) == 4
     assert all("population_bias" in row for row in d["scenarios"])

@@ -1,5 +1,6 @@
 """Fold plans, the fold loop, the repetition driver and its reports."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from mivest.crossfit import (FoldPlan, _crossfit_pass, crossfit_beta, make_folds,
                              median_adjust)
 from mivest.data import FunctionalSpec, ObservationTable
+from mivest.dataio import report_json
 from mivest.general import beta_id_general
 from mivest.exceptions import (ConfigurationError, EstimationError, FitError,
                                NoIncompleteCasesError, NuisanceFitError)
@@ -161,26 +163,26 @@ def test_report_shape_and_determinism(mid_table):
     kw = dict(n_folds=4, repetitions=3, seed=11, ci_level=0.9)
     rep, _ = crossfit_beta(mid_table, SPEC, CFG, **kw)
     rep2, _ = crossfit_beta(mid_table, SPEC, CFG, **kw)
-    assert rep.as_dict() == rep2.as_dict()
+    assert rep == rep2
     assert rep.n == mid_table.n
-    assert rep.n0 == mid_table.n0
+    assert rep.n_incomplete == mid_table.n0
     assert rep.std_error == pytest.approx(np.sqrt(rep.variance))
-    assert rep.ci_lower < rep.estimate < rep.ci_upper
-    assert len(rep.per_repetition_estimates) == 3
-    point, var = median_adjust(rep.per_repetition_estimates,
-                               rep.per_repetition_variances)
+    assert rep.ci[0] < rep.estimate < rep.ci[1]
+    assert len(rep.per_repetition["estimates"]) == 3
+    point, var = median_adjust(rep.per_repetition["estimates"],
+                               rep.per_repetition["variances"])
     assert rep.estimate == point
     assert rep.variance == var
-    d = rep.as_dict()
+    d = json.loads(report_json(rep))
     assert "estimator" not in d  # the CLI labels the report
     assert d["n_incomplete"] == mid_table.n0
-    assert d["ci"] == [rep.ci_lower, rep.ci_upper]
+    assert d["ci"] == [*rep.ci]
 
 
 def test_repetition_estimates_are_split_dependent(mid_table):
     rep, _ = crossfit_beta(mid_table, SPEC, CFG, n_folds=4, repetitions=3,
                            seed=1)
-    assert len(set(rep.per_repetition_estimates)) == 3
+    assert len(set(rep.per_repetition["estimates"])) == 3
 
 
 def test_population_mean_composes_with_missing_mean(mid_table):
@@ -215,19 +217,19 @@ def test_one_fold_pass_gives_both_mean_reports(family, n):
     # repetition, on the folds drawn from (seed, repetition)
     passes = [one_pass(table, make_folds(table.n, 3, 8, r), winsorize=3.0)
               for r in range(3)]
-    assert beta.per_repetition_estimates == [r.estimate for r in passes]
-    assert beta.per_repetition_variances == [r.variance for r in passes]
+    assert beta.per_repetition["estimates"] == [r.estimate for r in passes]
+    assert beta.per_repetition["variances"] == [r.variance for r in passes]
     assert (beta.estimate, beta.variance) == median_adjust(
-        beta.per_repetition_estimates, beta.per_repetition_variances)
+        beta.per_repetition["estimates"], beta.per_repetition["variances"])
     diag = Diagnostics()
     for r in passes:
         diag.merge(r.diagnostics)
-    assert beta.diagnostics == pop.diagnostics == diag.as_dict()
-    assert beta.diagnostics["winsorized"] > 0
+    assert beta.diagnostics == pop.diagnostics == diag
+    assert beta.diagnostics.winsorized > 0
     # each repetition's population estimate composes with that repetition's beta
     alpha = float(np.mean(table.y_observed))
     pi0 = table.n0 / table.n
-    for b, p in zip(beta.per_repetition_estimates, pop.per_repetition_estimates):
+    for b, p in zip(beta.per_repetition["estimates"], pop.per_repetition["estimates"]):
         assert p == pytest.approx((1.0 - pi0) * alpha + pi0 * b, abs=1e-12)
 
 

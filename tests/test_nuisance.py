@@ -141,7 +141,7 @@ def test_diagnostics_merge_sums():
     b = Diagnostics(floor_hits=10, prob_clips=20, winsorized=30,
                     nonconverged_fits=40)
     a.merge(b)
-    assert a.as_dict() == {"floor_hits": 11, "prob_clips": 22,
+    assert dataclasses.asdict(a) == {"floor_hits": 11, "prob_clips": 22,
                            "winsorized": 33, "nonconverged_fits": 44}
 
 
