@@ -15,9 +15,10 @@ which charges each repetition for its distance from the consensus.
 One repetition driver (crossfit_beta) runs one fold loop
 (_crossfit_pass) per repetition, and one influence function
 (mivest.general) serves every instrument: at L = 2 it is the binary one.
-Each fold evaluates its nuisance set once on its rows (evaluate_nuisances)
+Each fold evaluates its nuisance set on its rows (evaluate_nuisances)
 and runs the influence function's pass (general._phi_pass) over one target
-column, the pass the quantile grid runs over 64.
+column, the pass the quantile grid runs over 64.  Each fold's Diagnostics
+comes from its fit and its evaluation; folds and repetitions are summed.
 The nonrespondent mean beta and the population mean
 (1 - pi0) alpha + pi0 beta are both computed from one shared split and one
 nuisance fit per fold and repetition, so `mivest estimate` and every
@@ -27,7 +28,7 @@ nuisance fit per fold and repetition, so `mivest estimate` and every
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -89,10 +90,7 @@ class CrossfitResult:
 
     estimate: float
     variance: float
-    n: int
-    n0: int
     n_kept: int
-    plan: FoldPlan
     diagnostics: Diagnostics
     pi0_by_fold: np.ndarray
 
@@ -148,12 +146,13 @@ def _crossfit_pass(
         keep[mask] = own.keep
         coef[mask] = (1.0 - block.R.astype(float)) / ns.pi0
         pi0s[k] = ns.pi0
-        diag.floor_hits += own.floor_hits
-        diag.merge(ns.diagnostics)
+        diag += Diagnostics(floor_hits=own.floor_hits, prob_clips=ev.prob_clips,
+                            nonconverged_fits=ns.nonconverged_fits)
         del ev, own     # the fold's evaluation is not kept alive through the next fit
 
     if winsorize is not None:
-        phi = winsorize_values(phi, winsorize, diag)
+        raw, phi = phi, winsorize_values(phi, winsorize)
+        diag += Diagnostics(winsorized=int(np.count_nonzero(phi != raw)))
     if not keep.any():
         raise EstimationError("trim policy removed every row")
     est = float(phi[keep].mean())
@@ -161,10 +160,7 @@ def _crossfit_pass(
     result = CrossfitResult(
         estimate=est,
         variance=variance_if(centered),
-        n=table.n,
-        n0=table.n0,
         n_kept=int(keep.sum()),
-        plan=plan,
         diagnostics=diag,
         pi0_by_fold=pi0s,
     )
@@ -248,7 +244,7 @@ def _report(
         seed=seed,
         per_repetition={"estimates": [float(x) for x in est],
                         "variances": [float(x) for x in var]},
-        diagnostics=replace(diag),
+        diagnostics=diag,
     )
 
 
@@ -304,9 +300,7 @@ def crossfit_beta(
         pop_var[rep] = variance_if(phi_pop[keep])
         results.append(res)
 
-    diag = Diagnostics()
-    for r in results:
-        diag.merge(r.diagnostics)
+    diag = sum((r.diagnostics for r in results), Diagnostics())
     common = dict(n_folds=n_folds, seed=seed, ci_level=ci_level, mode=mode,
                   trim=trim, winsorize=winsorize)
     missing = _report(table, np.array([r.estimate for r in results]),

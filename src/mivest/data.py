@@ -39,6 +39,8 @@ class FunctionalSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("mean", "quantile", "custom"):
             raise ConfigurationError(f"unknown functional kind {self.kind!r}")
+        if not math.isfinite(self.psi):
+            raise ConfigurationError(f"psi must be finite, got {self.psi}")
         if self.kind == "quantile":
             if self.q is None or not (0.0 < self.q < 1.0):
                 raise ConfigurationError("quantile functional requires 0 < q < 1")

@@ -340,10 +340,11 @@ def _grid_beta(
             for j in range(0, grid.size, _GRID_BLOCK)]))
     coef = np.stack(coef, axis=1)                                   # (grid, K, d)
     # the level blocks go before pi and rho are evaluated: their (L, n)
-    # stacks need not be alive beside them
+    # stacks need not be alive beside them.  The clip counts are dropped:
+    # quantile reports carry no counters
     del levels
-    pi, rho = props.pi(F), props.rho(F)
-    pi_marg = props.pi_marg(F) if mode == "direct" else np.einsum("lm,lm->m", rho, pi)
+    (pi, _), (rho, _) = props.pi(F), props.rho(F)
+    pi_marg = props.pi_marg(F)[0] if mode == "direct" else np.einsum("lm,lm->m", rho, pi)
     own = _own_level(table.Z, table.R, pi, rho, pi - pi_marg[None, :], props.pi0, trim)
     del pi, pi_marg
     if not own.keep.any():

@@ -16,17 +16,18 @@ per evaluate_nuisances call.  Marginal quantities pi(X) and mu(X) are
 either the exact rho-weighted sums over levels ("marginalize", the
 default) or separately supplied models ("direct").
 
-A set is read only through evaluate_nuisances, once per block of rows;
-floor_denominator is the one floor on |delta_r|.  mu has one solver,
-_fit_mu: one fit_linear per level (and one for mu(X) in direct mode), for
-one functional's target or for a stack of them, as the quantile grid
-solves its 64 targets at once.
+A set is read through evaluate_nuisances, which also counts that one
+evaluation's clipped model outputs; a fitted set's nonconverged_fits is
+fixed when it is fitted.  floor_denominator is the one floor on
+|delta_r|.  mu has one solver, _fit_mu: one fit_linear per level (and one
+for mu(X) in direct mode), for one functional's target or for a stack of
+them, as the quantile grid solves its 64 targets at once.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Callable, Literal
 
 import numpy as np
@@ -46,37 +47,35 @@ ComponentFn = Callable[[np.ndarray], np.ndarray]    # X (m, p) -> (L, m)
 MarginalFn = Callable[[np.ndarray], np.ndarray]     # X (m, p) -> (m,)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Diagnostics:
-    """Counters surfaced in reports; totals are order-independent."""
+    """Counters surfaced in reports; a + b sums them field by field."""
 
     floor_hits: int = 0
     prob_clips: int = 0
     winsorized: int = 0
     nonconverged_fits: int = 0
 
-    def merge(self, other: "Diagnostics") -> "Diagnostics":
-        self.floor_hits += other.floor_hits
-        self.prob_clips += other.prob_clips
-        self.winsorized += other.winsorized
-        self.nonconverged_fits += other.nonconverged_fits
-        return self
+    def __add__(self, other: "Diagnostics") -> "Diagnostics":
+        return Diagnostics(*(getattr(self, f.name) + getattr(other, f.name)
+                             for f in fields(self)))
 
 
 @dataclass(frozen=True, eq=False)
 class _OnBasis:
     """A fitted component: fn applied to the basis features of the rows.
 
-    Called with X it transforms the basis itself, so it is a component
-    callable like any other; evaluate_nuisances instead transforms a block
-    once and hands the features to every component on the same basis.
+    fn returns (values, how many it clipped).  Called with X it transforms
+    the basis itself and returns the values, so it is a component callable
+    like any other; evaluate_nuisances instead transforms a block once,
+    hands the features to every component on the same basis and sums the clips.
     """
 
     basis: PolyBasis
-    fn: Callable[[np.ndarray], np.ndarray]
+    fn: Callable[[np.ndarray], tuple[np.ndarray, int]]
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
-        return self.fn(self.basis.transform(X))
+        return self.fn(self.basis.transform(X))[0]
 
 
 @dataclass
@@ -87,8 +86,8 @@ class NuisanceSet:
     array of every instrument level; pi_marg_fn and mu_marg_fn take X and
     return (m,), and are set in direct mode only: otherwise
     evaluate_nuisances derives the marginals from the parts.  The set has
-    no accessors: it is read through evaluate_nuisances, once per block of
-    rows.
+    no accessors: it is read through evaluate_nuisances.  nonconverged_fits
+    counts its fits that did not converge (0 for a set not fitted here).
     """
 
     L: int
@@ -99,7 +98,7 @@ class NuisanceSet:
     mode: MarginalizationMode = "marginalize"
     pi_marg_fn: MarginalFn | None = None
     mu_marg_fn: MarginalFn | None = None
-    diagnostics: Diagnostics = field(default_factory=Diagnostics)
+    nonconverged_fits: int = 0
 
     def __post_init__(self) -> None:
         if self.mode == "direct" and (self.pi_marg_fn is None or self.mu_marg_fn is None):
@@ -117,20 +116,19 @@ def floor_denominator(delta_r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(hits, np.where(delta_r < 0, -EPS_DEN, EPS_DEN), delta_r), hits
 
 
-def winsorize_values(
-    values: np.ndarray,
-    k: float,
-    diag: Diagnostics | None = None,
-) -> np.ndarray:
+def winsorize_values(values: np.ndarray, k: float) -> np.ndarray:
     """Pull values outside [Q1 - k IQR, Q3 + k IQR] to the boundary."""
     v = np.asarray(values, dtype=float)
     q1, q3 = _linear_quantiles(v, (0.25, 0.75))     # np.percentile(v, [25, 75])
     iqr = q3 - q1
     lo, hi = q1 - k * iqr, q3 + k * iqr
-    w = np.clip(v, lo, hi)
-    if diag is not None:
-        diag.winsorized += int(np.count_nonzero(w != v))
-    return w
+    return np.clip(v, lo, hi)
+
+
+def _clip(p: np.ndarray) -> tuple[np.ndarray, int]:
+    """p clipped to [PROB_CLIP, 1 - PROB_CLIP], and how many entries moved."""
+    clipped = np.clip(p, PROB_CLIP, 1.0 - PROB_CLIP)
+    return clipped, int(np.count_nonzero(clipped != p))
 
 
 @dataclass
@@ -139,8 +137,8 @@ class Propensities:
 
     pi(z, .) per level, rho, pi(.) in direct mode, and pi0.  The methods
     take the basis features F (m, d) of the rows, so a caller that already
-    holds the training block's basis evaluates them with no transform;
-    every clipped model output is counted in diagnostics.
+    holds the training block's basis evaluates them with no transform; each
+    returns (values, how many model outputs it clipped).
     """
 
     L: int
@@ -149,33 +147,27 @@ class Propensities:
     rho_model: np.ndarray | MultinomialModel  # (d,) logistic coef when L = 2
     pi_marg_coef: np.ndarray | None         # (d,) direct mode only
     pi0: float
-    diagnostics: Diagnostics
+    nonconverged_fits: int
 
-    def _clip(self, p: np.ndarray) -> np.ndarray:
-        clipped = np.clip(p, PROB_CLIP, 1.0 - PROB_CLIP)
-        self.diagnostics.prob_clips += int(np.count_nonzero(clipped != p))
-        return clipped
-
-    def pi(self, F: np.ndarray) -> np.ndarray:
+    def pi(self, F: np.ndarray) -> tuple[np.ndarray, int]:
         """pi(z, .) at every level, (L, m)."""
-        return self._clip(expit(self.pi_coef @ F.T))
+        return _clip(expit(self.pi_coef @ F.T))
 
-    def rho(self, F: np.ndarray) -> np.ndarray:
+    def rho(self, F: np.ndarray) -> tuple[np.ndarray, int]:
         """rho(z, .) = P(Z = z | X) at every level, (L, m)."""
-        if self.L == 2:
-            p1 = self._clip(expit(F @ self.rho_model))
-            return np.stack([1.0 - p1, p1])
+        if self.L == 2:     # a clipped p1 is one output, although it gives two levels
+            p1, clips = _clip(expit(F @ self.rho_model))
+            return np.stack([1.0 - p1, p1]), clips
         P = self.rho_model.predict_proba(F).T      # class-major (L, m)
-        low = P < PROB_CLIP
-        if low.any():
-            self.diagnostics.prob_clips += int(np.count_nonzero(low))
+        clips = int(np.count_nonzero(P < PROB_CLIP))
+        if clips:
             P = np.clip(P, PROB_CLIP, None)
             P = P / P.sum(axis=0)
-        return P
+        return P, clips
 
-    def pi_marg(self, F: np.ndarray) -> np.ndarray:
+    def pi_marg(self, F: np.ndarray) -> tuple[np.ndarray, int]:
         """The directly fitted pi(.), (m,); direct mode only."""
-        return self._clip(expit(F @ self.pi_marg_coef))
+        return _clip(expit(F @ self.pi_marg_coef))
 
 
 def _by_level(F: np.ndarray, Z: np.ndarray, L: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -208,8 +200,8 @@ def fit_propensities(
     pi(z, .): one ridge logistic of R on the basis per level, on that
     level's rows.  When any level has fewer rows than MIN_STRATUM_ROWS,
     every level's fit ridges its intercept too (ridge_intercept), which
-    keeps a thin level with one response class finite; each level's fit
-    that does not converge counts once in nonconverged_fits.  rho: ridge
+    keeps a thin level with one response class finite; each fit that does
+    not converge counts once in nonconverged_fits.  rho: ridge
     multinomial (logistic when L = 2) of Z on the basis.  pi0 is the sample
     fraction of R = 0.  An instrument code outside 0..L-1 raises
     DataContractError.  Direct mode also fits an unstratified logistic
@@ -222,7 +214,6 @@ def fit_propensities(
     """
     L = train.L
     _require_codes_in_range(train)
-    diag = Diagnostics()
     counts = np.bincount(train.Z, minlength=L)
     empty = np.flatnonzero(counts == 0)
     if empty.size:
@@ -239,12 +230,12 @@ def fit_propensities(
     basis = PolyBasis(cfg.basis_df).fit(train.X)
     F = basis.transform(train.X)
     R = train.R.astype(float)
+    converged: list[bool] = []
 
     def logistic(features: np.ndarray, labels: np.ndarray,
                  ridge_intercept: bool = False) -> np.ndarray:
         res = fit_logistic(features, labels, cfg, ridge_intercept=ridge_intercept)
-        if not res.converged:
-            diag.nonconverged_fits += 1
+        converged.append(res.converged)
         return res.coef
 
     # instrument model first: the level blocks gathered below are a second
@@ -253,8 +244,7 @@ def fit_propensities(
         rho_model = logistic(F, train.Z.astype(float))
     else:
         rho_model = fit_multinomial(F, train.Z, cfg, L=L)
-        if not rho_model.converged:
-            diag.nonconverged_fits += 1
+        converged.append(rho_model.converged)
 
     # response model per level, on that level's rows; a thin level ridges
     # every level's intercept, so all levels keep one penalty: the stack is
@@ -266,7 +256,8 @@ def fit_propensities(
     pi_marg_coef = logistic(F, R) if mode == "direct" else None
     pi0 = float(np.mean(train.R == 0))
     return Propensities(L=L, basis=basis, pi_coef=pi_coef, rho_model=rho_model,
-                        pi_marg_coef=pi_marg_coef, pi0=pi0, diagnostics=diag), F, levels
+                        pi_marg_coef=pi_marg_coef, pi0=pi0,
+                        nonconverged_fits=converged.count(False)), F, levels
 
 
 def fit_nuisance_set(
@@ -282,9 +273,9 @@ def fit_nuisance_set(
     R = 0 contributing target 0, and direct mode adds an unstratified
     mu(X).  Every component is a function of the one fitted basis, so
     evaluate_nuisances transforms a block once for all of them.
-    Predicted probabilities are clipped to [1e-6, 1 - 1e-6]; every clipped
-    model output is counted once in diagnostics, so with L = 2 a clip of
-    the instrument model counts once, not once per level.
+    Predicted probabilities are clipped to [1e-6, 1 - 1e-6], and
+    evaluate_nuisances counts the clipped model outputs of each
+    evaluation; the set's nonconverged_fits is fit_propensities' count.
     """
     props, F, levels = fit_propensities(train, cfg, mode)
     basis = props.basis
@@ -299,7 +290,7 @@ def fit_nuisance_set(
         mode=mode,
         pi_marg_fn=_OnBasis(basis, props.pi_marg) if mode == "direct" else None,
         mu_marg_fn=mu_marg_fn,
-        diagnostics=props.diagnostics,
+        nonconverged_fits=props.nonconverged_fits,
     )
 
 
@@ -326,10 +317,10 @@ def _fit_mu(
 def _mu_on_basis(basis: PolyBasis, coef: list[np.ndarray],
                  L: int) -> tuple[ComponentFn, MarginalFn | None]:
     """_fit_mu's (d,) coefficients as the (L, m) component mu and, in
-    direct mode, the marginal mu(X)."""
+    direct mode, the marginal mu(X); neither clips."""
     mu_stack = np.stack(coef[:L])
-    return (_OnBasis(basis, lambda G: mu_stack @ G.T),
-            _OnBasis(basis, lambda G: G @ coef[L]) if len(coef) > L else None)
+    return (_OnBasis(basis, lambda G: (mu_stack @ G.T, 0)),
+            _OnBasis(basis, lambda G: (G @ coef[L], 0)) if len(coef) > L else None)
 
 
 def fit_mu_component(
@@ -362,7 +353,8 @@ class NuisanceEval:
     """All nuisance quantities evaluated on one block of rows.
 
     Matrices are (L, m); vectors are (m,).  delta_r is unfloored; the
-    estimators apply their trim policy.
+    estimators apply their trim policy.  prob_clips counts the model outputs
+    this evaluation clipped (a plain callable's outputs are not clipped).
     """
 
     pi: np.ndarray
@@ -372,6 +364,7 @@ class NuisanceEval:
     mu_marg: np.ndarray
     delta_r: np.ndarray
     delta_y: np.ndarray
+    prob_clips: int
 
 
 def evaluate_nuisances(ns: NuisanceSet, X: np.ndarray) -> NuisanceEval:
@@ -382,6 +375,7 @@ def evaluate_nuisances(ns: NuisanceSet, X: np.ndarray) -> NuisanceEval:
     """
     X = np.atleast_2d(X)
     features: dict[int, np.ndarray] = {}
+    clips: list[int] = []
 
     def call(fn: ComponentFn | MarginalFn) -> np.ndarray:
         if not isinstance(fn, _OnBasis):
@@ -389,7 +383,9 @@ def evaluate_nuisances(ns: NuisanceSet, X: np.ndarray) -> NuisanceEval:
         F = features.get(id(fn.basis))
         if F is None:
             F = features[id(fn.basis)] = fn.basis.transform(X)
-        return np.asarray(fn.fn(F), dtype=float)
+        values, n = fn.fn(F)
+        clips.append(n)
+        return np.asarray(values, dtype=float)
 
     pi = call(ns.pi_fn)
     rho = call(ns.rho_fn)
@@ -402,5 +398,5 @@ def evaluate_nuisances(ns: NuisanceSet, X: np.ndarray) -> NuisanceEval:
         mum = np.einsum("lm,lm->m", rho, mu)
     return NuisanceEval(
         pi=pi, rho=rho, mu=mu, pi_marg=pim, mu_marg=mum,
-        delta_r=pi - pim[None, :], delta_y=mu - mum[None, :],
+        delta_r=pi - pim[None, :], delta_y=mu - mum[None, :], prob_clips=sum(clips),
     )

@@ -111,6 +111,9 @@ class DGPSpec:
                 f"unknown simulation parameter {', '.join(map(repr, unknown))} for "
                 f"{self.family}; it allows "
                 f"{', '.join(map(repr, allowed)) if allowed else 'none'}")
+        for name, value in self.parameters.items():
+            if not np.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
 
 
 @dataclass

@@ -940,12 +940,21 @@ def test_nonrespondent_non_finite_outcome_cells_are_masked(tmp_path):
     ("learner", "ridge_lambda", float("inf")),
     ("learner", "irls_tol", float("nan")),
     ("learner", "irls_tol", float("inf")),
+    ("functional", "psi", float("nan")),
+    ("functional", "psi", float("inf")),
+    ("simulation", "selection_intercept", float("nan")),
+    ("simulation", "selection_intercept", float("inf")),
 ])
 def test_non_finite_config_numbers_are_configuration_errors(tmp_path, survey_csv, capsys,
                                                             section, key, value):
-    doc = make_doc(**{section: {key: value}})
-    rc = main(["estimate", "--config", write_yaml(tmp_path / "cfg.yaml", doc),
-               "--data", survey_csv])
+    if section == "simulation":
+        # only the commands that draw data read the simulation parameters
+        doc = make_doc(simulation={"family": "dual_binary_iv", "parameters": {key: value}})
+        argv = ["oracle"]
+    else:
+        doc = make_doc(**{section: {key: value}})
+        argv = ["estimate", "--data", survey_csv]
+    rc = main([*argv, "--config", write_yaml(tmp_path / "cfg.yaml", doc)])
     assert rc == 4
     assert f"configuration error: {key} must be finite" in capsys.readouterr().err
 

@@ -127,10 +127,11 @@ def test_fitter_never_sees_the_evaluation_fold(mid_table):
         seen.append(train)
         return fit_nuisance_set(train, spec, cfg, mode=mode)
 
-    res = one_pass(mid_table, make_folds(mid_table.n, 4, seed=2), fitter=spy)
+    plan = make_folds(mid_table.n, 4, seed=2)
+    one_pass(mid_table, plan, fitter=spy)
     assert len(seen) == 4
     for k, train in enumerate(seen):
-        expected = mid_table.X[res.plan.assignments != k]
+        expected = mid_table.X[plan.assignments != k]
         assert np.array_equal(train.X, expected)
 
 
@@ -221,9 +222,7 @@ def test_one_fold_pass_gives_both_mean_reports(family, n):
     assert beta.per_repetition["variances"] == [r.variance for r in passes]
     assert (beta.estimate, beta.variance) == median_adjust(
         beta.per_repetition["estimates"], beta.per_repetition["variances"])
-    diag = Diagnostics()
-    for r in passes:
-        diag.merge(r.diagnostics)
+    diag = sum((r.diagnostics for r in passes), Diagnostics())
     assert beta.diagnostics == pop.diagnostics == diag
     assert beta.diagnostics.winsorized > 0
     # each repetition's population estimate composes with that repetition's beta
@@ -262,8 +261,8 @@ def test_crossfit_estimate_does_not_depend_on_row_order(family_tables, family, s
 def test_each_fold_evaluates_its_set_once(mid_table, monkeypatch):
     # every estimator reads a nuisance set through one evaluate_nuisances
     # call per block: K x S calls for crossfit_beta, each on the rows of its
-    # fold, and one for the plug-in; per-evaluation counters such as
-    # prob_clips therefore count each fold's rows once per repetition
+    # fold, and one for the plug-in, so each fold's basis is transformed
+    # once per repetition
     import mivest.general
 
     seen = []

@@ -127,20 +127,19 @@ def test_floor_denominator_keeps_the_sign():
 
 
 def test_winsorize_values_clips_outliers():
-    diag = Diagnostics()
     vals = np.concatenate([np.linspace(-1, 1, 50), [40.0]])
-    out = winsorize_values(vals, 1.5, diag)
+    out = winsorize_values(vals, 1.5)
     assert out.max() < 40.0
-    assert diag.winsorized == 1
+    assert np.count_nonzero(out != vals) == 1
     assert np.array_equal(out[:-1], vals[:-1])
 
 
-def test_diagnostics_merge_sums():
+def test_diagnostics_add_sums():
     a = Diagnostics(floor_hits=1, prob_clips=2, winsorized=3,
                     nonconverged_fits=4)
     b = Diagnostics(floor_hits=10, prob_clips=20, winsorized=30,
                     nonconverged_fits=40)
-    a.merge(b)
+    a = a + b
     assert dataclasses.asdict(a) == {"floor_hits": 11, "prob_clips": 22,
                            "winsorized": 33, "nonconverged_fits": 44}
 
@@ -230,7 +229,7 @@ def test_a_thin_one_class_level_converges_with_a_ridged_intercept():
     # there ran off to 27.4 without converging
     assert (THIN_Z == 0).sum() < MIN_STRATUM_ROWS
     props, _, _ = fit_propensities(_thin_level_table(THIN_Z), LearnerConfig())
-    assert props.diagnostics.nonconverged_fits == 0
+    assert props.nonconverged_fits == 0
     assert 0.0 < props.pi_coef[0, 0] < 10.0
 
 
@@ -238,7 +237,7 @@ def test_a_thin_one_class_level_converges_with_a_ridged_intercept():
 def test_thin_level_fits_do_not_depend_on_the_level_labels():
     fits = [fit_propensities(_thin_level_table(Z), LearnerConfig())[0]
             for Z in (THIN_Z, 1 - THIN_Z)]
-    pi, swapped = (p.pi(p.basis.transform(PROBE)) for p in fits)
+    pi, swapped = (p.pi(p.basis.transform(PROBE))[0] for p in fits)
     np.testing.assert_allclose(swapped[::-1], pi, rtol=0.0, atol=1e-9)
 
 
@@ -269,8 +268,8 @@ def test_thin_level_response_fits_equal_the_block_diagonal_fit(L, thin, thin_row
     assert np.max(np.abs(props.pi_coef - want)) <= 1e-8
     perm = rng.permutation(L)                   # level z is relabelled perm[z]
     swapped, _, _ = fit_propensities(small_table(perm[Z], R, Y, X=X, L=L), cfg)
-    pi = props.pi(props.basis.transform(PROBE))
-    assert swapped.pi(swapped.basis.transform(PROBE))[perm].tobytes() == pi.tobytes()
+    pi = props.pi(props.basis.transform(PROBE))[0]
+    assert swapped.pi(swapped.basis.transform(PROBE))[0][perm].tobytes() == pi.tobytes()
 
 
 def test_fit_propensities_on_a_thin_level_peaks_under_45_float64_per_row():
@@ -331,21 +330,50 @@ def test_evaluate_nuisances_shapes(big_fit):
     assert np.allclose(ev.delta_r, ev.pi - ev.pi_marg)
 
 
-def test_two_level_instrument_clip_counts_once():
-    # a steep two-level instrument model saturates; each clipped p1 is one
-    # model output, counted once although it gives rho at both levels
+def _steep_instrument_draw(levels):
+    # Z is set by the quadrant (L = 4) or the half (L = 2) of x, plus a
+    # little noise, so the instrument model saturates; R is a coin flip
     rng = np.random.default_rng(31)
     n = 2_000
     X = rng.random((n, 2))
     Z = (X[:, 0] + 0.05 * rng.normal(size=n) > 0.5).astype(int)
+    if levels == 4:
+        Z = 2 * Z + (X[:, 1] + 0.05 * rng.normal(size=n) > 0.5)
     R = rng.integers(0, 2, size=n)
     Y = [float(v) if r == 1 else None for v, r in zip(rng.normal(size=n), R)]
-    ns = fit_nuisance_set(small_table(Z, R, Y, X=X), SPEC, LearnerConfig())
-    ev = evaluate_nuisances(ns, X)
-    at_bound = np.count_nonzero(np.isin(ev.rho[1], (PROB_CLIP, 1.0 - PROB_CLIP)))
-    at_bound += np.count_nonzero(np.isin(ev.pi, (PROB_CLIP, 1.0 - PROB_CLIP)))
-    assert at_bound > 0
-    assert ns.diagnostics.prob_clips == at_bound
+    return small_table(Z, R, Y, X=X, L=levels), X
+
+
+def test_two_level_instrument_clip_counts_once():
+    # a steep two-level instrument model saturates; each clipped p1 is one
+    # model output, counted once although it gives rho at both levels.
+    # Each evaluation of one fitted set counts its own clips, so evaluating
+    # the same rows again gives the same count
+    table, X = _steep_instrument_draw(2)
+    ns = fit_nuisance_set(table, SPEC, LearnerConfig())
+    for _ in range(3):
+        ev = evaluate_nuisances(ns, X)
+        at_bound = np.count_nonzero(np.isin(ev.rho[1], (PROB_CLIP, 1.0 - PROB_CLIP)))
+        at_bound += np.count_nonzero(np.isin(ev.pi, (PROB_CLIP, 1.0 - PROB_CLIP)))
+        assert at_bound > 0
+        assert ev.prob_clips == at_bound
+
+
+def test_multinomial_instrument_clips_count_once_per_evaluation():
+    # a steep four-level instrument model puts probabilities below the
+    # floor; they are clipped and renormalised, so the count is read from
+    # the model's own predictions rather than from rho
+    table, X = _steep_instrument_draw(4)
+    ns = fit_nuisance_set(table, SPEC, LearnerConfig())
+    props, F, _ = fit_propensities(table, LearnerConfig())
+    below = np.count_nonzero(props.rho_model.predict_proba(F) < PROB_CLIP)
+    assert below > 0
+    for _ in range(3):
+        ev = evaluate_nuisances(ns, X)
+        assert np.allclose(ev.rho.sum(axis=0), 1.0, rtol=0, atol=1e-12)
+        assert ev.rho.min() > 0.0
+        at_bound = np.count_nonzero(np.isin(ev.pi, (PROB_CLIP, 1.0 - PROB_CLIP)))
+        assert ev.prob_clips == below + at_bound
 
 
 @pytest.mark.parametrize("mode, components", [("marginalize", 3), ("direct", 5)])
