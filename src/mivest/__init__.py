@@ -14,7 +14,7 @@ imported from its submodule.
 
 from .corruption import run_robustness
 from .crossfit import EstimateReport, crossfit_beta
-from .data import FunctionalSpec, ObservationTable, validate_table
+from .data import EstimationConfig, FunctionalSpec, ObservationTable, validate_table
 from .dataio import (
     AnalysisConfig,
     IngestInfo,
@@ -55,6 +55,7 @@ __all__ = [
     "DGPSpec",
     "DataContractError",
     "EstimateReport",
+    "EstimationConfig",
     "EstimationError",
     "FitError",
     "FunctionalSpec",

@@ -189,18 +189,11 @@ def _estimate_results(table, cfg: AnalysisConfig) -> dict:
     if cfg.functional.kind == "mean":
         # one influence function serves every L; the label only names L = 2
         label = "binary" if table.L == 2 else "general"
-        missing, population = crossfit_beta(
-            table, cfg.functional, cfg.learner,
-            n_folds=cfg.n_folds, repetitions=cfg.repetitions, seed=cfg.seed,
-            ci_level=cfg.ci_level, mode=cfg.mode, trim=cfg.trim,
-            winsorize=cfg.winsorize,
-        )
+        missing, population = crossfit_beta(table, cfg.functional, cfg.learner, cfg.estimation)
         return {"missing_mean": {**dataclasses.asdict(missing), "estimator": label},
                 "population_mean": {**dataclasses.asdict(population), "estimator": label}}
     q = cfg.functional.q
-    missing, population = solve_functional(
-        table, cfg.learner, q, mode=cfg.mode, trim=cfg.trim, winsorize=cfg.winsorize,
-    )
+    missing, population = solve_functional(table, cfg.learner, q, cfg.estimation)
     return {
         "missing_quantile": {"q": q, "psi": missing.psi, "bracket": list(missing.bracket)},
         "population_quantile": {"q": q, "psi": population.psi,
@@ -244,15 +237,11 @@ def cmd_estimate(cfg: AnalysisConfig, args: argparse.Namespace) -> int:
 
 def cmd_simulate(cfg: AnalysisConfig, args: argparse.Namespace) -> int:
     sim = _require_simulation(cfg)
-    dgp = DGPSpec(family=sim.family, n=sim.n, seed=cfg.seed,
+    dgp = DGPSpec(family=sim.family, n=sim.n, seed=cfg.estimation.seed,
                   clamp_policy=sim.clamp_policy, parameters=sim.parameters)
     oracle = oracle_beta(dgp, draws=sim.oracle_draws, functional=cfg.functional)
-    mc = run_monte_carlo(
-        dgp, sim.replications, cfg.learner, cfg.functional, oracle.value,
-        n_folds=cfg.n_folds, repetitions=cfg.repetitions, ci_level=cfg.ci_level,
-        mode=cfg.mode, trim=cfg.trim, winsorize=cfg.winsorize,
-        threads=args.threads, master_seed=cfg.seed,
-    )
+    mc = run_monte_carlo(dgp, sim.replications, cfg.learner, cfg.functional, oracle.value,
+                         cfg.estimation, threads=args.threads)
     report = {
         "format": REPORT_FORMAT,
         "command": "simulate",
@@ -284,7 +273,7 @@ def cmd_simulate(cfg: AnalysisConfig, args: argparse.Namespace) -> int:
 
 def cmd_oracle(cfg: AnalysisConfig, args: argparse.Namespace) -> int:
     sim = _require_simulation(cfg)
-    dgp = DGPSpec(family=sim.family, n=sim.n, seed=cfg.seed,
+    dgp = DGPSpec(family=sim.family, n=sim.n, seed=cfg.estimation.seed,
                   clamp_policy=sim.clamp_policy, parameters=sim.parameters)
     res = oracle_beta(dgp, draws=sim.oracle_draws, functional=cfg.functional)
     reference = _LAWS[sim.family].design_beta
@@ -322,7 +311,7 @@ def cmd_robustness(cfg: AnalysisConfig, args: argparse.Namespace) -> int:
         raise ConfigurationError(
             f"robustness measures the mean functional only; "
             f"functional.kind is {cfg.functional.kind!r}")
-    rep = run_robustness(sim.family, n=args.table_n, seed=cfg.seed,
+    rep = run_robustness(sim.family, n=args.table_n, seed=cfg.estimation.seed,
                          parameters=dict(sim.parameters), psi=cfg.functional.psi)
     report = {
         "format": REPORT_FORMAT,

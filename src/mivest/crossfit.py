@@ -33,15 +33,13 @@ from typing import Callable
 
 import numpy as np
 
-from .data import FunctionalSpec, ObservationTable, evaluate_h
-from .exceptions import (ConfigurationError, EstimationError, FitError,
-                         NoIncompleteCasesError)
+from .data import EstimationConfig, FunctionalSpec, ObservationTable, evaluate_h
+from .exceptions import ConfigurationError, EstimationError, FitError, NoIncompleteCasesError
 from .general import _evaluate_own, _phi_pass, _population_phi, normal_ci, variance_if
 from .learners import LearnerConfig
 from .nuisance import (
     Diagnostics,
     NuisanceSet,
-    TrimPolicy,
     _require_codes_in_range,
     fit_nuisance_set,
     winsorize_values,
@@ -95,29 +93,16 @@ class CrossfitResult:
     pi0_by_fold: np.ndarray
 
 
-def _check_repetitions(repetitions: int) -> None:
-    if repetitions < 1:
-        raise ConfigurationError("repetitions must be at least 1")
-    if repetitions % 2 == 0:
-        warnings.warn(
-            "even repetition count makes the median an average of the middle "
-            "pair; an odd count is recommended",
-            UserWarning,
-            stacklevel=3,
-        )
-
-
 def _crossfit_pass(
     table: ObservationTable,
     spec: FunctionalSpec,
     cfg: LearnerConfig,
     plan: FoldPlan,
-    mode: str,
-    trim: TrimPolicy,
-    winsorize: float | None,
+    est: EstimationConfig,
     fit: FitterType,
 ) -> tuple[CrossfitResult, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """The fold loop: fit on each fold's complement, evaluate on the fold.
+    """The fold loop: fit on each fold's complement, evaluate on the fold,
+    in est's mode and trim policy, winsorizing the pooled values if est does.
 
     Returns the repetition's pooled result and its per-row
     (phi, keep, coef, delta_own), from which the population functional is
@@ -135,12 +120,12 @@ def _crossfit_pass(
         train = table.subset(~mask)
         block = table.subset(mask)
         try:
-            ns = fit(train, spec, cfg, mode=mode)
+            ns = fit(train, spec, cfg, mode=est.mode)
         except (FitError, EstimationError) as e:
             raise type(e)(f"fold {k}: {e}") from e
         if not ns.pi0 > 0:
             raise NoIncompleteCasesError(f"fold {k}: training split has no incomplete rows")
-        ev, own = _evaluate_own(block, ns, trim)
+        ev, own = _evaluate_own(block, ns, est.trim)
         delta_own[mask], phi[mask] = next(
             _phi_pass(own, block.Z, [(block.rh(spec), ev.mu, ev.mu_marg)]))
         keep[mask] = own.keep
@@ -150,8 +135,8 @@ def _crossfit_pass(
                             nonconverged_fits=ns.nonconverged_fits)
         del ev, own     # the fold's evaluation is not kept alive through the next fit
 
-    if winsorize is not None:
-        raw, phi = phi, winsorize_values(phi, winsorize)
+    if est.winsorize is not None:
+        raw, phi = phi, winsorize_values(phi, est.winsorize)
         diag += Diagnostics(winsorized=int(np.count_nonzero(phi != raw)))
     if not keep.any():
         raise EstimationError("trim policy removed every row")
@@ -215,35 +200,30 @@ class EstimateReport:
 
 def _report(
     table: ObservationTable,
-    est: np.ndarray,
-    var: np.ndarray,
+    estimates: np.ndarray,
+    variances: np.ndarray,
     diag: Diagnostics,
-    *,
-    n_folds: int,
-    seed: int,
-    ci_level: float,
-    mode: str,
-    trim: TrimPolicy,
-    winsorize: float | None,
+    est: EstimationConfig,
 ) -> EstimateReport:
-    """Median-adjust per-repetition (estimate, variance) pairs into a report."""
-    point, adj = median_adjust(est, var)
+    """Median-adjust per-repetition (estimate, variance) pairs into a report
+    of the run under est."""
+    point, adj = median_adjust(estimates, variances)
     return EstimateReport(
         estimate=point,
         variance=adj,
         std_error=float(np.sqrt(max(adj, 0.0))),
-        ci_level=ci_level,
-        ci=normal_ci(point, adj, ci_level),
+        ci_level=est.ci_level,
+        ci=normal_ci(point, adj, est.ci_level),
         n=table.n,
         n_incomplete=table.n0,
-        n_folds=n_folds,
-        repetitions=len(est),
-        mode=mode,
-        trim=trim,
-        winsorize=winsorize,
-        seed=seed,
-        per_repetition={"estimates": [float(x) for x in est],
-                        "variances": [float(x) for x in var]},
+        n_folds=est.n_folds,
+        repetitions=est.repetitions,
+        mode=est.mode,
+        trim=est.trim,
+        winsorize=est.winsorize,
+        seed=est.seed,
+        per_repetition={"estimates": [float(x) for x in estimates],
+                        "variances": [float(x) for x in variances]},
         diagnostics=diag,
     )
 
@@ -252,14 +232,8 @@ def crossfit_beta(
     table: ObservationTable,
     spec: FunctionalSpec,
     cfg: LearnerConfig,
+    est: EstimationConfig = EstimationConfig(),
     *,
-    n_folds: int = 5,
-    repetitions: int = 1,
-    seed: int = 0,
-    ci_level: float = 0.95,
-    mode: str = "marginalize",
-    trim: TrimPolicy = "floor",
-    winsorize: float | None = None,
     fitter: FitterType | None = None,
 ) -> tuple[EstimateReport, EstimateReport]:
     """Repeated cross-fitting: (missing, population) mean reports.
@@ -268,17 +242,21 @@ def crossfit_beta(
     with alpha the complete-case mean of h (no model, no cross-fitting
     needed) and pi0 the full-sample share, so the identity
     estimate == (1 - pi0) alpha + pi0 beta holds in every repetition.
-    Each repetition runs the fold loop once, on folds drawn from
-    (seed, repetition), and both reports reduce its per-row values to
-    (estimate, variance) pairs before the next repetition.  Each report is
-    the median adjustment of those pairs with a normal interval.  `fitter`
-    replaces fit_nuisance_set with the same signature.
+    est sets every estimation setting; its default, EstimationConfig(),
+    holds the config's defaults.  Each of its repetitions runs the fold loop
+    once, on est.n_folds folds drawn from (est.seed, repetition), and both
+    reports reduce its per-row values to (estimate, variance) pairs before
+    the next repetition.  Each report is the median adjustment of those
+    pairs with a normal interval at est.ci_level; an even repetition count
+    warns.  `fitter` replaces fit_nuisance_set with the same signature.
     """
     if table.n1 == 0:
         raise EstimationError("no complete cases; population functional needs both")
     if table.n0 == 0:
         raise NoIncompleteCasesError("no rows with R = 0; the target is undefined")
-    _check_repetitions(repetitions)
+    if est.repetitions % 2 == 0:
+        warnings.warn("even repetition count makes the median an average of the middle "
+                      "pair; an odd count is recommended", UserWarning, stacklevel=2)
     _require_codes_in_range(table)      # a fold's rows may be absent from its training split
     alpha = float(np.mean(evaluate_h(spec, table.y_observed)))
     pi0 = table.n0 / table.n
@@ -288,12 +266,12 @@ def crossfit_beta(
     rh = table.rh(spec)
 
     results: list[CrossfitResult] = []
-    pop_est = np.empty(repetitions, dtype=float)
-    pop_var = np.empty(repetitions, dtype=float)
-    for rep in range(repetitions):
-        plan = make_folds(table.n, n_folds, seed, rep)
+    pop_est = np.empty(est.repetitions, dtype=float)
+    pop_var = np.empty(est.repetitions, dtype=float)
+    for rep in range(est.repetitions):
+        plan = make_folds(table.n, est.n_folds, est.seed, rep)
         res, (phi, keep, coef, delta_own) = _crossfit_pass(
-            table, spec, cfg, plan, mode, trim, winsorize, fit)
+            table, spec, cfg, plan, est, fit)
         beta = res.estimate
         phi_pop = _population_phi(phi, coef, delta_own, R, rh, alpha, beta, pi0)
         pop_est[rep] = (1.0 - pi0) * alpha + pi0 * beta
@@ -301,15 +279,13 @@ def crossfit_beta(
         results.append(res)
 
     diag = sum((r.diagnostics for r in results), Diagnostics())
-    common = dict(n_folds=n_folds, seed=seed, ci_level=ci_level, mode=mode,
-                  trim=trim, winsorize=winsorize)
     missing = _report(table, np.array([r.estimate for r in results]),
-                      np.array([r.variance for r in results]), diag, **common)
-    return missing, _report(table, pop_est, pop_var, diag, **common)
+                      np.array([r.variance for r in results]), diag, est)
+    return missing, _report(table, pop_est, pop_var, diag, est)
 
 
 # No library code calls this: it stays bound because the benchmark tracer
 # (perfbench/trace_child.py) wraps mivest.cli.crossfit_population_mean.
-def crossfit_population_mean(table, spec, cfg, **kwargs) -> EstimateReport:
+def crossfit_population_mean(table, spec, cfg, *args, **kwargs) -> EstimateReport:
     """The population report of crossfit_beta with the same arguments."""
-    return crossfit_beta(table, spec, cfg, **kwargs)[1]
+    return crossfit_beta(table, spec, cfg, *args, **kwargs)[1]

@@ -1,4 +1,5 @@
-"""Data model: observation table, functional specification, validation.
+"""Data model: observation table, functional specification, estimation
+settings, validation.
 
 The estimators in this package work on a rectangular table of n records
 (X, Z, R, Y) where Y is observed only when the response indicator R is 1.
@@ -20,6 +21,50 @@ import numpy as np
 from .exceptions import ConfigurationError, DataContractError, MissingOutcomeError
 
 FunctionalKind = Literal["mean", "quantile", "custom"]
+MarginalizationMode = Literal["marginalize", "direct"]
+TrimPolicy = Literal["floor", "drop"]
+
+
+@dataclass(frozen=True)
+class EstimationConfig:
+    """The estimation settings, the config's 'estimation' section.
+
+    Every estimator (crossfit_beta, solve_functional, run_monte_carlo)
+    takes one of these, so library calls share the config's defaults and
+    checks: an invalid setting raises ConfigurationError when the value is
+    built, before any fit.  mode is "marginalize" (mu(x) and pi(x) are the
+    rho-weighted sums of the per-level models) or "direct" (both are fitted
+    on every row); trim is "floor" (floored contrasts are kept) or "drop"
+    (a row with a floored contrast is left out); winsorize is an IQR
+    multiple for clipping the influence values, or None for off.
+    """
+
+    n_folds: int = 5
+    repetitions: int = 11
+    seed: int = 1
+    ci_level: float = 0.95
+    mode: MarginalizationMode = "marginalize"
+    trim: TrimPolicy = "floor"
+    winsorize: float | None = None
+
+    def __post_init__(self) -> None:
+        for name, allowed in (("mode", ("marginalize", "direct")),
+                              ("trim", ("floor", "drop"))):
+            if getattr(self, name) not in allowed:
+                raise ConfigurationError(
+                    f"{name} must be {'|'.join(allowed)}, got {getattr(self, name)!r}")
+        if self.n_folds < 2:
+            raise ConfigurationError("folds must be at least 2")
+        if self.repetitions < 1:
+            raise ConfigurationError("repetitions must be at least 1")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be a non-negative integer, got {self.seed}")
+        if not 0.0 < self.ci_level < 1.0:
+            raise ConfigurationError("ci_level must lie in (0, 1)")
+        if self.winsorize is not None and not 0 < self.winsorize < math.inf:
+            raise ConfigurationError(
+                f"winsorize must be finite and positive (an IQR multiple) or off, "
+                f"got {self.winsorize}")
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,8 @@ from typing import Any, Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 import yaml
 
-from .data import (FunctionalSpec, ObservationTable, combine_instrument_levels,
-                   _linear_quantiles)
+from .data import (EstimationConfig, FunctionalSpec, ObservationTable,
+                   combine_instrument_levels, _linear_quantiles)
 from .exceptions import ConfigurationError, DataContractError
 from .learners import LearnerConfig
 
@@ -89,13 +89,7 @@ class AnalysisConfig:
     strict_outcome: bool = True
     functional: FunctionalSpec = field(default_factory=FunctionalSpec.mean)
     learner: LearnerConfig = field(default_factory=LearnerConfig)
-    mode: str = "marginalize"
-    n_folds: int = 5
-    repetitions: int = 11
-    seed: int = 1
-    ci_level: float = 0.95
-    trim: str = "floor"
-    winsorize: float | None = None
+    estimation: EstimationConfig = field(default_factory=EstimationConfig)
     simulation: SimulationSection | None = None
 
     @property
@@ -107,28 +101,13 @@ class AnalysisConfig:
     def __post_init__(self) -> None:
         if self.has_data:
             self._validate_roles()
-        for name, allowed in (("instrument_mode", ("product", "separate")),
-                              ("mode", ("marginalize", "direct")),
-                              ("trim", ("floor", "drop"))):
-            if getattr(self, name) not in allowed:
-                raise ConfigurationError(
-                    f"{name} must be {'|'.join(allowed)}, got {getattr(self, name)!r}")
+        if self.instrument_mode not in ("product", "separate"):
+            raise ConfigurationError(
+                f"instrument_mode must be product|separate, got {self.instrument_mode!r}")
         if self.instrument_bins < 2:
             raise ConfigurationError("instrument_bins must be at least 2")
         if self.functional.kind == "custom":
             raise ConfigurationError("config files can express mean or quantile functionals only")
-        if self.n_folds < 2:
-            raise ConfigurationError("folds must be at least 2")
-        if self.repetitions < 1:
-            raise ConfigurationError("repetitions must be at least 1")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be a non-negative integer, got {self.seed}")
-        if not 0.0 < self.ci_level < 1.0:
-            raise ConfigurationError("ci_level must lie in (0, 1)")
-        if self.winsorize is not None and not 0 < self.winsorize < np.inf:
-            raise ConfigurationError(
-                f"winsorize must be finite and positive (an IQR multiple) or off, "
-                f"got {self.winsorize}")
 
     def _validate_roles(self) -> None:
         roles = [self.outcome, self.response, *self.instruments, *self.covariates]
@@ -150,7 +129,7 @@ class AnalysisConfig:
             "format": CONFIG_FORMAT,
             # q is left out where unset, as a mean functional leaves it
             "functional": {k: v for k, v in functional.items() if v is not None},
-            "estimation": _echo(self, _ESTIMATION_KEYS),
+            "estimation": _echo(self.estimation, _ESTIMATION_KEYS),
             "learner": _echo(self.learner, _LEARNER_KEYS),
         }
         if self.has_data:
@@ -287,9 +266,9 @@ def config_from_dict(doc: Mapping) -> AnalysisConfig:
     data, functional, estimation, learner, simulation = (
         _section(doc, name) for name in _SECTIONS)
     return AnalysisConfig(
-        **data, **estimation, functional=FunctionalSpec(**functional),
-        learner=LearnerConfig(**learner),
-        simulation=None if doc.get("simulation") is None else SimulationSection(**simulation))
+        **data, functional=FunctionalSpec(**functional), learner=LearnerConfig(**learner),
+        simulation=None if doc.get("simulation") is None else SimulationSection(**simulation),
+        estimation=EstimationConfig(**estimation))
 
 
 def _read_config(path: str | Path) -> Any:
@@ -583,13 +562,17 @@ def _one_pass_columns(path: str | Path, needed: Sequence[str],
 def _csv_columns(path: str | Path, needed: Sequence[str]) -> dict[str, _Column]:
     """The role columns as csv.reader's cells: the reference reader, which
     takes every file and names the rows of a malformed one.  A leading
-    UTF-8 byte-order mark, which spreadsheet programs write, is dropped."""
-    reader = csv.reader(io.StringIO(_read_utf8(path).decode("utf-8-sig"), newline=""))
-    try:
-        header = next(reader, None)
-        records = list(reader)
-    except csv.Error as e:
-        raise DataContractError(f"{path}: line {reader.line_num}: {e}") from None
+    UTF-8 byte-order mark, which spreadsheet programs write, is dropped.
+    The reader decodes the bytes as it reads them: an io.StringIO of the
+    whole decoded text would hold it at 4 bytes per character beside them."""
+    with io.TextIOWrapper(io.BytesIO(_read_utf8(path)), encoding="utf-8-sig",
+                          newline="") as text:
+        reader = csv.reader(text)
+        try:
+            header = next(reader, None)
+            records = list(reader)
+        except csv.Error as e:
+            raise DataContractError(f"{path}: line {reader.line_num}: {e}") from None
     if header is None:
         raise DataContractError(f"{path}: empty file; a header row is required")
 

@@ -24,7 +24,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .data import ObservationTable
+from .data import EstimationConfig, ObservationTable, TrimPolicy
 from .exceptions import EstimationError, NoIncompleteCasesError, WeakIdentificationError
 from .learners import LearnerConfig
 # fit_nuisance_set and fit_mu_component have no caller here; they stay bound
@@ -34,7 +34,6 @@ from .learners import LearnerConfig
 from .nuisance import (  # noqa: F401
     NuisanceEval,
     NuisanceSet,
-    TrimPolicy,
     _fit_mu,
     evaluate_nuisances,
     fit_mu_component,
@@ -245,10 +244,7 @@ def solve_functional(
     table: ObservationTable,
     cfg: LearnerConfig,
     q: float,
-    *,
-    mode: str = "marginalize",
-    trim: TrimPolicy = "floor",
-    winsorize: float | None = None,
+    est: EstimationConfig = EstimationConfig(),
 ) -> tuple[SolveResult, SolveResult]:
     """The q-quantile of the outcome among nonrespondents and in the population.
 
@@ -263,7 +259,8 @@ def solve_functional(
     of all grid targets, and the influence function's pass (_phi_pass)
     evaluates every grid point (_grid_beta).  Each psi is the root of the
     piecewise-linear interpolant of its grid moments (_root); a moment
-    with no sign change raises WeakIdentificationError.
+    with no sign change raises WeakIdentificationError.  Of est it reads
+    mode, trim and winsorize only: there are no folds or repetitions.
     """
     if table.n1 == 0:
         raise EstimationError("no observed outcomes; cannot bracket the quantile")
@@ -282,7 +279,7 @@ def solve_functional(
     # grid points per comparison
     alpha = np.concatenate([np.mean((y >= grid[j:j + _GRID_BLOCK, None]) - q, axis=1)
                             for j in range(0, grid.size, _GRID_BLOCK)])
-    beta, pi0 = _grid_beta(table, cfg, q, grid, mode=mode, trim=trim, winsorize=winsorize)
+    beta, pi0 = _grid_beta(table, cfg, q, grid, est)
     return (_root(grid, beta, "missing"),
             _root(grid, (1.0 - pi0) * alpha + pi0 * beta, "population"))
 
@@ -309,12 +306,10 @@ def _grid_beta(
     cfg: LearnerConfig,
     q: float,
     grid: np.ndarray,
-    *,
-    mode: str,
-    trim: TrimPolicy,
-    winsorize: float | None,
+    est: EstimationConfig,
 ) -> tuple[np.ndarray, float]:
-    """beta_IF(psi) at every grid point, and pi0, from one psi-free fit.
+    """beta_IF(psi) at every grid point, and pi0, from one psi-free fit in
+    est's mode, trim policy and winsorizing.
 
     The table is one in-sample fold and each grid point a target column.
     fit_propensities fits pi, rho and pi0, which do not depend on psi, once
@@ -325,18 +320,18 @@ def _grid_beta(
     time), and _phi_pass evaluates every column, R h built _GRID_BLOCK
     points at a time.
     """
-    props, F, levels = fit_propensities(table, cfg, mode)
+    props, F, levels = fit_propensities(table, cfg, est.mode)
     Y, R = table.Y, table.R
     coef = _fit_mu(F, levels, lambda r: _rh_rows(Y[r], R[r], q * R[r], grid), cfg,
                    "marginalize")
-    if mode == "direct":
+    if est.mode == "direct":
         # mu(x) is fitted on every row, so its target stack is built
         # _GRID_BLOCK points at a time (_fit_mu with no levels fits mu(x)
         # alone); each block's coefficient rows are the whole stack's
         q_r = q * R
         coef.append(np.concatenate([
             _fit_mu(F, [], lambda _, psi=grid[j:j + _GRID_BLOCK]: _rh_rows(Y, R, q_r, psi),
-                    cfg, mode)[0]
+                    cfg, est.mode)[0]
             for j in range(0, grid.size, _GRID_BLOCK)]))
     coef = np.stack(coef, axis=1)                                   # (grid, K, d)
     # the level blocks go before pi and rho are evaluated: their (L, n)
@@ -344,8 +339,8 @@ def _grid_beta(
     # quantile reports carry no counters
     del levels
     (pi, _), (rho, _) = props.pi(F), props.rho(F)
-    pi_marg = props.pi_marg(F)[0] if mode == "direct" else np.einsum("lm,lm->m", rho, pi)
-    own = _own_level(table.Z, table.R, pi, rho, pi - pi_marg[None, :], props.pi0, trim)
+    pi_marg = props.pi_marg(F)[0] if est.mode == "direct" else np.einsum("lm,lm->m", rho, pi)
+    own = _own_level(table.Z, table.R, pi, rho, pi - pi_marg[None, :], props.pi0, est.trim)
     del pi, pi_marg
     if not own.keep.any():
         raise EstimationError("trim policy removed every row")
@@ -354,7 +349,7 @@ def _grid_beta(
     beta = np.empty(grid.size)
     columns = _grid_columns(table, q, grid, coef, F, rho)
     for j, (_, phi) in enumerate(_phi_pass(own, table.Z, columns)):
-        w = phi if winsorize is None else winsorize_values(phi, winsorize)
+        w = phi if est.winsorize is None else winsorize_values(phi, est.winsorize)
         beta[j] = float(w.mean() if keep is None else w[keep].mean())
     return beta, props.pi0
 

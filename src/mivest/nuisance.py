@@ -28,11 +28,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, fields
-from typing import Callable, Literal
+from typing import Callable
 
 import numpy as np
 
-from .data import FunctionalSpec, ObservationTable, _linear_quantiles
+from .data import FunctionalSpec, MarginalizationMode, ObservationTable, _linear_quantiles
 from .exceptions import DataContractError, NuisanceFitError
 from .learners import (LearnerConfig, MultinomialModel, PolyBasis, expit, fit_linear,
                        fit_logistic, fit_multinomial)
@@ -41,8 +41,6 @@ PROB_CLIP = 1e-6
 EPS_DEN = 1e-6          # the floor on |delta_r|
 MIN_STRATUM_ROWS = 30
 
-MarginalizationMode = Literal["marginalize", "direct"]
-TrimPolicy = Literal["floor", "drop"]
 ComponentFn = Callable[[np.ndarray], np.ndarray]    # X (m, p) -> (L, m)
 MarginalFn = Callable[[np.ndarray], np.ndarray]     # X (m, p) -> (m,)
 

@@ -57,12 +57,12 @@ from __future__ import annotations
 import os
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Literal, Mapping
 
 import numpy as np
 
-from .data import FunctionalSpec, ObservationTable, evaluate_h
+from .data import EstimationConfig, FunctionalSpec, ObservationTable, evaluate_h
 from .exceptions import ConfigurationError, EstimationError, FitError, _tally_messages
 from .learners import LearnerConfig, expit
 
@@ -736,31 +736,27 @@ def _mc_worker(payload: tuple) -> dict:
     return out
 
 
-def _mc_replication(r, dgp, cfg, functional, n_folds, repetitions, ci_level,
-                    mode, trim, winsorize, master_seed) -> dict:
+def _mc_replication(r, dgp, cfg, functional, est) -> dict:
     from .crossfit import crossfit_beta
     from .general import beta_id_general
     from .nuisance import fit_nuisance_set
 
-    data_ss = np.random.SeedSequence(master_seed, spawn_key=(_DOMAIN_DATA, r))
+    data_ss = np.random.SeedSequence(est.seed, spawn_key=(_DOMAIN_DATA, r))
     table, _ = generate(dgp, seed=data_ss)
     out: dict = {"r": r}
     # a replication whose nuisance fit degenerates counts as failed for
     # that estimator; it must not bring down the whole study
     try:
-        ns = fit_nuisance_set(table, functional, cfg, mode=mode)
-        out["id"] = beta_id_general(table, ns, trim=trim)
+        ns = fit_nuisance_set(table, functional, cfg, mode=est.mode)
+        out["id"] = beta_id_general(table, ns, trim=est.trim)
     except (EstimationError, FitError) as e:
         out["id_error"] = str(e)
     fold_seed = int(np.random.SeedSequence(
-        master_seed, spawn_key=(_DOMAIN_FOLDSEED, r)
+        est.seed, spawn_key=(_DOMAIN_FOLDSEED, r)
     ).generate_state(1)[0])
     try:
-        rep = crossfit_beta(
-            table, functional, cfg,
-            n_folds=n_folds, repetitions=repetitions, seed=fold_seed,
-            ci_level=ci_level, mode=mode, trim=trim, winsorize=winsorize,
-        )[0]
+        rep = crossfit_beta(table, functional, cfg,
+                            replace(est, seed=fold_seed))[0]
         out["if"] = (rep.estimate, rep.variance, *rep.ci)
     except (EstimationError, FitError) as e:
         out["if_error"] = str(e)
@@ -793,24 +789,19 @@ def run_monte_carlo(
     cfg: LearnerConfig,
     functional: FunctionalSpec,
     oracle: float,
+    est: EstimationConfig = EstimationConfig(),
     *,
-    n_folds: int = 5,
-    repetitions: int = 1,
-    ci_level: float = 0.95,
-    mode: str = "marginalize",
-    trim: str = "floor",
-    winsorize: float | None = None,
     threads: int = 1,
-    master_seed: int | None = None,
 ) -> MonteCarloReport:
     """Repeated draw-estimate cycles summarised against a known oracle.
 
     Each replication runs both estimators: "id", the plug-in on one
-    in-sample nuisance fit, and "if", the missing report of crossfit_beta
-    with n_folds, repetitions, ci_level, mode, trim and winsorize.
-    Replication r draws its data from SeedSequence(master_seed,
-    spawn_key=(1, r)) and its folds from an independently derived stream,
-    so results are identical for any threads value and any scheduling.
+    in-sample nuisance fit in est's mode and trim policy, and "if", the
+    missing report of crossfit_beta under est with the fold seed replaced.
+    est.seed is the master seed: replication r draws its data from
+    SeedSequence(est.seed, spawn_key=(1, r)) and its fold seed from an
+    independently derived stream (dgp.seed is not read), so results are
+    identical for any threads value and any scheduling.
     threads > 1 runs the replications in that many spawned processes, each
     with one BLAS thread.
     Failed replications are counted per estimator, not silently dropped.
@@ -819,12 +810,7 @@ def run_monte_carlo(
     """
     if replications < 1:
         raise ConfigurationError("replications must be at least 1")
-    master = dgp.seed if master_seed is None else master_seed
-    payloads = [
-        (r, dgp, cfg, functional, n_folds, repetitions, ci_level,
-         mode, trim, winsorize, master)
-        for r in range(replications)
-    ]
+    payloads = [(r, dgp, cfg, functional, est) for r in range(replications)]
     if threads > 1:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
@@ -854,10 +840,10 @@ def run_monte_carlo(
         n=dgp.n,
         replications=replications,
         oracle=oracle,
-        master_seed=master,
-        n_folds=n_folds,
-        repetitions=repetitions,
-        ci_level=ci_level,
+        master_seed=est.seed,
+        n_folds=est.n_folds,
+        repetitions=est.repetitions,
+        ci_level=est.ci_level,
         summaries={"id": s_id, "if": s_if},
         fit_warnings=_tally_messages(m for d in rows for m in d["warnings"]),
     )

@@ -14,7 +14,7 @@ import yaml
 
 from mivest.cli import main
 from mivest.corruption import run_robustness
-from mivest.data import FunctionalSpec, ObservationTable
+from mivest.data import EstimationConfig, FunctionalSpec, ObservationTable
 from mivest.dataio import write_table_csv
 from mivest.learners import LearnerConfig
 from mivest.nuisance import NuisanceSet, evaluate_nuisances
@@ -54,8 +54,8 @@ def mc_single(oracle_single):
     # two processes give the same numbers as one (criterion 09) in about
     # half the time
     dgp = DGPSpec(family="single_binary_iv", n=1000, seed=0)
-    return run_monte_carlo(dgp, 300, CFG, MEAN, oracle=oracle_single.value,
-                           n_folds=5, repetitions=11, master_seed=MASTER, threads=2)
+    return run_monte_carlo(dgp, 300, CFG, MEAN, oracle_single.value,
+                           EstimationConfig(n_folds=5, repetitions=11, seed=MASTER), threads=2)
 
 
 @pytest.fixture(scope="module")
@@ -63,9 +63,9 @@ def mc_dual(oracle_dual):
     # two processes with one BLAS thread each give the same numbers as one
     # (criterion 09): 49 s against 81 s serial on two cores
     dgp = DGPSpec(family="dual_binary_iv", n=10_000, seed=0)
-    return run_monte_carlo(dgp, 100, CFG, MEAN, oracle=oracle_dual.value,
-                           n_folds=5, repetitions=11, winsorize=5.0,
-                           master_seed=MASTER, threads=2)
+    return run_monte_carlo(dgp, 100, CFG, MEAN, oracle_dual.value,
+                           EstimationConfig(n_folds=5, repetitions=11, seed=MASTER,
+                                            winsorize=5.0), threads=2)
 
 
 def test_criterion_01_single_family_truth(oracle_single):

@@ -1,23 +1,28 @@
 """Fold plans, the fold loop, the repetition driver and its reports."""
 
+import dataclasses
 import json
 import tracemalloc
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mivest.general
+import mivest.simulation
+from mivest.cli import main
 from mivest.crossfit import (FoldPlan, _crossfit_pass, crossfit_beta, make_folds,
                              median_adjust)
-from mivest.data import FunctionalSpec, ObservationTable
-from mivest.dataio import report_json
-from mivest.general import beta_id_general
+from mivest.data import EstimationConfig, FunctionalSpec, ObservationTable
+from mivest.dataio import report_json, write_table_csv
+from mivest.general import beta_id_general, solve_functional
 from mivest.exceptions import (ConfigurationError, EstimationError, FitError,
                                NoIncompleteCasesError, NuisanceFitError)
 from mivest.learners import LearnerConfig
 from mivest.nuisance import Diagnostics, fit_nuisance_set
-from mivest.simulation import DGPSpec, generate
+from mivest.simulation import DGPSpec, generate, run_monte_carlo
 
 from helpers import beta_if_general, small_table
 
@@ -27,7 +32,7 @@ CFG = LearnerConfig()
 
 def one_pass(table, plan, fitter=fit_nuisance_set, winsorize=None):
     """One repetition's fold loop, marginalize mode, floor trim."""
-    return _crossfit_pass(table, SPEC, CFG, plan, "marginalize", "floor", winsorize,
+    return _crossfit_pass(table, SPEC, CFG, plan, EstimationConfig(winsorize=winsorize),
                           fitter)[0]
 
 
@@ -147,23 +152,71 @@ def test_fold_errors_name_the_fold():
 def test_crossfit_requires_incomplete_rows():
     t = small_table([0, 1, 0, 1], [1, 1, 1, 1], [1.0, 2.0, 3.0, 4.0])
     with pytest.raises(NoIncompleteCasesError):
-        crossfit_beta(t, SPEC, CFG, n_folds=2)
+        crossfit_beta(t, SPEC, CFG, EstimationConfig(n_folds=2))
 
 
 def test_even_repetition_count_warns(mid_table):
     with pytest.warns(UserWarning, match="odd"):
-        crossfit_beta(mid_table, SPEC, CFG, n_folds=3, repetitions=2)
+        crossfit_beta(mid_table, SPEC, CFG, EstimationConfig(n_folds=3, repetitions=2))
 
 
-def test_repetitions_must_be_positive(mid_table):
+BAD_SETTINGS = {
+    "mode-Direct": dict(mode="Direct"),
+    "trim-Drop": dict(trim="Drop"),
+    "winsorize--1": dict(winsorize=-1.0),
+    "winsorize-0": dict(winsorize=0.0),
+    "winsorize-inf": dict(winsorize=np.inf),
+    "seed--4": dict(seed=-4),
+    "repetitions-0": dict(repetitions=0),
+    "ci_level-1.5": dict(ci_level=1.5),
+}
+
+
+@pytest.mark.parametrize("entry", ["crossfit_beta", "solve_functional", "run_monte_carlo"])
+@pytest.mark.parametrize("bad", BAD_SETTINGS.values(), ids=BAD_SETTINGS.keys())
+def test_settings_are_checked_when_built(mid_table, monkeypatch, bad, entry):
+    # each estimator takes its settings as one EstimationConfig, which
+    # checks them as the config parser does: an invalid one raises when the
+    # value is built, before anything is drawn or fitted.  A Monte Carlo
+    # replication's fold seed is set by dataclasses.replace, which checks too
+    def no_work(*args, **kwargs):
+        raise AssertionError("the estimator ran")
+
+    monkeypatch.setattr(mivest.general, "fit_propensities", no_work)
+    monkeypatch.setattr(mivest.simulation, "generate", no_work)
+    run = {
+        "crossfit_beta": lambda est: crossfit_beta(mid_table, SPEC, CFG, est, fitter=no_work),
+        "solve_functional": lambda est: solve_functional(mid_table, CFG, 0.5, est),
+        "run_monte_carlo": lambda est: run_monte_carlo(
+            DGPSpec(family="single_binary_iv", n=400, seed=5), 2, CFG, SPEC, 2.0, est),
+    }[entry]
     with pytest.raises(ConfigurationError):
-        crossfit_beta(mid_table, SPEC, CFG, repetitions=0)
+        run(EstimationConfig(**bad))
+    with pytest.raises(ConfigurationError):
+        dataclasses.replace(EstimationConfig(), **bad)
+
+
+def test_library_defaults_are_the_cli_defaults(mid_table, tmp_path):
+    # crossfit_beta with no settings runs what `mivest estimate` runs under
+    # a config with no estimation keys: 5 folds, 11 repetitions, seed 1
+    data, config, out = tmp_path / "t.csv", tmp_path / "c.yaml", tmp_path / "r.json"
+    write_table_csv(mid_table, data)
+    config.write_text(yaml.safe_dump({
+        "format": "mivest-config/1",
+        "data": {"outcome": "y", "response": "r", "instruments": ["z"],
+                 "covariates": ["x1", "x2"]}}), encoding="utf-8")
+    assert main(["estimate", "--config", str(config), "--data", str(data),
+                 "--out", str(out)]) == 0
+    cli = json.loads(out.read_text(encoding="utf-8"))["results"]["missing_mean"]
+    missing, _ = crossfit_beta(mid_table, SPEC, LearnerConfig())
+    assert missing.repetitions == 11 and missing.seed == 1
+    assert {**json.loads(report_json(missing)), "estimator": "binary"} == cli
 
 
 def test_report_shape_and_determinism(mid_table):
-    kw = dict(n_folds=4, repetitions=3, seed=11, ci_level=0.9)
-    rep, _ = crossfit_beta(mid_table, SPEC, CFG, **kw)
-    rep2, _ = crossfit_beta(mid_table, SPEC, CFG, **kw)
+    est = EstimationConfig(n_folds=4, repetitions=3, seed=11, ci_level=0.9)
+    rep, _ = crossfit_beta(mid_table, SPEC, CFG, est)
+    rep2, _ = crossfit_beta(mid_table, SPEC, CFG, est)
     assert rep == rep2
     assert rep.n == mid_table.n
     assert rep.n_incomplete == mid_table.n0
@@ -181,14 +234,14 @@ def test_report_shape_and_determinism(mid_table):
 
 
 def test_repetition_estimates_are_split_dependent(mid_table):
-    rep, _ = crossfit_beta(mid_table, SPEC, CFG, n_folds=4, repetitions=3,
-                           seed=1)
+    rep, _ = crossfit_beta(mid_table, SPEC, CFG,
+                           EstimationConfig(n_folds=4, repetitions=3, seed=1))
     assert len(set(rep.per_repetition["estimates"])) == 3
 
 
 def test_population_mean_composes_with_missing_mean(mid_table):
-    kw = dict(n_folds=4, repetitions=1, seed=6)
-    beta, pop = crossfit_beta(mid_table, SPEC, CFG, **kw)
+    est = EstimationConfig(n_folds=4, repetitions=1, seed=6)
+    beta, pop = crossfit_beta(mid_table, SPEC, CFG, est)
     alpha = float(np.mean(mid_table.y_observed))
     pi0 = mid_table.n0 / mid_table.n
     assert pop.estimate == pytest.approx(
@@ -198,7 +251,7 @@ def test_population_mean_composes_with_missing_mean(mid_table):
 def test_population_mean_needs_complete_cases():
     t = small_table([0, 1, 0, 1], [0, 0, 0, 0], [None] * 4)
     with pytest.raises(EstimationError):
-        crossfit_beta(t, SPEC, CFG, n_folds=2)
+        crossfit_beta(t, SPEC, CFG, EstimationConfig(n_folds=2))
 
 
 def test_population_mean_learner_failures_name_the_fold(mid_table):
@@ -206,14 +259,14 @@ def test_population_mean_learner_failures_name_the_fold(mid_table):
         raise FitError("learner gave up")
 
     with pytest.raises(FitError, match=r"^fold 0: learner gave up"):
-        crossfit_beta(mid_table, SPEC, CFG, n_folds=3, fitter=failing)
+        crossfit_beta(mid_table, SPEC, CFG, EstimationConfig(n_folds=3), fitter=failing)
 
 
 @pytest.mark.parametrize("family, n", [("single_binary_iv", 400), ("dual_binary_iv", 800)])
 def test_one_fold_pass_gives_both_mean_reports(family, n):
     table, _ = generate(DGPSpec(family=family, n=n, seed=4))
-    kw = dict(n_folds=3, repetitions=3, seed=8, winsorize=3.0)
-    beta, pop = crossfit_beta(table, SPEC, CFG, **kw)
+    est = EstimationConfig(n_folds=3, repetitions=3, seed=8, winsorize=3.0)
+    beta, pop = crossfit_beta(table, SPEC, CFG, est)
     # the missing report is the median adjustment of one fold pass per
     # repetition, on the folds drawn from (seed, repetition)
     passes = [one_pass(table, make_folds(table.n, 3, 8, r), winsorize=3.0)
@@ -263,8 +316,6 @@ def test_each_fold_evaluates_its_set_once(mid_table, monkeypatch):
     # call per block: K x S calls for crossfit_beta, each on the rows of its
     # fold, and one for the plug-in, so each fold's basis is transformed
     # once per repetition
-    import mivest.general
-
     seen = []
     real = mivest.general.evaluate_nuisances
 
@@ -274,7 +325,8 @@ def test_each_fold_evaluates_its_set_once(mid_table, monkeypatch):
 
     monkeypatch.setattr(mivest.general, "evaluate_nuisances", spy)
     n_folds, repetitions = 3, 3
-    crossfit_beta(mid_table, SPEC, CFG, n_folds=n_folds, repetitions=repetitions, seed=4)
+    crossfit_beta(mid_table, SPEC, CFG,
+                  EstimationConfig(n_folds=n_folds, repetitions=repetitions, seed=4))
     assert len(seen) == n_folds * repetitions
     for rep in range(repetitions):
         plan = make_folds(mid_table.n, n_folds, 4, rep)
@@ -297,7 +349,7 @@ def test_one_repetition_peaks_under_42_float64_per_row(family, n):
     table, _ = generate(DGPSpec(family=family, n=n, seed=3))
     tracemalloc.start()
     try:
-        crossfit_beta(table, SPEC, CFG, n_folds=5, repetitions=1, seed=0)
+        crossfit_beta(table, SPEC, CFG, EstimationConfig(n_folds=5, repetitions=1, seed=0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

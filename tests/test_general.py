@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mivest.general
-from mivest.data import FunctionalSpec, ObservationTable, evaluate_h
+from mivest.data import EstimationConfig, FunctionalSpec, ObservationTable, evaluate_h
 from mivest.exceptions import EstimationError, NoIncompleteCasesError, WeakIdentificationError
 from mivest.corruption import shift_probability
 from mivest.crossfit import crossfit_beta
@@ -25,6 +25,9 @@ from helpers import (beta_if_general, const_fn, const_ns, g_weights, if_values_g
 
 SPEC = FunctionalSpec.mean()
 X_ROW = one_row_x()[None, :]
+# one repetition of two folds drawn from seed 0, for the fixed-set fitters
+ONE_SPLIT = EstimationConfig(n_folds=2, repetitions=1, seed=0)
+ONE_SPLIT_DROP = EstimationConfig(n_folds=2, repetitions=1, seed=0, trim="drop")
 
 
 def fixed(ns):
@@ -101,7 +104,7 @@ def test_trim_drop_reads_the_own_level_in_the_plug_in_and_every_level_in_the_if(
     assert beta_id_general(t, ns, trim="drop") == pytest.approx(kept)
     assert beta_id_general(t, ns, trim="floor") == pytest.approx((2 * floored + 2 * kept) / 4)
     with pytest.raises(EstimationError, match="trim policy removed every row"):
-        crossfit_beta(t, SPEC, LearnerConfig(), n_folds=2, fitter=fixed(ns), trim="drop")
+        crossfit_beta(t, SPEC, LearnerConfig(), ONE_SPLIT_DROP, fitter=fixed(ns))
     with pytest.raises(EstimationError, match="trim policy removed every row"):
         beta_if_general(t, ns, SPEC, trim="drop")
 
@@ -154,7 +157,7 @@ def test_population_mean_constant_outcome():
                   pi_marg=0.3, mu_marg=0.6 * c)
     t = small_table([0, 1, 0, 1, 0, 1, 0, 1], [1, 1, 1, 0, 1, 0, 1, 1],
                     [c, c, c, None, c, None, c, c], L=2)
-    missing, population = crossfit_beta(t, SPEC, LearnerConfig(), n_folds=2,
+    missing, population = crossfit_beta(t, SPEC, LearnerConfig(), ONE_SPLIT,
                                         fitter=fixed(ns))
     assert missing.estimate == pytest.approx(c, abs=1e-12)
     assert population.estimate == pytest.approx(c, abs=1e-12)
@@ -163,7 +166,7 @@ def test_population_mean_constant_outcome():
 def test_population_mean_composition(single_table, single_fit):
     # every fold evaluates the one in-sample set, so the driver's beta is
     # that set's influence-function estimate
-    missing, population = crossfit_beta(single_table, SPEC, LearnerConfig(), n_folds=2,
+    missing, population = crossfit_beta(single_table, SPEC, LearnerConfig(), ONE_SPLIT,
                                         fitter=fixed(single_fit))
     assert missing.estimate == pytest.approx(
         beta_if_general(single_table, single_fit, SPEC), rel=1e-12)
@@ -178,10 +181,10 @@ def test_population_mean_needs_both_groups():
                   pi_marg=0.3)
     complete = small_table([0, 1], [1, 1], [1.0, 2.0])
     with pytest.raises(NoIncompleteCasesError):
-        crossfit_beta(complete, SPEC, LearnerConfig(), n_folds=2, fitter=fixed(ns))
+        crossfit_beta(complete, SPEC, LearnerConfig(), ONE_SPLIT, fitter=fixed(ns))
     missing = small_table([0, 1], [0, 0], [None, None])
     with pytest.raises(EstimationError, match="no complete cases"):
-        crossfit_beta(missing, SPEC, LearnerConfig(), n_folds=2, fitter=fixed(ns))
+        crossfit_beta(missing, SPEC, LearnerConfig(), ONE_SPLIT, fitter=fixed(ns))
 
 
 def test_solve_functional_input_contract(single_table):
@@ -305,16 +308,16 @@ def test_grid_pass_equals_per_psi_refits(family, mode, trim, winsorize, target,
     pi0 = sets[0].pi0
     reference = betas if target == "missing" else (1.0 - pi0) * alphas + pi0 * betas
 
-    kw = dict(mode=mode, trim=trim, winsorize=winsorize)
+    est = EstimationConfig(mode=mode, trim=trim, winsorize=winsorize)
     pick = 0 if target == "missing" else 1
-    res = solve_functional(table, LearnerConfig(), 0.5, **kw)[pick]
+    res = solve_functional(table, LearnerConfig(), 0.5, est)[pick]
     np.testing.assert_array_equal(res.grid, grid)
     np.testing.assert_allclose(res.moments, reference, rtol=0, atol=1e-12)
 
     # the root of the refitted moments lies in the same grid interval, and
     # the interpolant's root moves with the moments by their rounding only
     monkeypatch.setattr(mivest.general, "_grid_beta", lambda *a, **k: (betas, pi0))
-    ref = solve_functional(table, LearnerConfig(), 0.5, **kw)[pick]
+    ref = solve_functional(table, LearnerConfig(), 0.5, est)[pick]
     assert res.bracket == ref.bracket
     assert abs(res.psi - ref.psi) <= 1e-12
 
@@ -351,7 +354,7 @@ def test_grid_moments_equal_per_psi_refits_at_every_block_edge(
     y = table.y_observed
     grid = np.linspace(y.min(), y.max(), grid_size)
     beta, pi0 = _grid_beta(table, LearnerConfig(), q, grid,
-                           mode=mode, trim=trim, winsorize=winsorize)
+                           EstimationConfig(mode=mode, trim=trim, winsorize=winsorize))
     refits = []
     for psi in grid:
         spec = FunctionalSpec.quantile(q, psi=psi)
@@ -383,7 +386,7 @@ def test_grid_fits_once_and_solves_mu_once_per_model(dual_table, mode, monkeypat
 
     monkeypatch.setattr(mivest.general, "fit_propensities", counting_fit)
     monkeypatch.setattr(mivest.nuisance, "fit_linear", spy)
-    solve_functional(dual_table, LearnerConfig(), 0.5, mode=mode)
+    solve_functional(dual_table, LearnerConfig(), 0.5, EstimationConfig(mode=mode))
     expected = [(m, (64, m)) for m in np.bincount(dual_table.Z, minlength=dual_table.L)]
     if mode == "direct":
         block = mivest.general._GRID_BLOCK
@@ -400,8 +403,9 @@ def test_grid_moments_ignore_outcomes_supplied_where_r_is_zero(mode):
     table, latent = generate(DGPSpec(family="dual_binary_iv", n=1_500, seed=23))
     leaked = ObservationTable.from_arrays(table.X, table.Z, table.R, latent.y_full)
     assert leaked.y_present[leaked.R == 0].all()
-    for clean, dirty in zip(solve_functional(table, LearnerConfig(), 0.5, mode=mode),
-                            solve_functional(leaked, LearnerConfig(), 0.5, mode=mode)):
+    est = EstimationConfig(mode=mode)
+    for clean, dirty in zip(solve_functional(table, LearnerConfig(), 0.5, est),
+                            solve_functional(leaked, LearnerConfig(), 0.5, est)):
         assert clean.moments.tobytes() == dirty.moments.tobytes()
         assert clean.psi == dirty.psi
 
@@ -417,7 +421,7 @@ def test_grid_pass_peak_memory_stays_below_the_per_point_pass(mode):
     table, _ = generate(DGPSpec(family="dual_binary_iv", n=20_000, seed=3))
     tracemalloc.start()
     try:
-        solve_functional(table, LearnerConfig(), 0.5, mode=mode)
+        solve_functional(table, LearnerConfig(), 0.5, EstimationConfig(mode=mode))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mivest.corruption import run_robustness
-from mivest.data import FunctionalSpec
+from mivest.data import EstimationConfig, FunctionalSpec
 from mivest.exceptions import ConfigurationError, EstimationError
 from mivest.learners import LearnerConfig
 from mivest.simulation import (_CHUNK, _ORACLE_BATCH, DGPSpec, GenerationError,
@@ -388,8 +388,8 @@ def test_oracle_p_missing_is_the_generated_missing_share(family):
 
 def test_mc_report_shape_and_mse_decomposition():
     dgp = DGPSpec(family="single_binary_iv", n=400, seed=0)
-    report = run_monte_carlo(dgp, 6, CFG, MEAN, oracle=2.0122, n_folds=3,
-                             master_seed=17)
+    report = run_monte_carlo(dgp, 6, CFG, MEAN, 2.0122,
+                             EstimationConfig(n_folds=3, repetitions=1, seed=17))
     d = report.as_dict()
     assert d["replications"] == 6
     assert set(d["estimators"]) == {"id", "if"}
@@ -403,9 +403,9 @@ def test_mc_report_shape_and_mse_decomposition():
 def test_mc_replication_streams_do_not_shift():
     # adding replications must not disturb the ones already drawn
     dgp = DGPSpec(family="single_binary_iv", n=400, seed=0)
-    kw = dict(n_folds=3, master_seed=23)
-    r3 = run_monte_carlo(dgp, 3, CFG, MEAN, oracle=2.0122, **kw)
-    r5 = run_monte_carlo(dgp, 5, CFG, MEAN, oracle=2.0122, **kw)
+    est = EstimationConfig(n_folds=3, repetitions=1, seed=23)
+    r3 = run_monte_carlo(dgp, 3, CFG, MEAN, 2.0122, est)
+    r5 = run_monte_carlo(dgp, 5, CFG, MEAN, 2.0122, est)
     for name in ("id", "if"):
         a = r3.summaries[name].estimates
         b = r5.summaries[name].estimates[:3]
@@ -414,9 +414,9 @@ def test_mc_replication_streams_do_not_shift():
 
 def test_mc_thread_count_does_not_change_results():
     dgp = DGPSpec(family="single_binary_iv", n=300, seed=0)
-    kw = dict(n_folds=3, master_seed=5)
-    r1 = run_monte_carlo(dgp, 4, CFG, MEAN, oracle=2.0122, threads=1, **kw)
-    r2 = run_monte_carlo(dgp, 4, CFG, MEAN, oracle=2.0122, threads=2, **kw)
+    est = EstimationConfig(n_folds=3, repetitions=1, seed=5)
+    r1 = run_monte_carlo(dgp, 4, CFG, MEAN, 2.0122, est, threads=1)
+    r2 = run_monte_carlo(dgp, 4, CFG, MEAN, 2.0122, est, threads=2)
     assert r1.as_dict() == r2.as_dict()
 
 
@@ -437,8 +437,8 @@ def test_pool_tasks_reach_every_worker():
 def test_mc_counts_failed_replications():
     # n = 8 with a four-level instrument: most training splits lose a level
     dgp = DGPSpec(family="dual_binary_iv", n=8, seed=0)
-    report = run_monte_carlo(dgp, 3, CFG, MEAN, oracle=1.0627, n_folds=4,
-                             master_seed=2)
+    report = run_monte_carlo(dgp, 3, CFG, MEAN, 1.0627,
+                             EstimationConfig(n_folds=4, repetitions=1, seed=2))
     s = report.summaries["if"]
     assert s.n_success + s.n_failed == 3
     assert s.n_failed >= 1
