@@ -103,7 +103,6 @@ class Scenario:
     held: tuple[str, ...]
     corrupted: tuple[str, ...]
     expect_consistent: bool
-    note: str = ""
 
 
 def _coherent_mu(mu_ref, pi_ref, pi_fn, delta):
@@ -134,13 +133,20 @@ def general_scenarios(
     In the first and third, mu_hat_z is rebuilt coherently around the held
     marginals, mu_hat_z = mu_hat(x) + delta_z (pi_hat_z - pi(x)), so the
     derived contrast stays exactly right while the level regressions and
-    propensities are all wrong.
+    propensities are all wrong.  Those two sets supply the held marginals
+    as callables of their own, the rho-weighted sums of the exact set's
+    parts, beside the corrupted level models.
     """
     params = dict(parameters or {})
     spec = FunctionalSpec.mean(psi)
     true_delta = oracle_delta(family, params, psi)
-    base = oracle_nuisances(family, params, functional=spec, mode="direct")
-    true_pi_marg, true_mu_marg = base.pi_marg_fn, base.mu_marg_fn
+    base = oracle_nuisances(family, params, functional=spec)
+
+    def true_pi_marg(X: np.ndarray) -> np.ndarray:
+        return (base.rho_fn(X) * base.pi_fn(X)).sum(axis=0)
+
+    def true_mu_marg(X: np.ndarray) -> np.ndarray:
+        return (base.rho_fn(X) * base.mu_fn(X)).sum(axis=0)
 
     # The general scenarios shift propensities downward (-LOGIT_SHIFT on
     # the logit scale).  A shift too large, or upward, can push a level's
@@ -168,13 +174,9 @@ def general_scenarios(
         held=("delta", "pi_marg", "mu_marg"),
         corrupted=("pi_z", "mu_z", "rho_z"),
         expect_consistent=True,
-        note="level models corrupted coherently around true marginals; "
-             "bracket vanishes pointwise",
     ))
 
-    ns2 = corrupt_nuisance(
-        oracle_nuisances(family, params, functional=spec), ["mu_z"]
-    )
+    ns2 = corrupt_nuisance(base, ["mu_z"])
     out.append(Scenario(
         name="response_models",
         ns=ns2,
@@ -199,14 +201,9 @@ def general_scenarios(
         held=("delta", "rho_z", "pi_marg"),
         corrupted=("pi_z", "mu_z", "mu_marg"),
         expect_consistent=True,
-        note="weights are wrong but the bracket bias is constant in z, so "
-             "true rho and true pi(x) cancel it",
     ))
 
-    ns4 = corrupt_nuisance(
-        oracle_nuisances(family, params, functional=spec), ["pi_z", "rho_z", "mu_z"],
-        logit_delta=-LOGIT_SHIFT,
-    )
+    ns4 = corrupt_nuisance(base, ["pi_z", "rho_z", "mu_z"], logit_delta=-LOGIT_SHIFT)
     out.append(Scenario(
         name="all_corrupt",
         ns=ns4,

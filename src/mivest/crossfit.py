@@ -47,7 +47,7 @@ from .nuisance import (
 
 _DOMAIN_FOLDS = 2
 
-FitterType = Callable[..., NuisanceSet]
+FitterType = Callable[[ObservationTable, FunctionalSpec, LearnerConfig], NuisanceSet]
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,7 @@ def _crossfit_pass(
     fit: FitterType,
 ) -> tuple[CrossfitResult, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """The fold loop: fit on each fold's complement, evaluate on the fold,
-    in est's mode and trim policy, winsorizing the pooled values if est does.
+    under est's trim policy, winsorizing the pooled values if est does.
 
     Returns the repetition's pooled result and its per-row
     (phi, keep, coef, delta_own), from which the population functional is
@@ -120,7 +120,7 @@ def _crossfit_pass(
         train = table.subset(~mask)
         block = table.subset(mask)
         try:
-            ns = fit(train, spec, cfg, mode=est.mode)
+            ns = fit(train, spec, cfg)
         except (FitError, EstimationError) as e:
             raise type(e)(f"fold {k}: {e}") from e
         if not ns.pi0 > 0:
@@ -190,7 +190,6 @@ class EstimateReport:
     n_incomplete: int
     n_folds: int
     repetitions: int
-    mode: str
     trim: str
     winsorize: float | None
     seed: int
@@ -218,7 +217,6 @@ def _report(
         n_incomplete=table.n0,
         n_folds=est.n_folds,
         repetitions=est.repetitions,
-        mode=est.mode,
         trim=est.trim,
         winsorize=est.winsorize,
         seed=est.seed,

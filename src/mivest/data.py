@@ -21,7 +21,6 @@ import numpy as np
 from .exceptions import ConfigurationError, DataContractError, MissingOutcomeError
 
 FunctionalKind = Literal["mean", "quantile", "custom"]
-MarginalizationMode = Literal["marginalize", "direct"]
 TrimPolicy = Literal["floor", "drop"]
 
 
@@ -32,27 +31,24 @@ class EstimationConfig:
     Every estimator (crossfit_beta, solve_functional, run_monte_carlo)
     takes one of these, so library calls share the config's defaults and
     checks: an invalid setting raises ConfigurationError when the value is
-    built, before any fit.  mode is "marginalize" (mu(x) and pi(x) are the
-    rho-weighted sums of the per-level models) or "direct" (both are fitted
-    on every row); trim is "floor" (floored contrasts are kept) or "drop"
-    (a row with a floored contrast is left out); winsorize is an IQR
-    multiple for clipping the influence values, or None for off.
+    built, before any fit.  trim is "floor" (floored contrasts are kept) or
+    "drop" (a row with a floored contrast is left out); winsorize is an IQR
+    multiple for clipping the influence values, or None for off.  The
+    marginals pi(x) and mu(x) are always the rho-weighted sums of the
+    per-level models, the observed-data law the influence function is
+    derived on, so no setting chooses them.
     """
 
     n_folds: int = 5
     repetitions: int = 11
     seed: int = 1
     ci_level: float = 0.95
-    mode: MarginalizationMode = "marginalize"
     trim: TrimPolicy = "floor"
     winsorize: float | None = None
 
     def __post_init__(self) -> None:
-        for name, allowed in (("mode", ("marginalize", "direct")),
-                              ("trim", ("floor", "drop"))):
-            if getattr(self, name) not in allowed:
-                raise ConfigurationError(
-                    f"{name} must be {'|'.join(allowed)}, got {getattr(self, name)!r}")
+        if self.trim not in ("floor", "drop"):
+            raise ConfigurationError(f"trim must be floor|drop, got {self.trim!r}")
         if self.n_folds < 2:
             raise ConfigurationError("folds must be at least 2")
         if self.repetitions < 1:

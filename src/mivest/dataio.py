@@ -195,7 +195,6 @@ _FUNCTIONAL_KEYS = {
     "q": _Key("q", (float, int)),
 }
 _ESTIMATION_KEYS = {
-    "mode": _Key("mode", (str,)),
     "folds": _Key("n_folds", (int,)),
     "repetitions": _Key("repetitions", (int,)),
     "seed": _Key("seed", (int,)),

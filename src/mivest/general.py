@@ -134,14 +134,14 @@ def _phi_pass(own: _OwnLevel, z: np.ndarray, columns):
     """The own-level delta and phi~ of each target column.
 
     columns yields (rh, mu, mu_marg) per column: R h (n,), mu at every
-    level (K, n) with K >= L (rows past L are ignored), and mu's marginal
-    (n,).  Yields (delta_z, phi~) per column, delta_z = (mu(Z_i, x_i) -
-    mu(x_i)) / den and phi~ in _phi_tilde's operation order, both written
-    into buffers that the next column reuses; a column whose rh is None
-    yields its delta alone (phi~ is None), which is what the plug-in reads.
+    level (L, n), and mu's marginal (n,).  Yields (delta_z, phi~) per
+    column, delta_z = (mu(Z_i, x_i) - mu(x_i)) / den and phi~ in
+    _phi_tilde's operation order, both written into buffers that the next
+    column reuses; a column whose rh is None yields its delta alone (phi~
+    is None), which is what the plug-in reads.
     """
     n = own.den.shape[0]
-    own_flat = z * n + np.arange(n)         # each row's own level in a (K, n) array
+    own_flat = z * n + np.arange(n)         # each row's own level in an (L, n) array
     mu_z, delta_z, phi, work = (np.empty(n) for _ in range(4))
     for rh, mu, mu_marg in columns:
         np.take(mu, own_flat, out=mu_z)
@@ -260,7 +260,7 @@ def solve_functional(
     evaluates every grid point (_grid_beta).  Each psi is the root of the
     piecewise-linear interpolant of its grid moments (_root); a moment
     with no sign change raises WeakIdentificationError.  Of est it reads
-    mode, trim and winsorize only: there are no folds or repetitions.
+    trim and winsorize only: there are no folds or repetitions.
     """
     if table.n1 == 0:
         raise EstimationError("no observed outcomes; cannot bracket the quantile")
@@ -308,38 +308,27 @@ def _grid_beta(
     grid: np.ndarray,
     est: EstimationConfig,
 ) -> tuple[np.ndarray, float]:
-    """beta_IF(psi) at every grid point, and pi0, from one psi-free fit in
-    est's mode, trim policy and winsorizing.
+    """beta_IF(psi) at every grid point, and pi0, from one psi-free fit
+    under est's trim policy and winsorizing.
 
     The table is one in-sample fold and each grid point a target column.
     fit_propensities fits pi, rho and pi0, which do not depend on psi, once
     and transforms the table's basis F once; F evaluates them and serves
     every mu solve.  _fit_mu solves each level's mu over the stack of every
-    grid point's R h, each column with the bits of a refit at its point
-    (direct mode's mu(x), over every row, a _GRID_BLOCK of points at a
-    time), and _phi_pass evaluates every column, R h built _GRID_BLOCK
-    points at a time.
+    grid point's R h, each column with the bits of a refit at its point,
+    and _phi_pass evaluates every column, R h built _GRID_BLOCK points at a
+    time.
     """
-    props, F, levels = fit_propensities(table, cfg, est.mode)
+    props, F, levels = fit_propensities(table, cfg)
     Y, R = table.Y, table.R
-    coef = _fit_mu(F, levels, lambda r: _rh_rows(Y[r], R[r], q * R[r], grid), cfg,
-                   "marginalize")
-    if est.mode == "direct":
-        # mu(x) is fitted on every row, so its target stack is built
-        # _GRID_BLOCK points at a time (_fit_mu with no levels fits mu(x)
-        # alone); each block's coefficient rows are the whole stack's
-        q_r = q * R
-        coef.append(np.concatenate([
-            _fit_mu(F, [], lambda _, psi=grid[j:j + _GRID_BLOCK]: _rh_rows(Y, R, q_r, psi),
-                    cfg, est.mode)[0]
-            for j in range(0, grid.size, _GRID_BLOCK)]))
-    coef = np.stack(coef, axis=1)                                   # (grid, K, d)
+    coef = np.stack(_fit_mu(levels, lambda r: _rh_rows(Y[r], R[r], q * R[r], grid), cfg),
+                    axis=1)                                         # (grid, L, d)
     # the level blocks go before pi and rho are evaluated: their (L, n)
     # stacks need not be alive beside them.  The clip counts are dropped:
     # quantile reports carry no counters
     del levels
     (pi, _), (rho, _) = props.pi(F), props.rho(F)
-    pi_marg = props.pi_marg(F)[0] if est.mode == "direct" else np.einsum("lm,lm->m", rho, pi)
+    pi_marg = np.einsum("lm,lm->m", rho, pi)
     own = _own_level(table.Z, table.R, pi, rho, pi - pi_marg[None, :], props.pi0, est.trim)
     del pi, pi_marg
     if not own.keep.any():
@@ -358,22 +347,20 @@ def _grid_columns(table: ObservationTable, q: float, grid: np.ndarray,
                   coef: np.ndarray, F: np.ndarray, rho: np.ndarray):
     """_phi_pass's (rh, mu, mu_marg) at each grid point, in reused n-buffers.
 
-    coef[j] @ F.T is every mu model at every row: mu(z, .) per level, then
-    mu(x) in direct mode (else the marginal is the rho-weighted sum).  F is
-    column-major, so F.T is a row-major view, with no transposed copy.
+    coef[j] @ F.T is mu(z, .) at every level and row, and the marginal is
+    its rho-weighted sum.  F is column-major, so F.T is a row-major view,
+    with no transposed copy.
     """
     L, n = rho.shape
     q_r = q * table.R
     RH = np.empty((_GRID_BLOCK, n))
-    M = np.empty((coef.shape[1], n))
-    direct = M.shape[0] > L
-    mu_x = M[L] if direct else np.empty(n)
+    M = np.empty((L, n))
+    mu_x = np.empty(n)
     for j0 in range(0, grid.size, _GRID_BLOCK):
         psi = grid[j0:j0 + _GRID_BLOCK]
         for j, rh in enumerate(_rh_rows(table.Y, table.R, q_r, psi, RH), start=j0):
             np.matmul(coef[j], F.T, out=M)
-            if not direct:
-                np.einsum("lm,lm->m", rho, M, out=mu_x)
+            np.einsum("lm,lm->m", rho, M, out=mu_x)
             yield rh, M, mu_x
 
 

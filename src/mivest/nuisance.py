@@ -12,16 +12,16 @@ versions.  Each component callable takes the rows X and returns every
 instrument level at once, an (L, m) array whose row z is level z: the
 influence function needs all levels at every row, and a fitted set then
 predicts the instrument model once per call and transforms its basis once
-per evaluate_nuisances call.  Marginal quantities pi(X) and mu(X) are
-either the exact rho-weighted sums over levels ("marginalize", the
-default) or separately supplied models ("direct").
+per evaluate_nuisances call.  The marginals pi(X) and mu(X) are the
+rho-weighted sums over levels, unless a hand-built set supplies both as
+callables of their own.
 
 A set is read through evaluate_nuisances, which also counts that one
 evaluation's clipped model outputs; a fitted set's nonconverged_fits is
 fixed when it is fitted.  floor_denominator is the one floor on
-|delta_r|.  mu has one solver, _fit_mu: one fit_linear per level (and one
-for mu(X) in direct mode), for one functional's target or for a stack of
-them, as the quantile grid solves its 64 targets at once.
+|delta_r|.  mu has one solver, _fit_mu: one fit_linear per level, for one
+functional's target or for a stack of them, as the quantile grid solves
+its 64 targets at once.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import FunctionalSpec, MarginalizationMode, ObservationTable, _linear_quantiles
+from .data import FunctionalSpec, ObservationTable, _linear_quantiles
 from .exceptions import DataContractError, NuisanceFitError
 from .learners import (LearnerConfig, MultinomialModel, PolyBasis, expit, fit_linear,
                        fit_logistic, fit_multinomial)
@@ -81,10 +81,12 @@ class NuisanceSet:
     """Bundle of nuisance callables, immutable by convention.
 
     pi_fn, rho_fn and mu_fn take X of shape (m, p) and return the (L, m)
-    array of every instrument level; pi_marg_fn and mu_marg_fn take X and
-    return (m,), and are set in direct mode only: otherwise
-    evaluate_nuisances derives the marginals from the parts.  The set has
-    no accessors: it is read through evaluate_nuisances.  nonconverged_fits
+    array of every instrument level.  pi_marg_fn and mu_marg_fn take X and
+    return (m,); a set gives both or neither.  A fitted set gives neither,
+    and evaluate_nuisances derives the marginals as the rho-weighted sums
+    of the parts; a hand-built set may supply them, as the robustness
+    scenarios hold exact marginals beside corrupted levels.  The set has no
+    accessors: it is read through evaluate_nuisances.  nonconverged_fits
     counts its fits that did not converge (0 for a set not fitted here).
     """
 
@@ -93,14 +95,13 @@ class NuisanceSet:
     rho_fn: ComponentFn
     mu_fn: ComponentFn
     pi0: float
-    mode: MarginalizationMode = "marginalize"
     pi_marg_fn: MarginalFn | None = None
     mu_marg_fn: MarginalFn | None = None
     nonconverged_fits: int = 0
 
     def __post_init__(self) -> None:
-        if self.mode == "direct" and (self.pi_marg_fn is None or self.mu_marg_fn is None):
-            raise NuisanceFitError("direct mode requires pi_marg_fn and mu_marg_fn")
+        if (self.pi_marg_fn is None) != (self.mu_marg_fn is None):
+            raise NuisanceFitError("a set supplies both pi_marg_fn and mu_marg_fn or neither")
 
 
 def floor_denominator(delta_r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -133,17 +134,16 @@ def _clip(p: np.ndarray) -> tuple[np.ndarray, int]:
 class Propensities:
     """The nuisance models that do not depend on psi, fitted on one block.
 
-    pi(z, .) per level, rho, pi(.) in direct mode, and pi0.  The methods
-    take the basis features F (m, d) of the rows, so a caller that already
-    holds the training block's basis evaluates them with no transform; each
-    returns (values, how many model outputs it clipped).
+    pi(z, .) per level, rho and pi0.  The methods take the basis features
+    F (m, d) of the rows, so a caller that already holds the training
+    block's basis evaluates them with no transform; each returns (values,
+    how many model outputs it clipped).
     """
 
     L: int
     basis: PolyBasis
     pi_coef: np.ndarray                     # (L, d) response model per level
     rho_model: np.ndarray | MultinomialModel  # (d,) logistic coef when L = 2
-    pi_marg_coef: np.ndarray | None         # (d,) direct mode only
     pi0: float
     nonconverged_fits: int
 
@@ -162,10 +162,6 @@ class Propensities:
             P = np.clip(P, PROB_CLIP, None)
             P = P / P.sum(axis=0)
         return P, clips
-
-    def pi_marg(self, F: np.ndarray) -> tuple[np.ndarray, int]:
-        """The directly fitted pi(.), (m,); direct mode only."""
-        return _clip(expit(F @ self.pi_marg_coef))
 
 
 def _by_level(F: np.ndarray, Z: np.ndarray, L: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -190,7 +186,6 @@ def _require_codes_in_range(table: ObservationTable) -> None:
 def fit_propensities(
     train: ObservationTable,
     cfg: LearnerConfig,
-    mode: MarginalizationMode = "marginalize",
 ) -> tuple[Propensities, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
     """Fit pi, rho and pi0 on a training block; returns them, its basis F
     and F split by instrument level.
@@ -202,11 +197,10 @@ def fit_propensities(
     not converge counts once in nonconverged_fits.  rho: ridge
     multinomial (logistic when L = 2) of Z on the basis.  pi0 is the sample
     fraction of R = 0.  An instrument code outside 0..L-1 raises
-    DataContractError.  Direct mode also fits an unstratified logistic
-    pi(X).  None of these depends on psi, so a caller that varies only psi
-    fits them once.  F is the training block's basis, transformed once
-    here; callers reuse it to fit mu and to evaluate the models on the
-    training rows.  The split holds, per level z, the row indices of level
+    DataContractError.  None of these depends on psi, so a caller that
+    varies only psi fits them once.  F is the training block's basis,
+    transformed once here; callers reuse it to fit mu and to evaluate the
+    models on the training rows.  The split holds, per level z, the row indices of level
     z and F at those rows; the pi fits use it, and fit_nuisance_set passes
     it on to the mu fits.
     """
@@ -251,10 +245,8 @@ def fit_propensities(
     thin = bool((counts < MIN_STRATUM_ROWS).any())
     pi_coef = np.stack([logistic(Fz, R[r], thin) for r, Fz in levels])
 
-    pi_marg_coef = logistic(F, R) if mode == "direct" else None
     pi0 = float(np.mean(train.R == 0))
-    return Propensities(L=L, basis=basis, pi_coef=pi_coef, rho_model=rho_model,
-                        pi_marg_coef=pi_marg_coef, pi0=pi0,
+    return Propensities(L=L, basis=basis, pi_coef=pi_coef, rho_model=rho_model, pi0=pi0,
                         nonconverged_fits=converged.count(False)), F, levels
 
 
@@ -262,72 +254,57 @@ def fit_nuisance_set(
     train: ObservationTable,
     spec: FunctionalSpec,
     cfg: LearnerConfig,
-    mode: MarginalizationMode = "marginalize",
 ) -> NuisanceSet:
     """Fit all nuisance models on a training block.
 
     pi, rho and pi0 come from fit_propensities; mu(z, .) is a ridge linear
     fit of R*h(Y; psi) on the same basis within each level, rows with
-    R = 0 contributing target 0, and direct mode adds an unstratified
-    mu(X).  Every component is a function of the one fitted basis, so
-    evaluate_nuisances transforms a block once for all of them.
+    R = 0 contributing target 0.  Every component is a function of the one
+    fitted basis, so evaluate_nuisances transforms a block once for all of
+    them.
     Predicted probabilities are clipped to [1e-6, 1 - 1e-6], and
     evaluate_nuisances counts the clipped model outputs of each
     evaluation; the set's nonconverged_fits is fit_propensities' count.
     """
-    props, F, levels = fit_propensities(train, cfg, mode)
+    props, F, levels = fit_propensities(train, cfg)
     basis = props.basis
-    mu_fn, mu_marg_fn = _mu_on_basis(
-        basis, _fit_mu(F, levels, train.rh(spec).__getitem__, cfg, mode), train.L)
     return NuisanceSet(
         L=train.L,
         pi_fn=_OnBasis(basis, props.pi),
         rho_fn=_OnBasis(basis, props.rho),
-        mu_fn=mu_fn,
+        mu_fn=_mu_on_basis(basis, _fit_mu(levels, train.rh(spec).__getitem__, cfg)),
         pi0=props.pi0,
-        mode=mode,
-        pi_marg_fn=_OnBasis(basis, props.pi_marg) if mode == "direct" else None,
-        mu_marg_fn=mu_marg_fn,
         nonconverged_fits=props.nonconverged_fits,
     )
 
 
 def _fit_mu(
-    F: np.ndarray,
     levels: list[tuple[np.ndarray, np.ndarray]],
-    rh_at: Callable[[np.ndarray | slice], np.ndarray],
+    rh_at: Callable[[np.ndarray], np.ndarray],
     cfg: LearnerConfig,
-    mode: MarginalizationMode,
 ) -> list[np.ndarray]:
-    """mu's ridge coefficients: one fit_linear per level, then one over all
-    rows for mu(X) in direct mode.
+    """mu's ridge coefficients: one fit_linear per level.
 
-    F and levels are fit_propensities' basis and its split by level.
-    rh_at(rows) is the target R*h at those rows (slice(None): every row),
-    (m,) for one functional or (k, m) for k, with (k, d) coefficients.
+    levels is fit_propensities' split of its basis by level.  rh_at(rows)
+    is the target R*h at those rows, (m,) for one functional or (k, m) for
+    k, with (k, d) coefficients.
     """
-    coef = [fit_linear(Fz, rh_at(r), cfg).coef for r, Fz in levels]
-    if mode == "direct":
-        coef.append(fit_linear(F, rh_at(slice(None)), cfg).coef)
-    return coef
+    return [fit_linear(Fz, rh_at(r), cfg).coef for r, Fz in levels]
 
 
-def _mu_on_basis(basis: PolyBasis, coef: list[np.ndarray],
-                 L: int) -> tuple[ComponentFn, MarginalFn | None]:
-    """_fit_mu's (d,) coefficients as the (L, m) component mu and, in
-    direct mode, the marginal mu(X); neither clips."""
-    mu_stack = np.stack(coef[:L])
-    return (_OnBasis(basis, lambda G: (mu_stack @ G.T, 0)),
-            _OnBasis(basis, lambda G: (G @ coef[L], 0)) if len(coef) > L else None)
+def _mu_on_basis(basis: PolyBasis, coef: list[np.ndarray]) -> ComponentFn:
+    """_fit_mu's (d,) coefficients as the (L, m) component mu; it does not
+    clip."""
+    mu_stack = np.stack(coef)
+    return _OnBasis(basis, lambda G: (mu_stack @ G.T, 0))
 
 
 def fit_mu_component(
     train: ObservationTable,
     spec: FunctionalSpec,
     cfg: LearnerConfig,
-    mode: MarginalizationMode = "marginalize",
-) -> tuple[ComponentFn, MarginalFn | None]:
-    """Fit only the outcome-moment models mu(z, .) (and mu(X) in direct mode).
+) -> ComponentFn:
+    """Fit only the outcome-moment models mu(z, .).
 
     pi, rho and pi0 do not depend on the functional (fit_propensities fits
     them alone), so a caller that changes only psi can refit mu alone.  No
@@ -342,8 +319,7 @@ def fit_mu_component(
     basis = PolyBasis(cfg.basis_df).fit(train.X)
     F = basis.transform(train.X)
     levels = _by_level(F, train.Z, train.L)
-    return _mu_on_basis(basis, _fit_mu(F, levels, train.rh(spec).__getitem__, cfg, mode),
-                        train.L)
+    return _mu_on_basis(basis, _fit_mu(levels, train.rh(spec).__getitem__, cfg))
 
 
 @dataclass
@@ -388,7 +364,7 @@ def evaluate_nuisances(ns: NuisanceSet, X: np.ndarray) -> NuisanceEval:
     pi = call(ns.pi_fn)
     rho = call(ns.rho_fn)
     mu = call(ns.mu_fn)
-    if ns.mode == "direct":
+    if ns.pi_marg_fn is not None:
         pim = call(ns.pi_marg_fn)
         mum = call(ns.mu_marg_fn)
     else:

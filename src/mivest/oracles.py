@@ -157,36 +157,21 @@ def oracle_nuisances(
     parameters: Mapping[str, float] | None = None,
     *,
     functional: FunctionalSpec | None = None,
-    mode: str = "marginalize",
 ) -> NuisanceSet:
     """Exact nuisance set for a built-in family (mean functional).
 
-    mode "direct" attaches exact marginal callables pi(x), mu(x); in
-    "marginalize" the set derives them from rho and the per-level parts,
-    which is also exact here.
+    The set derives the marginals pi(x) and mu(x) from rho and the
+    per-level parts, which is exact here.
     """
     params = dict(parameters or {})
     psi = _check_mean_functional(functional)
     pi_fn, rho_fn, mu_fn = _oracle_level_fns(family, params, psi)
-
-    pi_marg_fn = None
-    mu_marg_fn = None
-    if mode == "direct":
-        def pi_marg_fn(X: np.ndarray) -> np.ndarray:
-            return (rho_fn(X) * pi_fn(X)).sum(axis=0)
-
-        def mu_marg_fn(X: np.ndarray) -> np.ndarray:
-            return (rho_fn(X) * mu_fn(X)).sum(axis=0)
-
     return NuisanceSet(
         L=_LEVELS[family],
         pi_fn=pi_fn,
         rho_fn=rho_fn,
         mu_fn=mu_fn,
         pi0=true_p_missing(family, params),
-        mode=mode,
-        pi_marg_fn=pi_marg_fn,
-        mu_marg_fn=mu_marg_fn,
     )
 
 

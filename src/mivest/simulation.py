@@ -747,7 +747,7 @@ def _mc_replication(r, dgp, cfg, functional, est) -> dict:
     # a replication whose nuisance fit degenerates counts as failed for
     # that estimator; it must not bring down the whole study
     try:
-        ns = fit_nuisance_set(table, functional, cfg, mode=est.mode)
+        ns = fit_nuisance_set(table, functional, cfg)
         out["id"] = beta_id_general(table, ns, trim=est.trim)
     except (EstimationError, FitError) as e:
         out["id_error"] = str(e)
@@ -796,7 +796,7 @@ def run_monte_carlo(
     """Repeated draw-estimate cycles summarised against a known oracle.
 
     Each replication runs both estimators: "id", the plug-in on one
-    in-sample nuisance fit in est's mode and trim policy, and "if", the
+    in-sample nuisance fit under est's trim policy, and "if", the
     missing report of crossfit_beta under est with the fold seed replaced.
     est.seed is the master seed: replication r draws its data from
     SeedSequence(est.seed, spawn_key=(1, r)) and its fold seed from an

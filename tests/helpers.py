@@ -38,15 +38,14 @@ def const_marg(value):
 def const_ns(pi, rho, mu, pi0, *, pi_marg=None, mu_marg=None):
     """Nuisance set with per-level constants.
 
-    Passing pi_marg or mu_marg pins the marginals directly (direct mode);
-    otherwise they are the exact rho-weighted sums.  The contrast delta is
-    then (mu - mu_marg) / (pi - pi_marg) at each level.
+    Passing pi_marg or mu_marg supplies both marginals as callables, the
+    one not passed at its rho-weighted sum; otherwise the set derives
+    them.  The contrast delta is then (mu - mu_marg) / (pi - pi_marg) at
+    each level.
     """
     L = len(pi)
     kw = {}
-    mode = "marginalize"
     if pi_marg is not None or mu_marg is not None:
-        mode = "direct"
         pm = pi_marg if pi_marg is not None else float(np.dot(rho, pi))
         mm = mu_marg if mu_marg is not None else float(np.dot(rho, mu))
         kw["pi_marg_fn"] = const_marg(pm)
@@ -57,7 +56,6 @@ def const_ns(pi, rho, mu, pi0, *, pi_marg=None, mu_marg=None):
         rho_fn=const_fn(rho),
         mu_fn=const_fn(mu),
         pi0=float(pi0),
-        mode=mode,
         **kw,
     )
 

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -92,7 +93,7 @@ def test_a_config_with_every_key_changed_survives_its_echo():
                  "covariates": ["age"], "instrument_bins": 3, "instrument_max_levels": 7,
                  "instrument_mode": "separate", "strict_outcome": False},
         "functional": {"kind": "quantile", "psi": 0.5, "q": 0.3},
-        "estimation": {"mode": "direct", "folds": 4, "repetitions": 3, "seed": 9,
+        "estimation": {"folds": 4, "repetitions": 3, "seed": 9,
                        "ci_level": 0.9, "trim": "drop", "winsorize": 4.5},
         "learner": {"basis_df": 3, "ridge_lambda": 0.01, "max_irls_iter": 50,
                     "irls_tol": 1e-6},
@@ -176,6 +177,24 @@ def test_config_rejects_unknown_keys():
         config_from_dict(make_doc(estimation={"foldz": 3}))
     with pytest.raises(ConfigurationError, match="unknown keys"):
         config_from_dict(make_doc(data={"weights": "w"}))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("estimator", "general"),
+    ("mode", "marginalize"),
+    ("mode", "direct"),
+], ids=["estimator", "mode-marginalize", "mode-direct"])
+def test_a_removed_estimation_key_exits_4_naming_it(tmp_path, survey_csv, capsys,
+                                                    key, value):
+    # no setting chooses the estimator or the marginalisation: the
+    # marginals are always the rho-weighted sums of the per-level models
+    out = tmp_path / "o.json"
+    doc = make_doc(estimation={key: value})
+    assert main(["estimate", "--config", write_yaml(tmp_path / "cfg.yaml", doc),
+                 "--data", survey_csv, "--out", str(out)]) == 4
+    assert (f"configuration error: unknown keys in 'estimation' section: ['{key}']"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_config_winsorize_parsing():
@@ -379,7 +398,7 @@ def test_quoted_commas_in_other_columns_are_one_cell(tmp_path):
     rows = [[7, "Gaborone, north", 0, 0.1, 0.2, 1, 2.0],
             [8, 'said "no", left', 1, 0.3, 0.4, 0, ""]]
     p = rows_to_csv(tmp_path, ["id", "note", "z", "x1", "x2", "r", "y"], rows)
-    assert '"Gaborone, north"' in open(p, encoding="utf-8").read()
+    assert '"Gaborone, north"' in Path(p).read_text(encoding="utf-8")
     table, info = ingest_csv(p, config_from_dict(make_doc()))
     assert table.X.tolist() == [[0.1, 0.2], [0.3, 0.4]]
     assert table.Z.tolist() == [0, 1]
@@ -1427,7 +1446,7 @@ DATA_KEYS = ["encodings", "encodings[].column", "encodings[].edges", "encodings[
              "warnings"]
 MEAN_KEYS = ["ci", "ci_level", "diagnostics", "diagnostics.floor_hits",
              "diagnostics.nonconverged_fits", "diagnostics.prob_clips",
-             "diagnostics.winsorized", "estimate", "estimator", "mode", "n", "n_folds",
+             "diagnostics.winsorized", "estimate", "estimator", "n", "n_folds",
              "n_incomplete", "per_repetition", "per_repetition.estimates",
              "per_repetition.variances", "repetitions", "seed", "std_error", "trim",
              "variance", "winsorize"]

@@ -31,7 +31,7 @@ CFG = LearnerConfig()
 
 
 def one_pass(table, plan, fitter=fit_nuisance_set, winsorize=None):
-    """One repetition's fold loop, marginalize mode, floor trim."""
+    """One repetition's fold loop under floor trim."""
     return _crossfit_pass(table, SPEC, CFG, plan, EstimationConfig(winsorize=winsorize),
                           fitter)[0]
 
@@ -128,9 +128,9 @@ def test_crossfit_on_duplicated_halves_matches_plain_fit(mid_table):
 def test_fitter_never_sees_the_evaluation_fold(mid_table):
     seen = []
 
-    def spy(train, spec, cfg, mode="marginalize"):
+    def spy(train, spec, cfg):
         seen.append(train)
-        return fit_nuisance_set(train, spec, cfg, mode=mode)
+        return fit_nuisance_set(train, spec, cfg)
 
     plan = make_folds(mid_table.n, 4, seed=2)
     one_pass(mid_table, plan, fitter=spy)
@@ -161,7 +161,6 @@ def test_even_repetition_count_warns(mid_table):
 
 
 BAD_SETTINGS = {
-    "mode-Direct": dict(mode="Direct"),
     "trim-Drop": dict(trim="Drop"),
     "winsorize--1": dict(winsorize=-1.0),
     "winsorize-0": dict(winsorize=0.0),
@@ -255,7 +254,7 @@ def test_population_mean_needs_complete_cases():
 
 
 def test_population_mean_learner_failures_name_the_fold(mid_table):
-    def failing(train, spec, cfg, mode="marginalize"):
+    def failing(train, spec, cfg):
         raise FitError("learner gave up")
 
     with pytest.raises(FitError, match=r"^fold 0: learner gave up"):

@@ -32,7 +32,7 @@ ONE_SPLIT_DROP = EstimationConfig(n_folds=2, repetitions=1, seed=0, trim="drop")
 
 def fixed(ns):
     """A fitter that ignores its training rows and returns ns for every fold."""
-    return lambda train, spec, cfg, mode="marginalize": ns
+    return lambda train, spec, cfg: ns
 
 
 def test_g_value_example():
@@ -275,20 +275,25 @@ def test_missing_quantile_against_latent_draw():
 
 # -- the single grid pass against a refit at every grid point ----------------
 
+# One value: the marginals are always the rho-weighted sums of the
+# per-level models.  The parameter keeps each case's id ("...[marginalize]").
+ONE_MARGINALISATION = pytest.mark.parametrize("mode", ["marginalize"])
+
+
 @pytest.fixture(scope="module")
 def refits():
-    """(family, mode) -> a table and nuisance sets refitted at 64 grid points."""
+    """family -> a table and nuisance sets refitted at 64 grid points."""
     cache = {}
 
-    def get(family, mode):
-        if (family, mode) not in cache:
+    def get(family):
+        if family not in cache:
             table, _ = generate(DGPSpec(family=family, n=1_500, seed=23))
             y = table.y_observed
             grid = np.linspace(y.min(), y.max(), 64)
             specs = [FunctionalSpec.quantile(0.5, psi=p) for p in grid]
-            sets = [fit_nuisance_set(table, s, LearnerConfig(), mode=mode) for s in specs]
-            cache[family, mode] = (table, grid, specs, sets)
-        return cache[family, mode]
+            sets = [fit_nuisance_set(table, s, LearnerConfig()) for s in specs]
+            cache[family] = (table, grid, specs, sets)
+        return cache[family]
 
     return get
 
@@ -296,11 +301,11 @@ def refits():
 @pytest.mark.parametrize("target", ["missing", "population"])
 @pytest.mark.parametrize("winsorize", [None, 5.0])
 @pytest.mark.parametrize("trim", ["floor", "drop"])
-@pytest.mark.parametrize("mode", ["marginalize", "direct"])
+@ONE_MARGINALISATION
 @pytest.mark.parametrize("family", ["single_binary_iv", "dual_binary_iv"])
 def test_grid_pass_equals_per_psi_refits(family, mode, trim, winsorize, target,
                                          refits, monkeypatch):
-    table, grid, specs, sets = refits(family, mode)
+    table, grid, specs, sets = refits(family)
     betas = np.array([beta_if_general(table, ns, s, trim=trim, winsorize=winsorize)
                       for s, ns in zip(specs, sets)])
     y = table.y_observed
@@ -308,7 +313,7 @@ def test_grid_pass_equals_per_psi_refits(family, mode, trim, winsorize, target,
     pi0 = sets[0].pi0
     reference = betas if target == "missing" else (1.0 - pi0) * alphas + pi0 * betas
 
-    est = EstimationConfig(mode=mode, trim=trim, winsorize=winsorize)
+    est = EstimationConfig(trim=trim, winsorize=winsorize)
     pick = 0 if target == "missing" else 1
     res = solve_functional(table, LearnerConfig(), 0.5, est)[pick]
     np.testing.assert_array_equal(res.grid, grid)
@@ -324,15 +329,15 @@ def test_grid_pass_equals_per_psi_refits(family, mode, trim, winsorize, target,
 
 @pytest.fixture(scope="module")
 def psi_free_sets():
-    """(family, mode) -> a table and one fitted set whose mu each case refits."""
+    """family -> a table and one fitted set whose mu each case refits."""
     cache = {}
 
-    def get(family, mode):
-        if (family, mode) not in cache:
+    def get(family):
+        if family not in cache:
             table, _ = generate(DGPSpec(family=family, n=1_500, seed=23))
-            ns = fit_nuisance_set(table, FunctionalSpec.quantile(0.5), LearnerConfig(), mode=mode)
-            cache[family, mode] = (table, ns)
-        return cache[family, mode]
+            cache[family] = (table, fit_nuisance_set(table, FunctionalSpec.quantile(0.5),
+                                                     LearnerConfig()))
+        return cache[family]
 
     return get
 
@@ -341,35 +346,32 @@ def psi_free_sets():
 @given(family=st.sampled_from(["single_binary_iv", "dual_binary_iv"]),
        q=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
        grid_size=st.sampled_from([2, 7, 63, 64, 65]),
-       mode=st.sampled_from(["marginalize", "direct"]),
        trim=st.sampled_from(["floor", "drop"]),
        winsorize=st.sampled_from([None, 5.0]))
 def test_grid_moments_equal_per_psi_refits_at_every_block_edge(
-        psi_free_sets, family, q, grid_size, mode, trim, winsorize):
+        psi_free_sets, family, q, grid_size, trim, winsorize):
     # the grid pass builds R h a block of grid points at a time; grids that
     # fill no block, or leave the last one part-filled, must give the same
     # moments as refitting mu at each grid point (pi, rho and pi0 do not
     # depend on psi, so the refit keeps them)
-    table, ns = psi_free_sets(family, mode)
+    table, ns = psi_free_sets(family)
     y = table.y_observed
     grid = np.linspace(y.min(), y.max(), grid_size)
     beta, pi0 = _grid_beta(table, LearnerConfig(), q, grid,
-                           EstimationConfig(mode=mode, trim=trim, winsorize=winsorize))
+                           EstimationConfig(trim=trim, winsorize=winsorize))
     refits = []
     for psi in grid:
         spec = FunctionalSpec.quantile(q, psi=psi)
-        mu_fn, mu_marg_fn = fit_mu_component(table, spec, LearnerConfig(), mode=mode)
-        refit = dataclasses.replace(ns, mu_fn=mu_fn, mu_marg_fn=mu_marg_fn)
+        refit = dataclasses.replace(ns, mu_fn=fit_mu_component(table, spec, LearnerConfig()))
         refits.append(beta_if_general(table, refit, spec, trim=trim, winsorize=winsorize))
     assert pi0 == ns.pi0
     np.testing.assert_allclose(beta, refits, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("mode", ["marginalize", "direct"])
+@ONE_MARGINALISATION
 def test_grid_fits_once_and_solves_mu_once_per_model(dual_table, mode, monkeypatch):
     # one psi-free fit, then one fit_linear per level over the stack of
-    # all 64 grid targets on that level's rows; under direct mode mu(x) is
-    # fitted over every row, its stack _GRID_BLOCK grid points at a time
+    # all 64 grid targets on that level's rows
     import mivest.nuisance
 
     fits, solves = [], []
@@ -386,16 +388,13 @@ def test_grid_fits_once_and_solves_mu_once_per_model(dual_table, mode, monkeypat
 
     monkeypatch.setattr(mivest.general, "fit_propensities", counting_fit)
     monkeypatch.setattr(mivest.nuisance, "fit_linear", spy)
-    solve_functional(dual_table, LearnerConfig(), 0.5, EstimationConfig(mode=mode))
+    solve_functional(dual_table, LearnerConfig(), 0.5)
     expected = [(m, (64, m)) for m in np.bincount(dual_table.Z, minlength=dual_table.L)]
-    if mode == "direct":
-        block = mivest.general._GRID_BLOCK
-        expected += [(dual_table.n, (block, dual_table.n))] * (64 // block)
     assert len(fits) == 1
     assert solves == expected
 
 
-@pytest.mark.parametrize("mode", ["marginalize", "direct"])
+@ONE_MARGINALISATION
 def test_grid_moments_ignore_outcomes_supplied_where_r_is_zero(mode):
     # ObservationTable.rh is 0 on an R = 0 row whatever its Y holds, and so
     # is the grid's R h: a table with values under R = 0 (which
@@ -403,25 +402,23 @@ def test_grid_moments_ignore_outcomes_supplied_where_r_is_zero(mode):
     table, latent = generate(DGPSpec(family="dual_binary_iv", n=1_500, seed=23))
     leaked = ObservationTable.from_arrays(table.X, table.Z, table.R, latent.y_full)
     assert leaked.y_present[leaked.R == 0].all()
-    est = EstimationConfig(mode=mode)
-    for clean, dirty in zip(solve_functional(table, LearnerConfig(), 0.5, est),
-                            solve_functional(leaked, LearnerConfig(), 0.5, est)):
+    for clean, dirty in zip(solve_functional(table, LearnerConfig(), 0.5),
+                            solve_functional(leaked, LearnerConfig(), 0.5)):
         assert clean.moments.tobytes() == dirty.moments.tobytes()
         assert clean.psi == dirty.psi
 
 
-@pytest.mark.parametrize("mode", ["marginalize", "direct"])
+@ONE_MARGINALISATION
 def test_grid_pass_peak_memory_stays_below_the_per_point_pass(mode):
     # one psi-free fit and one basis, R h built a few grid points at a
     # time: the traced peak of both quantile solves at n = 20 000 stays
     # within 43 n-vectors (float64 columns of n rows); a pass that also
     # fitted the unused mu models and transformed the basis five times
-    # peaked at 43.3 on this table, and a direct-mode pass that built
-    # mu(x)'s all-rows target for every grid point at once peaked at 85.2
+    # peaked at 43.3 on this table
     table, _ = generate(DGPSpec(family="dual_binary_iv", n=20_000, seed=3))
     tracemalloc.start()
     try:
-        solve_functional(table, LearnerConfig(), 0.5, EstimationConfig(mode=mode))
+        solve_functional(table, LearnerConfig(), 0.5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -304,11 +304,19 @@ def test_fit_nuisance_set_peaks_under_32_float64_per_row(family, n):
     assert peak <= 32 * 8 * table.n
 
 
-def test_direct_mode_requires_marginals():
-    with pytest.raises(NuisanceFitError):
-        NuisanceSet(L=2, pi_fn=const_fn((0.4, 0.8)),
-                    rho_fn=const_fn((0.5, 0.5)), mu_fn=const_fn((0.3, 0.9)),
-                    pi0=0.5, mode="direct")
+def test_a_set_supplies_both_marginals_or_neither():
+    parts = dict(L=2, pi_fn=const_fn((0.4, 0.8)), rho_fn=const_fn((0.5, 0.5)),
+                 mu_fn=const_fn((0.3, 0.9)), pi0=0.5)
+    for one in ({"pi_marg_fn": const_marg(0.5)}, {"mu_marg_fn": const_marg(0.2)}):
+        with pytest.raises(NuisanceFitError, match="both"):
+            NuisanceSet(**parts, **one)
+    # supplied marginals replace the rho-weighted sums (0.6 and 0.6 here)
+    ev = evaluate_nuisances(NuisanceSet(**parts, pi_marg_fn=const_marg(0.5),
+                                        mu_marg_fn=const_marg(0.2)), PROBE[:2])
+    np.testing.assert_array_equal(ev.pi_marg, [0.5, 0.5])
+    np.testing.assert_array_equal(ev.mu_marg, [0.2, 0.2])
+    np.testing.assert_allclose(ev.delta_r[:, 0], [-0.1, 0.3], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(ev.delta_y[:, 0], [0.1, 0.7], rtol=0, atol=1e-15)
 
 
 def test_replace_shares_untouched_components():
@@ -376,12 +384,14 @@ def test_multinomial_instrument_clips_count_once_per_evaluation():
         assert ev.prob_clips == below + at_bound
 
 
-@pytest.mark.parametrize("mode, components", [("marginalize", 3), ("direct", 5)])
+# one value: a fitted set has three components and derives its marginals;
+# "mode" keeps the case's id ("...[marginalize-3]")
+@pytest.mark.parametrize("mode, components", [("marginalize", 3)])
 def test_one_evaluation_transforms_the_basis_once(monkeypatch, mode, components):
     # one basis transform shared by all the fitted component callables and
     # one multinomial prediction, whatever the number of instrument levels
     table, _ = generate(DGPSpec(family="dual_binary_iv", n=3_000, seed=12))
-    ns = fit_nuisance_set(table, SPEC, LearnerConfig(), mode=mode)
+    ns = fit_nuisance_set(table, SPEC, LearnerConfig())
     fns = (ns.pi_fn, ns.rho_fn, ns.mu_fn, ns.pi_marg_fn, ns.mu_marg_fn)
     assert sum(fn is not None for fn in fns) == components
     calls = Counter()
@@ -401,8 +411,7 @@ def test_one_evaluation_transforms_the_basis_once(monkeypatch, mode, components)
 
 
 def test_fit_mu_component_matches_full_fit(single_table, single_fit):
-    mu_fn, _ = fit_mu_component(single_table, SPEC, LearnerConfig(),
-                                mode="marginalize")
+    mu_fn = fit_mu_component(single_table, SPEC, LearnerConfig())
     for z in (0, 1):
         assert np.allclose(mu_fn(PROBE)[z], evaluate_nuisances(single_fit, PROBE).mu[z],
                            atol=1e-12)
