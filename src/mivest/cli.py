@@ -36,7 +36,7 @@ from .exceptions import (
     _tally_messages,
 )
 from .general import solve_functional
-from .simulation import _LAWS, DGPSpec, oracle_beta, run_monte_carlo
+from .simulation import _LAWS, oracle_beta, run_monte_carlo
 
 DESIGN_TOLERANCE = 0.05
 
@@ -138,9 +138,15 @@ def _require_data(cfg: AnalysisConfig) -> None:
         raise ConfigurationError("this command needs a 'data' section in the config")
 
 
-def _require_simulation(cfg: AnalysisConfig):
+def _require_simulation(cfg: AnalysisConfig, command: str):
+    """The config's simulation section, for a command that measures the
+    mean functional alone (its oracle and scenarios are the mean's)."""
     if cfg.simulation is None:
         raise ConfigurationError("this command needs a 'simulation' section in the config")
+    if cfg.functional.kind != "mean":
+        raise ConfigurationError(
+            f"{command} measures the mean functional only; "
+            f"functional.kind is {cfg.functional.kind!r}")
     return cfg.simulation
 
 
@@ -236,9 +242,8 @@ def cmd_estimate(cfg: AnalysisConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(cfg: AnalysisConfig, args: argparse.Namespace) -> int:
-    sim = _require_simulation(cfg)
-    dgp = DGPSpec(family=sim.family, n=sim.n, seed=cfg.estimation.seed,
-                  clamp_policy=sim.clamp_policy, parameters=sim.parameters)
+    sim = _require_simulation(cfg, "simulate")
+    dgp = sim.dgp(cfg.estimation.seed)
     oracle = oracle_beta(dgp, draws=sim.oracle_draws, functional=cfg.functional)
     mc = run_monte_carlo(dgp, sim.replications, cfg.learner, cfg.functional, oracle.value,
                          cfg.estimation, threads=args.threads)
@@ -247,35 +252,26 @@ def cmd_simulate(cfg: AnalysisConfig, args: argparse.Namespace) -> int:
         "command": "simulate",
         "config": cfg.as_dict(),
         "oracle": oracle,
-        "monte_carlo": mc.as_dict(),
+        "monte_carlo": mc,
     }
     _print_fit_warnings(mc.fit_warnings)
     _emit(report, args.out)
 
-    names = sorted(mc.summaries)
-    rows = [
-        ("bias", lambda s: s.bias),
-        ("variance", lambda s: s.variance),
-        ("mse", lambda s: s.mse),
-        ("coverage", lambda s: s.coverage),
-    ]
+    names = sorted(mc.estimators)
     print(f"{sim.family}  n={sim.n}  replications={sim.replications}  "
           f"oracle={oracle.value:.4f}")
     print("  metric    " + "".join(f"{nm:>12}" for nm in names))
-    for label, get in rows:
-        cells = []
-        for nm in names:
-            v = get(mc.summaries[nm])
-            cells.append(f"{v:12.5f}" if v is not None else f"{'--':>12}")
-        print(f"  {label:<10}" + "".join(cells))
+    for label in ("bias", "variance", "mse", "coverage"):
+        values = (getattr(mc.estimators[nm], label) for nm in names)
+        print(f"  {label:<10}" + "".join(f"{'--':>12}" if v is None else f"{v:12.5f}"
+                                         for v in values))
     return 0
 
 
 def cmd_oracle(cfg: AnalysisConfig, args: argparse.Namespace) -> int:
-    sim = _require_simulation(cfg)
-    dgp = DGPSpec(family=sim.family, n=sim.n, seed=cfg.estimation.seed,
-                  clamp_policy=sim.clamp_policy, parameters=sim.parameters)
-    res = oracle_beta(dgp, draws=sim.oracle_draws, functional=cfg.functional)
+    sim = _require_simulation(cfg, "oracle")
+    res = oracle_beta(sim.dgp(cfg.estimation.seed), draws=sim.oracle_draws,
+                      functional=cfg.functional)
     reference = _LAWS[sim.family].design_beta
     agrees = abs(res.value - reference) <= DESIGN_TOLERANCE
     report = {
@@ -300,19 +296,9 @@ def cmd_oracle(cfg: AnalysisConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_robustness(cfg: AnalysisConfig, args: argparse.Namespace) -> int:
-    sim = _require_simulation(cfg)
-    if sim.clamp_policy != "clamp_to_one_minus_eps":
-        # the scenarios and the reference are closed forms of the clamped law
-        raise ConfigurationError(
-            f"robustness draws and measures under clamp_to_one_minus_eps only; "
-            f"simulation.clamp_policy is {sim.clamp_policy!r}")
-    if cfg.functional.kind != "mean":
-        # the scenarios and the reference are closed forms of the mean functional
-        raise ConfigurationError(
-            f"robustness measures the mean functional only; "
-            f"functional.kind is {cfg.functional.kind!r}")
-    rep = run_robustness(sim.family, n=args.table_n, seed=cfg.estimation.seed,
-                         parameters=dict(sim.parameters), psi=cfg.functional.psi)
+    sim = _require_simulation(cfg, "robustness")
+    dgp = dataclasses.replace(sim.dgp(cfg.estimation.seed), n=args.table_n)
+    rep = run_robustness(dgp, psi=cfg.functional.psi)
     report = {
         "format": REPORT_FORMAT,
         "command": "robustness",

@@ -229,6 +229,8 @@ class RobustnessRow:
 
 @dataclass
 class RobustnessReport:
+    """One robustness run; family, n and seed are those of the law drawn."""
+
     family: str
     n: int
     seed: int
@@ -253,30 +255,29 @@ def _population_bias(ns: NuisanceSet, truth: NuisanceSet, reference: float) -> f
     return float(W @ (tr.rho * phi).sum(axis=0)) - reference
 
 
-def run_robustness(
-    family: str,
-    *,
-    n: int = 400_000,
-    seed: int = 11,
-    parameters: Mapping[str, float] | None = None,
-    psi: float = 0.0,
-) -> RobustnessReport:
+def run_robustness(dgp: DGPSpec, *, psi: float = 0.0) -> RobustnessReport:
     """Evaluate the influence-function estimator under each scenario.
 
-    One large table is drawn; every scenario's corrupted nuisance set is
-    plugged into the estimator on that same table, and the estimates are
-    compared against the identified value, a quadrature whose error is the
-    gap between two rule sizes (oracle_identified_beta).  Each row also
-    carries the scenario's exact population bias (_population_bias).
+    One table of dgp.n rows is drawn from the law dgp; every scenario's
+    corrupted nuisance set is plugged into the estimator on that same
+    table, and the estimates of the mean functional at psi are compared
+    against the identified value, a quadrature whose error is the gap
+    between two rule sizes (oracle_identified_beta).  Each row also carries
+    the scenario's exact population bias (_population_bias).  The
+    scenarios and the reference are closed forms of the clamped law, so
+    dgp's clamp policy must be clamp_to_one_minus_eps.
     """
-    params = dict(parameters or {})
-    dgp = DGPSpec(family=family, n=n, seed=seed, parameters=params)  # checks the keys
+    if dgp.clamp_policy != "clamp_to_one_minus_eps":
+        raise ConfigurationError(
+            f"robustness draws and measures under clamp_to_one_minus_eps only; "
+            f"simulation.clamp_policy is {dgp.clamp_policy!r}")
+    family, params = dgp.family, dict(dgp.parameters)
     spec = FunctionalSpec.mean(psi)
     scenarios = general_scenarios(family, params, psi)
     ref, ref_err = oracle_identified_beta(family, params, psi=psi)
     truth = oracle_nuisances(family, params, functional=spec)
     table, _ = generate(dgp)
-    report = RobustnessReport(family=family, n=n, seed=seed,
+    report = RobustnessReport(family=family, n=dgp.n, seed=dgp.seed,
                               reference=ref, reference_error=ref_err)
     for sc in scenarios:
         # the estimate is a plain mean of phi~ (pi0 fixed at its true

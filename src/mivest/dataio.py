@@ -10,9 +10,9 @@ sorted keys and no timestamps: two runs with the same seeds must produce
 byte-identical files, so execution-topology knobs (thread count, output
 path) never enter the report body.  One serializer (_jsonable) writes
 every report tree, and it writes a dataclass through its fields: a report
-type's field names are its report keys.  Only a type whose keys follow a
-rule of their own (the config echo, the Monte Carlo summaries) has an
-as_dict.
+type's field names are its report keys, and a field's metadata["report"]
+may leave it out.  Only the config echo, whose keys are the YAML keys
+rather than the field names, has an as_dict.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .data import (EstimationConfig, FunctionalSpec, ObservationTable,
                    combine_instrument_levels, _linear_quantiles)
 from .exceptions import ConfigurationError, DataContractError
 from .learners import LearnerConfig
+from .simulation import DGPSpec
 
 CONFIG_FORMAT = "mivest-config/1"
 REPORT_FORMAT = "mivest-report/1"
@@ -44,7 +45,13 @@ REPORT_FORMAT = "mivest-report/1"
 
 @dataclass(frozen=True)
 class SimulationSection:
-    """Synthetic-data settings used by the simulate/oracle/robustness commands."""
+    """Synthetic-data settings used by the simulate/oracle/robustness commands.
+
+    The section is checked when it is read, whatever the command: its
+    counts here, and the law (family, clamp policy, parameter names and
+    values) by building the DGPSpec that dgp returns, which holds those
+    checks.
+    """
 
     family: str
     n: int = 1000
@@ -58,9 +65,12 @@ class SimulationSection:
             if getattr(self, name) < 1:
                 raise ConfigurationError(
                     f"simulation.{name} must be at least 1, got {getattr(self, name)}")
+        self.dgp(0)
 
-    def as_dict(self) -> dict:
-        return _echo(self, _SIMULATION_KEYS)
+    def dgp(self, seed: int) -> DGPSpec:
+        """The law this section describes, drawn from seed."""
+        return DGPSpec(family=self.family, n=self.n, seed=seed,
+                       clamp_policy=self.clamp_policy, parameters=self.parameters)
 
 
 @dataclass(frozen=True)
@@ -135,7 +145,7 @@ class AnalysisConfig:
         if self.has_data:
             out["data"] = _echo(self, _DATA_KEYS)
         if self.simulation is not None:
-            out["simulation"] = self.simulation.as_dict()
+            out["simulation"] = _echo(self.simulation, _SIMULATION_KEYS)
         return out
 
 
@@ -144,7 +154,7 @@ class AnalysisConfig:
 # only where listed; the first type converts the value) or a parser called
 # as parser(value, "section.key").  A key the document leaves out takes its
 # field's default, unless it is required.  config_from_dict reads these
-# tables to parse a document and the as_dict methods to echo one.
+# tables to parse a document and AnalysisConfig.as_dict to echo one.
 
 
 class _Key(NamedTuple):
@@ -732,7 +742,12 @@ def write_table_csv(
 
 
 def _jsonable(obj: Any) -> Any:
-    """Coerce report trees to plain JSON types; non-finite floats become null."""
+    """Coerce report trees to plain JSON types; non-finite floats become null.
+
+    A dataclass is written through its fields, so its field names are its
+    report keys.  A rule in a field's metadata["report"] may leave it out:
+    "never" always does, and "if_set" does while the value is None or [].
+    """
     if isinstance(obj, Mapping):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -749,7 +764,12 @@ def _jsonable(obj: Any) -> Any:
     if obj is None or isinstance(obj, str):
         return obj
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _jsonable(dataclasses.asdict(obj))
+        out = {}
+        for f in dataclasses.fields(obj):
+            value, rule = getattr(obj, f.name), f.metadata.get("report")
+            if rule != "never" and not (rule == "if_set" and value in (None, [])):
+                out[f.name] = _jsonable(value)
+        return out
     raise ConfigurationError(f"cannot serialize {type(obj).__name__} into a report")
 
 

@@ -58,7 +58,7 @@ import os
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, Literal, Mapping
+from typing import Callable, Iterator, Literal, Mapping, get_args
 
 import numpy as np
 
@@ -85,7 +85,10 @@ _U_SD = 0.5
 
 @dataclass(frozen=True)
 class DGPSpec:
-    """Declarative description of a synthetic data draw."""
+    """The synthetic law of one draw: family, rows, seed, clamp policy and
+    the family's parameters, all checked when it is built.  A config's
+    simulation section is checked by building one (SimulationSection.dgp).
+    """
 
     family: str
     n: int
@@ -98,11 +101,7 @@ class DGPSpec:
             raise ConfigurationError(f"unknown DGP family {self.family!r}")
         if self.n < 1:
             raise ConfigurationError("n must be positive")
-        if self.clamp_policy not in (
-            "clamp_to_one_minus_eps",
-            "reject_invalid",
-            "as_printed_error",
-        ):
+        if self.clamp_policy not in get_args(ClampPolicy):
             raise ConfigurationError(f"unknown clamp policy {self.clamp_policy!r}")
         allowed = _LAWS[self.family].parameters
         unknown = sorted(set(self.parameters) - set(allowed))
@@ -630,7 +629,12 @@ _DOMAIN_FOLDSEED = 4
 
 @dataclass
 class EstimatorSummary:
-    """Replication summary for one estimator against the oracle value."""
+    """Replication summary for one estimator against the oracle value.
+
+    Its fields are the keys of the estimator's entry in the report, less
+    the per-replication estimates; coverage and mean_if_variance, which
+    only "if" reports, are left out while unset.
+    """
 
     name: str
     n_success: int
@@ -639,29 +643,16 @@ class EstimatorSummary:
     bias: float
     variance: float            # ddof = 0, so mse == bias^2 + variance
     mse: float
-    coverage: float | None = None
-    mean_if_variance: float | None = None
-    estimates: list[float] = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        d = {
-            "name": self.name,
-            "n_success": self.n_success,
-            "n_failed": self.n_failed,
-            "mean": self.mean,
-            "bias": self.bias,
-            "variance": self.variance,
-            "mse": self.mse,
-        }
-        if self.coverage is not None:
-            d["coverage"] = self.coverage
-        if self.mean_if_variance is not None:
-            d["mean_if_variance"] = self.mean_if_variance
-        return d
+    coverage: float | None = field(default=None, metadata={"report": "if_set"})
+    mean_if_variance: float | None = field(default=None, metadata={"report": "if_set"})
+    estimates: list[float] = field(default_factory=list, metadata={"report": "never"})
 
 
 @dataclass
 class MonteCarloReport:
+    """A Monte Carlo study; its fields are the keys of the report's
+    "monte_carlo" entry, with fit_warnings left out when there are none."""
+
     family: str
     n: int
     replications: int
@@ -670,26 +661,9 @@ class MonteCarloReport:
     n_folds: int
     repetitions: int
     ci_level: float
-    summaries: dict[str, EstimatorSummary]
+    estimators: dict[str, EstimatorSummary]
     # warnings raised inside the replications, tallied as estimate does
-    fit_warnings: list[dict] = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        out = {
-            "family": self.family,
-            "n": self.n,
-            "replications": self.replications,
-            "oracle": self.oracle,
-            "master_seed": self.master_seed,
-            "n_folds": self.n_folds,
-            "repetitions": self.repetitions,
-            "ci_level": self.ci_level,
-            "estimators": {k: v.as_dict() for k, v in sorted(self.summaries.items())},
-        }
-        # left out when empty, so warning-free reports keep their bytes
-        if self.fit_warnings:
-            out["fit_warnings"] = self.fit_warnings
-        return out
+    fit_warnings: list[dict] = field(default_factory=list, metadata={"report": "if_set"})
 
 
 # BLAS reads its thread count from these when it loads.  A pool worker gets
@@ -763,24 +737,28 @@ def _mc_replication(r, dgp, cfg, functional, est) -> dict:
     return out
 
 
-def _summarise(name: str, values: list[float], oracle: float) -> EstimatorSummary:
-    if not values:
-        return EstimatorSummary(
-            name=name, n_success=0, n_failed=0, mean=float("nan"),
-            bias=float("nan"), variance=float("nan"), mse=float("nan"),
-        )
-    arr = np.asarray(values, dtype=float)
-    mean = float(arr.mean())
+def _summarise(name: str, estimates: list[float], n_failed: int, oracle: float,
+               intervals: list[tuple[float, float, float]] = ()) -> EstimatorSummary:
+    """The summary of one estimator's successful estimates against oracle.
+
+    intervals holds the (variance, lo, hi) of each estimate, where the
+    estimator reports them; they give mean_if_variance and coverage.
+    """
+    arr = np.asarray(estimates, dtype=float)
+    if arr.size:
+        mean, variance = float(arr.mean()), float(np.var(arr, ddof=0))
+        mse = float(np.mean((arr - oracle) ** 2))
+    else:
+        mean = variance = mse = float("nan")
+    coverage = mean_if_variance = None
+    if intervals:
+        coverage = float(np.mean([1.0 if lo <= oracle <= hi else 0.0
+                                  for _, lo, hi in intervals]))
+        mean_if_variance = float(np.mean([v for v, _, _ in intervals]))
     return EstimatorSummary(
-        name=name,
-        n_success=arr.size,
-        n_failed=0,
-        mean=mean,
-        bias=mean - oracle,
-        variance=float(np.var(arr, ddof=0)),
-        mse=float(np.mean((arr - oracle) ** 2)),
-        estimates=[float(v) for v in arr],
-    )
+        name=name, n_success=arr.size, n_failed=n_failed, mean=mean, bias=mean - oracle,
+        variance=variance, mse=mse, coverage=coverage, mean_if_variance=mean_if_variance,
+        estimates=[float(v) for v in arr])
 
 
 def run_monte_carlo(
@@ -825,16 +803,15 @@ def run_monte_carlo(
         rows = [_mc_worker(p) for p in payloads]
     rows.sort(key=lambda d: d["r"])
 
-    s_id = _summarise("id", [d["id"] for d in rows if "id" in d], oracle)
-    s_id.n_failed = sum(1 for d in rows if "id_error" in d)
-    tuples = [d["if"] for d in rows if "if" in d]
-    s_if = _summarise("if", [t[0] for t in tuples], oracle)
-    s_if.n_failed = sum(1 for d in rows if "if_error" in d)
-    if tuples:
-        s_if.mean_if_variance = float(np.mean([t[1] for t in tuples]))
-        s_if.coverage = float(np.mean([
-            1.0 if (t[2] <= oracle <= t[3]) else 0.0 for t in tuples
-        ]))
+    def failed(name: str) -> int:
+        return sum(1 for d in rows if f"{name}_error" in d)
+
+    fits = [d["if"] for d in rows if "if" in d]
+    estimators = {
+        "id": _summarise("id", [d["id"] for d in rows if "id" in d], failed("id"), oracle),
+        "if": _summarise("if", [f[0] for f in fits], failed("if"), oracle,
+                         [f[1:] for f in fits]),
+    }
     return MonteCarloReport(
         family=dgp.family,
         n=dgp.n,
@@ -844,6 +821,6 @@ def run_monte_carlo(
         n_folds=est.n_folds,
         repetitions=est.repetitions,
         ci_level=est.ci_level,
-        summaries={"id": s_id, "if": s_if},
+        estimators=estimators,
         fit_warnings=_tally_messages(m for d in rows for m in d["warnings"]),
     )

@@ -97,8 +97,8 @@ def test_criterion_02_dual_family_truth(oracle_dual):
 
 
 def test_criterion_03_single_family_replication_study(mc_single):
-    s_if = mc_single.summaries["if"]
-    s_id = mc_single.summaries["id"]
+    s_if = mc_single.estimators["if"]
+    s_id = mc_single.estimators["id"]
     assert s_if.n_success == 300
     bias_ok = abs(s_if.bias) <= 0.05
     mse_ok = s_if.mse <= 1.8 * 0.018
@@ -112,7 +112,7 @@ def test_criterion_03_single_family_replication_study(mc_single):
 
 
 def test_criterion_04_dual_family_replication_study(mc_dual):
-    s = mc_dual.summaries["if"]
+    s = mc_dual.estimators["if"]
     assert s.n_success == 100
     bias_ok = abs(s.bias) <= 0.02
     cov_ok = 0.92 <= s.coverage <= 0.99
@@ -187,7 +187,7 @@ def test_criterion_07_robustness_scenarios():
     lines = []
     ok = True
     for family in ("single_binary_iv", "dual_binary_iv"):
-        report = run_robustness(family, n=100_000, seed=11)
+        report = run_robustness(DGPSpec(family, n=100_000, seed=11))
         for row in report.scenarios:
             ratio = row.abs_bias / row.mc_se
             if row.expect_consistent:
@@ -206,7 +206,7 @@ def test_criterion_07_robustness_scenarios():
 
 def test_criterion_08_variance_estimator_tracks_the_sampling_variance(
         mc_single):
-    s = mc_single.summaries["if"]
+    s = mc_single.estimators["if"]
     ratio = s.mean_if_variance / s.variance
     ok = 0.8 <= ratio <= 1.2
     verdict(8, ok, f"mean estimated variance / empirical variance = "
@@ -255,7 +255,7 @@ def test_criterion_10_algebraic_invariants(single_fit, dual_fit, mc_single,
         checks.append((f"{label} weighted response contrast", cancel, 1e-10))
         checks.append((f"{label} g weight identity", g_gap, 1e-11))
     for label, report in (("single", mc_single), ("dual", mc_dual)):
-        for name, s in report.summaries.items():
+        for name, s in report.estimators.items():
             gap = abs(s.mse - (s.bias ** 2 + s.variance))
             checks.append((f"{label} mc {name} mse decomposition", gap,
                            1e-12))

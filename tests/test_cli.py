@@ -165,6 +165,29 @@ def test_simulation_values_are_checked_when_the_config_is_parsed(tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["estimate", "validate", "simulate"])
+@pytest.mark.parametrize("sim, message", [
+    ({"family": "nope"}, "unknown DGP family 'nope'"),
+    ({"clamp_policy": "whatever"}, "unknown clamp policy 'whatever'"),
+    ({"parameters": {"bogus": 1}}, "unknown simulation parameter 'bogus'"),
+    ({"parameters": {"selection_intercept": float("inf")}},
+     "selection_intercept must be finite, got inf"),
+], ids=["family", "clamp-policy", "parameter", "non-finite"])
+def test_a_bad_simulation_section_fails_every_command(tmp_path, survey_csv, capsys,
+                                                      command, sim, message):
+    # the section is checked when the config is read, not only by the
+    # commands that draw from it; estimate echoed a bad one into its report
+    doc = make_doc(simulation={"family": "dual_binary_iv", **sim})
+    out = tmp_path / "o.json"
+    argv = {"estimate": ["--data", survey_csv, "--out", str(out)],
+            "validate": ["--data", survey_csv],
+            "simulate": ["--out", str(out)]}[command]
+    assert main([command, "--config", write_yaml(tmp_path / "cfg.yaml", doc), *argv]) == 4
+    err = capsys.readouterr().err
+    assert f"configuration error: {message}" in err
+    assert not out.exists()
+
+
 def test_config_requires_format_tag():
     doc = make_doc()
     del doc["format"]
@@ -990,7 +1013,6 @@ def test_nonrespondent_non_finite_outcome_cells_are_masked(tmp_path):
 def test_non_finite_config_numbers_are_configuration_errors(tmp_path, survey_csv, capsys,
                                                             section, key, value):
     if section == "simulation":
-        # only the commands that draw data read the simulation parameters
         doc = make_doc(simulation={"family": "dual_binary_iv", "parameters": {key: value}})
         argv = ["oracle"]
     else:
@@ -1299,16 +1321,20 @@ def test_robustness_refuses_other_clamp_policies(tmp_path, capsys, policy):
     assert not out.exists()
 
 
-def test_robustness_refuses_other_functionals(tmp_path, capsys):
-    # the scenarios and the reference are closed forms of the mean; a
-    # quantile config wrote a mean report under its echo (exit 0)
+@pytest.mark.parametrize("command", ["simulate", "oracle", "robustness"])
+def test_robustness_refuses_other_functionals(tmp_path, capsys, command):
+    # the oracle, the scenarios and the reference are those of the mean; a
+    # quantile config wrote a mean report under its echo (exit 0), and
+    # simulate and oracle reported the moment at psi as the quantile's truth
     doc = make_doc(functional={"kind": "quantile", "q": 0.5},
-                   simulation={"family": "dual_binary_iv"})
+                   simulation={"family": "dual_binary_iv", "n": 2000, "replications": 2,
+                               "oracle_draws": 200_000})
     out = tmp_path / "rob.json"
-    rc = main(["robustness", "--config", write_yaml(tmp_path / "r.yaml", doc),
-               "--out", str(out), "--n", "2000"])
+    argv = ["--n", "2000"] if command == "robustness" else []
+    rc = main([command, "--config", write_yaml(tmp_path / "r.yaml", doc),
+               "--out", str(out), *argv])
     assert rc == 4
-    assert ("configuration error: robustness measures the mean functional only; "
+    assert (f"configuration error: {command} measures the mean functional only; "
             "functional.kind is 'quantile'" in capsys.readouterr().err)
     assert not out.exists()
 

@@ -18,6 +18,7 @@ from mivest.exceptions import ConfigurationError
 from mivest.nuisance import evaluate_nuisances
 from mivest.oracles import (_GL_K, _unit_square_rule, oracle_identified_beta,
                             oracle_nuisances)
+from mivest.simulation import DGPSpec
 
 PROBE = np.array([[0.3, 0.4], [0.6, 0.1], [0.9, 0.9]])
 
@@ -182,7 +183,7 @@ PINNED_SINGLE = {
 
 
 def test_robustness_run_separates_consistent_from_broken():
-    report = run_robustness("single_binary_iv", n=30_000, seed=11)
+    report = run_robustness(DGPSpec("single_binary_iv", n=30_000, seed=11))
     rows = {r.scenario: r for r in report.scenarios}
     assert len(rows) == 4
     for name, pinned in PINNED_SINGLE.items():
@@ -216,6 +217,6 @@ def test_robustness_runs_one_p_missing_quadrature_per_law(monkeypatch):
             ("dual_binary_iv", {"selection_intercept": -7.5}), ("single_binary_iv", {})]
     counts = []
     for family, params in runs:
-        run_robustness(family, n=2_000, seed=11, parameters=params)
+        run_robustness(DGPSpec(family, n=2_000, seed=11, parameters=params or {}))
         counts.append(len(calls))
     assert counts == [1, 2, 3, 3]

@@ -1,6 +1,7 @@
 """Data generators, brute-force oracles, and the replication harness."""
 
 import hashlib
+import json
 import tracemalloc
 
 import numpy as np
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mivest.corruption import run_robustness
 from mivest.data import EstimationConfig, FunctionalSpec
+from mivest.dataio import SimulationSection, report_json
 from mivest.exceptions import ConfigurationError, EstimationError
 from mivest.learners import LearnerConfig
 from mivest.simulation import (_CHUNK, _ORACLE_BATCH, DGPSpec, GenerationError,
@@ -51,7 +52,7 @@ def test_spec_refuses_parameters_the_family_does_not_read():
         DGPSpec(family="dual_binary_iv", n=10, seed=0,
                 parameters={"slope": 1.0, "c0": -8.0, "selection_intercept": -8.0})
     with pytest.raises(ConfigurationError, match="unknown simulation parameter 'c0'"):
-        run_robustness("dual_binary_iv", n=100, parameters={"c0": -8.0})
+        SimulationSection(family="dual_binary_iv", parameters={"c0": -8.0})
 
 
 def test_generate_is_deterministic():
@@ -390,14 +391,20 @@ def test_mc_report_shape_and_mse_decomposition():
     dgp = DGPSpec(family="single_binary_iv", n=400, seed=0)
     report = run_monte_carlo(dgp, 6, CFG, MEAN, 2.0122,
                              EstimationConfig(n_folds=3, repetitions=1, seed=17))
-    d = report.as_dict()
+    d = json.loads(report_json(report))
     assert d["replications"] == 6
     assert set(d["estimators"]) == {"id", "if"}
-    for s in report.summaries.values():
+    # only "if" reports coverage and a variance; no entry lists its
+    # estimates, and a warning-free study has no fit_warnings key
+    assert {"coverage", "mean_if_variance"} <= set(d["estimators"]["if"])
+    assert not {"coverage", "mean_if_variance"} & set(d["estimators"]["id"])
+    assert not any("estimates" in e for e in d["estimators"].values())
+    assert "fit_warnings" not in d
+    for s in report.estimators.values():
         assert s.n_success == 6
         assert s.mse == pytest.approx(s.bias ** 2 + s.variance, abs=1e-12)
-    assert report.summaries["if"].coverage is not None
-    assert 0.0 <= report.summaries["if"].coverage <= 1.0
+    assert report.estimators["if"].coverage is not None
+    assert 0.0 <= report.estimators["if"].coverage <= 1.0
 
 
 def test_mc_replication_streams_do_not_shift():
@@ -407,8 +414,8 @@ def test_mc_replication_streams_do_not_shift():
     r3 = run_monte_carlo(dgp, 3, CFG, MEAN, 2.0122, est)
     r5 = run_monte_carlo(dgp, 5, CFG, MEAN, 2.0122, est)
     for name in ("id", "if"):
-        a = r3.summaries[name].estimates
-        b = r5.summaries[name].estimates[:3]
+        a = r3.estimators[name].estimates
+        b = r5.estimators[name].estimates[:3]
         assert a == b
 
 
@@ -417,7 +424,7 @@ def test_mc_thread_count_does_not_change_results():
     est = EstimationConfig(n_folds=3, repetitions=1, seed=5)
     r1 = run_monte_carlo(dgp, 4, CFG, MEAN, 2.0122, est, threads=1)
     r2 = run_monte_carlo(dgp, 4, CFG, MEAN, 2.0122, est, threads=2)
-    assert r1.as_dict() == r2.as_dict()
+    assert report_json(r1) == report_json(r2)
 
 
 def test_pool_tasks_reach_every_worker():
@@ -439,7 +446,7 @@ def test_mc_counts_failed_replications():
     dgp = DGPSpec(family="dual_binary_iv", n=8, seed=0)
     report = run_monte_carlo(dgp, 3, CFG, MEAN, 1.0627,
                              EstimationConfig(n_folds=4, repetitions=1, seed=2))
-    s = report.summaries["if"]
+    s = report.estimators["if"]
     assert s.n_success + s.n_failed == 3
     assert s.n_failed >= 1
 
